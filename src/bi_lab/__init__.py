@@ -4,6 +4,7 @@ Submodules:
 
   exact        rational and Gaussian-rational scalars
   poly         dense univariate polynomials with reflection/shift primitives
+  linop        exact sparse matrices of operators on a finite slice
   bi_operator  shift-reflection realization of the algebra
   bi_poly      Bannai-Ito polynomials (three routes), ladders, grid, weights
   sl1          sl_{-1}(2) modules and the 1D Dunkl realization

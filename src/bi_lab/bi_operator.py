@@ -18,7 +18,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import NonScalarCasimir
-from .exact import HALF, Rat
+from .exact import HALF, ONE, Rat
+from .linop import LinOp, anticomm
 from .poly import (
     P_ZERO,
     Poly,
@@ -71,10 +72,6 @@ class BIParams:
         }
 
 
-def structure_constants(P: BIParams) -> tuple[Rat, Rat, Rat]:
-    return (P.omega1, P.omega2, P.omega3)
-
-
 def k1_apply(P: BIParams, p: Poly) -> Poly:
     if p.is_zero():
         return P_ZERO
@@ -98,6 +95,30 @@ def k3_apply(P: BIParams, p: Poly) -> Poly:
     return anticomm - p.scale(P.omega3)
 
 
+def monomial_matrix(P: BIParams, apply, n: int) -> LinOp:
+    """Matrix of apply(P, .) on the monomials 1, x, ..., x^(n-1); image
+    components along x^n and above are dropped."""
+    return LinOp.make(
+        {i: c for i, c in enumerate(apply(P, Poly.monomial(j)).coeffs) if i < n}
+        for j in range(n)
+    )
+
+
+def bi_matrices(P: BIParams, maxdeg: int) -> tuple[LinOp, LinOp, LinOp]:
+    """K1, K2 and K3 = {K1,K2} - omega3 on the monomials 1, ..., x^(maxdeg+2).
+
+    K1 keeps the degree and K2, K3 raise it by one, so a product of two
+    generators takes x^j, and every intermediate image, to degree at most
+    j + 2.  Columns 0..maxdeg of such products are therefore exact despite
+    the truncation; callers compare only those.
+    """
+    n = maxdeg + 3
+    K1 = monomial_matrix(P, k1_apply, n)
+    K2 = monomial_matrix(P, k2_apply, n)
+    K3 = anticomm(K1, K2) - LinOp.identity(n, ONE).scale(P.omega3)
+    return K1, K2, K3
+
+
 def check_bi_relations(P: BIParams, maxdeg: int) -> VerificationReport:
     """Verify the three anticommutation relations exactly on monomials.
 
@@ -105,42 +126,28 @@ def check_bi_relations(P: BIParams, maxdeg: int) -> VerificationReport:
     every x^j with j <= maxdeg holds on all polynomials of that degree.
     """
     report = VerificationReport("bannai-ito relations (shift-reflection realization)")
-    relations = [
-        ("{K1,K2} = K3 + omega3", k1_apply, k2_apply, k3_apply, P.omega3),
-        ("{K2,K3} = K1 + omega1", k2_apply, k3_apply, k1_apply, P.omega1),
-        ("{K3,K1} = K2 + omega2", k3_apply, k1_apply, k2_apply, P.omega2),
+    K1, K2, K3 = bi_matrices(P, maxdeg)
+    one = LinOp.identity(maxdeg + 3, ONE)
+    residuals = [
+        ("{K1,K2} = K3 + omega3", anticomm(K1, K2) - K3 - one.scale(P.omega3)),
+        ("{K2,K3} = K1 + omega1", anticomm(K2, K3) - K1 - one.scale(P.omega1)),
+        ("{K3,K1} = K2 + omega2", anticomm(K3, K1) - K2 - one.scale(P.omega2)),
     ]
     for j in range(maxdeg + 1):
-        mono = Poly.monomial(j)
-        for name, a, b, c, omega in relations:
-            lhs = a(P, b(P, mono)) + b(P, a(P, mono))
-            rhs = c(P, mono) + mono.scale(omega)
-            report.record(name, j, lhs == rhs)
+        for name, residual in residuals:
+            report.record(name, j, not residual.cols[j])
     return report
 
 
 def casimir_scalar(P: BIParams, maxdeg: int = 6) -> Rat:
     """Value by which K1^2 + K2^2 + K3^2 acts, verified degree by degree."""
     expected = 2 * (P.rho1**2 + P.rho2**2 + P.r1**2 + P.r2**2) - Fraction(1, 4)
+    K1, K2, K3 = bi_matrices(P, maxdeg)
+    residual = K1 @ K1 + K2 @ K2 + K3 @ K3 \
+        - LinOp.identity(maxdeg + 3, ONE).scale(expected)
     for j in range(maxdeg + 1):
-        mono = Poly.monomial(j)
-        total = (
-            k1_apply(P, k1_apply(P, mono))
-            + k2_apply(P, k2_apply(P, mono))
-            + k3_apply(P, k3_apply(P, mono))
-        )
-        if total != mono.scale(expected):
+        if residual.cols[j]:
             raise NonScalarCasimir(
                 f"Casimir is not {expected} * identity on x^{j} for {P}"
             )
     return expected
-
-
-def k1_matrix(P: BIParams, N: int) -> list[list[Rat]]:
-    """Matrix of K1 on the monomial basis {1, x, ..., x^N}.
-
-    Degree preservation makes it upper triangular with the eigenvalues
-    (-1)^n (n + h) on the diagonal.
-    """
-    cols = [k1_apply(P, Poly.monomial(j)) for j in range(N + 1)]
-    return [[cols[j].coeff(i) for j in range(N + 1)] for i in range(N + 1)]

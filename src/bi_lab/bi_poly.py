@@ -20,7 +20,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .bi_operator import BIParams, k1_apply, k1_matrix, k2_apply, k3_apply
+from .bi_operator import BIParams, k1_apply, k2_apply, k3_apply, monomial_matrix
 from .errors import DegenerateParameters, DegenerateSpectrum, NotFinitelyOrthogonal
 from .exact import HALF, ONE, Rat, ZERO, pochhammer, rat_to_float
 from .poly import (
@@ -161,16 +161,17 @@ def bi_hypergeometric(P: BIParams, n: int) -> Poly:
 def bi_from_operator(P: BIParams, n: int) -> Poly:
     """Monic B_n by solving the upper-triangular eigenproblem of K1."""
     lam = eigenvalue(P, n)
-    M = k1_matrix(P, n)
+    cols = monomial_matrix(P, k1_apply, n + 1).cols
     v = [ZERO] * (n + 1)
     v[n] = ONE
     for i in range(n - 1, -1, -1):
-        denom = M[i][i] - lam
+        denom = cols[i].get(i, ZERO) - lam
         if denom == 0:
             raise DegenerateSpectrum(
                 f"eigenvalue collision lambda_{i} = lambda_{n} for {P}"
             )
-        v[i] = -sum((M[i][j] * v[j] for j in range(i + 1, n + 1)), ZERO) / denom
+        v[i] = -sum((cols[j].get(i, ZERO) * v[j] for j in range(i + 1, n + 1)),
+                    ZERO) / denom
     return Poly.make(v)
 
 

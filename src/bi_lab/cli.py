@@ -12,7 +12,6 @@ import argparse
 import csv
 import io
 import json
-import os
 import sys
 
 from .bi_operator import BIParams
@@ -85,12 +84,19 @@ def _parse_mu_list(text: str):
     return [rat_parse(p) for p in parts]
 
 
+def _require_at_least(flag: str, value: int | None, low: int) -> None:
+    """Reject a size flag below ``low``: it would run zero checks or rows."""
+    if value is not None and value < low:
+        raise BILabError(f"{flag} must be at least {low}, got {value}")
+
+
 def _add_format(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--format", choices=["json", "csv", "pretty"],
                         default="pretty")
 
 
 def cmd_poly(args) -> int:
+    _require_at_least("--nmax", args.nmax, 0)
     P = BIParams(
         rat_parse(args.rho1), rat_parse(args.rho2),
         rat_parse(args.r1), rat_parse(args.r2),
@@ -110,6 +116,8 @@ def cmd_poly(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    _require_at_least("--tuples", args.tuples, 1)
+    _require_at_least("--maxdeg", args.maxdeg, 0)
     report = run_scope(
         args.scope, seed=args.seed, tuples=args.tuples, maxdeg=args.maxdeg
     )
@@ -167,6 +175,7 @@ def cmd_racah(args) -> int:
 
 
 def cmd_dirac(args) -> int:
+    _require_at_least("--maxdeg", args.maxdeg, 0)
     mu = _parse_mu_list(args.mu)
     DP = DiracParams.make(mu[0], mu[1], mu[2])
     merged = VerificationReport(f"dirac (mu={args.mu}, maxdeg={args.maxdeg})")
@@ -243,9 +252,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    # BI_LAB_THREADS caps worker parallelism; execution is currently
-    # single-threaded, which respects any cap.
-    os.environ.setdefault("BI_LAB_THREADS", "1")
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

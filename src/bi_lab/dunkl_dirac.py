@@ -6,9 +6,9 @@ the angular-momentum prefactor 1/i and the Pauli matrices, and no
 tolerance appears anywhere in the module.
 
 All operators in scope preserve total degree, so identities are checked
-on graded slices: each degree-d monomial (in either spinor component) is
-an invariant probe, and a relation holding on every slice monomial holds
-on the full graded space.
+on graded slices: each operator becomes one exact matrix per slice of
+degree-d spinors, and a relation holds on the full graded space when
+lhs - rhs is the zero matrix on every slice.
 """
 
 from __future__ import annotations
@@ -18,7 +18,8 @@ from fractions import Fraction
 from typing import Callable
 
 from .errors import DegenerateParameters
-from .exact import GRAT_I, GRAT_MINUS_I, GRat, Rat, grat_make
+from .exact import GRAT_I, GRAT_MINUS_I, GRAT_ONE, GRAT_ZERO, GRat, Rat, grat_make
+from .linop import LinOp, anticomm, comm
 from .report import VerificationReport
 
 Exponent = tuple[int, int, int]
@@ -75,15 +76,6 @@ class Poly3:
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Poly3) and self.terms == other.terms
-
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
-
-    def to_json(self) -> list[dict]:
-        return [
-            {"exp": list(e), "coeff": c.to_json()}
-            for e, c in sorted(self.terms.items())
-        ]
 
 
 def var_mul(axis: int, p: Poly3) -> Poly3:
@@ -157,38 +149,15 @@ def angular_momentum(DP: DiracParams, axis: int, p: Poly3) -> Poly3:
     return raw.scale(GRAT_MINUS_I)  # 1/i = -i
 
 
-def jj_commutator_check(DP: DiracParams, maxdeg: int) -> VerificationReport:
-    """[J_j, J_k] = i J_l (1 + 2 mu_l R_l) on all monomials up to maxdeg.
-
-    The cyclic reading (j k l) is the primary one; if a slice were to fail
-    it, the alternate index assignment is tried and the outcome recorded.
-    """
-    report = VerificationReport("Dunkl angular-momentum commutators")
-
-    def lhs(jj: int, kk: int, p: Poly3) -> Poly3:
-        return angular_momentum(DP, jj, angular_momentum(DP, kk, p)) - \
-            angular_momentum(DP, kk, angular_momentum(DP, jj, p))
-
-    def rhs(ll: int, p: Poly3) -> Poly3:
-        q = p + reflect(ll, p).scale_rat(2 * DP.mu(ll))
-        return angular_momentum(DP, ll, q).scale(GRAT_I)
-
-    for jj, kk, ll in ((1, 2, 3), (2, 3, 1), (3, 1, 2)):
-        name = f"[J{jj},J{kk}] = i J{ll}(1 + 2 mu{ll} R{ll})"
-        for d in range(maxdeg + 1):
-            ok = all(
-                lhs(jj, kk, mono) == rhs(ll, mono) for mono in _monomials(d)
-            )
+def _record_slices(report: VerificationReport, maxdeg: int, relations) -> None:
+    """Record relation by relation, each on slices 0..maxdeg, whether
+    lhs - rhs is zero for the (name, lhs, rhs) that ``relations(d)`` yields
+    in the same order for every slice d."""
+    per_slice = [[(name, lhs == rhs) for name, lhs, rhs in relations(d)]
+                 for d in range(maxdeg + 1)]
+    for row in zip(*per_slice):
+        for d, (name, ok) in enumerate(row):
             report.record(name, d, ok)
-    if report.passed:
-        report.note("cyclic index reading [J_j, J_k] = i eps_jkl J_l (1+2 mu_l R_l) holds")
-    return report
-
-
-def _monomials(degree: int):
-    for a in range(degree + 1):
-        for b in range(degree + 1 - a):
-            yield Poly3.monomial((a, b, degree - a - b))
 
 
 # ---------------------------------------------------------------------------
@@ -206,23 +175,11 @@ class SpinorPoly3:
     def __add__(self, other: "SpinorPoly3") -> "SpinorPoly3":
         return SpinorPoly3(self.up + other.up, self.down + other.down)
 
-    def __sub__(self, other: "SpinorPoly3") -> "SpinorPoly3":
-        return SpinorPoly3(self.up - other.up, self.down - other.down)
-
-    def scale(self, c: GRat) -> "SpinorPoly3":
-        return SpinorPoly3(self.up.scale(c), self.down.scale(c))
-
     def scale_rat(self, c: Rat | int) -> "SpinorPoly3":
         return SpinorPoly3(self.up.scale_rat(c), self.down.scale_rat(c))
 
-    def is_zero(self) -> bool:
-        return self.up.is_zero() and self.down.is_zero()
-
     def map_components(self, f: Callable[[Poly3], Poly3]) -> "SpinorPoly3":
         return SpinorPoly3(f(self.up), f(self.down))
-
-
-SpinorOp = Callable[[SpinorPoly3], SpinorPoly3]
 
 
 def sigma_apply(axis: int, s: SpinorPoly3) -> SpinorPoly3:
@@ -240,27 +197,20 @@ def pauli_layer_check() -> VerificationReport:
     """sigma_i sigma_j = i eps_ijk sigma_k + delta_ij and the Clifford
     relations, verified once on the 2x2 Gaussian-rational matrices."""
     report = VerificationReport("Pauli layer")
-    basis = [
-        SpinorPoly3(Poly3.monomial((0, 0, 0)), Poly3.zero()),
-        SpinorPoly3(Poly3.zero(), Poly3.monomial((0, 0, 0))),
-    ]
+    sigma = {i: slice_matrix(0, lambda s: sigma_apply(i, s)) for i in (1, 2, 3)}
+    one = LinOp.identity(2, GRAT_ONE)
     eps = {(1, 2): 3, (2, 3): 1, (3, 1): 2, (2, 1): -3, (3, 2): -1, (1, 3): -2}
     for i in range(1, 4):
         for j in range(1, 4):
-            for b in basis:
-                lhs = sigma_apply(i, sigma_apply(j, b))
-                if i == j:
-                    rhs = b
-                else:
-                    k = eps[(i, j)]
-                    sign = GRAT_I if k > 0 else GRAT_MINUS_I
-                    rhs = sigma_apply(abs(k), b).scale(sign)
+            k = eps.get((i, j), 0)
+            rhs = sigma[abs(k)].scale(GRAT_I if k > 0 else GRAT_MINUS_I) if k else one
+            want = one.scale(grat_make(2 if i == j else 0))
+            prod, anti = sigma[i] @ sigma[j], anticomm(sigma[i], sigma[j])
+            for b in (0, 1):  # one entry per basis spinor
                 report.record("sigma_i sigma_j = i eps sigma_k + delta", (i, j),
-                              lhs == rhs)
-                anti = sigma_apply(i, sigma_apply(j, b)) + \
-                    sigma_apply(j, sigma_apply(i, b))
-                want = b.scale_rat(2) if i == j else SpinorPoly3.zero()
-                report.record("{sigma_i,sigma_j} = 2 delta", (i, j), anti == want)
+                              prod.cols[b] == rhs.cols[b])
+                report.record("{sigma_i,sigma_j} = 2 delta", (i, j),
+                              anti.cols[b] == want.cols[b])
     return report
 
 
@@ -275,22 +225,56 @@ def gamma_apply(DP: DiracParams, s: SpinorPoly3) -> SpinorPoly3:
     return out
 
 
-def _spinor_monomials(degree: int):
-    for mono in _monomials(degree):
-        yield SpinorPoly3(mono, Poly3.zero())
-        yield SpinorPoly3(Poly3.zero(), mono)
+def slice_matrix(degree: int, op: Callable[[SpinorPoly3], SpinorPoly3]) -> LinOp:
+    """Matrix of a degree-preserving op on the spinors of one degree.
+
+    Basis vector 2 m + s is the m-th monomial x1^a x2^b x3^c, ordered by
+    (a, b), in the up (s = 0) or down (s = 1) component.
+    """
+    exps = [(a, b, degree - a - b)
+            for a in range(degree + 1) for b in range(degree + 1 - a)]
+    pos = {e: n for n, e in enumerate(exps)}
+    cols = []
+    for m in exps:
+        mono, zero = Poly3.monomial(m), Poly3.zero()
+        for out in (op(SpinorPoly3(mono, zero)), op(SpinorPoly3(zero, mono))):
+            cols.append({2 * pos[e] + spin: c
+                         for spin, part in enumerate((out.up, out.down))
+                         for e, c in part.terms.items()})
+    return LinOp.make(cols)
 
 
-def _check_on_slices(
-    report: VerificationReport,
-    name: str,
-    lhs: SpinorOp,
-    rhs: SpinorOp,
-    maxdeg: int,
-) -> None:
-    for d in range(maxdeg + 1):
-        ok = all(lhs(s) == rhs(s) for s in _spinor_monomials(d))
-        report.record(name, d, ok)
+def _angular_slice(DP: DiracParams, degree: int) -> dict[str, LinOp]:
+    """The identity "1" and J_i, R_i as "J1".."R3" on one spinor slice."""
+    g = {}
+    for i in (1, 2, 3):
+        g[f"J{i}"] = slice_matrix(degree, lambda s: s.map_components(
+            lambda p: angular_momentum(DP, i, p)))
+        g[f"R{i}"] = slice_matrix(degree, lambda s: s.map_components(
+            lambda p: reflect(i, p)))
+    g["1"] = LinOp.identity(len(g["J1"].cols), GRAT_ONE)
+    return g
+
+
+def jj_commutator_check(DP: DiracParams, maxdeg: int) -> VerificationReport:
+    """[J_j, J_k] = i J_l (1 + 2 mu_l R_l) on all monomials up to maxdeg.
+
+    Only the cyclic index reading (j k l) is checked; the report notes
+    that it holds.
+    """
+    report = VerificationReport("Dunkl angular-momentum commutators")
+
+    def relations(d: int):
+        g = _angular_slice(DP, d)
+        for jj, kk, ll in ((1, 2, 3), (2, 3, 1), (3, 1, 2)):
+            rhs = g[f"J{ll}"] @ (g["1"] + g[f"R{ll}"].scale(grat_make(2 * DP.mu(ll))))
+            yield (f"[J{jj},J{kk}] = i J{ll}(1 + 2 mu{ll} R{ll})",
+                   comm(g[f"J{jj}"], g[f"J{kk}"]), rhs.scale(GRAT_I))
+
+    _record_slices(report, maxdeg, relations)
+    if report.passed:
+        report.note("cyclic index reading [J_j, J_k] = i eps_jkl J_l (1+2 mu_l R_l) holds")
+    return report
 
 
 def gamma_square_identity(DP: DiracParams, maxdeg: int) -> VerificationReport:
@@ -303,76 +287,42 @@ def gamma_square_identity(DP: DiracParams, maxdeg: int) -> VerificationReport:
     report = VerificationReport("Gamma squared identity")
     musum = DP.mu1 + DP.mu2 + DP.mu3
 
-    def lhs(s: SpinorPoly3) -> SpinorPoly3:
-        g = gamma_apply(DP, s)
-        return gamma_apply(DP, g) + g
-
-    def xterm(p: Poly3) -> Poly3:
-        out = Poly3.zero()
-        for (i, j) in ((1, 2), (2, 3), (1, 3)):
-            mij = 2 * DP.mu(i) * DP.mu(j)
-            out = out + (p - reflect(i, reflect(j, p))).scale_rat(mij)
+    def relations(d: int):
+        g = _angular_slice(DP, d)
+        x = g["1"].scale(grat_make(musum))
+        for i, j in ((1, 2), (2, 3), (1, 3)):
+            x = x + (g["1"] - g[f"R{i}"] @ g[f"R{j}"]).scale(
+                grat_make(2 * DP.mu(i) * DP.mu(j)))
         for i in (1, 2, 3):
-            out = out - reflect(i, p).scale_rat(DP.mu(i))
-        return out + p.scale_rat(musum)
+            x = x - g[f"R{i}"].scale(grat_make(DP.mu(i)))
+        jsq = g["J1"] @ g["J1"] + g["J2"] @ g["J2"] + g["J3"] @ g["J3"]
+        gamma = slice_matrix(d, lambda s: gamma_apply(DP, s))
+        yield ("Gamma^2 + Gamma = J^2 - X + c", gamma @ gamma + gamma,
+               jsq - x + g["1"].scale(grat_make(musum * (musum + 1))))
 
-    def rhs(s: SpinorPoly3) -> SpinorPoly3:
-        jsq = SpinorPoly3.zero()
-        for axis in (1, 2, 3):
-            jsq = jsq + s.map_components(
-                lambda p, a=axis: angular_momentum(
-                    DP, a, angular_momentum(DP, a, p)
-                )
-            )
-        return jsq - s.map_components(xterm) + s.scale_rat(musum * (musum + 1))
-
-    _check_on_slices(report, "Gamma^2 + Gamma = J^2 - X + c", lhs, rhs, maxdeg)
+    _record_slices(report, maxdeg, relations)
     return report
 
 
-def _m_op(DP: DiracParams, axis: int) -> SpinorOp:
-    """M_i = J_i + sigma_i (mu_j R_j + mu_k R_k + 1/2), (i j k) cyclic."""
-    j, k = _CYCLIC[axis]
+def symmetry_generators(DP: DiracParams, degree: int) -> dict[str, LinOp]:
+    """Gamma and its symmetries as matrices on one spinor slice.
 
-    def apply(s: SpinorPoly3) -> SpinorPoly3:
-        ji = s.map_components(lambda p: angular_momentum(DP, axis, p))
-        inner = (
-            s.map_components(lambda p: reflect(j, p)).scale_rat(DP.mu(j))
-            + s.map_components(lambda p: reflect(k, p)).scale_rat(DP.mu(k))
-            + s.scale_rat(Fraction(1, 2))
-        )
-        return ji + sigma_apply(axis, inner)
-
-    return apply
-
-
-def _x_op(axis: int) -> SpinorOp:
-    def apply(s: SpinorPoly3) -> SpinorPoly3:
-        return sigma_apply(axis, s.map_components(lambda p: reflect(axis, p)))
-
-    return apply
-
-
-def _y_op(s: SpinorPoly3) -> SpinorPoly3:
-    """Y = -i X1 X2 X3 = R1 R2 R3 on both spinor components."""
-    return s.map_components(lambda p: reflect(1, reflect(2, reflect(3, p))))
-
-
-def _compose(*ops: SpinorOp) -> SpinorOp:
-    def apply(s: SpinorPoly3) -> SpinorPoly3:
-        for op in reversed(ops):
-            s = op(s)
-        return s
-
-    return apply
-
-
-def _commutator(a: SpinorOp, b: SpinorOp) -> SpinorOp:
-    return lambda s: a(b(s)) - b(a(s))
-
-
-def _anticommutator(a: SpinorOp, b: SpinorOp) -> SpinorOp:
-    return lambda s: a(b(s)) + b(a(s))
+    Adds to ``_angular_slice``: "Gamma", and for (i j k) cyclic
+    "M{i}" = J_i + sigma_i (mu_j R_j + mu_k R_k + 1/2), "X{i}" = sigma_i R_i,
+    "K{i}" = M_i X_i Y, with "Y" = R1 R2 R3.
+    """
+    g = _angular_slice(DP, degree)
+    g["Gamma"] = slice_matrix(degree, lambda s: gamma_apply(DP, s))
+    g["Y"] = g["R1"] @ g["R2"] @ g["R3"]
+    for i, (j, k) in _CYCLIC.items():
+        sigma = slice_matrix(degree, lambda s: sigma_apply(i, s))
+        inner = g[f"R{j}"].scale(grat_make(DP.mu(j))) \
+            + g[f"R{k}"].scale(grat_make(DP.mu(k))) \
+            + g["1"].scale(grat_make(Fraction(1, 2)))
+        g[f"M{i}"] = g[f"J{i}"] + sigma @ inner
+        g[f"X{i}"] = sigma @ g[f"R{i}"]
+        g[f"K{i}"] = g[f"M{i}"] @ g[f"X{i}"] @ g["Y"]
+    return g
 
 
 def symmetry_check(DP: DiracParams, maxdeg: int) -> VerificationReport:
@@ -383,64 +333,47 @@ def symmetry_check(DP: DiracParams, maxdeg: int) -> VerificationReport:
     report records that this reading is the one that holds.
     """
     report = VerificationReport("Dunkl-Dirac symmetry algebra")
-    gamma: SpinorOp = lambda s: gamma_apply(DP, s)
-    m_ops = {i: _m_op(DP, i) for i in (1, 2, 3)}
-    x_ops = {i: _x_op(i) for i in (1, 2, 3)}
-    zero: SpinorOp = lambda s: SpinorPoly3.zero()
 
-    for i in (1, 2, 3):
-        _check_on_slices(report, f"[Gamma, M{i}] = 0",
-                         _commutator(gamma, m_ops[i]), zero, maxdeg)
-        _check_on_slices(report, f"[Gamma, X{i}] = 0",
-                         _commutator(gamma, x_ops[i]), zero, maxdeg)
-        _check_on_slices(report, f"[M{i}, X{i}] = 0",
-                         _commutator(m_ops[i], x_ops[i]), zero, maxdeg)
-        for j in (1, 2, 3):
-            if j != i:
-                _check_on_slices(report, f"{{M{i}, X{j}}} = 0",
-                                 _anticommutator(m_ops[i], x_ops[j]), zero, maxdeg)
+    def relations(d: int):
+        g = symmetry_generators(DP, d)
+        one, gamma, y = g["1"], g["Gamma"], g["Y"]
+        zero = one.scale(GRAT_ZERO)
+        for i in (1, 2, 3):
+            m = g[f"M{i}"]
+            yield f"[Gamma, M{i}] = 0", comm(gamma, m), zero
+            yield f"[Gamma, X{i}] = 0", comm(gamma, g[f"X{i}"]), zero
+            yield f"[M{i}, X{i}] = 0", comm(m, g[f"X{i}"]), zero
+            for j in (1, 2, 3):
+                if j != i:
+                    yield f"{{M{i}, X{j}}} = 0", anticomm(m, g[f"X{j}"]), zero
 
-    # Y is central and squares to one.
-    _check_on_slices(report, "Y = -i X1 X2 X3 = R1 R2 R3",
-                     _compose(x_ops[1], x_ops[2], x_ops[3]),
-                     lambda s: _y_op(s).scale(GRAT_I), maxdeg)
-    _check_on_slices(report, "Y^2 = 1", _compose(_y_op, _y_op),
-                     lambda s: s, maxdeg)
-    _check_on_slices(report, "[Y, Gamma] = 0", _commutator(_y_op, gamma),
-                     zero, maxdeg)
-    for i in (1, 2, 3):
-        _check_on_slices(report, f"[Y, M{i}] = 0",
-                         _commutator(_y_op, m_ops[i]), zero, maxdeg)
+        # Y is central and squares to one.
+        yield ("Y = -i X1 X2 X3 = R1 R2 R3", g["X1"] @ g["X2"] @ g["X3"],
+               y.scale(GRAT_I))
+        yield "Y^2 = 1", y @ y, one
+        yield "[Y, Gamma] = 0", comm(y, gamma), zero
+        for i in (1, 2, 3):
+            yield f"[Y, M{i}] = 0", comm(y, g[f"M{i}"]), zero
 
-    # [M_i, M_j] = i eps_ijk (M_k + 2 mu_k (Gamma+1) X_k) + mu_i mu_j [X_i, X_j]
-    # (the realization fixes the coefficient of [X_i, X_j] to mu_i mu_j;
-    # 2 mu_i mu_j fails already on constant spinors)
-    def gamma_plus_one(s: SpinorPoly3) -> SpinorPoly3:
-        return gamma(s) + s
+        # [M_i, M_j] = i eps_ijk (M_k + 2 mu_k (Gamma+1) X_k) + mu_i mu_j [X_i, X_j]
+        # (the realization fixes the coefficient of [X_i, X_j] to mu_i mu_j;
+        # 2 mu_i mu_j fails already on constant spinors)
+        for i, j, k in ((1, 2, 3), (2, 3, 1), (3, 1, 2)):
+            central = g[f"M{k}"] + (g[f"X{k}"] @ (gamma + one)).scale(
+                grat_make(2 * DP.mu(k)))
+            xcomm = comm(g[f"X{i}"], g[f"X{j}"])
+            yield (f"[M{i}, M{j}] relation", comm(g[f"M{i}"], g[f"M{j}"]),
+                   central.scale(GRAT_I)
+                   + xcomm.scale(grat_make(DP.mu(i) * DP.mu(j))))
 
-    for i, j, k in ((1, 2, 3), (2, 3, 1), (3, 1, 2)):
-        def rhs(s: SpinorPoly3, i=i, j=j, k=k) -> SpinorPoly3:
-            central = m_ops[k](s) + x_ops[k](gamma_plus_one(s)).scale_rat(
-                2 * DP.mu(k)
-            )
-            xcomm = _commutator(x_ops[i], x_ops[j])(s)
-            return central.scale(GRAT_I) + xcomm.scale_rat(DP.mu(i) * DP.mu(j))
+        # The Bannai-Ito subalgebra of the K_i = M_i X_i Y.
+        for i, j, k in ((1, 2, 3), (2, 3, 1), (3, 1, 2)):
+            rhs = g[f"K{k}"] + (y @ (gamma + one)).scale(grat_make(2 * DP.mu(k))) \
+                + one.scale(grat_make(2 * DP.mu(i) * DP.mu(j)))
+            yield (f"{{K{i}, K{j}}} = K{k} + central",
+                   anticomm(g[f"K{i}"], g[f"K{j}"]), rhs)
 
-        _check_on_slices(report, f"[M{i}, M{j}] relation",
-                         _commutator(m_ops[i], m_ops[j]), rhs, maxdeg)
-
-    # K_i = M_i X_i Y and the Bannai-Ito subalgebra.
-    k_ops = {i: _compose(m_ops[i], x_ops[i], _y_op) for i in (1, 2, 3)}
-    for i, j, k in ((1, 2, 3), (2, 3, 1), (3, 1, 2)):
-        def rhs(s: SpinorPoly3, i=i, j=j, k=k) -> SpinorPoly3:
-            return (
-                k_ops[k](s)
-                + _y_op(gamma_plus_one(s)).scale_rat(2 * DP.mu(k))
-                + s.scale_rat(2 * DP.mu(i) * DP.mu(j))
-            )
-
-        _check_on_slices(report, f"{{K{i}, K{j}}} = K{k} + central",
-                         _anticommutator(k_ops[i], k_ops[j]), rhs, maxdeg)
+    _record_slices(report, maxdeg, relations)
     if report.passed:
         report.note(
             "cyclic reading holds: {K_i,K_j} = K_k + 2 mu_k (Gamma+1) Y + 2 mu_i mu_j"

@@ -94,15 +94,6 @@ class GRat:
     def scale(self, c: Rat) -> "GRat":
         return GRat(c * self.re, c * self.im)
 
-    def conj(self) -> "GRat":
-        return GRat(self.re, -self.im)
-
-    def inverse(self) -> "GRat":
-        norm = self.re * self.re + self.im * self.im
-        if norm == 0:
-            raise InvalidScalar("division by zero Gaussian rational")
-        return GRat(self.re / norm, -self.im / norm)
-
     def to_json(self) -> dict:
         return {"re": rat_str(self.re), "im": rat_str(self.im)}
 

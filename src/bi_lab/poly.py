@@ -11,10 +11,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .errors import NotDivisible
-from .exact import ONE, Rat, ZERO, rat_str
+from .exact import Rat, ZERO, rat_str
 
 
 @dataclass(frozen=True)
@@ -42,9 +42,6 @@ class Poly:
 
     def is_zero(self) -> bool:
         return not self.coeffs
-
-    def leading(self) -> Rat:
-        return self.coeffs[-1] if self.coeffs else ZERO
 
     def coeff(self, k: int) -> Rat:
         return self.coeffs[k] if 0 <= k < len(self.coeffs) else ZERO
@@ -76,11 +73,6 @@ class Poly:
         if c == 0:
             return P_ZERO
         return Poly(tuple(c * a for a in self.coeffs))
-
-    def monic(self) -> "Poly":
-        if self.is_zero():
-            return self
-        return self.scale(1 / self.leading())
 
     def to_json(self) -> list[str]:
         return [rat_str(c) for c in self.coeffs]
@@ -150,9 +142,3 @@ def pochhammer_poly(base: Poly, k: int) -> Poly:
     for j in range(k):
         out = out * (base + Poly.const(j))
     return out
-
-
-def poly_from_strings(coeffs: Sequence[str]) -> Poly:
-    from .exact import rat_parse
-
-    return Poly.make(rat_parse(c) for c in coeffs)

@@ -75,9 +75,6 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
 def mat_anticomm(a: Matrix, b: Matrix) -> Matrix:
     return mat_add(mat_mul(a, b), mat_mul(b, a))
 
-def mat_to_float(a: Matrix) -> np.ndarray:
-    return np.array([[rat_to_float(x) for x in row] for row in a], dtype=float)
-
 
 # ---------------------------------------------------------------------------
 # parameters and coefficients

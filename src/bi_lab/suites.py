@@ -204,21 +204,25 @@ SCOPES = {
 }
 
 
-def run_scope(scope: str, seed: int = DEFAULT_SEED, **kwargs) -> VerificationReport:
-    """Run one named scope (or 'all') into a merged report."""
-    names = list(SCOPES) if scope == "all" else [scope]
+def run_scope(scope: str, seed: int = DEFAULT_SEED, tuples: int | None = None,
+              maxdeg: int | None = None) -> VerificationReport:
+    """Run one named scope (or 'all') into a merged report.
+
+    ``tuples`` sizes every suite, ``maxdeg`` only suite_bi and suite_dirac;
+    None keeps a suite's default.
+    """
+    runs = [(name, fn) for name in (list(SCOPES) if scope == "all" else [scope])
+            for fn in SCOPES[name]]
+    degree_suites = (suite_bi, suite_dirac)
+    if maxdeg is not None and not any(fn in degree_suites for _, fn in runs):
+        raise BILabError(f"--maxdeg does not apply to scope {scope!r}")
     merged = VerificationReport(f"verify scope={scope}")
-    for name in names:
-        for fn in SCOPES[name]:
-            sub = fn(seed=seed, **_accepted(fn, kwargs))
-            merged.record(sub.title, name, sub.passed,
-                          "" if sub.passed else sub.summary())
-            merged.notes.extend(sub.notes)
+    for name, fn in runs:
+        sizes = {} if tuples is None else {"tuples": tuples}
+        if maxdeg is not None and fn in degree_suites:
+            sizes["maxdeg"] = maxdeg
+        sub = fn(seed=seed, **sizes)
+        merged.record(sub.title, name, sub.passed,
+                      "" if sub.passed else sub.summary())
+        merged.notes.extend(sub.notes)
     return merged
-
-
-def _accepted(fn, kwargs: dict) -> dict:
-    import inspect
-
-    params = inspect.signature(fn).parameters
-    return {k: v for k, v in kwargs.items() if k in params and v is not None}

@@ -6,13 +6,12 @@ import pytest
 
 from bi_lab.bi_operator import (
     BIParams,
+    bi_matrices,
     casimir_scalar,
     check_bi_relations,
     k1_apply,
-    k1_matrix,
     k2_apply,
     k3_apply,
-    structure_constants,
 )
 from bi_lab.poly import P_ONE, Poly
 
@@ -22,11 +21,6 @@ P1 = BIParams.make(1, 2, Fraction(1, 2), Fraction(1, 4))
 class TestFrozenValuesP1:
     def test_h(self):
         assert P1.h == Fraction(11, 4)
-
-    def test_structure_constants(self):
-        assert structure_constants(P1) == (
-            Fraction(17, 2), Fraction(75, 8), Fraction(15, 2)
-        )
 
     def test_k1_on_x(self):
         assert k1_apply(P1, Poly.monomial(1)) == Poly.make(
@@ -43,10 +37,11 @@ class TestFrozenValuesP1:
         assert casimir_scalar(P1, 8) == Fraction(83, 8)
 
     def test_k1_matrix(self):
-        assert k1_matrix(P1, 1) == [
-            [Fraction(11, 4), Fraction(4)],
-            [Fraction(0), Fraction(-15, 4)],
-        ]
+        K1, _, _ = bi_matrices(P1, 0)
+        assert K1.cols[:2] == (
+            {0: Fraction(11, 4)},
+            {0: Fraction(4), 1: Fraction(-15, 4)},
+        )
 
 
 class TestStructure:
@@ -67,14 +62,27 @@ class TestStructure:
             assert k3_apply(P1, Poly.monomial(d)).degree() == d + 1
 
     def test_k1_matrix_upper_triangular(self):
-        M = k1_matrix(P1, 6)
-        assert all(M[i][j] == 0 for i in range(7) for j in range(i))
+        K1, _, _ = bi_matrices(P1, 6)
+        assert all(i <= j for j, col in enumerate(K1.cols) for i in col)
 
     def test_k1_diagonal_is_spectrum(self):
-        M = k1_matrix(P1, 6)
+        K1, _, _ = bi_matrices(P1, 6)
         for n in range(7):
             want = (n + P1.h) * (1 if n % 2 == 0 else -1)
-            assert M[n][n] == want
+            assert K1.cols[n][n] == want
+
+    def test_matrices_match_operators(self):
+        # Columns 0..maxdeg of K3 and of a product of generators are the
+        # images of x^j, despite the truncated basis.
+        def column(p: Poly) -> dict:
+            return {i: c for i, c in enumerate(p.coeffs) if c}
+
+        K1, K2, K3 = bi_matrices(P1, 5)
+        for j in range(6):
+            mono = Poly.monomial(j)
+            assert K3.cols[j] == column(k3_apply(P1, mono))
+            assert (K3 @ K2).cols[j] == column(k3_apply(P1, k2_apply(P1, mono)))
+            assert (K1 @ K3).cols[j] == column(k1_apply(P1, k3_apply(P1, mono)))
 
     def test_casimir_closed_form(self):
         value = casimir_scalar(P1)

@@ -70,7 +70,7 @@ class TestThreeRoutes:
 
     def test_monic(self):
         for n in range(8):
-            assert bi_recurrence(P1, n).leading() == 1
+            assert bi_recurrence(P1, n).coeffs[-1] == 1
 
     def test_hypergeometric_n0(self):
         assert bi_hypergeometric(P1, 0) == P_ONE
@@ -160,7 +160,7 @@ class TestComplementary:
     def test_degree(self, n):
         p = complementary_bi(P1, n)
         assert p.degree() == n
-        assert p.leading() == 1
+        assert p.coeffs[-1] == 1
 
 
 class TestDiscreteWeights:

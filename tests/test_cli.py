@@ -51,6 +51,14 @@ class TestPoly:
         )
         assert code == EXIT_INVALID
 
+    def test_negative_nmax_exit_2(self, capsys):
+        code, out, err = run(
+            capsys, "poly", "--rho1", "1", "--rho2", "2", "--r1", "1/2",
+            "--r2", "1/4", "--nmax", "-3",
+        )
+        assert (code, out) == (EXIT_INVALID, "")
+        assert "--nmax" in err
+
 
 class TestVerify:
     def test_small_scope_passes(self, capsys):
@@ -65,6 +73,36 @@ class TestVerify:
         _, first, _ = run(capsys, *args)
         _, second, _ = run(capsys, *args)
         assert first == second
+
+    def test_zero_tuples_exit_2(self, capsys):
+        code, out, err = run(capsys, "verify", "--scope", "sl1", "--tuples", "0")
+        assert (code, out) == (EXIT_INVALID, "")
+        assert "--tuples" in err
+
+    def test_negative_maxdeg_exit_2(self, capsys):
+        code, out, err = run(capsys, "verify", "--scope", "bi", "--maxdeg", "-1")
+        assert (code, out) == (EXIT_INVALID, "")
+        assert "--maxdeg" in err
+
+    @pytest.mark.parametrize("scope", ["racah", "sl1"])
+    def test_maxdeg_refused_for_scope_without_degrees(self, capsys, scope):
+        code, out, err = run(capsys, "verify", "--scope", scope, "--maxdeg", "3")
+        assert (code, out) == (EXIT_INVALID, "")
+        assert scope in err and "--maxdeg" in err
+
+    def test_all_passes_maxdeg_to_degree_suites_only(self, capsys):
+        code, out, _ = run(
+            capsys, "verify", "--scope", "all", "--tuples", "1", "--maxdeg", "1",
+            "--format", "json",
+        )
+        assert code == EXIT_OK
+        assert [e["check"] for e in json.loads(out)["entries"]] == [
+            "bi suite (1 tuples, maxdeg 1)",
+            "polynomial triple-oracle suite (1 tuples, n <= 10)",
+            "sl_(-1)(2) suite (1 tuples)",
+            "racah suite (1 tuples, N <= 8)",
+            "dunkl-dirac suite (1 tuples, slices <= 1)",
+        ]
 
     def test_failure_exit_1(self, capsys, monkeypatch):
         failing = VerificationReport("stub")
@@ -119,6 +157,13 @@ class TestDirac:
         )
         assert code == EXIT_OK
         assert json.loads(out)["pass"] is True
+
+    def test_negative_maxdeg_exit_2(self, capsys):
+        code, out, err = run(
+            capsys, "dirac", "--mu", "1/4,1/3,1/2", "--maxdeg", "-2",
+        )
+        assert (code, out) == (EXIT_INVALID, "")
+        assert "--maxdeg" in err
 
 
 class TestWeights:

@@ -17,11 +17,14 @@ from bi_lab.dunkl_dirac import (
     pauli_layer_check,
     reflect,
     sigma_apply,
+    slice_matrix,
     symmetry_check,
+    symmetry_generators,
     var_mul,
 )
 from bi_lab.errors import DegenerateParameters
-from bi_lab.exact import GRAT_I, grat_make
+from bi_lab.exact import GRAT_I, GRAT_ZERO, grat_make
+from bi_lab.linop import anticomm
 
 DP1 = DiracParams.make(Fraction(1, 4), Fraction(1, 3), Fraction(1, 2))
 DP0 = DiracParams.make(0, 0, 0)
@@ -129,19 +132,15 @@ class TestGamma:
             refl[i, i] = -1
             gamma = gamma + mus[i] * np.kron(refl, np.eye(2))
 
-        for col, mono in enumerate([X1, X2, X3]):
-            for spin in (0, 1):
-                s = SpinorPoly3(mono, Poly3.zero()) if spin == 0 \
-                    else SpinorPoly3(Poly3.zero(), mono)
-                got = gamma_apply(DP1, s)
-                vec = np.zeros(6, dtype=complex)
-                for row, basis in enumerate([X1, X2, X3]):
-                    e = next(iter(basis.terms))
-                    for half, comp in ((0, got.up), (1, got.down)):
-                        c = comp.terms.get(e)
-                        if c is not None:
-                            vec[2 * row + half] = float(c.re) + 1j * float(c.im)
-                assert np.allclose(vec, gamma[:, 2 * col + spin], atol=1e-12)
+        # The exact slice matrix orders the monomials x3, x2, x1, with spin
+        # as the fast index; pos maps its basis index to the oracle's.
+        exact = slice_matrix(1, lambda s: gamma_apply(DP1, s))
+        pos = [2 * (2 - m) + spin for m in range(3) for spin in (0, 1)]
+        got = np.zeros((6, 6), dtype=complex)
+        for col, entries in enumerate(exact.cols):
+            for row, c in entries.items():
+                got[pos[row], pos[col]] = float(c.re) + 1j * float(c.im)
+        assert np.allclose(got, gamma, atol=1e-12)
 
     @pytest.mark.parametrize("DP", [DP0, DP1])
     def test_square_identity(self, DP):
@@ -155,18 +154,20 @@ class TestSymmetryAlgebra:
         assert report.passed, report.summary()
 
     def test_y_squared_identity(self):
-        from bi_lab.dunkl_dirac import _y_op
-
-        s = SpinorPoly3(var_mul(1, X2), X3)
-        assert _y_op(_y_op(s)) == s
+        for d in range(4):
+            g = symmetry_generators(DP1, d)
+            assert g["Y"] @ g["Y"] == g["1"]
+            assert g["Y"] == g["1"].scale(grat_make((-1) ** d))
 
     def test_mu_zero_k_relations_have_no_central_term(self):
         # At mu = 0: {K1,K2} = K3 exactly (all central terms vanish).
-        from bi_lab.dunkl_dirac import _compose, _m_op, _x_op, _y_op
+        for d in range(4):
+            g = symmetry_generators(DP0, d)
+            assert anticomm(g["K1"], g["K2"]) == g["K3"]
 
-        k_ops = {
-            i: _compose(_m_op(DP0, i), _x_op(i), _y_op) for i in (1, 2, 3)
-        }
-        for s in (SpinorPoly3(X1, Poly3.zero()), SpinorPoly3(X2, X3)):
-            lhs = k_ops[1](k_ops[2](s)) + k_ops[2](k_ops[1](s))
-            assert lhs == k_ops[3](s)
+    def test_k_relations_central_term_is_nonzero(self):
+        # For mu != 0 the checked central term is real: {K1,K2} - K3 is not
+        # the zero matrix on any slice.
+        for d in range(5):
+            g = symmetry_generators(DP1, d)
+            assert anticomm(g["K1"], g["K2"]) - g["K3"] != g["1"].scale(GRAT_ZERO)

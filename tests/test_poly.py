@@ -16,7 +16,6 @@ from bi_lab.poly import (
     poly_derivative,
     poly_divide_exact,
     poly_eval,
-    poly_from_strings,
     poly_reflect,
     poly_shift_reflect,
 )
@@ -57,12 +56,6 @@ class TestRing:
     def test_degree_of_product(self, p, q):
         if not p.is_zero() and not q.is_zero():
             assert (p * q).degree() == p.degree() + q.degree()
-
-    def test_monic(self):
-        assert Poly.make([1, 4]).monic() == Poly.make([Fraction(1, 4), 1])
-
-    def test_from_strings(self):
-        assert poly_from_strings(["1/2", "-3"]) == Poly.make([Fraction(1, 2), -3])
 
 
 class TestEvalAndOperators:
