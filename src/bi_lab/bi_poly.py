@@ -77,20 +77,44 @@ def recurrence_coeffs(P: BIParams, n: int) -> RecurrenceCoeffs:
     return RecurrenceCoeffs(n, A, C)
 
 
+def _steps(P: BIParams, nmax: int) -> list[tuple[Rat, Rat]]:
+    """Step coefficients (b_k, u_k), k < nmax, of
+    B_{k+1} = (x - b_k) B_k - u_k B_{k-1}: b_k = rho1 - A_k - C_k and
+    u_k = A_{k-1} C_k (u_0 = 0, since C_0 = 0)."""
+    coeffs = [recurrence_coeffs(P, k) for k in range(nmax)]
+    return [
+        (P.rho1 - c.A - c.C, coeffs[k - 1].A * c.C if k else ZERO)
+        for k, c in enumerate(coeffs)
+    ]
+
+
+def bi_sequence(P: BIParams, nmax: int) -> list[Poly]:
+    """Monic B_0, ..., B_nmax from one pass of the three-term recurrence."""
+    out, prev = [P_ONE], P_ZERO
+    for b, u in _steps(P, nmax):
+        cur = out[-1]
+        out.append(Poly((ZERO, *cur.coeffs)) - cur.scale(b) - prev.scale(u))
+        prev = cur
+    return out
+
+
+def bi_values(P: BIParams, nmax: int, points: list[Rat]) -> list[list[Rat]]:
+    """[B_0(x), ..., B_nmax(x)] for each x in points, by the same
+    recurrence run on scalars (no polynomial is built)."""
+    steps = _steps(P, nmax)
+    out = []
+    for x in points:
+        row, prev = [ONE], ZERO
+        for b, u in steps:
+            row.append((x - b) * row[-1] - u * prev)
+            prev = row[-2]
+        out.append(row)
+    return out
+
+
 def bi_recurrence(P: BIParams, n: int) -> Poly:
     """Monic B_n from the three-term recurrence."""
-    if n == 0:
-        return P_ONE
-    coeffs = [recurrence_coeffs(P, k) for k in range(n)]
-    prev, cur = P_ZERO, P_ONE
-    for k in range(n):
-        ak, ck = coeffs[k].A, coeffs[k].C
-        shift = Poly.make([-(P.rho1 - ak - ck), 1])
-        nxt = shift * cur
-        if k > 0:
-            nxt = nxt - prev.scale(coeffs[k - 1].A * ck)
-        prev, cur = cur, nxt
-    return cur
+    return bi_sequence(P, n)[n]
 
 
 def _pochhammer_checked(base: Rat, k: int, label: str) -> Rat:
@@ -246,8 +270,7 @@ def ladder_coeffs(P: BIParams, n: int) -> LadderCoeffs:
 
 def complementary_bi(P: BIParams, n: int) -> Poly:
     """Complementary polynomial I_n by the Christoffel-type division at rho1."""
-    bn = bi_recurrence(P, n)
-    bn1 = bi_recurrence(P, n + 1)
+    bn, bn1 = bi_sequence(P, n + 1)[n:]
     denom = poly_eval(bn, P.rho1)
     if denom == 0:
         raise DegenerateParameters(f"B_{n}(rho1) = 0 for {P}")
@@ -274,13 +297,10 @@ def discrete_weights_exact(P: BIParams, N: int) -> list[tuple[Rat, Rat]]:
                 "off-diagonal product A_(k-1) C_k not positive"
             )
         norm2.append(norm2[-1] * step)
-    polys = [bi_recurrence(P, k) for k in range(N + 1)]
+    grid = [grid_point(P, s) for s in range(N + 1)]
     out: list[tuple[Rat, Rat]] = []
-    for s in range(N + 1):
-        x_s = grid_point(P, s)
-        inv_w = sum(
-            poly_eval(polys[k], x_s) ** 2 / norm2[k] for k in range(N + 1)
-        )
+    for x_s, values in zip(grid, bi_values(P, N, grid)):
+        inv_w = sum(v ** 2 / norm2[k] for k, v in enumerate(values))
         out.append((x_s, 1 / inv_w))
     return out
 

@@ -16,7 +16,7 @@ import sys
 
 from .bi_operator import BIParams
 from .bi_poly import (
-    bi_recurrence,
+    bi_sequence,
     discrete_weights,
     eigenvalue,
     grid_point,
@@ -102,14 +102,14 @@ def cmd_poly(args) -> int:
         rat_parse(args.r1), rat_parse(args.r2),
     )
     rows = []
-    for n in range(args.nmax + 1):
+    for n, bn in enumerate(bi_sequence(P, args.nmax)):
         rc = recurrence_coeffs(P, n)
         rows.append({
             "n": n,
             "lambda": rat_str(eigenvalue(P, n)),
             "A": rat_str(rc.A),
             "C": rat_str(rc.C),
-            "coeffs": " ".join(bi_recurrence(P, n).to_json()),
+            "coeffs": " ".join(bn.to_json()),
         })
     _emit(rows, args.format)
     return EXIT_OK

@@ -23,7 +23,7 @@ class Poly:
 
     @staticmethod
     def make(coeffs: Iterable[Rat | int]) -> "Poly":
-        cs = [Fraction(c) for c in coeffs]
+        cs = [c if type(c) is Fraction else Fraction(c) for c in coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
         return Poly(tuple(cs))

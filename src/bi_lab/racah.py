@@ -26,7 +26,7 @@ from fractions import Fraction
 import numpy as np
 
 from .bi_operator import BIParams
-from .bi_poly import bi_recurrence, grid_point, poly_eval
+from .bi_poly import bi_values, grid_point
 from .errors import (
     BILabError,
     DegenerateParameters,
@@ -51,11 +51,15 @@ def mat_identity(n: int, c: Rat = ONE) -> Matrix:
         out[i][i] = c
     return out
 
+# Most entries are zero: mat_add and mat_sub do Fraction arithmetic only
+# where both summands are nonzero.
 def mat_add(a: Matrix, b: Matrix) -> Matrix:
-    return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+    return [[x + y if x and y else x or y for x, y in zip(ra, rb)]
+            for ra, rb in zip(a, b)]
 
 def mat_sub(a: Matrix, b: Matrix) -> Matrix:
-    return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+    return [[x - y if x and y else x or -y for x, y in zip(ra, rb)]
+            for ra, rb in zip(a, b)]
 
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     n = len(a)
@@ -303,18 +307,17 @@ def racah_overlaps(RP: RacahParams, tol: float = 1e-9) -> np.ndarray:
     # column norm prod_{j<=k} U_j, so each column carries the constant
     # t_k = 2^k / prod U_j.
     P = RP.identifications()
-    polys = [bi_recurrence(P, k) for k in range(n)]
+    values = bi_values(P, RP.N, [grid_point(P, s) for s in range(n)])
     t = [1.0]
     for k in range(1, n):
         u = np.sqrt(rat_to_float(rep.offdiag_products[k - 1]))
         t.append(t[-1] * 2.0 / u)
     for s in range(n):
-        x_s = grid_point(P, s)
         w = overlap[s, 0]
         if abs(w) < 1e-13:
             raise BILabError(f"vanishing weight component at s={s}")
         for k in range(n):
-            want = t[k] * rat_to_float(poly_eval(polys[k], x_s))
+            want = t[k] * rat_to_float(values[s][k])
             if abs(overlap[s, k] / w - want) > tol * max(1.0, abs(want)):
                 raise BILabError(
                     f"overlap ({s},{k}) = {overlap[s, k] / w} != "

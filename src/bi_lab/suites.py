@@ -15,7 +15,7 @@ from .bi_operator import BIParams, casimir_scalar, check_bi_relations
 from .bi_poly import (
     bi_from_operator,
     bi_hypergeometric,
-    bi_recurrence,
+    bi_sequence,
     recurrence_coeffs,
 )
 from .dunkl_dirac import (
@@ -32,7 +32,6 @@ from .racah import (
     build_tridiag_rep,
     k1_spectrum_check,
     racah_overlaps,
-    tensor_oracle,
 )
 from .report import VerificationReport
 from .sl1 import (
@@ -109,8 +108,7 @@ def suite_polynomials(seed: int = DEFAULT_SEED, tuples: int = 20,
     )
     for t in range(tuples):
         P = random_bi_params_regular(rng, nmax)
-        for n in range(nmax + 1):
-            rec = bi_recurrence(P, n)
+        for n, rec in enumerate(bi_sequence(P, nmax)):
             report.record("recurrence = hypergeometric", (t, n),
                           rec == bi_hypergeometric(P, n))
             report.record("recurrence = operator eigensolve", (t, n),
@@ -148,7 +146,7 @@ def identification_check(RP: RacahParams) -> VerificationReport:
 
 
 def suite_racah(seed: int = DEFAULT_SEED, tuples: int = 20,
-                max_n: int = 8, with_tensor: bool = False) -> VerificationReport:
+                max_n: int = 8) -> VerificationReport:
     rng = random.Random(seed)
     report = VerificationReport(f"racah suite ({tuples} tuples, N <= {max_n})")
     for t in range(tuples):
@@ -169,10 +167,6 @@ def suite_racah(seed: int = DEFAULT_SEED, tuples: int = 20,
             report.record("overlaps = BI polynomials", t, True)
         except BILabError as exc:
             report.record("overlaps = BI polynomials", t, False, str(exc))
-        if with_tensor and RP.N <= 4:
-            sub = tensor_oracle(RP, RP.N)
-            report.record("tensor oracle", t, sub.passed,
-                          "" if sub.passed else sub.summary())
     return report
 
 

@@ -9,6 +9,8 @@ from bi_lab.bi_poly import (
     bi_from_operator,
     bi_hypergeometric,
     bi_recurrence,
+    bi_sequence,
+    bi_values,
     complementary_bi,
     discrete_weights,
     discrete_weights_exact,
@@ -20,7 +22,7 @@ from bi_lab.bi_poly import (
     v_apply,
 )
 from bi_lab.errors import DegenerateParameters, NotFinitelyOrthogonal
-from bi_lab.exact import rat_to_float
+from bi_lab.exact import ZERO, rat_to_float
 from bi_lab.poly import P_ONE, P_ZERO, Poly, poly_eval
 from bi_lab.racah import RacahParams
 
@@ -50,6 +52,29 @@ class TestEigenvaluesAndCoeffs:
         bad = BIParams.make(0, 0, Fraction(1, 2), Fraction(1, 2))
         with pytest.raises(DegenerateParameters):
             recurrence_coeffs(bad, 0)
+
+
+class TestSequenceAndValues:
+    def test_sequence_is_every_recurrence(self):
+        for n in range(12):
+            assert bi_sequence(P1, n) == [bi_recurrence(P1, k) for k in range(n + 1)]
+
+    @pytest.mark.parametrize("P, N", [(P1, 8)] + [
+        (RacahParams.make(Fraction(1, 4), Fraction(1, 3), Fraction(1, 2), N)
+         .identifications(), N)
+        for N in (0, 1, 8, 24)
+    ])
+    def test_values_equal_horner_on_grid(self, P, N):
+        grid = [grid_point(P, s) for s in range(N + 1)]
+        polys = bi_sequence(P, N)
+        assert bi_values(P, N, grid) == [[poly_eval(p, x) for p in polys] for x in grid]
+
+    def test_degenerate_tuple_raises(self):
+        bad = BIParams.make(0, 0, Fraction(1, 2), Fraction(1, 2))
+        with pytest.raises(DegenerateParameters):
+            bi_sequence(bad, 3)
+        with pytest.raises(DegenerateParameters):
+            bi_values(bad, 3, [ZERO])
 
 
 class TestThreeRoutes:

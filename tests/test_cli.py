@@ -1,6 +1,7 @@
 """CLI integration: exit-code contract and deterministic output."""
 
 import json
+import sys
 
 import pytest
 
@@ -12,6 +13,21 @@ def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def count_calls(monkeypatch, module: str, name: str) -> list[int]:
+    """Count calls of ``module.name`` through every bi_lab binding of it."""
+    orig = getattr(sys.modules[module], name)
+    calls = [0]
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return orig(*args, **kwargs)
+
+    for mod_name, mod in list(sys.modules.items()):
+        if mod_name.startswith("bi_lab") and getattr(mod, name, None) is orig:
+            monkeypatch.setattr(mod, name, counted)
+    return calls
 
 
 class TestPoly:
@@ -43,6 +59,27 @@ class TestPoly:
         )
         assert code == EXIT_INVALID
         assert "denominator" in err
+
+    def test_degenerate_below_nmax_exit_2(self, capsys):
+        # A_n's denominator 4(n + rho1 + rho2 - r1 - r2 + 1) vanishes at n = 3.
+        code, out, err = run(
+            capsys, "poly", "--rho1", "-3", "--rho2", "0", "--r1", "1/2",
+            "--r2", "1/2", "--nmax", "8", "--format", "json",
+        )
+        assert (code, out) == (EXIT_INVALID, "")
+        assert err == (
+            "error: A_3 denominator vanishes for BIParams(rho1=Fraction(-3, 1), "
+            "rho2=Fraction(0, 1), r1=Fraction(1, 2), r2=Fraction(1, 2))\n"
+        )
+
+    def test_one_recurrence_per_table(self, capsys, monkeypatch):
+        calls = count_calls(monkeypatch, "bi_lab.bi_poly", "recurrence_coeffs")
+        code, out, _ = run(
+            capsys, "poly", "--rho1", "1", "--rho2", "2", "--r1", "1/2",
+            "--r2", "1/4", "--nmax", "40", "--format", "json",
+        )
+        assert code == EXIT_OK and len(json.loads(out)) == 41
+        assert 0 < calls[0] <= 2 * 41
 
     def test_decimal_rejected(self, capsys):
         code, _, err = run(
@@ -139,6 +176,14 @@ class TestRacah:
         payload = json.loads(out)
         assert payload["grid"] == ["5/12"]
         assert len(payload["representation"]["K1"]) == 1
+
+    def test_overlaps_evaluate_no_polynomial(self, capsys, monkeypatch):
+        calls = count_calls(monkeypatch, "bi_lab.poly", "poly_eval")
+        code, out, _ = run(
+            capsys, "racah", "--mu", "1/4,1/3,1/2", "--N", "24", "--format", "json",
+        )
+        assert code == EXIT_OK and len(json.loads(out)["overlaps"]) == 25
+        assert calls[0] == 0
 
     def test_bad_mu_exit_2(self, capsys):
         code, _, err = run(capsys, "racah", "--mu", "1/4,1/3", "--N", "2")
