@@ -129,13 +129,13 @@ def check_bi_relations(P: BIParams, maxdeg: int) -> VerificationReport:
     K1, K2, K3 = bi_matrices(P, maxdeg)
     one = LinOp.identity(maxdeg + 3, ONE)
     residuals = [
-        ("{K1,K2} = K3 + omega3", anticomm(K1, K2) - K3 - one.scale(P.omega3)),
-        ("{K2,K3} = K1 + omega1", anticomm(K2, K3) - K1 - one.scale(P.omega1)),
-        ("{K3,K1} = K2 + omega2", anticomm(K3, K1) - K2 - one.scale(P.omega2)),
+        ("{K1,K2} = K3 + omega3", (anticomm(K1, K2) - K3 - one.scale(P.omega3)).cols),
+        ("{K2,K3} = K1 + omega1", (anticomm(K2, K3) - K1 - one.scale(P.omega1)).cols),
+        ("{K3,K1} = K2 + omega2", (anticomm(K3, K1) - K2 - one.scale(P.omega2)).cols),
     ]
     for j in range(maxdeg + 1):
         for name, residual in residuals:
-            report.record(name, j, not residual.cols[j])
+            report.record(name, j, not residual[j])
     return report
 
 
@@ -143,10 +143,10 @@ def casimir_scalar(P: BIParams, maxdeg: int = 6) -> Rat:
     """Value by which K1^2 + K2^2 + K3^2 acts, verified degree by degree."""
     expected = 2 * (P.rho1**2 + P.rho2**2 + P.r1**2 + P.r2**2) - Fraction(1, 4)
     K1, K2, K3 = bi_matrices(P, maxdeg)
-    residual = K1 @ K1 + K2 @ K2 + K3 @ K3 \
-        - LinOp.identity(maxdeg + 3, ONE).scale(expected)
+    residual = (K1 @ K1 + K2 @ K2 + K3 @ K3
+                - LinOp.identity(maxdeg + 3, ONE).scale(expected)).cols
     for j in range(maxdeg + 1):
-        if residual.cols[j]:
+        if residual[j]:
             raise NonScalarCasimir(
                 f"Casimir is not {expected} * identity on x^{j} for {P}"
             )

@@ -30,12 +30,7 @@ from .racah import (
     k1_spectrum_check,
     racah_overlaps,
 )
-from .dunkl_dirac import (
-    DiracParams,
-    gamma_square_identity,
-    jj_commutator_check,
-    symmetry_check,
-)
+from .dunkl_dirac import DiracParams, dirac_checks
 from .report import VerificationReport
 from .suites import DEFAULT_SEED, run_scope
 
@@ -179,11 +174,7 @@ def cmd_dirac(args) -> int:
     mu = _parse_mu_list(args.mu)
     DP = DiracParams.make(mu[0], mu[1], mu[2])
     merged = VerificationReport(f"dirac (mu={args.mu}, maxdeg={args.maxdeg})")
-    for sub in (
-        jj_commutator_check(DP, args.maxdeg),
-        gamma_square_identity(DP, args.maxdeg),
-        symmetry_check(DP, args.maxdeg),
-    ):
+    for sub in dirac_checks(DP, args.maxdeg):
         merged.merge(sub)
     if args.format == "json":
         _emit_json(merged.to_json())

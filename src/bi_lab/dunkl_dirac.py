@@ -149,12 +149,13 @@ def angular_momentum(DP: DiracParams, axis: int, p: Poly3) -> Poly3:
     return raw.scale(GRAT_MINUS_I)  # 1/i = -i
 
 
-def _record_slices(report: VerificationReport, maxdeg: int, relations) -> None:
-    """Record relation by relation, each on slices 0..maxdeg, whether
-    lhs - rhs is zero for the (name, lhs, rhs) that ``relations(d)`` yields
-    in the same order for every slice d."""
-    per_slice = [[(name, lhs == rhs) for name, lhs, rhs in relations(d)]
-                 for d in range(maxdeg + 1)]
+def _record_slices(report: VerificationReport, slices: list[dict[str, LinOp]],
+                   relations) -> None:
+    """Record relation by relation, each on every slice, whether lhs - rhs
+    is zero for the (name, lhs, rhs) that ``relations(g)`` yields in the
+    same order for the generators g of every slice."""
+    per_slice = [[(name, lhs == rhs) for name, lhs, rhs in relations(g)]
+                 for g in slices]
     for row in zip(*per_slice):
         for d, (name, ok) in enumerate(row):
             report.record(name, d, ok)
@@ -244,74 +245,21 @@ def slice_matrix(degree: int, op: Callable[[SpinorPoly3], SpinorPoly3]) -> LinOp
     return LinOp.make(cols)
 
 
-def _angular_slice(DP: DiracParams, degree: int) -> dict[str, LinOp]:
-    """The identity "1" and J_i, R_i as "J1".."R3" on one spinor slice."""
+def symmetry_generators(DP: DiracParams, degree: int) -> dict[str, LinOp]:
+    """Gamma and its symmetries as matrices on one spinor slice.
+
+    "1" is the identity, "J{i}" and "R{i}" the angular momenta and
+    reflections, "Gamma" comes from ``gamma_apply``, and for (i j k) cyclic
+    "M{i}" = J_i + sigma_i (mu_j R_j + mu_k R_k + 1/2), "X{i}" = sigma_i R_i,
+    "K{i}" = M_i X_i Y, with "Y" = R1 R2 R3.
+    """
     g = {}
     for i in (1, 2, 3):
         g[f"J{i}"] = slice_matrix(degree, lambda s: s.map_components(
             lambda p: angular_momentum(DP, i, p)))
         g[f"R{i}"] = slice_matrix(degree, lambda s: s.map_components(
             lambda p: reflect(i, p)))
-    g["1"] = LinOp.identity(len(g["J1"].cols), GRAT_ONE)
-    return g
-
-
-def jj_commutator_check(DP: DiracParams, maxdeg: int) -> VerificationReport:
-    """[J_j, J_k] = i J_l (1 + 2 mu_l R_l) on all monomials up to maxdeg.
-
-    Only the cyclic index reading (j k l) is checked; the report notes
-    that it holds.
-    """
-    report = VerificationReport("Dunkl angular-momentum commutators")
-
-    def relations(d: int):
-        g = _angular_slice(DP, d)
-        for jj, kk, ll in ((1, 2, 3), (2, 3, 1), (3, 1, 2)):
-            rhs = g[f"J{ll}"] @ (g["1"] + g[f"R{ll}"].scale(grat_make(2 * DP.mu(ll))))
-            yield (f"[J{jj},J{kk}] = i J{ll}(1 + 2 mu{ll} R{ll})",
-                   comm(g[f"J{jj}"], g[f"J{kk}"]), rhs.scale(GRAT_I))
-
-    _record_slices(report, maxdeg, relations)
-    if report.passed:
-        report.note("cyclic index reading [J_j, J_k] = i eps_jkl J_l (1+2 mu_l R_l) holds")
-    return report
-
-
-def gamma_square_identity(DP: DiracParams, maxdeg: int) -> VerificationReport:
-    """Gamma^2 + Gamma = J^2 - X + (sum mu)(sum mu + 1).
-
-    This is the sphere-Laplacian-free combination of the two quadratic
-    identities: X collects the reflection block that distinguishes J^2
-    from the (shifted) spherical operator.
-    """
-    report = VerificationReport("Gamma squared identity")
-    musum = DP.mu1 + DP.mu2 + DP.mu3
-
-    def relations(d: int):
-        g = _angular_slice(DP, d)
-        x = g["1"].scale(grat_make(musum))
-        for i, j in ((1, 2), (2, 3), (1, 3)):
-            x = x + (g["1"] - g[f"R{i}"] @ g[f"R{j}"]).scale(
-                grat_make(2 * DP.mu(i) * DP.mu(j)))
-        for i in (1, 2, 3):
-            x = x - g[f"R{i}"].scale(grat_make(DP.mu(i)))
-        jsq = g["J1"] @ g["J1"] + g["J2"] @ g["J2"] + g["J3"] @ g["J3"]
-        gamma = slice_matrix(d, lambda s: gamma_apply(DP, s))
-        yield ("Gamma^2 + Gamma = J^2 - X + c", gamma @ gamma + gamma,
-               jsq - x + g["1"].scale(grat_make(musum * (musum + 1))))
-
-    _record_slices(report, maxdeg, relations)
-    return report
-
-
-def symmetry_generators(DP: DiracParams, degree: int) -> dict[str, LinOp]:
-    """Gamma and its symmetries as matrices on one spinor slice.
-
-    Adds to ``_angular_slice``: "Gamma", and for (i j k) cyclic
-    "M{i}" = J_i + sigma_i (mu_j R_j + mu_k R_k + 1/2), "X{i}" = sigma_i R_i,
-    "K{i}" = M_i X_i Y, with "Y" = R1 R2 R3.
-    """
-    g = _angular_slice(DP, degree)
+    g["1"] = LinOp.identity(len(g["J1"].re), GRAT_ONE)
     g["Gamma"] = slice_matrix(degree, lambda s: gamma_apply(DP, s))
     g["Y"] = g["R1"] @ g["R2"] @ g["R3"]
     for i, (j, k) in _CYCLIC.items():
@@ -325,8 +273,69 @@ def symmetry_generators(DP: DiracParams, degree: int) -> dict[str, LinOp]:
     return g
 
 
-def symmetry_check(DP: DiracParams, maxdeg: int) -> VerificationReport:
-    """Symmetries of Gamma and their Bannai-Ito subalgebra, all exact.
+def dirac_checks(DP: DiracParams, maxdeg: int) -> list[VerificationReport]:
+    """The commutator, Gamma-square and symmetry-algebra reports on the
+    slices 0..maxdeg, all three read from one build of each slice's
+    generators."""
+    slices = [symmetry_generators(DP, d) for d in range(maxdeg + 1)]
+    return [jj_commutator_check(DP, slices), gamma_square_identity(DP, slices),
+            symmetry_check(DP, slices)]
+
+
+def jj_commutator_check(DP: DiracParams,
+                        slices: list[dict[str, LinOp]]) -> VerificationReport:
+    """[J_j, J_k] = i J_l (1 + 2 mu_l R_l) on every slice of ``slices``
+    (the ``symmetry_generators`` of degrees 0, 1, ...).
+
+    Only the cyclic index reading (j k l) is checked; the report notes
+    that it holds.
+    """
+    report = VerificationReport("Dunkl angular-momentum commutators")
+
+    def relations(g: dict[str, LinOp]):
+        for jj, kk, ll in ((1, 2, 3), (2, 3, 1), (3, 1, 2)):
+            rhs = g[f"J{ll}"] @ (g["1"] + g[f"R{ll}"].scale(grat_make(2 * DP.mu(ll))))
+            yield (f"[J{jj},J{kk}] = i J{ll}(1 + 2 mu{ll} R{ll})",
+                   comm(g[f"J{jj}"], g[f"J{kk}"]), rhs.scale(GRAT_I))
+
+    _record_slices(report, slices, relations)
+    if report.passed:
+        report.note("cyclic index reading [J_j, J_k] = i eps_jkl J_l (1+2 mu_l R_l) holds")
+    return report
+
+
+def gamma_square_identity(DP: DiracParams,
+                          slices: list[dict[str, LinOp]]) -> VerificationReport:
+    """Gamma^2 + Gamma = J^2 - X + (sum mu)(sum mu + 1) on every slice of
+    ``slices`` (the ``symmetry_generators`` of degrees 0, 1, ...).
+
+    This is the sphere-Laplacian-free combination of the two quadratic
+    identities: X collects the reflection block that distinguishes J^2
+    from the (shifted) spherical operator.
+    """
+    report = VerificationReport("Gamma squared identity")
+    musum = DP.mu1 + DP.mu2 + DP.mu3
+
+    def relations(g: dict[str, LinOp]):
+        x = g["1"].scale(grat_make(musum))
+        for i, j in ((1, 2), (2, 3), (1, 3)):
+            x = x + (g["1"] - g[f"R{i}"] @ g[f"R{j}"]).scale(
+                grat_make(2 * DP.mu(i) * DP.mu(j)))
+        for i in (1, 2, 3):
+            x = x - g[f"R{i}"].scale(grat_make(DP.mu(i)))
+        jsq = g["J1"] @ g["J1"] + g["J2"] @ g["J2"] + g["J3"] @ g["J3"]
+        gamma = g["Gamma"]
+        yield ("Gamma^2 + Gamma = J^2 - X + c", gamma @ gamma + gamma,
+               jsq - x + g["1"].scale(grat_make(musum * (musum + 1))))
+
+    _record_slices(report, slices, relations)
+    return report
+
+
+def symmetry_check(DP: DiracParams,
+                   slices: list[dict[str, LinOp]]) -> VerificationReport:
+    """Symmetries of Gamma and their Bannai-Ito subalgebra, exact on every
+    slice of ``slices`` (the ``symmetry_generators`` of degrees 0, 1, ...).
 
     The K_i anticommutators are checked in their cyclic reading, with
     central term 2 mu_k (Gamma + 1) Y + 2 mu_i mu_j for {K_i, K_j}; the
@@ -334,8 +343,7 @@ def symmetry_check(DP: DiracParams, maxdeg: int) -> VerificationReport:
     """
     report = VerificationReport("Dunkl-Dirac symmetry algebra")
 
-    def relations(d: int):
-        g = symmetry_generators(DP, d)
+    def relations(g: dict[str, LinOp]):
         one, gamma, y = g["1"], g["Gamma"], g["Y"]
         zero = one.scale(GRAT_ZERO)
         for i in (1, 2, 3):
@@ -373,7 +381,7 @@ def symmetry_check(DP: DiracParams, maxdeg: int) -> VerificationReport:
             yield (f"{{K{i}, K{j}}} = K{k} + central",
                    anticomm(g[f"K{i}"], g[f"K{j}"]), rhs)
 
-    _record_slices(report, maxdeg, relations)
+    _record_slices(report, slices, relations)
     if report.passed:
         report.note(
             "cyclic reading holds: {K_i,K_j} = K_k + 2 mu_k (Gamma+1) Y + 2 mu_i mu_j"

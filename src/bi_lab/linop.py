@@ -2,64 +2,164 @@
 
 On a finite basis that the operators preserve, an identity between them
 holds exactly when lhs - rhs is the zero matrix.
+
+Entries lie in Q or Q(i).  A matrix is stored fraction-free: integer
+numerators of the real and of the imaginary parts over one common
+denominator.  Sums and products therefore run on Python ints and reduce
+once per result, not once per entry.
 """
 
 from __future__ import annotations
 
+import math
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from typing import Iterable, Mapping, Union
 
 from .exact import GRat
 
 Scalar = Union[Fraction, GRat]
+Columns = tuple[dict[int, int], ...]
 
 
 @dataclass(frozen=True)
 class LinOp:
-    """Square matrix stored by columns: ``cols[j]`` maps a row index to the
-    entry of column j, the image of basis vector j.  Entries are exact
-    scalars of one type, ``Fraction`` or ``GRat``; zeros are never stored,
-    so two matrices are equal exactly when their column dicts are."""
+    """Square matrix (re + i im) / den stored by columns: ``re[j]`` and
+    ``im[j]`` map a row index to the integer numerator of the real and of
+    the imaginary part of the entry in column j, the image of basis vector j.
 
-    cols: tuple[dict[int, Scalar], ...]
+    The form is canonical: den > 0, no zero numerator is stored, and the
+    gcd of den and every numerator is 1.  Two matrices are therefore equal
+    exactly when their fields are.
+    """
+
+    re: Columns
+    im: Columns
+    den: int
 
     @staticmethod
     def make(cols: Iterable[Mapping[int, Scalar]]) -> "LinOp":
-        return LinOp(tuple({i: x for i, x in col.items() if x} for col in cols))
+        """The matrix with these columns of Fraction or GRat entries."""
+        cols = [[(i, *_re_im(x)) for i, x in col.items()] for col in cols]
+        den = math.lcm(1, *(x.denominator for col in cols
+                            for _, a, b in col for x in (a, b)))
+        # The lcm of reduced denominators leaves no common factor to cancel.
+        return LinOp(
+            tuple({i: a.numerator * (den // a.denominator)
+                   for i, a, _ in col if a} for col in cols),
+            tuple({i: b.numerator * (den // b.denominator)
+                   for i, _, b in col if b} for col in cols),
+            den,
+        )
 
     @staticmethod
     def identity(n: int, one: Scalar) -> "LinOp":
-        return LinOp(tuple({j: one} for j in range(n)))
+        return LinOp.make({j: one} for j in range(n))
 
-    def __add__(self, other: "LinOp") -> "LinOp":
-        return LinOp.make(_add_terms(a, b.items())
-                          for a, b in zip(self.cols, other.cols, strict=True))
-
-    def __sub__(self, other: "LinOp") -> "LinOp":
-        return LinOp.make(_add_terms(a, ((i, -x) for i, x in b.items()))
-                          for a, b in zip(self.cols, other.cols, strict=True))
-
-    def __matmul__(self, other: "LinOp") -> "LinOp":
-        if len(self.cols) != len(other.cols):
-            raise ValueError("matrix sizes differ")
-        return LinOp.make(
-            _add_terms({}, ((i, a * b) for k, b in col.items()
-                            for i, a in self.cols[k].items()))
-            for col in other.cols
+    @property
+    def cols(self) -> tuple[dict[int, Scalar], ...]:
+        """The entries, column by column, as exact scalars: Fraction when
+        the matrix is real, GRat otherwise.  Built anew on every access."""
+        d = self.den
+        if not any(self.im):
+            return tuple({i: Fraction(x, d) for i, x in col.items()}
+                         for col in self.re)
+        return tuple(
+            {i: GRat(Fraction(re.get(i, 0), d), Fraction(im.get(i, 0), d))
+             for i in re.keys() | im.keys()}
+            for re, im in zip(self.re, self.im)
         )
 
+    def __add__(self, other: "LinOp") -> "LinOp":
+        return self._plus(other, 1)
+
+    def __sub__(self, other: "LinOp") -> "LinOp":
+        return self._plus(other, -1)
+
+    def _plus(self, other: "LinOp", sign: int) -> "LinOp":
+        _same_size(self, other)
+        den = math.lcm(self.den, other.den)
+        fa, fb = den // self.den, sign * (den // other.den)
+        return _canonical(_combine(self.re, fa, other.re, fb),
+                          _combine(self.im, fa, other.im, fb), den)
+
+    def __matmul__(self, other: "LinOp") -> "LinOp":
+        _same_size(self, other)
+        n = len(self.re)
+        re = [defaultdict(int) for _ in range(n)]
+        im = [defaultdict(int) for _ in range(n)]
+        _mul_into(re, self.re, other.re, 1)
+        _mul_into(re, self.im, other.im, -1)
+        _mul_into(im, self.re, other.im, 1)
+        _mul_into(im, self.im, other.re, 1)
+        return _canonical(_nonzero(re), _nonzero(im), self.den * other.den)
+
     def scale(self, c: Scalar) -> "LinOp":
-        return LinOp.make({i: x * c for i, x in col.items()} for col in self.cols)
+        a, b = _re_im(c)
+        q = math.lcm(a.denominator, b.denominator)
+        p, r = a.numerator * (q // a.denominator), b.numerator * (q // b.denominator)
+        # (re + i im)(p + i r) = (p re - r im) + i (r re + p im)
+        return _canonical(_combine(self.re, p, self.im, -r),
+                          _combine(self.re, r, self.im, p), self.den * q)
 
 
-def _add_terms(col: Mapping[int, Scalar], terms) -> dict[int, Scalar]:
-    """col plus the (row, value) terms; LinOp.make drops the zero sums."""
-    out = dict(col)
-    for i, x in terms:
-        prev = out.get(i)
-        out[i] = x if prev is None else prev + x
-    return out
+def _re_im(x: Scalar) -> tuple[Fraction | int, Fraction | int]:
+    """Real and imaginary part; both have .numerator and .denominator."""
+    return (x.re, x.im) if isinstance(x, GRat) else (x, 0)
+
+
+def _same_size(a: LinOp, b: LinOp) -> None:
+    if len(a.re) != len(b.re):
+        raise ValueError("matrix sizes differ")
+
+
+def _combine(a: Columns, fa: int, b: Columns, fb: int) -> Columns:
+    """The columns of fa a + fb b, zero sums dropped."""
+    out = []
+    for ca, cb in zip(a, b):
+        col = {} if not fa else dict(ca) if fa == 1 else \
+            {i: fa * x for i, x in ca.items()}
+        if fb:
+            for i, y in cb.items():
+                s = col.get(i, 0) + fb * y
+                if s:
+                    col[i] = s
+                else:
+                    del col[i]
+        out.append(col)
+    return tuple(out)
+
+
+def _mul_into(out: list[defaultdict], a: Columns, b: Columns, sign: int) -> None:
+    """Add sign * (a @ b) into the columns ``out``; nothing when a factor is empty."""
+    if not any(a) or not any(b):
+        return
+    for acc, col in zip(out, b):
+        for k, y in col.items():
+            y *= sign
+            for i, x in a[k].items():
+                acc[i] += x * y
+
+
+def _nonzero(cols: list[defaultdict]) -> Columns:
+    return tuple({i: x for i, x in col.items() if x} for col in cols)
+
+
+def _canonical(re: Columns, im: Columns, den: int) -> LinOp:
+    """(re + i im) / den with the common factor of den and the numerators
+    cancelled; the zero matrix gets den 1."""
+    g = den
+    for col in chain(re, im):
+        if g == 1:
+            break
+        g = math.gcd(g, *col.values())
+    if g == 1:
+        return LinOp(re, im, den)
+    return LinOp(tuple({i: x // g for i, x in col.items()} for col in re),
+                 tuple({i: x // g for i, x in col.items()} for col in im),
+                 den // g)
 
 
 def comm(a: LinOp, b: LinOp) -> LinOp:

@@ -40,7 +40,8 @@ Matrix = list[list[Rat]]
 
 
 # ---------------------------------------------------------------------------
-# exact matrix helpers (sizes stay <= N+1 <= 9)
+# exact dense (N+1) x (N+1) matrix helpers (N <= 8 in suite_racah; the
+# racah command takes any N)
 
 def mat_zero(n: int) -> Matrix:
     return [[ZERO] * n for _ in range(n)]

@@ -38,7 +38,8 @@ class VerificationReport:
 
     @property
     def passed(self) -> bool:
-        return all(e.ok for e in self.entries)
+        """True when at least one check ran and every check held."""
+        return bool(self.entries) and all(e.ok for e in self.entries)
 
     @property
     def checked(self) -> int:

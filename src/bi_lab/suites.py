@@ -20,10 +20,8 @@ from .bi_poly import (
 )
 from .dunkl_dirac import (
     DiracParams,
-    gamma_square_identity,
-    jj_commutator_check,
+    dirac_checks,
     pauli_layer_check,
-    symmetry_check,
 )
 from .errors import BILabError
 from .racah import (
@@ -180,11 +178,7 @@ def suite_dirac(seed: int = DEFAULT_SEED, tuples: int = 10,
     report.record(sub.title, "-", sub.passed)
     for t in range(tuples):
         DP = random_dirac_params(rng)
-        for sub in (
-            jj_commutator_check(DP, maxdeg),
-            gamma_square_identity(DP, maxdeg),
-            symmetry_check(DP, maxdeg),
-        ):
+        for sub in dirac_checks(DP, maxdeg):
             report.record(sub.title, t, sub.passed,
                           "" if sub.passed else sub.summary())
     return report

@@ -141,6 +141,15 @@ class TestVerify:
             "dunkl-dirac suite (1 tuples, slices <= 1)",
         ]
 
+    def test_empty_report_exit_1(self, capsys, monkeypatch):
+        # A report in which no check ran does not pass.
+        empty = VerificationReport("stub")
+        assert not empty.passed and empty.to_json()["pass"] is False
+        monkeypatch.setattr("bi_lab.cli.run_scope", lambda *a, **k: empty)
+        code, out, _ = run(capsys, "verify", "--scope", "bi")
+        assert code == EXIT_VERIFY_FAILED
+        assert "FAIL" in out
+
     def test_failure_exit_1(self, capsys, monkeypatch):
         failing = VerificationReport("stub")
         failing.record("stub check", 0, False, "forced failure")

@@ -25,6 +25,7 @@ from bi_lab.dunkl_dirac import (
 from bi_lab.errors import DegenerateParameters
 from bi_lab.exact import GRAT_I, GRAT_ZERO, grat_make
 from bi_lab.linop import anticomm
+from bi_lab.suites import suite_dirac
 
 DP1 = DiracParams.make(Fraction(1, 4), Fraction(1, 3), Fraction(1, 2))
 DP0 = DiracParams.make(0, 0, 0)
@@ -33,6 +34,10 @@ X1 = Poly3.monomial((1, 0, 0))
 X2 = Poly3.monomial((0, 1, 0))
 X3 = Poly3.monomial((0, 0, 1))
 ONE3 = Poly3.monomial((0, 0, 0))
+
+
+def slices(DP, maxdeg):
+    return [symmetry_generators(DP, d) for d in range(maxdeg + 1)]
 
 
 class TestPoly3:
@@ -83,7 +88,7 @@ class TestAngularMomentum:
 
     @pytest.mark.parametrize("DP", [DP0, DP1])
     def test_commutators(self, DP):
-        assert jj_commutator_check(DP, 5).passed
+        assert jj_commutator_check(DP, slices(DP, 5)).passed
 
 
 class TestSpinorLayer:
@@ -144,13 +149,13 @@ class TestGamma:
 
     @pytest.mark.parametrize("DP", [DP0, DP1])
     def test_square_identity(self, DP):
-        assert gamma_square_identity(DP, 5).passed
+        assert gamma_square_identity(DP, slices(DP, 5)).passed
 
 
 class TestSymmetryAlgebra:
     @pytest.mark.parametrize("DP", [DP0, DP1])
     def test_full_report(self, DP):
-        report = symmetry_check(DP, 4)
+        report = symmetry_check(DP, slices(DP, 4))
         assert report.passed, report.summary()
 
     def test_y_squared_identity(self):
@@ -171,3 +176,23 @@ class TestSymmetryAlgebra:
         for d in range(5):
             g = symmetry_generators(DP1, d)
             assert anticomm(g["K1"], g["K2"]) - g["K3"] != g["1"].scale(GRAT_ZERO)
+
+
+def test_one_generator_build_per_slice(monkeypatch):
+    import bi_lab.dunkl_dirac as dd
+
+    calls = {"angular_momentum": 0, "gamma_apply": 0}
+    for name in calls:
+        def counted(*args, _orig=getattr(dd, name), _name=name):
+            calls[_name] += 1
+            return _orig(*args)
+        monkeypatch.setattr(dd, name, counted)
+    # Basis spinors on the slices 0..3: two per monomial of degree d.
+    spinors = sum((d + 1) * (d + 2) for d in range(4))
+    for _ in range(2):  # a second identical call does the same work again
+        calls.update(angular_momentum=0, gamma_apply=0)
+        assert suite_dirac(seed=1, tuples=1, maxdeg=3).passed
+        assert calls["gamma_apply"] == spinors
+        # J_1..J_3 on both components of every basis spinor once per slice,
+        # and the same three again inside every gamma_apply.
+        assert calls["angular_momentum"] == 3 * 2 * spinors + 3 * 2 * spinors

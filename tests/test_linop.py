@@ -15,6 +15,10 @@ rationals = st.fractions(min_value=-20, max_value=20, max_denominator=12)
 # Mostly zeros, so the sparse paths (dropped entries, cancellations) run.
 sparse_rationals = st.one_of(st.just(Fraction(0)), st.just(Fraction(0)), rationals)
 grats = st.builds(GRat, sparse_rationals, sparse_rationals)
+# Both parts nonzero in every entry, over denominators with distinct factors.
+denominators = st.sampled_from([1, 2, 3, 4, 5, 7, 9, 12, 35])
+nonzero_rationals = st.builds(Fraction, st.integers(-30, 30).filter(bool), denominators)
+mixed_grats = st.builds(GRat, nonzero_rationals, nonzero_rationals)
 
 
 def entries(scalar):
@@ -45,22 +49,25 @@ def as_sympy(a: LinOp) -> sympy.Matrix:
 
 
 def same(a: LinOp, m: sympy.Matrix) -> bool:
-    return (as_sympy(a) - m).expand() == sympy.zeros(N, N)
+    # Expanded, p + q*I has one form, so structural equality is exact here.
+    return as_sympy(a) == m.expand()
 
 
-@pytest.mark.parametrize("scalar", [sparse_rationals, grats], ids=["Fraction", "GRat"])
+@pytest.mark.parametrize("scalar", [sparse_rationals, grats, mixed_grats],
+                         ids=["Fraction", "GRat", "mixed-GRat"])
 @settings(deadline=None, max_examples=25)
 @given(data=st.data())
 def test_ring_operations_match_sympy(scalar, data):
     x, y = data.draw(entries(scalar)), data.draw(entries(scalar))
     c = data.draw(scalar)
     a, b = linop(x), linop(y)
-    assert same(a + b, sym(x) + sym(y))
-    assert same(a - b, sym(x) - sym(y))
-    assert same(a @ b, sym(x) * sym(y))
-    assert same(a.scale(c), sym(x) * to_sympy(c))
-    assert same(comm(a, b), sym(x) * sym(y) - sym(y) * sym(x))
-    assert same(anticomm(a, b), sym(x) * sym(y) + sym(y) * sym(x))
+    sx, sy = sym(x), sym(y)
+    assert same(a + b, sx + sy)
+    assert same(a - b, sx - sy)
+    assert same(a @ b, sx * sy)
+    assert same(a.scale(c), sx * to_sympy(c))
+    assert same(comm(a, b), sx * sy - sy * sx)
+    assert same(anticomm(a, b), sx * sy + sy * sx)
 
 
 @settings(max_examples=25)
@@ -72,10 +79,36 @@ def test_zero_entries_never_stored(x):
     assert a @ LinOp.identity(N, GRAT_ONE) == a
 
 
+def inverse(c):
+    if isinstance(c, GRat):
+        norm = c.re * c.re + c.im * c.im
+        return GRat(c.re / norm, -c.im / norm)
+    return 1 / c
+
+
+@pytest.mark.parametrize("scalar", [sparse_rationals, mixed_grats],
+                         ids=["Fraction", "mixed-GRat"])
+@settings(max_examples=25)
+@given(data=st.data())
+def test_equality_is_canonical(scalar, data):
+    a = linop(data.draw(entries(scalar)))
+    c = data.draw(scalar.filter(bool))
+    assert a.scale(c).scale(inverse(c)) == a
+    zero = a - a
+    assert not any(zero.re) and not any(zero.im) and zero.den == 1
+    i, j = data.draw(st.integers(0, N - 1)), data.draw(st.integers(0, N - 1))
+    e = LinOp.make({i: Fraction(1, 10**30 + 57)} if col == j else {}
+                   for col in range(N))
+    assert a + e != a
+    assert (a + e) - e == a
+
+
 def test_size_mismatch_rejected():
     a = LinOp.identity(2, Fraction(1))
     b = LinOp.identity(3, Fraction(1))
     with pytest.raises(ValueError):
         a + b
+    with pytest.raises(ValueError):
+        a - b
     with pytest.raises(ValueError):
         a @ b
