@@ -119,14 +119,18 @@ def bi_matrices(P: BIParams, maxdeg: int) -> tuple[LinOp, LinOp, LinOp]:
     return K1, K2, K3
 
 
-def check_bi_relations(P: BIParams, maxdeg: int) -> VerificationReport:
+def check_bi_relations(P: BIParams,
+                       mats: tuple[LinOp, LinOp, LinOp]) -> VerificationReport:
     """Verify the three anticommutation relations exactly on monomials.
 
-    Linearity makes the monomial basis sufficient: a relation holding on
-    every x^j with j <= maxdeg holds on all polynomials of that degree.
+    ``mats`` is the triple ``bi_matrices(P, maxdeg)``; maxdeg is read from
+    its size.  Linearity makes the monomial basis sufficient: a relation
+    holding on every x^j with j <= maxdeg holds on all polynomials of that
+    degree.
     """
     report = VerificationReport("bannai-ito relations (shift-reflection realization)")
-    K1, K2, K3 = bi_matrices(P, maxdeg)
+    K1, K2, K3 = mats
+    maxdeg = len(K1.re) - 3
     one = LinOp.identity(maxdeg + 3, ONE)
     residuals = [
         ("{K1,K2} = K3 + omega3", (anticomm(K1, K2) - K3 - one.scale(P.omega3)).cols),
@@ -139,10 +143,12 @@ def check_bi_relations(P: BIParams, maxdeg: int) -> VerificationReport:
     return report
 
 
-def casimir_scalar(P: BIParams, maxdeg: int = 6) -> Rat:
-    """Value by which K1^2 + K2^2 + K3^2 acts, verified degree by degree."""
+def casimir_scalar(P: BIParams, mats: tuple[LinOp, LinOp, LinOp]) -> Rat:
+    """Value by which K1^2 + K2^2 + K3^2 acts, verified degree by degree
+    on the triple ``bi_matrices(P, maxdeg)`` (maxdeg read from its size)."""
     expected = 2 * (P.rho1**2 + P.rho2**2 + P.r1**2 + P.r2**2) - Fraction(1, 4)
-    K1, K2, K3 = bi_matrices(P, maxdeg)
+    K1, K2, K3 = mats
+    maxdeg = len(K1.re) - 3
     residual = (K1 @ K1 + K2 @ K2 + K3 @ K3
                 - LinOp.identity(maxdeg + 3, ONE).scale(expected)).cols
     for j in range(maxdeg + 1):

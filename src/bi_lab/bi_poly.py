@@ -5,7 +5,8 @@ Three independent routes produce the monic polynomials B_n:
   * the three-term recurrence with parity-split coefficients A_n, C_n,
   * the terminating double-4F3 hypergeometric expression,
   * back-substitution in the upper-triangular matrix of the defining
-    shift-reflection operator.
+    shift-reflection operator K1; one K1 on 1..x^nmax gives every
+    B_n <= nmax.
 
 All three must agree exactly; the test suite enforces this.  The module
 also carries the ladder operators K+/K-, the complementary polynomials,
@@ -14,7 +15,6 @@ the bi-linear grid x_s and the finite discrete orthogonality weights.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -23,14 +23,7 @@ import numpy as np
 from .bi_operator import BIParams, k1_apply, k2_apply, k3_apply, monomial_matrix
 from .errors import DegenerateParameters, DegenerateSpectrum, NotFinitelyOrthogonal
 from .exact import HALF, ONE, Rat, ZERO, pochhammer, rat_to_float
-from .poly import (
-    P_ONE,
-    P_ZERO,
-    Poly,
-    pochhammer_poly,
-    poly_divide_exact,
-    poly_eval,
-)
+from .poly import P_ONE, P_ZERO, Poly, poly_divide_exact, poly_eval
 
 
 def eigenvalue(P: BIParams, n: int) -> Rat:
@@ -128,19 +121,26 @@ def _pochhammer_checked(base: Rat, k: int, label: str) -> Rat:
 
 def _hyp4f3(a_scalars, a_polys, b_scalars, kmax) -> Poly:
     """Terminating 4F3 at unit argument with two polynomial numerator
-    parameters; returns the partial sum k = 0..kmax as a polynomial."""
-    out = P_ZERO
-    for k in range(kmax + 1):
-        num = ONE
+    parameters; returns the partial sum k = 0..kmax as a polynomial.
+
+    Term k is term k-1 with its scalar multiplied by
+    prod(a+k-1) / (k prod(b+k-1)) and its polynomial by prod(q+k-1).
+    """
+    scalar, term, out = ONE, P_ONE, P_ONE
+    for k in range(1, kmax + 1):
+        num, den = ONE, k
         for a in a_scalars:
-            num *= pochhammer(a, k)
-        den = math.factorial(k)
+            num *= a + k - 1
         for b in b_scalars:
-            den *= _pochhammer_checked(b, k, str(b))
-        term = P_ONE
+            if b + k - 1 == 0:
+                raise DegenerateParameters(
+                    f"lower Pochhammer ({b})_{k} vanishes at shift {k - 1}"
+                )
+            den *= b + k - 1
+        scalar = scalar * num / den
         for q in a_polys:
-            term = term * pochhammer_poly(q, k)
-        out = out + term.scale(num / den)
+            term = term * (q + Poly.const(k - 1))
+        out = out + term.scale(scalar)
     return out
 
 
@@ -182,21 +182,29 @@ def bi_hypergeometric(P: BIParams, n: int) -> Poly:
     return body.scale(c_n)
 
 
-def bi_from_operator(P: BIParams, n: int) -> Poly:
-    """Monic B_n by solving the upper-triangular eigenproblem of K1."""
-    lam = eigenvalue(P, n)
-    cols = monomial_matrix(P, k1_apply, n + 1).cols
-    v = [ZERO] * (n + 1)
-    v[n] = ONE
-    for i in range(n - 1, -1, -1):
-        denom = cols[i].get(i, ZERO) - lam
-        if denom == 0:
-            raise DegenerateSpectrum(
-                f"eigenvalue collision lambda_{i} = lambda_{n} for {P}"
-            )
-        v[i] = -sum((cols[j].get(i, ZERO) * v[j] for j in range(i + 1, n + 1)),
-                    ZERO) / denom
-    return Poly.make(v)
+def bi_from_operator(P: BIParams, nmax: int) -> list[Poly]:
+    """Monic B_0, ..., B_nmax as eigenvectors of one K1 matrix.
+
+    K1 is upper triangular on 1, x, ..., x^nmax, so its leading block on
+    1..x^n is K1 on that basis: one K1 gives every B_n <= nmax, each by
+    back-substitution for the eigenvalue lambda_n in its block.
+    """
+    cols = monomial_matrix(P, k1_apply, nmax + 1).cols
+    out = []
+    for n in range(nmax + 1):
+        lam = eigenvalue(P, n)
+        v = [ZERO] * (n + 1)
+        v[n] = ONE
+        for i in range(n - 1, -1, -1):
+            denom = cols[i].get(i, ZERO) - lam
+            if denom == 0:
+                raise DegenerateSpectrum(
+                    f"eigenvalue collision lambda_{i} = lambda_{n} for {P}"
+                )
+            v[i] = -sum((cols[j].get(i, ZERO) * v[j] for j in range(i + 1, n + 1)),
+                        ZERO) / denom
+        out.append(Poly.make(v))
+    return out
 
 
 def grid_point(P: BIParams, s: int) -> Rat:
@@ -225,8 +233,9 @@ def v_apply(P: BIParams, p: Poly, form: str = "first") -> Poly:
     'second': V = 2 K2 (K1^2 - 1/4) - omega3 K1 - omega2 / 2
     """
     if form == "first":
-        plus = ladder_apply(P, "+", k1_apply(P, p) + p.scale(HALF))
-        minus = ladder_apply(P, "-", k1_apply(P, p) - p.scale(HALF))
+        k1p = k1_apply(P, p)
+        plus = ladder_apply(P, "+", k1p + p.scale(HALF))
+        minus = ladder_apply(P, "-", k1p - p.scale(HALF))
         return plus + minus
     if form == "second":
         q = k1_apply(P, k1_apply(P, p)) - p.scale(Fraction(1, 4))

@@ -9,6 +9,7 @@ the composite x -> -x - 1 (reflection followed by the unit shift).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
@@ -106,14 +107,17 @@ def poly_shift_reflect(p: Poly) -> Poly:
     """p(x) -> p(-x-1): reflection first, then the unit forward shift.
 
     This operator order matches the composite T+R of the first-order
-    realization; it is an involution since x -> -x-1 is.
+    realization; it is an involution since x -> -x-1 is.  The expansion
+    (-x-1)^k = (-1)^k sum_i C(k,i) x^i runs on integer numerators over
+    one common denominator.
     """
-    # Horner in the argument (-x - 1).
-    arg = Poly.make([-1, -1])
-    acc = P_ZERO
-    for c in reversed(p.coeffs):
-        acc = acc * arg + Poly.const(c)
-    return acc
+    den = math.lcm(*(c.denominator for c in p.coeffs))
+    nums = [(-1) ** k * c.numerator * (den // c.denominator)
+            for k, c in enumerate(p.coeffs)]
+    return Poly.make(
+        Fraction(sum(math.comb(k, i) * nums[k] for k in range(i, len(nums))), den)
+        for i in range(len(nums))
+    )
 
 
 def poly_divide_exact(p: Poly, root: Rat) -> Poly:
@@ -134,11 +138,3 @@ def poly_divide_exact(p: Poly, root: Rat) -> Poly:
 
 def poly_derivative(p: Poly) -> Poly:
     return Poly.make(k * p.coeff(k) for k in range(1, len(p.coeffs)))
-
-
-def pochhammer_poly(base: Poly, k: int) -> Poly:
-    """Rising factorial base*(base+1)*...*(base+k-1) of a polynomial base."""
-    out = P_ONE
-    for j in range(k):
-        out = out * (base + Poly.const(j))
-    return out

@@ -11,7 +11,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from .bi_operator import BIParams, casimir_scalar, check_bi_relations
+from .bi_operator import BIParams, bi_matrices, casimir_scalar, check_bi_relations
 from .bi_poly import (
     bi_from_operator,
     bi_hypergeometric,
@@ -81,16 +81,18 @@ def random_dirac_params(rng: random.Random) -> DiracParams:
 
 def suite_bi(seed: int = DEFAULT_SEED, tuples: int = 50,
              maxdeg: int = 12) -> VerificationReport:
-    """Exact BI relations and Casimir for seeded random tuples."""
+    """Exact BI relations and Casimir for seeded random tuples, both
+    checked on one build of the generator matrices per tuple."""
     rng = random.Random(seed)
     report = VerificationReport(f"bi suite ({tuples} tuples, maxdeg {maxdeg})")
     for t in range(tuples):
         P = random_bi_params(rng)
-        sub = check_bi_relations(P, maxdeg)
+        mats = bi_matrices(P, maxdeg)
+        sub = check_bi_relations(P, mats)
         report.record("BI relations", t, sub.passed,
                       "" if sub.passed else sub.summary())
         try:
-            casimir_scalar(P, maxdeg)
+            casimir_scalar(P, mats)
             report.record("Casimir scalar", t, True)
         except BILabError as exc:
             report.record("Casimir scalar", t, False, str(exc))
@@ -106,11 +108,11 @@ def suite_polynomials(seed: int = DEFAULT_SEED, tuples: int = 20,
     )
     for t in range(tuples):
         P = random_bi_params_regular(rng, nmax)
-        for n, rec in enumerate(bi_sequence(P, nmax)):
+        routes = zip(bi_sequence(P, nmax), bi_from_operator(P, nmax))
+        for n, (rec, op) in enumerate(routes):
             report.record("recurrence = hypergeometric", (t, n),
                           rec == bi_hypergeometric(P, n))
-            report.record("recurrence = operator eigensolve", (t, n),
-                          rec == bi_from_operator(P, n))
+            report.record("recurrence = operator eigensolve", (t, n), rec == op)
     return report
 
 

@@ -14,6 +14,7 @@ from bi_lab.bi_operator import (
     k3_apply,
 )
 from bi_lab.poly import P_ONE, Poly
+from bi_lab.suites import suite_bi
 
 P1 = BIParams.make(1, 2, Fraction(1, 2), Fraction(1, 4))
 
@@ -34,7 +35,7 @@ class TestFrozenValuesP1:
         assert k2_apply(P1, P_ONE) == Poly.make([Fraction(1, 2), 2])
 
     def test_casimir(self):
-        assert casimir_scalar(P1, 8) == Fraction(83, 8)
+        assert casimir_scalar(P1, bi_matrices(P1, 8)) == Fraction(83, 8)
 
     def test_k1_matrix(self):
         K1, _, _ = bi_matrices(P1, 0)
@@ -46,7 +47,7 @@ class TestFrozenValuesP1:
 
 class TestStructure:
     def test_relations_hold(self):
-        assert check_bi_relations(P1, 10).passed
+        assert check_bi_relations(P1, bi_matrices(P1, 10)).passed
 
     @pytest.mark.parametrize(
         "params",
@@ -54,7 +55,7 @@ class TestStructure:
          BIParams.make(Fraction(-1, 3), Fraction(2, 7), 5, Fraction(-3, 2))],
     )
     def test_relations_other_params(self, params):
-        assert check_bi_relations(params, 8).passed
+        assert check_bi_relations(params, bi_matrices(params, 8)).passed
 
     def test_degree_preserved(self):
         for d in range(8):
@@ -85,7 +86,23 @@ class TestStructure:
             assert (K1 @ K3).cols[j] == column(k1_apply(P1, k3_apply(P1, mono)))
 
     def test_casimir_closed_form(self):
-        value = casimir_scalar(P1)
+        value = casimir_scalar(P1, bi_matrices(P1, 6))
         assert value == 2 * (
             P1.rho1**2 + P1.rho2**2 + P1.r1**2 + P1.r2**2
         ) - Fraction(1, 4)
+
+
+def test_one_matrix_build_per_tuple(monkeypatch):
+    import bi_lab.bi_operator as bo
+
+    calls = 0
+    def counted(*args, _orig=bo.k1_apply):
+        nonlocal calls
+        calls += 1
+        return _orig(*args)
+    monkeypatch.setattr(bo, "k1_apply", counted)
+    for _ in range(2):  # a second identical call does the same work again
+        calls = 0
+        assert suite_bi(seed=1, tuples=1, maxdeg=12).passed
+        # K1 on the monomials 1..x^14, once for the relations and the Casimir.
+        assert calls == 15

@@ -21,10 +21,15 @@ from bi_lab.bi_poly import (
     recurrence_coeffs,
     v_apply,
 )
-from bi_lab.errors import DegenerateParameters, NotFinitelyOrthogonal
+from bi_lab.errors import (
+    DegenerateParameters,
+    DegenerateSpectrum,
+    NotFinitelyOrthogonal,
+)
 from bi_lab.exact import ZERO, rat_to_float
 from bi_lab.poly import P_ONE, P_ZERO, Poly, poly_eval
 from bi_lab.racah import RacahParams
+from bi_lab.suites import suite_polynomials
 
 P1 = BIParams.make(1, 2, Fraction(1, 2), Fraction(1, 4))
 R1 = RacahParams.make(Fraction(1, 4), Fraction(1, 3), Fraction(1, 2), 2)
@@ -86,7 +91,39 @@ class TestThreeRoutes:
     def test_triple_oracle_p1(self, n):
         rec = bi_recurrence(P1, n)
         assert rec == bi_hypergeometric(P1, n)
-        assert rec == bi_from_operator(P1, n)
+        assert rec == bi_from_operator(P1, 10)[n]
+
+    def test_operator_sequence_to_12(self):
+        assert bi_from_operator(P1, 12) == bi_sequence(P1, 12)
+
+    def test_operator_eigenvalue_collision(self):
+        # h = -1/2, so lambda_0 = h = -(1 + h) = lambda_1.
+        P = BIParams.make(0, 0, 0, 1)
+        with pytest.raises(DegenerateSpectrum,
+                           match="eigenvalue collision lambda_0 = lambda_1"):
+            bi_from_operator(P, 1)
+
+    def test_hypergeometric_vanishing_lower_parameter(self):
+        # 1 - r1 - r2 = 0 is the first lower parameter of both 4F3 sums.
+        P = BIParams.make(1, 2, Fraction(1, 2), Fraction(1, 2))
+        for n in (2, 3, 6):
+            with pytest.raises(DegenerateParameters) as exc:
+                bi_hypergeometric(P, n)
+            assert str(exc.value) == "lower Pochhammer (0)_1 vanishes at shift 0"
+
+    def test_one_k1_build_per_tuple(self, monkeypatch):
+        import bi_lab.bi_poly as bp
+
+        calls = []
+        def counted(P, apply, n, _orig=bp.monomial_matrix):
+            calls.append(n)
+            return _orig(P, apply, n)
+        monkeypatch.setattr(bp, "monomial_matrix", counted)
+        for _ in range(2):  # a second identical call does the same work again
+            calls.clear()
+            assert suite_polynomials(seed=1, tuples=1, nmax=10).passed
+            # One K1 for the guard of the accepted tuple, one for the suite.
+            assert calls == [11, 11]
 
     @pytest.mark.parametrize("n", range(13))
     def test_eigen_equation(self, n):

@@ -3,16 +3,14 @@
 from fractions import Fraction
 
 import pytest
+import sympy
 from hypothesis import given
 from hypothesis import strategies as st
 
 from bi_lab.errors import NotDivisible
 from bi_lab.poly import (
-    P_ONE,
-    P_X,
     P_ZERO,
     Poly,
-    pochhammer_poly,
     poly_derivative,
     poly_divide_exact,
     poly_eval,
@@ -95,7 +93,40 @@ class TestEvalAndOperators:
         lhs = poly_derivative(p * q)
         assert lhs == poly_derivative(p) * q + p * poly_derivative(q)
 
-    def test_pochhammer_poly(self):
-        # x (x+1) (x+2)
-        assert pochhammer_poly(P_X, 3) == Poly.make([0, 2, 3, 1])
-        assert pochhammer_poly(P_X, 0) == P_ONE
+
+def horner_shift_reflect(p: Poly) -> Poly:
+    """p(-x-1) by Horner's rule in the argument -x-1 (reference)."""
+    arg = Poly.make([-1, -1])
+    acc = P_ZERO
+    for c in reversed(p.coeffs):
+        acc = acc * arg + Poly.const(c)
+    return acc
+
+
+class TestShiftReflect:
+    def test_monomials_match_horner(self):
+        for k in range(21):
+            mono = Poly.monomial(k)
+            assert poly_shift_reflect(mono) == horner_shift_reflect(mono)
+
+    @given(st.lists(rationals, max_size=16).map(Poly.make))
+    def test_matches_horner(self, p):
+        assert poly_shift_reflect(p) == horner_shift_reflect(p)
+
+    @pytest.mark.parametrize("coeffs", [
+        [],
+        [5],
+        [0, 1],
+        [Fraction(1, 2), -3, 0, Fraction(7, 4)],
+        [0] * 10 + [1],
+        [Fraction(-2, 3), Fraction(1, 5), 0, 0, Fraction(9, 7), -1],
+    ])
+    def test_matches_sympy(self, coeffs):
+        x = sympy.symbols("x")
+        p = Poly.make(coeffs)
+        expr = sum((sympy.Rational(c.numerator, c.denominator) * x**k
+                    for k, c in enumerate(p.coeffs)), sympy.Integer(0))
+        want = sympy.Poly(sympy.expand(expr.subs(x, -x - 1)), x).all_coeffs()
+        assert poly_shift_reflect(p) == Poly.make(
+            Fraction(int(c.p), int(c.q)) for c in reversed(want)
+        )
