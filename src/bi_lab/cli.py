@@ -132,7 +132,7 @@ def cmd_racah(args) -> int:
     RP = RacahParams.make(mu[0], mu[1], mu[2], args.N)
     rep = build_tridiag_rep(RP)
     spectra = k1_spectrum_check(rep, RP)
-    overlap = racah_overlaps(RP)
+    overlap = racah_overlaps(rep)
     P = RP.identifications()
     payload = {
         "params": {

@@ -11,11 +11,15 @@ Two independent constructions are cross-checked:
     relations numerically.
 
 The overlap coefficients between the two eigenbases reproduce the
-Bannai-Ito polynomials on their grid.
+Bannai-Ito polynomials on their grid; ``racah_overlaps`` checks this on a
+representation already built by ``build_tridiag_rep``, so one build
+serves the relations, the spectra and the overlaps.
 
-Exact matrices are plain nested lists of Fractions; the off-diagonal
-data of the representation is kept as the rational product B_{k-1} D_k
-(the symmetrized square root is materialized only in floating point).
+Exact matrices are dense nested lists of Fractions, but K1 and K3 are
+tridiagonal and diagonal, so ``mat_mul`` multiplies only nonzero entries.
+The off-diagonal data of the representation is kept as the rational
+product B_{k-1} D_k (the symmetrized square root is materialized only in
+floating point).
 """
 
 from __future__ import annotations
@@ -40,8 +44,8 @@ Matrix = list[list[Rat]]
 
 
 # ---------------------------------------------------------------------------
-# exact dense (N+1) x (N+1) matrix helpers (N <= 8 in suite_racah; the
-# racah command takes any N)
+# exact (N+1) x (N+1) matrix helpers: dense nested lists, arithmetic only
+# on nonzero entries (the racah command takes any N)
 
 def mat_zero(n: int) -> Matrix:
     return [[ZERO] * n for _ in range(n)]
@@ -63,18 +67,22 @@ def mat_sub(a: Matrix, b: Matrix) -> Matrix:
             for ra, rb in zip(a, b)]
 
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
+    """Dense a @ b; each row of b is listed as its nonzero (j, b_kj) once,
+    and each output entry starts from its first product."""
     n = len(a)
-    out = mat_zero(n)
-    for i in range(n):
-        for k in range(n):
-            aik = a[i][k]
-            if aik == 0:
-                continue
-            row = b[k]
-            oi = out[i]
-            for j in range(n):
-                if row[j] != 0:
-                    oi[j] += aik * row[j]
+    b_rows = [[(j, x) for j, x in enumerate(row) if x] for row in b]
+    out = []
+    for ra in a:
+        acc: dict[int, Rat] = {}
+        for k, aik in enumerate(ra):
+            if aik:
+                for j, bkj in b_rows[k]:
+                    p = aik * bkj
+                    acc[j] = acc[j] + p if j in acc else p
+        row = [ZERO] * n
+        for j, x in acc.items():
+            row[j] = x
+        out.append(row)
     return out
 
 def mat_anticomm(a: Matrix, b: Matrix) -> Matrix:
@@ -197,9 +205,8 @@ class TridiagRep:
         mat = np.zeros((n, n))
         for k in range(n):
             mat[k, k] = rat_to_float(self.K1[k][k])
-        for k in range(1, n):
-            u = np.sqrt(rat_to_float(self.offdiag_products[k - 1]))
-            mat[k - 1, k] = mat[k, k - 1] = u
+        for k, u2 in enumerate(self.offdiag_products, 1):
+            mat[k - 1, k] = mat[k, k - 1] = np.sqrt(rat_to_float(u2))
         return mat
 
     def to_json(self) -> dict:
@@ -217,8 +224,7 @@ def build_tridiag_rep(RP: RacahParams) -> TridiagRep:
     """Exact representation; relations and Casimir are verified on build."""
     N = RP.N
     n = N + 1
-    B = [bk_dk(RP, k)[0] for k in range(n)]
-    D = [bk_dk(RP, k)[1] for k in range(n)]
+    B, D = zip(*(bk_dk(RP, k) for k in range(n)))
     if B[N] != 0:
         raise TruncationFailure(f"B_{N} = {B[N]} != 0: matrix does not close")
     for k in range(1, n):
@@ -251,7 +257,7 @@ def build_tridiag_rep(RP: RacahParams) -> TridiagRep:
     if total != mat_identity(n, casimir):
         raise BILabError("Casimir is not the expected scalar (logic error)")
 
-    return TridiagRep(RP, K1, K2, K3, tuple(B), tuple(D), casimir)
+    return TridiagRep(RP, K1, K2, K3, B, D, casimir)
 
 
 def k1_spectrum_check(rep: TridiagRep, RP: RacahParams) -> VerificationReport:
@@ -277,14 +283,16 @@ def k1_spectrum_check(rep: TridiagRep, RP: RacahParams) -> VerificationReport:
     return report
 
 
-def racah_overlaps(RP: RacahParams, tol: float = 1e-9) -> np.ndarray:
-    """Overlap matrix <s|k> with rows proportional to 2^k B_k(x_s).
+def racah_overlaps(rep: TridiagRep, tol: float = 1e-9) -> np.ndarray:
+    """Overlap matrix <s|k> of a built representation, with rows
+    proportional to 2^k B_k(x_s).
 
     Each row s is the K1 eigenvector of eigenvalue (-1)^s (s+mu2+mu3+1/2)
-    in the K3 eigenbasis; dividing by its first component recovers
-    2^k B_k(x_s) with the identified BI parameters.
+    in the K3 eigenbasis of ``rep``; dividing by its first component
+    recovers 2^k B_k(x_s) with the identified BI parameters of
+    ``rep.params``.
     """
-    rep = build_tridiag_rep(RP)
+    RP = rep.params
     n = RP.N + 1
     vals, vecs = np.linalg.eigh(rep.k1_symmetric_float())
     targets = [
@@ -310,9 +318,8 @@ def racah_overlaps(RP: RacahParams, tol: float = 1e-9) -> np.ndarray:
     P = RP.identifications()
     values = bi_values(P, RP.N, [grid_point(P, s) for s in range(n)])
     t = [1.0]
-    for k in range(1, n):
-        u = np.sqrt(rat_to_float(rep.offdiag_products[k - 1]))
-        t.append(t[-1] * 2.0 / u)
+    for u2 in rep.offdiag_products:
+        t.append(t[-1] * 2.0 / np.sqrt(rat_to_float(u2)))
     for s in range(n):
         w = overlap[s, 0]
         if abs(w) < 1e-13:

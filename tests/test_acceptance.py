@@ -132,7 +132,7 @@ def test_criterion_5_spectra_and_overlaps():
         rep = build_tridiag_rep(RP)
         ok &= k1_spectrum_check(rep, RP).passed  # tol 1e-10
         try:
-            racah_overlaps(RP, tol=1e-9)
+            racah_overlaps(rep, tol=1e-9)
         except BILabError:
             ok = False
     _report(5, "K1 spectra (1e-10) and overlap columns = 2^k B_k (1e-9), "

@@ -1,5 +1,6 @@
 """Bannai-Ito polynomials: three routes, ladders, V operator, weights."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -22,6 +23,7 @@ from bi_lab.bi_poly import (
     v_apply,
 )
 from bi_lab.errors import (
+    BILabError,
     DegenerateParameters,
     DegenerateSpectrum,
     NotFinitelyOrthogonal,
@@ -29,7 +31,11 @@ from bi_lab.errors import (
 from bi_lab.exact import ZERO, rat_to_float
 from bi_lab.poly import P_ONE, P_ZERO, Poly, poly_eval
 from bi_lab.racah import RacahParams
-from bi_lab.suites import suite_polynomials
+from bi_lab.suites import (
+    random_bi_params,
+    random_bi_params_regular,
+    suite_polynomials,
+)
 
 P1 = BIParams.make(1, 2, Fraction(1, 2), Fraction(1, 4))
 R1 = RacahParams.make(Fraction(1, 4), Fraction(1, 3), Fraction(1, 2), 2)
@@ -122,8 +128,29 @@ class TestThreeRoutes:
         for _ in range(2):  # a second identical call does the same work again
             calls.clear()
             assert suite_polynomials(seed=1, tuples=1, nmax=10).passed
-            # One K1 for the guard of the accepted tuple, one for the suite.
-            assert calls == [11, 11]
+            # One K1 for the suite; the tuple draw builds none.
+            assert calls == [11]
+
+    def test_regular_draw_needs_no_operator_guard(self):
+        nmax = 10  # suite_polynomials' default
+
+        def guarded(rng):
+            # Reference draw that also rejects a tuple the operator route rejects.
+            while True:
+                P = random_bi_params(rng)
+                try:
+                    for n in range(nmax + 2):
+                        recurrence_coeffs(P, n)
+                    bi_hypergeometric(P, nmax)
+                    bi_from_operator(P, nmax)
+                except BILabError:
+                    continue
+                return P
+
+        for seed in range(1, 201):
+            rng, ref = random.Random(seed), random.Random(seed)
+            assert random_bi_params_regular(rng, nmax) == guarded(ref)
+            assert rng.getstate() == ref.getstate()
 
     @pytest.mark.parametrize("n", range(13))
     def test_eigen_equation(self, n):

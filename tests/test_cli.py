@@ -194,6 +194,17 @@ class TestRacah:
         assert code == EXIT_OK and len(json.loads(out)["overlaps"]) == 25
         assert calls[0] == 0
 
+    def test_one_rep_build(self, capsys, monkeypatch):
+        calls = count_calls(monkeypatch, "bi_lab.racah", "build_tridiag_rep")
+        for _ in range(2):  # a second identical call does the same work again
+            calls[0] = 0
+            code, out, _ = run(
+                capsys, "racah", "--mu", "1/4,1/3,1/2", "--N", "24",
+                "--format", "json",
+            )
+            assert code == EXIT_OK and len(json.loads(out)["overlaps"]) == 25
+            assert calls[0] == 1
+
     def test_bad_mu_exit_2(self, capsys):
         code, _, err = run(capsys, "racah", "--mu", "1/4,1/3", "--N", "2")
         assert code == EXIT_INVALID

@@ -1,5 +1,6 @@
 """Racah problem: exact representation, overlaps, tensor oracle."""
 
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -12,10 +13,11 @@ from bi_lab.racah import (
     build_tridiag_rep,
     central_extension_check,
     k1_spectrum_check,
+    mat_mul,
     racah_overlaps,
     tensor_oracle,
 )
-from bi_lab.suites import identification_check
+from bi_lab.suites import identification_check, suite_racah
 
 R1 = RacahParams.make(Fraction(1, 4), Fraction(1, 3), Fraction(1, 2), 2)
 
@@ -73,14 +75,71 @@ class TestRepresentation:
             RacahParams.make(1, 1, 1, -1)
 
 
+def naive_mul(a, b):
+    n = len(a)
+    return [[sum((a[i][k] * b[k][j] for k in range(n)), Fraction(0))
+             for j in range(n)] for i in range(n)]
+
+
+def random_banded(rng, n, band):
+    """n x n Fractions, zero outside |i - j| <= band; about a third of the
+    band is an explicit Fraction(0), and one row and one column (or none,
+    when the drawn index is n) are entirely zero."""
+    zero_row, zero_col = rng.randrange(n + 1), rng.randrange(n + 1)
+    return [[Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+             if abs(i - j) <= band and rng.random() > 0.3
+             and i != zero_row and j != zero_col else Fraction(0)
+             for j in range(n)] for i in range(n)]
+
+
+class TestMatMul:
+    @pytest.mark.parametrize("band", [0, 1, 2, 8], ids=[
+        "diagonal", "tridiagonal", "pentadiagonal", "dense"])
+    @pytest.mark.parametrize("n", range(9))
+    def test_against_triple_loop(self, n, band):
+        rng = random.Random(100 * n + band)
+        for other in (0, 1, 2, 8):
+            a, b = random_banded(rng, n, band), random_banded(rng, n, other)
+            a_copy, b_copy = [r[:] for r in a], [r[:] for r in b]
+            for x, y in ((a, b), (b, a)):
+                got = mat_mul(x, y)
+                assert got == naive_mul(x, y)
+                assert all(type(v) is Fraction for row in got for v in row)
+                inputs = {id(r) for r in a + b}
+                assert len({id(r) for r in got} - inputs) == n
+            assert (a, b) == (a_copy, b_copy)
+
+    def test_zero_operand(self):
+        z = [[Fraction(0)] * 3 for _ in range(3)]
+        a = random_banded(random.Random(1), 3, 2)
+        assert mat_mul(z, a) == mat_mul(a, z) == z
+
+
 class TestOverlaps:
     @pytest.mark.parametrize("N", range(5))
     def test_overlaps_match_bi_polynomials(self, N):
         RP = RacahParams.make(Fraction(1, 4), Fraction(1, 3), Fraction(1, 2), N)
-        overlap = racah_overlaps(RP)  # raises if any entry deviates
+        rep = build_tridiag_rep(RP)
+        overlap = racah_overlaps(rep)  # raises if any entry deviates
         # Rows are orthonormal eigenvectors of a symmetric matrix.
         gram = overlap @ overlap.T
         assert np.max(np.abs(gram - np.eye(N + 1))) < 1e-12
+
+
+def test_one_rep_build_per_tuple(monkeypatch):
+    import bi_lab.racah as racah
+    import bi_lab.suites as suites
+
+    calls = [0]
+    def counted(RP, _orig=racah.build_tridiag_rep):
+        calls[0] += 1
+        return _orig(RP)
+    for mod in (racah, suites):
+        monkeypatch.setattr(mod, "build_tridiag_rep", counted)
+    for _ in range(2):  # a second identical call does the same work again
+        calls[0] = 0
+        assert suite_racah(seed=1, tuples=3).passed
+        assert calls[0] == 3
 
 
 class TestTensorOracle:
