@@ -8,7 +8,10 @@ tolerance appears anywhere in the module.
 All operators in scope preserve total degree, so identities are checked
 on graded slices: each operator becomes one exact matrix per slice of
 degree-d spinors, and a relation holds on the full graded space when
-lhs - rhs is the zero matrix on every slice.
+lhs - rhs is the zero matrix on every slice.  A spinor slice is the
+scalar slice of degree-d polynomials tensored with C^2: J_i and R_i are
+built once on the scalar slice and lifted as J_i ⊗ 1, and the Pauli
+matrices act as 1 ⊗ sigma_i.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from typing import Callable
 
 from .errors import DegenerateParameters
 from .exact import GRAT_I, GRAT_MINUS_I, GRAT_ONE, GRAT_ZERO, GRat, Rat, grat_make
-from .linop import LinOp, anticomm, comm
+from .linop import LinOp, anticomm, comm, kron
 from .report import VerificationReport
 
 Exponent = tuple[int, int, int]
@@ -41,13 +44,6 @@ class Poly3:
             c = grat_make(c)
         return Poly3.make({e: c})
 
-    @staticmethod
-    def zero() -> "Poly3":
-        return Poly3({})
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def __add__(self, other: "Poly3") -> "Poly3":
         out = dict(self.terms)
         for e, c in other.terms.items():
@@ -66,13 +62,6 @@ class Poly3:
         if not c:
             return Poly3({})
         return Poly3({e: x * c for e, x in self.terms.items()})
-
-    def scale_rat(self, c: Rat | int) -> "Poly3":
-        return self.scale(grat_make(Fraction(c)))
-
-    def total_degree(self) -> int:
-        """-1 for the zero polynomial."""
-        return max((sum(e) for e in self.terms), default=-1)
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Poly3) and self.terms == other.terms
@@ -162,51 +151,40 @@ def _record_slices(report: VerificationReport, slices: list[dict[str, LinOp]],
 
 
 # ---------------------------------------------------------------------------
-# spinor layer
+# spinor layer: a spinor slice is the scalar slice of the same degree ⊗ C^2
 
-@dataclass(frozen=True)
-class SpinorPoly3:
-    up: Poly3
-    down: Poly3
+def scalar_slice(degree: int, op: Callable[[Poly3], Poly3]) -> LinOp:
+    """Matrix of a degree-preserving op on the polynomials of one degree.
 
-    @staticmethod
-    def zero() -> "SpinorPoly3":
-        return SpinorPoly3(Poly3.zero(), Poly3.zero())
-
-    def __add__(self, other: "SpinorPoly3") -> "SpinorPoly3":
-        return SpinorPoly3(self.up + other.up, self.down + other.down)
-
-    def scale_rat(self, c: Rat | int) -> "SpinorPoly3":
-        return SpinorPoly3(self.up.scale_rat(c), self.down.scale_rat(c))
-
-    def map_components(self, f: Callable[[Poly3], Poly3]) -> "SpinorPoly3":
-        return SpinorPoly3(f(self.up), f(self.down))
+    Basis vector m is the m-th monomial x1^a x2^b x3^c, ordered by (a, b).
+    """
+    exps = [(a, b, degree - a - b)
+            for a in range(degree + 1) for b in range(degree + 1 - a)]
+    pos = {e: n for n, e in enumerate(exps)}
+    return LinOp.make({pos[e]: c for e, c in op(Poly3.monomial(m)).terms.items()}
+                      for m in exps)
 
 
-def sigma_apply(axis: int, s: SpinorPoly3) -> SpinorPoly3:
-    """Action of the fixed Pauli matrix on the spinor index."""
-    if axis == 1:
-        return SpinorPoly3(s.down, s.up)
-    if axis == 2:
-        return SpinorPoly3(s.down.scale(GRAT_MINUS_I), s.up.scale(GRAT_I))
-    if axis == 3:
-        return SpinorPoly3(s.up, s.down.scale(grat_make(-1)))
-    raise ValueError(f"axis must be 1..3, got {axis}")
+# The Pauli matrices on C^2, basis (up, down).
+PAULI = {
+    1: LinOp.make([{1: GRAT_ONE}, {0: GRAT_ONE}]),
+    2: LinOp.make([{1: GRAT_I}, {0: GRAT_MINUS_I}]),
+    3: LinOp.make([{0: GRAT_ONE}, {1: grat_make(-1)}]),
+}
 
 
 def pauli_layer_check() -> VerificationReport:
     """sigma_i sigma_j = i eps_ijk sigma_k + delta_ij and the Clifford
     relations, verified once on the 2x2 Gaussian-rational matrices."""
     report = VerificationReport("Pauli layer")
-    sigma = {i: slice_matrix(0, lambda s: sigma_apply(i, s)) for i in (1, 2, 3)}
     one = LinOp.identity(2, GRAT_ONE)
     eps = {(1, 2): 3, (2, 3): 1, (3, 1): 2, (2, 1): -3, (3, 2): -1, (1, 3): -2}
     for i in range(1, 4):
         for j in range(1, 4):
             k = eps.get((i, j), 0)
-            rhs = sigma[abs(k)].scale(GRAT_I if k > 0 else GRAT_MINUS_I) if k else one
+            rhs = PAULI[abs(k)].scale(GRAT_I if k > 0 else GRAT_MINUS_I) if k else one
             want = one.scale(grat_make(2 if i == j else 0))
-            prod, anti = sigma[i] @ sigma[j], anticomm(sigma[i], sigma[j])
+            prod, anti = PAULI[i] @ PAULI[j], anticomm(PAULI[i], PAULI[j])
             for b in (0, 1):  # one entry per basis spinor
                 report.record("sigma_i sigma_j = i eps sigma_k + delta", (i, j),
                               prod.cols[b] == rhs.cols[b])
@@ -215,55 +193,37 @@ def pauli_layer_check() -> VerificationReport:
     return report
 
 
-def gamma_apply(DP: DiracParams, s: SpinorPoly3) -> SpinorPoly3:
-    """Gamma = sigma . J + mu . R (degree preserving)."""
-    out = SpinorPoly3.zero()
-    for axis in (1, 2, 3):
-        ji = s.map_components(lambda p, a=axis: angular_momentum(DP, a, p))
-        out = out + sigma_apply(axis, ji)
-        ri = s.map_components(lambda p, a=axis: reflect(a, p))
-        out = out + ri.scale_rat(DP.mu(axis))
-    return out
-
-
-def slice_matrix(degree: int, op: Callable[[SpinorPoly3], SpinorPoly3]) -> LinOp:
-    """Matrix of a degree-preserving op on the spinors of one degree.
-
-    Basis vector 2 m + s is the m-th monomial x1^a x2^b x3^c, ordered by
-    (a, b), in the up (s = 0) or down (s = 1) component.
-    """
-    exps = [(a, b, degree - a - b)
-            for a in range(degree + 1) for b in range(degree + 1 - a)]
-    pos = {e: n for n, e in enumerate(exps)}
-    cols = []
-    for m in exps:
-        mono, zero = Poly3.monomial(m), Poly3.zero()
-        for out in (op(SpinorPoly3(mono, zero)), op(SpinorPoly3(zero, mono))):
-            cols.append({2 * pos[e] + spin: c
-                         for spin, part in enumerate((out.up, out.down))
-                         for e, c in part.terms.items()})
-    return LinOp.make(cols)
+def gamma_apply(DP: DiracParams, g: dict[str, LinOp]) -> LinOp:
+    """Gamma = sigma . J + mu . R on the spinor slice of the generators g
+    (read: "sigma{i}", "J{i}" and "R{i}"; degree preserving)."""
+    t = [g[f"sigma{i}"] @ g[f"J{i}"] + g[f"R{i}"].scale(grat_make(DP.mu(i)))
+         for i in (1, 2, 3)]
+    return t[0] + t[1] + t[2]
 
 
 def symmetry_generators(DP: DiracParams, degree: int) -> dict[str, LinOp]:
     """Gamma and its symmetries as matrices on one spinor slice.
 
-    "1" is the identity, "J{i}" and "R{i}" the angular momenta and
-    reflections, "Gamma" comes from ``gamma_apply``, and for (i j k) cyclic
-    "M{i}" = J_i + sigma_i (mu_j R_j + mu_k R_k + 1/2), "X{i}" = sigma_i R_i,
-    "K{i}" = M_i X_i Y, with "Y" = R1 R2 R3.
+    Basis vector 2 m + s is the m-th monomial of ``scalar_slice`` in the up
+    (s = 0) or down (s = 1) component.  "1" is the identity, "J{i}" and
+    "R{i}" the angular momenta and reflections (each built once on the
+    scalar slice, acting on both components), "sigma{i}" the Pauli matrices
+    on the spin index, "Gamma" comes from ``gamma_apply``, and for (i j k)
+    cyclic "M{i}" = J_i + sigma_i (mu_j R_j + mu_k R_k + 1/2),
+    "X{i}" = sigma_i R_i, "K{i}" = M_i X_i Y, with "Y" = R1 R2 R3.
     """
-    g = {}
+    one2 = LinOp.identity(2, GRAT_ONE)
+    scalar_one = scalar_slice(degree, lambda p: p)
+    g = {"1": kron(scalar_one, one2)}
     for i in (1, 2, 3):
-        g[f"J{i}"] = slice_matrix(degree, lambda s: s.map_components(
-            lambda p: angular_momentum(DP, i, p)))
-        g[f"R{i}"] = slice_matrix(degree, lambda s: s.map_components(
-            lambda p: reflect(i, p)))
-    g["1"] = LinOp.identity(len(g["J1"].re), GRAT_ONE)
-    g["Gamma"] = slice_matrix(degree, lambda s: gamma_apply(DP, s))
+        g[f"J{i}"] = kron(scalar_slice(degree, lambda p: angular_momentum(DP, i, p)),
+                          one2)
+        g[f"R{i}"] = kron(scalar_slice(degree, lambda p: reflect(i, p)), one2)
+        g[f"sigma{i}"] = kron(scalar_one, PAULI[i])
+    g["Gamma"] = gamma_apply(DP, g)
     g["Y"] = g["R1"] @ g["R2"] @ g["R3"]
     for i, (j, k) in _CYCLIC.items():
-        sigma = slice_matrix(degree, lambda s: sigma_apply(i, s))
+        sigma = g[f"sigma{i}"]
         inner = g[f"R{j}"].scale(grat_make(DP.mu(j))) \
             + g[f"R{k}"].scale(grat_make(DP.mu(k))) \
             + g["1"].scale(grat_make(Fraction(1, 2)))

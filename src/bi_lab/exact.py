@@ -94,9 +94,6 @@ class GRat:
     def scale(self, c: Rat) -> "GRat":
         return GRat(c * self.re, c * self.im)
 
-    def to_json(self) -> dict:
-        return {"re": rat_str(self.re), "im": rat_str(self.im)}
-
     def __repr__(self) -> str:
         return f"GRat({self.re}, {self.im})"
 

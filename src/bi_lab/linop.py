@@ -143,6 +143,15 @@ def _mul_into(out: list[defaultdict], a: Columns, b: Columns, sign: int) -> None
                 acc[i] += x * y
 
 
+def _outer_into(acc: defaultdict, x: dict[int, int], y: dict[int, int],
+                m: int, sign: int) -> None:
+    """Add sign * (x ⊗ y) into ``acc``; y has length m."""
+    for i, u in x.items():
+        u *= sign
+        for k, v in y.items():
+            acc[i * m + k] += u * v
+
+
 def _nonzero(cols: list[defaultdict]) -> Columns:
     return tuple({i: x for i, x in col.items() if x} for col in cols)
 
@@ -160,6 +169,22 @@ def _canonical(re: Columns, im: Columns, den: int) -> LinOp:
     return LinOp(tuple({i: x // g for i, x in col.items()} for col in re),
                  tuple({i: x // g for i, x in col.items()} for col in im),
                  den // g)
+
+
+def kron(a: LinOp, b: LinOp) -> LinOp:
+    """The Kronecker product a ⊗ b: basis vector j len(b) + l is e_j ⊗ e_l."""
+    m = len(b.re)
+    re, im = [], []
+    for a_re, a_im in zip(a.re, a.im):
+        for b_re, b_im in zip(b.re, b.im):
+            r, s = defaultdict(int), defaultdict(int)
+            _outer_into(r, a_re, b_re, m, 1)
+            _outer_into(r, a_im, b_im, m, -1)
+            _outer_into(s, a_re, b_im, m, 1)
+            _outer_into(s, a_im, b_re, m, 1)
+            re.append(r)
+            im.append(s)
+    return _canonical(_nonzero(re), _nonzero(im), a.den * b.den)
 
 
 def comm(a: LinOp, b: LinOp) -> LinOp:

@@ -87,7 +87,6 @@ class Poly:
 
 P_ZERO = Poly(())
 P_ONE = Poly.const(1)
-P_X = Poly.monomial(1)
 
 
 def poly_eval(p: Poly, x0: Rat) -> Rat:

@@ -106,3 +106,14 @@ def test_one_matrix_build_per_tuple(monkeypatch):
         assert suite_bi(seed=1, tuples=1, maxdeg=12).passed
         # K1 on the monomials 1..x^14, once for the relations and the Casimir.
         assert calls == 15
+
+
+def test_relations_fail_without_h_term(monkeypatch):
+    # K1 without its h term breaks both checked relations on every degree.
+    import bi_lab.bi_operator as bo
+
+    orig = bo.k1_apply
+    monkeypatch.setattr(bo, "k1_apply", lambda P, p: orig(P, p) - p.scale(P.h))
+    report = check_bi_relations(P1, bi_matrices(P1, 12))
+    assert report.checked == 2 * 13
+    assert len(report.failures) == report.checked

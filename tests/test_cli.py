@@ -1,5 +1,6 @@
 """CLI integration: exit-code contract and deterministic output."""
 
+import hashlib
 import json
 import sys
 
@@ -242,3 +243,19 @@ class TestWeights:
         assert len(rows) == 3
         assert all(r["weight"] > 0 for r in rows)
         assert abs(sum(r["weight"] for r in rows) - 1.0) < 1e-12
+
+
+@pytest.mark.parametrize("argv, digest", [
+    ("dirac --mu 1/4,1/3,1/2 --maxdeg 5 --format json", "de74e789b369a86f"),
+    ("dirac --mu 0,0,0 --maxdeg 5 --format json", "624d78af23b4efb3"),
+    ("dirac --mu 3/2,5/6,7/3 --maxdeg 5 --format json", "3b58073617d82cac"),
+    ("verify --scope dirac --tuples 2 --maxdeg 4 --format json", "279a7415e4fa1769"),
+    ("verify --scope dirac --format json", "fa4362039daa6c92"),
+    ("verify --scope sl1 --format json", "ac5cd757a59ed631"),
+    ("verify --scope bi --tuples 2 --maxdeg 4 --format json", "dfffb980624578b1"),
+])
+def test_golden_output(capsys, argv, digest):
+    # Fixed flags give byte-identical JSON; these digests pin it.
+    code, out, _ = run(capsys, *argv.split())
+    assert code == EXIT_OK
+    assert hashlib.sha256(out.encode()).hexdigest()[:16] == digest

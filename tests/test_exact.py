@@ -95,6 +95,3 @@ class TestGRat:
 
     def test_scale(self):
         assert grat_make(1, 2).scale(Fraction(3)) == grat_make(3, 6)
-
-    def test_to_json(self):
-        assert grat_make(1, -2).to_json() == {"re": "1/1", "im": "-2/1"}

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bi_lab.exact import GRAT_ONE, GRat
-from bi_lab.linop import LinOp, anticomm, comm
+from bi_lab.linop import LinOp, anticomm, comm, kron
 
 N = 4
 rationals = st.fractions(min_value=-20, max_value=20, max_denominator=12)
@@ -21,13 +21,13 @@ nonzero_rationals = st.builds(Fraction, st.integers(-30, 30).filter(bool), denom
 mixed_grats = st.builds(GRat, nonzero_rationals, nonzero_rationals)
 
 
-def entries(scalar):
-    return st.lists(scalar, min_size=N * N, max_size=N * N)
+def entries(scalar, n=N):
+    return st.lists(scalar, min_size=n * n, max_size=n * n)
 
 
-def linop(flat) -> LinOp:
-    """Row-major flat list -> LinOp."""
-    return LinOp.make({i: flat[i * N + j] for i in range(N)} for j in range(N))
+def linop(flat, n=N) -> LinOp:
+    """Row-major flat list of an n x n matrix -> LinOp."""
+    return LinOp.make({i: flat[i * n + j] for i in range(n)} for j in range(n))
 
 
 def to_sympy(x):
@@ -36,12 +36,12 @@ def to_sympy(x):
     return sympy.Rational(x)
 
 
-def sym(flat) -> sympy.Matrix:
-    return sympy.Matrix(N, N, [to_sympy(x) for x in flat])
+def sym(flat, n=N) -> sympy.Matrix:
+    return sympy.Matrix(n, n, [to_sympy(x) for x in flat])
 
 
 def as_sympy(a: LinOp) -> sympy.Matrix:
-    out = sympy.zeros(N, N)
+    out = sympy.zeros(len(a.re), len(a.re))
     for j, col in enumerate(a.cols):
         for i, x in col.items():
             out[i, j] = to_sympy(x)
@@ -68,6 +68,18 @@ def test_ring_operations_match_sympy(scalar, data):
     assert same(a.scale(c), sx * to_sympy(c))
     assert same(comm(a, b), sx * sy - sy * sx)
     assert same(anticomm(a, b), sx * sy + sy * sx)
+
+
+@pytest.mark.parametrize("scalar", [sparse_rationals, grats],
+                         ids=["Fraction", "GRat"])
+@settings(deadline=None, max_examples=25)
+@given(data=st.data())
+def test_kron_matches_sympy(scalar, data):
+    # Unequal sizes, so the basis order j len(b) + l is pinned down.
+    x, y = data.draw(entries(scalar, 3)), data.draw(entries(scalar, 2))
+    a, b = linop(x, 3), linop(y, 2)
+    assert same(kron(a, b), sympy.kronecker_product(sym(x, 3), sym(y, 2)))
+    assert kron(a, b) - kron(a, b) == kron(a - a, b)
 
 
 @settings(max_examples=25)

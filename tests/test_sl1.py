@@ -42,6 +42,20 @@ class TestModuleRelations:
         assert osp_casimir_check(ModuleParams.make(eps, mu), 16).passed
 
 
+def test_bilinear_relations_fail_on_wrong_ladder(monkeypatch):
+    # rho_n^2 one too large at odd n breaks both ladder relations on every state.
+    import bi_lab.sl1 as sl1
+
+    orig = sl1.rho_squared
+    monkeypatch.setattr(sl1, "rho_squared",
+                        lambda M, n: orig(M, n) + (1 if n % 2 else 0))
+    report = module_bilinear_check(ModuleParams.make(1, Fraction(1, 3)), 16)
+    assert report.checked == 3 * 17
+    for name in ("{J+,J-} = 2 J0", "[J-,J+] = 1 - 2QR"):
+        failed = [e.index for e in report.failures if e.check == name]
+        assert failed == list(range(17))
+
+
 class TestDunklRealization:
     def test_derivative_on_even(self):
         nu = Fraction(2, 5)
