@@ -20,13 +20,7 @@ from fractions import Fraction
 from .errors import NonScalarCasimir
 from .exact import HALF, ONE, Rat
 from .linop import LinOp, anticomm
-from .poly import (
-    P_ZERO,
-    Poly,
-    poly_divide_exact,
-    poly_reflect,
-    poly_shift_reflect,
-)
+from .poly import Poly, poly_divide_exact, poly_reflect, poly_shift_reflect
 from .report import VerificationReport
 
 
@@ -73,8 +67,6 @@ class BIParams:
 
 
 def k1_apply(P: BIParams, p: Poly) -> Poly:
-    if p.is_zero():
-        return P_ZERO
     # F-part: (x-rho1)(x-rho2) * [(1-R)p] / x
     fnum = Poly.make([-P.rho1, 1]) * Poly.make([-P.rho2, 1])
     odd_part = p - poly_reflect(p)

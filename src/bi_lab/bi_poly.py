@@ -18,8 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from .bi_operator import BIParams, k1_apply, k2_apply, k3_apply, monomial_matrix
 from .errors import DegenerateParameters, DegenerateSpectrum, NotFinitelyOrthogonal
 from .exact import HALF, ONE, Rat, ZERO, pochhammer, rat_to_float
@@ -70,11 +68,10 @@ def recurrence_coeffs(P: BIParams, n: int) -> RecurrenceCoeffs:
     return RecurrenceCoeffs(n, A, C)
 
 
-def _steps(P: BIParams, nmax: int) -> list[tuple[Rat, Rat]]:
-    """Step coefficients (b_k, u_k), k < nmax, of
-    B_{k+1} = (x - b_k) B_k - u_k B_{k-1}: b_k = rho1 - A_k - C_k and
-    u_k = A_{k-1} C_k (u_0 = 0, since C_0 = 0)."""
-    coeffs = [recurrence_coeffs(P, k) for k in range(nmax)]
+def _steps(P: BIParams, coeffs: list[RecurrenceCoeffs]) -> list[tuple[Rat, Rat]]:
+    """Step coefficients (b_k, u_k), one per entry of coeffs (degrees
+    0, 1, ...), of B_{k+1} = (x - b_k) B_k - u_k B_{k-1}:
+    b_k = rho1 - A_k - C_k and u_k = A_{k-1} C_k (u_0 = 0, since C_0 = 0)."""
     return [
         (P.rho1 - c.A - c.C, coeffs[k - 1].A * c.C if k else ZERO)
         for k, c in enumerate(coeffs)
@@ -83,10 +80,15 @@ def _steps(P: BIParams, nmax: int) -> list[tuple[Rat, Rat]]:
 
 def bi_sequence(P: BIParams, nmax: int) -> list[Poly]:
     """Monic B_0, ..., B_nmax from one pass of the three-term recurrence."""
+    return bi_from_coeffs(P, [recurrence_coeffs(P, k) for k in range(nmax)])
+
+
+def bi_from_coeffs(P: BIParams, coeffs: list[RecurrenceCoeffs]) -> list[Poly]:
+    """Monic B_0, ..., B_m from the recurrence coefficients of degrees < m."""
     out, prev = [P_ONE], P_ZERO
-    for b, u in _steps(P, nmax):
+    for b, u in _steps(P, coeffs):
         cur = out[-1]
-        out.append(Poly((ZERO, *cur.coeffs)) - cur.scale(b) - prev.scale(u))
+        out.append(Poly((0, *cur.nums), cur.den) - cur.scale(b) - prev.scale(u))
         prev = cur
     return out
 
@@ -94,7 +96,7 @@ def bi_sequence(P: BIParams, nmax: int) -> list[Poly]:
 def bi_values(P: BIParams, nmax: int, points: list[Rat]) -> list[list[Rat]]:
     """[B_0(x), ..., B_nmax(x)] for each x in points, by the same
     recurrence run on scalars (no polynomial is built)."""
-    steps = _steps(P, nmax)
+    steps = _steps(P, [recurrence_coeffs(P, k) for k in range(nmax)])
     out = []
     for x in points:
         row, prev = [ONE], ZERO
@@ -322,6 +324,7 @@ def discrete_weights(P: BIParams, N: int) -> list[tuple[float, float]]:
     the Bannai-Ito grid; weights are the squared first components of the
     normalized eigenvectors (total mass 1).  Returned in grid order.
     """
+    import numpy as np  # only the float oracles load numpy
     coeffs = [recurrence_coeffs(P, k) for k in range(N + 1)]
     if coeffs[N].A != 0:
         raise NotFinitelyOrthogonal(f"truncation A_{N} = {coeffs[N].A} != 0")

@@ -16,7 +16,7 @@ import sys
 
 from .bi_operator import BIParams
 from .bi_poly import (
-    bi_sequence,
+    bi_from_coeffs,
     discrete_weights,
     eigenvalue,
     grid_point,
@@ -96,16 +96,12 @@ def cmd_poly(args) -> int:
         rat_parse(args.rho1), rat_parse(args.rho2),
         rat_parse(args.r1), rat_parse(args.r2),
     )
-    rows = []
-    for n, bn in enumerate(bi_sequence(P, args.nmax)):
-        rc = recurrence_coeffs(P, n)
-        rows.append({
-            "n": n,
-            "lambda": rat_str(eigenvalue(P, n)),
-            "A": rat_str(rc.A),
-            "C": rat_str(rc.C),
-            "coeffs": " ".join(bn.to_json()),
-        })
+    coeffs = [recurrence_coeffs(P, n) for n in range(args.nmax + 1)]
+    rows = [
+        {"n": n, "lambda": rat_str(eigenvalue(P, n)), "A": rat_str(rc.A),
+         "C": rat_str(rc.C), "coeffs": " ".join(bn.to_json())}
+        for n, (rc, bn) in enumerate(zip(coeffs, bi_from_coeffs(P, coeffs[:-1])))
+    ]
     _emit(rows, args.format)
     return EXIT_OK
 

@@ -1,10 +1,10 @@
-"""Dense univariate polynomials over exact rationals.
+"""Dense univariate polynomials over exact rationals, stored fraction-free.
 
-Coefficients are stored lowest degree first with trailing zeros trimmed;
-the zero polynomial is the empty tuple and reports degree -1.  Besides
-ring arithmetic, the module carries the two operator primitives the
-shift-reflection realization is built from: the reflection x -> -x and
-the composite x -> -x - 1 (reflection followed by the unit shift).
+Integer numerators over one common denominator: sums and products run on
+Python ints and reduce once per result, not once per coefficient.  The
+module also carries the two operator primitives of the shift-reflection
+realization: the reflection x -> -x and the composite x -> -x - 1
+(reflection followed by the unit shift).
 """
 
 from __future__ import annotations
@@ -20,14 +20,18 @@ from .exact import Rat, ZERO, rat_str
 
 @dataclass(frozen=True)
 class Poly:
-    coeffs: tuple[Rat, ...]
+    """p(x) = sum_k nums[k] x^k / den, lowest degree first, in canonical
+    form: den > 0, no trailing zero numerator (zero has none and degree
+    -1) and gcd(den, *nums) = 1, so equal polynomials have equal fields."""
+
+    nums: tuple[int, ...]
+    den: int = 1
 
     @staticmethod
     def make(coeffs: Iterable[Rat | int]) -> "Poly":
-        cs = [c if type(c) is Fraction else Fraction(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        return Poly(tuple(cs))
+        cs = list(coeffs)
+        den = math.lcm(1, *(c.denominator for c in cs))
+        return _canonical([c.numerator * (den // c.denominator) for c in cs], den)
 
     @staticmethod
     def const(c: Rat | int) -> "Poly":
@@ -37,52 +41,58 @@ class Poly:
     def monomial(k: int, c: Rat | int = 1) -> "Poly":
         return Poly.make([0] * k + [c])
 
+    @property
+    def coeffs(self) -> tuple[Rat, ...]:
+        """The coefficients as Fractions; built anew on every access."""
+        return tuple(Fraction(a, self.den) for a in self.nums)
+
     def degree(self) -> int:
         """Degree, with -1 standing in for the degree of zero."""
-        return len(self.coeffs) - 1
+        return len(self.nums) - 1
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.nums
 
     def coeff(self, k: int) -> Rat:
-        return self.coeffs[k] if 0 <= k < len(self.coeffs) else ZERO
+        return Fraction(self.nums[k], self.den) if 0 <= k < len(self.nums) else ZERO
 
     def __add__(self, other: "Poly") -> "Poly":
-        n = max(len(self.coeffs), len(other.coeffs))
-        return Poly.make(self.coeff(k) + other.coeff(k) for k in range(n))
+        return self._plus(other, 1)
 
     def __sub__(self, other: "Poly") -> "Poly":
-        n = max(len(self.coeffs), len(other.coeffs))
-        return Poly.make(self.coeff(k) - other.coeff(k) for k in range(n))
+        return self._plus(other, -1)
+
+    def _plus(self, other: "Poly", sign: int) -> "Poly":
+        den = math.lcm(self.den, other.den)
+        fa, fb = den // self.den, sign * (den // other.den)
+        out = [fa * a for a in self.nums] + [0] * (len(other.nums) - len(self.nums))
+        for k, b in enumerate(other.nums):
+            out[k] += fb * b
+        return _canonical(out, den)
 
     def __neg__(self) -> "Poly":
-        return Poly(tuple(-c for c in self.coeffs))
+        return Poly(tuple(-a for a in self.nums), self.den)
 
     def __mul__(self, other: "Poly") -> "Poly":
-        if self.is_zero() or other.is_zero():
-            return P_ZERO
-        out = [ZERO] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
-        return Poly.make(out)
+        out = [0] * (len(self.nums) + len(other.nums) - 1)
+        for i, a in enumerate(self.nums):
+            for j, b in enumerate(other.nums, i):
+                out[j] += a * b
+        return _canonical(out, self.den * other.den)
 
     def scale(self, c: Rat | int) -> "Poly":
-        c = Fraction(c)
-        if c == 0:
-            return P_ZERO
-        return Poly(tuple(c * a for a in self.coeffs))
+        return _canonical([c.numerator * a for a in self.nums], self.den * c.denominator)
 
     def to_json(self) -> list[str]:
         return [rat_str(c) for c in self.coeffs]
 
-    def __repr__(self) -> str:
-        if self.is_zero():
-            return "Poly(0)"
-        terms = [f"({c})*x^{k}" for k, c in enumerate(self.coeffs) if c != 0]
-        return "Poly(" + " + ".join(terms) + ")"
+
+def _canonical(nums: list[int], den: int) -> Poly:
+    """nums / den with trailing zeros dropped and common factors cancelled."""
+    while nums and not nums[-1]:
+        nums.pop()
+    g = math.gcd(den, *nums)
+    return Poly(tuple(a // g for a in nums) if g != 1 else tuple(nums), den // g)
 
 
 P_ZERO = Poly(())
@@ -90,50 +100,53 @@ P_ONE = Poly.const(1)
 
 
 def poly_eval(p: Poly, x0: Rat) -> Rat:
-    """Exact Horner evaluation."""
-    acc = ZERO
-    for c in reversed(p.coeffs):
-        acc = acc * x0 + c
-    return acc
+    """Exact Horner evaluation; with x0 = r/s, powers of s keep it in ints."""
+    r, s = x0.numerator, x0.denominator
+    acc, spow = 0, 1
+    for a in reversed(p.nums):
+        acc, spow = acc * r + a * spow, spow * s
+    return Fraction(acc * s, p.den * spow)
 
 
 def poly_reflect(p: Poly) -> Poly:
-    """p(x) -> p(-x): negate odd-degree coefficients."""
-    return Poly(tuple(-c if k % 2 else c for k, c in enumerate(p.coeffs)))
+    """p(x) -> p(-x): negate odd-degree numerators."""
+    return Poly(tuple(-a if k % 2 else a for k, a in enumerate(p.nums)), p.den)
 
 
 def poly_shift_reflect(p: Poly) -> Poly:
     """p(x) -> p(-x-1): reflection first, then the unit forward shift.
 
     This operator order matches the composite T+R of the first-order
-    realization; it is an involution since x -> -x-1 is.  The expansion
-    (-x-1)^k = (-1)^k sum_i C(k,i) x^i runs on integer numerators over
-    one common denominator.
+    realization; it is an involution since x -> -x-1 is.  The unit shift
+    of p(-x) is an invertible integer map, so the form stays canonical.
     """
-    den = math.lcm(*(c.denominator for c in p.coeffs))
-    nums = [(-1) ** k * c.numerator * (den // c.denominator)
-            for k, c in enumerate(p.coeffs)]
-    return Poly.make(
-        Fraction(sum(math.comb(k, i) * nums[k] for k in range(i, len(nums))), den)
-        for i in range(len(nums))
-    )
+    a = [-x if k % 2 else x for k, x in enumerate(p.nums)]
+    for i in range(len(a) - 1):
+        for j in range(len(a) - 2, i - 1, -1):
+            a[j] += a[j + 1]
+    return Poly(tuple(a), p.den)
 
 
 def poly_divide_exact(p: Poly, root: Rat) -> Poly:
-    """Exact quotient p / (x - root); raises NotDivisible on remainder."""
+    """Exact quotient p / (x - root); raises NotDivisible on remainder.
+
+    Synthetic division with root = r/s over den s^(d-1): quotient numerator
+    q_(k-1) = s^(d-1) nums[k] + r q_k / s, exact since q_k has a factor s^k.
+    """
     if p.is_zero():
         return P_ZERO
-    # Synthetic division.
-    out: list[Rat] = [ZERO] * p.degree()
-    carry = ZERO
-    for k in range(p.degree(), 0, -1):
-        carry = p.coeff(k) + root * carry
-        out[k - 1] = carry
-    remainder = p.coeff(0) + root * carry
-    if remainder != 0:
+    r, s = root.numerator, root.denominator
+    top = s ** max(p.degree() - 1, 0)
+    quot, carry = [], 0
+    for a in reversed(p.nums[1:]):
+        carry = a * top + r * (carry // s)
+        quot.append(carry)
+    remainder = p.nums[0] * top * s + r * carry
+    if remainder:
+        remainder = Fraction(remainder, p.den * top * s)
         raise NotDivisible(f"remainder {remainder} dividing by (x - {root})")
-    return Poly.make(out)
+    return _canonical(quot[::-1], p.den * top)
 
 
 def poly_derivative(p: Poly) -> Poly:
-    return Poly.make(k * p.coeff(k) for k in range(1, len(p.coeffs)))
+    return _canonical([k * a for k, a in enumerate(p.nums)][1:], p.den)

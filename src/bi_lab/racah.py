@@ -26,8 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .bi_operator import BIParams
 from .bi_poly import bi_values, grid_point
@@ -39,6 +38,9 @@ from .errors import (
 )
 from .exact import HALF, ONE, Rat, ZERO, rat_str, rat_to_float
 from .report import VerificationReport
+
+if TYPE_CHECKING:  # numpy loads only inside the float oracles below
+    import numpy as np
 
 Matrix = list[list[Rat]]
 
@@ -201,6 +203,7 @@ class TridiagRep:
 
     def k1_symmetric_float(self) -> np.ndarray:
         """Similarity-transformed symmetric form with off-diagonals U_k."""
+        import numpy as np
         n = self.params.N + 1
         mat = np.zeros((n, n))
         for k in range(n):
@@ -262,6 +265,7 @@ def build_tridiag_rep(RP: RacahParams) -> TridiagRep:
 
 def k1_spectrum_check(rep: TridiagRep, RP: RacahParams) -> VerificationReport:
     """K1 spectrum against (-1)^s (s + mu2 + mu3 + 1/2); K3 diagonal exact."""
+    import numpy as np
     report = VerificationReport("racah spectra")
     n = RP.N + 1
     vals = np.sort(np.linalg.eigvalsh(rep.k1_symmetric_float()))
@@ -292,6 +296,7 @@ def racah_overlaps(rep: TridiagRep, tol: float = 1e-9) -> np.ndarray:
     recovers 2^k B_k(x_s) with the identified BI parameters of
     ``rep.params``.
     """
+    import numpy as np
     RP = rep.params
     n = RP.N + 1
     vals, vecs = np.linalg.eigh(rep.k1_symmetric_float())
@@ -339,6 +344,7 @@ def racah_overlaps(rep: TridiagRep, tol: float = 1e-9) -> np.ndarray:
 
 def _factor_ops(mu: float, dim: int):
     """Single-module matrices on the truncated basis n = 0..dim-1."""
+    import numpy as np
     n = np.arange(dim, dtype=float)
     j0 = np.diag(n + mu + 0.5)
     r = np.diag((-1.0) ** np.arange(dim))
@@ -349,10 +355,6 @@ def _factor_ops(mu: float, dim: int):
         jp[k, k - 1] = rho[k]   # J+ |k-1> = rho_k |k>
         jm[k - 1, k] = rho[k]   # J- |k>   = rho_k |k-1>
     return j0, jp, jm, r
-
-
-def _kron3(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
-    return np.kron(np.kron(a, b), c)
 
 
 @dataclass
@@ -374,6 +376,11 @@ def tensor_slice(RP: RacahParams, m: int) -> TensorSlice:
     Per-factor truncation is m+3 so that no intermediate ladder state
     falls off the edge; the composite operators preserve the slice.
     """
+    import numpy as np
+
+    def _kron3(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
+        return np.kron(np.kron(a, b), c)
+
     dim1 = m + 3
     mus = [rat_to_float(x) for x in (RP.mu1, RP.mu2, RP.mu3)]
     ops = [_factor_ops(mu, dim1) for mu in mus]
@@ -432,6 +439,7 @@ def tensor_slice(RP: RacahParams, m: int) -> TensorSlice:
 
 def _eigenspaces(mat: np.ndarray, cluster_tol: float = 1e-6):
     """Orthonormal bases of the eigenspaces of a symmetric matrix."""
+    import numpy as np
     vals, vecs = np.linalg.eigh(mat)
     spaces = []
     start = 0
@@ -444,6 +452,7 @@ def _eigenspaces(mat: np.ndarray, cluster_tol: float = 1e-6):
 
 def tensor_oracle(RP: RacahParams, m: int, tol: float = 1e-9) -> VerificationReport:
     """Numerical verification of the Racah structure on a degree slice."""
+    import numpy as np
     report = VerificationReport(f"tensor-product oracle (m={m})")
     ts = tensor_slice(RP, m)
     mus = [rat_to_float(x) for x in (RP.mu1, RP.mu2, RP.mu3)]
@@ -511,6 +520,7 @@ def central_extension_check(
     spectral statement H = Omega^2 + Omega and the supersymmetry identity
     (1/2){S,S} = H + 1/4 with S = Omega + 1/2 are verified as well.
     """
+    import numpy as np
     report = VerificationReport(f"central extension (m={m})")
     ts = tensor_slice(RP, m)
     mus = [rat_to_float(x) for x in (RP.mu1, RP.mu2, RP.mu3)]

@@ -2,7 +2,10 @@
 
 import hashlib
 import json
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -80,7 +83,8 @@ class TestPoly:
             "--r2", "1/4", "--nmax", "40", "--format", "json",
         )
         assert code == EXIT_OK and len(json.loads(out)) == 41
-        assert 0 < calls[0] <= 2 * 41
+        # One (A_n, C_n) per row: the rows and B_0..B_40 share them.
+        assert calls[0] == 41
 
     def test_decimal_rejected(self, capsys):
         code, _, err = run(
@@ -253,9 +257,34 @@ class TestWeights:
     ("verify --scope dirac --format json", "fa4362039daa6c92"),
     ("verify --scope sl1 --format json", "ac5cd757a59ed631"),
     ("verify --scope bi --tuples 2 --maxdeg 4 --format json", "dfffb980624578b1"),
+    ("poly --rho1 1 --rho2 2 --r1 1/2 --r2 1/4 --nmax 40 --format json", "56031bd448a3a34a"),
+    ("poly --rho1=-7/3 --rho2 5/8 --r1 3/4 --r2=-1/6 --nmax 24 --format csv",
+     "86bba0c57659de73"),
+    ("verify --scope bi --tuples 5 --format json", "9fa8a00102e0feb3"),
+    ("verify --scope all --format json", "be6342fa53cfec95"),
 ])
 def test_golden_output(capsys, argv, digest):
     # Fixed flags give byte-identical JSON; these digests pin it.
     code, out, _ = run(capsys, *argv.split())
     assert code == EXIT_OK
     assert hashlib.sha256(out.encode()).hexdigest()[:16] == digest
+
+
+def test_exact_routes_do_not_import_numpy():
+    # numpy is imported only inside the float oracles; the exact verify
+    # scopes and the poly table must run without it.
+    code = (
+        "import contextlib, io, sys\n"
+        "import bi_lab.cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    codes = [bi_lab.cli.main(a.split()) for a in (\n"
+        "        'verify --scope bi --tuples 1', 'verify --scope dirac --tuples 1',\n"
+        "        'poly --rho1 1 --rho2 2 --r1 1/2 --r2 1/4')]\n"
+        "assert codes == [0, 0, 0], codes\n"
+        "assert 'numpy' not in sys.modules\n"
+    )
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
