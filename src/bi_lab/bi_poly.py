@@ -68,7 +68,8 @@ def recurrence_coeffs(P: BIParams, n: int) -> RecurrenceCoeffs:
     return RecurrenceCoeffs(n, A, C)
 
 
-def _steps(P: BIParams, coeffs: list[RecurrenceCoeffs]) -> list[tuple[Rat, Rat]]:
+def recurrence_steps(P: BIParams,
+                     coeffs: list[RecurrenceCoeffs]) -> list[tuple[Rat, Rat]]:
     """Step coefficients (b_k, u_k), one per entry of coeffs (degrees
     0, 1, ...), of B_{k+1} = (x - b_k) B_k - u_k B_{k-1}:
     b_k = rho1 - A_k - C_k and u_k = A_{k-1} C_k (u_0 = 0, since C_0 = 0)."""
@@ -85,18 +86,25 @@ def bi_sequence(P: BIParams, nmax: int) -> list[Poly]:
 
 def bi_from_coeffs(P: BIParams, coeffs: list[RecurrenceCoeffs]) -> list[Poly]:
     """Monic B_0, ..., B_m from the recurrence coefficients of degrees < m."""
+    return monic_from_steps(recurrence_steps(P, coeffs))
+
+
+def monic_from_steps(steps: list[tuple[Rat, Rat]]) -> list[Poly]:
+    """p_0 = 1, ..., p_m of p_{k+1} = (x - b_k) p_k - u_k p_{k-1}, one
+    step (b_k, u_k) per degree k < m."""
     out, prev = [P_ONE], P_ZERO
-    for b, u in _steps(P, coeffs):
+    for b, u in steps:
         cur = out[-1]
         out.append(Poly((0, *cur.nums), cur.den) - cur.scale(b) - prev.scale(u))
         prev = cur
     return out
 
 
-def bi_values(P: BIParams, nmax: int, points: list[Rat]) -> list[list[Rat]]:
-    """[B_0(x), ..., B_nmax(x)] for each x in points, by the same
-    recurrence run on scalars (no polynomial is built)."""
-    steps = _steps(P, [recurrence_coeffs(P, k) for k in range(nmax)])
+def bi_values(P: BIParams, coeffs: list[RecurrenceCoeffs],
+              points: list[Rat]) -> list[list[Rat]]:
+    """[B_0(x), ..., B_m(x)] for each x in points, from the recurrence
+    coefficients of degrees < m run on scalars (no polynomial is built)."""
+    steps = recurrence_steps(P, coeffs)
     out = []
     for x in points:
         row, prev = [ONE], ZERO
@@ -289,15 +297,17 @@ def complementary_bi(P: BIParams, n: int) -> Poly:
     return poly_divide_exact(bn1 - bn.scale(ratio), P.rho1)
 
 
-def discrete_weights_exact(P: BIParams, N: int) -> list[tuple[Rat, Rat]]:
-    """Exact nodes and weights of the (N+1)-point orthogonality.
+def discrete_weights_exact(P: BIParams,
+                           coeffs: list[RecurrenceCoeffs]) -> list[tuple[Rat, Rat]]:
+    """Exact nodes and weights of the (N+1)-point orthogonality, from the
+    recurrence coefficients of degrees 0..N.
 
     The orthonormalized polynomials b_k = B_k / ||B_k|| with
     ||B_k||^2 = prod_{j<=k} A_{j-1} C_j make the matrix
     sqrt(w_s) b_k(x_s) orthogonal, so w_s = 1 / sum_k b_k(x_s)^2; every
     quantity is rational.  Requires A_N = 0 and A_{k-1} C_k > 0.
     """
-    coeffs = [recurrence_coeffs(P, k) for k in range(N + 1)]
+    N = len(coeffs) - 1
     if coeffs[N].A != 0:
         raise NotFinitelyOrthogonal(f"truncation A_{N} = {coeffs[N].A} != 0")
     norm2 = [ONE]
@@ -310,14 +320,16 @@ def discrete_weights_exact(P: BIParams, N: int) -> list[tuple[Rat, Rat]]:
         norm2.append(norm2[-1] * step)
     grid = [grid_point(P, s) for s in range(N + 1)]
     out: list[tuple[Rat, Rat]] = []
-    for x_s, values in zip(grid, bi_values(P, N, grid)):
+    for x_s, values in zip(grid, bi_values(P, coeffs[:N], grid)):
         inv_w = sum(v ** 2 / norm2[k] for k, v in enumerate(values))
         out.append((x_s, 1 / inv_w))
     return out
 
 
-def discrete_weights(P: BIParams, N: int) -> list[tuple[float, float]]:
-    """Nodes and weights of the (N+1)-point discrete orthogonality.
+def discrete_weights(P: BIParams,
+                     coeffs: list[RecurrenceCoeffs]) -> list[tuple[float, float]]:
+    """Nodes and weights of the (N+1)-point discrete orthogonality, from
+    the recurrence coefficients of degrees 0..N.
 
     Requires the truncation A_N = 0 and positivity A_{k-1} C_k > 0.
     Nodes come from the symmetrized Jacobi matrix and must coincide with
@@ -325,7 +337,7 @@ def discrete_weights(P: BIParams, N: int) -> list[tuple[float, float]]:
     normalized eigenvectors (total mass 1).  Returned in grid order.
     """
     import numpy as np  # only the float oracles load numpy
-    coeffs = [recurrence_coeffs(P, k) for k in range(N + 1)]
+    N = len(coeffs) - 1
     if coeffs[N].A != 0:
         raise NotFinitelyOrthogonal(f"truncation A_{N} = {coeffs[N].A} != 0")
     offsq = [coeffs[k - 1].A * coeffs[k].C for k in range(1, N + 1)]

@@ -29,6 +29,7 @@ from .racah import (
     build_tridiag_rep,
     k1_spectrum_check,
     racah_overlaps,
+    spectrum_value,
 )
 from .dunkl_dirac import DiracParams, dirac_checks
 from .report import VerificationReport
@@ -127,9 +128,9 @@ def cmd_racah(args) -> int:
     mu = _parse_mu_list(args.mu)
     RP = RacahParams.make(mu[0], mu[1], mu[2], args.N)
     rep = build_tridiag_rep(RP)
-    spectra = k1_spectrum_check(rep, RP)
-    overlap = racah_overlaps(rep)
     P = RP.identifications()
+    coeffs = [recurrence_coeffs(P, k) for k in range(RP.N + 1)]
+    spectra = k1_spectrum_check(rep, coeffs)
     payload = {
         "params": {
             "mu": [rat_str(m) for m in mu],
@@ -138,17 +139,14 @@ def cmd_racah(args) -> int:
         },
         "identifications": P.to_json(),
         "representation": rep.to_json(),
-        "k1_spectrum": [
-            rat_str((s + RP.mu2 + RP.mu3 + rat_parse("1/2"))
-                    * (1 if s % 2 == 0 else -1))
-            for s in range(RP.N + 1)
-        ],
+        "k1_spectrum": [rat_str(spectrum_value(s, RP.mu2 + RP.mu3))
+                        for s in range(RP.N + 1)],
         "k3_diagonal": [rat_str(rep.K3[k][k]) for k in range(RP.N + 1)],
         "grid": [rat_str(grid_point(P, s)) for s in range(RP.N + 1)],
-        "overlaps": [[float(x) for x in row] for row in overlap],
+        "overlaps": [[rat_str(x) for x in row] for row in racah_overlaps(rep)],
         "weights": [
             {"s": s, "x": x, "w": w}
-            for s, (x, w) in enumerate(discrete_weights(P, RP.N))
+            for s, (x, w) in enumerate(discrete_weights(P, coeffs))
         ],
         "spectra_check": spectra.passed,
     }
@@ -186,9 +184,10 @@ def cmd_weights(args) -> int:
     mu = _parse_mu_list(args.mu)
     RP = RacahParams.make(mu[0], mu[1], mu[2], args.N)
     P = RP.identifications()
+    coeffs = [recurrence_coeffs(P, k) for k in range(RP.N + 1)]
     rows = [
         {"s": s, "x_s": rat_str(grid_point(P, s)), "node": x, "weight": w}
-        for s, (x, w) in enumerate(discrete_weights(P, RP.N))
+        for s, (x, w) in enumerate(discrete_weights(P, coeffs))
     ]
     _emit(rows, args.format)
     return EXIT_OK

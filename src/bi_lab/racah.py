@@ -10,16 +10,18 @@ Two independent constructions are cross-checked:
     modules and checks spectra, commutation and the central-extension
     relations numerically.
 
-The overlap coefficients between the two eigenbases reproduce the
-Bannai-Ito polynomials on their grid; ``racah_overlaps`` checks this on a
-representation already built by ``build_tridiag_rep``, so one build
-serves the relations, the spectra and the overlaps.
+The spectrum of K1 and the overlaps between the two eigenbases are exact
+and read off the built representation: the characteristic polynomial of
+K1 follows a continuant whose steps are those of the Bannai-Ito
+recurrence, so its roots are the grid points (``k1_spectrum_check``) and
+its eigenvectors are the Bannai-Ito polynomials on the grid
+(``racah_overlaps``).  One build serves the relations, the spectrum and
+the overlaps.
 
 Exact matrices are dense nested lists of Fractions, but K1 and K3 are
 tridiagonal and diagonal, so ``mat_mul`` multiplies only nonzero entries.
 The off-diagonal data of the representation is kept as the rational
-product B_{k-1} D_k (the symmetrized square root is materialized only in
-floating point).
+product B_{k-1} D_k.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from fractions import Fraction
 from typing import TYPE_CHECKING
 
 from .bi_operator import BIParams
-from .bi_poly import bi_values, grid_point
+from .bi_poly import RecurrenceCoeffs, grid_point, monic_from_steps, recurrence_steps
 from .errors import (
     BILabError,
     DegenerateParameters,
@@ -37,6 +39,7 @@ from .errors import (
     TruncationFailure,
 )
 from .exact import HALF, ONE, Rat, ZERO, rat_str, rat_to_float
+from .poly import P_ONE, Poly
 from .report import VerificationReport
 
 if TYPE_CHECKING:  # numpy loads only inside the float oracles below
@@ -152,6 +155,13 @@ class RacahParams:
         )
 
 
+def spectrum_value(s: int, c: Rat) -> Rat:
+    """(-1)^s (s + c + 1/2): the K1 spectrum for c = mu2 + mu3 and the K3
+    diagonal for c = mu1 + mu2."""
+    value = s + c + HALF
+    return value if s % 2 == 0 else -value
+
+
 def bk_dk(RP: RacahParams, k: int) -> tuple[Rat, Rat]:
     """Tridiagonal coefficients of K1 on the K3 eigenbasis.
 
@@ -201,17 +211,6 @@ class TridiagRep:
         """U_k^2 = B_{k-1} D_k for k = 1..N (kept rational)."""
         return tuple(self.B[k - 1] * self.D[k] for k in range(1, self.params.N + 1))
 
-    def k1_symmetric_float(self) -> np.ndarray:
-        """Similarity-transformed symmetric form with off-diagonals U_k."""
-        import numpy as np
-        n = self.params.N + 1
-        mat = np.zeros((n, n))
-        for k in range(n):
-            mat[k, k] = rat_to_float(self.K1[k][k])
-        for k, u2 in enumerate(self.offdiag_products, 1):
-            mat[k - 1, k] = mat[k, k - 1] = np.sqrt(rat_to_float(u2))
-        return mat
-
     def to_json(self) -> dict:
         return {
             "N": self.params.N,
@@ -243,8 +242,7 @@ def build_tridiag_rep(RP: RacahParams) -> TridiagRep:
             K1[k - 1][k] = D[k]     # lowering part of column k
     K3 = mat_zero(n)
     for k in range(n):
-        val = k + RP.mu1 + RP.mu2 + HALF
-        K3[k][k] = val if k % 2 == 0 else -val
+        K3[k][k] = spectrum_value(k, RP.mu1 + RP.mu2)
 
     om1, om2, om3 = RP.omegas
     K2 = mat_sub(mat_anticomm(K1, K3), mat_identity(n, om2))
@@ -263,80 +261,59 @@ def build_tridiag_rep(RP: RacahParams) -> TridiagRep:
     return TridiagRep(RP, K1, K2, K3, B, D, casimir)
 
 
-def k1_spectrum_check(rep: TridiagRep, RP: RacahParams) -> VerificationReport:
-    """K1 spectrum against (-1)^s (s + mu2 + mu3 + 1/2); K3 diagonal exact."""
-    import numpy as np
+def k1_spectrum_check(rep: TridiagRep,
+                      coeffs: list[RecurrenceCoeffs]) -> VerificationReport:
+    """Spectrum of K1 from its characteristic polynomial, exactly.
+
+    ``coeffs`` are the recurrence coefficients of degrees 0..N of the
+    identified BI parameters.  The leading k x k minor q_k of
+    2x + 1/2 - K1 follows the continuant
+    q_{k+1} = (2x + 1/2 - K1_kk) q_k - B_{k-1} D_k q_{k-1}, so the monic
+    q_k / 2^k has the steps ((K1_kk - 1/2) / 2, B_{k-1} D_k / 4).  These
+    equal the BI steps (b_k, u_k), so q_k = 2^k B_k; with
+    q_{N+1} = 2^{N+1} prod_s (x - x_s) and lambda_s = 2 x_s + 1/2 this
+    gives spec K1 = {lambda_s} and the eigenvectors of ``racah_overlaps``.
+    """
+    RP = rep.params
+    P = RP.identifications()
     report = VerificationReport("racah spectra")
-    n = RP.N + 1
-    vals = np.sort(np.linalg.eigvalsh(rep.k1_symmetric_float()))
-    expected = np.sort(
-        [
-            rat_to_float(
-                (s + RP.mu2 + RP.mu3 + HALF) * (1 if s % 2 == 0 else -1)
-            )
-            for s in range(n)
-        ]
-    )
-    for i, (got, want) in enumerate(zip(vals, expected)):
-        report.record("K1 spectrum", i, abs(got - want) < 1e-10,
-                      f"got {got}, want {want}")
-    for k in range(n):
-        val = k + RP.mu1 + RP.mu2 + HALF
-        want = val if k % 2 == 0 else -val
-        report.record("K3 diagonal", k, rep.K3[k][k] == want)
+    products = (ZERO, *rep.offdiag_products)
+    steps = [((rep.K1[k][k] - HALF) / 2, products[k] / 4) for k in range(RP.N + 1)]
+    bi_steps = recurrence_steps(P, coeffs)
+    for k, (step, bi_step) in enumerate(zip(steps, bi_steps, strict=True)):
+        report.record("K1 continuant = 2^k BI recurrence", k, step == bi_step)
+    grid = [grid_point(P, s) for s in range(RP.N + 1)]
+    target = P_ONE
+    for x_s in grid:
+        target = Poly((0, *target.nums), target.den) - target.scale(x_s)
+    report.record("K1 characteristic polynomial", RP.N,
+                  monic_from_steps(steps)[-1] == target)
+    for s, x_s in enumerate(grid):
+        report.record("K1 spectrum", s,
+                      spectrum_value(s, RP.mu2 + RP.mu3) == 2 * x_s + HALF)
     return report
 
 
-def racah_overlaps(rep: TridiagRep, tol: float = 1e-9) -> np.ndarray:
-    """Overlap matrix <s|k> of a built representation, with rows
-    proportional to 2^k B_k(x_s).
+def racah_overlaps(rep: TridiagRep) -> Matrix:
+    """Overlap matrix <s|k> of a built representation, exactly.
 
-    Each row s is the K1 eigenvector of eigenvalue (-1)^s (s+mu2+mu3+1/2)
-    in the K3 eigenbasis of ``rep``; dividing by its first component
-    recovers 2^k B_k(x_s) with the identified BI parameters of
-    ``rep.params``.
+    Row s is the K1 eigenvector v of eigenvalue
+    lambda_s = (-1)^s (s + mu2 + mu3 + 1/2) in the K3 eigenbasis of
+    ``rep``, scaled to v_0 = 1: row k of K1 v = lambda_s v is solved for
+    v_{k+1}, which makes v_k = q_k(x) / prod_{j<=k} D_j at
+    2x + 1/2 = lambda_s.  Where ``k1_spectrum_check`` passes, x = x_s,
+    v_k = 2^k B_k(x_s) / prod_{j<=k} D_j and the last row holds too.
     """
-    import numpy as np
     RP = rep.params
-    n = RP.N + 1
-    vals, vecs = np.linalg.eigh(rep.k1_symmetric_float())
-    targets = [
-        rat_to_float((s + RP.mu2 + RP.mu3 + HALF) * (1 if s % 2 == 0 else -1))
-        for s in range(n)
-    ]
-    overlap = np.zeros((n, n))
-    used: set[int] = set()
-    for s, t in enumerate(targets):
-        j = min(
-            (i for i in range(n) if i not in used),
-            key=lambda i: abs(vals[i] - t),
-        )
-        if abs(vals[j] - t) > 1e-10:
-            raise BILabError(f"K1 eigenvalue {t} missing (closest {vals[j]})")
-        used.add(j)
-        overlap[s, :] = vecs[:, j]
-
-    # In the non-normalized K3 eigenbasis the matrix element is
-    # w(s) 2^k B_k(x_s); the orthonormal basis used here differs by the
-    # column norm prod_{j<=k} U_j, so each column carries the constant
-    # t_k = 2^k / prod U_j.
-    P = RP.identifications()
-    values = bi_values(P, RP.N, [grid_point(P, s) for s in range(n)])
-    t = [1.0]
-    for u2 in rep.offdiag_products:
-        t.append(t[-1] * 2.0 / np.sqrt(rat_to_float(u2)))
-    for s in range(n):
-        w = overlap[s, 0]
-        if abs(w) < 1e-13:
-            raise BILabError(f"vanishing weight component at s={s}")
-        for k in range(n):
-            want = t[k] * rat_to_float(values[s][k])
-            if abs(overlap[s, k] / w - want) > tol * max(1.0, abs(want)):
-                raise BILabError(
-                    f"overlap ({s},{k}) = {overlap[s, k] / w} != "
-                    f"t_k 2^k B_k = {want}"
-                )
-    return overlap
+    out = []
+    for s in range(RP.N + 1):
+        lam = spectrum_value(s, RP.mu2 + RP.mu3)
+        v = [ONE]
+        for k in range(RP.N):
+            lower = rep.B[k - 1] * v[k - 1] if k else ZERO
+            v.append(((lam - rep.K1[k][k]) * v[k] - lower) / rep.D[k + 1])
+        out.append(v)
+    return out
 
 
 # ---------------------------------------------------------------------------

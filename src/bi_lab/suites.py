@@ -13,9 +13,10 @@ from fractions import Fraction
 
 from .bi_operator import BIParams, bi_matrices, casimir_scalar, check_bi_relations
 from .bi_poly import (
+    RecurrenceCoeffs,
+    bi_from_coeffs,
     bi_from_operator,
     bi_hypergeometric,
-    bi_sequence,
     recurrence_coeffs,
 )
 from .dunkl_dirac import (
@@ -24,12 +25,12 @@ from .dunkl_dirac import (
     pauli_layer_check,
 )
 from .errors import BILabError
+from .poly import Poly
 from .racah import (
     RacahParams,
-    bk_dk,
+    TridiagRep,
     build_tridiag_rep,
     k1_spectrum_check,
-    racah_overlaps,
 )
 from .report import VerificationReport
 from .sl1 import (
@@ -50,8 +51,12 @@ def random_bi_params(rng: random.Random) -> BIParams:
     return BIParams(draw(), draw(), draw(), draw())
 
 
-def random_bi_params_regular(rng: random.Random, nmax: int) -> BIParams:
-    """Tuple passing every degeneracy guard up to degree nmax + 1.
+def random_bi_params_regular(
+    rng: random.Random, nmax: int
+) -> tuple[BIParams, list[RecurrenceCoeffs], Poly]:
+    """Tuple passing every degeneracy guard up to degree nmax + 1, with
+    what the guards computed: the recurrence coefficients of degrees
+    0..nmax+1 and B_nmax by the hypergeometric route.
 
     The operator route needs no guard of its own: an eigenvalue collision
     lambda_i = lambda_n (i < n <= nmax) needs h = -(k + 1/2) with
@@ -61,12 +66,11 @@ def random_bi_params_regular(rng: random.Random, nmax: int) -> BIParams:
     while True:
         P = random_bi_params(rng)
         try:
-            for n in range(nmax + 2):
-                recurrence_coeffs(P, n)
-            bi_hypergeometric(P, nmax)
+            coeffs = [recurrence_coeffs(P, n) for n in range(nmax + 2)]
+            top = bi_hypergeometric(P, nmax)
         except BILabError:
             continue
-        return P
+        return P, coeffs, top
 
 
 def random_racah_params(rng: random.Random, max_n: int) -> RacahParams:
@@ -112,11 +116,11 @@ def suite_polynomials(seed: int = DEFAULT_SEED, tuples: int = 20,
         f"polynomial triple-oracle suite ({tuples} tuples, n <= {nmax})"
     )
     for t in range(tuples):
-        P = random_bi_params_regular(rng, nmax)
-        routes = zip(bi_sequence(P, nmax), bi_from_operator(P, nmax))
+        P, coeffs, top = random_bi_params_regular(rng, nmax)
+        routes = zip(bi_from_coeffs(P, coeffs[:nmax]), bi_from_operator(P, nmax))
         for n, (rec, op) in enumerate(routes):
-            report.record("recurrence = hypergeometric", (t, n),
-                          rec == bi_hypergeometric(P, n))
+            hyp = top if n == nmax else bi_hypergeometric(P, n)
+            report.record("recurrence = hypergeometric", (t, n), rec == hyp)
             report.record("recurrence = operator eigensolve", (t, n), rec == op)
     return report
 
@@ -138,15 +142,14 @@ def suite_sl1(seed: int = DEFAULT_SEED, tuples: int = 10,
     return report
 
 
-def identification_check(RP: RacahParams) -> VerificationReport:
-    """B_k = 2 A_k and D_k = 2 C_k under the parameter identifications."""
+def identification_check(rep: TridiagRep,
+                         coeffs: list[RecurrenceCoeffs]) -> VerificationReport:
+    """B_k = 2 A_k and D_k = 2 C_k under the parameter identifications;
+    ``coeffs`` are the recurrence coefficients of degrees 0..N."""
     report = VerificationReport("racah/bi coefficient identification")
-    P = RP.identifications()
-    for k in range(RP.N + 1):
-        B, D = bk_dk(RP, k)
-        rc = recurrence_coeffs(P, k)
-        report.record("B_k = 2 A_k", k, B == 2 * rc.A)
-        report.record("D_k = 2 C_k", k, D == 2 * rc.C)
+    for k, rc in enumerate(coeffs):
+        report.record("B_k = 2 A_k", k, rep.B[k] == 2 * rc.A)
+        report.record("D_k = 2 C_k", k, rep.D[k] == 2 * rc.C)
     return report
 
 
@@ -162,16 +165,13 @@ def suite_racah(seed: int = DEFAULT_SEED, tuples: int = 20,
         except BILabError as exc:
             report.record("exact tridiagonal representation", t, False, str(exc))
             continue
-        sub = k1_spectrum_check(rep, RP)
+        P = RP.identifications()
+        coeffs = [recurrence_coeffs(P, k) for k in range(RP.N + 1)]
+        sub = k1_spectrum_check(rep, coeffs)
         report.record("spectra", t, sub.passed,
                       "" if sub.passed else sub.summary())
-        sub = identification_check(RP)
+        sub = identification_check(rep, coeffs)
         report.record("identifications", t, sub.passed)
-        try:
-            racah_overlaps(rep)
-            report.record("overlaps = BI polynomials", t, True)
-        except BILabError as exc:
-            report.record("overlaps = BI polynomials", t, False, str(exc))
     return report
 
 

@@ -13,11 +13,14 @@ from fractions import Fraction
 from bi_lab.bi_operator import k1_apply
 from bi_lab.bi_poly import (
     bi_recurrence,
+    bi_values,
     discrete_weights,
     discrete_weights_exact,
     eigenvalue,
+    grid_point,
     ladder_apply,
     ladder_coeffs,
+    recurrence_coeffs,
     v_apply,
 )
 from bi_lab.cli import main as cli_main
@@ -66,7 +69,7 @@ def test_criterion_2_triple_oracle():
     report = suite_polynomials(seed=DEFAULT_SEED, tuples=20, nmax=10)
     # Eigen-equation up to n = 12 on a fixed regular tuple.
     rng = random.Random(DEFAULT_SEED)
-    P = random_bi_params_regular(rng, 12)
+    P = random_bi_params_regular(rng, 12)[0]
     eigen_ok = all(
         k1_apply(P, bi_recurrence(P, n))
         == bi_recurrence(P, n).scale(eigenvalue(P, n))
@@ -86,7 +89,7 @@ def test_criterion_3_ladders_and_v_operator():
     ok = True
     half = Fraction(1, 2)
     for _ in range(5):
-        P = random_bi_params_regular(rng, 11)
+        P = random_bi_params_regular(rng, 11)[0]
         polys = [bi_recurrence(P, n) for n in range(12)]
         for n in range(11):
             try:
@@ -130,12 +133,17 @@ def test_criterion_5_spectra_and_overlaps():
     for _ in range(20):
         RP = random_racah_params(rng, 8)
         rep = build_tridiag_rep(RP)
-        ok &= k1_spectrum_check(rep, RP).passed  # tol 1e-10
-        try:
-            racah_overlaps(rep, tol=1e-9)
-        except BILabError:
-            ok = False
-    _report(5, "K1 spectra (1e-10) and overlap columns = 2^k B_k (1e-9), "
+        P = RP.identifications()
+        coeffs = [recurrence_coeffs(P, k) for k in range(RP.N + 1)]
+        ok &= k1_spectrum_check(rep, coeffs).passed
+        grid = [grid_point(P, s) for s in range(RP.N + 1)]
+        d_prod = [Fraction(1)]
+        for d in rep.D[1:]:
+            d_prod.append(d_prod[-1] * d)
+        want = [[2**k * b / d_prod[k] for k, b in enumerate(row)]
+                for row in bi_values(P, coeffs[:RP.N], grid)]
+        ok &= racah_overlaps(rep) == want
+    _report(5, "K1 spectra and overlap rows = 2^k B_k(x_s) / prod D_j, exact, "
             "N <= 8", ok)
 
 
@@ -170,10 +178,11 @@ def test_criterion_8_finite_orthogonality():
         RP = random_racah_params(rng, 10)
         P = RP.identifications()
         # Float route: eigensolve nodes must match the grid at 1e-10.
-        float_out = discrete_weights(P, RP.N)
+        coeffs = [recurrence_coeffs(P, k) for k in range(RP.N + 1)]
+        float_out = discrete_weights(P, coeffs)
         ok &= all(w > 0 for _, w in float_out)
         # Exact route: rational weights make the quadrature sums exactly 0.
-        exact_out = discrete_weights_exact(P, RP.N)
+        exact_out = discrete_weights_exact(P, coeffs)
         ok &= all(w > 0 for _, w in exact_out)
         ok &= sum(w for _, w in exact_out) == 1
         polys = [bi_recurrence(P, n) for n in range(RP.N + 1)]

@@ -28,7 +28,7 @@ from bi_lab.errors import (
     DegenerateSpectrum,
     NotFinitelyOrthogonal,
 )
-from bi_lab.exact import ZERO, rat_to_float
+from bi_lab.exact import rat_to_float
 from bi_lab.poly import P_ONE, P_ZERO, Poly, poly_eval
 from bi_lab.racah import RacahParams
 from bi_lab.suites import (
@@ -78,14 +78,14 @@ class TestSequenceAndValues:
     def test_values_equal_horner_on_grid(self, P, N):
         grid = [grid_point(P, s) for s in range(N + 1)]
         polys = bi_sequence(P, N)
-        assert bi_values(P, N, grid) == [[poly_eval(p, x) for p in polys] for x in grid]
+        coeffs = [recurrence_coeffs(P, k) for k in range(N)]
+        assert bi_values(P, coeffs, grid) == [[poly_eval(p, x) for p in polys]
+                                              for x in grid]
 
     def test_degenerate_tuple_raises(self):
         bad = BIParams.make(0, 0, Fraction(1, 2), Fraction(1, 2))
         with pytest.raises(DegenerateParameters):
             bi_sequence(bad, 3)
-        with pytest.raises(DegenerateParameters):
-            bi_values(bad, 3, [ZERO])
 
 
 class TestThreeRoutes:
@@ -131,6 +131,26 @@ class TestThreeRoutes:
             # One K1 for the suite; the tuple draw builds none.
             assert calls == [11]
 
+    def test_suite_reuses_guard_results(self, monkeypatch):
+        import bi_lab.suites as suites
+
+        nmax, in_guard, calls = 10, [False], []
+        def draw(rng, n, _orig=suites.random_bi_params_regular):
+            in_guard[0] = True
+            try:
+                return _orig(rng, n)
+            finally:
+                in_guard[0] = False
+        def hyp(P, n, _orig=suites.bi_hypergeometric):
+            calls.append((n, in_guard[0]))
+            return _orig(P, n)
+        monkeypatch.setattr(suites, "random_bi_params_regular", draw)
+        monkeypatch.setattr(suites, "bi_hypergeometric", hyp)
+        assert suite_polynomials(seed=1, tuples=3, nmax=nmax).passed
+        # The suite computes B_0..B_(nmax-1); B_nmax is the guard's.
+        assert [n for n, guard in calls if not guard] == list(range(nmax)) * 3
+        assert all(n == nmax for n, guard in calls if guard)
+
     def test_regular_draw_needs_no_operator_guard(self):
         nmax = 10  # suite_polynomials' default
 
@@ -149,7 +169,10 @@ class TestThreeRoutes:
 
         for seed in range(1, 201):
             rng, ref = random.Random(seed), random.Random(seed)
-            assert random_bi_params_regular(rng, nmax) == guarded(ref)
+            P, coeffs, top = random_bi_params_regular(rng, nmax)
+            assert P == guarded(ref)
+            assert coeffs == [recurrence_coeffs(P, n) for n in range(nmax + 2)]
+            assert top == bi_hypergeometric(P, nmax)
             assert rng.getstate() == ref.getstate()
 
     @pytest.mark.parametrize("n", range(13))
@@ -252,18 +275,23 @@ class TestComplementary:
         assert p.coeffs[-1] == 1
 
 
+def coeffs_upto(P, N):
+    """Recurrence coefficients of degrees 0..N."""
+    return [recurrence_coeffs(P, k) for k in range(N + 1)]
+
+
 class TestDiscreteWeights:
     def test_n0_single_node(self):
         P = RacahParams.make(
             Fraction(1, 4), Fraction(1, 3), Fraction(1, 2), 0
         ).identifications()
         assert recurrence_coeffs(P, 0).A == 0
-        nodes = discrete_weights(P, 0)
+        nodes = discrete_weights(P, coeffs_upto(P, 0))
         assert nodes == [(rat_to_float(P.rho1), 1.0)]
 
     def test_racah_truncation(self):
         P = R1.identifications()
-        out = discrete_weights(P, 2)
+        out = discrete_weights(P, coeffs_upto(P, 2))
         grid = [rat_to_float(grid_point(P, s)) for s in range(3)]
         for (node, weight), x in zip(out, grid):
             assert abs(node - x) < 1e-10
@@ -272,7 +300,7 @@ class TestDiscreteWeights:
 
     def test_orthogonality(self):
         P = R1.identifications()
-        out = discrete_weights(P, 2)
+        out = discrete_weights(P, coeffs_upto(P, 2))
         polys = [bi_recurrence(P, n) for n in range(3)]
         for m in range(3):
             for n in range(m + 1, 3):
@@ -285,12 +313,12 @@ class TestDiscreteWeights:
 
     def test_requires_truncation(self):
         with pytest.raises(NotFinitelyOrthogonal):
-            discrete_weights(P1, 3)  # A_3 != 0 for P1
+            discrete_weights(P1, coeffs_upto(P1, 3))  # A_3 != 0 for P1
 
     def test_exact_weights_match_eigensolve(self):
         P = R1.identifications()
-        exact = discrete_weights_exact(P, 2)
-        floats = discrete_weights(P, 2)
+        exact = discrete_weights_exact(P, coeffs_upto(P, 2))
+        floats = discrete_weights(P, coeffs_upto(P, 2))
         assert sum(w for _, w in exact) == 1
         for (x, w), (node, weight) in zip(exact, floats):
             assert abs(rat_to_float(x) - node) < 1e-10
@@ -298,7 +326,7 @@ class TestDiscreteWeights:
 
     def test_exact_orthogonality_is_exact(self):
         P = R1.identifications()
-        exact = discrete_weights_exact(P, 2)
+        exact = discrete_weights_exact(P, coeffs_upto(P, 2))
         polys = [bi_recurrence(P, n) for n in range(3)]
         for m in range(3):
             for n in range(3):

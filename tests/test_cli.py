@@ -210,6 +210,15 @@ class TestRacah:
             assert code == EXIT_OK and len(json.loads(out)["overlaps"]) == 25
             assert calls[0] == 1
 
+    def test_one_recurrence_per_degree(self, capsys, monkeypatch):
+        calls = count_calls(monkeypatch, "bi_lab.bi_poly", "recurrence_coeffs")
+        code, out, _ = run(
+            capsys, "racah", "--mu", "1/4,1/3,1/2", "--N", "24", "--format", "json",
+        )
+        assert code == EXIT_OK and len(json.loads(out)["weights"]) == 25
+        # The spectrum check and the weights share (A_k, C_k), k <= 24.
+        assert calls[0] == 25
+
     def test_bad_mu_exit_2(self, capsys):
         code, _, err = run(capsys, "racah", "--mu", "1/4,1/3", "--N", "2")
         assert code == EXIT_INVALID
@@ -279,8 +288,9 @@ def test_exact_routes_do_not_import_numpy():
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         "    codes = [bi_lab.cli.main(a.split()) for a in (\n"
         "        'verify --scope bi --tuples 1', 'verify --scope dirac --tuples 1',\n"
+        "        'verify --scope racah --tuples 1',\n"
         "        'poly --rho1 1 --rho2 2 --r1 1/2 --r2 1/4')]\n"
-        "assert codes == [0, 0, 0], codes\n"
+        "assert codes == [0, 0, 0, 0], codes\n"
         "assert 'numpy' not in sys.modules\n"
     )
     src = str(Path(__file__).resolve().parent.parent / "src")

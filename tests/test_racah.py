@@ -1,11 +1,14 @@
 """Racah problem: exact representation, overlaps, tensor oracle."""
 
+import dataclasses
 import random
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from bi_lab.bi_poly import bi_values, grid_point, recurrence_coeffs
+from bi_lab.cli import EXIT_VERIFY_FAILED, main
 from bi_lab.errors import DegenerateParameters
 from bi_lab.racah import (
     RacahParams,
@@ -15,11 +18,38 @@ from bi_lab.racah import (
     k1_spectrum_check,
     mat_mul,
     racah_overlaps,
+    spectrum_value,
     tensor_oracle,
 )
-from bi_lab.suites import identification_check, suite_racah
+from bi_lab.suites import identification_check, random_racah_params, suite_racah
 
 R1 = RacahParams.make(Fraction(1, 4), Fraction(1, 3), Fraction(1, 2), 2)
+
+
+def coeffs_of(rep):
+    """Recurrence coefficients of degrees 0..N of the identified BI params."""
+    P = rep.params.identifications()
+    return [recurrence_coeffs(P, k) for k in range(rep.params.N + 1)]
+
+
+def k1_symmetric(rep):
+    """Float oracle: K1 as the symmetric tridiagonal J = S^-1 K1 S with
+    off-diagonals U_k = sqrt(B_{k-1} D_k), and the diagonal of S
+    (s_k / s_{k-1} = B_{k-1} / U_k), so S^-1 v is an eigenvector of J
+    whenever v is one of K1."""
+    n = rep.params.N + 1
+    mat, scale = np.zeros((n, n)), np.ones(n)
+    for k in range(n):
+        mat[k, k] = float(rep.K1[k][k])
+    for k in range(1, n):
+        u = np.sqrt(float(rep.B[k - 1] * rep.D[k]))
+        mat[k - 1, k] = mat[k, k - 1] = u
+        scale[k] = scale[k - 1] * float(rep.B[k - 1]) / u
+    return mat, scale
+
+
+def failed_checks(report):
+    return {e.check for e in report.failures}
 
 
 class TestFrozenValuesR1:
@@ -51,7 +81,10 @@ class TestFrozenValuesR1:
 
     def test_k1_spectrum(self):
         rep = build_tridiag_rep(R1)
-        vals = np.sort(np.linalg.eigvalsh(rep.k1_symmetric_float()))
+        assert [spectrum_value(s, R1.mu2 + R1.mu3) for s in range(3)] == [
+            Fraction(4, 3), Fraction(-7, 3), Fraction(10, 3)
+        ]
+        vals = np.sort(np.linalg.eigvalsh(k1_symmetric(rep)[0]))
         want = np.sort([4 / 3, -7 / 3, 10 / 3])
         assert np.max(np.abs(vals - want)) < 1e-10
 
@@ -61,8 +94,8 @@ class TestRepresentation:
     def test_build_and_checks_all_parities(self, N):
         RP = RacahParams.make(Fraction(1, 4), Fraction(1, 3), Fraction(1, 2), N)
         rep = build_tridiag_rep(RP)  # relations + Casimir verified on build
-        assert k1_spectrum_check(rep, RP).passed
-        assert identification_check(RP).passed
+        assert k1_spectrum_check(rep, coeffs_of(rep)).passed
+        assert identification_check(rep, coeffs_of(rep)).passed
 
     def test_mu_sign_odd_n(self):
         RP = RacahParams.make(Fraction(1, 4), Fraction(1, 3), Fraction(1, 2), 1)
@@ -115,15 +148,89 @@ class TestMatMul:
         assert mat_mul(z, a) == mat_mul(a, z) == z
 
 
+OVERLAP_CASES = [
+    RacahParams.make(Fraction(1, 4), Fraction(1, 3), Fraction(1, 2), N)
+    for N in range(6)
+] + [random_racah_params(random.Random(seed), 10) for seed in range(6)]
+
+
 class TestOverlaps:
     @pytest.mark.parametrize("N", range(5))
     def test_overlaps_match_bi_polynomials(self, N):
         RP = RacahParams.make(Fraction(1, 4), Fraction(1, 3), Fraction(1, 2), N)
         rep = build_tridiag_rep(RP)
-        overlap = racah_overlaps(rep)  # raises if any entry deviates
-        # Rows are orthonormal eigenvectors of a symmetric matrix.
-        gram = overlap @ overlap.T
-        assert np.max(np.abs(gram - np.eye(N + 1))) < 1e-12
+        P = RP.identifications()
+        grid = [grid_point(P, s) for s in range(RP.N + 1)]
+        d_prod = [Fraction(1)]
+        for d in rep.D[1:]:
+            d_prod.append(d_prod[-1] * d)
+        values = bi_values(P, coeffs_of(rep)[:RP.N], grid)
+        assert racah_overlaps(rep) == [
+            [2**k * b / d_prod[k] for k, b in enumerate(row)] for row in values
+        ]
+
+    @pytest.mark.parametrize("RP", OVERLAP_CASES)
+    def test_rows_are_exact_k1_eigenvectors(self, RP):
+        rep = build_tridiag_rep(RP)
+        n = RP.N + 1
+        for s, v in enumerate(racah_overlaps(rep)):
+            lam = spectrum_value(s, RP.mu2 + RP.mu3)
+            assert v[0] == 1
+            assert [sum(rep.K1[k][j] * v[j] for j in range(n)) for k in range(n)] \
+                == [lam * x for x in v]
+
+    @pytest.mark.parametrize("RP", OVERLAP_CASES)
+    def test_float_oracle(self, RP):
+        # eigh of the symmetric form: eigenvalues match lambda_s to 1e-10 and
+        # the normalized exact rows match its eigenvectors up to sign.
+        rep = build_tridiag_rep(RP)
+        mat, scale = k1_symmetric(rep)
+        vals, vecs = np.linalg.eigh(mat)
+        used = set()
+        for s, v in enumerate(racah_overlaps(rep)):
+            lam = float(spectrum_value(s, RP.mu2 + RP.mu3))
+            j = int(np.argmin(np.abs(vals - lam)))
+            assert abs(vals[j] - lam) < 1e-10 and j not in used
+            used.add(j)
+            w = np.array([float(x) for x in v]) / scale
+            w /= np.linalg.norm(w)
+            assert min(np.max(np.abs(w - vecs[:, j])),
+                       np.max(np.abs(w + vecs[:, j]))) < 1e-9
+
+
+@pytest.fixture
+def shifted_grid(monkeypatch):
+    """Mutant: the grid point x_0 moved by 1/2 where racah reads the grid."""
+    import bi_lab.racah as racah
+
+    def shifted(P, s, _orig=racah.grid_point):
+        return _orig(P, s) + (Fraction(1, 2) if s == 0 else 0)
+    monkeypatch.setattr(racah, "grid_point", shifted)
+
+
+class TestSpectrumCheckCanFail:
+    # Each mutant breaks one input of the characteristic-polynomial identity.
+    def test_shifted_grid_point(self, shifted_grid):
+        rep = build_tridiag_rep(R1)
+        report = k1_spectrum_check(rep, coeffs_of(rep))
+        assert failed_checks(report) == {"K1 characteristic polynomial", "K1 spectrum"}
+        assert [e.index for e in report.failures if e.check == "K1 spectrum"] == [0]
+
+    def test_shifted_grid_point_fails_verify(self, shifted_grid, capsys):
+        assert main(["verify", "--scope", "racah", "--tuples", "2"]) == EXIT_VERIFY_FAILED
+        assert "[FAIL] racah suite" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_doubled_d(self, k):
+        rep = build_tridiag_rep(R1)
+        D = list(rep.D)
+        D[k] *= 2
+        report = k1_spectrum_check(dataclasses.replace(rep, D=tuple(D)), coeffs_of(rep))
+        assert failed_checks(report) == {
+            "K1 characteristic polynomial", "K1 continuant = 2^k BI recurrence"
+        }
+        assert [e.index for e in report.failures
+                if e.check.startswith("K1 continuant")] == [k]
 
 
 def test_one_rep_build_per_tuple(monkeypatch):
