@@ -197,23 +197,28 @@ def bi_from_operator(P: BIParams, nmax: int) -> list[Poly]:
 
     K1 is upper triangular on 1, x, ..., x^nmax, so its leading block on
     1..x^n is K1 on that basis: one K1 gives every B_n <= nmax, each by
-    back-substitution for the eigenvalue lambda_n in its block.
+    back-substitution for the eigenvalue lambda_n in its block.  The
+    back-substitution runs on K1's integer numerators: with K1 = k / d and
+    lambda_n = a / b, B_n = w / c solves (b k - a d) w = 0 with w_n = c.
     """
-    cols = monomial_matrix(P, k1_apply, nmax + 1).cols
+    k1 = monomial_matrix(P, k1_apply, nmax + 1)
+    k, d = k1.re, k1.den
     out = []
     for n in range(nmax + 1):
         lam = eigenvalue(P, n)
-        v = [ZERO] * (n + 1)
-        v[n] = ONE
+        a, b = lam.numerator, lam.denominator
+        w, c = [0] * n + [1], 1
         for i in range(n - 1, -1, -1):
-            denom = cols[i].get(i, ZERO) - lam
-            if denom == 0:
+            t = b * k[i].get(i, 0) - a * d
+            if t == 0:
                 raise DegenerateSpectrum(
                     f"eigenvalue collision lambda_{i} = lambda_{n} for {P}"
                 )
-            v[i] = -sum((cols[j].get(i, ZERO) * v[j] for j in range(i + 1, n + 1)),
-                        ZERO) / denom
-        out.append(Poly.make(v))
+            # w_i / (c t) = -b (sum_j k_ij w_j / c) / t; rescale w_j to c t.
+            s = -b * sum(k[j].get(i, 0) * w[j] for j in range(i + 1, n + 1))
+            w = [x * t for x in w]
+            w[i], c = s, c * t
+        out.append(Poly.make(Fraction(x, c) for x in w))
     return out
 
 

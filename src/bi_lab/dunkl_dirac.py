@@ -21,8 +21,8 @@ from fractions import Fraction
 from typing import Callable
 
 from .errors import DegenerateParameters
-from .exact import GRAT_I, GRAT_MINUS_I, GRAT_ONE, GRAT_ZERO, GRat, Rat, grat_make
-from .linop import LinOp, anticomm, comm, kron
+from .exact import GRAT_I, GRAT_MINUS_I, GRAT_ONE, GRat, Rat, grat_make
+from .linop import LinOp, comm, kron
 from .report import VerificationReport
 
 Exponent = tuple[int, int, int]
@@ -184,7 +184,8 @@ def pauli_layer_check() -> VerificationReport:
             k = eps.get((i, j), 0)
             rhs = PAULI[abs(k)].scale(GRAT_I if k > 0 else GRAT_MINUS_I) if k else one
             want = one.scale(grat_make(2 if i == j else 0))
-            prod, anti = PAULI[i] @ PAULI[j], anticomm(PAULI[i], PAULI[j])
+            prod = PAULI[i] @ PAULI[j]
+            anti = prod + PAULI[j] @ PAULI[i]
             for b in (0, 1):  # one entry per basis spinor
                 report.record("sigma_i sigma_j = i eps sigma_k + delta", (i, j),
                               prod.cols[b] == rhs.cols[b])
@@ -210,7 +211,8 @@ def symmetry_generators(DP: DiracParams, degree: int) -> dict[str, LinOp]:
     scalar slice, acting on both components), "sigma{i}" the Pauli matrices
     on the spin index, "Gamma" comes from ``gamma_apply``, and for (i j k)
     cyclic "M{i}" = J_i + sigma_i (mu_j R_j + mu_k R_k + 1/2),
-    "X{i}" = sigma_i R_i, "K{i}" = M_i X_i Y, with "Y" = R1 R2 R3.
+    "X{i}" = sigma_i R_i, "K{i}" = M_i X_i Y, with "Y" = R1 R2 R3; the
+    product "M{i}X{i}" that K_i is built from is kept for ``symmetry_check``.
     """
     one2 = LinOp.identity(2, GRAT_ONE)
     scalar_one = scalar_slice(degree, lambda p: p)
@@ -229,7 +231,8 @@ def symmetry_generators(DP: DiracParams, degree: int) -> dict[str, LinOp]:
             + g["1"].scale(grat_make(Fraction(1, 2)))
         g[f"M{i}"] = g[f"J{i}"] + sigma @ inner
         g[f"X{i}"] = sigma @ g[f"R{i}"]
-        g[f"K{i}"] = g[f"M{i}"] @ g[f"X{i}"] @ g["Y"]
+        g[f"M{i}X{i}"] = g[f"M{i}"] @ g[f"X{i}"]
+        g[f"K{i}"] = g[f"M{i}X{i}"] @ g["Y"]
     return g
 
 
@@ -299,47 +302,59 @@ def symmetry_check(DP: DiracParams,
 
     The K_i anticommutators are checked in their cyclic reading, with
     central term 2 mu_k (Gamma + 1) Y + 2 mu_i mu_j for {K_i, K_j}; the
-    report records that this reading is the one that holds.
+    report records that this reading is the one that holds.  [A, B] = 0 is
+    checked as AB = BA and {A, B} = 0 as AB = -BA, and each product of two
+    named generators is formed once per slice.
     """
     report = VerificationReport("Dunkl-Dirac symmetry algebra")
 
     def relations(g: dict[str, LinOp]):
-        one, gamma, y = g["1"], g["Gamma"], g["Y"]
-        zero = one.scale(GRAT_ZERO)
+        formed = {(f"M{i}", f"X{i}"): g[f"M{i}X{i}"] for i in (1, 2, 3)}
+
+        def mul(a: str, b: str) -> LinOp:
+            """g[a] @ g[b], formed at most once per slice."""
+            if (a, b) not in formed:
+                formed[a, b] = g[a] @ g[b]
+            return formed[a, b]
+
+        one, y = g["1"], g["Y"]
         for i in (1, 2, 3):
-            m = g[f"M{i}"]
-            yield f"[Gamma, M{i}] = 0", comm(gamma, m), zero
-            yield f"[Gamma, X{i}] = 0", comm(gamma, g[f"X{i}"]), zero
-            yield f"[M{i}, X{i}] = 0", comm(m, g[f"X{i}"]), zero
+            m, x = f"M{i}", f"X{i}"
+            yield f"[Gamma, M{i}] = 0", mul("Gamma", m), mul(m, "Gamma")
+            yield f"[Gamma, X{i}] = 0", mul("Gamma", x), mul(x, "Gamma")
+            yield f"[M{i}, X{i}] = 0", mul(m, x), mul(x, m)
             for j in (1, 2, 3):
                 if j != i:
-                    yield f"{{M{i}, X{j}}} = 0", anticomm(m, g[f"X{j}"]), zero
+                    yield f"{{M{i}, X{j}}} = 0", mul(m, f"X{j}"), -mul(f"X{j}", m)
 
         # Y is central and squares to one.
-        yield ("Y = -i X1 X2 X3 = R1 R2 R3", g["X1"] @ g["X2"] @ g["X3"],
+        yield ("Y = -i X1 X2 X3 = R1 R2 R3", mul("X1", "X2") @ g["X3"],
                y.scale(GRAT_I))
-        yield "Y^2 = 1", y @ y, one
-        yield "[Y, Gamma] = 0", comm(y, gamma), zero
+        yield "Y^2 = 1", mul("Y", "Y"), one
+        yield "[Y, Gamma] = 0", mul("Y", "Gamma"), mul("Gamma", "Y")
         for i in (1, 2, 3):
-            yield f"[Y, M{i}] = 0", comm(y, g[f"M{i}"]), zero
+            yield f"[Y, M{i}] = 0", mul("Y", f"M{i}"), mul(f"M{i}", "Y")
 
         # [M_i, M_j] = i eps_ijk (M_k + 2 mu_k (Gamma+1) X_k) + mu_i mu_j [X_i, X_j]
         # (the realization fixes the coefficient of [X_i, X_j] to mu_i mu_j;
         # 2 mu_i mu_j fails already on constant spinors)
         for i, j, k in ((1, 2, 3), (2, 3, 1), (3, 1, 2)):
-            central = g[f"M{k}"] + (g[f"X{k}"] @ (gamma + one)).scale(
+            xk = f"X{k}"
+            central = g[f"M{k}"] + (mul(xk, "Gamma") + g[xk]).scale(
                 grat_make(2 * DP.mu(k)))
-            xcomm = comm(g[f"X{i}"], g[f"X{j}"])
-            yield (f"[M{i}, M{j}] relation", comm(g[f"M{i}"], g[f"M{j}"]),
+            xcomm = mul(f"X{i}", f"X{j}") - mul(f"X{j}", f"X{i}")
+            yield (f"[M{i}, M{j}] relation",
+                   mul(f"M{i}", f"M{j}") - mul(f"M{j}", f"M{i}"),
                    central.scale(GRAT_I)
                    + xcomm.scale(grat_make(DP.mu(i) * DP.mu(j))))
 
         # The Bannai-Ito subalgebra of the K_i = M_i X_i Y.
+        y_gamma1 = mul("Y", "Gamma") + y
         for i, j, k in ((1, 2, 3), (2, 3, 1), (3, 1, 2)):
-            rhs = g[f"K{k}"] + (y @ (gamma + one)).scale(grat_make(2 * DP.mu(k))) \
+            rhs = g[f"K{k}"] + y_gamma1.scale(grat_make(2 * DP.mu(k))) \
                 + one.scale(grat_make(2 * DP.mu(i) * DP.mu(j)))
             yield (f"{{K{i}, K{j}}} = K{k} + central",
-                   anticomm(g[f"K{i}"], g[f"K{j}"]), rhs)
+                   mul(f"K{i}", f"K{j}") + mul(f"K{j}", f"K{i}"), rhs)
 
     _record_slices(report, slices, relations)
     if report.passed:

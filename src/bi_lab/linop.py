@@ -6,13 +6,16 @@ holds exactly when lhs - rhs is the zero matrix.
 Entries lie in Q or Q(i).  A matrix is stored fraction-free: integer
 numerators of the real and of the imaginary parts over one common
 denominator.  Sums and products therefore run on Python ints and reduce
-once per result, not once per entry.
+once per result, not once per entry.  A real or a purely imaginary
+operand leaves one of its two blocks empty; products of an empty block
+are never formed, and an empty or unit-scaled block is passed through
+as it is.  A result may therefore share column dicts with its operands:
+columns are never mutated once stored.
 """
 
 from __future__ import annotations
 
 import math
-from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
@@ -88,13 +91,13 @@ class LinOp:
     def __matmul__(self, other: "LinOp") -> "LinOp":
         _same_size(self, other)
         n = len(self.re)
-        re = [defaultdict(int) for _ in range(n)]
-        im = [defaultdict(int) for _ in range(n)]
-        _mul_into(re, self.re, other.re, 1)
-        _mul_into(re, self.im, other.im, -1)
-        _mul_into(im, self.re, other.im, 1)
-        _mul_into(im, self.im, other.re, 1)
-        return _canonical(_nonzero(re), _nonzero(im), self.den * other.den)
+        # (re + i im)(re' + i im') = (re re' - im im') + i (re im' + im re')
+        re = _products(((self.re, other.re, 1), (self.im, other.im, -1)), n)
+        im = _products(((self.re, other.im, 1), (self.im, other.re, 1)), n)
+        return _canonical(re, im, self.den * other.den)
+
+    def __neg__(self) -> "LinOp":
+        return LinOp(_scaled(self.re, -1), _scaled(self.im, -1), self.den)
 
     def scale(self, c: Scalar) -> "LinOp":
         a, b = _re_im(c)
@@ -115,45 +118,52 @@ def _same_size(a: LinOp, b: LinOp) -> None:
         raise ValueError("matrix sizes differ")
 
 
+def _scaled(a: Columns, f: int) -> Columns:
+    """The columns of f a; a itself when f is 1 or a is empty."""
+    if f == 1 or not any(a):
+        return a
+    if not f:
+        return ({},) * len(a)
+    return tuple({i: f * x for i, x in col.items()} for col in a)
+
+
 def _combine(a: Columns, fa: int, b: Columns, fb: int) -> Columns:
     """The columns of fa a + fb b, zero sums dropped."""
+    if not fb or not any(b):
+        return _scaled(a, fa)
+    if not fa or not any(a):
+        return _scaled(b, fb)
     out = []
     for ca, cb in zip(a, b):
-        col = {} if not fa else dict(ca) if fa == 1 else \
-            {i: fa * x for i, x in ca.items()}
-        if fb:
-            for i, y in cb.items():
-                s = col.get(i, 0) + fb * y
-                if s:
-                    col[i] = s
-                else:
-                    del col[i]
+        col = dict(ca) if fa == 1 else {i: fa * x for i, x in ca.items()}
+        for i, y in cb.items():
+            s = col.get(i, 0) + fb * y
+            if s:
+                col[i] = s
+            else:
+                del col[i]
         out.append(col)
     return tuple(out)
 
 
-def _mul_into(out: list[defaultdict], a: Columns, b: Columns, sign: int) -> None:
-    """Add sign * (a @ b) into the columns ``out``; nothing when a factor is empty."""
-    if not any(a) or not any(b):
-        return
-    for acc, col in zip(out, b):
-        for k, y in col.items():
-            y *= sign
-            for i, x in a[k].items():
-                acc[i] += x * y
-
-
-def _outer_into(acc: defaultdict, x: dict[int, int], y: dict[int, int],
-                m: int, sign: int) -> None:
-    """Add sign * (x ⊗ y) into ``acc``; y has length m."""
-    for i, u in x.items():
-        u *= sign
-        for k, v in y.items():
-            acc[i * m + k] += u * v
-
-
-def _nonzero(cols: list[defaultdict]) -> Columns:
-    return tuple({i: x for i, x in col.items() if x} for col in cols)
+def _products(terms, n: int) -> Columns:
+    """The n columns of the sum of sign * (a @ b) over the (a, b, sign) of
+    ``terms`` whose factors both have entries, one pass per output column;
+    zero sums dropped."""
+    terms = [t for t in terms if any(t[0]) and any(t[1])]
+    if not terms:
+        return ({},) * n
+    out = []
+    for j in range(n):
+        acc = {}
+        for a, b, sign in terms:
+            for k, y in b[j].items():
+                if sign < 0:
+                    y = -y
+                for i, x in a[k].items():
+                    acc[i] = acc.get(i, 0) + x * y
+        out.append({i: x for i, x in acc.items() if x} if 0 in acc.values() else acc)
+    return tuple(out)
 
 
 def _canonical(re: Columns, im: Columns, den: int) -> LinOp:
@@ -174,17 +184,28 @@ def _canonical(re: Columns, im: Columns, den: int) -> LinOp:
 def kron(a: LinOp, b: LinOp) -> LinOp:
     """The Kronecker product a ⊗ b: basis vector j len(b) + l is e_j ⊗ e_l."""
     m = len(b.re)
-    re, im = [], []
-    for a_re, a_im in zip(a.re, a.im):
-        for b_re, b_im in zip(b.re, b.im):
-            r, s = defaultdict(int), defaultdict(int)
-            _outer_into(r, a_re, b_re, m, 1)
-            _outer_into(r, a_im, b_im, m, -1)
-            _outer_into(s, a_re, b_im, m, 1)
-            _outer_into(s, a_im, b_re, m, 1)
-            re.append(r)
-            im.append(s)
-    return _canonical(_nonzero(re), _nonzero(im), a.den * b.den)
+
+    def block(terms) -> Columns:
+        # Column j m + l of x ⊗ y is the outer product of x[j] and y[l].
+        terms = [t for t in terms if any(t[0]) and any(t[1])]
+        if not terms:
+            return ({},) * (len(a.re) * m)
+        out = []
+        for j in range(len(a.re)):
+            for l in range(m):
+                acc = {}
+                for x, y, sign in terms:
+                    for i, u in x[j].items():
+                        if sign < 0:
+                            u = -u
+                        for k, v in y[l].items():
+                            acc[i * m + k] = acc.get(i * m + k, 0) + u * v
+                out.append({i: x for i, x in acc.items() if x}
+                           if 0 in acc.values() else acc)
+        return tuple(out)
+
+    return _canonical(block(((a.re, b.re, 1), (a.im, b.im, -1))),
+                      block(((a.re, b.im, 1), (a.im, b.re, 1))), a.den * b.den)
 
 
 def comm(a: LinOp, b: LinOp) -> LinOp:

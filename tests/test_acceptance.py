@@ -156,7 +156,7 @@ def test_criterion_6_tensor_oracle():
         ok &= tensor_oracle(RP, RP.N, tol=1e-9).passed
         ok &= central_extension_check(RP, RP.N, tol=1e-9).passed
     _report(6, "tensor-product oracle: Q12/Q23 spectra, central extension "
-            "(1e-9), SUSY identity (1e-12)", ok)
+            "(1e-9)", ok)
 
 
 def test_criterion_7_dunkl_dirac_suite():

@@ -187,6 +187,56 @@ class TestSymmetryAlgebra:
             assert anticomm(g["K1"], g["K2"]) - g["K3"] != g["1"].scale(GRAT_ZERO)
 
 
+class TestMutants:
+    """Perturbed generators and relations that the symmetry report must reject."""
+
+    @staticmethod
+    def failed(report):
+        return {(e.check, e.index) for e in report.entries if not e.ok}
+
+    @pytest.mark.parametrize("axis", [1, 2, 3])
+    def test_flipped_mu_r_term_of_gamma(self, monkeypatch, axis):
+        import bi_lab.dunkl_dirac as dd
+
+        def gamma(DP, g, _orig=dd.gamma_apply):
+            return _orig(DP, g) - g[f"R{axis}"].scale(grat_make(2 * DP.mu(axis)))
+
+        monkeypatch.setattr(dd, "gamma_apply", gamma)
+        failed = self.failed(symmetry_check(DP1, slices(DP1, 3)))
+        # On degree 0 R_i is the identity, so the flip only shifts Gamma.
+        others = [j for j in (1, 2, 3) if j != axis]
+        assert {(f"[Gamma, M{j}] = 0", d) for j in others for d in (1, 2, 3)} <= failed
+        # Every term of Gamma commutes with every X_j, so these still hold.
+        assert not any(check.startswith("[Gamma, X") for check, _ in failed)
+
+    @pytest.mark.parametrize("axis", [1, 2, 3])
+    def test_pauli_factor_dropped_from_gamma(self, monkeypatch, axis):
+        import bi_lab.dunkl_dirac as dd
+
+        def gamma(DP, g, _orig=dd.gamma_apply):
+            j = g[f"J{axis}"]
+            return _orig(DP, g) - g[f"sigma{axis}"] @ j + j
+
+        monkeypatch.setattr(dd, "gamma_apply", gamma)
+        failed = self.failed(symmetry_check(DP1, slices(DP1, 3)))
+        assert {(f"[Gamma, X{j}] = 0", d) for j in (1, 2, 3) if j != axis
+                for d in (1, 2, 3)} <= failed
+
+    def test_mm_relation_without_x_gamma_term(self):
+        import inspect
+
+        import bi_lab.dunkl_dirac as dd
+
+        source = inspect.getsource(dd.symmetry_check)
+        mutant = source.replace('(mul(xk, "Gamma") + g[xk])', "(g[xk] - g[xk])")
+        assert mutant != source
+        namespace = dict(vars(dd))
+        exec(mutant, namespace)
+        failed = self.failed(namespace["symmetry_check"](DP1, slices(DP1, 3)))
+        assert failed == {(f"[M{i}, M{j}] relation", d)
+                          for i, j in ((1, 2), (2, 3), (3, 1)) for d in range(4)}
+
+
 def test_one_generator_build_per_slice(monkeypatch):
     import bi_lab.dunkl_dirac as dd
 
@@ -204,3 +254,18 @@ def test_one_generator_build_per_slice(monkeypatch):
         # One Gamma per slice, and J_1..J_3 once on every scalar monomial.
         assert calls["gamma_apply"] == 4
         assert calls["angular_momentum"] == 3 * monomials == 60
+
+
+def test_each_slice_product_formed_once(monkeypatch):
+    from bi_lab.linop import LinOp
+
+    calls = {"__matmul__": 0, "_plus": 0}
+    for name in calls:
+        def counted(*args, _orig=getattr(LinOp, name), _name=name):
+            calls[_name] += 1
+            return _orig(*args)
+        monkeypatch.setattr(LinOp, name, counted)
+    assert suite_dirac(seed=1, tuples=1, maxdeg=3).passed
+    # The products and sums of the Pauli layer and of four slices, each of
+    # them formed once.
+    assert calls == {"__matmul__": 370, "_plus": 245}

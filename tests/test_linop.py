@@ -19,6 +19,9 @@ grats = st.builds(GRat, sparse_rationals, sparse_rationals)
 denominators = st.sampled_from([1, 2, 3, 4, 5, 7, 9, 12, 35])
 nonzero_rationals = st.builds(Fraction, st.integers(-30, 30).filter(bool), denominators)
 mixed_grats = st.builds(GRat, nonzero_rationals, nonzero_rationals)
+# Real part zero: a matrix of these has an empty real block.
+imaginaries = st.builds(lambda y: GRat(Fraction(0), y), sparse_rationals)
+zeros = st.just(Fraction(0))
 
 
 def entries(scalar, n=N):
@@ -68,6 +71,42 @@ def test_ring_operations_match_sympy(scalar, data):
     assert same(a.scale(c), sx * to_sympy(c))
     assert same(comm(a, b), sx * sy - sy * sx)
     assert same(anticomm(a, b), sx * sy + sy * sx)
+
+
+def snapshot(a: LinOp):
+    return [dict(col) for col in a.re], [dict(col) for col in a.im], a.den
+
+
+@pytest.mark.parametrize("left, right", [
+    (sparse_rationals, imaginaries), (imaginaries, mixed_grats),
+    (mixed_grats, zeros), (zeros, imaginaries),
+], ids=["real-imaginary", "imaginary-complex", "complex-zero", "zero-imaginary"])
+@settings(deadline=None, max_examples=15)
+@given(data=st.data())
+def test_mixed_operands_match_sympy(left, right, data):
+    # Operands with an empty real or imaginary block, in both orders; results
+    # may share columns with the operands, so no input may change.
+    x, y = data.draw(entries(left)), data.draw(entries(right))
+    c = data.draw(st.one_of(left, right))
+    a, b = linop(x), linop(y)
+    sx, sy = sym(x), sym(y)
+    operands = [a, b]
+    results = []
+    for p, q, sp, sq in ((a, b, sx, sy), (b, a, sy, sx)):
+        before = [snapshot(m) for m in operands + results]
+        cases = [(p + q, sp + sq), (p - q, sp - sq), (p @ q, sp * sq),
+                 (p.scale(c), sp * to_sympy(c)), (-p, -sp),
+                 (comm(p, q), sp * sq - sq * sp), (anticomm(p, q), sp * sq + sq * sp)]
+        for got, want in cases:
+            assert same(got, want)
+        assert [snapshot(m) for m in operands + results] == before
+        results += [got for got, _ in cases]
+    u, v = data.draw(entries(left, 3)), data.draw(entries(right, 2))
+    ua, vb = linop(u, 3), linop(v, 2)
+    before = [snapshot(ua), snapshot(vb)]
+    assert same(kron(ua, vb), sympy.kronecker_product(sym(u, 3), sym(v, 2)))
+    assert same(kron(vb, ua), sympy.kronecker_product(sym(v, 2), sym(u, 3)))
+    assert [snapshot(ua), snapshot(vb)] == before
 
 
 @pytest.mark.parametrize("scalar", [sparse_rationals, grats],

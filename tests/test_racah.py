@@ -267,3 +267,23 @@ class TestCentralExtension:
         RP = RacahParams.make(Fraction(1, 4), Fraction(1, 3), Fraction(1, 2), N)
         report = central_extension_check(RP, N)
         assert report.passed, report.summary()
+
+    @pytest.mark.parametrize("N", range(4))
+    def test_both_relations_fail_with_perturbed_q(self, N, monkeypatch):
+        import bi_lab.racah as racah
+
+        RP = RacahParams.make(Fraction(1, 4), Fraction(1, 3), Fraction(1, 2), N)
+        names = ["{C1,C2} = C3 - 2 mu3 Q + 2 mu1 mu2",
+                 "{C2,C3} = C1 - 2 mu1 Q + 2 mu2 mu3"]
+        report = central_extension_check(RP, N)
+        assert [e.check for e in report.entries] == names
+        orig = racah.tensor_slice
+
+        def perturbed(RP, m):
+            ts = orig(RP, m)
+            return dataclasses.replace(ts, Q4=2 * ts.Q4)
+
+        monkeypatch.setattr(racah, "tensor_slice", perturbed)
+        report = central_extension_check(RP, N)
+        assert [e.check for e in report.entries] == names
+        assert not any(e.ok for e in report.entries)
