@@ -131,27 +131,26 @@ def cmd_racah(args) -> int:
     P = RP.identifications()
     coeffs = [recurrence_coeffs(P, k) for k in range(RP.N + 1)]
     spectra = k1_spectrum_check(rep, coeffs)
-    payload = {
-        "params": {
-            "mu": [rat_str(m) for m in mu],
-            "N": RP.N,
-            "mu4": rat_str(RP.mu4),
-        },
-        "identifications": P.to_json(),
-        "representation": rep.to_json(),
-        "k1_spectrum": [rat_str(spectrum_value(s, RP.mu2 + RP.mu3))
-                        for s in range(RP.N + 1)],
-        "k3_diagonal": [rat_str(rep.K3[k][k]) for k in range(RP.N + 1)],
-        "grid": [rat_str(grid_point(P, s)) for s in range(RP.N + 1)],
-        "overlaps": [[rat_str(x) for x in row] for row in racah_overlaps(rep)],
-        "weights": [
-            {"s": s, "x": x, "w": w}
-            for s, (x, w) in enumerate(discrete_weights(P, coeffs))
-        ],
-        "spectra_check": spectra.passed,
-    }
     if args.format == "json":
-        _emit_json(payload)
+        _emit_json({
+            "params": {
+                "mu": [rat_str(m) for m in mu],
+                "N": RP.N,
+                "mu4": rat_str(RP.mu4),
+            },
+            "identifications": P.to_json(),
+            "representation": rep.to_json(),
+            "k1_spectrum": [rat_str(spectrum_value(s, RP.mu2 + RP.mu3))
+                            for s in range(RP.N + 1)],
+            "k3_diagonal": [rat_str(rep.K3[k][k]) for k in range(RP.N + 1)],
+            "grid": [rat_str(grid_point(P, s)) for s in range(RP.N + 1)],
+            "overlaps": [[rat_str(x) for x in row] for row in racah_overlaps(rep)],
+            "weights": [
+                {"s": s, "x": x, "w": w}
+                for s, (x, w) in enumerate(discrete_weights(P, coeffs))
+            ],
+            "spectra_check": spectra.passed,
+        })
     else:
         rows = [
             {"k": k, "V_k": rat_str(rep.K1[k][k]),

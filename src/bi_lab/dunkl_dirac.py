@@ -135,7 +135,8 @@ def angular_momentum(DP: DiracParams, axis: int, p: Poly3) -> Poly3:
     """J_i = (1/i)(x_j D_k - x_k D_j) with (i j k) cyclic; degree preserving."""
     j, k = _CYCLIC[axis]
     raw = var_mul(j, dunkl_partial(DP, k, p)) - var_mul(k, dunkl_partial(DP, j, p))
-    return raw.scale(GRAT_MINUS_I)  # 1/i = -i
+    # 1/i = -i, and (a + b i)(-i) = b - a i
+    return Poly3({e: GRat(c.im, -c.re) for e, c in raw.terms.items()})
 
 
 def _record_slices(report: VerificationReport, slices: list[dict[str, LinOp]],

@@ -75,6 +75,13 @@ class LinOp:
             for re, im in zip(self.re, self.im)
         )
 
+    def trace(self) -> Scalar:
+        """The sum of the diagonal: Fraction when the matrix is real, GRat
+        otherwise."""
+        re, im = (Fraction(sum(col.get(j, 0) for j, col in enumerate(block)), self.den)
+                  for block in (self.re, self.im))
+        return GRat(re, im) if any(self.im) else re
+
     def __add__(self, other: "LinOp") -> "LinOp":
         return self._plus(other, 1)
 

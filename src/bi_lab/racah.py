@@ -1,14 +1,16 @@
 """The Racah problem for sl_{-1}(2) and the Bannai-Ito algebra.
 
-Two independent constructions are cross-checked:
+Two exact constructions are checked over the rationals:
 
-  * an exact (N+1)x(N+1) tridiagonal representation built from the
+  * the (N+1)x(N+1) tridiagonal representation built from the
     closed-form coefficients B_k, D_k, with the anticommutation relations
-    and the Casimir value verified over the rationals, and
-  * a floating-point oracle that assembles the intermediate Casimir
-    operators on an actual threefold tensor product of discrete-series
-    modules and checks spectra, commutation and the central-extension
-    relations numerically.
+    and the Casimir value verified on build, and
+  * the intermediate Casimir operators Q12, Q23 and the total Casimir Q4
+    on one degree slice of the threefold tensor product of
+    discrete-series modules (``tensor_slice``): their spectra, the
+    commutation with Q4, the Bannai-Ito relations on every eigenspace of
+    Q4 (``tensor_oracle``) and the central-extension relations on the
+    whole slice (``central_extension_check``).
 
 The spectrum of K1 and the overlaps between the two eigenbases are exact
 and read off the built representation: the characteristic polynomial of
@@ -26,9 +28,10 @@ product B_{k-1} D_k.
 
 from __future__ import annotations
 
+import dataclasses
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import TYPE_CHECKING
 
 from .bi_operator import BIParams
 from .bi_poly import RecurrenceCoeffs, grid_point, monic_from_steps, recurrence_steps
@@ -38,12 +41,11 @@ from .errors import (
     NotUnitary,
     TruncationFailure,
 )
-from .exact import HALF, ONE, Rat, ZERO, rat_str, rat_to_float
+from .exact import HALF, ONE, Rat, ZERO, rat_str
+from .linop import LinOp, anticomm
 from .poly import P_ONE, Poly
 from .report import VerificationReport
-
-if TYPE_CHECKING:  # numpy loads only inside the float oracles below
-    import numpy as np
+from .sl1 import ModuleParams, rho_squared
 
 Matrix = list[list[Rat]]
 
@@ -317,204 +319,154 @@ def racah_overlaps(rep: TridiagRep) -> Matrix:
 
 
 # ---------------------------------------------------------------------------
-# tensor-product oracle (floating point)
+# threefold tensor product, exactly on one degree slice
 
-def _factor_ops(mu: float, dim: int):
-    """Single-module matrices on the truncated basis n = 0..dim-1."""
-    import numpy as np
-    n = np.arange(dim, dtype=float)
-    j0 = np.diag(n + mu + 0.5)
-    r = np.diag((-1.0) ** np.arange(dim))
-    rho = np.sqrt(n + mu * (1.0 - (-1.0) ** np.arange(dim)))
-    jp = np.zeros((dim, dim))
-    jm = np.zeros((dim, dim))
-    for k in range(1, dim):
-        jp[k, k - 1] = rho[k]   # J+ |k-1> = rho_k |k>
-        jm[k - 1, k] = rho[k]   # J- |k>   = rho_k |k-1>
-    return j0, jp, jm, r
-
-
-@dataclass
+@dataclass(frozen=True)
 class TensorSlice:
-    """Intermediate-Casimir matrices restricted to a fixed-degree slice."""
+    """Intermediate Casimirs on the states |n1, n2, n3>, n1 + n2 + n3 = m."""
 
-    m: int
-    dim: int
-    Q12: np.ndarray
-    Q23: np.ndarray
-    Q4: np.ndarray
-    Q12_alt: np.ndarray
+    Q12: LinOp
+    Q23: LinOp
+    Q4: LinOp
+    Q12_alt: LinOp
 
 
 def tensor_slice(RP: RacahParams, m: int) -> TensorSlice:
-    """Assemble Q12, Q23 and Q4 on the span of |n1,n2,n3>, sum = m.
+    """Q12, Q23, Q4 and the expanded form of Q12 on the (m+1)(m+2)/2
+    states |n1, n2, n3> with n1 + n2 + n3 = m, ordered by (n1, n2).
 
-    Per-factor truncation is m+3 so that no intermediate ladder state
-    falls off the edge; the composite operators preserve the slice.
+    Each factor is the module of ``sl1`` (epsilon = +1, mu = mu_i) in the
+    gauge J+|n> = |n+1>, J-|n> = rho_n^2 |n-1>, which differs from the
+    unitary one by a diagonal change of basis; every entry is therefore
+    rational.  For a set A of factors,
+    J±_A = sum_{a in A} J±_a prod_{b in A, b > a} R_b, J0_A = sum J0_a,
+    R_A = prod R_a and Q_A = (J+_A J-_A - J0_A + 1/2) R_A.  Each of these
+    operators preserves n1 + n2 + n3, so nothing is truncated.
     """
-    import numpy as np
+    mus = (RP.mu1, RP.mu2, RP.mu3)
+    modules = [ModuleParams.make(1, mu) for mu in mus]
+    states = [(n1, n2, m - n1 - n2)
+              for n1 in range(m + 1) for n2 in range(m + 1 - n1)]
+    index = {n: i for i, n in enumerate(states)}
 
-    def _kron3(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
-        return np.kron(np.kron(a, b), c)
+    def ladder(v: dict, A: tuple[int, ...], step: int) -> dict:
+        """J+_A (step 1) or J-_A (step -1) on v = {state: coefficient}."""
+        out: dict = {}
+        for n, c in v.items():
+            for a in A:
+                x = c if step > 0 else c * rho_squared(modules[a], n[a])
+                if x:  # rho_0^2 = 0: J- annihilates n_a = 0
+                    if sum(n[b] for b in A if b > a) % 2:
+                        x = -x
+                    k = (*n[:a], n[a] + step, *n[a + 1:])
+                    out[k] = out.get(k, ZERO) + x
+        return out
 
-    dim1 = m + 3
-    mus = [rat_to_float(x) for x in (RP.mu1, RP.mu2, RP.mu3)]
-    ops = [_factor_ops(mu, dim1) for mu in mus]
-    eye = np.eye(dim1)
-    (j01, jp1, jm1, r1), (j02, jp2, jm2, r2), (j03, jp3, jm3, r3) = ops
+    def sign(n, A) -> int:  # the eigenvalue of R_A on |n>
+        return -1 if sum(n[a] for a in A) % 2 else 1
 
-    # Pair (1,2): coproduct ladder operators and Casimir.
-    j12p = _kron3(jp1, r2, eye) + _kron3(eye, jp2, eye)
-    j12m = _kron3(jm1, r2, eye) + _kron3(eye, jm2, eye)
-    j012 = _kron3(j01, eye, eye) + _kron3(eye, j02, eye)
-    r12 = _kron3(r1, r2, eye)
-    big_eye = np.eye(dim1**3)
-    q12 = (j12p @ j12m - j012 + 0.5 * big_eye) @ r12
+    def matrix(column) -> LinOp:
+        return LinOp.make({index[k]: x for k, x in column(n).items()}
+                          for n in states)
 
-    # Expanded single-product form of the same operator (consistency check).
-    q12_alt = (
-        (_kron3(jm1, jp2, eye) - _kron3(jp1, jm2, eye)) @ _kron3(r1, eye, eye)
-        - 0.5 * r12
-        - mus[0] * _kron3(eye, r2, eye)
-        - mus[1] * _kron3(r1, eye, eye)
-    )
+    def casimir(A: tuple[int, ...]) -> LinOp:
+        def column(n):
+            v = ladder(ladder({n: ONE}, A, -1), A, 1)
+            v[n] = v.get(n, ZERO) + HALF - sum(n[a] + mus[a] + HALF for a in A)
+            return {k: sign(n, A) * x for k, x in v.items()}
+        return matrix(column)
 
-    # Pair (2,3).
-    j23p = _kron3(eye, jp2, r3) + _kron3(eye, eye, jp3)
-    j23m = _kron3(eye, jm2, r3) + _kron3(eye, eye, jm3)
-    j023 = _kron3(eye, j02, eye) + _kron3(eye, eye, j03)
-    r23 = _kron3(eye, r2, r3)
-    q23 = (j23p @ j23m - j023 + 0.5 * big_eye) @ r23
+    def q12_expanded(n):
+        # Q12 = (J-_1 J+_2 - J+_1 J-_2) R_1 - R_1 R_2 / 2 - mu1 R_2 - mu2 R_1
+        v = ladder(ladder({n: ONE}, (1,), 1), (0,), -1)
+        for k, x in ladder(ladder({n: ONE}, (1,), -1), (0,), 1).items():
+            v[k] = v.get(k, ZERO) - x
+        r1, r2 = sign(n, (0,)), sign(n, (1,))
+        v = {k: r1 * x for k, x in v.items()}
+        v[n] = v.get(n, ZERO) - r1 * r2 * HALF - mus[0] * r2 - mus[1] * r1
+        return v
 
-    # Total Casimir.
-    j4p = _kron3(jp1, r2, r3) + _kron3(eye, jp2, r3) + _kron3(eye, eye, jp3)
-    j4m = _kron3(jm1, r2, r3) + _kron3(eye, jm2, r3) + _kron3(eye, eye, jm3)
-    j04 = (
-        _kron3(j01, eye, eye) + _kron3(eye, j02, eye) + _kron3(eye, eye, j03)
-    )
-    r4 = _kron3(r1, r2, r3)
-    q4 = (j4p @ j4m - (j04 - 0.5 * big_eye)) @ r4
-
-    idx = [
-        n1 * dim1 * dim1 + n2 * dim1 + n3
-        for n1 in range(m + 1)
-        for n2 in range(m + 1 - n1)
-        for n3 in [m - n1 - n2]
-    ]
-    ix = np.ix_(idx, idx)
-    return TensorSlice(
-        m=m,
-        dim=len(idx),
-        Q12=q12[ix],
-        Q23=q23[ix],
-        Q4=q4[ix],
-        Q12_alt=q12_alt[ix],
-    )
+    return TensorSlice(casimir((0, 1)), casimir((1, 2)), casimir((0, 1, 2)),
+                       matrix(q12_expanded))
 
 
-def _eigenspaces(mat: np.ndarray, cluster_tol: float = 1e-6):
-    """Orthonormal bases of the eigenspaces of a symmetric matrix."""
-    import numpy as np
-    vals, vecs = np.linalg.eigh(mat)
-    spaces = []
-    start = 0
-    for i in range(1, len(vals) + 1):
-        if i == len(vals) or vals[i] - vals[start] > cluster_tol:
-            spaces.append((float(np.mean(vals[start:i])), vecs[:, start:i]))
-            start = i
-    return spaces
+def _prefix_products(op: LinOp, roots: list[Rat]) -> list[LinOp]:
+    """[1, (op - r_0), (op - r_0)(op - r_1), ...] over the roots r_i."""
+    eye = LinOp.identity(len(op.re), ONE)
+    out = [eye]
+    for r in roots:
+        out.append(out[-1] @ (op - eye.scale(r)))
+    return out
 
 
-def tensor_oracle(RP: RacahParams, m: int, tol: float = 1e-9) -> VerificationReport:
-    """Numerical verification of the Racah structure on a degree slice."""
-    import numpy as np
+def tensor_oracle(RP: RacahParams, m: int) -> VerificationReport:
+    """The Racah structure of the threefold tensor product on slice m,
+    exactly.
+
+    Q12 and Q23 are annihilated by their spectra
+    -lambda_s = (-1)^(s+1)(s + mu_i + mu_j + 1/2), s <= m, and commute
+    with Q4.  Q4 is annihilated by q_j = (-1)^(j+1)(j + mu1 + mu2 + mu3 + 1),
+    j <= m; the Lagrange projectors E_j = prod_{i != j} (Q4 - q_i) / (q_j - q_i)
+    onto its eigenspaces are formed once from prefix and suffix products.
+    On the image of E_j, of dimension j + 1, K3 = -Q12 has the spectrum
+    lambda_s = (-1)^s (s + mu1 + mu2 + 1/2), s <= j, and K1 = -Q23, K3 and
+    K2 = {K1,K3} - omega2 satisfy both Bannai-Ito relations with the
+    omega_i at mu = -q_j: at j = N, the representation of
+    ``build_tridiag_rep``.
+    """
     report = VerificationReport(f"tensor-product oracle (m={m})")
     ts = tensor_slice(RP, m)
-    mus = [rat_to_float(x) for x in (RP.mu1, RP.mu2, RP.mu3)]
+    eye = LinOp.identity(len(ts.Q4.re), ONE)
+    zero = eye.scale(ZERO)
+    report.record("Q12 coproduct form = expanded form", m, ts.Q12 == ts.Q12_alt)
+    k1, k3 = -ts.Q23, -ts.Q12
+    # prod_{s<j} (K - lambda_s) for j = 0..m+1; the last is +-prod (Q + lambda_s).
+    k3_chain = _prefix_products(
+        k3, [spectrum_value(s, RP.mu1 + RP.mu2) for s in range(m + 1)])
+    k1_chain = _prefix_products(
+        k1, [spectrum_value(s, RP.mu2 + RP.mu3) for s in range(m + 1)])
+    for name, op, chain in (("Q12", ts.Q12, k3_chain), ("Q23", ts.Q23, k1_chain)):
+        report.record(f"prod_(s<=m) ({name} + lambda_s) = 0", m, chain[-1] == zero)
+        report.record(f"[Q4,{name}] = 0", m, ts.Q4 @ op == op @ ts.Q4)
 
-    report.record(
-        "Q12 coproduct form = expanded form", m,
-        float(np.max(np.abs(ts.Q12 - ts.Q12_alt))) < 1e-10,
-    )
-
-    # Spectra of the intermediate Casimir operators.
-    # Both intermediate Casimirs carry the sign family (-1)^(s+1): this is
-    # forced by K3 = -Q12 and K1 = -Q23 both having the Bannai-Ito spectra
-    # (-1)^s (s + mu_i + mu_j + 1/2) on a total-Casimir eigenspace.
-    q12_expected = [(-1.0) ** (s + 1) * (s + mus[0] + mus[1] + 0.5)
-                    for s in range(m + 1)]
-    q23_expected = [(-1.0) ** (s + 1) * (s + mus[1] + mus[2] + 0.5)
-                    for s in range(m + 1)]
-    report.note(
-        "Q23 spectrum realized as (-1)^(s+1)(s+mu2+mu3+1/2); the opposite "
-        "sign family is empirically absent"
-    )
-    for name, mat, cands in (
-        ("Q12 spectrum", ts.Q12, q12_expected),
-        ("Q23 spectrum", ts.Q23, q23_expected),
-    ):
-        for i, val in enumerate(np.linalg.eigvalsh(mat)):
-            err = min(abs(val - c) for c in cands)
-            report.record(name, i, err < tol, f"eig {val}, dist {err}")
-
-    for name, mat in (("[Q4,Q12]", ts.Q12), ("[Q4,Q23]", ts.Q23)):
-        norm = float(np.max(np.abs(ts.Q4 @ mat - mat @ ts.Q4)))
-        report.record(f"{name} = 0", m, norm < 1e-10, f"norm {norm}")
-
-    if m >= RP.N:
-        q4_target = -rat_to_float(RP.mu)
-        q4_vals = np.linalg.eigvalsh(ts.Q4)
-        present = bool(np.min(np.abs(q4_vals - q4_target)) < tol)
-        report.record("q4 = -mu present on slice", m, present)
-
-    # Bannai-Ito relations on every total-Casimir eigenspace.
-    for q4_val, basis in _eigenspaces(ts.Q4):
-        mu_loc = -q4_val
-        k1 = -(basis.T @ ts.Q23 @ basis)
-        k3 = -(basis.T @ ts.Q12 @ basis)
-        om1 = 2 * (mus[0] * mu_loc + mus[1] * mus[2])
-        om2 = 2 * (mus[0] * mus[2] + mus[1] * mu_loc)
-        om3 = 2 * (mus[0] * mus[1] + mus[2] * mu_loc)
-        eye = np.eye(k1.shape[0])
-        k2 = k1 @ k3 + k3 @ k1 - om2 * eye
-        res3 = float(np.max(np.abs(k1 @ k2 + k2 @ k1 - k3 - om3 * eye)))
-        res1 = float(np.max(np.abs(k2 @ k3 + k3 @ k2 - k1 - om1 * eye)))
-        label = f"q4={q4_val:.6g} (dim {k1.shape[0]})"
-        report.record("BI relation {K1,K2}", label, res3 < tol, f"residual {res3}")
-        report.record("BI relation {K2,K3}", label, res1 < tol, f"residual {res1}")
+    q = [-spectrum_value(j, RP.mu1 + RP.mu2 + RP.mu3 + HALF) for j in range(m + 1)]
+    prefix = _prefix_products(ts.Q4, q)  # prefix[j] = prod_{i<j} (Q4 - q_i)
+    suffix = _prefix_products(ts.Q4, q[:0:-1])  # suffix[m-j] = prod_{i>j}
+    report.record("prod_(j<=m) (Q4 - q_j) = 0", m, prefix[-1] == zero)
+    k1k3 = anticomm(k1, k3)
+    for j, q_j in enumerate(q):
+        denom = math.prod((q_j - q_i for i, q_i in enumerate(q) if i != j), start=ONE)
+        proj = (prefix[j] @ suffix[m - j]).scale(1 / denom)
+        report.record("trace E_j = j + 1", j, proj.trace() == j + 1)
+        report.record("prod_(s<=j) (K3 - lambda_s) E_j = 0", j,
+                      k3_chain[j + 1] @ proj == zero)
+        om1, om2, om3 = dataclasses.replace(RP, N=j).omegas
+        k2 = k1k3 - eye.scale(om2)
+        report.record("BI relation {K1,K2} E_j", j,
+                      (anticomm(k1, k2) - k3 - eye.scale(om3)) @ proj == zero)
+        report.record("BI relation {K2,K3} E_j", j,
+                      (anticomm(k2, k3) - k1 - eye.scale(om1)) @ proj == zero)
     return report
 
 
-def central_extension_check(
-    RP: RacahParams, m: int, tol: float = 1e-9
-) -> VerificationReport:
-    """Central-extension relations among the constants of motion.
+def central_extension_check(RP: RacahParams, m: int) -> VerificationReport:
+    """Central-extension relations among the constants of motion, exactly.
 
-    On the full slice (no projection onto total-Casimir eigenspaces) the
-    operators C3 = -Q12, C1 = -Q23 close with the central matrix Q: the
+    On the whole slice (no projection onto the eigenspaces of Q4) the
+    operators C3 = -Q12, C1 = -Q23 close with the central Q = Q4: the
     {C3,C1} relation defines C2, and the {C1,C2} and {C2,C3} relations
     are checked.
     """
-    import numpy as np
     report = VerificationReport(f"central extension (m={m})")
     ts = tensor_slice(RP, m)
-    mus = [rat_to_float(x) for x in (RP.mu1, RP.mu2, RP.mu3)]
-    eye = np.eye(ts.dim)
-
-    c3 = -ts.Q12
-    c1 = -ts.Q23
-    q = ts.Q4
-    # The {C3,C1} relation defines C2; the remaining two are then checked.
-    c2 = c3 @ c1 + c1 @ c3 + 2 * mus[1] * q - 2 * mus[2] * mus[0] * eye
-
-    res12 = float(np.max(np.abs(
-        c1 @ c2 + c2 @ c1 - (c3 - 2 * mus[2] * q + 2 * mus[0] * mus[1] * eye)
-    )))
-    report.record("{C1,C2} = C3 - 2 mu3 Q + 2 mu1 mu2", m, res12 < tol,
-                  f"residual {res12}")
-    res23 = float(np.max(np.abs(
-        c2 @ c3 + c3 @ c2 - (c1 - 2 * mus[0] * q + 2 * mus[1] * mus[2] * eye)
-    )))
-    report.record("{C2,C3} = C1 - 2 mu1 Q + 2 mu2 mu3", m, res23 < tol,
-                  f"residual {res23}")
+    mu1, mu2, mu3 = RP.mu1, RP.mu2, RP.mu3
+    eye = LinOp.identity(len(ts.Q4.re), ONE)
+    c3, c1, q = -ts.Q12, -ts.Q23, ts.Q4
+    c2 = anticomm(c3, c1) + q.scale(2 * mu2) - eye.scale(2 * mu3 * mu1)
+    report.record("{C1,C2} = C3 - 2 mu3 Q + 2 mu1 mu2", m,
+                  anticomm(c1, c2)
+                  == c3 - q.scale(2 * mu3) + eye.scale(2 * mu1 * mu2))
+    report.record("{C2,C3} = C1 - 2 mu1 Q + 2 mu2 mu3", m,
+                  anticomm(c2, c3)
+                  == c1 - q.scale(2 * mu1) + eye.scale(2 * mu2 * mu3))
     return report

@@ -71,6 +71,8 @@ def test_ring_operations_match_sympy(scalar, data):
     assert same(a.scale(c), sx * to_sympy(c))
     assert same(comm(a, b), sx * sy - sy * sx)
     assert same(anticomm(a, b), sx * sy + sy * sx)
+    assert to_sympy(a.trace()) == sympy.expand(sx.trace())
+    assert to_sympy((a @ b).trace()) == sympy.expand((sx * sy).trace())
 
 
 def snapshot(a: LinOp):

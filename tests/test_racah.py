@@ -1,4 +1,4 @@
-"""Racah problem: exact representation, overlaps, tensor oracle."""
+"""Racah problem: exact representation, overlaps, tensor-product slice."""
 
 import dataclasses
 import random
@@ -249,6 +249,47 @@ def test_one_rep_build_per_tuple(monkeypatch):
         assert calls[0] == 3
 
 
+def float_tensor_slice(RP, m):
+    """Float reference: Q12, Q23 and Q4 in the unitary gauge
+    J+|n-1> = rho_n |n>, J-|n> = rho_n |n-1>, assembled as Kronecker
+    products of per-factor matrices truncated at m+3 (so no ladder state
+    of the slice falls off the edge) and sliced to n1 + n2 + n3 = m."""
+    dim1 = m + 3
+
+    def factor_ops(mu):
+        n = np.arange(dim1, dtype=float)
+        sign = (-1.0) ** np.arange(dim1)
+        rho = np.sqrt(n + mu * (1.0 - sign))
+        jp = np.diag(rho[1:], -1)
+        return np.diag(n + mu + 0.5), jp, jp.T, np.diag(sign)
+
+    def kron3(a, b, c):
+        return np.kron(np.kron(a, b), c)
+
+    mus = [float(x) for x in (RP.mu1, RP.mu2, RP.mu3)]
+    (j01, jp1, jm1, r1), (j02, jp2, jm2, r2), (j03, jp3, jm3, r3) = (
+        factor_ops(mu) for mu in mus)
+    eye, big_eye = np.eye(dim1), np.eye(dim1**3)
+
+    def casimir(jp, jm, j0, r):
+        return (jp @ jm - j0 + 0.5 * big_eye) @ r
+
+    q12 = casimir(kron3(jp1, r2, eye) + kron3(eye, jp2, eye),
+                  kron3(jm1, r2, eye) + kron3(eye, jm2, eye),
+                  kron3(j01, eye, eye) + kron3(eye, j02, eye), kron3(r1, r2, eye))
+    q23 = casimir(kron3(eye, jp2, r3) + kron3(eye, eye, jp3),
+                  kron3(eye, jm2, r3) + kron3(eye, eye, jm3),
+                  kron3(eye, j02, eye) + kron3(eye, eye, j03), kron3(eye, r2, r3))
+    q4 = casimir(kron3(jp1, r2, r3) + kron3(eye, jp2, r3) + kron3(eye, eye, jp3),
+                 kron3(jm1, r2, r3) + kron3(eye, jm2, r3) + kron3(eye, eye, jm3),
+                 kron3(j01, eye, eye) + kron3(eye, j02, eye) + kron3(eye, eye, j03),
+                 kron3(r1, r2, r3))
+    idx = [n1 * dim1 * dim1 + n2 * dim1 + (m - n1 - n2)
+           for n1 in range(m + 1) for n2 in range(m + 1 - n1)]
+    ix = np.ix_(idx, idx)
+    return q12[ix], q23[ix], q4[ix]
+
+
 class TestTensorOracle:
     @pytest.mark.parametrize("N", range(4))
     def test_oracle_on_slice(self, N):
@@ -259,6 +300,58 @@ class TestTensorOracle:
     def test_oracle_other_params(self):
         RP = RacahParams.make(Fraction(3, 5), Fraction(1, 7), Fraction(2), 2)
         assert tensor_oracle(RP, 2).passed
+
+    @pytest.mark.parametrize("mus", [
+        (Fraction(1, 4), Fraction(1, 3), Fraction(1, 2)),
+        (Fraction(7, 2), Fraction(11, 6), Fraction(5, 3)),
+    ])
+    @pytest.mark.parametrize("N", range(4))
+    def test_float_reference_spectra(self, N, mus):
+        # The exact report certifies that Q4 has q_j = (-1)^(j+1)(j + mu1 +
+        # mu2 + mu3 + 1) with multiplicity j + 1 (j <= N), and that on each
+        # of those eigenspaces -Q12 takes only the values (-1)^s (s + mu1 +
+        # mu2 + 1/2), s <= j, each once in the (j+1)-dimensional BI
+        # representation there; so -Q12 has the value of s with
+        # multiplicity N - s + 1, and -Q23 likewise with mu2 + mu3.
+        # eigvalsh of the float reference agrees to 1e-9.
+        RP = RacahParams.make(*mus, N)
+        assert tensor_oracle(RP, N).passed
+        mu1, mu2, mu3 = mus
+        want = {
+            "Q12": [-spectrum_value(s, mu1 + mu2)
+                    for j in range(N + 1) for s in range(j + 1)],
+            "Q23": [-spectrum_value(s, mu2 + mu3)
+                    for j in range(N + 1) for s in range(j + 1)],
+            "Q4": [-spectrum_value(j, mu1 + mu2 + mu3 + Fraction(1, 2))
+                   for j in range(N + 1) for _ in range(j + 1)],
+        }
+        for name, mat in zip(want, float_tensor_slice(RP, N)):
+            assert np.max(np.abs(mat - mat.T)) < 1e-12
+            got = np.linalg.eigvalsh(mat)
+            assert np.max(np.abs(got - np.sort([float(x) for x in want[name]]))) \
+                < 1e-9, name
+
+
+@pytest.fixture
+def shifted_rho(monkeypatch):
+    """Mutant: rho_n^2 + 1 at odd n in the second factor (mu = mu2 of the
+    parameter tuples below, which have distinct mu_i), where the tensor
+    slice reads rho_squared."""
+    import bi_lab.racah as racah
+
+    def shifted(M, n, _orig=racah.rho_squared):
+        return _orig(M, n) + (1 if M.mu == Fraction(1, 3) and n % 2 else 0)
+    monkeypatch.setattr(racah, "rho_squared", shifted)
+
+
+class TestTensorChecksCanFail:
+    @pytest.mark.parametrize("N", [1, 2, 3])
+    def test_shifted_rho_fails_every_entry(self, N, shifted_rho):
+        RP = RacahParams.make(Fraction(1, 4), Fraction(1, 3), Fraction(1, 2), N)
+        for report in (tensor_oracle(RP, N), central_extension_check(RP, N)):
+            assert report.entries
+            assert report.failures == report.entries, [
+                (e.check, e.index) for e in report.entries if e.ok]
 
 
 class TestCentralExtension:
@@ -281,7 +374,7 @@ class TestCentralExtension:
 
         def perturbed(RP, m):
             ts = orig(RP, m)
-            return dataclasses.replace(ts, Q4=2 * ts.Q4)
+            return dataclasses.replace(ts, Q4=ts.Q4.scale(2))
 
         monkeypatch.setattr(racah, "tensor_slice", perturbed)
         report = central_extension_check(RP, N)
