@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import NonScalarCasimir
-from .exact import HALF, ONE, Rat
+from .exact import HALF, Rat
 from .linop import LinOp, anticomm
 from .poly import Poly, poly_divide_exact, poly_reflect, poly_shift_reflect
 from .report import VerificationReport
@@ -107,7 +107,7 @@ def bi_matrices(P: BIParams, maxdeg: int) -> tuple[LinOp, LinOp, LinOp]:
     n = maxdeg + 3
     K1 = monomial_matrix(P, k1_apply, n)
     K2 = monomial_matrix(P, k2_apply, n)
-    K3 = anticomm(K1, K2) - LinOp.identity(n, ONE).scale(P.omega3)
+    K3 = anticomm(K1, K2) - LinOp.identity(n).scale(P.omega3)
     return K1, K2, K3
 
 
@@ -124,7 +124,7 @@ def check_bi_relations(P: BIParams,
     report = VerificationReport("bannai-ito relations (shift-reflection realization)")
     K1, K2, K3 = mats
     maxdeg = len(K1.re) - 3
-    one = LinOp.identity(maxdeg + 3, ONE)
+    one = LinOp.identity(maxdeg + 3)
     residuals = [
         ("{K2,K3} = K1 + omega1", (anticomm(K2, K3) - K1 - one.scale(P.omega1)).cols),
         ("{K3,K1} = K2 + omega2", (anticomm(K3, K1) - K2 - one.scale(P.omega2)).cols),
@@ -142,7 +142,7 @@ def casimir_scalar(P: BIParams, mats: tuple[LinOp, LinOp, LinOp]) -> Rat:
     K1, K2, K3 = mats
     maxdeg = len(K1.re) - 3
     residual = (K1 @ K1 + K2 @ K2 + K3 @ K3
-                - LinOp.identity(maxdeg + 3, ONE).scale(expected)).cols
+                - LinOp.identity(maxdeg + 3).scale(expected)).cols
     for j in range(maxdeg + 1):
         if residual[j]:
             raise NonScalarCasimir(

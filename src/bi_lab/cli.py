@@ -29,6 +29,7 @@ from .racah import (
     build_tridiag_rep,
     k1_spectrum_check,
     racah_overlaps,
+    representation_check,
     spectrum_value,
 )
 from .dunkl_dirac import DiracParams, dirac_checks
@@ -64,13 +65,8 @@ def _emit_pretty(rows: list[dict]) -> None:
         print("  ".join(str(r[c]).ljust(widths[c]) for c in cols))
 
 
-def _emit(rows: list[dict], fmt: str, json_payload=None) -> None:
-    if fmt == "json":
-        _emit_json(rows if json_payload is None else json_payload)
-    elif fmt == "csv":
-        _emit_csv(rows)
-    else:
-        _emit_pretty(rows)
+def _emit(rows: list[dict], fmt: str) -> None:
+    {"json": _emit_json, "csv": _emit_csv, "pretty": _emit_pretty}[fmt](rows)
 
 
 def _parse_mu_list(text: str):
@@ -128,6 +124,7 @@ def cmd_racah(args) -> int:
     mu = _parse_mu_list(args.mu)
     RP = RacahParams.make(mu[0], mu[1], mu[2], args.N)
     rep = build_tridiag_rep(RP)
+    relations = representation_check(rep)
     P = RP.identifications()
     coeffs = [recurrence_coeffs(P, k) for k in range(RP.N + 1)]
     spectra = k1_spectrum_check(rep, coeffs)
@@ -159,7 +156,7 @@ def cmd_racah(args) -> int:
             for k in range(RP.N + 1)
         ]
         _emit(rows, args.format)
-    return EXIT_OK if spectra.passed else EXIT_VERIFY_FAILED
+    return EXIT_OK if relations.passed and spectra.passed else EXIT_VERIFY_FAILED
 
 
 def cmd_dirac(args) -> int:

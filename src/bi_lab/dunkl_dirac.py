@@ -56,7 +56,7 @@ class Poly3:
         return Poly3(out)
 
     def __sub__(self, other: "Poly3") -> "Poly3":
-        return self + other.scale(grat_make(-1))
+        return self + Poly3({e: -c for e, c in other.terms.items()})
 
     def scale(self, c: GRat) -> "Poly3":
         if not c:
@@ -178,13 +178,13 @@ def pauli_layer_check() -> VerificationReport:
     """sigma_i sigma_j = i eps_ijk sigma_k + delta_ij and the Clifford
     relations, verified once on the 2x2 Gaussian-rational matrices."""
     report = VerificationReport("Pauli layer")
-    one = LinOp.identity(2, GRAT_ONE)
+    one = LinOp.identity(2)
     eps = {(1, 2): 3, (2, 3): 1, (3, 1): 2, (2, 1): -3, (3, 2): -1, (1, 3): -2}
     for i in range(1, 4):
         for j in range(1, 4):
             k = eps.get((i, j), 0)
             rhs = PAULI[abs(k)].scale(GRAT_I if k > 0 else GRAT_MINUS_I) if k else one
-            want = one.scale(grat_make(2 if i == j else 0))
+            want = one.scale(2 if i == j else 0)
             prod = PAULI[i] @ PAULI[j]
             anti = prod + PAULI[j] @ PAULI[i]
             for b in (0, 1):  # one entry per basis spinor
@@ -198,7 +198,7 @@ def pauli_layer_check() -> VerificationReport:
 def gamma_apply(DP: DiracParams, g: dict[str, LinOp]) -> LinOp:
     """Gamma = sigma . J + mu . R on the spinor slice of the generators g
     (read: "sigma{i}", "J{i}" and "R{i}"; degree preserving)."""
-    t = [g[f"sigma{i}"] @ g[f"J{i}"] + g[f"R{i}"].scale(grat_make(DP.mu(i)))
+    t = [g[f"sigma{i}"] @ g[f"J{i}"] + g[f"R{i}"].scale(DP.mu(i))
          for i in (1, 2, 3)]
     return t[0] + t[1] + t[2]
 
@@ -215,7 +215,7 @@ def symmetry_generators(DP: DiracParams, degree: int) -> dict[str, LinOp]:
     "X{i}" = sigma_i R_i, "K{i}" = M_i X_i Y, with "Y" = R1 R2 R3; the
     product "M{i}X{i}" that K_i is built from is kept for ``symmetry_check``.
     """
-    one2 = LinOp.identity(2, GRAT_ONE)
+    one2 = LinOp.identity(2)
     scalar_one = scalar_slice(degree, lambda p: p)
     g = {"1": kron(scalar_one, one2)}
     for i in (1, 2, 3):
@@ -227,9 +227,9 @@ def symmetry_generators(DP: DiracParams, degree: int) -> dict[str, LinOp]:
     g["Y"] = g["R1"] @ g["R2"] @ g["R3"]
     for i, (j, k) in _CYCLIC.items():
         sigma = g[f"sigma{i}"]
-        inner = g[f"R{j}"].scale(grat_make(DP.mu(j))) \
-            + g[f"R{k}"].scale(grat_make(DP.mu(k))) \
-            + g["1"].scale(grat_make(Fraction(1, 2)))
+        inner = g[f"R{j}"].scale(DP.mu(j)) \
+            + g[f"R{k}"].scale(DP.mu(k)) \
+            + g["1"].scale(Fraction(1, 2))
         g[f"M{i}"] = g[f"J{i}"] + sigma @ inner
         g[f"X{i}"] = sigma @ g[f"R{i}"]
         g[f"M{i}X{i}"] = g[f"M{i}"] @ g[f"X{i}"]
@@ -258,7 +258,7 @@ def jj_commutator_check(DP: DiracParams,
 
     def relations(g: dict[str, LinOp]):
         for jj, kk, ll in ((1, 2, 3), (2, 3, 1), (3, 1, 2)):
-            rhs = g[f"J{ll}"] @ (g["1"] + g[f"R{ll}"].scale(grat_make(2 * DP.mu(ll))))
+            rhs = g[f"J{ll}"] @ (g["1"] + g[f"R{ll}"].scale(2 * DP.mu(ll)))
             yield (f"[J{jj},J{kk}] = i J{ll}(1 + 2 mu{ll} R{ll})",
                    comm(g[f"J{jj}"], g[f"J{kk}"]), rhs.scale(GRAT_I))
 
@@ -281,16 +281,15 @@ def gamma_square_identity(DP: DiracParams,
     musum = DP.mu1 + DP.mu2 + DP.mu3
 
     def relations(g: dict[str, LinOp]):
-        x = g["1"].scale(grat_make(musum))
+        x = g["1"].scale(musum)
         for i, j in ((1, 2), (2, 3), (1, 3)):
-            x = x + (g["1"] - g[f"R{i}"] @ g[f"R{j}"]).scale(
-                grat_make(2 * DP.mu(i) * DP.mu(j)))
+            x = x + (g["1"] - g[f"R{i}"] @ g[f"R{j}"]).scale(2 * DP.mu(i) * DP.mu(j))
         for i in (1, 2, 3):
-            x = x - g[f"R{i}"].scale(grat_make(DP.mu(i)))
+            x = x - g[f"R{i}"].scale(DP.mu(i))
         jsq = g["J1"] @ g["J1"] + g["J2"] @ g["J2"] + g["J3"] @ g["J3"]
         gamma = g["Gamma"]
         yield ("Gamma^2 + Gamma = J^2 - X + c", gamma @ gamma + gamma,
-               jsq - x + g["1"].scale(grat_make(musum * (musum + 1))))
+               jsq - x + g["1"].scale(musum * (musum + 1)))
 
     _record_slices(report, slices, relations)
     return report
@@ -341,19 +340,18 @@ def symmetry_check(DP: DiracParams,
         # 2 mu_i mu_j fails already on constant spinors)
         for i, j, k in ((1, 2, 3), (2, 3, 1), (3, 1, 2)):
             xk = f"X{k}"
-            central = g[f"M{k}"] + (mul(xk, "Gamma") + g[xk]).scale(
-                grat_make(2 * DP.mu(k)))
+            central = g[f"M{k}"] + (mul(xk, "Gamma") + g[xk]).scale(2 * DP.mu(k))
             xcomm = mul(f"X{i}", f"X{j}") - mul(f"X{j}", f"X{i}")
             yield (f"[M{i}, M{j}] relation",
                    mul(f"M{i}", f"M{j}") - mul(f"M{j}", f"M{i}"),
                    central.scale(GRAT_I)
-                   + xcomm.scale(grat_make(DP.mu(i) * DP.mu(j))))
+                   + xcomm.scale(DP.mu(i) * DP.mu(j)))
 
         # The Bannai-Ito subalgebra of the K_i = M_i X_i Y.
         y_gamma1 = mul("Y", "Gamma") + y
         for i, j, k in ((1, 2, 3), (2, 3, 1), (3, 1, 2)):
-            rhs = g[f"K{k}"] + y_gamma1.scale(grat_make(2 * DP.mu(k))) \
-                + one.scale(grat_make(2 * DP.mu(i) * DP.mu(j)))
+            rhs = g[f"K{k}"] + y_gamma1.scale(2 * DP.mu(k)) \
+                + one.scale(2 * DP.mu(i) * DP.mu(j))
             yield (f"{{K{i}, K{j}}} = K{k} + central",
                    mul(f"K{i}", f"K{j}") + mul(f"K{j}", f"K{i}"), rhs)
 

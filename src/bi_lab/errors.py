@@ -10,11 +10,8 @@ class InvalidScalar(BILabError):
 
 
 class NotDivisible(BILabError):
-    """An exact polynomial division left a nonzero remainder.
-
-    This always signals an internal logic error: every division performed
-    by the operator realizations is guaranteed exact.
-    """
+    """An exact polynomial division left a nonzero remainder, which no
+    division of the operator realizations should leave."""
 
 
 class NonScalarCasimir(BILabError):

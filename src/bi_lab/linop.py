@@ -58,8 +58,8 @@ class LinOp:
         )
 
     @staticmethod
-    def identity(n: int, one: Scalar) -> "LinOp":
-        return LinOp.make({j: one} for j in range(n))
+    def identity(n: int) -> "LinOp":
+        return LinOp(tuple({j: 1} for j in range(n)), ({},) * n, 1)
 
     @property
     def cols(self) -> tuple[dict[int, Scalar], ...]:

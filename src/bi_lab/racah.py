@@ -4,7 +4,7 @@ Two exact constructions are checked over the rationals:
 
   * the (N+1)x(N+1) tridiagonal representation built from the
     closed-form coefficients B_k, D_k, with the anticommutation relations
-    and the Casimir value verified on build, and
+    and the Casimir value checked by ``representation_check``, and
   * the intermediate Casimir operators Q12, Q23 and the total Casimir Q4
     on one degree slice of the threefold tensor product of
     discrete-series modules (``tensor_slice``): their spectra, the
@@ -32,15 +32,11 @@ import dataclasses
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .bi_operator import BIParams
 from .bi_poly import RecurrenceCoeffs, grid_point, monic_from_steps, recurrence_steps
-from .errors import (
-    BILabError,
-    DegenerateParameters,
-    NotUnitary,
-    TruncationFailure,
-)
+from .errors import DegenerateParameters, NotUnitary, TruncationFailure
 from .exact import HALF, ONE, Rat, ZERO, rat_str
 from .linop import LinOp, anticomm
 from .poly import P_ONE, Poly
@@ -132,7 +128,7 @@ class RacahParams:
         # branch (mu = +mu4) or the odd branch (mu = -mu4) of B_k.
         return self.mu4 if self.N % 2 == 0 else -self.mu4
 
-    @property
+    @cached_property  # computed once for the build and for its check
     def omegas(self) -> tuple[Rat, Rat, Rat]:
         m1, m2, m3, m = self.mu1, self.mu2, self.mu3, self.mu
         return (
@@ -225,7 +221,9 @@ class TridiagRep:
 
 
 def build_tridiag_rep(RP: RacahParams) -> TridiagRep:
-    """Exact representation; relations and Casimir are verified on build."""
+    """Exact representation; raises only when a denominator vanishes, B_N
+    does not vanish or an off-diagonal product is not positive.  The
+    relations are checked by ``representation_check``."""
     N = RP.N
     n = N + 1
     B, D = zip(*(bk_dk(RP, k) for k in range(n)))
@@ -246,21 +244,25 @@ def build_tridiag_rep(RP: RacahParams) -> TridiagRep:
     for k in range(n):
         K3[k][k] = spectrum_value(k, RP.mu1 + RP.mu2)
 
-    om1, om2, om3 = RP.omegas
-    K2 = mat_sub(mat_anticomm(K1, K3), mat_identity(n, om2))
+    K2 = mat_sub(mat_anticomm(K1, K3), mat_identity(n, RP.omegas[1]))
+    return TridiagRep(RP, K1, K2, K3, B, D, RP.casimir_value())
 
-    if mat_anticomm(K1, K2) != mat_add(K3, mat_identity(n, om3)):
-        raise BILabError("{K1,K2} = K3 + Omega3 failed (logic error)")
-    if mat_anticomm(K2, K3) != mat_add(K1, mat_identity(n, om1)):
-        raise BILabError("{K2,K3} = K1 + Omega1 failed (logic error)")
-    casimir = RP.casimir_value()
-    total = mat_add(
-        mat_mul(K1, K1), mat_add(mat_mul(K2, K2), mat_mul(K3, K3))
-    )
-    if total != mat_identity(n, casimir):
-        raise BILabError("Casimir is not the expected scalar (logic error)")
 
-    return TridiagRep(RP, K1, K2, K3, B, D, casimir)
+def representation_check(rep: TridiagRep) -> VerificationReport:
+    """{K1,K2} = K3 + omega3, {K2,K3} = K1 + omega1 and the Casimir of a
+    built representation, at index N; K2 = {K1,K3} - omega2 by construction."""
+    RP, K1, K2, K3 = rep.params, rep.K1, rep.K2, rep.K3
+    n = RP.N + 1
+    om1, _, om3 = RP.omegas
+    report = VerificationReport(f"racah representation (N={RP.N})")
+    report.record("{K1,K2} = K3 + omega3", RP.N,
+                  mat_anticomm(K1, K2) == mat_add(K3, mat_identity(n, om3)))
+    report.record("{K2,K3} = K1 + omega1", RP.N,
+                  mat_anticomm(K2, K3) == mat_add(K1, mat_identity(n, om1)))
+    total = mat_add(mat_mul(K1, K1), mat_add(mat_mul(K2, K2), mat_mul(K3, K3)))
+    report.record("K1^2 + K2^2 + K3^2 = casimir", RP.N,
+                  total == mat_identity(n, rep.casimir))
+    return report
 
 
 def k1_spectrum_check(rep: TridiagRep,
@@ -392,7 +394,7 @@ def tensor_slice(RP: RacahParams, m: int) -> TensorSlice:
 
 def _prefix_products(op: LinOp, roots: list[Rat]) -> list[LinOp]:
     """[1, (op - r_0), (op - r_0)(op - r_1), ...] over the roots r_i."""
-    eye = LinOp.identity(len(op.re), ONE)
+    eye = LinOp.identity(len(op.re))
     out = [eye]
     for r in roots:
         out.append(out[-1] @ (op - eye.scale(r)))
@@ -416,7 +418,7 @@ def tensor_oracle(RP: RacahParams, m: int) -> VerificationReport:
     """
     report = VerificationReport(f"tensor-product oracle (m={m})")
     ts = tensor_slice(RP, m)
-    eye = LinOp.identity(len(ts.Q4.re), ONE)
+    eye = LinOp.identity(len(ts.Q4.re))
     zero = eye.scale(ZERO)
     report.record("Q12 coproduct form = expanded form", m, ts.Q12 == ts.Q12_alt)
     k1, k3 = -ts.Q23, -ts.Q12
@@ -460,7 +462,7 @@ def central_extension_check(RP: RacahParams, m: int) -> VerificationReport:
     report = VerificationReport(f"central extension (m={m})")
     ts = tensor_slice(RP, m)
     mu1, mu2, mu3 = RP.mu1, RP.mu2, RP.mu3
-    eye = LinOp.identity(len(ts.Q4.re), ONE)
+    eye = LinOp.identity(len(ts.Q4.re))
     c3, c1, q = -ts.Q12, -ts.Q23, ts.Q4
     c2 = anticomm(c3, c1) + q.scale(2 * mu2) - eye.scale(2 * mu3 * mu1)
     report.record("{C1,C2} = C3 - 2 mu3 Q + 2 mu1 mu2", m,

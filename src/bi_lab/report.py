@@ -33,6 +33,12 @@ class VerificationReport:
     def record(self, check: str, index: Any, ok: bool, detail: str = "") -> None:
         self.entries.append(ReportEntry(check, index, bool(ok), detail))
 
+    def record_report(self, check: str, index: Any,
+                      sub: "VerificationReport") -> None:
+        """One entry for the whole of ``sub``: it holds when ``sub`` passed,
+        and a failed ``sub`` leaves its summary as the detail."""
+        self.record(check, index, sub.passed, "" if sub.passed else sub.summary())
+
     def note(self, text: str) -> None:
         self.notes.append(text)
 
@@ -64,5 +70,12 @@ class VerificationReport:
         }
 
     def summary(self) -> str:
+        """Verdict and counts; a failed report adds its first failure."""
+        failures = self.failures
         status = "pass" if self.passed else "FAIL"
-        return f"{self.title}: {status} ({self.checked} checks, {len(self.failures)} failed)"
+        text = f"{self.title}: {status} ({self.checked} checks, {len(failures)} failed)"
+        if failures:
+            e = failures[0]
+            text += f"; first failed: {e.check} @ {e.index}"
+            text += f": {e.detail}" if e.detail else ""
+        return text

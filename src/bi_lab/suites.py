@@ -31,6 +31,7 @@ from .racah import (
     TridiagRep,
     build_tridiag_rep,
     k1_spectrum_check,
+    representation_check,
 )
 from .report import VerificationReport
 from .sl1 import (
@@ -97,9 +98,7 @@ def suite_bi(seed: int = DEFAULT_SEED, tuples: int = 50,
     for t in range(tuples):
         P = random_bi_params(rng)
         mats = bi_matrices(P, maxdeg)
-        sub = check_bi_relations(P, mats)
-        report.record("BI relations", t, sub.passed,
-                      "" if sub.passed else sub.summary())
+        report.record_report("BI relations", t, check_bi_relations(P, mats))
         try:
             casimir_scalar(P, mats)
             report.record("Casimir scalar", t, True)
@@ -133,12 +132,10 @@ def suite_sl1(seed: int = DEFAULT_SEED, tuples: int = 10,
         eps = rng.choice([1, -1])
         mu = Fraction(rng.randint(0, 12), rng.randint(1, 6))
         M = ModuleParams.make(eps, mu)
-        for sub in (module_bilinear_check(M, nmax), osp_casimir_check(M, nmax)):
-            report.record(sub.title, t, sub.passed,
-                          "" if sub.passed else sub.summary())
         nu = Fraction(rng.randint(0, 9), rng.randint(1, 6))
-        sub = dunkl_commutator_check(nu, nmax)
-        report.record(sub.title, t, sub.passed)
+        for sub in (module_bilinear_check(M, nmax), osp_casimir_check(M, nmax),
+                    dunkl_commutator_check(nu, nmax)):
+            report.record_report(sub.title, t, sub)
     return report
 
 
@@ -160,18 +157,16 @@ def suite_racah(seed: int = DEFAULT_SEED, tuples: int = 20,
     for t in range(tuples):
         RP = random_racah_params(rng, max_n)
         try:
-            rep = build_tridiag_rep(RP)  # relations + Casimir checked on build
-            report.record("exact tridiagonal representation", t, True)
+            rep = build_tridiag_rep(RP)
         except BILabError as exc:
             report.record("exact tridiagonal representation", t, False, str(exc))
             continue
+        report.record_report("exact tridiagonal representation", t,
+                             representation_check(rep))
         P = RP.identifications()
         coeffs = [recurrence_coeffs(P, k) for k in range(RP.N + 1)]
-        sub = k1_spectrum_check(rep, coeffs)
-        report.record("spectra", t, sub.passed,
-                      "" if sub.passed else sub.summary())
-        sub = identification_check(rep, coeffs)
-        report.record("identifications", t, sub.passed)
+        report.record_report("spectra", t, k1_spectrum_check(rep, coeffs))
+        report.record_report("identifications", t, identification_check(rep, coeffs))
     return report
 
 
@@ -182,12 +177,11 @@ def suite_dirac(seed: int = DEFAULT_SEED, tuples: int = 10,
         f"dunkl-dirac suite ({tuples} tuples, slices <= {maxdeg})"
     )
     sub = pauli_layer_check()
-    report.record(sub.title, "-", sub.passed)
+    report.record_report(sub.title, "-", sub)
     for t in range(tuples):
         DP = random_dirac_params(rng)
         for sub in dirac_checks(DP, maxdeg):
-            report.record(sub.title, t, sub.passed,
-                          "" if sub.passed else sub.summary())
+            report.record_report(sub.title, t, sub)
     return report
 
 
@@ -217,7 +211,5 @@ def run_scope(scope: str, seed: int = DEFAULT_SEED, tuples: int | None = None,
         if maxdeg is not None and fn in degree_suites:
             sizes["maxdeg"] = maxdeg
         sub = fn(seed=seed, **sizes)
-        merged.record(sub.title, name, sub.passed,
-                      "" if sub.passed else sub.summary())
-        merged.notes.extend(sub.notes)
+        merged.record_report(sub.title, name, sub)
     return merged

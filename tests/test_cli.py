@@ -281,7 +281,8 @@ def test_golden_output(capsys, argv, digest):
 
 def test_exact_routes_do_not_import_numpy():
     # numpy is imported only inside the float oracles; the exact verify
-    # scopes, the poly table and the racah csv table must run without it.
+    # scopes, the poly table, the racah csv table and the dirac report
+    # must run without it.
     code = (
         "import contextlib, io, sys\n"
         "import bi_lab.cli\n"
@@ -290,8 +291,9 @@ def test_exact_routes_do_not_import_numpy():
         "        'verify --scope bi --tuples 1', 'verify --scope dirac --tuples 1',\n"
         "        'verify --scope racah --tuples 1',\n"
         "        'poly --rho1 1 --rho2 2 --r1 1/2 --r2 1/4',\n"
-        "        'racah --mu 1/4,1/3,1/2 --N 2 --format csv')]\n"
-        "assert codes == [0, 0, 0, 0, 0], codes\n"
+        "        'racah --mu 1/4,1/3,1/2 --N 2 --format csv',\n"
+        "        'dirac --mu 1/4,1/3,1/2 --maxdeg 2')]\n"
+        "assert codes == [0, 0, 0, 0, 0, 0], codes\n"
         "assert 'numpy' not in sys.modules\n"
     )
     src = str(Path(__file__).resolve().parent.parent / "src")

@@ -129,7 +129,9 @@ def test_zero_entries_never_stored(x):
     a = linop(x)
     assert all(v for col in (a - a).cols + a.cols for v in col.values())
     assert a - a == a.scale(GRat())
-    assert a @ LinOp.identity(N, GRAT_ONE) == a
+    assert a @ LinOp.identity(N) == a == LinOp.identity(N) @ a
+    assert LinOp.identity(N) == LinOp.make({j: GRAT_ONE} for j in range(N)) \
+        == LinOp.make({j: Fraction(1)} for j in range(N))
 
 
 def inverse(c):
@@ -157,8 +159,8 @@ def test_equality_is_canonical(scalar, data):
 
 
 def test_size_mismatch_rejected():
-    a = LinOp.identity(2, Fraction(1))
-    b = LinOp.identity(3, Fraction(1))
+    a = LinOp.identity(2)
+    b = LinOp.identity(3)
     with pytest.raises(ValueError):
         a + b
     with pytest.raises(ValueError):

@@ -1,6 +1,7 @@
 """Racah problem: exact representation, overlaps, tensor-product slice."""
 
 import dataclasses
+import json
 import random
 from fractions import Fraction
 
@@ -18,10 +19,16 @@ from bi_lab.racah import (
     k1_spectrum_check,
     mat_mul,
     racah_overlaps,
+    representation_check,
     spectrum_value,
     tensor_oracle,
 )
-from bi_lab.suites import identification_check, random_racah_params, suite_racah
+from bi_lab.suites import (
+    DEFAULT_SEED,
+    identification_check,
+    random_racah_params,
+    suite_racah,
+)
 
 R1 = RacahParams.make(Fraction(1, 4), Fraction(1, 3), Fraction(1, 2), 2)
 
@@ -93,7 +100,8 @@ class TestRepresentation:
     @pytest.mark.parametrize("N", range(6))
     def test_build_and_checks_all_parities(self, N):
         RP = RacahParams.make(Fraction(1, 4), Fraction(1, 3), Fraction(1, 2), N)
-        rep = build_tridiag_rep(RP)  # relations + Casimir verified on build
+        rep = build_tridiag_rep(RP)
+        assert representation_check(rep).passed
         assert k1_spectrum_check(rep, coeffs_of(rep)).passed
         assert identification_check(rep, coeffs_of(rep)).passed
 
@@ -106,6 +114,68 @@ class TestRepresentation:
             RacahParams.make(Fraction(-1, 2), 1, 1, 2)
         with pytest.raises(DegenerateParameters):
             RacahParams.make(1, 1, 1, -1)
+
+
+def shift_omega(monkeypatch, i):
+    """Mutant: omega_(i+1) + 1 wherever RacahParams.omegas is read."""
+    orig = vars(RacahParams)["omegas"]
+
+    def shifted(RP):
+        om = list(orig.__get__(RP, RacahParams))
+        om[i] += 1
+        return tuple(om)
+    monkeypatch.setattr(RacahParams, "omegas", property(shifted))
+
+
+class TestRepresentationCheckCanFail:
+    # Each mutant breaks one input of exactly one recorded relation.
+    @pytest.mark.parametrize("N", range(4))
+    @pytest.mark.parametrize("mutant, failed", [
+        ("omega3", "{K1,K2} = K3 + omega3"),
+        ("omega1", "{K2,K3} = K1 + omega1"),
+        ("casimir", "K1^2 + K2^2 + K3^2 = casimir"),
+    ])
+    def test_mutant_fails_one_entry(self, monkeypatch, N, mutant, failed):
+        RP = RacahParams.make(Fraction(1, 4), Fraction(1, 3), Fraction(1, 2), N)
+        if mutant.startswith("omega"):
+            shift_omega(monkeypatch, {"omega1": 0, "omega3": 2}[mutant])
+        rep = build_tridiag_rep(RP)
+        if mutant == "casimir":
+            rep = dataclasses.replace(rep, casimir=rep.casimir + 1)
+        report = representation_check(rep)
+        assert report.checked == 3
+        assert [(e.check, e.index) for e in report.failures] == [(failed, N)]
+
+    def test_omega2_mutant_exits_1_without_error(self, monkeypatch, capsys):
+        # A failed relation is a verification failure (exit 1), not invalid
+        # input: the table is printed unchanged and nothing goes to stderr.
+        argv = ["racah", "--mu", "1/4,1/3,1/2", "--N", "3", "--format", "csv"]
+        assert main(argv) == 0
+        table = capsys.readouterr().out
+        shift_omega(monkeypatch, 1)
+        assert main(argv) == EXIT_VERIFY_FAILED
+        assert capsys.readouterr() == (table, "")
+
+    def test_omega2_mutant_keeps_the_tuple_checks(self, monkeypatch):
+        shift_omega(monkeypatch, 1)
+        report = suite_racah(seed=DEFAULT_SEED, tuples=1)
+        assert [(e.check, e.index, e.ok) for e in report.entries] == [
+            ("exact tridiagonal representation", 0, False),
+            ("spectra", 0, True),
+            ("identifications", 0, True),
+        ]
+        assert "first failed: {K1,K2} = K3 + omega3 @ " in report.entries[0].detail
+
+    def test_omega2_mutant_fails_verify(self, monkeypatch, capsys):
+        shift_omega(monkeypatch, 1)
+        argv = ["verify", "--scope", "racah", "--tuples", "1", "--format", "json"]
+        assert main(argv) == EXIT_VERIFY_FAILED
+        out, err = capsys.readouterr()
+        (entry,) = json.loads(out)["entries"]
+        assert err == ""
+        assert entry["detail"].startswith(
+            "racah suite (1 tuples, N <= 8): FAIL (3 checks, 1 failed); "
+            "first failed: exact tridiagonal representation @ 0: ")
 
 
 def naive_mul(a, b):
