@@ -14,6 +14,7 @@ so the defining relation stays the single source of truth.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -89,11 +90,13 @@ def k3_apply(P: BIParams, p: Poly) -> Poly:
 
 def monomial_matrix(P: BIParams, apply, n: int) -> LinOp:
     """Matrix of apply(P, .) on the monomials 1, x, ..., x^(n-1); image
-    components along x^n and above are dropped."""
-    return LinOp.make(
-        {i: c for i, c in enumerate(apply(P, Poly.monomial(j)).coeffs) if i < n}
-        for j in range(n)
-    )
+    components along x^n and above are dropped.  Built from the images'
+    integer numerators over the lcm of their denominators."""
+    images = [apply(P, Poly.monomial(j)) for j in range(n)]
+    den = math.lcm(*(p.den for p in images))
+    return LinOp.real(
+        ({i: a * (den // p.den) for i, a in enumerate(p.nums[:n]) if a}
+         for p in images), den)
 
 
 def bi_matrices(P: BIParams, maxdeg: int) -> tuple[LinOp, LinOp, LinOp]:

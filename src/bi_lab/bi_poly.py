@@ -3,7 +3,9 @@
 Three independent routes produce the monic polynomials B_n:
 
   * the three-term recurrence with parity-split coefficients A_n, C_n,
-  * the terminating double-4F3 hypergeometric expression,
+  * the terminating double-4F3 hypergeometric expression; every B_n <=
+    nmax from one pass of integer backward-Horner sums, each 4F3 summed
+    once and each B_n reduced once,
   * back-substitution in the upper-triangular matrix of the defining
     shift-reflection operator K1; one K1 on 1..x^nmax gives every
     B_n <= nmax.
@@ -20,8 +22,8 @@ from fractions import Fraction
 
 from .bi_operator import BIParams, k1_apply, k2_apply, k3_apply, monomial_matrix
 from .errors import DegenerateParameters, DegenerateSpectrum, NotFinitelyOrthogonal
-from .exact import HALF, ONE, Rat, ZERO, pochhammer, rat_to_float
-from .poly import P_ONE, P_ZERO, Poly, poly_divide_exact, poly_eval
+from .exact import HALF, ONE, Rat, ZERO, rat_to_float
+from .poly import P_ONE, P_ZERO, Poly, int_mul, poly_divide_exact, poly_eval
 
 
 def eigenvalue(P: BIParams, n: int) -> Rat:
@@ -120,76 +122,101 @@ def bi_recurrence(P: BIParams, n: int) -> Poly:
     return bi_sequence(P, n)[n]
 
 
-def _pochhammer_checked(base: Rat, k: int, label: str) -> Rat:
+def _shifted(b: Rat, j: int) -> int:
+    """The numerator of b + j over the denominator of b."""
+    return b.numerator + j * b.denominator
+
+
+def _rising(base: Rat, k: int) -> list[Rat]:
+    """The rising factorials (base)_0, ..., (base)_k."""
+    out = [ONE]
     for j in range(k):
-        if base + j == 0:
-            raise DegenerateParameters(
-                f"lower Pochhammer ({label})_{k} vanishes at shift {j}"
-            )
-    return pochhammer(base, k)
-
-
-def _hyp4f3(a_scalars, a_polys, b_scalars, kmax) -> Poly:
-    """Terminating 4F3 at unit argument with two polynomial numerator
-    parameters; returns the partial sum k = 0..kmax as a polynomial.
-
-    Term k is term k-1 with its scalar multiplied by
-    prod(a+k-1) / (k prod(b+k-1)) and its polynomial by prod(q+k-1).
-    """
-    scalar, term, out = ONE, P_ONE, P_ONE
-    for k in range(1, kmax + 1):
-        num, den = ONE, k
-        for a in a_scalars:
-            num *= a + k - 1
-        for b in b_scalars:
-            if b + k - 1 == 0:
-                raise DegenerateParameters(
-                    f"lower Pochhammer ({b})_{k} vanishes at shift {k - 1}"
-                )
-            den *= b + k - 1
-        scalar = scalar * num / den
-        for q in a_polys:
-            term = term * (q + Poly.const(k - 1))
-        out = out + term.scale(scalar)
+        out.append(out[-1] * (base + j))
     return out
 
 
-def bi_hypergeometric(P: BIParams, n: int) -> Poly:
-    """Monic B_n from the parity-split double-4F3 expression."""
-    rho1, rho2, r1, r2, h = P.rho1, P.rho2, P.r1, P.r2, P.h
-    m, p = divmod(n, 2)
-    u = Poly.make([HALF - r1, 1])       # x - r1 + 1/2
-    v = Poly.make([HALF - r1, -1])      # -x - r1 + 1/2
-    b1 = 1 - r1 - r2
-    b2 = rho1 - r1 + HALF
-    b3 = rho2 - r1 + HALF
+def bi_hypergeometric(P: BIParams, nmax: int) -> list[Poly]:
+    """Monic B_0, ..., B_nmax from the parity-split double-4F3 expression.
 
-    if p == 0:
-        f1 = _hyp4f3([-m, m + HALF + h], [u, v], [b1, b2, b3], m)
-        if m == 0:
-            second = P_ZERO
+    With u = x + a, v = -x + a (a = 1/2 - r1), H = h + 1/2 and the lower
+    parameters b1 = 1 - r1 - r2, b2 = rho1 - r1 + 1/2, b3 = rho2 - r1 + 1/2,
+
+      B_2m   = c_2m   (F_m + m / (b2 b3) u G_(m-1)),
+      B_2m+1 = c_2m+1 (F_m - (m + H) / (b2 b3) u G_m),
+
+    where F_m = 4F3(-m, m + H, u, v; b1, b2, b3; 1),
+    G_m = 4F3(-m, m + 1 + H, u + 1, v; b1, b2 + 1, b3 + 1; 1) and
+    c_n = (-1)^n (b1)_m (b2)_(n-m) (b3)_(n-m) / (m + H)_(n-m), m = n // 2.
+
+    Each F_m and G_m is summed once, by backward Horner on integers: with
+    rational parameters every term ratio is an integer polynomial over an
+    integer, so a sum is one numerator list over one denominator and each
+    B_n is reduced once.  The lower factors of the ratios and the pieces
+    of c_n are shared by all degrees.  Neither the recurrence nor K1 is used.
+    """
+    H, a = P.h + HALF, HALF - P.r1
+    b1, b2, b3 = 1 - P.r1 - P.r2, P.rho1 - P.r1 + HALF, P.rho2 - P.r1 + HALF
+    # F_m (m <= nmax/2) divides by (b1)_m (b2)_m (b3)_m, G_m (m < nmax/2)
+    # by (b2 + 1)_m (b3 + 1)_m, B_n (n >= 1) by b2 b3 and by (m + H)_(n-m).
+    mf, mg = nmax // 2, (nmax - 1) // 2
+    for b, top in ((b1, mf), (b2, mg + 1), (b3, mg + 1)):
+        for j in range(top):
+            if _shifted(b, j) == 0:
+                raise DegenerateParameters(
+                    f"lower Pochhammer ({b})_{j + 1} vanishes at shift {j}"
+                )
+    for j in range(nmax):
+        if _shifted(H, j) == 0:
+            raise DegenerateParameters(f"c_n denominator factor h + 1/2 + {j} vanishes")
+
+    # Term ratio k of F_m (d = 0) and G_m (d = 1) is
+    # (k - 1 - m)(m + d + k - 1 + H) q_k(x) / s_k, with q_k / s_k the part
+    # shared by every m: steps[d][k - 1] = (q_k, s_k) on integers.
+    an, ad, hn, hd = a.numerator, a.denominator, H.numerator, H.denominator
+    lowd = b1.denominator * b2.denominator * b3.denominator
+    steps = ([], [])
+    for d, top in ((0, mf), (1, mg)):
+        for k in range(1, top + 1):
+            # ad^2 (u + d + k - 1)(v + k - 1) = (ad x + g + d ad)(-ad x + g)
+            g = an + (k - 1) * ad
+            q = [(g + d * ad) * g * lowd, -d * ad * ad * lowd, -ad * ad * lowd]
+            s = (k * hd * ad * ad * _shifted(b1, k - 1) * _shifted(b2, k - 1 + d)
+                 * _shifted(b3, k - 1 + d))
+            steps[d].append((q, s))
+
+    def hyp(d: int, m: int) -> tuple[list[int], int]:
+        # 1 + r_1 (1 + r_2 (... (1 + r_m))) as numerators over one denominator.
+        acc, den = [1], 1
+        for k in range(m, 0, -1):
+            q, s = steps[d][k - 1]
+            c = (k - 1 - m) * (hn + (m + d + k - 1) * hd)
+            acc = int_mul([c * x for x in q], acc)
+            acc[0] += s * den
+            den *= s
+        return acc, den
+
+    F = [hyp(0, m) for m in range(mf + 1)]
+    G = [hyp(1, m) for m in range(mg + 1)]
+    r1, r2, r3, rh = (_rising(b1, mf), _rising(b2, mg + 1),
+                      _rising(b3, mg + 1), _rising(H, nmax))
+    out = [P_ONE]
+    for n in range(1, nmax + 1):
+        m, p = divmod(n, 2)
+        c = r1[m] * r2[n - m] * r3[n - m] * rh[m] / rh[n]
+        if p:
+            c = -c
+            t = -(m + H) * c / (b2 * b3)
         else:
-            if b2 == 0 or b3 == 0:
-                raise DegenerateParameters("prefactor denominator vanishes")
-            f2 = _hyp4f3([1 - m, m + HALF + h], [u + P_ONE, v],
-                         [b1, b2 + 1, b3 + 1], m - 1)
-            second = (u * f2).scale(Fraction(m) / (b2 * b3))
-        body = f1 + second
-    else:
-        half_n = Fraction(n, 2)
-        f1 = _hyp4f3([-m, half_n + h], [u, v], [b1, b2, b3], m)
-        if b2 == 0 or b3 == 0:
-            raise DegenerateParameters("prefactor denominator vanishes")
-        f2 = _hyp4f3([-m, half_n + 1 + h], [u + P_ONE, v],
-                     [b1, b2 + 1, b3 + 1], m)
-        body = f1 - (u * f2).scale((half_n + h) / (b2 * b3))
-
-    den = _pochhammer_checked(m + h + HALF, m + p, "c_n denominator")
-    c_n = _pochhammer_checked(b1, m, "1-r1-r2") * pochhammer(b2, m + p) \
-        * pochhammer(b3, m + p) / den
-    if p == 1:
-        c_n = -c_n
-    return body.scale(c_n)
+            t = m * c / (b2 * b3)
+        # B_n = c f / fd + t (ad x + an) g / (ad gd) on one denominator.
+        (f, fd), (g, gd) = F[m], G[m - 1 + p]
+        ug = int_mul([an, ad], g)
+        left, right = c.denominator * fd, t.denominator * ad * gd
+        nums = [c.numerator * right * x for x in f] + [0] * (len(ug) - len(f))
+        for i, y in enumerate(ug):
+            nums[i] += t.numerator * left * y
+        out.append(Poly.from_ints(nums, left * right))
+    return out
 
 
 def bi_from_operator(P: BIParams, nmax: int) -> list[Poly]:
@@ -218,7 +245,7 @@ def bi_from_operator(P: BIParams, nmax: int) -> list[Poly]:
             s = -b * sum(k[j].get(i, 0) * w[j] for j in range(i + 1, n + 1))
             w = [x * t for x in w]
             w[i], c = s, c * t
-        out.append(Poly.make(Fraction(x, c) for x in w))
+        out.append(Poly.from_ints(w, c))
     return out
 
 

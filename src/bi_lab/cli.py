@@ -116,7 +116,9 @@ def cmd_verify(args) -> int:
             status = "pass" if entry.ok else "FAIL"
             print(f"[{status}] {entry.check}" +
                   (f" -- {entry.detail}" if entry.detail else ""))
-        print(report.summary())
+        # The entries above carry every failure's detail; the last line
+        # gives the verdict only.
+        print(report.verdict)
     return EXIT_OK if report.passed else EXIT_VERIFY_FAILED
 
 

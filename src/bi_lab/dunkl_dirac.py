@@ -39,10 +39,8 @@ class Poly3:
         return Poly3({e: c for e, c in terms.items() if c})
 
     @staticmethod
-    def monomial(e: Exponent, c: GRat | int = 1) -> "Poly3":
-        if isinstance(c, int):
-            c = grat_make(c)
-        return Poly3.make({e: c})
+    def monomial(e: Exponent) -> "Poly3":
+        return Poly3({e: GRAT_ONE})
 
     def __add__(self, other: "Poly3") -> "Poly3":
         out = dict(self.terms)

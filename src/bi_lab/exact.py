@@ -58,14 +58,6 @@ def rat_to_float(x: Rat) -> float:
     return x.numerator / x.denominator
 
 
-def pochhammer(base: Rat, k: int) -> Rat:
-    """Rising factorial base*(base+1)*...*(base+k-1); empty product is 1."""
-    out = ONE
-    for j in range(k):
-        out *= base + j
-    return out
-
-
 @dataclass(frozen=True)
 class GRat:
     """Gaussian rational re + im*i with exact rational components."""

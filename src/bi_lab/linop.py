@@ -58,6 +58,13 @@ class LinOp:
         )
 
     @staticmethod
+    def real(cols: Iterable[dict[int, int]], den: int) -> "LinOp":
+        """The real matrix with these columns of nonzero integer numerators
+        over den > 0, reduced once."""
+        re = tuple(cols)
+        return _canonical(re, ({},) * len(re), den)
+
+    @staticmethod
     def identity(n: int) -> "LinOp":
         return LinOp(tuple({j: 1} for j in range(n)), ({},) * n, 1)
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from .errors import NotDivisible
 from .exact import Rat, ZERO, rat_str
@@ -32,6 +32,13 @@ class Poly:
         cs = list(coeffs)
         den = math.lcm(1, *(c.denominator for c in cs))
         return _canonical([c.numerator * (den // c.denominator) for c in cs], den)
+
+    @staticmethod
+    def from_ints(nums: list[int], den: int) -> "Poly":
+        """sum_k nums[k] x^k / den for integers with den != 0, reduced once."""
+        if den < 0:
+            nums, den = [-a for a in nums], -den
+        return _canonical(list(nums), den)
 
     @staticmethod
     def const(c: Rat | int) -> "Poly":
@@ -74,17 +81,22 @@ class Poly:
         return Poly(tuple(-a for a in self.nums), self.den)
 
     def __mul__(self, other: "Poly") -> "Poly":
-        out = [0] * (len(self.nums) + len(other.nums) - 1)
-        for i, a in enumerate(self.nums):
-            for j, b in enumerate(other.nums, i):
-                out[j] += a * b
-        return _canonical(out, self.den * other.den)
+        return _canonical(int_mul(self.nums, other.nums), self.den * other.den)
 
     def scale(self, c: Rat | int) -> "Poly":
         return _canonical([c.numerator * a for a in self.nums], self.den * c.denominator)
 
     def to_json(self) -> list[str]:
         return [rat_str(c) for c in self.coeffs]
+
+
+def int_mul(a: Sequence[int], b: Sequence[int]) -> list[int]:
+    """The product of two integer coefficient lists, lowest degree first."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b, i):
+            out[j] += x * y
+    return out
 
 
 def _canonical(nums: list[int], den: int) -> Poly:

@@ -53,7 +53,7 @@ Matrix = list[list[Rat]]
 def mat_zero(n: int) -> Matrix:
     return [[ZERO] * n for _ in range(n)]
 
-def mat_identity(n: int, c: Rat = ONE) -> Matrix:
+def mat_identity(n: int, c: Rat) -> Matrix:
     out = mat_zero(n)
     for i in range(n):
         out[i][i] = c

@@ -69,11 +69,16 @@ class VerificationReport:
             "entries": [e.to_json() for e in self.entries],
         }
 
+    @property
+    def verdict(self) -> str:
+        """Title, pass/FAIL and the check and failure counts."""
+        status, failed = "pass" if self.passed else "FAIL", len(self.failures)
+        return f"{self.title}: {status} ({self.checked} checks, {failed} failed)"
+
     def summary(self) -> str:
-        """Verdict and counts; a failed report adds its first failure."""
+        """The verdict; a failed report adds its first failure."""
         failures = self.failures
-        status = "pass" if self.passed else "FAIL"
-        text = f"{self.title}: {status} ({self.checked} checks, {len(failures)} failed)"
+        text = self.verdict
         if failures:
             e = failures[0]
             text += f"; first failed: {e.check} @ {e.index}"

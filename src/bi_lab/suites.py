@@ -54,10 +54,15 @@ def random_bi_params(rng: random.Random) -> BIParams:
 
 def random_bi_params_regular(
     rng: random.Random, nmax: int
-) -> tuple[BIParams, list[RecurrenceCoeffs], Poly]:
+) -> tuple[BIParams, list[RecurrenceCoeffs], list[Poly]]:
     """Tuple passing every degeneracy guard up to degree nmax + 1, with
     what the guards computed: the recurrence coefficients of degrees
-    0..nmax+1 and B_nmax by the hypergeometric route.
+    0..nmax+1 and B_0..B_nmax by the hypergeometric route.
+
+    The whole list rejects exactly the tuples that B_nmax alone rejects
+    once the recurrence guard has passed: its lower-parameter guards grow
+    with the degree, and its c_n denominators h + 1/2 + j (j < nmax) are
+    those of A_j, 4(j + h + 1/2).
 
     The operator route needs no guard of its own: an eigenvalue collision
     lambda_i = lambda_n (i < n <= nmax) needs h = -(k + 1/2) with
@@ -68,10 +73,10 @@ def random_bi_params_regular(
         P = random_bi_params(rng)
         try:
             coeffs = [recurrence_coeffs(P, n) for n in range(nmax + 2)]
-            top = bi_hypergeometric(P, nmax)
+            hyp = bi_hypergeometric(P, nmax)
         except BILabError:
             continue
-        return P, coeffs, top
+        return P, coeffs, hyp
 
 
 def random_racah_params(rng: random.Random, max_n: int) -> RacahParams:
@@ -115,10 +120,9 @@ def suite_polynomials(seed: int = DEFAULT_SEED, tuples: int = 20,
         f"polynomial triple-oracle suite ({tuples} tuples, n <= {nmax})"
     )
     for t in range(tuples):
-        P, coeffs, top = random_bi_params_regular(rng, nmax)
-        routes = zip(bi_from_coeffs(P, coeffs[:nmax]), bi_from_operator(P, nmax))
-        for n, (rec, op) in enumerate(routes):
-            hyp = top if n == nmax else bi_hypergeometric(P, n)
+        P, coeffs, hyps = random_bi_params_regular(rng, nmax)
+        routes = zip(bi_from_coeffs(P, coeffs[:nmax]), hyps, bi_from_operator(P, nmax))
+        for n, (rec, hyp, op) in enumerate(routes):
             report.record("recurrence = hypergeometric", (t, n), rec == hyp)
             report.record("recurrence = operator eigensolve", (t, n), rec == op)
     return report

@@ -12,7 +12,9 @@ from bi_lab.bi_operator import (
     k1_apply,
     k2_apply,
     k3_apply,
+    monomial_matrix,
 )
+from bi_lab.linop import LinOp
 from bi_lab.poly import P_ONE, Poly
 from bi_lab.suites import suite_bi
 
@@ -84,6 +86,20 @@ class TestStructure:
             assert K3.cols[j] == column(k3_apply(P1, mono))
             assert (K3 @ K2).cols[j] == column(k3_apply(P1, k2_apply(P1, mono)))
             assert (K1 @ K3).cols[j] == column(k1_apply(P1, k3_apply(P1, mono)))
+
+    @pytest.mark.parametrize("P", [
+        P1, BIParams.make(Fraction(-1, 3), Fraction(2, 7), 5, Fraction(-3, 2)),
+        BIParams.make(Fraction(5, 6), Fraction(-7, 4), Fraction(3, 8), Fraction(1, 9)),
+    ])
+    @pytest.mark.parametrize("apply", [k1_apply, k2_apply, k3_apply])
+    def test_monomial_matrix_equals_fraction_build(self, P, apply):
+        # The integer build equals LinOp.make of the Fraction coefficients.
+        for n in range(1, 16):
+            assert monomial_matrix(P, apply, n) == LinOp.make(
+                {i: c for i, c in enumerate(apply(P, Poly.monomial(j)).coeffs)
+                 if i < n}
+                for j in range(n)
+            )
 
     def test_casimir_closed_form(self):
         value = casimir_scalar(P1, bi_matrices(P1, 6))

@@ -28,7 +28,7 @@ from bi_lab.errors import (
     DegenerateSpectrum,
     NotFinitelyOrthogonal,
 )
-from bi_lab.exact import rat_to_float
+from bi_lab.exact import HALF, ONE, rat_to_float
 from bi_lab.poly import P_ONE, P_ZERO, Poly, poly_eval
 from bi_lab.racah import RacahParams
 from bi_lab.suites import (
@@ -39,6 +39,92 @@ from bi_lab.suites import (
 
 P1 = BIParams.make(1, 2, Fraction(1, 2), Fraction(1, 4))
 R1 = RacahParams.make(Fraction(1, 4), Fraction(1, 3), Fraction(1, 2), 2)
+
+
+# ---------------------------------------------------------------------------
+# Reference oracle: B_n from the double 4F3 summed term by term in Fraction
+# arithmetic, one degree per call, independent of bi_lab's integer sums.
+
+def pochhammer(base, k):
+    out = ONE
+    for j in range(k):
+        out *= base + j
+    return out
+
+
+def pochhammer_checked(base, k, label):
+    for j in range(k):
+        if base + j == 0:
+            raise DegenerateParameters(
+                f"lower Pochhammer ({label})_{k} vanishes at shift {j}"
+            )
+    return pochhammer(base, k)
+
+
+def hyp4f3(a_scalars, a_polys, b_scalars, kmax):
+    """Partial sum k = 0..kmax of a terminating 4F3 at unit argument with
+    two polynomial numerator parameters."""
+    scalar, term, out = ONE, P_ONE, P_ONE
+    for k in range(1, kmax + 1):
+        num, den = ONE, k
+        for a in a_scalars:
+            num *= a + k - 1
+        for b in b_scalars:
+            if b + k - 1 == 0:
+                raise DegenerateParameters(
+                    f"lower Pochhammer ({b})_{k} vanishes at shift {k - 1}"
+                )
+            den *= b + k - 1
+        scalar = scalar * num / den
+        for q in a_polys:
+            term = term * (q + Poly.const(k - 1))
+        out = out + term.scale(scalar)
+    return out
+
+
+def hypergeometric_oracle(P, n):
+    """Monic B_n from the parity-split double-4F3 expression."""
+    rho1, rho2, r1, r2, h = P.rho1, P.rho2, P.r1, P.r2, P.h
+    m, p = divmod(n, 2)
+    u = Poly.make([HALF - r1, 1])       # x - r1 + 1/2
+    v = Poly.make([HALF - r1, -1])      # -x - r1 + 1/2
+    b1 = 1 - r1 - r2
+    b2 = rho1 - r1 + HALF
+    b3 = rho2 - r1 + HALF
+    if p == 0:
+        f1 = hyp4f3([-m, m + HALF + h], [u, v], [b1, b2, b3], m)
+        if m == 0:
+            second = P_ZERO
+        else:
+            if b2 == 0 or b3 == 0:
+                raise DegenerateParameters("prefactor denominator vanishes")
+            f2 = hyp4f3([1 - m, m + HALF + h], [u + P_ONE, v],
+                        [b1, b2 + 1, b3 + 1], m - 1)
+            second = (u * f2).scale(Fraction(m) / (b2 * b3))
+        body = f1 + second
+    else:
+        half_n = Fraction(n, 2)
+        f1 = hyp4f3([-m, half_n + h], [u, v], [b1, b2, b3], m)
+        if b2 == 0 or b3 == 0:
+            raise DegenerateParameters("prefactor denominator vanishes")
+        f2 = hyp4f3([-m, half_n + 1 + h], [u + P_ONE, v],
+                    [b1, b2 + 1, b3 + 1], m)
+        body = f1 - (u * f2).scale((half_n + h) / (b2 * b3))
+    den = pochhammer_checked(m + h + HALF, m + p, "c_n denominator")
+    c_n = pochhammer_checked(b1, m, "1-r1-r2") * pochhammer(b2, m + p) \
+        * pochhammer(b3, m + p) / den
+    if p == 1:
+        c_n = -c_n
+    return body.scale(c_n)
+
+
+def raised(fn, *args):
+    """The exception class fn(*args) raises, or None."""
+    try:
+        fn(*args)
+    except BILabError as exc:
+        return type(exc)
+    return None
 
 
 class TestEigenvaluesAndCoeffs:
@@ -96,7 +182,7 @@ class TestThreeRoutes:
     @pytest.mark.parametrize("n", range(11))
     def test_triple_oracle_p1(self, n):
         rec = bi_recurrence(P1, n)
-        assert rec == bi_hypergeometric(P1, n)
+        assert rec == bi_hypergeometric(P1, 10)[n]
         assert rec == bi_from_operator(P1, 10)[n]
 
     def test_operator_sequence_to_12(self):
@@ -113,9 +199,66 @@ class TestThreeRoutes:
         # 1 - r1 - r2 = 0 is the first lower parameter of both 4F3 sums.
         P = BIParams.make(1, 2, Fraction(1, 2), Fraction(1, 2))
         for n in (2, 3, 6):
-            with pytest.raises(DegenerateParameters) as exc:
-                bi_hypergeometric(P, n)
-            assert str(exc.value) == "lower Pochhammer (0)_1 vanishes at shift 0"
+            for route in (bi_hypergeometric, hypergeometric_oracle):
+                with pytest.raises(DegenerateParameters) as exc:
+                    route(P, n)
+                assert str(exc.value) == "lower Pochhammer (0)_1 vanishes at shift 0"
+
+    def test_hypergeometric_equals_oracle(self):
+        # 300 seeded tuples on which the integer sums run, every degree.
+        rng, done = random.Random(15), 0
+        while done < 300:
+            P = random_bi_params(rng)
+            try:
+                hyps = bi_hypergeometric(P, 10)
+            except BILabError:
+                continue
+            assert hyps == [hypergeometric_oracle(P, n) for n in range(11)], P
+            done += 1
+
+    def test_degenerate_tuples_raise_like_the_oracle(self):
+        # A vanishing lower parameter, b2 = 0 where only B_1's prefactor
+        # divides by it, and c_n denominators h + 1/2 + j = 0 (j = 1, 3).
+        hand = [(BIParams.make(1, 2, Fraction(1, 2), Fraction(1, 2)), 6),
+                (BIParams.make(0, 2, Fraction(1, 2), Fraction(1, 4)), 1),
+                (BIParams.make(0, 0, Fraction(1, 4), Fraction(7, 4)), 2),
+                (BIParams.make(0, 0, 1, 3), 7)]
+        for P, nmax in hand:
+            assert raised(hypergeometric_oracle, P, nmax) is DegenerateParameters
+            assert raised(bi_hypergeometric, P, nmax) is DegenerateParameters
+        # On tuples that pass the recurrence guards up to nmax + 1, as in
+        # the suite's draw, the list raises exactly when degree nmax does.
+        rng, seen = random.Random(16), {None: 0, DegenerateParameters: 0}
+        while min(seen.values()) < 40:
+            P = random_bi_params(rng)
+            try:
+                for n in range(12):
+                    recurrence_coeffs(P, n)
+            except BILabError:
+                continue
+            cls = raised(hypergeometric_oracle, P, 10)
+            assert raised(bi_hypergeometric, P, 10) is cls, P
+            seen[cls] += 1
+
+    def test_shifted_lower_parameter_fails_suite(self, monkeypatch):
+        # Mutant: b3 -> b3 + 1 among the lower parameters of both sums.
+        # B_0 = 1 and B_1 have no sum terms; every B_n with n >= 2 does.
+        import inspect
+
+        import bi_lab.bi_poly as bp
+        import bi_lab.suites as suites
+
+        source = inspect.getsource(bp.bi_hypergeometric)
+        mutant = source.replace("_shifted(b3, k - 1 + d)", "_shifted(b3, k + d)")
+        assert mutant != source
+        namespace = dict(vars(bp))
+        exec(mutant, namespace)
+        monkeypatch.setattr(suites, "bi_hypergeometric",
+                            namespace["bi_hypergeometric"])
+        report = suite_polynomials(seed=1, tuples=1)
+        failed = {(e.check, e.index) for e in report.entries if not e.ok}
+        assert failed == {("recurrence = hypergeometric", (0, n))
+                          for n in range(2, 11)}
 
     def test_one_k1_build_per_tuple(self, monkeypatch):
         import bi_lab.bi_poly as bp
@@ -142,26 +285,27 @@ class TestThreeRoutes:
             finally:
                 in_guard[0] = False
         def hyp(P, n, _orig=suites.bi_hypergeometric):
+            out = _orig(P, n)  # a draw the guard rejects raises here
             calls.append((n, in_guard[0]))
-            return _orig(P, n)
+            return out
         monkeypatch.setattr(suites, "random_bi_params_regular", draw)
         monkeypatch.setattr(suites, "bi_hypergeometric", hyp)
         assert suite_polynomials(seed=1, tuples=3, nmax=nmax).passed
-        # The suite computes B_0..B_(nmax-1); B_nmax is the guard's.
-        assert [n for n, guard in calls if not guard] == list(range(nmax)) * 3
-        assert all(n == nmax for n, guard in calls if guard)
+        # One call per accepted tuple, the guard's, at nmax.
+        assert calls == [(nmax, True)] * 3
 
     def test_regular_draw_needs_no_operator_guard(self):
         nmax = 10  # suite_polynomials' default
 
         def guarded(rng):
-            # Reference draw that also rejects a tuple the operator route rejects.
+            # Reference draw that rejects a tuple when the degree-nmax
+            # oracle or the operator route rejects it.
             while True:
                 P = random_bi_params(rng)
                 try:
                     for n in range(nmax + 2):
                         recurrence_coeffs(P, n)
-                    bi_hypergeometric(P, nmax)
+                    hypergeometric_oracle(P, nmax)
                     bi_from_operator(P, nmax)
                 except BILabError:
                     continue
@@ -169,10 +313,10 @@ class TestThreeRoutes:
 
         for seed in range(1, 201):
             rng, ref = random.Random(seed), random.Random(seed)
-            P, coeffs, top = random_bi_params_regular(rng, nmax)
+            P, coeffs, hyps = random_bi_params_regular(rng, nmax)
             assert P == guarded(ref)
             assert coeffs == [recurrence_coeffs(P, n) for n in range(nmax + 2)]
-            assert top == bi_hypergeometric(P, nmax)
+            assert hyps[nmax] == hypergeometric_oracle(P, nmax)
             assert rng.getstate() == ref.getstate()
 
     @pytest.mark.parametrize("n", range(13))
@@ -185,7 +329,7 @@ class TestThreeRoutes:
             assert bi_recurrence(P1, n).coeffs[-1] == 1
 
     def test_hypergeometric_n0(self):
-        assert bi_hypergeometric(P1, 0) == P_ONE
+        assert bi_hypergeometric(P1, 0) == [P_ONE]
 
 
 class TestGrid:

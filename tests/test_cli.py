@@ -165,6 +165,24 @@ class TestVerify:
         assert code == EXIT_VERIFY_FAILED
         assert "FAIL" in out
 
+    def test_failure_detail_printed_once(self, capsys, monkeypatch):
+        # A failed sub-report's chain appears on its entry line only; the
+        # last line gives the verdict and counts.
+        sub = VerificationReport("sub")
+        sub.record("inner check", 3, False, "forced failure")
+        failing = VerificationReport("stub")
+        failing.record("passing check", 0, True)
+        failing.record_report("sub entry", 1, sub)
+        monkeypatch.setattr("bi_lab.cli.run_scope", lambda *a, **k: failing)
+        code, out, _ = run(capsys, "verify", "--scope", "bi")
+        assert code == EXIT_VERIFY_FAILED
+        assert out.count("forced failure") == 1
+        assert out.splitlines() == [
+            "[pass] passing check",
+            "[FAIL] sub entry -- " + sub.summary(),
+            "stub: FAIL (2 checks, 1 failed)",
+        ]
+
 
 class TestRacah:
     def test_example_n2(self, capsys):

@@ -1,4 +1,4 @@
-"""Scalar layer: rationals, parsing, Pochhammer, Gaussian rationals."""
+"""Scalar layer: rationals, parsing, Gaussian rationals."""
 
 from fractions import Fraction
 
@@ -14,7 +14,6 @@ from bi_lab.exact import (
     GRAT_ZERO,
     GRat,
     grat_make,
-    pochhammer,
     rat_make,
     rat_parse,
     rat_str,
@@ -58,11 +57,6 @@ class TestRat:
 
     def test_to_float(self):
         assert rat_to_float(Fraction(1, 4)) == 0.25
-
-    def test_pochhammer(self):
-        assert pochhammer(Fraction(2), 3) == 24
-        assert pochhammer(Fraction(1, 2), 0) == 1
-        assert pochhammer(Fraction(-1, 2), 2) == Fraction(-1, 4)
 
 
 class TestGRat:
