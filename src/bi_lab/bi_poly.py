@@ -2,7 +2,10 @@
 
 Three independent routes produce the monic polynomials B_n:
 
-  * the three-term recurrence with parity-split coefficients A_n, C_n,
+  * the three-term recurrence with parity-split coefficients A_n, C_n:
+    ``recurrence_steps`` turns them into steps (b_k, u_k), which
+    ``bi_recurrence`` runs on polynomials and ``bi_values`` on scalars;
+    these two are the only places the recurrence is run,
   * the terminating double-4F3 hypergeometric expression; every B_n <=
     nmax from one pass of integer backward-Horner sums, each 4F3 summed
     once and each B_n reduced once,
@@ -81,19 +84,10 @@ def recurrence_steps(P: BIParams,
     ]
 
 
-def bi_sequence(P: BIParams, nmax: int) -> list[Poly]:
-    """Monic B_0, ..., B_nmax from one pass of the three-term recurrence."""
-    return bi_from_coeffs(P, [recurrence_coeffs(P, k) for k in range(nmax)])
-
-
-def bi_from_coeffs(P: BIParams, coeffs: list[RecurrenceCoeffs]) -> list[Poly]:
-    """Monic B_0, ..., B_m from the recurrence coefficients of degrees < m."""
-    return monic_from_steps(recurrence_steps(P, coeffs))
-
-
-def monic_from_steps(steps: list[tuple[Rat, Rat]]) -> list[Poly]:
-    """p_0 = 1, ..., p_m of p_{k+1} = (x - b_k) p_k - u_k p_{k-1}, one
-    step (b_k, u_k) per degree k < m."""
+def bi_recurrence(steps: list[tuple[Rat, Rat]]) -> list[Poly]:
+    """Monic p_0 = 1, ..., p_m of p_{k+1} = (x - b_k) p_k - u_k p_{k-1},
+    one step (b_k, u_k) per degree k < m; the steps of
+    ``recurrence_steps`` give B_0, ..., B_m."""
     out, prev = [P_ONE], P_ZERO
     for b, u in steps:
         cur = out[-1]
@@ -102,11 +96,10 @@ def monic_from_steps(steps: list[tuple[Rat, Rat]]) -> list[Poly]:
     return out
 
 
-def bi_values(P: BIParams, coeffs: list[RecurrenceCoeffs],
+def bi_values(steps: list[tuple[Rat, Rat]],
               points: list[Rat]) -> list[list[Rat]]:
-    """[B_0(x), ..., B_m(x)] for each x in points, from the recurrence
-    coefficients of degrees < m run on scalars (no polynomial is built)."""
-    steps = recurrence_steps(P, coeffs)
+    """[p_0(x), ..., p_m(x)] for each x in points: the recurrence of
+    ``bi_recurrence`` run on scalars (no polynomial is built)."""
     out = []
     for x in points:
         row, prev = [ONE], ZERO
@@ -115,11 +108,6 @@ def bi_values(P: BIParams, coeffs: list[RecurrenceCoeffs],
             prev = row[-2]
         out.append(row)
     return out
-
-
-def bi_recurrence(P: BIParams, n: int) -> Poly:
-    """Monic B_n from the three-term recurrence."""
-    return bi_sequence(P, n)[n]
 
 
 def _shifted(b: Rat, j: int) -> int:
@@ -321,12 +309,26 @@ def ladder_coeffs(P: BIParams, n: int) -> LadderCoeffs:
 
 def complementary_bi(P: BIParams, n: int) -> Poly:
     """Complementary polynomial I_n by the Christoffel-type division at rho1."""
-    bn, bn1 = bi_sequence(P, n + 1)[n:]
+    coeffs = [recurrence_coeffs(P, k) for k in range(n + 1)]
+    bn, bn1 = bi_recurrence(recurrence_steps(P, coeffs))[n:]
     denom = poly_eval(bn, P.rho1)
     if denom == 0:
         raise DegenerateParameters(f"B_{n}(rho1) = 0 for {P}")
     ratio = poly_eval(bn1, P.rho1) / denom
     return poly_divide_exact(bn1 - bn.scale(ratio), P.rho1)
+
+
+def _finite_steps(P: BIParams,
+                  coeffs: list[RecurrenceCoeffs]) -> list[tuple[Rat, Rat]]:
+    """The steps (b_k, u_k) of the recurrence coefficients of degrees
+    0..N, once the truncation A_N = 0 and the positivity u_k > 0 hold."""
+    N = len(coeffs) - 1
+    if coeffs[N].A != 0:
+        raise NotFinitelyOrthogonal(f"truncation A_{N} = {coeffs[N].A} != 0")
+    steps = recurrence_steps(P, coeffs)
+    if any(u <= 0 for _, u in steps[1:]):
+        raise NotFinitelyOrthogonal("off-diagonal product A_(k-1) C_k not positive")
+    return steps
 
 
 def discrete_weights_exact(P: BIParams,
@@ -335,24 +337,18 @@ def discrete_weights_exact(P: BIParams,
     recurrence coefficients of degrees 0..N.
 
     The orthonormalized polynomials b_k = B_k / ||B_k|| with
-    ||B_k||^2 = prod_{j<=k} A_{j-1} C_j make the matrix
-    sqrt(w_s) b_k(x_s) orthogonal, so w_s = 1 / sum_k b_k(x_s)^2; every
-    quantity is rational.  Requires A_N = 0 and A_{k-1} C_k > 0.
+    ||B_k||^2 = u_1 ... u_k make the matrix sqrt(w_s) b_k(x_s) orthogonal,
+    so w_s = 1 / sum_k b_k(x_s)^2; every quantity is rational.  Requires
+    A_N = 0 and u_k = A_{k-1} C_k > 0.
     """
-    N = len(coeffs) - 1
-    if coeffs[N].A != 0:
-        raise NotFinitelyOrthogonal(f"truncation A_{N} = {coeffs[N].A} != 0")
+    steps = _finite_steps(P, coeffs)
+    N = len(steps) - 1
     norm2 = [ONE]
-    for k in range(1, N + 1):
-        step = coeffs[k - 1].A * coeffs[k].C
-        if step <= 0:
-            raise NotFinitelyOrthogonal(
-                "off-diagonal product A_(k-1) C_k not positive"
-            )
-        norm2.append(norm2[-1] * step)
+    for _, u in steps[1:]:
+        norm2.append(norm2[-1] * u)
     grid = [grid_point(P, s) for s in range(N + 1)]
     out: list[tuple[Rat, Rat]] = []
-    for x_s, values in zip(grid, bi_values(P, coeffs[:N], grid)):
+    for x_s, values in zip(grid, bi_values(steps[:N], grid)):
         inv_w = sum(v ** 2 / norm2[k] for k, v in enumerate(values))
         out.append((x_s, 1 / inv_w))
     return out
@@ -363,23 +359,17 @@ def discrete_weights(P: BIParams,
     """Nodes and weights of the (N+1)-point discrete orthogonality, from
     the recurrence coefficients of degrees 0..N.
 
-    Requires the truncation A_N = 0 and positivity A_{k-1} C_k > 0.
-    Nodes come from the symmetrized Jacobi matrix and must coincide with
-    the Bannai-Ito grid; weights are the squared first components of the
-    normalized eigenvectors (total mass 1).  Returned in grid order.
+    Requires the truncation A_N = 0 and positivity u_k = A_{k-1} C_k > 0.
+    Nodes come from the symmetrized Jacobi matrix (diagonal b_k, squared
+    off-diagonal u_k) and must coincide with the Bannai-Ito grid; weights
+    are the squared first components of the normalized eigenvectors
+    (total mass 1).  Returned in grid order.
     """
     import numpy as np  # only the float oracles load numpy
-    N = len(coeffs) - 1
-    if coeffs[N].A != 0:
-        raise NotFinitelyOrthogonal(f"truncation A_{N} = {coeffs[N].A} != 0")
-    offsq = [coeffs[k - 1].A * coeffs[k].C for k in range(1, N + 1)]
-    if any(w <= 0 for w in offsq):
-        raise NotFinitelyOrthogonal("off-diagonal product A_(k-1) C_k not positive")
-
-    diag = np.array(
-        [rat_to_float(P.rho1 - c.A - c.C) for c in coeffs], dtype=float
-    )
-    off = np.sqrt(np.array([rat_to_float(w) for w in offsq], dtype=float))
+    steps = _finite_steps(P, coeffs)
+    N = len(steps) - 1
+    diag = np.array([rat_to_float(b) for b, _ in steps], dtype=float)
+    off = np.sqrt(np.array([rat_to_float(u) for _, u in steps[1:]], dtype=float))
     J = np.diag(diag)
     if N > 0:
         J += np.diag(off, 1) + np.diag(off, -1)

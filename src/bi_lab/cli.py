@@ -16,11 +16,12 @@ import sys
 
 from .bi_operator import BIParams
 from .bi_poly import (
-    bi_from_coeffs,
+    bi_recurrence,
     discrete_weights,
     eigenvalue,
     grid_point,
     recurrence_coeffs,
+    recurrence_steps,
 )
 from .errors import BILabError
 from .exact import rat_parse, rat_str
@@ -94,10 +95,11 @@ def cmd_poly(args) -> int:
         rat_parse(args.r1), rat_parse(args.r2),
     )
     coeffs = [recurrence_coeffs(P, n) for n in range(args.nmax + 1)]
+    polys = bi_recurrence(recurrence_steps(P, coeffs[:-1]))
     rows = [
         {"n": n, "lambda": rat_str(eigenvalue(P, n)), "A": rat_str(rc.A),
          "C": rat_str(rc.C), "coeffs": " ".join(bn.to_json())}
-        for n, (rc, bn) in enumerate(zip(coeffs, bi_from_coeffs(P, coeffs[:-1])))
+        for n, (rc, bn) in enumerate(zip(coeffs, polys))
     ]
     _emit(rows, args.format)
     return EXIT_OK

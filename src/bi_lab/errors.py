@@ -14,10 +14,6 @@ class NotDivisible(BILabError):
     division of the operator realizations should leave."""
 
 
-class NonScalarCasimir(BILabError):
-    """The Casimir did not act as a multiple of the identity."""
-
-
 class DegenerateParameters(BILabError):
     """A parameter combination makes a required denominator vanish."""
 

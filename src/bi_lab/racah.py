@@ -35,7 +35,7 @@ from fractions import Fraction
 from functools import cached_property
 
 from .bi_operator import BIParams
-from .bi_poly import RecurrenceCoeffs, grid_point, monic_from_steps, recurrence_steps
+from .bi_poly import RecurrenceCoeffs, bi_recurrence, grid_point, recurrence_steps
 from .errors import DegenerateParameters, NotUnitary, TruncationFailure
 from .exact import HALF, ONE, Rat, ZERO, rat_str
 from .linop import LinOp, anticomm
@@ -291,7 +291,7 @@ def k1_spectrum_check(rep: TridiagRep,
     for x_s in grid:
         target = Poly((0, *target.nums), target.den) - target.scale(x_s)
     report.record("K1 characteristic polynomial", RP.N,
-                  monic_from_steps(steps)[-1] == target)
+                  bi_recurrence(steps)[-1] == target)
     for s, x_s in enumerate(grid):
         report.record("K1 spectrum", s,
                       spectrum_value(s, RP.mu2 + RP.mu3) == 2 * x_s + HALF)

@@ -21,11 +21,11 @@ from bi_lab.bi_poly import (
     ladder_apply,
     ladder_coeffs,
     recurrence_coeffs,
+    recurrence_steps,
     v_apply,
 )
 from bi_lab.cli import main as cli_main
 from bi_lab.errors import BILabError
-from bi_lab.exact import rat_to_float
 from bi_lab.poly import P_ZERO, Poly, poly_eval
 from bi_lab.racah import (
     RacahParams,
@@ -69,11 +69,10 @@ def test_criterion_2_triple_oracle():
     report = suite_polynomials(seed=DEFAULT_SEED, tuples=20, nmax=10)
     # Eigen-equation up to n = 12 on a fixed regular tuple.
     rng = random.Random(DEFAULT_SEED)
-    P = random_bi_params_regular(rng, 12)[0]
+    P, coeffs, _ = random_bi_params_regular(rng, 12)
     eigen_ok = all(
-        k1_apply(P, bi_recurrence(P, n))
-        == bi_recurrence(P, n).scale(eigenvalue(P, n))
-        for n in range(13)
+        k1_apply(P, bn) == bn.scale(eigenvalue(P, n))
+        for n, bn in enumerate(bi_recurrence(recurrence_steps(P, coeffs[:12])))
     )
     elapsed = time.perf_counter() - t0
     _report(
@@ -89,8 +88,8 @@ def test_criterion_3_ladders_and_v_operator():
     ok = True
     half = Fraction(1, 2)
     for _ in range(5):
-        P = random_bi_params_regular(rng, 11)[0]
-        polys = [bi_recurrence(P, n) for n in range(12)]
+        P, coeffs, _ = random_bi_params_regular(rng, 11)
+        polys = bi_recurrence(recurrence_steps(P, coeffs[:11]))
         for n in range(11):
             try:
                 lc = ladder_coeffs(P, n)
@@ -142,7 +141,7 @@ def test_criterion_5_spectra_and_overlaps():
         for d in rep.D[1:]:
             d_prod.append(d_prod[-1] * d)
         want = [[2**k * b / d_prod[k] for k, b in enumerate(row)]
-                for row in bi_values(P, coeffs[:RP.N], grid)]
+                for row in bi_values(recurrence_steps(P, coeffs[:RP.N]), grid)]
         ok &= racah_overlaps(rep) == want
     _report(5, "K1 spectra and overlap rows = 2^k B_k(x_s) / prod D_j, exact, "
             "N <= 8", ok)
@@ -186,16 +185,16 @@ def test_criterion_8_finite_orthogonality():
         exact_out = discrete_weights_exact(P, coeffs)
         ok &= all(w > 0 for _, w in exact_out)
         ok &= sum(w for _, w in exact_out) == 1
-        polys = [bi_recurrence(P, n) for n in range(RP.N + 1)]
+        polys = bi_recurrence(recurrence_steps(P, coeffs[:RP.N]))
         for m in range(RP.N + 1):
             for n in range(m + 1, RP.N + 1):
                 total = sum(
                     w * poly_eval(polys[m], x) * poly_eval(polys[n], x)
                     for x, w in exact_out
                 )
-                ok &= rat_to_float(abs(total)) < 1e-9  # exactly 0 in fact
+                ok &= total == 0
     _report(8, "finite orthogonality: nodes = grid (1e-10), positive "
-            "weights, orthogonality (1e-9), N <= 10", ok)
+            "weights, exact orthogonality, N <= 10", ok)
 
 
 def test_criterion_9_cli_contract(capsys):

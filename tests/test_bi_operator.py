@@ -14,6 +14,7 @@ from bi_lab.bi_operator import (
     k3_apply,
     monomial_matrix,
 )
+from bi_lab.exact import rat_str
 from bi_lab.linop import LinOp
 from bi_lab.poly import P_ONE, Poly
 from bi_lab.suites import suite_bi
@@ -37,7 +38,11 @@ class TestFrozenValuesP1:
         assert k2_apply(P1, P_ONE) == Poly.make([Fraction(1, 2), 2])
 
     def test_casimir(self):
-        assert casimir_scalar(P1, bi_matrices(P1, 8)) == Fraction(83, 8)
+        report = casimir_scalar(P1, bi_matrices(P1, 8))
+        assert report.passed
+        assert [(e.check, e.index) for e in report.entries] == [
+            ("K1^2 + K2^2 + K3^2 = 83/8", j) for j in range(9)
+        ]
 
     def test_k1_matrix(self):
         K1, _, _ = bi_matrices(P1, 0)
@@ -102,10 +107,11 @@ class TestStructure:
             )
 
     def test_casimir_closed_form(self):
-        value = casimir_scalar(P1, bi_matrices(P1, 6))
-        assert value == 2 * (
-            P1.rho1**2 + P1.rho2**2 + P1.r1**2 + P1.r2**2
-        ) - Fraction(1, 4)
+        report = casimir_scalar(P1, bi_matrices(P1, 6))
+        value = 2 * (P1.rho1**2 + P1.rho2**2 + P1.r1**2 + P1.r2**2) - Fraction(1, 4)
+        assert report.passed and report.checked == 7
+        assert all(e.check == f"K1^2 + K2^2 + K3^2 = {rat_str(value)}"
+                   for e in report.entries)
 
 
 def test_one_matrix_build_per_tuple(monkeypatch):
@@ -133,3 +139,27 @@ def test_relations_fail_without_h_term(monkeypatch):
     report = check_bi_relations(P1, bi_matrices(P1, 12))
     assert report.checked == 2 * 13
     assert len(report.failures) == report.checked
+
+
+def test_casimir_fails_with_perturbed_k3():
+    # K3 + I is no longer a generator: the Casimir gains 2 K3 + I, which
+    # raises the degree, so it is not scalar on any x^j.
+    K1, K2, K3 = bi_matrices(P1, 12)
+    report = casimir_scalar(P1, (K1, K2, K3 + LinOp.identity(15)))
+    assert report.checked == 13
+    assert len(report.failures) == report.checked
+
+
+def test_casimir_failure_fails_suite(monkeypatch):
+    import bi_lab.suites as suites
+
+    def perturbed(P, maxdeg, _orig=suites.bi_matrices):
+        K1, K2, K3 = _orig(P, maxdeg)
+        return K1, K2, K3 + LinOp.identity(maxdeg + 3)
+    monkeypatch.setattr(suites, "bi_matrices", perturbed)
+    report = suite_bi(seed=1, tuples=2, maxdeg=4)
+    assert [(e.check, e.index, e.ok) for e in report.entries] == [
+        ("BI relations", 0, False), ("Casimir scalar", 0, False),
+        ("BI relations", 1, False), ("Casimir scalar", 1, False),
+    ]
+    assert "K1^2 + K2^2 + K3^2 = " in report.entries[1].detail

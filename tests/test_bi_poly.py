@@ -10,7 +10,6 @@ from bi_lab.bi_poly import (
     bi_from_operator,
     bi_hypergeometric,
     bi_recurrence,
-    bi_sequence,
     bi_values,
     complementary_bi,
     discrete_weights,
@@ -20,6 +19,7 @@ from bi_lab.bi_poly import (
     ladder_apply,
     ladder_coeffs,
     recurrence_coeffs,
+    recurrence_steps,
     v_apply,
 )
 from bi_lab.errors import (
@@ -37,7 +37,14 @@ from bi_lab.suites import (
     suite_polynomials,
 )
 
+
+def monic(P, n):
+    """B_0, ..., B_n from one pass of the recurrence."""
+    return bi_recurrence(recurrence_steps(P, [recurrence_coeffs(P, k) for k in range(n)]))
+
+
 P1 = BIParams.make(1, 2, Fraction(1, 2), Fraction(1, 4))
+B1 = monic(P1, 13)
 R1 = RacahParams.make(Fraction(1, 4), Fraction(1, 3), Fraction(1, 2), 2)
 
 
@@ -152,10 +159,6 @@ class TestEigenvaluesAndCoeffs:
 
 
 class TestSequenceAndValues:
-    def test_sequence_is_every_recurrence(self):
-        for n in range(12):
-            assert bi_sequence(P1, n) == [bi_recurrence(P1, k) for k in range(n + 1)]
-
     @pytest.mark.parametrize("P, N", [(P1, 8)] + [
         (RacahParams.make(Fraction(1, 4), Fraction(1, 3), Fraction(1, 2), N)
          .identifications(), N)
@@ -163,30 +166,26 @@ class TestSequenceAndValues:
     ])
     def test_values_equal_horner_on_grid(self, P, N):
         grid = [grid_point(P, s) for s in range(N + 1)]
-        polys = bi_sequence(P, N)
-        coeffs = [recurrence_coeffs(P, k) for k in range(N)]
-        assert bi_values(P, coeffs, grid) == [[poly_eval(p, x) for p in polys]
-                                              for x in grid]
-
-    def test_degenerate_tuple_raises(self):
-        bad = BIParams.make(0, 0, Fraction(1, 2), Fraction(1, 2))
-        with pytest.raises(DegenerateParameters):
-            bi_sequence(bad, 3)
+        steps = recurrence_steps(P, [recurrence_coeffs(P, k) for k in range(N)])
+        polys = bi_recurrence(steps)
+        assert len(polys) == N + 1
+        assert bi_values(steps, grid) == [[poly_eval(p, x) for p in polys]
+                                          for x in grid]
 
 
 class TestThreeRoutes:
     def test_b0_and_b1(self):
-        assert bi_recurrence(P1, 0) == P_ONE
-        assert bi_recurrence(P1, 1) == Poly.make([Fraction(-8, 13), 1])
+        assert B1[0] == P_ONE
+        assert B1[1] == Poly.make([Fraction(-8, 13), 1])
 
     @pytest.mark.parametrize("n", range(11))
     def test_triple_oracle_p1(self, n):
-        rec = bi_recurrence(P1, n)
+        rec = B1[n]
         assert rec == bi_hypergeometric(P1, 10)[n]
         assert rec == bi_from_operator(P1, 10)[n]
 
     def test_operator_sequence_to_12(self):
-        assert bi_from_operator(P1, 12) == bi_sequence(P1, 12)
+        assert bi_from_operator(P1, 12) == B1[:13]
 
     def test_operator_eigenvalue_collision(self):
         # h = -1/2, so lambda_0 = h = -(1 + h) = lambda_1.
@@ -321,12 +320,12 @@ class TestThreeRoutes:
 
     @pytest.mark.parametrize("n", range(13))
     def test_eigen_equation(self, n):
-        bn = bi_recurrence(P1, n)
+        bn = B1[n]
         assert k1_apply(P1, bn) == bn.scale(eigenvalue(P1, n))
 
     def test_monic(self):
         for n in range(8):
-            assert bi_recurrence(P1, n).coeffs[-1] == 1
+            assert B1[n].coeffs[-1] == 1
 
     def test_hypergeometric_n0(self):
         assert bi_hypergeometric(P1, 0) == [P_ONE]
@@ -340,29 +339,29 @@ class TestGrid:
 
 class TestLadders:
     def test_plus_kills_b0(self):
-        assert ladder_apply(P1, "+", bi_recurrence(P1, 0)) == P_ZERO
+        assert ladder_apply(P1, "+", B1[0]) == P_ZERO
 
     def test_minus_on_b0(self):
-        got = ladder_apply(P1, "-", bi_recurrence(P1, 0))
-        assert got == bi_recurrence(P1, 1).scale(13)
+        got = ladder_apply(P1, "-", B1[0])
+        assert got == B1[1].scale(13)
         assert ladder_coeffs(P1, 0).beta0 == 13
 
     def test_plus_on_b1(self):
-        got = ladder_apply(P1, "+", bi_recurrence(P1, 1))
-        assert got == bi_recurrence(P1, 2).scale(-17)
+        got = ladder_apply(P1, "+", B1[1])
+        assert got == B1[2].scale(-17)
         assert ladder_coeffs(P1, 1).alpha1 == -17
 
     @pytest.mark.parametrize("n", range(11))
     def test_parity_actions_closed_forms(self, n):
-        bn = bi_recurrence(P1, n)
+        bn = B1[n]
         lc = ladder_coeffs(P1, n)
         if n % 2 == 0:
-            up = P_ZERO if n == 0 else bi_recurrence(P1, n - 1).scale(lc.alpha0)
+            up = P_ZERO if n == 0 else B1[n - 1].scale(lc.alpha0)
             assert ladder_apply(P1, "+", bn) == up
-            assert ladder_apply(P1, "-", bn) == bi_recurrence(P1, n + 1).scale(lc.beta0)
+            assert ladder_apply(P1, "-", bn) == B1[n + 1].scale(lc.beta0)
         else:
-            assert ladder_apply(P1, "+", bn) == bi_recurrence(P1, n + 1).scale(lc.alpha1)
-            assert ladder_apply(P1, "-", bn) == bi_recurrence(P1, n - 1).scale(lc.beta1)
+            assert ladder_apply(P1, "+", bn) == B1[n + 1].scale(lc.alpha1)
+            assert ladder_apply(P1, "-", bn) == B1[n - 1].scale(lc.beta1)
 
     @pytest.mark.parametrize("d", range(13))
     def test_anticommutation_with_k1(self, d):
@@ -382,22 +381,22 @@ class TestVOperator:
 
     @pytest.mark.parametrize("n", range(11))
     def test_action_on_bn_two_diagonal(self, n):
-        bn = bi_recurrence(P1, n)
+        bn = B1[n]
         lam = eigenvalue(P1, n)
         lc = ladder_coeffs(P1, n)
         half = Fraction(1, 2)
         if n % 2 == 0:
             lower = P_ZERO if n == 0 else \
-                bi_recurrence(P1, n - 1).scale((lam + half) * lc.alpha0)
-            upper = bi_recurrence(P1, n + 1).scale((lam - half) * lc.beta0)
+                B1[n - 1].scale((lam + half) * lc.alpha0)
+            upper = B1[n + 1].scale((lam - half) * lc.beta0)
         else:
-            lower = bi_recurrence(P1, n - 1).scale((lam - half) * lc.beta1)
-            upper = bi_recurrence(P1, n + 1).scale((lam + half) * lc.alpha1)
+            lower = B1[n - 1].scale((lam - half) * lc.beta1)
+            upper = B1[n + 1].scale((lam + half) * lc.alpha1)
         assert v_apply(P1, bn, "first") == lower + upper
 
     @pytest.mark.parametrize("n", range(11))
     def test_action_on_bn_multiplicative(self, n):
-        bn = bi_recurrence(P1, n)
+        bn = B1[n]
         lam = eigenvalue(P1, n)
         factor = Poly.make([1, 4]).scale(lam**2 - Fraction(1, 4)) - \
             Poly.const(P1.omega3 * lam + P1.omega2 / 2)
@@ -445,7 +444,7 @@ class TestDiscreteWeights:
     def test_orthogonality(self):
         P = R1.identifications()
         out = discrete_weights(P, coeffs_upto(P, 2))
-        polys = [bi_recurrence(P, n) for n in range(3)]
+        polys = monic(P, 2)
         for m in range(3):
             for n in range(m + 1, 3):
                 total = sum(
@@ -471,7 +470,7 @@ class TestDiscreteWeights:
     def test_exact_orthogonality_is_exact(self):
         P = R1.identifications()
         exact = discrete_weights_exact(P, coeffs_upto(P, 2))
-        polys = [bi_recurrence(P, n) for n in range(3)]
+        polys = monic(P, 2)
         for m in range(3):
             for n in range(3):
                 total = sum(

@@ -8,7 +8,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from bi_lab.bi_poly import bi_values, grid_point, recurrence_coeffs
+from bi_lab.bi_poly import bi_values, grid_point, recurrence_coeffs, recurrence_steps
 from bi_lab.cli import EXIT_VERIFY_FAILED, main
 from bi_lab.errors import DegenerateParameters
 from bi_lab.racah import (
@@ -234,7 +234,7 @@ class TestOverlaps:
         d_prod = [Fraction(1)]
         for d in rep.D[1:]:
             d_prod.append(d_prod[-1] * d)
-        values = bi_values(P, coeffs_of(rep)[:RP.N], grid)
+        values = bi_values(recurrence_steps(P, coeffs_of(rep)[:RP.N]), grid)
         assert racah_overlaps(rep) == [
             [2**k * b / d_prod[k] for k, b in enumerate(row)] for row in values
         ]
@@ -426,7 +426,7 @@ class TestTensorChecksCanFail:
 
 class TestCentralExtension:
     @pytest.mark.parametrize("N", range(4))
-    def test_relations_and_susy(self, N):
+    def test_both_relations_hold(self, N):
         RP = RacahParams.make(Fraction(1, 4), Fraction(1, 3), Fraction(1, 2), N)
         report = central_extension_check(RP, N)
         assert report.passed, report.summary()
