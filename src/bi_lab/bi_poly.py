@@ -3,9 +3,8 @@
 Three independent routes produce the monic polynomials B_n:
 
   * the three-term recurrence with parity-split coefficients A_n, C_n:
-    ``recurrence_steps`` turns them into steps (b_k, u_k), which
-    ``bi_recurrence`` runs on polynomials and ``bi_values`` on scalars;
-    these two are the only places the recurrence is run,
+    ``recurrence_steps`` turns them into steps (b_k, u_k), and
+    ``bi_recurrence`` is the one place the recurrence is run,
   * the terminating double-4F3 hypergeometric expression; every B_n <=
     nmax from one pass of integer backward-Horner sums, each 4F3 summed
     once and each B_n reduced once,
@@ -93,20 +92,6 @@ def bi_recurrence(steps: list[tuple[Rat, Rat]]) -> list[Poly]:
         cur = out[-1]
         out.append(Poly((0, *cur.nums), cur.den) - cur.scale(b) - prev.scale(u))
         prev = cur
-    return out
-
-
-def bi_values(steps: list[tuple[Rat, Rat]],
-              points: list[Rat]) -> list[list[Rat]]:
-    """[p_0(x), ..., p_m(x)] for each x in points: the recurrence of
-    ``bi_recurrence`` run on scalars (no polynomial is built)."""
-    out = []
-    for x in points:
-        row, prev = [ONE], ZERO
-        for b, u in steps:
-            row.append((x - b) * row[-1] - u * prev)
-            prev = row[-2]
-        out.append(row)
     return out
 
 
@@ -333,31 +318,36 @@ def _finite_steps(P: BIParams,
 
 def discrete_weights_exact(P: BIParams,
                            coeffs: list[RecurrenceCoeffs]) -> list[tuple[Rat, Rat]]:
-    """Exact nodes and weights of the (N+1)-point orthogonality, from the
-    recurrence coefficients of degrees 0..N.
+    """Exact nodes x_s and weights w_s of the (N+1)-point orthogonality,
+    from the recurrence coefficients of degrees 0..N (A_N = 0, u_k > 0).
 
-    The orthonormalized polynomials b_k = B_k / ||B_k|| with
-    ||B_k||^2 = u_1 ... u_k make the matrix sqrt(w_s) b_k(x_s) orthogonal,
-    so w_s = 1 / sum_k b_k(x_s)^2; every quantity is rational.  Requires
-    A_N = 0 and u_k = A_{k-1} C_k > 0.
+    The closed-form weight function: w_0 = 1, with a = t + rho1 + 1/2
+      w_{2t+1} / w_{2t}   = -(a - r1)(a - r2) / ((a + r1)(a + r2)),
+      w_{2t+2} / w_{2t+1} = -(t + 2 rho1 + 1)(t + rho1 + rho2 + 1)
+                            / ((t + 1)(t + rho1 - rho2 + 1)),
+    divided by their sum.  This is the defining
+    w_s = 1 / sum_k B_k(x_s)^2 / (u_1 ... u_k) in O(N) operations.
     """
-    steps = _finite_steps(P, coeffs)
-    N = len(steps) - 1
-    norm2 = [ONE]
-    for _, u in steps[1:]:
-        norm2.append(norm2[-1] * u)
-    grid = [grid_point(P, s) for s in range(N + 1)]
-    out: list[tuple[Rat, Rat]] = []
-    for x_s, values in zip(grid, bi_values(steps[:N], grid)):
-        inv_w = sum(v ** 2 / norm2[k] for k, v in enumerate(values))
-        out.append((x_s, 1 / inv_w))
-    return out
+    _finite_steps(P, coeffs)
+    rho1, rho2, r1, r2 = P.rho1, P.rho2, P.r1, P.r2
+    a = rho1 + HALF
+    # w_{s+1} / w_s = -(t + n1)(t + n2) / ((t + d1)(t + d2)), t = s // 2.
+    shifts = ((a - r1, a - r2, a + r1, a + r2),
+              (2 * rho1 + 1, rho1 + rho2 + 1, ONE, rho1 - rho2 + 1))
+    w = [ONE]
+    for s in range(len(coeffs) - 1):
+        t, (n1, n2, d1, d2) = s // 2, shifts[s % 2]
+        w.append(-w[-1] * (t + n1) * (t + n2) / ((t + d1) * (t + d2)))
+    total = sum(w)
+    return [(grid_point(P, s), x / total) for s, x in enumerate(w)]
 
 
 def discrete_weights(P: BIParams,
                      coeffs: list[RecurrenceCoeffs]) -> list[tuple[float, float]]:
-    """Nodes and weights of the (N+1)-point discrete orthogonality, from
-    the recurrence coefficients of degrees 0..N.
+    """Float test oracle for ``discrete_weights_exact`` (kept here because
+    perfbench/tracer.py wraps it by name): nodes and weights of the
+    (N+1)-point discrete orthogonality, from the recurrence coefficients
+    of degrees 0..N.
 
     Requires the truncation A_N = 0 and positivity u_k = A_{k-1} C_k > 0.
     Nodes come from the symmetrized Jacobi matrix (diagonal b_k, squared

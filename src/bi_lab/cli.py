@@ -17,7 +17,7 @@ import sys
 from .bi_operator import BIParams
 from .bi_poly import (
     bi_recurrence,
-    discrete_weights,
+    discrete_weights_exact,
     eigenvalue,
     grid_point,
     recurrence_coeffs,
@@ -147,8 +147,8 @@ def cmd_racah(args) -> int:
             "grid": [rat_str(grid_point(P, s)) for s in range(RP.N + 1)],
             "overlaps": [[rat_str(x) for x in row] for row in racah_overlaps(rep)],
             "weights": [
-                {"s": s, "x": x, "w": w}
-                for s, (x, w) in enumerate(discrete_weights(P, coeffs))
+                {"s": s, "x": rat_str(x), "w": rat_str(w)}
+                for s, (x, w) in enumerate(discrete_weights_exact(P, coeffs))
             ],
             "spectra_check": spectra.passed,
         })
@@ -186,8 +186,8 @@ def cmd_weights(args) -> int:
     P = RP.identifications()
     coeffs = [recurrence_coeffs(P, k) for k in range(RP.N + 1)]
     rows = [
-        {"s": s, "x_s": rat_str(grid_point(P, s)), "node": x, "weight": w}
-        for s, (x, w) in enumerate(discrete_weights(P, coeffs))
+        {"s": s, "x_s": rat_str(x), "weight": rat_str(w)}
+        for s, (x, w) in enumerate(discrete_weights_exact(P, coeffs))
     ]
     _emit(rows, args.format)
     return EXIT_OK
@@ -228,7 +228,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_format(p)
     p.set_defaults(fn=cmd_dirac)
 
-    p = sub.add_parser("weights", help="finite orthogonality nodes and weights")
+    p = sub.add_parser("weights", help="exact finite orthogonality weights on the grid x_s")
     p.add_argument("--mu", required=True, help="mu1,mu2,mu3 as p/q")
     p.add_argument("--N", type=int, required=True)
     _add_format(p)

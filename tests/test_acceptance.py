@@ -13,7 +13,6 @@ from fractions import Fraction
 from bi_lab.bi_operator import k1_apply
 from bi_lab.bi_poly import (
     bi_recurrence,
-    bi_values,
     discrete_weights,
     discrete_weights_exact,
     eigenvalue,
@@ -140,8 +139,9 @@ def test_criterion_5_spectra_and_overlaps():
         d_prod = [Fraction(1)]
         for d in rep.D[1:]:
             d_prod.append(d_prod[-1] * d)
-        want = [[2**k * b / d_prod[k] for k, b in enumerate(row)]
-                for row in bi_values(recurrence_steps(P, coeffs[:RP.N]), grid)]
+        polys = bi_recurrence(recurrence_steps(P, coeffs[:RP.N]))
+        want = [[2**k * poly_eval(b, x) / d_prod[k] for k, b in enumerate(polys)]
+                for x in grid]
         ok &= racah_overlaps(rep) == want
     _report(5, "K1 spectra and overlap rows = 2^k B_k(x_s) / prod D_j, exact, "
             "N <= 8", ok)

@@ -10,7 +10,6 @@ from bi_lab.bi_poly import (
     bi_from_operator,
     bi_hypergeometric,
     bi_recurrence,
-    bi_values,
     complementary_bi,
     discrete_weights,
     discrete_weights_exact,
@@ -156,21 +155,6 @@ class TestEigenvaluesAndCoeffs:
         bad = BIParams.make(0, 0, Fraction(1, 2), Fraction(1, 2))
         with pytest.raises(DegenerateParameters):
             recurrence_coeffs(bad, 0)
-
-
-class TestSequenceAndValues:
-    @pytest.mark.parametrize("P, N", [(P1, 8)] + [
-        (RacahParams.make(Fraction(1, 4), Fraction(1, 3), Fraction(1, 2), N)
-         .identifications(), N)
-        for N in (0, 1, 8, 24)
-    ])
-    def test_values_equal_horner_on_grid(self, P, N):
-        grid = [grid_point(P, s) for s in range(N + 1)]
-        steps = recurrence_steps(P, [recurrence_coeffs(P, k) for k in range(N)])
-        polys = bi_recurrence(steps)
-        assert len(polys) == N + 1
-        assert bi_values(steps, grid) == [[poly_eval(p, x) for p in polys]
-                                          for x in grid]
 
 
 class TestThreeRoutes:
@@ -421,6 +405,78 @@ class TestComplementary:
 def coeffs_upto(P, N):
     """Recurrence coefficients of degrees 0..N."""
     return [recurrence_coeffs(P, k) for k in range(N + 1)]
+
+
+def weights_by_definition(P, N):
+    """The defining w_s = 1 / sum_k B_k(x_s)^2 / (u_1 ... u_k), with the
+    monic B_k of ``bi_recurrence`` evaluated by ``poly_eval``."""
+    steps = recurrence_steps(P, coeffs_upto(P, N))
+    norm2 = [ONE]
+    for _, u in steps[1:]:
+        norm2.append(norm2[-1] * u)
+    polys = bi_recurrence(steps[:N])
+    out = []
+    for s in range(N + 1):
+        x = grid_point(P, s)
+        out.append((x, 1 / sum(poly_eval(p, x) ** 2 / n2
+                               for p, n2 in zip(polys, norm2))))
+    return out
+
+
+def orthogonality_sums(P, weights):
+    """The sums of acceptance criterion 8: sum_s w_s B_m(x_s) B_n(x_s)
+    for m < n, which vanish exactly for the true weights."""
+    polys = monic(P, len(weights) - 1)
+    return [sum(w * poly_eval(polys[m], x) * poly_eval(polys[n], x)
+                for x, w in weights)
+            for m in range(len(polys)) for n in range(m + 1, len(polys))]
+
+
+def random_admissible_racah(seed):
+    """A Racah tuple with mu_i = p/q - 1/2 (p <= 27, q <= 9) and N <= 24."""
+    rng = random.Random(seed)
+    mus = [Fraction(rng.randint(1, 27), rng.randint(1, 9)) - HALF
+           for _ in range(3)]
+    return RacahParams.make(*mus, rng.randint(0, 24))
+
+
+MU = (Fraction(1, 4), Fraction(1, 3), Fraction(1, 2))
+BOUNDARY_MU = [(0, 0, 0), (Fraction(-1, 4), Fraction(1, 3), 0),
+               (Fraction(-2, 5), Fraction(-2, 5), Fraction(-2, 5))]
+# Two fixed tuples for N <= 24, the boundary mu for N <= 8, seeded draws.
+CLOSED_FORM_CASES = (
+    [RacahParams.make(*mu, N) for mu in (MU, (Fraction(3, 2), Fraction(5, 6),
+                                             Fraction(7, 3)))
+     for N in range(25)]
+    + [RacahParams.make(*mu, N) for mu in BOUNDARY_MU for N in range(9)]
+    + [random_admissible_racah(seed) for seed in range(12)]
+)
+
+
+def racah_id(RP):
+    return f"mu={RP.mu1},{RP.mu2},{RP.mu3}-N={RP.N}"
+
+
+class TestClosedFormWeights:
+    @pytest.mark.parametrize("RP", CLOSED_FORM_CASES, ids=racah_id)
+    def test_equals_definition(self, RP):
+        P = RP.identifications()
+        assert discrete_weights_exact(P, coeffs_upto(P, RP.N)) == \
+            weights_by_definition(P, RP.N)
+
+    @pytest.mark.parametrize("RP", [RacahParams.make(*mu, N)
+                                    for mu in BOUNDARY_MU + [MU] for N in (1, 6)],
+                             ids=racah_id)
+    def test_orthogonality_fails_on_perturbed_weights(self, RP):
+        P = RP.identifications()
+        weights = discrete_weights_exact(P, coeffs_upto(P, RP.N))
+        assert not any(orthogonality_sums(P, weights))
+        # Half of w_1 moves to w_0: still positive with total 1, so only
+        # the orthogonality sums can notice.
+        (x0, w0), (x1, w1) = weights[:2]
+        bad = [(x0, w0 + w1 / 2), (x1, w1 / 2)] + weights[2:]
+        assert all(w > 0 for _, w in bad) and sum(w for _, w in bad) == 1
+        assert any(orthogonality_sums(P, bad))
 
 
 class TestDiscreteWeights:

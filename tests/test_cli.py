@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 from bi_lab.cli import EXIT_INVALID, EXIT_OK, EXIT_VERIFY_FAILED, main
+from bi_lab.exact import rat_parse
 from bi_lab.report import VerificationReport
 
 
@@ -264,16 +265,38 @@ class TestDirac:
 
 
 class TestWeights:
-    def test_nodes_match_grid(self, capsys):
-        code, out, _ = run(
-            capsys, "weights", "--mu", "1/4,1/3,1/2", "--N", "2",
-            "--format", "json",
-        )
+    def test_exact_weights_match_racah_grid(self, capsys):
+        argv = ["--mu", "1/4,1/3,1/2", "--N", "4", "--format", "json"]
+        code, out, _ = run(capsys, "weights", *argv)
         assert code == EXIT_OK
         rows = json.loads(out)
-        assert len(rows) == 3
-        assert all(r["weight"] > 0 for r in rows)
-        assert abs(sum(r["weight"] for r in rows) - 1.0) < 1e-12
+        assert [list(r) for r in rows] == [["s", "weight", "x_s"]] * 5
+        weights = [rat_parse(r["weight"]) for r in rows]
+        assert all(w > 0 for w in weights) and sum(weights) == 1
+        code, out, _ = run(capsys, "racah", *argv)
+        assert code == EXIT_OK
+        racah = json.loads(out)
+        assert [r["x_s"] for r in rows] == racah["grid"]
+        assert [r["weight"] for r in rows] == [w["w"] for w in racah["weights"]]
+
+    def test_pinned_weights(self, capsys):
+        code, out, _ = run(
+            capsys, "weights", "--mu", "0,0,0", "--N", "3", "--format", "json",
+        )
+        assert code == EXIT_OK
+        assert [r["weight"] for r in json.loads(out)] == \
+            ["9/64", "15/64", "5/64", "35/64"]
+
+    @pytest.mark.parametrize("command", ["racah", "weights"])
+    @pytest.mark.parametrize("argv, message", [
+        ("--mu 1/4,1/3,1/2 --N -1", "N must be non-negative"),
+        ("--mu 1/4,1/3 --N 2", "--mu expects three comma-separated rationals"),
+        ("--mu=-1/2,1/3,1/2 --N 2", "each mu_i must exceed -1/2"),
+    ])
+    def test_invalid_input_exit_2(self, capsys, command, argv, message):
+        code, out, err = run(capsys, command, *argv.split())
+        assert (code, out) == (EXIT_INVALID, "")
+        assert message in err
 
 
 @pytest.mark.parametrize("argv, digest", [
@@ -298,20 +321,21 @@ def test_golden_output(capsys, argv, digest):
 
 
 def test_exact_routes_do_not_import_numpy():
-    # numpy is imported only inside the float oracles; the exact verify
-    # scopes, the poly table, the racah csv table and the dirac report
-    # must run without it.
+    # numpy is imported only inside the float oracle `discrete_weights`;
+    # every subcommand, in every format, must run without it.
+    argvs = [
+        "verify --scope bi --tuples 1", "verify --scope dirac --tuples 1",
+        "verify --scope racah --tuples 1", "verify --scope sl1 --tuples 1",
+        "poly --rho1 1 --rho2 2 --r1 1/2 --r2 1/4",
+        "dirac --mu 1/4,1/3,1/2 --maxdeg 2",
+    ] + [f"{cmd} --mu 1/4,1/3,1/2 --N 2 --format {fmt}"
+         for cmd in ("racah", "weights") for fmt in ("json", "csv", "pretty")]
     code = (
         "import contextlib, io, sys\n"
         "import bi_lab.cli\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
-        "    codes = [bi_lab.cli.main(a.split()) for a in (\n"
-        "        'verify --scope bi --tuples 1', 'verify --scope dirac --tuples 1',\n"
-        "        'verify --scope racah --tuples 1',\n"
-        "        'poly --rho1 1 --rho2 2 --r1 1/2 --r2 1/4',\n"
-        "        'racah --mu 1/4,1/3,1/2 --N 2 --format csv',\n"
-        "        'dirac --mu 1/4,1/3,1/2 --maxdeg 2')]\n"
-        "assert codes == [0, 0, 0, 0, 0, 0], codes\n"
+        f"    codes = [bi_lab.cli.main(a.split()) for a in {argvs!r}]\n"
+        f"assert codes == {[0] * len(argvs)!r}, codes\n"
         "assert 'numpy' not in sys.modules\n"
     )
     src = str(Path(__file__).resolve().parent.parent / "src")

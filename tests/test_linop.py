@@ -123,7 +123,7 @@ def test_kron_matches_sympy(scalar, data):
     assert kron(a, b) - kron(a, b) == kron(a - a, b)
 
 
-@settings(max_examples=25)
+@settings(deadline=None, max_examples=25)
 @given(entries(grats))
 def test_zero_entries_never_stored(x):
     a = linop(x)
@@ -143,7 +143,7 @@ def inverse(c):
 
 @pytest.mark.parametrize("scalar", [sparse_rationals, mixed_grats],
                          ids=["Fraction", "mixed-GRat"])
-@settings(max_examples=25)
+@settings(deadline=None, max_examples=25)
 @given(data=st.data())
 def test_equality_is_canonical(scalar, data):
     a = linop(data.draw(entries(scalar)))

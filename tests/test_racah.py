@@ -8,9 +8,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from bi_lab.bi_poly import bi_values, grid_point, recurrence_coeffs, recurrence_steps
+from bi_lab.bi_poly import bi_recurrence, grid_point, recurrence_coeffs, recurrence_steps
 from bi_lab.cli import EXIT_VERIFY_FAILED, main
 from bi_lab.errors import DegenerateParameters
+from bi_lab.poly import poly_eval
 from bi_lab.racah import (
     RacahParams,
     bk_dk,
@@ -234,9 +235,10 @@ class TestOverlaps:
         d_prod = [Fraction(1)]
         for d in rep.D[1:]:
             d_prod.append(d_prod[-1] * d)
-        values = bi_values(recurrence_steps(P, coeffs_of(rep)[:RP.N]), grid)
+        polys = bi_recurrence(recurrence_steps(P, coeffs_of(rep)[:RP.N]))
         assert racah_overlaps(rep) == [
-            [2**k * b / d_prod[k] for k, b in enumerate(row)] for row in values
+            [2**k * poly_eval(b, x) / d_prod[k] for k, b in enumerate(polys)]
+            for x in grid
         ]
 
     @pytest.mark.parametrize("RP", OVERLAP_CASES)
