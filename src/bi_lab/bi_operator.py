@@ -8,8 +8,9 @@ with F(x) = (x-rho1)(x-rho2)/x and G(x) = (x-r1+1/2)(x-r2+1/2)/(x+1/2),
 h = rho1 + rho2 - r1 - r2 + 1/2.  Both divisions are always exact:
 p(x)-p(-x) is odd (vanishes at 0) and p(-x-1)-p(x) vanishes at -1/2,
 so K1 preserves the degree.  The partner generators are the recurrence
-operator K2 = 2x + 1/2 and K3 = {K1,K2} - omega3, kept as a composition
-so the defining relation stays the single source of truth.
+operator K2 = 2x + 1/2 and K3 = {K1,K2} - omega3, which exists only as that
+composition of the matrices of ``bi_matrices``: the defining relation is
+the single source of truth.
 """
 
 from __future__ import annotations
@@ -86,11 +87,6 @@ def k1_apply(P: BIParams, p: Poly) -> Poly:
 
 def k2_apply(P: BIParams, p: Poly) -> Poly:
     return Poly.make([HALF, 2]) * p
-
-
-def k3_apply(P: BIParams, p: Poly) -> Poly:
-    anticomm = k1_apply(P, k2_apply(P, p)) + k2_apply(P, k1_apply(P, p))
-    return anticomm - p.scale(P.omega3)
 
 
 def monomial_matrix(P: BIParams, apply, n: int) -> LinOp:

@@ -13,7 +13,8 @@ Three independent routes produce the monic polynomials B_n:
     B_n <= nmax.
 
 All three must agree exactly; the test suite enforces this.  The module
-also carries the ladder operators K+/K-, the complementary polynomials,
+also checks the ladder operators K+/K- and the two-diagonal operator V on
+the generator matrices of ``bi_matrices`` (``ladder_check``), and carries
 the bi-linear grid x_s and the finite discrete orthogonality weights.
 """
 
@@ -21,11 +22,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
-from .bi_operator import BIParams, k1_apply, k2_apply, k3_apply, monomial_matrix
+from .bi_operator import BIParams, k1_apply, monomial_matrix
 from .errors import DegenerateParameters, DegenerateSpectrum, NotFinitelyOrthogonal
 from .exact import HALF, ONE, Rat, ZERO, rat_to_float
-from .poly import P_ONE, P_ZERO, Poly, int_mul, poly_divide_exact, poly_eval
+from .linop import LinOp, anticomm
+from .poly import P_ONE, P_ZERO, Poly, int_mul
+from .report import VerificationReport
 
 
 def eigenvalue(P: BIParams, n: int) -> Rat:
@@ -36,40 +40,38 @@ def eigenvalue(P: BIParams, n: int) -> Rat:
 
 @dataclass(frozen=True)
 class RecurrenceCoeffs:
-    n: int
     A: Rat
     C: Rat
 
 
+@lru_cache(maxsize=64)  # computed once per tuple, read by every recurrence_coeffs
+def _recurrence_shifts(P: BIParams) -> tuple:
+    """s = rho1 + rho2 - r1 - r2 and, for even and odd n, the shifts (x, y) of
+    A_n = (n + x)(n + y) / (4(n + 1 + s)) and C_n = -(n + x)(n + y) / (4(n + s))."""
+    a, b, c, d = (2 * v for v in (P.rho1, P.rho2, P.r1, P.r2))
+    s = (a + b - c - d) / 2
+    return (s, ((1 + a - c, 1 + a - d), (1 + 2 * s, 1 + a + b)),
+            ((0, -c - d), (b - d, b - c)))
+
+
 def recurrence_coeffs(P: BIParams, n: int) -> RecurrenceCoeffs:
-    """Parity-split recurrence coefficients.
+    """Parity-split recurrence coefficients, from ``_recurrence_shifts``.
 
     x B_n = B_{n+1} + (rho1 - A_n - C_n) B_n + A_{n-1} C_n B_{n-1}.
     """
-    rho1, rho2, r1, r2 = P.rho1, P.rho2, P.r1, P.r2
-    den_a = 4 * (n + rho1 + rho2 - r1 - r2 + 1)
+    s, a_shifts, c_shifts = _recurrence_shifts(P)
+    den_a = 4 * (n + 1 + s)
     if den_a == 0:
         raise DegenerateParameters(f"A_{n} denominator vanishes for {P}")
-    if n % 2 == 0:
-        A = (n + 1 + 2 * rho1 - 2 * r1) * (n + 1 + 2 * rho1 - 2 * r2) / den_a
-    else:
-        A = (
-            (n + 1 + 2 * rho1 + 2 * rho2 - 2 * r1 - 2 * r2)
-            * (n + 1 + 2 * rho1 + 2 * rho2)
-            / den_a
-        )
-    if n == 0:
-        # The numerator carries an explicit factor n; no denominator needed.
-        C = ZERO
-    else:
-        den_c = 4 * (n + rho1 + rho2 - r1 - r2)
-        if den_c == 0:
-            raise DegenerateParameters(f"C_{n} denominator vanishes for {P}")
-        if n % 2 == 0:
-            C = -(n * (n - 2 * r1 - 2 * r2)) / den_c
-        else:
-            C = -((n + 2 * rho2 - 2 * r2) * (n + 2 * rho2 - 2 * r1)) / den_c
-    return RecurrenceCoeffs(n, A, C)
+    x, y = a_shifts[n % 2]
+    A = (n + x) * (n + y) / den_a
+    if n == 0:  # C_0 carries an explicit factor n; no denominator needed
+        return RecurrenceCoeffs(A, ZERO)
+    den_c = 4 * (n + s)
+    if den_c == 0:
+        raise DegenerateParameters(f"C_{n} denominator vanishes for {P}")
+    x, y = c_shifts[n % 2]
+    return RecurrenceCoeffs(A, -((n + x) * (n + y)) / den_c)
 
 
 def recurrence_steps(P: BIParams,
@@ -228,79 +230,78 @@ def grid_point(P: BIParams, s: int) -> Rat:
     return (base if s % 2 == 0 else -base) - Fraction(1, 4)
 
 
-def ladder_apply(P: BIParams, sign: str, p: Poly) -> Poly:
-    """Apply K+ (sign '+') or K- (sign '-') by operator composition."""
-    if sign == "+":
-        q = k1_apply(P, p) - p.scale(HALF)
-        out = k2_apply(P, q) + k3_apply(P, q)
-        return out - p.scale((P.omega2 + P.omega3) / 2)
-    if sign == "-":
-        q = k1_apply(P, p) + p.scale(HALF)
-        out = k2_apply(P, q) - k3_apply(P, q)
-        return out + p.scale((P.omega2 - P.omega3) / 2)
-    raise ValueError(f"sign must be '+' or '-', got {sign!r}")
-
-
-def v_apply(P: BIParams, p: Poly, form: str = "first") -> Poly:
-    """The two-diagonal operator V in either of its equivalent forms.
-
-    'first':  V = K+ (K1 + 1/2) + K- (K1 - 1/2)
-    'second': V = 2 K2 (K1^2 - 1/4) - omega3 K1 - omega2 / 2
-    """
-    if form == "first":
-        k1p = k1_apply(P, p)
-        plus = ladder_apply(P, "+", k1p + p.scale(HALF))
-        minus = ladder_apply(P, "-", k1p - p.scale(HALF))
-        return plus + minus
-    if form == "second":
-        q = k1_apply(P, k1_apply(P, p)) - p.scale(Fraction(1, 4))
-        return (
-            k2_apply(P, q).scale(2)
-            - k1_apply(P, p).scale(P.omega3)
-            - p.scale(P.omega2 / 2)
-        )
-    raise ValueError(f"form must be 'first' or 'second', got {form!r}")
-
-
-@dataclass(frozen=True)
-class LadderCoeffs:
-    """Closed-form ladder coefficients; parity of n selects which applies."""
-
-    n: int
-    alpha0: Rat
-    alpha1: Rat
-    beta0: Rat
-    beta1: Rat
-
-
-def ladder_coeffs(P: BIParams, n: int) -> LadderCoeffs:
+def ladder_coeffs(P: BIParams, n: int) -> tuple[Rat, Rat]:
+    """(alpha, beta) of the closed forms of K+ and K- on B_n: for even n,
+    K+ B_n = alpha B_(n-1) and K- B_n = beta B_(n+1) (the paper's alpha0,
+    beta0); for odd n, K+ B_n = alpha B_(n+1) and K- B_n = beta B_(n-1)."""
     rho1, rho2, r1, r2, h = P.rho1, P.rho2, P.r1, P.r2, P.h
-    half_n = Fraction(n, 2)
-    den = n + h - HALF
+    half_n, den = Fraction(n, 2), n + h - HALF
+    if n == 0:  # alpha0 carries an explicit factor n; no denominator needed
+        return ZERO, 4 * (h + HALF)
     if den == 0:
         raise DegenerateParameters(f"ladder denominator n + h - 1/2 = 0 at n={n}")
-    alpha0 = (
-        2 * n * (half_n + rho1 + rho2) * (r1 + r2 - half_n)
-        * (Fraction(n - 1, 2) + h) / den
-    )
-    alpha1 = -4 * (n + h + HALF)
-    beta0 = 4 * (n + h + HALF)
-    beta1 = (
-        4 * (rho1 - r1 + half_n) * (rho2 - r1 + half_n)
-        * (rho1 - r2 + half_n) * (rho2 - r2 + half_n) / den
-    )
-    return LadderCoeffs(n, alpha0, alpha1, beta0, beta1)
+    if n % 2 == 0:
+        return (2 * n * (half_n + rho1 + rho2) * (r1 + r2 - half_n)
+                * (Fraction(n - 1, 2) + h) / den, 4 * (n + h + HALF))
+    return (-4 * (n + h + HALF), 4 * (rho1 - r1 + half_n) * (rho2 - r1 + half_n)
+            * (rho1 - r2 + half_n) * (rho2 - r2 + half_n) / den)
 
 
-def complementary_bi(P: BIParams, n: int) -> Poly:
-    """Complementary polynomial I_n by the Christoffel-type division at rho1."""
-    coeffs = [recurrence_coeffs(P, k) for k in range(n + 1)]
-    bn, bn1 = bi_recurrence(recurrence_steps(P, coeffs))[n:]
-    denom = poly_eval(bn, P.rho1)
-    if denom == 0:
-        raise DegenerateParameters(f"B_{n}(rho1) = 0 for {P}")
-    ratio = poly_eval(bn1, P.rho1) / denom
-    return poly_divide_exact(bn1 - bn.scale(ratio), P.rho1)
+def ladder_operators(P: BIParams,
+                     mats: tuple[LinOp, LinOp, LinOp]) -> tuple[LinOp, ...]:
+    """K+, K- and V in its first and second form from the triple
+    ``bi_matrices(P, nmax)``; columns 0..nmax+1 are exact (``ladder_check``)."""
+    K1, K2, K3 = mats
+    one = LinOp.identity(len(K1.re))
+    lo, hi = K1 - one.scale(HALF), K1 + one.scale(HALF)
+    plus = (K2 + K3) @ lo - one.scale((P.omega2 + P.omega3) / 2)
+    minus = (K2 - K3) @ hi + one.scale((P.omega2 - P.omega3) / 2)
+    return (plus, minus, plus @ hi + minus @ lo,
+            (K2 @ (K1 @ K1 - one.scale(Fraction(1, 4)))).scale(2)
+            - K1.scale(P.omega3) - one.scale(P.omega2 / 2))
+
+
+def ladder_check(P: BIParams, mats: tuple[LinOp, LinOp, LinOp],
+                 polys: list[Poly]) -> VerificationReport:
+    """K+-, both forms of V and their closed forms on B_n as identities
+    between matrices, checked on each x^j and each B_n, j, n <= nmax.
+
+    ``mats`` is ``bi_matrices(P, nmax)`` (nmax read from its size) and
+    ``polys`` holds B_0..B_(nmax+1).  With T the matrix of columns
+    B_0..B_(nmax+1), x^(nmax+2) and L+, L-, L_V two-diagonal from
+    ``ladder_coeffs`` and lambda_n, the checks are
+      K+ = (K2 + K3)(K1 - 1/2) - (omega2 + omega3)/2:  {K1,K+} = K+, K+ T = T L+,
+      K- = (K2 - K3)(K1 + 1/2) + (omega2 - omega3)/2:  {K1,K-} = -K-, K- T = T L-,
+      V = K+ (K1 + 1/2) + K- (K1 - 1/2) = 2 K2 (K1^2 - 1/4) - omega3 K1
+      - omega2/2 and V T = T L_V.
+    Each product has at most one factor that raises the degree (K2 or
+    K3) and T keeps it, so columns 0..nmax are exact despite the truncation.
+    """
+    report = VerificationReport("ladder operators and V (shift-reflection realization)")
+    K1, nmax = mats[0], len(mats[0].re) - 3
+    plus, minus, v, v2 = ladder_operators(P, mats)
+    T = LinOp.make(dict(enumerate(p.coeffs))
+                   for p in [*polys[:nmax + 2], Poly.monomial(nmax + 2)])
+    cols = []  # column n of L+, L- and L_V
+    for n in range(nmax + 1):
+        (alpha, beta), lam = ladder_coeffs(P, n), eigenvalue(P, n)
+        # K+ B_n ~ B_u and K- B_n ~ B_d; at n = 0, alpha = 0 drops B_(-1).
+        u, d = (n + 1, n - 1) if n % 2 else (n - 1, n + 1)
+        cols.append(({u: alpha}, {d: beta},
+                     {u: (lam + HALF) * alpha, d: (lam - HALF) * beta}))
+    Lp, Lm, Lv = (LinOp.make([*col, {}, {}]) for col in zip(*cols))
+    residuals = [
+        ("{K1,K+} = K+", anticomm(K1, plus) - plus),
+        ("{K1,K-} = -K-", anticomm(K1, minus) + minus),
+        ("K+ B_n closed form", plus @ T - T @ Lp),
+        ("K- B_n closed form", minus @ T - T @ Lm),
+        ("V first form = second form", v - v2),
+        ("V B_n two-diagonal", v @ T - T @ Lv),
+    ]
+    for j in range(nmax + 1):
+        for name, residual in residuals:
+            report.record(name, j, not residual.re[j])
+    return report
 
 
 def _finite_steps(P: BIParams,

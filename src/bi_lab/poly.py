@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .errors import NotDivisible
-from .exact import Rat, ZERO, rat_str
+from .exact import Rat, rat_str
 
 
 @dataclass(frozen=True)
@@ -59,9 +59,6 @@ class Poly:
 
     def is_zero(self) -> bool:
         return not self.nums
-
-    def coeff(self, k: int) -> Rat:
-        return Fraction(self.nums[k], self.den) if 0 <= k < len(self.nums) else ZERO
 
     def __add__(self, other: "Poly") -> "Poly":
         return self._plus(other, 1)
@@ -109,15 +106,6 @@ def _canonical(nums: list[int], den: int) -> Poly:
 
 P_ZERO = Poly(())
 P_ONE = Poly.const(1)
-
-
-def poly_eval(p: Poly, x0: Rat) -> Rat:
-    """Exact Horner evaluation; with x0 = r/s, powers of s keep it in ints."""
-    r, s = x0.numerator, x0.denominator
-    acc, spow = 0, 1
-    for a in reversed(p.nums):
-        acc, spow = acc * r + a * spow, spow * s
-    return Fraction(acc * s, p.den * spow)
 
 
 def poly_reflect(p: Poly) -> Poly:

@@ -17,6 +17,7 @@ from .bi_poly import (
     bi_from_operator,
     bi_hypergeometric,
     bi_recurrence,
+    ladder_check,
     recurrence_coeffs,
     recurrence_steps,
 )
@@ -126,6 +127,19 @@ def suite_polynomials(seed: int = DEFAULT_SEED, tuples: int = 20,
     return report
 
 
+def suite_ladders(seed: int = DEFAULT_SEED, tuples: int = 10) -> VerificationReport:
+    """``ladder_check`` for n <= 10 on one build of the generator matrices
+    per tuple, with the B_0..B_11 that the tuple draw computed."""
+    nmax = 10
+    rng = random.Random(seed)
+    report = VerificationReport(f"ladder suite ({tuples} tuples, n <= {nmax})")
+    for t in range(tuples):
+        P, _, polys = random_bi_params_regular(rng, nmax + 1)
+        report.record_report("ladders and V", t,
+                             ladder_check(P, bi_matrices(P, nmax), polys))
+    return report
+
+
 def suite_sl1(seed: int = DEFAULT_SEED, tuples: int = 10,
               nmax: int = 12) -> VerificationReport:
     rng = random.Random(seed)
@@ -188,7 +202,7 @@ def suite_dirac(seed: int = DEFAULT_SEED, tuples: int = 10,
 
 
 SCOPES = {
-    "bi": (suite_bi, suite_polynomials),
+    "bi": (suite_bi, suite_polynomials, suite_ladders),
     "sl1": (suite_sl1,),
     "racah": (suite_racah,),
     "dirac": (suite_dirac,),

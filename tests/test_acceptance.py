@@ -17,15 +17,10 @@ from bi_lab.bi_poly import (
     discrete_weights_exact,
     eigenvalue,
     grid_point,
-    ladder_apply,
-    ladder_coeffs,
     recurrence_coeffs,
     recurrence_steps,
-    v_apply,
 )
 from bi_lab.cli import main as cli_main
-from bi_lab.errors import BILabError
-from bi_lab.poly import P_ZERO, Poly, poly_eval
 from bi_lab.racah import (
     RacahParams,
     central_extension_check,
@@ -40,9 +35,11 @@ from bi_lab.suites import (
     random_racah_params,
     suite_bi,
     suite_dirac,
+    suite_ladders,
     suite_polynomials,
     suite_racah,
 )
+from poly_oracle import poly_eval
 
 
 def _report(num: int, desc: str, ok: bool) -> None:
@@ -83,36 +80,11 @@ def test_criterion_2_triple_oracle():
 
 
 def test_criterion_3_ladders_and_v_operator():
-    rng = random.Random(DEFAULT_SEED)
-    ok = True
-    half = Fraction(1, 2)
-    for _ in range(5):
-        P, coeffs, _ = random_bi_params_regular(rng, 11)
-        polys = bi_recurrence(recurrence_steps(P, coeffs[:11]))
-        for n in range(11):
-            try:
-                lc = ladder_coeffs(P, n)
-            except BILabError:
-                ok = False
-                continue
-            lam = eigenvalue(P, n)
-            if n % 2 == 0:
-                up = P_ZERO if n == 0 else polys[n - 1].scale(lc.alpha0)
-                ok &= ladder_apply(P, "+", polys[n]) == up
-                ok &= ladder_apply(P, "-", polys[n]) == polys[n + 1].scale(lc.beta0)
-                lower = P_ZERO if n == 0 else \
-                    polys[n - 1].scale((lam + half) * lc.alpha0)
-                upper = polys[n + 1].scale((lam - half) * lc.beta0)
-            else:
-                ok &= ladder_apply(P, "+", polys[n]) == polys[n + 1].scale(lc.alpha1)
-                ok &= ladder_apply(P, "-", polys[n]) == polys[n - 1].scale(lc.beta1)
-                lower = polys[n - 1].scale((lam - half) * lc.beta1)
-                upper = polys[n + 1].scale((lam + half) * lc.alpha1)
-            ok &= v_apply(P, polys[n], "first") == lower + upper
-        for d in range(11):
-            mono = Poly.monomial(d)
-            ok &= v_apply(P, mono, "first") == v_apply(P, mono, "second")
-    _report(3, "ladder closed forms + V-operator identity, n <= 10, exact", ok)
+    # Per tuple: {K1,K+-} = +-K+-, K+- B_n closed forms, V first form =
+    # second form and V B_n two-diagonal, on x^j and B_n, j, n <= 10.
+    report = suite_ladders(seed=DEFAULT_SEED, tuples=5)
+    _report(3, "ladder closed forms + V-operator identity, n <= 10, exact",
+            report.passed and report.checked == 5)
 
 
 def test_criterion_4_racah_exact_representation():

@@ -11,13 +11,13 @@ from bi_lab.bi_operator import (
     check_bi_relations,
     k1_apply,
     k2_apply,
-    k3_apply,
     monomial_matrix,
 )
 from bi_lab.exact import rat_str
 from bi_lab.linop import LinOp
 from bi_lab.poly import P_ONE, Poly
 from bi_lab.suites import suite_bi
+from poly_oracle import k3_apply
 
 P1 = BIParams.make(1, 2, Fraction(1, 2), Fraction(1, 4))
 

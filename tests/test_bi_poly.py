@@ -1,25 +1,25 @@
-"""Bannai-Ito polynomials: three routes, ladders, V operator, weights."""
+"""Bannai-Ito polynomials: three routes, ladder and V checks, weights."""
 
+import functools
 import random
 from fractions import Fraction
 
 import pytest
 
-from bi_lab.bi_operator import BIParams, k1_apply
+from bi_lab.bi_operator import BIParams, bi_matrices, k1_apply, k2_apply
 from bi_lab.bi_poly import (
     bi_from_operator,
     bi_hypergeometric,
     bi_recurrence,
-    complementary_bi,
     discrete_weights,
     discrete_weights_exact,
     eigenvalue,
     grid_point,
-    ladder_apply,
+    ladder_check,
     ladder_coeffs,
+    ladder_operators,
     recurrence_coeffs,
     recurrence_steps,
-    v_apply,
 )
 from bi_lab.errors import (
     BILabError,
@@ -28,13 +28,15 @@ from bi_lab.errors import (
     NotFinitelyOrthogonal,
 )
 from bi_lab.exact import HALF, ONE, rat_to_float
-from bi_lab.poly import P_ONE, P_ZERO, Poly, poly_eval
+from bi_lab.poly import P_ONE, P_ZERO, Poly
 from bi_lab.racah import RacahParams
 from bi_lab.suites import (
     random_bi_params,
     random_bi_params_regular,
     suite_polynomials,
 )
+from poly_oracle import k3_apply, poly_eval
+from test_bi_mutants import flipped_ladder_coeff, omega1_in_second_form
 
 
 def monic(P, n):
@@ -321,85 +323,137 @@ class TestGrid:
         assert [grid_point(P, s) for s in range(3)] == [1, -2, 2]
 
 
+# ---------------------------------------------------------------------------
+# Reference oracle: K+- and V composed on polynomials from k1_apply,
+# k2_apply and k3_apply, independent of the generator matrices.
+
+
+def ladder_poly(P, sign, p):
+    """K+ (sign 1) = (K2 + K3)(K1 - 1/2) - (omega2 + omega3)/2 or
+    K- (sign -1) = (K2 - K3)(K1 + 1/2) + (omega2 - omega3)/2."""
+    q = k1_apply(P, p) - p.scale(sign * HALF)
+    out = k2_apply(P, q) + k3_apply(P, q).scale(sign)
+    return out - p.scale(sign * (P.omega2 + sign * P.omega3) / 2)
+
+
+def v_poly(P, p):
+    """V = K+ (K1 + 1/2) + K- (K1 - 1/2)."""
+    k1p = k1_apply(P, p)
+    return (ladder_poly(P, 1, k1p + p.scale(HALF))
+            + ladder_poly(P, -1, k1p - p.scale(HALF)))
+
+
+def v_poly_second(P, p):
+    """V = 2 K2 (K1^2 - 1/4) - omega3 K1 - omega2/2."""
+    q = k1_apply(P, k1_apply(P, p)) - p.scale(Fraction(1, 4))
+    return (k2_apply(P, q).scale(2) - k1_apply(P, p).scale(P.omega3)
+            - p.scale(P.omega2 / 2))
+
+
+def column(p):
+    return {i: c for i, c in enumerate(p.coeffs) if c}
+
+
+LADDER_CHECKS = ["{K1,K+} = K+", "{K1,K-} = -K-", "K+ B_n closed form",
+                 "K- B_n closed form", "V first form = second form",
+                 "V B_n two-diagonal"]
+THREE_TUPLES = [P1, BIParams.make(Fraction(-1, 3), Fraction(2, 7), 5, Fraction(-3, 2)),
+                BIParams.make(Fraction(5, 6), Fraction(-7, 4), Fraction(3, 8),
+                              Fraction(1, 9))]
+
+
+@functools.lru_cache(maxsize=None)
+def operators_to_12(P):
+    """K+, K- and V in both forms from ``bi_matrices(P, 12)``."""
+    return ladder_operators(P, bi_matrices(P, 12))
+
+
+def failed_ladder_checks(P, nmax=10):
+    report = ladder_check(P, bi_matrices(P, nmax), bi_hypergeometric(P, nmax + 1))
+    assert report.checked == len(LADDER_CHECKS) * (nmax + 1)
+    return {(e.check, e.index) for e in report.failures}
+
+
 class TestLadders:
-    def test_plus_kills_b0(self):
-        assert ladder_apply(P1, "+", B1[0]) == P_ZERO
+    def test_pins_p1(self):
+        # K+ kills B_0, K- B_0 = beta0 B_1, K+ B_1 = alpha1 B_2.
+        assert ladder_coeffs(P1, 0) == (0, 13)
+        assert ladder_coeffs(P1, 1)[0] == -17
+        assert ladder_poly(P1, 1, B1[0]) == P_ZERO
+        assert ladder_poly(P1, -1, B1[0]) == B1[1].scale(13)
+        assert ladder_poly(P1, 1, B1[1]) == B1[2].scale(-17)
 
-    def test_minus_on_b0(self):
-        got = ladder_apply(P1, "-", B1[0])
-        assert got == B1[1].scale(13)
-        assert ladder_coeffs(P1, 0).beta0 == 13
-
-    def test_plus_on_b1(self):
-        got = ladder_apply(P1, "+", B1[1])
-        assert got == B1[2].scale(-17)
-        assert ladder_coeffs(P1, 1).alpha1 == -17
-
-    @pytest.mark.parametrize("n", range(11))
-    def test_parity_actions_closed_forms(self, n):
-        bn = B1[n]
-        lc = ladder_coeffs(P1, n)
-        if n % 2 == 0:
-            up = P_ZERO if n == 0 else B1[n - 1].scale(lc.alpha0)
-            assert ladder_apply(P1, "+", bn) == up
-            assert ladder_apply(P1, "-", bn) == B1[n + 1].scale(lc.beta0)
-        else:
-            assert ladder_apply(P1, "+", bn) == B1[n + 1].scale(lc.alpha1)
-            assert ladder_apply(P1, "-", bn) == B1[n - 1].scale(lc.beta1)
+    def test_check_p1(self):
+        # B1 holds B_0..B_13: the anticommutators for d <= 12 and the
+        # closed forms for n <= 12.
+        report = ladder_check(P1, bi_matrices(P1, 12), B1[:14])
+        assert report.passed
+        assert [(e.check, e.index) for e in report.entries] == [
+            (name, j) for j in range(13) for name in LADDER_CHECKS]
 
     @pytest.mark.parametrize("d", range(13))
-    def test_anticommutation_with_k1(self, d):
-        # {K1, K±} = ±K± on every monomial.
+    @pytest.mark.parametrize("P", THREE_TUPLES)
+    def test_operators_equal_poly_composition(self, P, d):
+        # Columns 0..12 of the products of truncated matrices are exact.
+        plus, minus, v, v2 = operators_to_12(P)
         mono = Poly.monomial(d)
-        for sign, expect in (("+", 1), ("-", -1)):
-            lhs = k1_apply(P1, ladder_apply(P1, sign, mono)) + \
-                ladder_apply(P1, sign, k1_apply(P1, mono))
-            assert lhs == ladder_apply(P1, sign, mono).scale(expect)
+        assert plus.cols[d] == column(ladder_poly(P, 1, mono))
+        assert minus.cols[d] == column(ladder_poly(P, -1, mono))
+        assert v.cols[d] == column(v_poly(P, mono))
+        assert v2.cols[d] == column(v_poly_second(P, mono))
+
+    @pytest.mark.parametrize("n", range(11))
+    def test_closed_forms_by_composition(self, n):
+        # The closed forms of ladder_coeffs on B_n, by the Poly oracle.
+        alpha, beta = ladder_coeffs(P1, n)
+        up, down = (B1[n + 1], B1[n - 1]) if n % 2 else (B1[n - 1], B1[n + 1])
+        assert ladder_poly(P1, 1, B1[n]) == (up.scale(alpha) if n else P_ZERO)
+        assert ladder_poly(P1, -1, B1[n]) == down.scale(beta)
+
+    def test_h_one_half(self):
+        # h = 1/2 zeroes the denominator of alpha0 only at n = 0, where the
+        # factor n already makes alpha0 = 0: no guard applies there.
+        P = BIParams.make(1, Fraction(1, 3), Fraction(1, 2), Fraction(5, 6))
+        assert P.h == HALF and ladder_coeffs(P, 0) == (0, 4)
+        assert ladder_poly(P, 1, P_ONE) == P_ZERO
+        assert not failed_ladder_checks(P, 6)
+
+    def test_degenerate_denominator(self):
+        # n + h - 1/2 = 0 at n = 1: h = -1/2.
+        P = BIParams.make(0, 0, 1, 0)
+        with pytest.raises(DegenerateParameters, match="n=1"):
+            ladder_coeffs(P, 1)
+
+    def test_flipped_coefficient_fails(self, monkeypatch):
+        flipped_ladder_coeff(0)(monkeypatch)
+        # K+ B_3 = alpha1 B_4 enters L+ and L_V in column 3 only.
+        assert failed_ladder_checks(P1) == {("K+ B_n closed form", 3),
+                                            ("V B_n two-diagonal", 3)}
+
+    def test_wrong_omega3_in_second_form_fails(self, monkeypatch):
+        omega1_in_second_form(monkeypatch)
+        # omega1 != omega3 at P1; K1 x^j has a nonzero x^j coefficient.
+        assert failed_ladder_checks(P1) == {("V first form = second form", j)
+                                            for j in range(11)}
 
 
 class TestVOperator:
-    @pytest.mark.parametrize("d", range(11))
-    def test_two_forms_agree(self, d):
-        mono = Poly.monomial(d)
-        assert v_apply(P1, mono, "first") == v_apply(P1, mono, "second")
-
-    @pytest.mark.parametrize("n", range(11))
-    def test_action_on_bn_two_diagonal(self, n):
-        bn = B1[n]
-        lam = eigenvalue(P1, n)
-        lc = ladder_coeffs(P1, n)
-        half = Fraction(1, 2)
-        if n % 2 == 0:
-            lower = P_ZERO if n == 0 else \
-                B1[n - 1].scale((lam + half) * lc.alpha0)
-            upper = B1[n + 1].scale((lam - half) * lc.beta0)
-        else:
-            lower = B1[n - 1].scale((lam - half) * lc.beta1)
-            upper = B1[n + 1].scale((lam + half) * lc.alpha1)
-        assert v_apply(P1, bn, "first") == lower + upper
-
     @pytest.mark.parametrize("n", range(11))
     def test_action_on_bn_multiplicative(self, n):
+        # V B_n = ((4x + 1)(lambda_n^2 - 1/4) - omega3 lambda_n - omega2/2) B_n
         bn = B1[n]
         lam = eigenvalue(P1, n)
         factor = Poly.make([1, 4]).scale(lam**2 - Fraction(1, 4)) - \
             Poly.const(P1.omega3 * lam + P1.omega2 / 2)
-        assert v_apply(P1, bn, "second") == factor * bn
+        assert v_poly_second(P1, bn) == factor * bn
 
-    def test_unknown_form(self):
-        with pytest.raises(ValueError):
-            v_apply(P1, P_ONE, "third")
-
-
-class TestComplementary:
-    def test_i0(self):
-        assert complementary_bi(P1, 0) == P_ONE
-
-    @pytest.mark.parametrize("n", range(9))
-    def test_degree(self, n):
-        p = complementary_bi(P1, n)
-        assert p.degree() == n
-        assert p.coeffs[-1] == 1
+    @pytest.mark.parametrize("n", range(11))
+    def test_two_diagonal_by_composition(self, n):
+        alpha, beta = ladder_coeffs(P1, n)
+        lam = eigenvalue(P1, n)
+        up, down = (B1[n + 1], B1[n - 1]) if n % 2 else (B1[n - 1], B1[n + 1])
+        plus = up.scale((lam + HALF) * alpha) if n else P_ZERO
+        assert v_poly(P1, B1[n]) == plus + down.scale((lam - HALF) * beta)
 
 
 def coeffs_upto(P, N):

@@ -14,10 +14,10 @@ from bi_lab.poly import (
     Poly,
     poly_derivative,
     poly_divide_exact,
-    poly_eval,
     poly_reflect,
     poly_shift_reflect,
 )
+from poly_oracle import poly_eval
 
 rationals = st.fractions(min_value=-100, max_value=100, max_denominator=50)
 polys = st.lists(rationals, max_size=8).map(Poly.make)

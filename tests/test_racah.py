@@ -11,7 +11,6 @@ import pytest
 from bi_lab.bi_poly import bi_recurrence, grid_point, recurrence_coeffs, recurrence_steps
 from bi_lab.cli import EXIT_VERIFY_FAILED, main
 from bi_lab.errors import DegenerateParameters
-from bi_lab.poly import poly_eval
 from bi_lab.racah import (
     RacahParams,
     bk_dk,
@@ -30,6 +29,7 @@ from bi_lab.suites import (
     random_racah_params,
     suite_racah,
 )
+from poly_oracle import poly_eval
 
 R1 = RacahParams.make(Fraction(1, 4), Fraction(1, 3), Fraction(1, 2), 2)
 
