@@ -63,6 +63,11 @@ class BIParams:
         return (Poly.make([self.rho1 * self.rho2, -self.rho1 - self.rho2, 1]),
                 Poly.make([a * b, a + b, 1]))
 
+    def __str__(self) -> str:
+        """The tuple as p/q, as guard messages print it."""
+        return ("BIParams(rho1={}, rho2={}, r1={}, r2={})"
+                .format(*map(rat_str, (self.rho1, self.rho2, self.r1, self.r2))))
+
     def to_json(self) -> dict:
         return {
             "rho1": rat_str(self.rho1),

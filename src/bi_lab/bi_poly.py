@@ -20,6 +20,7 @@ the bi-linear grid x_s and the finite discrete orthogonality weights.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -46,11 +47,19 @@ class RecurrenceCoeffs:
 
 @lru_cache(maxsize=64)  # computed once per tuple, read by every recurrence_coeffs
 def _recurrence_shifts(P: BIParams) -> tuple:
-    """s = rho1 + rho2 - r1 - r2 and, for even and odd n, the shifts (x, y) of
-    A_n = (n + x)(n + y) / (4(n + 1 + s)) and C_n = -(n + x)(n + y) / (4(n + s))."""
-    a, b, c, d = (2 * v for v in (P.rho1, P.rho2, P.r1, P.r2))
-    s = (a + b - c - d) / 2
-    return (s, ((1 + a - c, 1 + a - d), (1 + 2 * s, 1 + a + b)),
+    """The n-independent parts of A_n and C_n as integers over one q > 0.
+
+    With s = rho1 + rho2 - r1 - r2 and, for even and odd n, the shifts
+    (x, y) of A_n = (n + x)(n + y) / (4(n + 1 + s)) and
+    C_n = -(n + x)(n + y) / (4(n + s)), returns (q, q s, A's and C's
+    (q x, q y) by parity); q is the lcm of the denominators of the four
+    parameters, so every numerator is an integer.
+    """
+    q = math.lcm(*(v.denominator for v in (P.rho1, P.rho2, P.r1, P.r2)))
+    a, b, c, d = (2 * v.numerator * (q // v.denominator)
+                  for v in (P.rho1, P.rho2, P.r1, P.r2))  # 2 q rho1, ...
+    s = (a + b - c - d) // 2
+    return (q, s, ((q + a - c, q + a - d), (q + 2 * s, q + a + b)),
             ((0, -c - d), (b - d, b - c)))
 
 
@@ -58,20 +67,21 @@ def recurrence_coeffs(P: BIParams, n: int) -> RecurrenceCoeffs:
     """Parity-split recurrence coefficients, from ``_recurrence_shifts``.
 
     x B_n = B_{n+1} + (rho1 - A_n - C_n) B_n + A_{n-1} C_n B_{n-1}.
+    Each of A_n and C_n is one Fraction of integers.
     """
-    s, a_shifts, c_shifts = _recurrence_shifts(P)
-    den_a = 4 * (n + 1 + s)
+    q, s, a_shifts, c_shifts = _recurrence_shifts(P)
+    den_a = (n + 1) * q + s
     if den_a == 0:
         raise DegenerateParameters(f"A_{n} denominator vanishes for {P}")
     x, y = a_shifts[n % 2]
-    A = (n + x) * (n + y) / den_a
+    A = Fraction((n * q + x) * (n * q + y), 4 * q * den_a)
     if n == 0:  # C_0 carries an explicit factor n; no denominator needed
         return RecurrenceCoeffs(A, ZERO)
-    den_c = 4 * (n + s)
+    den_c = n * q + s
     if den_c == 0:
         raise DegenerateParameters(f"C_{n} denominator vanishes for {P}")
     x, y = c_shifts[n % 2]
-    return RecurrenceCoeffs(A, -((n + x) * (n + y)) / den_c)
+    return RecurrenceCoeffs(A, Fraction(-(n * q + x) * (n * q + y), 4 * q * den_c))
 
 
 def recurrence_steps(P: BIParams,

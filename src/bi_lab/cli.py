@@ -70,6 +70,22 @@ def _emit(rows: list[dict], fmt: str) -> None:
     {"json": _emit_json, "csv": _emit_csv, "pretty": _emit_pretty}[fmt](rows)
 
 
+# Flags that take a p/q value; "-1/2" after one of them is its value.
+RATIONAL_FLAGS = ("--rho1", "--rho2", "--r1", "--r2", "--mu")
+
+
+def _attach_negative_values(argv: list[str]) -> list[str]:
+    """Rewrite "--rho1 -1/2" as "--rho1=-1/2": argparse takes a token that
+    starts with "-" and is not a plain number for an option, not a value."""
+    out: list[str] = []
+    for tok in argv:
+        if out and out[-1] in RATIONAL_FLAGS and tok[:1] == "-" and tok[1:2].isdigit():
+            out[-1] += "=" + tok
+        else:
+            out.append(tok)
+    return out
+
+
 def _parse_mu_list(text: str):
     parts = text.split(",")
     if len(parts) != 3:
@@ -201,7 +217,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("poly", help="Bannai-Ito polynomial tables")
-    for flag in ("--rho1", "--rho2", "--r1", "--r2"):
+    for flag in RATIONAL_FLAGS[:4]:
         p.add_argument(flag, required=True)
     p.add_argument("--nmax", type=int, default=6)
     _add_format(p)
@@ -239,7 +255,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(
+        _attach_negative_values(sys.argv[1:] if argv is None else argv))
     try:
         return args.fn(args)
     except BILabError as exc:

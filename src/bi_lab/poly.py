@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .errors import NotDivisible
-from .exact import Rat, rat_str
+from .exact import Rat
 
 
 @dataclass(frozen=True)
@@ -84,7 +84,13 @@ class Poly:
         return _canonical([c.numerator * a for a in self.nums], self.den * c.denominator)
 
     def to_json(self) -> list[str]:
-        return [rat_str(c) for c in self.coeffs]
+        """The coefficients as "p/q" strings, read off ``nums`` and ``den``
+        with one gcd each (the same strings as ``rat_str`` of ``coeffs``)."""
+        out = []
+        for a in self.nums:
+            g = math.gcd(a, self.den)
+            out.append(f"{a // g}/{self.den // g}")
+        return out
 
 
 def int_mul(a: Sequence[int], b: Sequence[int]) -> list[int]:

@@ -307,16 +307,33 @@ def racah_overlaps(rep: TridiagRep) -> Matrix:
     v_{k+1}, which makes v_k = q_k(x) / prod_{j<=k} D_j at
     2x + 1/2 = lambda_s.  Where ``k1_spectrum_check`` passes, x = x_s,
     v_k = 2^k B_k(x_s) / prod_{j<=k} D_j and the last row holds too.
+
+    The solve runs on integers.  Over one common denominator L, with
+    numerators a_k of K1_kk, b_k of B_k, d_k of D_k and Lambda_s of
+    lambda_s, the continuant u_0 = 1,
+    u_{k+1} = (Lambda_s - a_k) u_k - b_{k-1} d_k u_{k-1} gives
+    v_k = u_k / (d_1 ... d_k): one Fraction per entry.
     """
-    RP = rep.params
+    n = rep.params.N + 1
+    diag = [rep.K1[k][k] for k in range(n)]
+    lams = [spectrum_value(s, rep.params.mu2 + rep.params.mu3) for s in range(n)]
+    L = math.lcm(*(x.denominator for x in (*diag, *rep.B, *rep.D, *lams)))
+
+    def num(x: Rat) -> int:
+        return x.numerator * (L // x.denominator)
+
+    a = [num(x) for x in diag]
+    bd = [0] + [num(rep.B[k - 1]) * num(rep.D[k]) for k in range(1, n)]
+    dprod = [1]  # d_1 ... d_k; no d_k vanishes, since B_{k-1} D_k > 0
+    for d in rep.D[1:]:
+        dprod.append(dprod[-1] * num(d))
     out = []
-    for s in range(RP.N + 1):
-        lam = spectrum_value(s, RP.mu2 + RP.mu3)
-        v = [ONE]
-        for k in range(RP.N):
-            lower = rep.B[k - 1] * v[k - 1] if k else ZERO
-            v.append(((lam - rep.K1[k][k]) * v[k] - lower) / rep.D[k + 1])
-        out.append(v)
+    for lam in map(num, lams):
+        u, prev, row = 1, 0, [ONE]
+        for k in range(1, n):
+            u, prev = (lam - a[k - 1]) * u - bd[k - 1] * prev, u
+            row.append(Fraction(u, dprod[k]))
+        out.append(row)
     return out
 
 

@@ -27,7 +27,7 @@ from bi_lab.errors import (
     DegenerateSpectrum,
     NotFinitelyOrthogonal,
 )
-from bi_lab.exact import HALF, ONE, rat_to_float
+from bi_lab.exact import HALF, ONE, rat_str, rat_to_float
 from bi_lab.poly import P_ONE, P_ZERO, Poly
 from bi_lab.racah import RacahParams
 from bi_lab.suites import (
@@ -157,6 +157,69 @@ class TestEigenvaluesAndCoeffs:
         bad = BIParams.make(0, 0, Fraction(1, 2), Fraction(1, 2))
         with pytest.raises(DegenerateParameters):
             recurrence_coeffs(bad, 0)
+
+
+def reference_coeffs(P, nmax):
+    """(A_n, C_n) from their closed forms in Fraction arithmetic for
+    n <= nmax, or the (class, message) of the package's guard where it
+    fires; independent of the package's integer numerators."""
+    a, b, c, d = (2 * v for v in (P.rho1, P.rho2, P.r1, P.r2))
+    s = (a + b - c - d) / 2
+    a_shifts = ((1 + a - c, 1 + a - d), (1 + 2 * s, 1 + a + b))
+    c_shifts = ((0, -c - d), (b - d, b - c))
+    out = []
+    for n in range(nmax + 1):
+        (xa, ya), (xc, yc) = a_shifts[n % 2], c_shifts[n % 2]
+        den_a, den_c = 4 * (n + 1 + s), 4 * (n + s)
+        if den_a == 0:
+            out.append((DegenerateParameters, f"A_{n} denominator vanishes for {P}"))
+        elif n == 0:
+            out.append(((n + xa) * (n + ya) / den_a, Fraction(0)))
+        elif den_c == 0:
+            out.append((DegenerateParameters, f"C_{n} denominator vanishes for {P}"))
+        else:
+            out.append(((n + xa) * (n + ya) / den_a, -((n + xc) * (n + yc)) / den_c))
+    return out
+
+
+def coeffs_or_guard(P, n):
+    """(A_n, C_n), or the (class, message) of the BILabError raised."""
+    try:
+        rc = recurrence_coeffs(P, n)
+    except BILabError as exc:
+        return type(exc), str(exc)
+    assert type(rc.A) is type(rc.C) is Fraction
+    return rc.A, rc.C
+
+
+class TestFractionFreeForms:
+    def test_recurrence_coeffs_match_fraction_forms(self):
+        # Each n is compared on its own, so a tuple raises at the same n.
+        rng = random.Random(19)
+        guards = {"A": 0, "C": 0}
+        for _ in range(4000):
+            P = BIParams(*(Fraction(rng.randint(-8, 8), rng.randint(1, 8))
+                           for _ in range(4)))
+            want = reference_coeffs(P, 13)
+            assert [coeffs_or_guard(P, n) for n in range(14)] == want, P
+            for first, second in want:
+                if first is DegenerateParameters:
+                    guards[second[0]] += 1
+        # Both guards fire on this draw, not only the value branch.
+        assert min(guards.values()) > 50, guards
+
+    @pytest.mark.parametrize("p", [
+        P_ZERO,
+        P_ONE,
+        Poly.make([-3, 0, 7, -1]),
+        Poly.make([Fraction(-5, 6), Fraction(3, 4), 0, Fraction(-7, 12)]),
+        Poly.make([Fraction(10**40 + 1, 3), -(10**30), Fraction(1, 10**25)]),
+        Poly.make([2**100, -(3**80)]),
+        B1[13],
+    ], ids=["zero", "one", "den1-negative", "negative-numerators",
+            "large-mixed", "large-integers", "B13"])
+    def test_poly_to_json_matches_rat_str(self, p):
+        assert p.to_json() == [rat_str(c) for c in p.coeffs]
 
 
 class TestThreeRoutes:

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -73,8 +74,8 @@ class TestPoly:
         )
         assert (code, out) == (EXIT_INVALID, "")
         assert err == (
-            "error: A_3 denominator vanishes for BIParams(rho1=Fraction(-3, 1), "
-            "rho2=Fraction(0, 1), r1=Fraction(1, 2), r2=Fraction(1, 2))\n"
+            "error: A_3 denominator vanishes for "
+            "BIParams(rho1=-3/1, rho2=0/1, r1=1/2, r2=1/2)\n"
         )
 
     def test_one_recurrence_per_table(self, capsys, monkeypatch):
@@ -305,12 +306,31 @@ class TestWeights:
      "86bba0c57659de73"),
     ("verify --scope bi --tuples 5 --format json", "39f59b76a7991325"),
     ("verify --scope all --format json", "c19dbdd7622d531e"),
+    ("racah --mu 1/4,1/3,1/2 --N 24 --format json", "45c1e362b64a4be0"),
+    ("racah --mu 3/2,5/6,7/3 --N 11 --format json", "022402a8c20d4bdb"),
+    ("weights --mu 1/4,1/3,1/2 --N 24 --format json", "810f1dbc50190ca6"),
 ])
 def test_golden_output(capsys, argv, digest):
     # Fixed flags give byte-identical JSON; these digests pin it.
     code, out, _ = run(capsys, *argv.split())
     assert code == EXIT_OK
     assert hashlib.sha256(out.encode()).hexdigest()[:16] == digest
+
+
+@pytest.mark.parametrize("spaced", [
+    "poly --rho1 -1/2 --rho2 5/8 --r1 3/4 --r2 -1/6 --nmax 13 --format json",
+    "poly --rho1 -1/2 --rho2 5/8 --r1 3/4 --r2 -1/6 --nmax 13 --format csv",
+    "racah --mu -1/4,1/3,1/2 --N 5 --format json",
+    "racah --mu -1/4,1/3,1/2 --N 5",
+    "weights --mu -1/4,1/3,1/2 --N 5 --format csv",
+])
+def test_negative_value_after_space_or_equals(capsys, spaced):
+    # "--flag -p/q" and "--flag=-p/q" are the same input.
+    joined = re.sub(r" (-\d)", r"=\1", spaced)
+    assert "=-" in joined and " -1" not in joined
+    spaced_out, joined_out = run(capsys, *spaced.split()), run(capsys, *joined.split())
+    assert spaced_out == joined_out
+    assert spaced_out[0] == EXIT_OK and spaced_out[1] and not spaced_out[2]
 
 
 def test_exact_routes_do_not_import_numpy():

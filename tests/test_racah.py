@@ -226,9 +226,11 @@ OVERLAP_CASES = [
 
 
 class TestOverlaps:
-    @pytest.mark.parametrize("N", range(5))
-    def test_overlaps_match_bi_polynomials(self, N):
-        RP = RacahParams.make(Fraction(1, 4), Fraction(1, 3), Fraction(1, 2), N)
+    # N <= 5, the table sizes 11 and 24, and random tuples at N = 10.
+    @pytest.mark.parametrize("RP", OVERLAP_CASES + [
+        RacahParams.make(Fraction(1, 4), Fraction(1, 3), Fraction(1, 2), N)
+        for N in (11, 24)])
+    def test_overlaps_match_bi_polynomials(self, RP):
         rep = build_tridiag_rep(RP)
         P = RP.identifications()
         grid = [grid_point(P, s) for s in range(RP.N + 1)]
