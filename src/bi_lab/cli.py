@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import sys
@@ -209,6 +210,7 @@ def cmd_weights(args) -> int:
     return EXIT_OK
 
 
+@functools.cache  # built once per process, on the first call of main
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="bi-lab",
@@ -221,7 +223,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument(flag, required=True)
     p.add_argument("--nmax", type=int, default=6)
     _add_format(p)
-    p.set_defaults(fn=cmd_poly)
 
     p = sub.add_parser("verify", help="run identity verification suites")
     p.add_argument("--scope", choices=["bi", "sl1", "racah", "dirac", "all"],
@@ -230,35 +231,33 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--maxdeg", type=int, default=None)
     p.add_argument("--tuples", type=int, default=None)
     _add_format(p)
-    p.set_defaults(fn=cmd_verify)
 
     p = sub.add_parser("racah", help="exact Racah representation and overlaps")
     p.add_argument("--mu", required=True, help="mu1,mu2,mu3 as p/q")
     p.add_argument("--N", type=int, required=True)
     _add_format(p)
-    p.set_defaults(fn=cmd_racah)
 
     p = sub.add_parser("dirac", help="Dunkl-Dirac exact identity report")
     p.add_argument("--mu", required=True, help="mu1,mu2,mu3 as p/q")
     p.add_argument("--maxdeg", type=int, default=4)
     _add_format(p)
-    p.set_defaults(fn=cmd_dirac)
 
     p = sub.add_parser("weights", help="exact finite orthogonality weights on the grid x_s")
     p.add_argument("--mu", required=True, help="mu1,mu2,mu3 as p/q")
     p.add_argument("--N", type=int, required=True)
     _add_format(p)
-    p.set_defaults(fn=cmd_weights)
 
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(
+    args = build_parser().parse_args(
         _attach_negative_values(sys.argv[1:] if argv is None else argv))
+    # The handler is looked up by name on each call, not stored in the
+    # cached parser, so a rebound cmd_* (as a tracer installs) is called.
+    handler = globals()[f"cmd_{args.command}"]
     try:
-        return args.fn(args)
+        return handler(args)
     except BILabError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID

@@ -1,24 +1,30 @@
 """Dunkl-Dirac operator on the 2-sphere and its symmetry algebra.
 
-Everything here is exact over the Gaussian rationals: trivariate
-polynomials carry GRat coefficients, the imaginary unit enters through
-the angular-momentum prefactor 1/i and the Pauli matrices, and no
-tolerance appears anywhere in the module.
+Everything here is exact over the Gaussian rationals: the imaginary unit
+enters through the angular-momentum prefactor 1/i and the Pauli
+matrices, and no tolerance appears anywhere in the module.
 
 All operators in scope preserve total degree, so identities are checked
 on graded slices: each operator becomes one exact matrix per slice of
 degree-d spinors, and a relation holds on the full graded space when
 lhs - rhs is the zero matrix on every slice.  A spinor slice is the
 scalar slice of degree-d polynomials tensored with C^2: J_i and R_i are
-built once on the scalar slice and lifted as J_i ⊗ 1, and the Pauli
-matrices act as 1 ⊗ sigma_i.
+built once on the scalar slice, as integer matrices straight from the
+monomial exponents (``scalar_generators``), and lifted as J_i ⊗ 1, and
+the Pauli matrices act as 1 ⊗ sigma_i.
+
+``Poly3`` (trivariate polynomials with GRat coefficients), ``var_mul``,
+``dunkl_partial``, ``angular_momentum`` and ``reflect`` apply the same
+operators monomial by monomial; the slice build does not use them.  They
+are the reference the tests compare the slice matrices against, and
+``perfbench/tracer.py`` wraps them by name.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable
 
 from .errors import DegenerateParameters
 from .exact import GRAT_I, GRAT_MINUS_I, GRAT_ONE, GRat, Rat, grat_make
@@ -152,16 +158,42 @@ def _record_slices(report: VerificationReport, slices: list[dict[str, LinOp]],
 # ---------------------------------------------------------------------------
 # spinor layer: a spinor slice is the scalar slice of the same degree ⊗ C^2
 
-def scalar_slice(degree: int, op: Callable[[Poly3], Poly3]) -> LinOp:
-    """Matrix of a degree-preserving op on the polynomials of one degree.
+def scalar_generators(DP: DiracParams, degree: int) -> dict[str, LinOp]:
+    """J_i and R_i on the scalar slice of one degree, from exponent
+    arithmetic alone.
 
     Basis vector m is the m-th monomial x1^a x2^b x3^c, ordered by (a, b).
+    On x^e, D_k gives f_k(e_k) x^(e - u_k) with f_k(a) = a for a even and
+    a + 2 mu_k for a odd, so column e of J_i = (1/i)(x_j D_k - x_k D_j)
+    holds -i f_k(e_k) at x^(e - u_k + u_j) and +i f_j(e_j) at
+    x^(e - u_j + u_k), as integer numerators over lcm(den mu_j, den mu_k).
+    R_i is the diagonal of (-1)^(e_i).
     """
     exps = [(a, b, degree - a - b)
             for a in range(degree + 1) for b in range(degree + 1 - a)]
     pos = {e: n for n, e in enumerate(exps)}
-    return LinOp.make({pos[e]: c for e, c in op(Poly3.monomial(m)).terms.items()}
-                      for m in exps)
+    g = {}
+    for i, (j, k) in _CYCLIC.items():
+        den = math.lcm(DP.mu(j).denominator, DP.mu(k).denominator)
+        # den * 2 mu_j and den * 2 mu_k: the extra term of f on odd powers
+        odd = {ax: 2 * DP.mu(ax).numerator * (den // DP.mu(ax).denominator)
+               for ax in (j, k)}
+        cols = []
+        for e in exps:
+            col = {}
+            for src, dst, sign in ((k, j, -1), (j, k, 1)):
+                a = e[src - 1]
+                f = a * den + odd[src] if a % 2 else a * den
+                if f:
+                    ne = list(e)
+                    ne[src - 1] -= 1
+                    ne[dst - 1] += 1
+                    col[pos[tuple(ne)]] = sign * f
+            cols.append(col)
+        g[f"J{i}"] = LinOp.imaginary(cols, den)
+        g[f"R{i}"] = LinOp.real([{m: -1 if e[i - 1] % 2 else 1}
+                                 for m, e in enumerate(exps)], 1)
+    return g
 
 
 # The Pauli matrices on C^2, basis (up, down).
@@ -185,11 +217,13 @@ def pauli_layer_check() -> VerificationReport:
             want = one.scale(2 if i == j else 0)
             prod = PAULI[i] @ PAULI[j]
             anti = prod + PAULI[j] @ PAULI[i]
+            # cols builds its scalars anew on each access: read each once.
+            prod, rhs, anti, want = (x.cols for x in (prod, rhs, anti, want))
             for b in (0, 1):  # one entry per basis spinor
                 report.record("sigma_i sigma_j = i eps sigma_k + delta", (i, j),
-                              prod.cols[b] == rhs.cols[b])
+                              prod[b] == rhs[b])
                 report.record("{sigma_i,sigma_j} = 2 delta", (i, j),
-                              anti.cols[b] == want.cols[b])
+                              anti[b] == want[b])
     return report
 
 
@@ -204,9 +238,9 @@ def gamma_apply(DP: DiracParams, g: dict[str, LinOp]) -> LinOp:
 def symmetry_generators(DP: DiracParams, degree: int) -> dict[str, LinOp]:
     """Gamma and its symmetries as matrices on one spinor slice.
 
-    Basis vector 2 m + s is the m-th monomial of ``scalar_slice`` in the up
-    (s = 0) or down (s = 1) component.  "1" is the identity, "J{i}" and
-    "R{i}" the angular momenta and reflections (each built once on the
+    Basis vector 2 m + s is the m-th monomial of ``scalar_generators`` in
+    the up (s = 0) or down (s = 1) component.  "1" is the identity, "J{i}"
+    and "R{i}" the angular momenta and reflections (built once on the
     scalar slice, acting on both components), "sigma{i}" the Pauli matrices
     on the spin index, "Gamma" comes from ``gamma_apply``, and for (i j k)
     cyclic "M{i}" = J_i + sigma_i (mu_j R_j + mu_k R_k + 1/2),
@@ -214,12 +248,12 @@ def symmetry_generators(DP: DiracParams, degree: int) -> dict[str, LinOp]:
     product "M{i}X{i}" that K_i is built from is kept for ``symmetry_check``.
     """
     one2 = LinOp.identity(2)
-    scalar_one = scalar_slice(degree, lambda p: p)
+    scalar = scalar_generators(DP, degree)
+    scalar_one = LinOp.identity(len(scalar["R1"].re))
     g = {"1": kron(scalar_one, one2)}
     for i in (1, 2, 3):
-        g[f"J{i}"] = kron(scalar_slice(degree, lambda p: angular_momentum(DP, i, p)),
-                          one2)
-        g[f"R{i}"] = kron(scalar_slice(degree, lambda p: reflect(i, p)), one2)
+        g[f"J{i}"] = kron(scalar[f"J{i}"], one2)
+        g[f"R{i}"] = kron(scalar[f"R{i}"], one2)
         g[f"sigma{i}"] = kron(scalar_one, PAULI[i])
     g["Gamma"] = gamma_apply(DP, g)
     g["Y"] = g["R1"] @ g["R2"] @ g["R3"]

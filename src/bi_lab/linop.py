@@ -65,6 +65,13 @@ class LinOp:
         return _canonical(re, ({},) * len(re), den)
 
     @staticmethod
+    def imaginary(cols: Iterable[dict[int, int]], den: int) -> "LinOp":
+        """i times the real matrix with these columns of nonzero integer
+        numerators over den > 0, reduced once."""
+        im = tuple(cols)
+        return _canonical(({},) * len(im), im, den)
+
+    @staticmethod
     def identity(n: int) -> "LinOp":
         return LinOp(tuple({j: 1} for j in range(n)), ({},) * n, 1)
 

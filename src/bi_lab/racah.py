@@ -137,6 +137,25 @@ class RacahParams:
             2 * (m1 * m2 + m3 * m),
         )
 
+    @cached_property  # computed once for every bk_dk of this tuple
+    def bk_dk_shifts(self) -> tuple:
+        """The k-independent parts of B_k and D_k as integers over one q > 0.
+
+        With the denominators 2(k + 1 + mu1 + mu2) and 2(k + mu1 + mu2),
+        B_k = (k + x)(k + y) / (2(k + 1 + mu1 + mu2)) and
+        D_k = -(k + x)(k + y) / (2(k + mu1 + mu2)) for shifts (x, y) that
+        depend on the parity of k.  Returns (q, q (mu1 + mu2), B's and D's
+        (q x, q y) by parity); q is the lcm of the denominators of mu1,
+        mu2 and mu3, so every numerator is an integer.
+        """
+        q = math.lcm(*(m.denominator for m in (self.mu1, self.mu2, self.mu3)))
+        m1, m2, m3, mu = (m.numerator * (q // m.denominator)
+                          for m in (self.mu1, self.mu2, self.mu3, self.mu))
+        s = m1 + m2 + m3
+        return (q, m1 + m2,
+                ((q + 2 * m2, q + s - mu), (q + 2 * m1 + 2 * m2, q + s + mu)),
+                ((0, m1 + m2 - m3 - mu), (2 * m1, m1 + m2 - m3 + mu)))
+
     def identifications(self) -> BIParams:
         """BI parameters (rho1, rho2, r1, r2) of the overlap polynomials."""
         return BIParams(
@@ -165,27 +184,22 @@ def bk_dk(RP: RacahParams, k: int) -> tuple[Rat, Rat]:
 
     Both denominators 2(k + mu1 + mu2 + 1) and 2(k + mu1 + mu2) read off
     the same parity-split display; D_0 = 0 is taken directly (the
-    numerator carries an explicit factor k).
+    numerator carries an explicit factor k).  Each is one Fraction of the
+    integers of ``RacahParams.bk_dk_shifts``.
     """
-    m1, m2, m3, mu = RP.mu1, RP.mu2, RP.mu3, RP.mu
-    den_b = 2 * (k + m1 + m2 + 1)
+    q, z, b_shifts, d_shifts = RP.bk_dk_shifts
+    den_b = (k + 1) * q + z
     if den_b == 0:
         raise DegenerateParameters(f"B_{k} denominator vanishes")
-    if k % 2 == 0:
-        B = (k + 2 * m2 + 1) * (k + m1 + m2 + m3 - mu + 1) / den_b
-    else:
-        B = (k + 2 * m1 + 2 * m2 + 1) * (k + m1 + m2 + m3 + mu + 1) / den_b
+    x, y = b_shifts[k % 2]
+    B = Fraction((k * q + x) * (k * q + y), 2 * q * den_b)
     if k == 0:
-        D = ZERO
-    else:
-        den_d = 2 * (k + m1 + m2)
-        if den_d == 0:
-            raise DegenerateParameters(f"D_{k} denominator vanishes")
-        if k % 2 == 0:
-            D = -(k * (k + m1 + m2 - m3 - mu)) / den_d
-        else:
-            D = -((k + 2 * m1) * (k + m1 + m2 - m3 + mu)) / den_d
-    return B, D
+        return B, ZERO
+    den_d = k * q + z
+    if den_d == 0:
+        raise DegenerateParameters(f"D_{k} denominator vanishes")
+    x, y = d_shifts[k % 2]
+    return B, Fraction(-(k * q + x) * (k * q + y), 2 * q * den_d)
 
 
 @dataclass(frozen=True)

@@ -333,6 +333,19 @@ def test_negative_value_after_space_or_equals(capsys, spaced):
     assert spaced_out[0] == EXIT_OK and spaced_out[1] and not spaced_out[2]
 
 
+def test_parser_built_once_handler_looked_up_per_call(capsys, monkeypatch):
+    import bi_lab.cli as cli
+
+    parser = cli.build_parser()
+    # A cmd_* rebound after the parser was built is the one main calls.
+    calls = count_calls(monkeypatch, "bi_lab.cli", "cmd_dirac")
+    for _ in range(2):
+        code, out, _ = run(capsys, "dirac", "--mu", "1/4,1/3,1/2", "--maxdeg", "0")
+        assert code == EXIT_OK and out
+    assert calls[0] == 2
+    assert cli.build_parser() is parser
+
+
 def test_exact_routes_do_not_import_numpy():
     # numpy is imported only inside the float oracle `discrete_weights`;
     # every subcommand, in every format, must run without it.

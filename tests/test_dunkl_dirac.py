@@ -21,11 +21,12 @@ from bi_lab.dunkl_dirac import (
 )
 from bi_lab.errors import DegenerateParameters
 from bi_lab.exact import GRAT_I, GRAT_ZERO, grat_make
-from bi_lab.linop import anticomm
+from bi_lab.linop import LinOp, anticomm, kron
 from bi_lab.suites import suite_dirac
 
 DP1 = DiracParams.make(Fraction(1, 4), Fraction(1, 3), Fraction(1, 2))
 DP0 = DiracParams.make(0, 0, 0)
+DP_NEG = DiracParams.make(Fraction(-1, 3), Fraction(2, 5), Fraction(-3, 7))
 
 X1 = Poly3.monomial((1, 0, 0))
 X2 = Poly3.monomial((0, 1, 0))
@@ -35,6 +36,25 @@ ONE3 = Poly3.monomial((0, 0, 0))
 
 def slices(DP, maxdeg):
     return [symmetry_generators(DP, d) for d in range(maxdeg + 1)]
+
+
+def scalar_slice(degree: int, op) -> LinOp:
+    """Oracle: the matrix of a degree-preserving ``Poly3`` map on the
+    polynomials of one degree, applied monomial by monomial.
+
+    Basis vector m is the m-th monomial x1^a x2^b x3^c, ordered by (a, b).
+    """
+    exps = [(a, b, degree - a - b)
+            for a in range(degree + 1) for b in range(degree + 1 - a)]
+    pos = {e: n for n, e in enumerate(exps)}
+    return LinOp.make({pos[e]: c for e, c in op(Poly3.monomial(m)).terms.items()}
+                      for m in exps)
+
+
+def fields(op: LinOp):
+    """re, im (each column's entries in stored order) and den."""
+    return ([list(c.items()) for c in op.re], [list(c.items()) for c in op.im],
+            op.den)
 
 
 def degrees(p: Poly3) -> set[int]:
@@ -90,6 +110,28 @@ class TestAngularMomentum:
     @pytest.mark.parametrize("DP", [DP0, DP1])
     def test_commutators(self, DP):
         assert jj_commutator_check(DP, slices(DP, 5)).passed
+
+
+class TestSliceGenerators:
+    """The exponent-arithmetic slice matrices against the Poly3 reference."""
+
+    @pytest.mark.parametrize("DP", [DP0, DP1, DP_NEG], ids=["mu0", "mu1", "mu_neg"])
+    @pytest.mark.parametrize("degree", range(7))
+    def test_match_poly3_reference(self, DP, degree):
+        g = symmetry_generators(DP, degree)
+        one2 = LinOp.identity(2)
+        for i in (1, 2, 3):
+            want_j = kron(scalar_slice(degree, lambda p: angular_momentum(DP, i, p)), one2)
+            want_r = kron(scalar_slice(degree, lambda p: reflect(i, p)), one2)
+            assert fields(g[f"J{i}"]) == fields(want_j)
+            assert fields(g[f"R{i}"]) == fields(want_r)
+        assert fields(g["1"]) == fields(kron(scalar_slice(degree, lambda p: p), one2))
+
+    def test_negative_mu_reaches_the_matrices(self):
+        # J3 x1 = i (1 + 2 mu1) x2: 1/3 i at mu1 = -1/3 (x2 is monomial 1
+        # of the degree-1 slice, x1 monomial 2).
+        j3 = symmetry_generators(DP_NEG, 1)["J3"]
+        assert j3.cols[spinor(2, 0)][spinor(1, 0)] == grat_make(0, Fraction(1, 3))
 
 
 class TestSpinorLayer:
@@ -240,20 +282,17 @@ class TestMutants:
 def test_one_generator_build_per_slice(monkeypatch):
     import bi_lab.dunkl_dirac as dd
 
-    calls = {"angular_momentum": 0, "gamma_apply": 0}
+    calls = {"scalar_generators": 0, "gamma_apply": 0}
     for name in calls:
         def counted(*args, _orig=getattr(dd, name), _name=name):
             calls[_name] += 1
             return _orig(*args)
         monkeypatch.setattr(dd, name, counted)
-    # Monomials on the scalar slices 0..3.
-    monomials = sum((d + 1) * (d + 2) // 2 for d in range(4))
     for _ in range(2):  # a second identical call does the same work again
-        calls.update(angular_momentum=0, gamma_apply=0)
+        calls.update(scalar_generators=0, gamma_apply=0)
         assert suite_dirac(seed=1, tuples=1, maxdeg=3).passed
-        # One Gamma per slice, and J_1..J_3 once on every scalar monomial.
-        assert calls["gamma_apply"] == 4
-        assert calls["angular_momentum"] == 3 * monomials == 60
+        # One scalar build (J_1..J_3, R_1..R_3) and one Gamma per slice 0..3.
+        assert calls == {"scalar_generators": 4, "gamma_apply": 4}
 
 
 def test_each_slice_product_formed_once(monkeypatch):

@@ -60,6 +60,33 @@ def failed_checks(report):
     return {e.check for e in report.failures}
 
 
+def bk_dk_display(RP, k):
+    """Oracle: B_k and D_k from their parity-split display, in Fraction
+    arithmetic."""
+    m1, m2, m3, mu = RP.mu1, RP.mu2, RP.mu3, RP.mu
+    if k % 2 == 0:
+        B = (k + 2 * m2 + 1) * (k + m1 + m2 + m3 - mu + 1) / (2 * (k + m1 + m2 + 1))
+        D = -(k * (k + m1 + m2 - m3 - mu)) / (2 * (k + m1 + m2)) if k else 0
+    else:
+        B = (k + 2 * m1 + 2 * m2 + 1) * (k + m1 + m2 + m3 + mu + 1) \
+            / (2 * (k + m1 + m2 + 1))
+        D = -((k + 2 * m1) * (k + m1 + m2 - m3 + mu)) / (2 * (k + m1 + m2))
+    return B, D
+
+
+def test_bk_dk_matches_display():
+    rng = random.Random(20)
+    for _ in range(2000):
+        mus = [Fraction(rng.randint(-9, 60), rng.randint(1, 24)) for _ in range(3)]
+        if any(m <= Fraction(-1, 2) for m in mus):
+            continue
+        RP = RacahParams.make(*mus, rng.randint(0, 30))
+        for k in range(RP.N + 2):
+            got = bk_dk(RP, k)
+            assert got == bk_dk_display(RP, k), (RP, k)
+            assert all(type(x) is Fraction for x in got)
+
+
 class TestFrozenValuesR1:
     def test_mu4(self):
         assert R1.mu4 == Fraction(49, 12)
