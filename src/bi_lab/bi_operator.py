@@ -135,12 +135,12 @@ def check_bi_relations(P: BIParams,
     maxdeg = len(K1.re) - 3
     one = LinOp.identity(maxdeg + 3)
     residuals = [
-        ("{K2,K3} = K1 + omega1", (anticomm(K2, K3) - K1 - one.scale(P.omega1)).cols),
-        ("{K3,K1} = K2 + omega2", (anticomm(K3, K1) - K2 - one.scale(P.omega2)).cols),
+        ("{K2,K3} = K1 + omega1", anticomm(K2, K3) - K1 - one.scale(P.omega1)),
+        ("{K3,K1} = K2 + omega2", anticomm(K3, K1) - K2 - one.scale(P.omega2)),
     ]
     for j in range(maxdeg + 1):
         for name, residual in residuals:
-            report.record(name, j, not residual[j])
+            report.record(name, j, not (residual.re[j] or residual.im[j]))
     return report
 
 
@@ -154,8 +154,8 @@ def casimir_scalar(P: BIParams,
     K1, K2, K3 = mats
     maxdeg = len(K1.re) - 3
     residual = (K1 @ K1 + K2 @ K2 + K3 @ K3
-                - LinOp.identity(maxdeg + 3).scale(expected)).cols
+                - LinOp.identity(maxdeg + 3).scale(expected))
     name = f"K1^2 + K2^2 + K3^2 = {rat_str(expected)}"
     for j in range(maxdeg + 1):
-        report.record(name, j, not residual[j])
+        report.record(name, j, not (residual.re[j] or residual.im[j]))
     return report

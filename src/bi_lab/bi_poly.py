@@ -310,7 +310,7 @@ def ladder_check(P: BIParams, mats: tuple[LinOp, LinOp, LinOp],
     ]
     for j in range(nmax + 1):
         for name, residual in residuals:
-            report.record(name, j, not residual.re[j])
+            report.record(name, j, not (residual.re[j] or residual.im[j]))
     return report
 
 

@@ -36,7 +36,7 @@ from .racah import (
 )
 from .dunkl_dirac import DiracParams, dirac_checks
 from .report import VerificationReport
-from .suites import DEFAULT_SEED, run_scope
+from .suites import DEFAULT_SEED, SCOPES, run_scope
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -100,9 +100,9 @@ def _require_at_least(flag: str, value: int | None, low: int) -> None:
         raise BILabError(f"{flag} must be at least {low}, got {value}")
 
 
-def _add_format(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--format", choices=["json", "csv", "pretty"],
-                        default="pretty")
+def _add_format(parser: argparse.ArgumentParser,
+                choices=("json", "csv", "pretty")) -> None:
+    parser.add_argument("--format", choices=choices, default="pretty")
 
 
 def cmd_poly(args) -> int:
@@ -225,12 +225,11 @@ def build_parser() -> argparse.ArgumentParser:
     _add_format(p)
 
     p = sub.add_parser("verify", help="run identity verification suites")
-    p.add_argument("--scope", choices=["bi", "sl1", "racah", "dirac", "all"],
-                   default="all")
+    p.add_argument("--scope", choices=[*SCOPES, "all"], default="all")
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p.add_argument("--maxdeg", type=int, default=None)
     p.add_argument("--tuples", type=int, default=None)
-    _add_format(p)
+    _add_format(p, ("json", "pretty"))  # a report has no csv form
 
     p = sub.add_parser("racah", help="exact Racah representation and overlaps")
     p.add_argument("--mu", required=True, help="mu1,mu2,mu3 as p/q")
@@ -240,7 +239,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("dirac", help="Dunkl-Dirac exact identity report")
     p.add_argument("--mu", required=True, help="mu1,mu2,mu3 as p/q")
     p.add_argument("--maxdeg", type=int, default=4)
-    _add_format(p)
+    _add_format(p, ("json", "pretty"))
 
     p = sub.add_parser("weights", help="exact finite orthogonality weights on the grid x_s")
     p.add_argument("--mu", required=True, help="mu1,mu2,mu3 as p/q")

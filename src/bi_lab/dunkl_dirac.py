@@ -8,10 +8,10 @@ All operators in scope preserve total degree, so identities are checked
 on graded slices: each operator becomes one exact matrix per slice of
 degree-d spinors, and a relation holds on the full graded space when
 lhs - rhs is the zero matrix on every slice.  A spinor slice is the
-scalar slice of degree-d polynomials tensored with C^2: J_i and R_i are
-built once on the scalar slice, as integer matrices straight from the
-monomial exponents (``scalar_generators``), and lifted as J_i ⊗ 1, and
-the Pauli matrices act as 1 ⊗ sigma_i.
+slice of degree-d polynomials tensored with C^2; one builder,
+``spinor_generators``, writes the identity, J_i, R_i and the Pauli
+matrices sigma_i straight onto its basis as integer matrices, J_i and
+R_i from the monomial exponents.
 
 ``Poly3`` (trivariate polynomials with GRat coefficients), ``var_mul``,
 ``dunkl_partial``, ``angular_momentum`` and ``reflect`` apply the same
@@ -27,8 +27,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import DegenerateParameters
-from .exact import GRAT_I, GRAT_MINUS_I, GRAT_ONE, GRat, Rat, grat_make
-from .linop import LinOp, comm, kron
+from .exact import GRAT_I, GRAT_MINUS_I, GRAT_ONE, GRat, Rat
+from .linop import LinOp, comm
 from .report import VerificationReport
 
 Exponent = tuple[int, int, int]
@@ -156,23 +156,36 @@ def _record_slices(report: VerificationReport, slices: list[dict[str, LinOp]],
 
 
 # ---------------------------------------------------------------------------
-# spinor layer: a spinor slice is the scalar slice of the same degree ⊗ C^2
+# spinor layer: basis vector 2 m + s of a spinor slice is the m-th monomial
+# of its degree in the up (s = 0) or down (s = 1) component
 
-def scalar_generators(DP: DiracParams, degree: int) -> dict[str, LinOp]:
-    """J_i and R_i on the scalar slice of one degree, from exponent
-    arithmetic alone.
+def _sigma(i: int, n: int) -> LinOp:
+    """1_n ⊗ sigma_i: the Pauli matrix sigma_i on the spin index of n
+    monomials, as integer columns."""
+    cols = [{2 * m + (s if i == 3 else 1 - s): 1 if i == 1 else 1 - 2 * s}
+            for m in range(n) for s in (0, 1)]
+    return (LinOp.imaginary if i == 2 else LinOp.real)(cols, 1)
 
-    Basis vector m is the m-th monomial x1^a x2^b x3^c, ordered by (a, b).
-    On x^e, D_k gives f_k(e_k) x^(e - u_k) with f_k(a) = a for a even and
-    a + 2 mu_k for a odd, so column e of J_i = (1/i)(x_j D_k - x_k D_j)
-    holds -i f_k(e_k) at x^(e - u_k + u_j) and +i f_j(e_j) at
-    x^(e - u_j + u_k), as integer numerators over lcm(den mu_j, den mu_k).
-    R_i is the diagonal of (-1)^(e_i).
+
+# The Pauli matrices on C^2, basis (up, down).
+PAULI = {i: _sigma(i, 1) for i in (1, 2, 3)}
+
+
+def spinor_generators(DP: DiracParams, degree: int) -> dict[str, LinOp]:
+    """The identity "1", "J{i}", "R{i}" and "sigma{i}" on the spinor slice
+    of one degree, from exponent arithmetic alone.
+
+    Monomial m is x1^a x2^b x3^c, ordered by (a, b).  On x^e, D_k gives
+    f_k(e_k) x^(e - u_k) with f_k(a) = a for a even and a + 2 mu_k for a
+    odd, so J_i = (1/i)(x_j D_k - x_k D_j) maps x^e to -i f_k(e_k)
+    x^(e - u_k + u_j) + i f_j(e_j) x^(e - u_j + u_k), as integer numerators
+    over lcm(den mu_j, den mu_k).  R_i is the diagonal of (-1)^(e_i).
+    J_i and R_i act alike on both components, sigma_i on the spin index.
     """
     exps = [(a, b, degree - a - b)
             for a in range(degree + 1) for b in range(degree + 1 - a)]
     pos = {e: n for n, e in enumerate(exps)}
-    g = {}
+    g = {"1": LinOp.identity(2 * len(exps))}
     for i, (j, k) in _CYCLIC.items():
         den = math.lcm(DP.mu(j).denominator, DP.mu(k).denominator)
         # den * 2 mu_j and den * 2 mu_k: the extra term of f on odd powers
@@ -189,19 +202,12 @@ def scalar_generators(DP: DiracParams, degree: int) -> dict[str, LinOp]:
                     ne[src - 1] -= 1
                     ne[dst - 1] += 1
                     col[pos[tuple(ne)]] = sign * f
-            cols.append(col)
+            cols += ({2 * r + s: x for r, x in col.items()} for s in (0, 1))
         g[f"J{i}"] = LinOp.imaginary(cols, den)
-        g[f"R{i}"] = LinOp.real([{m: -1 if e[i - 1] % 2 else 1}
-                                 for m, e in enumerate(exps)], 1)
+        g[f"R{i}"] = LinOp.real([{2 * m + s: -1 if e[i - 1] % 2 else 1}
+                                 for m, e in enumerate(exps) for s in (0, 1)], 1)
+        g[f"sigma{i}"] = _sigma(i, len(exps))
     return g
-
-
-# The Pauli matrices on C^2, basis (up, down).
-PAULI = {
-    1: LinOp.make([{1: GRAT_ONE}, {0: GRAT_ONE}]),
-    2: LinOp.make([{1: GRAT_I}, {0: GRAT_MINUS_I}]),
-    3: LinOp.make([{0: GRAT_ONE}, {1: grat_make(-1)}]),
-}
 
 
 def pauli_layer_check() -> VerificationReport:
@@ -238,23 +244,14 @@ def gamma_apply(DP: DiracParams, g: dict[str, LinOp]) -> LinOp:
 def symmetry_generators(DP: DiracParams, degree: int) -> dict[str, LinOp]:
     """Gamma and its symmetries as matrices on one spinor slice.
 
-    Basis vector 2 m + s is the m-th monomial of ``scalar_generators`` in
-    the up (s = 0) or down (s = 1) component.  "1" is the identity, "J{i}"
-    and "R{i}" the angular momenta and reflections (built once on the
-    scalar slice, acting on both components), "sigma{i}" the Pauli matrices
-    on the spin index, "Gamma" comes from ``gamma_apply``, and for (i j k)
-    cyclic "M{i}" = J_i + sigma_i (mu_j R_j + mu_k R_k + 1/2),
-    "X{i}" = sigma_i R_i, "K{i}" = M_i X_i Y, with "Y" = R1 R2 R3; the
-    product "M{i}X{i}" that K_i is built from is kept for ``symmetry_check``.
+    "1", "J{i}", "R{i}" and "sigma{i}" come from ``spinor_generators``
+    (basis vector 2 m + s: monomial m, spin s), "Gamma" from
+    ``gamma_apply``, and for (i j k) cyclic "M{i}" = J_i + sigma_i (mu_j R_j
+    + mu_k R_k + 1/2), "X{i}" = sigma_i R_i, "K{i}" = M_i X_i Y, with "Y" =
+    R1 R2 R3; the product "M{i}X{i}" that K_i is built from is kept for
+    ``symmetry_check``.
     """
-    one2 = LinOp.identity(2)
-    scalar = scalar_generators(DP, degree)
-    scalar_one = LinOp.identity(len(scalar["R1"].re))
-    g = {"1": kron(scalar_one, one2)}
-    for i in (1, 2, 3):
-        g[f"J{i}"] = kron(scalar[f"J{i}"], one2)
-        g[f"R{i}"] = kron(scalar[f"R{i}"], one2)
-        g[f"sigma{i}"] = kron(scalar_one, PAULI[i])
+    g = spinor_generators(DP, degree)
     g["Gamma"] = gamma_apply(DP, g)
     g["Y"] = g["R1"] @ g["R2"] @ g["R3"]
     for i, (j, k) in _CYCLIC.items():

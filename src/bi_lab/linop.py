@@ -202,33 +202,6 @@ def _canonical(re: Columns, im: Columns, den: int) -> LinOp:
                  den // g)
 
 
-def kron(a: LinOp, b: LinOp) -> LinOp:
-    """The Kronecker product a ⊗ b: basis vector j len(b) + l is e_j ⊗ e_l."""
-    m = len(b.re)
-
-    def block(terms) -> Columns:
-        # Column j m + l of x ⊗ y is the outer product of x[j] and y[l].
-        terms = [t for t in terms if any(t[0]) and any(t[1])]
-        if not terms:
-            return ({},) * (len(a.re) * m)
-        out = []
-        for j in range(len(a.re)):
-            for l in range(m):
-                acc = {}
-                for x, y, sign in terms:
-                    for i, u in x[j].items():
-                        if sign < 0:
-                            u = -u
-                        for k, v in y[l].items():
-                            acc[i * m + k] = acc.get(i * m + k, 0) + u * v
-                out.append({i: x for i, x in acc.items() if x}
-                           if 0 in acc.values() else acc)
-        return tuple(out)
-
-    return _canonical(block(((a.re, b.re, 1), (a.im, b.im, -1))),
-                      block(((a.re, b.im, 1), (a.im, b.re, 1))), a.den * b.den)
-
-
 def comm(a: LinOp, b: LinOp) -> LinOp:
     """[a, b] = ab - ba."""
     return a @ b - b @ a

@@ -258,6 +258,16 @@ class TestDirac:
         assert "--maxdeg" in err
 
 
+@pytest.mark.parametrize("argv", ["verify --scope sl1", "dirac --mu 1/4,1/3,1/2"])
+def test_report_csv_format_exit_2(capsys, argv):
+    # A report has no csv form: argparse refuses the value.
+    with pytest.raises(SystemExit) as exc:
+        main([*argv.split(), "--format", "csv"])
+    out = capsys.readouterr()
+    assert (exc.value.code, out.out) == (EXIT_INVALID, "")
+    assert "invalid choice: 'csv'" in out.err
+
+
 class TestWeights:
     def test_exact_weights_match_racah_grid(self, capsys):
         argv = ["--mu", "1/4,1/3,1/2", "--N", "4", "--format", "json"]

@@ -15,13 +15,14 @@ from bi_lab.dunkl_dirac import (
     jj_commutator_check,
     pauli_layer_check,
     reflect,
+    spinor_generators,
     symmetry_check,
     symmetry_generators,
     var_mul,
 )
 from bi_lab.errors import DegenerateParameters
 from bi_lab.exact import GRAT_I, GRAT_ZERO, grat_make
-from bi_lab.linop import LinOp, anticomm, kron
+from bi_lab.linop import LinOp, anticomm
 from bi_lab.suites import suite_dirac
 
 DP1 = DiracParams.make(Fraction(1, 4), Fraction(1, 3), Fraction(1, 2))
@@ -32,6 +33,13 @@ X1 = Poly3.monomial((1, 0, 0))
 X2 = Poly3.monomial((0, 1, 0))
 X3 = Poly3.monomial((0, 0, 1))
 ONE3 = Poly3.monomial((0, 0, 0))
+
+# The Pauli matrices, basis (up, down).
+SIGMAS = [
+    np.array([[0, 1], [1, 0]], dtype=complex),
+    np.array([[0, -1j], [1j, 0]], dtype=complex),
+    np.array([[1, 0], [0, -1]], dtype=complex),
+]
 
 
 def slices(DP, maxdeg):
@@ -51,10 +59,16 @@ def scalar_slice(degree: int, op) -> LinOp:
                       for m in exps)
 
 
-def fields(op: LinOp):
-    """re, im (each column's entries in stored order) and den."""
-    return ([list(c.items()) for c in op.re], [list(c.items()) for c in op.im],
-            op.den)
+def numerators(op: LinOp) -> np.ndarray:
+    """den * op as a dense complex array; exact for the small integer
+    numerators of these slices."""
+    out = np.zeros((len(op.re), len(op.re)), dtype=complex)
+    for j, (re, im) in enumerate(zip(op.re, op.im)):
+        for i, x in re.items():
+            out[i, j] += x
+        for i, x in im.items():
+            out[i, j] += 1j * x
+    return out
 
 
 def degrees(p: Poly3) -> set[int]:
@@ -113,19 +127,29 @@ class TestAngularMomentum:
 
 
 class TestSliceGenerators:
-    """The exponent-arithmetic slice matrices against the Poly3 reference."""
+    """The spinor slice matrices against the Poly3 reference, lifted to
+    the spinor basis 2 m + s by np.kron."""
 
     @pytest.mark.parametrize("DP", [DP0, DP1, DP_NEG], ids=["mu0", "mu1", "mu_neg"])
     @pytest.mark.parametrize("degree", range(7))
     def test_match_poly3_reference(self, DP, degree):
-        g = symmetry_generators(DP, degree)
-        one2 = LinOp.identity(2)
+        g = spinor_generators(DP, degree)
+
+        def assert_lift(got: LinOp, scalar: LinOp, spin: np.ndarray):
+            # got = scalar ⊗ spin; both sides canonical, so the dens agree.
+            assert got.den == scalar.den
+            assert np.array_equal(numerators(got),
+                                  np.kron(numerators(scalar), spin))
+
+        one = scalar_slice(degree, lambda p: p)
+        assert_lift(g["1"], one, np.eye(2))
         for i in (1, 2, 3):
-            want_j = kron(scalar_slice(degree, lambda p: angular_momentum(DP, i, p)), one2)
-            want_r = kron(scalar_slice(degree, lambda p: reflect(i, p)), one2)
-            assert fields(g[f"J{i}"]) == fields(want_j)
-            assert fields(g[f"R{i}"]) == fields(want_r)
-        assert fields(g["1"]) == fields(kron(scalar_slice(degree, lambda p: p), one2))
+            assert_lift(g[f"J{i}"],
+                        scalar_slice(degree, lambda p: angular_momentum(DP, i, p)),
+                        np.eye(2))
+            assert_lift(g[f"R{i}"], scalar_slice(degree, lambda p: reflect(i, p)),
+                        np.eye(2))
+            assert_lift(g[f"sigma{i}"], one, SIGMAS[i - 1])
 
     def test_negative_mu_reaches_the_matrices(self):
         # J3 x1 = i (1 + 2 mu1) x2: 1/3 i at mu1 = -1/3 (x2 is monomial 1
@@ -177,12 +201,7 @@ class TestGamma:
             m[j, k] = 1 + 2 * mus[k]
             m[k, j] = -(1 + 2 * mus[j])
             jmats.append(-1j * m)
-        sigmas = [
-            np.array([[0, 1], [1, 0]], dtype=complex),
-            np.array([[0, -1j], [1j, 0]], dtype=complex),
-            np.array([[1, 0], [0, -1]], dtype=complex),
-        ]
-        gamma = sum(np.kron(jm, s) for jm, s in zip(jmats, sigmas))
+        gamma = sum(np.kron(jm, s) for jm, s in zip(jmats, SIGMAS))
         for i in range(3):
             refl = np.eye(3)
             refl[i, i] = -1
@@ -282,17 +301,17 @@ class TestMutants:
 def test_one_generator_build_per_slice(monkeypatch):
     import bi_lab.dunkl_dirac as dd
 
-    calls = {"scalar_generators": 0, "gamma_apply": 0}
+    calls = {"spinor_generators": 0, "gamma_apply": 0}
     for name in calls:
         def counted(*args, _orig=getattr(dd, name), _name=name):
             calls[_name] += 1
             return _orig(*args)
         monkeypatch.setattr(dd, name, counted)
     for _ in range(2):  # a second identical call does the same work again
-        calls.update(scalar_generators=0, gamma_apply=0)
+        calls.update(spinor_generators=0, gamma_apply=0)
         assert suite_dirac(seed=1, tuples=1, maxdeg=3).passed
-        # One scalar build (J_1..J_3, R_1..R_3) and one Gamma per slice 0..3.
-        assert calls == {"scalar_generators": 4, "gamma_apply": 4}
+        # One build of 1, J_i, R_i, sigma_i and one Gamma per slice 0..3.
+        assert calls == {"spinor_generators": 4, "gamma_apply": 4}
 
 
 def test_each_slice_product_formed_once(monkeypatch):

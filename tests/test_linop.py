@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bi_lab.exact import GRAT_ONE, GRat
-from bi_lab.linop import LinOp, anticomm, comm, kron
+from bi_lab.linop import LinOp, anticomm, comm
 
 N = 4
 rationals = st.fractions(min_value=-20, max_value=20, max_denominator=12)
@@ -24,13 +24,13 @@ imaginaries = st.builds(lambda y: GRat(Fraction(0), y), sparse_rationals)
 zeros = st.just(Fraction(0))
 
 
-def entries(scalar, n=N):
-    return st.lists(scalar, min_size=n * n, max_size=n * n)
+def entries(scalar):
+    return st.lists(scalar, min_size=N * N, max_size=N * N)
 
 
-def linop(flat, n=N) -> LinOp:
-    """Row-major flat list of an n x n matrix -> LinOp."""
-    return LinOp.make({i: flat[i * n + j] for i in range(n)} for j in range(n))
+def linop(flat) -> LinOp:
+    """Row-major flat list of an N x N matrix -> LinOp."""
+    return LinOp.make({i: flat[i * N + j] for i in range(N)} for j in range(N))
 
 
 def to_sympy(x):
@@ -39,8 +39,8 @@ def to_sympy(x):
     return sympy.Rational(x)
 
 
-def sym(flat, n=N) -> sympy.Matrix:
-    return sympy.Matrix(n, n, [to_sympy(x) for x in flat])
+def sym(flat) -> sympy.Matrix:
+    return sympy.Matrix(N, N, [to_sympy(x) for x in flat])
 
 
 def as_sympy(a: LinOp) -> sympy.Matrix:
@@ -103,24 +103,6 @@ def test_mixed_operands_match_sympy(left, right, data):
             assert same(got, want)
         assert [snapshot(m) for m in operands + results] == before
         results += [got for got, _ in cases]
-    u, v = data.draw(entries(left, 3)), data.draw(entries(right, 2))
-    ua, vb = linop(u, 3), linop(v, 2)
-    before = [snapshot(ua), snapshot(vb)]
-    assert same(kron(ua, vb), sympy.kronecker_product(sym(u, 3), sym(v, 2)))
-    assert same(kron(vb, ua), sympy.kronecker_product(sym(v, 2), sym(u, 3)))
-    assert [snapshot(ua), snapshot(vb)] == before
-
-
-@pytest.mark.parametrize("scalar", [sparse_rationals, grats],
-                         ids=["Fraction", "GRat"])
-@settings(deadline=None, max_examples=25)
-@given(data=st.data())
-def test_kron_matches_sympy(scalar, data):
-    # Unequal sizes, so the basis order j len(b) + l is pinned down.
-    x, y = data.draw(entries(scalar, 3)), data.draw(entries(scalar, 2))
-    a, b = linop(x, 3), linop(y, 2)
-    assert same(kron(a, b), sympy.kronecker_product(sym(x, 3), sym(y, 2)))
-    assert kron(a, b) - kron(a, b) == kron(a - a, b)
 
 
 @settings(deadline=None, max_examples=25)
