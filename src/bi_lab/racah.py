@@ -3,8 +3,9 @@
 Two exact constructions are checked over the rationals:
 
   * the (N+1)x(N+1) tridiagonal representation built from the
-    closed-form coefficients B_k, D_k, with the anticommutation relations
-    and the Casimir value checked by ``representation_check``, and
+    closed-form coefficients B_k, D_k (K2 = {K1,K3} - omega2 is written on
+    the band), with the anticommutation relations and the Casimir value
+    checked on integer matrices by ``representation_check``, and
   * the intermediate Casimir operators Q12, Q23 and the total Casimir Q4
     on one degree slice of the threefold tensor product of
     discrete-series modules (``tensor_slice``): their spectra, the
@@ -20,8 +21,6 @@ its eigenvectors are the Bannai-Ito polynomials on the grid
 (``racah_overlaps``).  One build serves the relations, the spectrum and
 the overlaps.
 
-Exact matrices are dense nested lists of Fractions, but K1 and K3 are
-tridiagonal and diagonal, so ``mat_mul`` multiplies only nonzero entries.
 The off-diagonal data of the representation is kept as the rational
 product B_{k-1} D_k.
 """
@@ -44,51 +43,42 @@ from .report import VerificationReport
 from .sl1 import ModuleParams, rho_squared
 
 Matrix = list[list[Rat]]
+IntMatrix = list[list[int]]
 
 
 # ---------------------------------------------------------------------------
-# exact (N+1) x (N+1) matrix helpers: dense nested lists, arithmetic only
-# on nonzero entries (the racah command takes any N)
+# dense (N+1) x (N+1) nested lists: Fractions in the build, ints in the check
 
 def mat_zero(n: int) -> Matrix:
     return [[ZERO] * n for _ in range(n)]
 
-def mat_identity(n: int, c: Rat) -> Matrix:
-    out = mat_zero(n)
-    for i in range(n):
-        out[i][i] = c
-    return out
+def band_indices(n: int) -> list[tuple[int, int]]:
+    """The index pairs (i, j) with |i - j| <= 1 of an n x n matrix."""
+    return [(i, j) for i in range(n) for j in range(max(i - 1, 0), min(i + 2, n))]
 
-# Most entries are zero: mat_add and mat_sub do Fraction arithmetic only
-# where both summands are nonzero.
-def mat_add(a: Matrix, b: Matrix) -> Matrix:
-    return [[x + y if x and y else x or y for x, y in zip(ra, rb)]
-            for ra, rb in zip(a, b)]
+def mat_add(a: IntMatrix, b: IntMatrix) -> IntMatrix:
+    return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
 
-def mat_sub(a: Matrix, b: Matrix) -> Matrix:
-    return [[x - y if x and y else x or -y for x, y in zip(ra, rb)]
-            for ra, rb in zip(a, b)]
-
-def mat_mul(a: Matrix, b: Matrix) -> Matrix:
+def mat_mul(a: IntMatrix, b: IntMatrix) -> IntMatrix:
     """Dense a @ b; each row of b is listed as its nonzero (j, b_kj) once,
     and each output entry starts from its first product."""
     n = len(a)
     b_rows = [[(j, x) for j, x in enumerate(row) if x] for row in b]
     out = []
     for ra in a:
-        acc: dict[int, Rat] = {}
+        acc: dict[int, int] = {}
         for k, aik in enumerate(ra):
             if aik:
                 for j, bkj in b_rows[k]:
                     p = aik * bkj
                     acc[j] = acc[j] + p if j in acc else p
-        row = [ZERO] * n
+        row = [0] * n
         for j, x in acc.items():
             row[j] = x
         out.append(row)
     return out
 
-def mat_anticomm(a: Matrix, b: Matrix) -> Matrix:
+def mat_anticomm(a: IntMatrix, b: IntMatrix) -> IntMatrix:
     return mat_add(mat_mul(a, b), mat_mul(b, a))
 
 
@@ -228,9 +218,8 @@ class TridiagRep:
             "N": self.params.N,
             "q4": rat_str(self.q4),
             "casimir": rat_str(self.casimir),
-            "K1": [[rat_str(x) for x in row] for row in self.K1],
-            "K2": [[rat_str(x) for x in row] for row in self.K2],
-            "K3": [[rat_str(x) for x in row] for row in self.K3],
+            **{name: [[rat_str(x) if x else "0/1" for x in row] for row in K]
+               for name, K in (("K1", self.K1), ("K2", self.K2), ("K3", self.K3))},
         }
 
 
@@ -247,35 +236,46 @@ def build_tridiag_rep(RP: RacahParams) -> TridiagRep:
         if B[k - 1] * D[k] <= 0:
             raise NotUnitary(f"B_{k-1} D_{k} = {B[k-1] * D[k]} not positive")
 
-    K1 = mat_zero(n)
+    K1, K2, K3 = mat_zero(n), mat_zero(n), mat_zero(n)
     for k in range(n):
         K1[k][k] = RP.mu2 + RP.mu3 + HALF - B[k] - D[k]
-        if k + 1 < n:
-            K1[k + 1][k] = B[k]     # raising part of column k
-        if k - 1 >= 0:
-            K1[k - 1][k] = D[k]     # lowering part of column k
-    K3 = mat_zero(n)
-    for k in range(n):
         K3[k][k] = spectrum_value(k, RP.mu1 + RP.mu2)
-
-    K2 = mat_sub(mat_anticomm(K1, K3), mat_identity(n, RP.omegas[1]))
+        if k:  # the raising part of column k - 1, the lowering part of column k
+            K1[k][k - 1], K1[k - 1][k] = B[k - 1], D[k]
+    # K3 is diagonal, so K2 = {K1,K3} - omega2 is K1_ij (K3_ii + K3_jj) on
+    # the band of K1, less omega2 on the diagonal.
+    for i, j in band_indices(n):
+        K2[i][j] = K1[i][j] * (K3[i][i] + K3[j][j])
+    for k in range(n):
+        K2[k][k] -= RP.omegas[1]
     return TridiagRep(RP, K1, K2, K3, B, D, RP.casimir_value())
 
 
 def representation_check(rep: TridiagRep) -> VerificationReport:
     """{K1,K2} = K3 + omega3, {K2,K3} = K1 + omega1 and the Casimir of a
-    built representation, at index N; K2 = {K1,K3} - omega2 by construction."""
-    RP, K1, K2, K3 = rep.params, rep.K1, rep.K2, rep.K3
-    n = RP.N + 1
+    built representation at index N (K2 = {K1,K3} - omega2 by construction),
+    each times L^2, on the integer matrices L K_i read from the band (where
+    the build puts every nonzero entry); L is the lcm of all denominators."""
+    RP, Ks, n = rep.params, (rep.K1, rep.K2, rep.K3), rep.params.N + 1
     om1, _, om3 = RP.omegas
+    band = band_indices(n)
+    L = math.lcm(*(K[i][j].denominator for K in Ks for i, j in band),
+                 om1.denominator, om3.denominator, rep.casimir.denominator)
+    zero, A1, A2, A3 = ([[0] * n for _ in range(n)] for _ in range(4))
+    for K, A in zip(Ks, (A1, A2, A3)):
+        for i, j in band:
+            A[i][j] = K[i][j].numerator * (L // K[i][j].denominator)
+
+    def plus(A: IntMatrix, c: Rat) -> IntMatrix:  # L A + L^2 c, in integers
+        c2 = c.numerator * (L // c.denominator) * L
+        return [[L * x + c2 if i == j else L * x for j, x in enumerate(row)]
+                for i, row in enumerate(A)]
+
     report = VerificationReport(f"racah representation (N={RP.N})")
-    report.record("{K1,K2} = K3 + omega3", RP.N,
-                  mat_anticomm(K1, K2) == mat_add(K3, mat_identity(n, om3)))
-    report.record("{K2,K3} = K1 + omega1", RP.N,
-                  mat_anticomm(K2, K3) == mat_add(K1, mat_identity(n, om1)))
-    total = mat_add(mat_mul(K1, K1), mat_add(mat_mul(K2, K2), mat_mul(K3, K3)))
-    report.record("K1^2 + K2^2 + K3^2 = casimir", RP.N,
-                  total == mat_identity(n, rep.casimir))
+    report.record("{K1,K2} = K3 + omega3", RP.N, mat_anticomm(A1, A2) == plus(A3, om3))
+    report.record("{K2,K3} = K1 + omega1", RP.N, mat_anticomm(A2, A3) == plus(A1, om1))
+    total = mat_add(mat_mul(A1, A1), mat_add(mat_mul(A2, A2), mat_mul(A3, A3)))
+    report.record("K1^2 + K2^2 + K3^2 = casimir", RP.N, total == plus(zero, rep.casimir))
     return report
 
 

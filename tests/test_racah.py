@@ -144,35 +144,50 @@ class TestRepresentation:
             RacahParams.make(1, 1, 1, -1)
 
 
-def shift_omega(monkeypatch, i):
-    """Mutant: omega_(i+1) + 1 wherever RacahParams.omegas is read."""
+def shift_omega(monkeypatch, i, by=1):
+    """Mutant: omega_(i+1) + by wherever RacahParams.omegas is read."""
     orig = vars(RacahParams)["omegas"]
 
     def shifted(RP):
         om = list(orig.__get__(RP, RacahParams))
-        om[i] += 1
+        om[i] += by
         return tuple(om)
     monkeypatch.setattr(RacahParams, "omegas", property(shifted))
 
 
 class TestRepresentationCheckCanFail:
-    # Each mutant breaks one input of exactly one recorded relation.
+    # Each mutant breaks one input of exactly one recorded relation.  A
+    # shift by 1/997, a denominator of no band entry, reaches the integer
+    # check only through the common denominator L of the scaled constants.
+    @pytest.mark.parametrize("shift", [1, Fraction(1, 997)], ids=["1", "1/997"])
     @pytest.mark.parametrize("N", range(4))
     @pytest.mark.parametrize("mutant, failed", [
         ("omega3", "{K1,K2} = K3 + omega3"),
         ("omega1", "{K2,K3} = K1 + omega1"),
         ("casimir", "K1^2 + K2^2 + K3^2 = casimir"),
     ])
-    def test_mutant_fails_one_entry(self, monkeypatch, N, mutant, failed):
+    def test_mutant_fails_one_entry(self, monkeypatch, N, mutant, failed, shift):
         RP = RacahParams.make(Fraction(1, 4), Fraction(1, 3), Fraction(1, 2), N)
         if mutant.startswith("omega"):
-            shift_omega(monkeypatch, {"omega1": 0, "omega3": 2}[mutant])
+            shift_omega(monkeypatch, {"omega1": 0, "omega3": 2}[mutant], shift)
         rep = build_tridiag_rep(RP)
         if mutant == "casimir":
-            rep = dataclasses.replace(rep, casimir=rep.casimir + 1)
+            rep = dataclasses.replace(rep, casimir=rep.casimir + shift)
         report = representation_check(rep)
         assert report.checked == 3
         assert [(e.check, e.index) for e in report.failures] == [(failed, N)]
+
+    @pytest.mark.parametrize("N", range(1, 4))
+    @pytest.mark.parametrize("above", [False, True])
+    def test_shifted_k2_offdiagonal_fails(self, N, above):
+        RP = RacahParams.make(Fraction(1, 4), Fraction(1, 3), Fraction(1, 2), N)
+        rep = build_tridiag_rep(RP)
+        K2 = [row[:] for row in rep.K2]
+        i, j = (0, 1) if above else (N, N - 1)
+        K2[i][j] += Fraction(1, 3)
+        assert representation_check(rep).passed
+        report = representation_check(dataclasses.replace(rep, K2=K2))
+        assert report.checked == 3 and not report.passed
 
     def test_omega2_mutant_exits_1_without_error(self, monkeypatch, capsys):
         # A failed relation is a verification failure (exit 1), not invalid
@@ -207,19 +222,20 @@ class TestRepresentationCheckCanFail:
 
 
 def naive_mul(a, b):
+    """Triple-loop a @ b, of ints or of Fractions."""
     n = len(a)
-    return [[sum((a[i][k] * b[k][j] for k in range(n)), Fraction(0))
+    return [[sum(a[i][k] * b[k][j] for k in range(n))
              for j in range(n)] for i in range(n)]
 
 
 def random_banded(rng, n, band):
-    """n x n Fractions, zero outside |i - j| <= band; about a third of the
-    band is an explicit Fraction(0), and one row and one column (or none,
-    when the drawn index is n) are entirely zero."""
+    """n x n ints, zero outside |i - j| <= band; about a third of the band
+    is an explicit 0, and one row and one column (or none, when the drawn
+    index is n) are entirely zero."""
     zero_row, zero_col = rng.randrange(n + 1), rng.randrange(n + 1)
-    return [[Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+    return [[rng.randint(-99, 99)
              if abs(i - j) <= band and rng.random() > 0.3
-             and i != zero_row and j != zero_col else Fraction(0)
+             and i != zero_row and j != zero_col else 0
              for j in range(n)] for i in range(n)]
 
 
@@ -235,13 +251,13 @@ class TestMatMul:
             for x, y in ((a, b), (b, a)):
                 got = mat_mul(x, y)
                 assert got == naive_mul(x, y)
-                assert all(type(v) is Fraction for row in got for v in row)
+                assert all(type(v) is int for row in got for v in row)
                 inputs = {id(r) for r in a + b}
                 assert len({id(r) for r in got} - inputs) == n
             assert (a, b) == (a_copy, b_copy)
 
     def test_zero_operand(self):
-        z = [[Fraction(0)] * 3 for _ in range(3)]
+        z = [[0] * 3 for _ in range(3)]
         a = random_banded(random.Random(1), 3, 2)
         assert mat_mul(z, a) == mat_mul(a, z) == z
 
@@ -250,6 +266,25 @@ OVERLAP_CASES = [
     RacahParams.make(Fraction(1, 4), Fraction(1, 3), Fraction(1, 2), N)
     for N in range(6)
 ] + [random_racah_params(random.Random(seed), 10) for seed in range(6)]
+
+
+def anticomm_k1_k3_minus_omega2(rep):
+    """Oracle: {K1,K3} - omega2 from dense Fraction triple loops."""
+    n, om2 = rep.params.N + 1, rep.params.omegas[1]
+    p, q = naive_mul(rep.K1, rep.K3), naive_mul(rep.K3, rep.K1)
+    return [[p[i][j] + q[i][j] - (om2 if i == j else 0) for j in range(n)]
+            for i in range(n)]
+
+
+_K2_RNG = random.Random(22)
+
+
+@pytest.mark.parametrize("RP", OVERLAP_CASES + [
+    random_racah_params(_K2_RNG, 12) for _ in range(10)])
+def test_k2_from_band_equals_anticommutator(RP):
+    rep = build_tridiag_rep(RP)
+    assert rep.K2 == anticomm_k1_k3_minus_omega2(rep)
+    assert all(type(x) is Fraction for row in rep.K2 for x in row)
 
 
 class TestOverlaps:
