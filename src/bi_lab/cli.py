@@ -150,6 +150,7 @@ def cmd_racah(args) -> int:
     coeffs = [recurrence_coeffs(P, k) for k in range(RP.N + 1)]
     spectra = k1_spectrum_check(rep, coeffs)
     if args.format == "json":
+        weights = discrete_weights_exact(P, coeffs)  # pairs (x_s, w_s)
         _emit_json({
             "params": {
                 "mu": [rat_str(m) for m in mu],
@@ -161,11 +162,11 @@ def cmd_racah(args) -> int:
             "k1_spectrum": [rat_str(spectrum_value(s, RP.mu2 + RP.mu3))
                             for s in range(RP.N + 1)],
             "k3_diagonal": [rat_str(rep.K3[k][k]) for k in range(RP.N + 1)],
-            "grid": [rat_str(grid_point(P, s)) for s in range(RP.N + 1)],
+            "grid": [rat_str(x) for x, _ in weights],
             "overlaps": [[rat_str(x) for x in row] for row in racah_overlaps(rep)],
             "weights": [
                 {"s": s, "x": rat_str(x), "w": rat_str(w)}
-                for s, (x, w) in enumerate(discrete_weights_exact(P, coeffs))
+                for s, (x, w) in enumerate(weights)
             ],
             "spectra_check": spectra.passed,
         })

@@ -90,11 +90,6 @@ class GRat:
         return f"GRat({self.re}, {self.im})"
 
 
-GRAT_ZERO = GRat()
 GRAT_ONE = GRat(ONE, ZERO)
 GRAT_I = GRat(ZERO, ONE)
 GRAT_MINUS_I = GRat(ZERO, -ONE)
-
-
-def grat_make(re: Rat | int, im: Rat | int = 0) -> GRat:
-    return GRat(Fraction(re), Fraction(im))

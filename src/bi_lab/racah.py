@@ -14,12 +14,12 @@ Two exact constructions are checked over the rationals:
     whole slice (``central_extension_check``).
 
 The spectrum of K1 and the overlaps between the two eigenbases are exact
-and read off the built representation: the characteristic polynomial of
-K1 follows a continuant whose steps are those of the Bannai-Ito
-recurrence, so its roots are the grid points (``k1_spectrum_check``) and
-its eigenvectors are the Bannai-Ito polynomials on the grid
-(``racah_overlaps``).  One build serves the relations, the spectrum and
-the overlaps.
+and read off the built representation by one integer continuant that
+solves K1 v = lambda_s v row by row (``_continuant``): its last row
+vanishes at each lambda_s (``k1_spectrum_check``, which also matches
+its steps with those of the Bannai-Ito recurrence), and its rows are the
+eigenvectors, the Bannai-Ito polynomials on the grid (``racah_overlaps``).
+One build serves the relations, the spectrum and the overlaps.
 
 The off-diagonal data of the representation is kept as the rational
 product B_{k-1} D_k.
@@ -34,11 +34,10 @@ from fractions import Fraction
 from functools import cached_property
 
 from .bi_operator import BIParams
-from .bi_poly import RecurrenceCoeffs, bi_recurrence, grid_point, recurrence_steps
+from .bi_poly import RecurrenceCoeffs, recurrence_steps
 from .errors import DegenerateParameters, NotUnitary, TruncationFailure
 from .exact import HALF, ONE, Rat, ZERO, rat_str
 from .linop import LinOp, anticomm
-from .poly import P_ONE, Poly
 from .report import VerificationReport
 from .sl1 import ModuleParams, rho_squared
 
@@ -279,54 +278,16 @@ def representation_check(rep: TridiagRep) -> VerificationReport:
     return report
 
 
-def k1_spectrum_check(rep: TridiagRep,
-                      coeffs: list[RecurrenceCoeffs]) -> VerificationReport:
-    """Spectrum of K1 from its characteristic polynomial, exactly.
+def _continuant(rep: TridiagRep) -> tuple[list[list[int]], list[int]]:
+    """K1 v = lambda_s v solved row by row on integers, for each s.
 
-    ``coeffs`` are the recurrence coefficients of degrees 0..N of the
-    identified BI parameters.  The leading k x k minor q_k of
-    2x + 1/2 - K1 follows the continuant
-    q_{k+1} = (2x + 1/2 - K1_kk) q_k - B_{k-1} D_k q_{k-1}, so the monic
-    q_k / 2^k has the steps ((K1_kk - 1/2) / 2, B_{k-1} D_k / 4).  These
-    equal the BI steps (b_k, u_k), so q_k = 2^k B_k; with
-    q_{N+1} = 2^{N+1} prod_s (x - x_s) and lambda_s = 2 x_s + 1/2 this
-    gives spec K1 = {lambda_s} and the eigenvectors of ``racah_overlaps``.
-    """
-    RP = rep.params
-    P = RP.identifications()
-    report = VerificationReport("racah spectra")
-    products = (ZERO, *rep.offdiag_products)
-    steps = [((rep.K1[k][k] - HALF) / 2, products[k] / 4) for k in range(RP.N + 1)]
-    bi_steps = recurrence_steps(P, coeffs)
-    for k, (step, bi_step) in enumerate(zip(steps, bi_steps, strict=True)):
-        report.record("K1 continuant = 2^k BI recurrence", k, step == bi_step)
-    grid = [grid_point(P, s) for s in range(RP.N + 1)]
-    target = P_ONE
-    for x_s in grid:
-        target = Poly((0, *target.nums), target.den) - target.scale(x_s)
-    report.record("K1 characteristic polynomial", RP.N,
-                  bi_recurrence(steps)[-1] == target)
-    for s, x_s in enumerate(grid):
-        report.record("K1 spectrum", s,
-                      spectrum_value(s, RP.mu2 + RP.mu3) == 2 * x_s + HALF)
-    return report
-
-
-def racah_overlaps(rep: TridiagRep) -> Matrix:
-    """Overlap matrix <s|k> of a built representation, exactly.
-
-    Row s is the K1 eigenvector v of eigenvalue
-    lambda_s = (-1)^s (s + mu2 + mu3 + 1/2) in the K3 eigenbasis of
-    ``rep``, scaled to v_0 = 1: row k of K1 v = lambda_s v is solved for
-    v_{k+1}, which makes v_k = q_k(x) / prod_{j<=k} D_j at
-    2x + 1/2 = lambda_s.  Where ``k1_spectrum_check`` passes, x = x_s,
-    v_k = 2^k B_k(x_s) / prod_{j<=k} D_j and the last row holds too.
-
-    The solve runs on integers.  Over one common denominator L, with
-    numerators a_k of K1_kk, b_k of B_k, d_k of D_k and Lambda_s of
-    lambda_s, the continuant u_0 = 1,
-    u_{k+1} = (Lambda_s - a_k) u_k - b_{k-1} d_k u_{k-1} gives
-    v_k = u_k / (d_1 ... d_k): one Fraction per entry.
+    Over one common denominator L, with numerators a_k of K1_kk, b_k of
+    B_k, d_k of D_k and Lambda_s of lambda_s = ``spectrum_value(s, mu2 +
+    mu3)``, row k gives u_{k+1} = (Lambda_s - a_k) u_k - b_{k-1} d_k u_{k-1}
+    from u_0 = 1, and v_k = u_k / (d_1 ... d_k) for k <= N.  Returns the
+    rows u_0..u_{N+1} and the products d_1 ... d_k (k <= N).  The last
+    row of K1 v = lambda_s v holds exactly when u_{N+1} = 0: u_{N+1} is
+    L^{N+1} det(lambda_s - K1).
     """
     n = rep.params.N + 1
     diag = [rep.K1[k][k] for k in range(n)]
@@ -341,14 +302,52 @@ def racah_overlaps(rep: TridiagRep) -> Matrix:
     dprod = [1]  # d_1 ... d_k; no d_k vanishes, since B_{k-1} D_k > 0
     for d in rep.D[1:]:
         dprod.append(dprod[-1] * num(d))
-    out = []
+    rows = []
     for lam in map(num, lams):
-        u, prev, row = 1, 0, [ONE]
-        for k in range(1, n):
-            u, prev = (lam - a[k - 1]) * u - bd[k - 1] * prev, u
-            row.append(Fraction(u, dprod[k]))
-        out.append(row)
-    return out
+        u = [1]
+        for k in range(n):
+            u.append((lam - a[k]) * u[k] - bd[k] * (u[k - 1] if k else 0))
+        rows.append(u)
+    return rows, dprod
+
+
+def k1_spectrum_check(rep: TridiagRep,
+                      coeffs: list[RecurrenceCoeffs]) -> VerificationReport:
+    """Spectrum of K1 and the recurrence of its eigenvectors, exactly.
+
+    ``coeffs`` are the recurrence coefficients of degrees 0..N of the
+    identified BI parameters.  The leading k x k minor q_k of
+    2x + 1/2 - K1 has the monic continuant steps
+    ((K1_kk - 1/2) / 2, B_{k-1} D_k / 4); these equal the BI steps
+    (b_k, u_k), so q_k = 2^k B_k ("K1 continuant").  "K1 spectrum" @ s
+    checks u_{N+1}(lambda_s) = 0 in ``_continuant``: lambda_s is an
+    eigenvalue.  The N+1 values lambda_s are distinct (mu2 + mu3 > -1), so
+    spec K1 = {lambda_s}.
+    """
+    RP = rep.params
+    report = VerificationReport("racah spectra")
+    products = (ZERO, *rep.offdiag_products)
+    steps = [((rep.K1[k][k] - HALF) / 2, products[k] / 4) for k in range(RP.N + 1)]
+    bi_steps = recurrence_steps(RP.identifications(), coeffs)
+    for k, (step, bi_step) in enumerate(zip(steps, bi_steps, strict=True)):
+        report.record("K1 continuant = 2^k BI recurrence", k, step == bi_step)
+    for s, u in enumerate(_continuant(rep)[0]):
+        report.record("K1 spectrum", s, u[-1] == 0)
+    return report
+
+
+def racah_overlaps(rep: TridiagRep) -> Matrix:
+    """Overlap matrix <s|k> of a built representation, exactly.
+
+    Row s is the K1 eigenvector v of eigenvalue
+    lambda_s = (-1)^s (s + mu2 + mu3 + 1/2) in the K3 eigenbasis of
+    ``rep``, scaled to v_0 = 1: rows 0..N of the integer continuant of
+    ``_continuant``, one Fraction per entry.  With ``k1_spectrum_check``,
+    v_k = 2^k B_k(x_s) / prod_{j<=k} D_j at 2 x_s + 1/2 = lambda_s.
+    """
+    rows, dprod = _continuant(rep)
+    return [[Fraction(u_k, d) for u_k, d in zip(u[:-1], dprod, strict=True)]
+            for u in rows]
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,7 @@ from bi_lab.dunkl_dirac import (
     var_mul,
 )
 from bi_lab.errors import DegenerateParameters
-from bi_lab.exact import GRAT_I, GRAT_ZERO, grat_make
+from bi_lab.exact import GRAT_I, GRat
 from bi_lab.linop import LinOp, anticomm
 from bi_lab.suites import suite_dirac
 
@@ -77,27 +77,29 @@ def degrees(p: Poly3) -> set[int]:
 
 class TestPoly3:
     def test_zero_coefficients_dropped(self):
-        assert not Poly3.make({(1, 0, 0): grat_make(0)}).terms
+        assert not Poly3.make({(1, 0, 0): GRat(Fraction(0), Fraction(0))}).terms
 
     def test_total_degree(self):
         assert degrees(Poly3.make({})) == set()
         assert degrees(X1 + var_mul(2, X2)) == {1, 2}
 
     def test_reflect(self):
-        assert reflect(1, X1) == X1.scale(grat_make(-1))
+        assert reflect(1, X1) == X1.scale(GRat(Fraction(-1), Fraction(0)))
         assert reflect(1, X2) == X2
 
 
 class TestDunklPartial:
     def test_even_power(self):
-        assert dunkl_partial(DP1, 1, var_mul(1, X1)) == X1.scale(grat_make(2))
+        assert dunkl_partial(DP1, 1, var_mul(1, X1)) == \
+            X1.scale(GRat(Fraction(2), Fraction(0)))
 
     def test_odd_power(self):
-        assert dunkl_partial(DP1, 1, X1) == ONE3.scale(grat_make(1 + 2 * DP1.mu1))
+        assert dunkl_partial(DP1, 1, X1) == \
+            ONE3.scale(GRat(Fraction(1 + 2 * DP1.mu1), Fraction(0)))
 
     def test_mixed(self):
         assert dunkl_partial(DP1, 2, var_mul(1, X2)) == \
-            X1.scale(grat_make(1 + 2 * DP1.mu2))
+            X1.scale(GRat(Fraction(1 + 2 * DP1.mu2), Fraction(0)))
 
     def test_params_validated(self):
         with pytest.raises(DegenerateParameters):
@@ -108,7 +110,7 @@ class TestAngularMomentum:
     def test_j3_on_x1(self):
         # J3 x1 = i (1 + 2 mu1) x2; the classical i x2 at mu = 0.
         assert angular_momentum(DP1, 3, X1) == \
-            X2.scale(GRAT_I).scale(grat_make(1 + 2 * DP1.mu1))
+            X2.scale(GRAT_I).scale(GRat(Fraction(1 + 2 * DP1.mu1), Fraction(0)))
         assert angular_momentum(DP0, 3, X1) == X2.scale(GRAT_I)
 
     def test_j3_on_x3(self):
@@ -155,7 +157,7 @@ class TestSliceGenerators:
         # J3 x1 = i (1 + 2 mu1) x2: 1/3 i at mu1 = -1/3 (x2 is monomial 1
         # of the degree-1 slice, x1 monomial 2).
         j3 = symmetry_generators(DP_NEG, 1)["J3"]
-        assert j3.cols[spinor(2, 0)][spinor(1, 0)] == grat_make(0, Fraction(1, 3))
+        assert j3.cols[spinor(2, 0)][spinor(1, 0)] == GRat(Fraction(0), Fraction(1, 3))
 
 
 class TestSpinorLayer:
@@ -185,9 +187,9 @@ class TestGamma:
         x3, x2, x1 = range(3)
         gamma = symmetry_generators(DP1, 1)["Gamma"]
         assert gamma.cols[spinor(x1, 0)] == {
-            spinor(x1, 0): grat_make(Fraction(7, 12)),
-            spinor(x2, 0): grat_make(0, Fraction(3, 2)),
-            spinor(x3, 1): grat_make(Fraction(3, 2)),
+            spinor(x1, 0): GRat(Fraction(7, 12), Fraction(0)),
+            spinor(x2, 0): GRat(Fraction(0), Fraction(3, 2)),
+            spinor(x3, 1): GRat(Fraction(3, 2), Fraction(0)),
         }
 
     def test_matrix_oracle_degree_one(self):
@@ -232,7 +234,7 @@ class TestSymmetryAlgebra:
         for d in range(4):
             g = symmetry_generators(DP1, d)
             assert g["Y"] @ g["Y"] == g["1"]
-            assert g["Y"] == g["1"].scale(grat_make((-1) ** d))
+            assert g["Y"] == g["1"].scale(GRat(Fraction((-1) ** d), Fraction(0)))
 
     def test_mu_zero_k_relations_have_no_central_term(self):
         # At mu = 0: {K1,K2} = K3 exactly (all central terms vanish).
@@ -245,7 +247,7 @@ class TestSymmetryAlgebra:
         # the zero matrix on any slice.
         for d in range(5):
             g = symmetry_generators(DP1, d)
-            assert anticomm(g["K1"], g["K2"]) - g["K3"] != g["1"].scale(GRAT_ZERO)
+            assert anticomm(g["K1"], g["K2"]) - g["K3"] != g["1"].scale(GRat())
 
 
 class TestMutants:
@@ -260,7 +262,8 @@ class TestMutants:
         import bi_lab.dunkl_dirac as dd
 
         def gamma(DP, g, _orig=dd.gamma_apply):
-            return _orig(DP, g) - g[f"R{axis}"].scale(grat_make(2 * DP.mu(axis)))
+            return _orig(DP, g) - g[f"R{axis}"].scale(
+                GRat(Fraction(2 * DP.mu(axis)), Fraction(0)))
 
         monkeypatch.setattr(dd, "gamma_apply", gamma)
         failed = self.failed(symmetry_check(DP1, slices(DP1, 3)))

@@ -334,27 +334,45 @@ class TestOverlaps:
                        np.max(np.abs(w + vecs[:, j]))) < 1e-9
 
 
-@pytest.fixture
-def shifted_grid(monkeypatch):
-    """Mutant: the grid point x_0 moved by 1/2 where racah reads the grid."""
+def shift_k1_lambda0(monkeypatch, cs):
+    """Mutant: lambda_0 moved by 1/2 where racah reads spectrum_value with
+    c in ``cs``, the values mu2 + mu3 of the K1 spectrum."""
     import bi_lab.racah as racah
 
-    def shifted(P, s, _orig=racah.grid_point):
-        return _orig(P, s) + (Fraction(1, 2) if s == 0 else 0)
-    monkeypatch.setattr(racah, "grid_point", shifted)
+    def shifted(s, c, _orig=racah.spectrum_value):
+        return _orig(s, c) + (Fraction(1, 2) if s == 0 and c in cs else 0)
+    monkeypatch.setattr(racah, "spectrum_value", shifted)
+
+
+SPECTRUM_NAMES = ("K1 continuant = 2^k BI recurrence", "K1 spectrum")
 
 
 class TestSpectrumCheckCanFail:
-    # Each mutant breaks one input of the characteristic-polynomial identity.
-    def test_shifted_grid_point(self, shifted_grid):
-        rep = build_tridiag_rep(R1)
+    @pytest.mark.parametrize("N", range(6))
+    def test_entries(self, N):
+        RP = RacahParams.make(Fraction(1, 4), Fraction(1, 3), Fraction(1, 2), N)
+        rep = build_tridiag_rep(RP)
         report = k1_spectrum_check(rep, coeffs_of(rep))
-        assert failed_checks(report) == {"K1 characteristic polynomial", "K1 spectrum"}
-        assert [e.index for e in report.failures if e.check == "K1 spectrum"] == [0]
+        assert report.checked == 2 * (N + 1)
+        assert [(e.check, e.index) for e in report.entries] == [
+            (name, k) for name in SPECTRUM_NAMES for k in range(N + 1)]
 
-    def test_shifted_grid_point_fails_verify(self, shifted_grid, capsys):
+    def test_shifted_lambda0(self, monkeypatch):
+        assert R1.mu1 + R1.mu2 != R1.mu2 + R1.mu3  # the K3 diagonal is kept
+        rep = build_tridiag_rep(R1)
+        shift_k1_lambda0(monkeypatch, {R1.mu2 + R1.mu3})
+        report = k1_spectrum_check(rep, coeffs_of(rep))
+        assert [(e.check, e.index) for e in report.failures] == [("K1 spectrum", 0)]
+
+    def test_shifted_lambda0_fails_verify(self, monkeypatch, capsys):
+        rng = random.Random(DEFAULT_SEED)  # the two tuples suite_racah draws
+        tuples = [random_racah_params(rng, 8) for _ in range(2)]
+        cs = {RP.mu2 + RP.mu3 for RP in tuples}
+        assert not cs & {RP.mu1 + RP.mu2 for RP in tuples}
+        shift_k1_lambda0(monkeypatch, cs)
         assert main(["verify", "--scope", "racah", "--tuples", "2"]) == EXIT_VERIFY_FAILED
-        assert "[FAIL] racah suite" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "[FAIL] racah suite" in out and "first failed: spectra @ 0" in out
 
     @pytest.mark.parametrize("k", [1, 2])
     def test_doubled_d(self, k):
@@ -362,11 +380,21 @@ class TestSpectrumCheckCanFail:
         D = list(rep.D)
         D[k] *= 2
         report = k1_spectrum_check(dataclasses.replace(rep, D=tuple(D)), coeffs_of(rep))
-        assert failed_checks(report) == {
-            "K1 characteristic polynomial", "K1 continuant = 2^k BI recurrence"
-        }
+        assert failed_checks(report) == set(SPECTRUM_NAMES)
         assert [e.index for e in report.failures
                 if e.check.startswith("K1 continuant")] == [k]
+
+    @pytest.mark.parametrize("N", range(4))
+    def test_shifted_last_diagonal(self, N):
+        # K1_NN + 1/3 adds (1/3) q_N(lambda_s) to each u_(N+1), and q_N has
+        # no root on the spectrum, so every spectrum entry fails.
+        RP = RacahParams.make(Fraction(1, 4), Fraction(1, 3), Fraction(1, 2), N)
+        rep = build_tridiag_rep(RP)
+        K1 = [row[:] for row in rep.K1]
+        K1[N][N] += Fraction(1, 3)
+        report = k1_spectrum_check(dataclasses.replace(rep, K1=K1), coeffs_of(rep))
+        assert [(e.check, e.index) for e in report.failures] == [
+            (SPECTRUM_NAMES[0], N), *((SPECTRUM_NAMES[1], s) for s in range(N + 1))]
 
 
 def test_one_rep_build_per_tuple(monkeypatch):
