@@ -8,9 +8,9 @@ with F(x) = (x-rho1)(x-rho2)/x and G(x) = (x-r1+1/2)(x-r2+1/2)/(x+1/2),
 h = rho1 + rho2 - r1 - r2 + 1/2.  Both divisions are always exact:
 p(x)-p(-x) is odd (vanishes at 0) and p(-x-1)-p(x) vanishes at -1/2,
 so K1 preserves the degree.  The partner generators are the recurrence
-operator K2 = 2x + 1/2 and K3 = {K1,K2} - omega3, which exists only as that
-composition of the matrices of ``bi_matrices``: the defining relation is
-the single source of truth.
+operator K2 = 2x + 1/2, written from its two diagonals, and K3 = {K1,K2} -
+omega3, which exists only as that composition of the matrices of
+``bi_matrices``: the defining relation is the single source of truth.
 """
 
 from __future__ import annotations
@@ -19,10 +19,11 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import zip_longest
 
 from .exact import HALF, Rat, rat_str
 from .linop import LinOp, anticomm
-from .poly import Poly, poly_divide_exact, poly_reflect, poly_shift_reflect
+from .poly import Poly, int_mul, poly_divide_exact, poly_reflect, poly_shift_reflect
 from .report import VerificationReport
 
 
@@ -56,12 +57,14 @@ class BIParams:
         return 4 * (self.rho1 * self.rho2 - self.r1 * self.r2)
 
     @cached_property  # computed once per tuple, read by every k1_apply
-    def k1_numerators(self) -> tuple[Poly, Poly]:
-        """(x - rho1)(x - rho2) and (x - r1 + 1/2)(x - r2 + 1/2), the
-        numerators of K1's coefficients F and G."""
+    def k1_numerators(self) -> tuple[list[int], list[int], int, int]:
+        """(f, g, L h, L): F's numerator (x - rho1)(x - rho2), G's
+        (x - r1 + 1/2)(x - r2 + 1/2) and h as integers over their lcm L."""
         a, b = HALF - self.r1, HALF - self.r2
-        return (Poly.make([self.rho1 * self.rho2, -self.rho1 - self.rho2, 1]),
-                Poly.make([a * b, a + b, 1]))
+        cs = (self.rho1 * self.rho2, -self.rho1 - self.rho2, a * b, a + b, self.h)
+        L = math.lcm(*(c.denominator for c in cs))
+        f0, f1, g0, g1, h = (c.numerator * (L // c.denominator) for c in cs)
+        return [f0, f1, L], [g0, g1, L], h, L
 
     def __str__(self) -> str:
         """The tuple as p/q, as guard messages print it."""
@@ -80,18 +83,19 @@ class BIParams:
 
 
 def k1_apply(P: BIParams, p: Poly) -> Poly:
-    fnum, gnum = P.k1_numerators
-    # F-part: (x-rho1)(x-rho2) * [(1-R)p] / x
-    odd_part = p - poly_reflect(p)
-    term1 = fnum * poly_divide_exact(odd_part, Fraction(0))
-    # G-part: (x-r1+1/2)(x-r2+1/2) * [(T+R - 1)p] / (x+1/2)
-    diff = poly_shift_reflect(p) - p
-    term2 = gnum * poly_divide_exact(diff, -HALF)
-    return term1 + term2 + p.scale(P.h)
-
-
-def k2_apply(P: BIParams, p: Poly) -> Poly:
-    return Poly.make([HALF, 2]) * p
+    """K1 p in one integer pass, reduced once: (p(x) - p(-x)) / x is the
+    numerators of p - p(-x) shifted down one degree, and p(-x-1) - p(x) is
+    divided by x + 1/2 in ``poly_divide_exact`` (its one other reduction)."""
+    f, g, h, L = P.k1_numerators
+    odd = [a - b for a, b in zip(p.nums[1:], poly_reflect(p).nums[1:])]
+    diff = [a - b for a, b in zip(poly_shift_reflect(p).nums, p.nums)]
+    while diff and not diff[-1]:
+        diff.pop()
+    quot = poly_divide_exact(Poly(tuple(diff), p.den), -HALF)
+    den = math.lcm(p.den, quot.den)
+    fp, fq = den // p.den, den // quot.den
+    terms = zip_longest(int_mul(f, odd), p.nums, int_mul(g, quot.nums), fillvalue=0)
+    return Poly.from_ints([fp * (a + h * b) + fq * c for a, b, c in terms], L * den)
 
 
 def monomial_matrix(P: BIParams, apply, n: int) -> LinOp:
@@ -115,7 +119,8 @@ def bi_matrices(P: BIParams, maxdeg: int) -> tuple[LinOp, LinOp, LinOp]:
     """
     n = maxdeg + 3
     K1 = monomial_matrix(P, k1_apply, n)
-    K2 = monomial_matrix(P, k2_apply, n)
+    # K2 = 2x + 1/2 takes x^j to (x^j + 4 x^(j+1)) / 2; x^n is dropped.
+    K2 = LinOp.real(({j: 1, j + 1: 4} if j + 1 < n else {j: 1} for j in range(n)), 2)
     K3 = anticomm(K1, K2) - LinOp.identity(n).scale(P.omega3)
     return K1, K2, K3
 

@@ -19,7 +19,8 @@ solves K1 v = lambda_s v row by row (``_continuant``): its last row
 vanishes at each lambda_s (``k1_spectrum_check``, which also matches
 its steps with those of the Bannai-Ito recurrence), and its rows are the
 eigenvectors, the Bannai-Ito polynomials on the grid (``racah_overlaps``).
-One build serves the relations, the spectrum and the overlaps.
+One build serves the relations, the spectrum and the overlaps, and one
+continuant run per build (``TridiagRep.continuant``) the last two.
 
 The off-diagonal data of the representation is kept as the rational
 product B_{k-1} D_k.
@@ -207,6 +208,10 @@ class TridiagRep:
     def q4(self) -> Rat:
         return -self.params.mu
 
+    @cached_property  # one run serves the spectrum check and the overlaps
+    def continuant(self) -> tuple[list[list[int]], list[int]]:
+        return _continuant(self)
+
     @property
     def offdiag_products(self) -> tuple[Rat, ...]:
         """U_k^2 = B_{k-1} D_k for k = 1..N (kept rational)."""
@@ -331,7 +336,7 @@ def k1_spectrum_check(rep: TridiagRep,
     bi_steps = recurrence_steps(RP.identifications(), coeffs)
     for k, (step, bi_step) in enumerate(zip(steps, bi_steps, strict=True)):
         report.record("K1 continuant = 2^k BI recurrence", k, step == bi_step)
-    for s, u in enumerate(_continuant(rep)[0]):
+    for s, u in enumerate(rep.continuant[0]):
         report.record("K1 spectrum", s, u[-1] == 0)
     return report
 
@@ -345,7 +350,7 @@ def racah_overlaps(rep: TridiagRep) -> Matrix:
     ``_continuant``, one Fraction per entry.  With ``k1_spectrum_check``,
     v_k = 2^k B_k(x_s) / prod_{j<=k} D_j at 2 x_s + 1/2 = lambda_s.
     """
-    rows, dprod = _continuant(rep)
+    rows, dprod = rep.continuant
     return [[Fraction(u_k, d) for u_k, d in zip(u[:-1], dprod, strict=True)]
             for u in rows]
 

@@ -2,15 +2,18 @@
 
 The package never evaluates a polynomial at a point; the tests use
 ``poly_eval`` to check orthogonality sums, overlaps and the reflection
-primitives.  The package builds K3 only as a matrix, in ``bi_matrices``;
-``k3_apply`` is the reference that the matrix tests compare against.
+primitives.  The package builds K2 and K3 only as matrices, in
+``bi_matrices``; ``k2_apply`` and ``k3_apply`` are the references that the
+matrix tests compare against.  ``k1_apply_composed`` is K1 composed from
+``Poly`` operations term by term, the reference for the one-pass
+``k1_apply``.
 """
 
 from fractions import Fraction
 
-from bi_lab.bi_operator import BIParams, k1_apply, k2_apply
-from bi_lab.exact import Rat
-from bi_lab.poly import Poly
+from bi_lab.bi_operator import BIParams, k1_apply
+from bi_lab.exact import HALF, Rat
+from bi_lab.poly import Poly, poly_divide_exact, poly_reflect, poly_shift_reflect
 
 
 def poly_eval(p: Poly, x0: Rat) -> Rat:
@@ -20,6 +23,21 @@ def poly_eval(p: Poly, x0: Rat) -> Rat:
     for a in reversed(p.nums):
         acc, spow = acc * r + a * spow, spow * s
     return Fraction(acc * s, p.den * spow)
+
+
+def k1_apply_composed(P: BIParams, p: Poly) -> Poly:
+    """K1 p = F (p(x) - p(-x)) + G (p(-x-1) - p(x)) + h p, one Poly
+    operation at a time."""
+    fnum = Poly.make([P.rho1 * P.rho2, -P.rho1 - P.rho2, 1])
+    gnum = Poly.make([(HALF - P.r1) * (HALF - P.r2), 1 - P.r1 - P.r2, 1])
+    term1 = fnum * poly_divide_exact(p - poly_reflect(p), Fraction(0))
+    term2 = gnum * poly_divide_exact(poly_shift_reflect(p) - p, -HALF)
+    return term1 + term2 + p.scale(P.h)
+
+
+def k2_apply(P: BIParams, p: Poly) -> Poly:
+    """K2 p = (2x + 1/2) p."""
+    return Poly.make([HALF, 2]) * p
 
 
 def k3_apply(P: BIParams, p: Poly) -> Poly:

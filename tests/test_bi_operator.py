@@ -1,5 +1,6 @@
 """Shift-reflection realization: frozen values and exact relations."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -10,14 +11,13 @@ from bi_lab.bi_operator import (
     casimir_scalar,
     check_bi_relations,
     k1_apply,
-    k2_apply,
     monomial_matrix,
 )
 from bi_lab.exact import rat_str
 from bi_lab.linop import LinOp
-from bi_lab.poly import P_ONE, Poly
+from bi_lab.poly import P_ONE, P_ZERO, Poly
 from bi_lab.suites import suite_bi
-from poly_oracle import k3_apply
+from poly_oracle import k1_apply_composed, k2_apply, k3_apply
 
 P1 = BIParams.make(1, 2, Fraction(1, 2), Fraction(1, 4))
 
@@ -112,6 +112,57 @@ class TestStructure:
         assert report.passed and report.checked == 7
         assert all(e.check == f"K1^2 + K2^2 + K3^2 = {rat_str(value)}"
                    for e in report.entries)
+
+
+def seeded_k1_cases(count: int):
+    """(P, p) pairs: degrees -1..16, the zero polynomial and constants
+    included, with small rationals and numerators of about 10^30."""
+    rng = random.Random(24)
+
+    def rat(big: bool) -> Fraction:
+        top = 10**30 if big else 40
+        return Fraction(rng.randint(-top, top), rng.randint(1, 10**6 if big else 12))
+
+    for i in range(count):
+        P = BIParams.make(*(rat(i % 7 == 3) for _ in range(4)))
+        d = i % 18 - 1
+        yield P, Poly.make([rat(i % 5 == 1) for _ in range(d + 1)]) if d >= 0 else P_ZERO
+
+
+def test_k1_apply_equals_composed_reference():
+    # Field for field (nums and den) against K1 composed from Poly operations.
+    for P, p in seeded_k1_cases(4000):
+        got, want = k1_apply(P, p), k1_apply_composed(P, p)
+        assert (got.nums, got.den) == (want.nums, want.den), (P, p)
+
+
+def test_k1_apply_reduces_twice_and_reads_no_h(monkeypatch):
+    # One reduction in poly_divide_exact and one of the sum; h comes from
+    # the per-tuple numerators, not from P.h.
+    import bi_lab.poly as poly
+
+    P = BIParams.make(Fraction(-1, 3), Fraction(2, 7), 5, Fraction(-3, 2))
+    want = [k1_apply(P, Poly.monomial(j, Fraction(7, 3))) for j in range(10)]
+    calls = 0
+    def counted(*args, _orig=poly._canonical):
+        nonlocal calls
+        calls += 1
+        return _orig(*args)
+    def h_read(self):
+        raise AssertionError("k1_apply read P.h")
+    monkeypatch.setattr(poly, "_canonical", counted)
+    monkeypatch.setattr(BIParams, "h", property(h_read))
+    for j in range(10):
+        mono = Poly.monomial(j, Fraction(7, 3))
+        calls = 0
+        assert k1_apply(P, mono) == want[j]
+        assert calls == (2 if j else 1)  # a constant's quotient is zero
+
+
+def test_k2_from_diagonals():
+    P = BIParams.make(Fraction(-1, 3), Fraction(2, 7), 5, Fraction(-3, 2))
+    for d in range(13):
+        assert bi_matrices(P, d)[1] == monomial_matrix(P, k2_apply, d + 3)
 
 
 def test_one_matrix_build_per_tuple(monkeypatch):

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from bi_lab.bi_operator import BIParams, bi_matrices, k1_apply, k2_apply
+from bi_lab.bi_operator import BIParams, bi_matrices, k1_apply
 from bi_lab.bi_poly import (
     bi_from_operator,
     bi_hypergeometric,
@@ -35,7 +35,7 @@ from bi_lab.suites import (
     random_bi_params_regular,
     suite_polynomials,
 )
-from poly_oracle import k3_apply, poly_eval
+from poly_oracle import k2_apply, k3_apply, poly_eval
 from test_bi_mutants import flipped_ladder_coeff, omega1_in_second_form
 
 

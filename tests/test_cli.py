@@ -223,6 +223,18 @@ class TestRacah:
             assert code == EXIT_OK and len(json.loads(out)["overlaps"]) == 25
             assert calls[0] == 1
 
+    def test_one_continuant(self, capsys, monkeypatch):
+        # The spectrum check and the overlaps read one cached run.
+        calls = count_calls(monkeypatch, "bi_lab.racah", "_continuant")
+        for _ in range(2):
+            calls[0] = 0
+            code, out, _ = run(
+                capsys, "racah", "--mu", "1/4,1/3,1/2", "--N", "24",
+                "--format", "json",
+            )
+            assert code == EXIT_OK and json.loads(out)["spectra_check"] is True
+            assert calls[0] == 1
+
     def test_one_recurrence_per_degree(self, capsys, monkeypatch):
         calls = count_calls(monkeypatch, "bi_lab.bi_poly", "recurrence_coeffs")
         code, out, _ = run(
