@@ -1,21 +1,28 @@
 """Dunkl-Dirac operator on the 2-sphere and its symmetry algebra.
 
-Everything here is exact over the Gaussian rationals: the imaginary unit
-enters through the angular-momentum prefactor 1/i and the Pauli
-matrices, and no tolerance appears anywhere in the module.
-
 All operators in scope preserve total degree, so identities are checked
-on graded slices: each operator becomes one exact matrix per slice of
-degree-d spinors, and a relation holds on the full graded space when
-lhs - rhs is the zero matrix on every slice.  A spinor slice is the
-slice of degree-d polynomials tensored with C^2; one builder,
-``spinor_generators``, writes the identity, J_i, R_i and the Pauli
-matrices sigma_i straight onto its basis as integer matrices, J_i and
-R_i from the monomial exponents.
+exactly, with no tolerance, on graded slices: each operator becomes one
+exact matrix per slice of degree-d spinors, and a relation holds on the
+full graded space when lhs - rhs is the zero matrix on every slice.  A
+spinor slice is the slice of degree-d polynomials tensored with C^2;
+one builder, ``spinor_generators``, writes 1, L J_i, R_i and sigma_i
+straight onto its basis, L J_i and R_i from the monomial exponents.
+
+Every slice matrix is integer and either real or imaginary.  J_i, Gamma,
+M_i and K_i enter times L = lcm(2, den mu_1, den mu_2, den mu_3), and each
+relation times the power of L that clears it; with m_i = L mu_i, S = sum m_i:
+
+    [J_j, J_k] = i J_l (L + 2 m_l R_l),
+    Gamma^2 + L Gamma = J^2 - L^2 X + S (S + L),
+    [M_i, M_j] = i (L M_k + 2 m_k (X_k Gamma + L X_k)) + m_i m_j [X_i, X_j],
+    {K_i, K_j} = L K_k + 2 m_k (Y Gamma + L Y) + 2 m_i m_j.
+
+The basis x1^a (i x2)^b x3^c, a similarity, multiplies entry (r, c) by
+i^(b_c - b_r): J_2, sigma_2, M_2 and X_2 come out imaginary, the rest real.
 
 ``Poly3`` (trivariate polynomials with GRat coefficients), ``var_mul``,
-``dunkl_partial``, ``angular_momentum`` and ``reflect`` apply the same
-operators monomial by monomial; the slice build does not use them.  They
+``dunkl_partial``, ``angular_momentum`` and ``reflect`` apply the unscaled
+operators to x1^a x2^b x3^c; the slice build does not use them.  They
 are the reference the tests compare the slice matrices against, and
 ``perfbench/tracer.py`` wraps them by name.
 """
@@ -106,6 +113,14 @@ class DiracParams:
     def mu(self, axis: int) -> Rat:
         return (self.mu1, self.mu2, self.mu3)[axis - 1]
 
+    @property
+    def L(self) -> int:
+        """The least even integer that clears every mu_i."""
+        return math.lcm(2, *(m.denominator for m in (self.mu1, self.mu2, self.mu3)))
+
+    def m(self, axis: int) -> int:
+        return self.mu(axis).numerator * (self.L // self.mu(axis).denominator)
+
 
 def dunkl_partial(DP: DiracParams, axis: int, p: Poly3) -> Poly3:
     """D_i = d/dx_i + (mu_i/x_i)(1 - R_i), monomial by monomial.
@@ -172,38 +187,37 @@ PAULI = {i: _sigma(i, 1) for i in (1, 2, 3)}
 
 
 def spinor_generators(DP: DiracParams, degree: int) -> dict[str, LinOp]:
-    """The identity "1", "J{i}", "R{i}" and "sigma{i}" on the spinor slice
-    of one degree, from exponent arithmetic alone.
+    """The identity "1", "J{i}" = L J_i, "R{i}" and "sigma{i}" on the spinor
+    slice of one degree, from exponent arithmetic alone.
 
-    Monomial m is x1^a x2^b x3^c, ordered by (a, b).  On x^e, D_k gives
-    f_k(e_k) x^(e - u_k) with f_k(a) = a for a even and a + 2 mu_k for a
-    odd, so J_i = (1/i)(x_j D_k - x_k D_j) maps x^e to -i f_k(e_k)
-    x^(e - u_k + u_j) + i f_j(e_j) x^(e - u_j + u_k), as integer numerators
-    over lcm(den mu_j, den mu_k).  R_i is the diagonal of (-1)^(e_i).
+    Monomial m is x1^a (i x2)^b x3^c, exponent e, ordered by (a, b).  On
+    x^e, D_k gives f_k(e_k) x^(e - u_k) with L f_k(a) = a L for a even and
+    a L + 2 m_k for a odd, so J_i = (1/i)(x_j D_k - x_k D_j) moves a power
+    from x_k to x_j with factor -i f_k(e_k) and from x_j to x_k with i
+    f_j(e_j); a power moved into x2 divides the factor by i, one moved
+    out of x2 multiplies it by i.  R_i is the diagonal of (-1)^(e_i).
     J_i and R_i act alike on both components, sigma_i on the spin index.
     """
     exps = [(a, b, degree - a - b)
             for a in range(degree + 1) for b in range(degree + 1 - a)]
     pos = {e: n for n, e in enumerate(exps)}
     g = {"1": LinOp.identity(2 * len(exps))}
+    L = DP.L
+    odd = {ax: 2 * DP.m(ax) for ax in (1, 2, 3)}  # L f(a) - a L for a odd
     for i, (j, k) in _CYCLIC.items():
-        den = math.lcm(DP.mu(j).denominator, DP.mu(k).denominator)
-        # den * 2 mu_j and den * 2 mu_k: the extra term of f on odd powers
-        odd = {ax: 2 * DP.mu(ax).numerator * (den // DP.mu(ax).denominator)
-               for ax in (j, k)}
         cols = []
         for e in exps:
             col = {}
             for src, dst, sign in ((k, j, -1), (j, k, 1)):
                 a = e[src - 1]
-                f = a * den + odd[src] if a % 2 else a * den
+                f = a * L + odd[src] if a % 2 else a * L
                 if f:
                     ne = list(e)
                     ne[src - 1] -= 1
                     ne[dst - 1] += 1
-                    col[pos[tuple(ne)]] = sign * f
+                    col[pos[tuple(ne)]] = -sign * f if src == 2 else sign * f
             cols += ({2 * r + s: x for r, x in col.items()} for s in (0, 1))
-        g[f"J{i}"] = LinOp.imaginary(cols, den)
+        g[f"J{i}"] = (LinOp.imaginary if i == 2 else LinOp.real)(cols, 1)
         g[f"R{i}"] = LinOp.real([{2 * m + s: -1 if e[i - 1] % 2 else 1}
                                  for m, e in enumerate(exps) for s in (0, 1)], 1)
         g[f"sigma{i}"] = _sigma(i, len(exps))
@@ -234,31 +248,31 @@ def pauli_layer_check() -> VerificationReport:
 
 
 def gamma_apply(DP: DiracParams, g: dict[str, LinOp]) -> LinOp:
-    """Gamma = sigma . J + mu . R on the spinor slice of the generators g
-    (read: "sigma{i}", "J{i}" and "R{i}"; degree preserving)."""
-    t = [g[f"sigma{i}"] @ g[f"J{i}"] + g[f"R{i}"].scale(DP.mu(i))
+    """L Gamma = sigma . L J + m . R on the spinor slice of the generators g
+    (read: "sigma{i}", "J{i}" = L J_i and "R{i}"; degree preserving)."""
+    t = [g[f"sigma{i}"] @ g[f"J{i}"] + g[f"R{i}"].scale(DP.m(i))
          for i in (1, 2, 3)]
     return t[0] + t[1] + t[2]
 
 
 def symmetry_generators(DP: DiracParams, degree: int) -> dict[str, LinOp]:
-    """Gamma and its symmetries as matrices on one spinor slice.
+    """Gamma and its symmetries as integer matrices on one spinor slice.
 
-    "1", "J{i}", "R{i}" and "sigma{i}" come from ``spinor_generators``
-    (basis vector 2 m + s: monomial m, spin s), "Gamma" from
-    ``gamma_apply``, and for (i j k) cyclic "M{i}" = J_i + sigma_i (mu_j R_j
-    + mu_k R_k + 1/2), "X{i}" = sigma_i R_i, "K{i}" = M_i X_i Y, with "Y" =
-    R1 R2 R3; the product "M{i}X{i}" that K_i is built from is kept for
-    ``symmetry_check``.
+    "1", "J{i}" = L J_i, "R{i}" and "sigma{i}" come from
+    ``spinor_generators`` (basis vector 2 m + s: monomial m, spin s),
+    "Gamma" = L Gamma from ``gamma_apply``, and for (i j k) cyclic "M{i}" =
+    L M_i = L J_i + sigma_i (m_j R_j + m_k R_k + L/2), "X{i}" = sigma_i R_i,
+    "K{i}" = L K_i = L M_i X_i Y, with "Y" = R1 R2 R3; the product
+    "M{i}X{i}" that K_i is built from is kept for ``symmetry_check``.
     """
     g = spinor_generators(DP, degree)
     g["Gamma"] = gamma_apply(DP, g)
     g["Y"] = g["R1"] @ g["R2"] @ g["R3"]
     for i, (j, k) in _CYCLIC.items():
         sigma = g[f"sigma{i}"]
-        inner = g[f"R{j}"].scale(DP.mu(j)) \
-            + g[f"R{k}"].scale(DP.mu(k)) \
-            + g["1"].scale(Fraction(1, 2))
+        inner = g[f"R{j}"].scale(DP.m(j)) \
+            + g[f"R{k}"].scale(DP.m(k)) \
+            + g["1"].scale(DP.L // 2)
         g[f"M{i}"] = g[f"J{i}"] + sigma @ inner
         g[f"X{i}"] = sigma @ g[f"R{i}"]
         g[f"M{i}X{i}"] = g[f"M{i}"] @ g[f"X{i}"]
@@ -277,8 +291,8 @@ def dirac_checks(DP: DiracParams, maxdeg: int) -> list[VerificationReport]:
 
 def jj_commutator_check(DP: DiracParams,
                         slices: list[dict[str, LinOp]]) -> VerificationReport:
-    """[J_j, J_k] = i J_l (1 + 2 mu_l R_l) on every slice of ``slices``
-    (the ``symmetry_generators`` of degrees 0, 1, ...).
+    """[J_j, J_k] = i J_l (1 + 2 mu_l R_l), times L^2, on every slice of
+    ``slices`` (the ``symmetry_generators`` of degrees 0, 1, ...).
 
     Only the cyclic index reading (j k l) is checked; the report notes
     that it holds.
@@ -287,7 +301,7 @@ def jj_commutator_check(DP: DiracParams,
 
     def relations(g: dict[str, LinOp]):
         for jj, kk, ll in ((1, 2, 3), (2, 3, 1), (3, 1, 2)):
-            rhs = g[f"J{ll}"] @ (g["1"] + g[f"R{ll}"].scale(2 * DP.mu(ll)))
+            rhs = g[f"J{ll}"] @ (g["1"].scale(DP.L) + g[f"R{ll}"].scale(2 * DP.m(ll)))
             yield (f"[J{jj},J{kk}] = i J{ll}(1 + 2 mu{ll} R{ll})",
                    comm(g[f"J{jj}"], g[f"J{kk}"]), rhs.scale(GRAT_I))
 
@@ -299,26 +313,26 @@ def jj_commutator_check(DP: DiracParams,
 
 def gamma_square_identity(DP: DiracParams,
                           slices: list[dict[str, LinOp]]) -> VerificationReport:
-    """Gamma^2 + Gamma = J^2 - X + (sum mu)(sum mu + 1) on every slice of
-    ``slices`` (the ``symmetry_generators`` of degrees 0, 1, ...).
+    """Gamma^2 + Gamma = J^2 - X + (sum mu)(sum mu + 1), times L^2, on every
+    slice of ``slices`` (the ``symmetry_generators`` of degrees 0, 1, ...).
 
     This is the sphere-Laplacian-free combination of the two quadratic
     identities: X collects the reflection block that distinguishes J^2
     from the (shifted) spherical operator.
     """
     report = VerificationReport("Gamma squared identity")
-    musum = DP.mu1 + DP.mu2 + DP.mu3
+    L, S = DP.L, DP.m(1) + DP.m(2) + DP.m(3)
 
     def relations(g: dict[str, LinOp]):
-        x = g["1"].scale(musum)
+        x = g["1"].scale(L * S)
         for i, j in ((1, 2), (2, 3), (1, 3)):
-            x = x + (g["1"] - g[f"R{i}"] @ g[f"R{j}"]).scale(2 * DP.mu(i) * DP.mu(j))
+            x = x + (g["1"] - g[f"R{i}"] @ g[f"R{j}"]).scale(2 * DP.m(i) * DP.m(j))
         for i in (1, 2, 3):
-            x = x - g[f"R{i}"].scale(DP.mu(i))
+            x = x - g[f"R{i}"].scale(L * DP.m(i))
         jsq = g["J1"] @ g["J1"] + g["J2"] @ g["J2"] + g["J3"] @ g["J3"]
         gamma = g["Gamma"]
-        yield ("Gamma^2 + Gamma = J^2 - X + c", gamma @ gamma + gamma,
-               jsq - x + g["1"].scale(musum * (musum + 1)))
+        yield ("Gamma^2 + Gamma = J^2 - X + c", gamma @ gamma + gamma.scale(L),
+               jsq - x + g["1"].scale(S * (S + L)))
 
     _record_slices(report, slices, relations)
     return report
@@ -366,21 +380,21 @@ def symmetry_check(DP: DiracParams,
 
         # [M_i, M_j] = i eps_ijk (M_k + 2 mu_k (Gamma+1) X_k) + mu_i mu_j [X_i, X_j]
         # (the realization fixes the coefficient of [X_i, X_j] to mu_i mu_j;
-        # 2 mu_i mu_j fails already on constant spinors)
+        # 2 mu_i mu_j fails already on constant spinors), times L^2
         for i, j, k in ((1, 2, 3), (2, 3, 1), (3, 1, 2)):
             xk = f"X{k}"
-            central = g[f"M{k}"] + (mul(xk, "Gamma") + g[xk]).scale(2 * DP.mu(k))
+            central = g[f"M{k}"].scale(DP.L) \
+                + (mul(xk, "Gamma") + g[xk].scale(DP.L)).scale(2 * DP.m(k))
             xcomm = mul(f"X{i}", f"X{j}") - mul(f"X{j}", f"X{i}")
             yield (f"[M{i}, M{j}] relation",
                    mul(f"M{i}", f"M{j}") - mul(f"M{j}", f"M{i}"),
-                   central.scale(GRAT_I)
-                   + xcomm.scale(DP.mu(i) * DP.mu(j)))
+                   central.scale(GRAT_I) + xcomm.scale(DP.m(i) * DP.m(j)))
 
-        # The Bannai-Ito subalgebra of the K_i = M_i X_i Y.
-        y_gamma1 = mul("Y", "Gamma") + y
+        # The Bannai-Ito subalgebra of the K_i = M_i X_i Y, times L^2.
+        y_gamma1 = mul("Y", "Gamma") + y.scale(DP.L)
         for i, j, k in ((1, 2, 3), (2, 3, 1), (3, 1, 2)):
-            rhs = g[f"K{k}"] + y_gamma1.scale(2 * DP.mu(k)) \
-                + one.scale(2 * DP.mu(i) * DP.mu(j))
+            rhs = g[f"K{k}"].scale(DP.L) + y_gamma1.scale(2 * DP.m(k)) \
+                + one.scale(2 * DP.m(i) * DP.m(j))
             yield (f"{{K{i}, K{j}}} = K{k} + central",
                    mul(f"K{i}", f"K{j}") + mul(f"K{j}", f"K{i}"), rhs)
 

@@ -46,7 +46,8 @@ class Poly:
 
     @staticmethod
     def monomial(k: int, c: Rat | int = 1) -> "Poly":
-        return Poly.make([0] * k + [c])
+        """c x^k, written directly: a reduced c is already canonical."""
+        return Poly((0,) * k + (c.numerator,), c.denominator) if c else Poly(())
 
     @property
     def coeffs(self) -> tuple[Rat, ...]:

@@ -319,6 +319,8 @@ class TestWeights:
     ("dirac --mu 1/4,1/3,1/2 --maxdeg 5 --format json", "de74e789b369a86f"),
     ("dirac --mu 0,0,0 --maxdeg 5 --format json", "624d78af23b4efb3"),
     ("dirac --mu 3/2,5/6,7/3 --maxdeg 5 --format json", "3b58073617d82cac"),
+    ("dirac --mu -1/3,2/5,-3/7 --maxdeg 4 --format json", "ccc4238316d345b5"),
+    ("dirac --mu 1/5,2/7,5/9 --maxdeg 6 --format json", "3f2c193c331e8cec"),
     ("verify --scope dirac --tuples 2 --maxdeg 4 --format json", "279a7415e4fa1769"),
     ("verify --scope dirac --format json", "fa4362039daa6c92"),
     ("verify --scope sl1 --format json", "ac5cd757a59ed631"),

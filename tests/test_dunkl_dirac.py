@@ -21,7 +21,7 @@ from bi_lab.dunkl_dirac import (
     var_mul,
 )
 from bi_lab.errors import DegenerateParameters
-from bi_lab.exact import GRAT_I, GRat
+from bi_lab.exact import GRAT_I, GRAT_MINUS_I, GRAT_ONE, GRat
 from bi_lab.linop import LinOp, anticomm
 from bi_lab.suites import suite_dirac
 
@@ -46,14 +46,19 @@ def slices(DP, maxdeg):
     return [symmetry_generators(DP, d) for d in range(maxdeg + 1)]
 
 
+def exponents(degree: int) -> list[tuple[int, int, int]]:
+    """The monomials x1^a x2^b x3^c of one degree, ordered by (a, b)."""
+    return [(a, b, degree - a - b)
+            for a in range(degree + 1) for b in range(degree + 1 - a)]
+
+
 def scalar_slice(degree: int, op) -> LinOp:
     """Oracle: the matrix of a degree-preserving ``Poly3`` map on the
     polynomials of one degree, applied monomial by monomial.
 
     Basis vector m is the m-th monomial x1^a x2^b x3^c, ordered by (a, b).
     """
-    exps = [(a, b, degree - a - b)
-            for a in range(degree + 1) for b in range(degree + 1 - a)]
+    exps = exponents(degree)
     pos = {e: n for n, e in enumerate(exps)}
     return LinOp.make({pos[e]: c for e, c in op(Poly3.monomial(m)).terms.items()}
                       for m in exps)
@@ -69,6 +74,17 @@ def numerators(op: LinOp) -> np.ndarray:
         for i, x in im.items():
             out[i, j] += 1j * x
     return out
+
+
+def to_i_x2_basis(degree: int, a: np.ndarray) -> np.ndarray:
+    """A matrix on the monomials x1^a x2^b x3^c of one degree (spin the
+    fast index when ``a`` acts on spinors) rewritten in the basis
+    x1^a (i x2)^b x3^c: conjugated by diag(i^b), so entry (r, c) is
+    multiplied by i^(b_c - b_r).  Exact on entries that are small
+    Gaussian integers."""
+    d = np.array([[1, 1j, -1, -1j][b % 4] for _, b, _ in exponents(degree)])
+    d = np.repeat(d, len(a) // len(d))
+    return np.conj(d)[:, None] * a * d[None, :]
 
 
 def degrees(p: Poly3) -> set[int]:
@@ -129,35 +145,55 @@ class TestAngularMomentum:
 
 
 class TestSliceGenerators:
-    """The spinor slice matrices against the Poly3 reference, lifted to
-    the spinor basis 2 m + s by np.kron."""
+    """The spinor slice matrices against the Poly3 reference: scaled by L,
+    lifted to the spinor basis 2 m + s by np.kron and rewritten in the
+    basis x1^a (i x2)^b x3^c by ``to_i_x2_basis``."""
+
+    def test_scale(self):
+        assert (DP0.L, DP1.L, DP_NEG.L) == (2, 12, 210)
+        assert [DP_NEG.m(i) for i in (1, 2, 3)] == [-70, 84, -90]
+        assert DiracParams.make(Fraction(1, 5), Fraction(2, 7), Fraction(5, 9)).L == 630
 
     @pytest.mark.parametrize("DP", [DP0, DP1, DP_NEG], ids=["mu0", "mu1", "mu_neg"])
     @pytest.mark.parametrize("degree", range(7))
     def test_match_poly3_reference(self, DP, degree):
         g = spinor_generators(DP, degree)
 
-        def assert_lift(got: LinOp, scalar: LinOp, spin: np.ndarray):
-            # got = scalar ⊗ spin; both sides canonical, so the dens agree.
-            assert got.den == scalar.den
-            assert np.array_equal(numerators(got),
-                                  np.kron(numerators(scalar), spin))
+        def assert_lift(got: LinOp, scalar: LinOp, spin: np.ndarray, factor=1):
+            # got = factor * scalar ⊗ spin in the (i x2)^b basis, integer.
+            scaled = scalar.scale(factor)
+            assert got.den == scaled.den == 1
+            assert np.array_equal(
+                numerators(got),
+                to_i_x2_basis(degree, np.kron(numerators(scaled), spin)))
 
         one = scalar_slice(degree, lambda p: p)
         assert_lift(g["1"], one, np.eye(2))
         for i in (1, 2, 3):
             assert_lift(g[f"J{i}"],
                         scalar_slice(degree, lambda p: angular_momentum(DP, i, p)),
-                        np.eye(2))
+                        np.eye(2), DP.L)
             assert_lift(g[f"R{i}"], scalar_slice(degree, lambda p: reflect(i, p)),
                         np.eye(2))
             assert_lift(g[f"sigma{i}"], one, SIGMAS[i - 1])
 
     def test_negative_mu_reaches_the_matrices(self):
         # J3 x1 = i (1 + 2 mu1) x2: 1/3 i at mu1 = -1/3 (x2 is monomial 1
-        # of the degree-1 slice, x1 monomial 2).
+        # of the degree-1 slice, x1 monomial 2).  Times L = 210, and
+        # i x2 / i = x2 in the (i x2) basis: the entry is 210 / 3 = 70.
+        ref = angular_momentum(DP_NEG, 3, X1)
+        assert ref == X2.scale(GRat(Fraction(0), Fraction(1, 3)))
+        entry = ref.terms[(0, 1, 0)].scale(Fraction(DP_NEG.L)) * GRAT_MINUS_I
+        assert entry == GRat(Fraction(70), Fraction(0))
         j3 = symmetry_generators(DP_NEG, 1)["J3"]
-        assert j3.cols[spinor(2, 0)][spinor(1, 0)] == GRat(Fraction(0), Fraction(1, 3))
+        assert j3.cols[spinor(2, 0)] == {spinor(1, 0): entry.re}
+
+    @pytest.mark.parametrize("DP", [DP0, DP1, DP_NEG], ids=["mu0", "mu1", "mu_neg"])
+    @pytest.mark.parametrize("degree", range(7))
+    def test_integer_matrices_with_one_block(self, DP, degree):
+        for name, op in symmetry_generators(DP, degree).items():
+            assert op.den == 1, name
+            assert not (any(op.re) and any(op.im)), name
 
 
 class TestSpinorLayer:
@@ -178,19 +214,30 @@ def spinor(m, s):
 
 class TestGamma:
     def test_constant_spinor_eigenvalue(self):
+        # Gamma is mu1 + mu2 + mu3 on constant spinors; "Gamma" is L Gamma.
         musum = DP1.mu1 + DP1.mu2 + DP1.mu3
         gamma = symmetry_generators(DP1, 0)["Gamma"]
-        assert gamma.cols == ({spinor(0, 0): musum}, {spinor(0, 1): musum})
+        assert gamma.cols == ({spinor(0, 0): DP1.L * musum},
+                              {spinor(0, 1): DP1.L * musum})
 
     def test_frozen_degree_one(self):
-        # Gamma (x1, 0) = (7/12 x1 + 3/2 i x2, 3/2 x3).
+        # Gamma (x1, 0) = (7/12 x1 + 3/2 i x2, 3/2 x3).  "Gamma" is L Gamma
+        # with L = 12, and the entry in row x2 is multiplied by i^(0 - 1)
+        # = -i in the (i x2) basis.
         x3, x2, x1 = range(3)
-        gamma = symmetry_generators(DP1, 1)["Gamma"]
-        assert gamma.cols[spinor(x1, 0)] == {
+        frozen = {
             spinor(x1, 0): GRat(Fraction(7, 12), Fraction(0)),
             spinor(x2, 0): GRat(Fraction(0), Fraction(3, 2)),
             spinor(x3, 1): GRat(Fraction(3, 2), Fraction(0)),
         }
+        to_basis = {spinor(x1, 0): GRAT_ONE, spinor(x2, 0): GRAT_MINUS_I,
+                    spinor(x3, 1): GRAT_ONE}
+        want = {r: c.scale(Fraction(DP1.L)) * to_basis[r] for r, c in frozen.items()}
+        assert want == {spinor(x1, 0): GRat(Fraction(7), Fraction(0)),
+                        spinor(x2, 0): GRat(Fraction(18), Fraction(0)),
+                        spinor(x3, 1): GRat(Fraction(18), Fraction(0))}
+        gamma = symmetry_generators(DP1, 1)["Gamma"]
+        assert gamma.cols[spinor(x1, 0)] == {r: c.re for r, c in want.items()}
 
     def test_matrix_oracle_degree_one(self):
         # Independent complex-matrix build of Gamma on the degree-1 slice,
@@ -209,6 +256,11 @@ class TestGamma:
             refl[i, i] = -1
             gamma = gamma + mus[i] * np.kron(refl, np.eye(2))
 
+        # "Gamma" is L Gamma in the basis (x1, i x2, x3) x (up, down):
+        # scale by L and conjugate by diag(1, i, 1) ⊗ 1_2.
+        d = np.kron(np.diag([1, 1j, 1]), np.eye(2))
+        gamma = DP1.L * np.linalg.inv(d) @ gamma @ d
+
         # The exact slice matrix orders the monomials x3, x2, x1, with spin
         # as the fast index; pos maps its basis index to the oracle's.
         exact = symmetry_generators(DP1, 1)["Gamma"]
@@ -216,7 +268,7 @@ class TestGamma:
         got = np.zeros((6, 6), dtype=complex)
         for col, entries in enumerate(exact.cols):
             for row, c in entries.items():
-                got[pos[row], pos[col]] = float(c.re) + 1j * float(c.im)
+                got[pos[row], pos[col]] = float(c)
         assert np.allclose(got, gamma, atol=1e-12)
 
     @pytest.mark.parametrize("DP", [DP0, DP1])
@@ -237,17 +289,19 @@ class TestSymmetryAlgebra:
             assert g["Y"] == g["1"].scale(GRat(Fraction((-1) ** d), Fraction(0)))
 
     def test_mu_zero_k_relations_have_no_central_term(self):
-        # At mu = 0: {K1,K2} = K3 exactly (all central terms vanish).
+        # At mu = 0: {K1,K2} = K3 exactly (all central terms vanish); the
+        # generators are L K_i with L = 2.
         for d in range(4):
             g = symmetry_generators(DP0, d)
-            assert anticomm(g["K1"], g["K2"]) == g["K3"]
+            assert anticomm(g["K1"], g["K2"]) == g["K3"].scale(DP0.L)
 
     def test_k_relations_central_term_is_nonzero(self):
         # For mu != 0 the checked central term is real: {K1,K2} - K3 is not
         # the zero matrix on any slice.
         for d in range(5):
             g = symmetry_generators(DP1, d)
-            assert anticomm(g["K1"], g["K2"]) - g["K3"] != g["1"].scale(GRat())
+            assert anticomm(g["K1"], g["K2"]) - g["K3"].scale(DP1.L) \
+                != g["1"].scale(GRat())
 
 
 class TestMutants:
@@ -262,8 +316,7 @@ class TestMutants:
         import bi_lab.dunkl_dirac as dd
 
         def gamma(DP, g, _orig=dd.gamma_apply):
-            return _orig(DP, g) - g[f"R{axis}"].scale(
-                GRat(Fraction(2 * DP.mu(axis)), Fraction(0)))
+            return _orig(DP, g) - g[f"R{axis}"].scale(2 * DP.m(axis))
 
         monkeypatch.setattr(dd, "gamma_apply", gamma)
         failed = self.failed(symmetry_check(DP1, slices(DP1, 3)))
@@ -286,19 +339,58 @@ class TestMutants:
         assert {(f"[Gamma, X{j}] = 0", d) for j in (1, 2, 3) if j != axis
                 for d in (1, 2, 3)} <= failed
 
-    def test_mm_relation_without_x_gamma_term(self):
+    @staticmethod
+    def source_mutant(name: str, old: str, new: str):
+        """The check ``name`` of the module with the text ``old`` of its
+        source, which occurs there once, replaced by ``new``."""
         import inspect
 
         import bi_lab.dunkl_dirac as dd
 
-        source = inspect.getsource(dd.symmetry_check)
-        mutant = source.replace('(mul(xk, "Gamma") + g[xk])', "(g[xk] - g[xk])")
-        assert mutant != source
+        source = inspect.getsource(getattr(dd, name))
+        assert source.count(old) == 1
         namespace = dict(vars(dd))
-        exec(mutant, namespace)
-        failed = self.failed(namespace["symmetry_check"](DP1, slices(DP1, 3)))
+        exec(source.replace(old, new), namespace)
+        return namespace[name]
+
+    def test_mm_relation_without_x_gamma_term(self):
+        check = self.source_mutant("symmetry_check",
+                                   '(mul(xk, "Gamma") + g[xk].scale(DP.L))',
+                                   "(g[xk] - g[xk])")
+        failed = self.failed(check(DP1, slices(DP1, 3)))
         assert failed == {(f"[M{i}, M{j}] relation", d)
                           for i, j in ((1, 2), (2, 3), (3, 1)) for d in range(4)}
+
+    # For each relation checked times a power of L, one term that carries a
+    # factor L, and per relation name the generator of that term.
+    UNSCALED = {
+        "jj_commutator_check": ('g["1"].scale(DP.L)', {
+            f"[J{j},J{k}] = i J{l}(1 + 2 mu{l} R{l})": f"J{l}"
+            for j, k, l in ((1, 2, 3), (2, 3, 1), (3, 1, 2))}),
+        "gamma_square_identity": ("gamma.scale(L)", {
+            "Gamma^2 + Gamma = J^2 - X + c": "Gamma"}),
+        "symmetry_check:MM": ('g[f"M{k}"].scale(DP.L)', {
+            f"[M{i}, M{j}] relation": f"M{k}"
+            for i, j, k in ((1, 2, 3), (2, 3, 1), (3, 1, 2))}),
+        "symmetry_check:KK": ('g[f"K{k}"].scale(DP.L)', {
+            f"{{K{i}, K{j}}} = K{k} + central": f"K{k}"
+            for i, j, k in ((1, 2, 3), (2, 3, 1), (3, 1, 2))}),
+    }
+
+    @pytest.mark.parametrize("DP", [DP1, DP_NEG], ids=["mu1", "mu_neg"])
+    @pytest.mark.parametrize("relation", sorted(UNSCALED))
+    def test_factor_l_dropped_from_one_term(self, DP, relation):
+        # The relation then differs by (L - 1) times that term: it must
+        # fail on exactly the slices where the term is nonzero.
+        scaled, terms = self.UNSCALED[relation]
+        check = self.source_mutant(relation.split(":")[0], scaled,
+                                   scaled[:scaled.rindex(".scale(")])
+        sl = slices(DP, 3)
+        zero = [g["1"].scale(0) for g in sl]
+        want = {(name, d) for name, term in terms.items()
+                for d, g in enumerate(sl) if g[term] != zero[d]}
+        assert want
+        assert self.failed(check(DP, sl)) == want
 
 
 def test_one_generator_build_per_slice(monkeypatch):

@@ -123,13 +123,17 @@ def inverse(c):
     return 1 / c
 
 
-@pytest.mark.parametrize("scalar", [sparse_rationals, mixed_grats],
+# The scalar c is drawn from a nonzero strategy over the same range: a
+# filter on the mostly-zero sparse_rationals rejects too many draws.
+@pytest.mark.parametrize("scalar, nonzero",
+                         [(sparse_rationals, rationals.filter(bool)),
+                          (mixed_grats, mixed_grats)],
                          ids=["Fraction", "mixed-GRat"])
 @settings(deadline=None, max_examples=25)
 @given(data=st.data())
-def test_equality_is_canonical(scalar, data):
+def test_equality_is_canonical(scalar, nonzero, data):
     a = linop(data.draw(entries(scalar)))
-    c = data.draw(scalar.filter(bool))
+    c = data.draw(nonzero)
     assert a.scale(c).scale(inverse(c)) == a
     zero = a - a
     assert not any(zero.re) and not any(zero.im) and zero.den == 1
