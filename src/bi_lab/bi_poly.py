@@ -235,9 +235,11 @@ def bi_from_operator(P: BIParams, nmax: int) -> list[Poly]:
 
 
 def grid_point(P: BIParams, s: int) -> Rat:
-    """Bannai-Ito grid x_s = (-1)^s (s/2 + rho1 + 1/4) - 1/4."""
-    base = Fraction(s, 2) + P.rho1 + Fraction(1, 4)
-    return (base if s % 2 == 0 else -base) - Fraction(1, 4)
+    """Bannai-Ito grid x_s = (-1)^s (s/2 + rho1 + 1/4) - 1/4, one Fraction
+    of integers over 4 d with rho1 = n / d."""
+    n, d = P.rho1.numerator, P.rho1.denominator
+    base = (2 * s + 1) * d + 4 * n
+    return Fraction((base if s % 2 == 0 else -base) - d, 4 * d)
 
 
 def ladder_coeffs(P: BIParams, n: int) -> tuple[Rat, Rat]:
@@ -314,17 +316,14 @@ def ladder_check(P: BIParams, mats: tuple[LinOp, LinOp, LinOp],
     return report
 
 
-def _finite_steps(P: BIParams,
-                  coeffs: list[RecurrenceCoeffs]) -> list[tuple[Rat, Rat]]:
-    """The steps (b_k, u_k) of the recurrence coefficients of degrees
-    0..N, once the truncation A_N = 0 and the positivity u_k > 0 hold."""
+def _require_finite(coeffs: list[RecurrenceCoeffs]) -> None:
+    """The truncation A_N = 0 and the positivity u_k = A_{k-1} C_k > 0 of
+    the recurrence coefficients of degrees 0..N."""
     N = len(coeffs) - 1
     if coeffs[N].A != 0:
         raise NotFinitelyOrthogonal(f"truncation A_{N} = {coeffs[N].A} != 0")
-    steps = recurrence_steps(P, coeffs)
-    if any(u <= 0 for _, u in steps[1:]):
+    if any(coeffs[k - 1].A * coeffs[k].C <= 0 for k in range(1, N + 1)):
         raise NotFinitelyOrthogonal("off-diagonal product A_(k-1) C_k not positive")
-    return steps
 
 
 def discrete_weights_exact(P: BIParams,
@@ -337,20 +336,30 @@ def discrete_weights_exact(P: BIParams,
       w_{2t+2} / w_{2t+1} = -(t + 2 rho1 + 1)(t + rho1 + rho2 + 1)
                             / ((t + 1)(t + rho1 - rho2 + 1)),
     divided by their sum.  This is the defining
-    w_s = 1 / sum_k B_k(x_s)^2 / (u_1 ... u_k) in O(N) operations.
+    w_s = 1 / sum_k B_k(x_s)^2 / (u_1 ... u_k) in O(N) operations: over one
+    q, each ratio is an integer quotient num_s / den_s, and w_s times
+    den_0 ... den_{N-1} is the integer num_0 ... num_{s-1} den_s ... den_{N-1},
+    so each weight is one Fraction.
     """
-    _finite_steps(P, coeffs)
+    _require_finite(coeffs)
     rho1, rho2, r1, r2 = P.rho1, P.rho2, P.r1, P.r2
     a = rho1 + HALF
     # w_{s+1} / w_s = -(t + n1)(t + n2) / ((t + d1)(t + d2)), t = s // 2.
     shifts = ((a - r1, a - r2, a + r1, a + r2),
               (2 * rho1 + 1, rho1 + rho2 + 1, ONE, rho1 - rho2 + 1))
-    w = [ONE]
+    q = math.lcm(*(x.denominator for four in shifts for x in four))
+    shifts = [[x.numerator * (q // x.denominator) for x in four] for four in shifts]
+    w, dens = [1], []  # w: prefix products of the numerators, for now
     for s in range(len(coeffs) - 1):
-        t, (n1, n2, d1, d2) = s // 2, shifts[s % 2]
-        w.append(-w[-1] * (t + n1) * (t + n2) / ((t + d1) * (t + d2)))
+        qt, (n1, n2, d1, d2) = q * (s // 2), shifts[s % 2]
+        w.append(-w[-1] * (qt + n1) * (qt + n2))
+        dens.append((qt + d1) * (qt + d2))
+    suffix = 1
+    for s in range(len(dens) - 1, -1, -1):
+        suffix *= dens[s]
+        w[s] *= suffix
     total = sum(w)
-    return [(grid_point(P, s), x / total) for s, x in enumerate(w)]
+    return [(grid_point(P, s), Fraction(x, total)) for s, x in enumerate(w)]
 
 
 def discrete_weights(P: BIParams,
@@ -367,7 +376,8 @@ def discrete_weights(P: BIParams,
     (total mass 1).  Returned in grid order.
     """
     import numpy as np  # only the float oracles load numpy
-    steps = _finite_steps(P, coeffs)
+    _require_finite(coeffs)
+    steps = recurrence_steps(P, coeffs)
     N = len(steps) - 1
     diag = np.array([rat_to_float(b) for b, _ in steps], dtype=float)
     off = np.sqrt(np.array([rat_to_float(u) for _, u in steps[1:]], dtype=float))

@@ -148,7 +148,7 @@ def cmd_racah(args) -> int:
     relations = representation_check(rep)
     P = RP.identifications()
     coeffs = [recurrence_coeffs(P, k) for k in range(RP.N + 1)]
-    spectra = k1_spectrum_check(rep, coeffs)
+    spectra = k1_spectrum_check(rep, recurrence_steps(P, coeffs))
     if args.format == "json":
         weights = discrete_weights_exact(P, coeffs)  # pairs (x_s, w_s)
         _emit_json({

@@ -15,15 +15,17 @@ Two exact constructions are checked over the rationals:
 
 The spectrum of K1 and the overlaps between the two eigenbases are exact
 and read off the built representation by one integer continuant that
-solves K1 v = lambda_s v row by row (``_continuant``): its last row
-vanishes at each lambda_s (``k1_spectrum_check``, which also matches
-its steps with those of the Bannai-Ito recurrence), and its rows are the
-eigenvectors, the Bannai-Ito polynomials on the grid (``racah_overlaps``).
-One build serves the relations, the spectrum and the overlaps, and one
-continuant run per build (``TridiagRep.continuant``) the last two.
+solves K1 v = lambda_s v row by row, each row cleared by its own
+denominator (``_continuant``): its last row vanishes at each lambda_s
+(``k1_spectrum_check``, which also matches its steps with those of the
+Bannai-Ito recurrence), and its rows are the eigenvectors, the
+Bannai-Ito polynomials on the grid (``racah_overlaps``).  One build
+serves the relations, the spectrum and the overlaps, and one continuant
+run per build (``TridiagRep.continuant``) the last two.
 
-The off-diagonal data of the representation is kept as the rational
-product B_{k-1} D_k.
+The build keeps dense Fraction matrices; the relation check multiplies
+only their bands, as sparse integer rows.  The off-diagonal data of the
+representation is kept as the rational product B_{k-1} D_k.
 """
 
 from __future__ import annotations
@@ -35,7 +37,6 @@ from fractions import Fraction
 from functools import cached_property
 
 from .bi_operator import BIParams
-from .bi_poly import RecurrenceCoeffs, recurrence_steps
 from .errors import DegenerateParameters, NotUnitary, TruncationFailure
 from .exact import HALF, ONE, Rat, ZERO, rat_str
 from .linop import LinOp, anticomm
@@ -43,11 +44,12 @@ from .report import VerificationReport
 from .sl1 import ModuleParams, rho_squared
 
 Matrix = list[list[Rat]]
-IntMatrix = list[list[int]]
+IntRows = list[dict[int, int]]
 
 
 # ---------------------------------------------------------------------------
-# dense (N+1) x (N+1) nested lists: Fractions in the build, ints in the check
+# dense (N+1) x (N+1) Fraction lists in the build; sparse integer rows
+# {j: x} in the check, which never hold a zero
 
 def mat_zero(n: int) -> Matrix:
     return [[ZERO] * n for _ in range(n)]
@@ -56,29 +58,23 @@ def band_indices(n: int) -> list[tuple[int, int]]:
     """The index pairs (i, j) with |i - j| <= 1 of an n x n matrix."""
     return [(i, j) for i in range(n) for j in range(max(i - 1, 0), min(i + 2, n))]
 
-def mat_add(a: IntMatrix, b: IntMatrix) -> IntMatrix:
-    return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+def mat_add(a: IntRows, b: IntRows) -> IntRows:
+    return [{j: x for j in ra.keys() | rb.keys()
+             if (x := ra.get(j, 0) + rb.get(j, 0))} for ra, rb in zip(a, b)]
 
-def mat_mul(a: IntMatrix, b: IntMatrix) -> IntMatrix:
-    """Dense a @ b; each row of b is listed as its nonzero (j, b_kj) once,
-    and each output entry starts from its first product."""
-    n = len(a)
-    b_rows = [[(j, x) for j, x in enumerate(row) if x] for row in b]
+def mat_mul(a: IntRows, b: IntRows) -> IntRows:
+    """a @ b on sparse rows: each product a_ik b_kj of listed entries once,
+    so two tridiagonal factors cost O(n)."""
     out = []
     for ra in a:
         acc: dict[int, int] = {}
-        for k, aik in enumerate(ra):
-            if aik:
-                for j, bkj in b_rows[k]:
-                    p = aik * bkj
-                    acc[j] = acc[j] + p if j in acc else p
-        row = [0] * n
-        for j, x in acc.items():
-            row[j] = x
-        out.append(row)
+        for k, aik in ra.items():
+            for j, bkj in b[k].items():
+                acc[j] = acc.get(j, 0) + aik * bkj
+        out.append({j: x for j, x in acc.items() if x})
     return out
 
-def mat_anticomm(a: IntMatrix, b: IntMatrix) -> IntMatrix:
+def mat_anticomm(a: IntRows, b: IntRows) -> IntRows:
     return mat_add(mat_mul(a, b), mat_mul(b, a))
 
 
@@ -240,40 +236,43 @@ def build_tridiag_rep(RP: RacahParams) -> TridiagRep:
         if B[k - 1] * D[k] <= 0:
             raise NotUnitary(f"B_{k-1} D_{k} = {B[k-1] * D[k]} not positive")
 
+    # K3 is diagonal, so K2 = {K1,K3} - omega2 is K1_ij (K3_ii + K3_jj) on
+    # the band of K1, less omega2 on the diagonal; K3_(k-1)(k-1) + K3_kk is
+    # (-1)^k, so off the diagonal K2 is K1 up to sign.
     K1, K2, K3 = mat_zero(n), mat_zero(n), mat_zero(n)
+    a, c, om2 = RP.mu2 + RP.mu3 + HALF, RP.mu1 + RP.mu2, RP.omegas[1]
     for k in range(n):
-        K1[k][k] = RP.mu2 + RP.mu3 + HALF - B[k] - D[k]
-        K3[k][k] = spectrum_value(k, RP.mu1 + RP.mu2)
+        K1[k][k] = a - B[k] - D[k]
+        K3[k][k] = spectrum_value(k, c)
+        K2[k][k] = 2 * K1[k][k] * K3[k][k] - om2
         if k:  # the raising part of column k - 1, the lowering part of column k
             K1[k][k - 1], K1[k - 1][k] = B[k - 1], D[k]
-    # K3 is diagonal, so K2 = {K1,K3} - omega2 is K1_ij (K3_ii + K3_jj) on
-    # the band of K1, less omega2 on the diagonal.
-    for i, j in band_indices(n):
-        K2[i][j] = K1[i][j] * (K3[i][i] + K3[j][j])
-    for k in range(n):
-        K2[k][k] -= RP.omegas[1]
+            K2[k][k - 1], K2[k - 1][k] = ((B[k - 1], D[k]) if k % 2 == 0
+                                          else (-B[k - 1], -D[k]))
     return TridiagRep(RP, K1, K2, K3, B, D, RP.casimir_value())
 
 
 def representation_check(rep: TridiagRep) -> VerificationReport:
     """{K1,K2} = K3 + omega3, {K2,K3} = K1 + omega1 and the Casimir of a
     built representation at index N (K2 = {K1,K3} - omega2 by construction),
-    each times L^2, on the integer matrices L K_i read from the band (where
-    the build puts every nonzero entry); L is the lcm of all denominators."""
+    each times L^2, on the sparse integer rows of L K_i read from the band
+    (where the build puts every nonzero entry); L is the lcm of all
+    denominators."""
     RP, Ks, n = rep.params, (rep.K1, rep.K2, rep.K3), rep.params.N + 1
     om1, _, om3 = RP.omegas
     band = band_indices(n)
     L = math.lcm(*(K[i][j].denominator for K in Ks for i, j in band),
                  om1.denominator, om3.denominator, rep.casimir.denominator)
-    zero, A1, A2, A3 = ([[0] * n for _ in range(n)] for _ in range(4))
+    zero, A1, A2, A3 = ([{} for _ in range(n)] for _ in range(4))
     for K, A in zip(Ks, (A1, A2, A3)):
         for i, j in band:
-            A[i][j] = K[i][j].numerator * (L // K[i][j].denominator)
+            if K[i][j]:
+                A[i][j] = K[i][j].numerator * (L // K[i][j].denominator)
 
-    def plus(A: IntMatrix, c: Rat) -> IntMatrix:  # L A + L^2 c, in integers
+    def plus(A: IntRows, c: Rat) -> IntRows:  # L A + L^2 c, in integers
         c2 = c.numerator * (L // c.denominator) * L
-        return [[L * x + c2 if i == j else L * x for j, x in enumerate(row)]
-                for i, row in enumerate(A)]
+        return mat_add([{j: L * x for j, x in row.items()} for row in A],
+                       [{i: c2} for i in range(n)])
 
     report = VerificationReport(f"racah representation (N={RP.N})")
     report.record("{K1,K2} = K3 + omega3", RP.N, mat_anticomm(A1, A2) == plus(A3, om3))
@@ -286,58 +285,62 @@ def representation_check(rep: TridiagRep) -> VerificationReport:
 def _continuant(rep: TridiagRep) -> tuple[list[list[int]], list[int]]:
     """K1 v = lambda_s v solved row by row on integers, for each s.
 
-    Over one common denominator L, with numerators a_k of K1_kk, b_k of
-    B_k, d_k of D_k and Lambda_s of lambda_s = ``spectrum_value(s, mu2 +
-    mu3)``, row k gives u_{k+1} = (Lambda_s - a_k) u_k - b_{k-1} d_k u_{k-1}
-    from u_0 = 1, and v_k = u_k / (d_1 ... d_k) for k <= N.  Returns the
-    rows u_0..u_{N+1} and the products d_1 ... d_k (k <= N).  The last
-    row of K1 v = lambda_s v holds exactly when u_{N+1} = 0: u_{N+1} is
-    L^{N+1} det(lambda_s - K1).
+    Row k, B_{k-1} v_{k-1} + K1_kk v_k + D_{k+1} v_{k+1} = lambda_s v_k, is
+    scaled by its own r_k, the lcm of the denominators of B_{k-1}, K1_kk,
+    D_{k+1} and the lambda_s = ``spectrum_value(s, mu2 + mu3)``.  With the
+    integers a_k = r_k K1_kk, b_k = r_k B_{k-1}, e_k = r_k D_{k+1} and
+    Lambda_k = r_k lambda_s, it gives
+    w_{k+1} = (Lambda_k - a_k) w_k - b_k e_{k-1} w_{k-1} from w_0 = 1, and
+    v_k = w_k / (e_0 ... e_{k-1}) for k <= N.  Returns the rows
+    w_0..w_{N+1} and the products e_0 ... e_{k-1} (k <= N).  The last row
+    of K1 v = lambda_s v holds exactly when w_{N+1} = 0: w_{N+1} is
+    (prod r_k) det(lambda_s - K1).
     """
-    n = rep.params.N + 1
-    diag = [rep.K1[k][k] for k in range(n)]
-    lams = [spectrum_value(s, rep.params.mu2 + rep.params.mu3) for s in range(n)]
-    L = math.lcm(*(x.denominator for x in (*diag, *rep.B, *rep.D, *lams)))
-
-    def num(x: Rat) -> int:
-        return x.numerator * (L // x.denominator)
-
-    a = [num(x) for x in diag]
-    bd = [0] + [num(rep.B[k - 1]) * num(rep.D[k]) for k in range(1, n)]
-    dprod = [1]  # d_1 ... d_k; no d_k vanishes, since B_{k-1} D_k > 0
-    for d in rep.D[1:]:
-        dprod.append(dprod[-1] * num(d))
+    N = rep.params.N
+    lams = [spectrum_value(s, rep.params.mu2 + rep.params.mu3) for s in range(N + 1)]
+    lam_den = math.lcm(*(x.denominator for x in lams))
+    lams = [x.numerator * (lam_den // x.denominator) for x in lams]
+    # Row k reads B_{k-1}, K1_kk and D_{k+1}, with B_{-1} = D_{N+1} = 0; no
+    # other e_k vanishes, since B_k D_{k+1} > 0.
+    scaled, eprod, e = [], [1], 0  # eprod[k] = e_0 ... e_{k-1}; e = e_{k-1}
+    for k in range(N + 1):
+        near = (rep.B[k - 1] if k else ZERO, rep.K1[k][k],
+                rep.D[k + 1] if k < N else ZERO)
+        r = math.lcm(lam_den, *(x.denominator for x in near))
+        b, a, e_next = (x.numerator * (r // x.denominator) for x in near)
+        scaled.append((r // lam_den, a, b * e))  # r_k / lam_den, a_k, b_k e_{k-1}
+        e = e_next
+        eprod.append(eprod[-1] * e)
     rows = []
-    for lam in map(num, lams):
-        u = [1]
-        for k in range(n):
-            u.append((lam - a[k]) * u[k] - bd[k] * (u[k - 1] if k else 0))
-        rows.append(u)
-    return rows, dprod
+    for lam in lams:
+        w = [1]
+        for k, (scale, a, be) in enumerate(scaled):
+            w.append((lam * scale - a) * w[k] - be * (w[k - 1] if k else 0))
+        rows.append(w)
+    return rows, eprod[:-1]
 
 
 def k1_spectrum_check(rep: TridiagRep,
-                      coeffs: list[RecurrenceCoeffs]) -> VerificationReport:
+                      bi_steps: list[tuple[Rat, Rat]]) -> VerificationReport:
     """Spectrum of K1 and the recurrence of its eigenvectors, exactly.
 
-    ``coeffs`` are the recurrence coefficients of degrees 0..N of the
-    identified BI parameters.  The leading k x k minor q_k of
+    ``bi_steps`` are the ``recurrence_steps`` (b_k, u_k) of degrees 0..N
+    of the identified BI parameters.  The leading k x k minor q_k of
     2x + 1/2 - K1 has the monic continuant steps
-    ((K1_kk - 1/2) / 2, B_{k-1} D_k / 4); these equal the BI steps
-    (b_k, u_k), so q_k = 2^k B_k ("K1 continuant").  "K1 spectrum" @ s
-    checks u_{N+1}(lambda_s) = 0 in ``_continuant``: lambda_s is an
-    eigenvalue.  The N+1 values lambda_s are distinct (mu2 + mu3 > -1), so
-    spec K1 = {lambda_s}.
+    ((K1_kk - 1/2) / 2, B_{k-1} D_k / 4); these equal the BI steps, so
+    q_k = 2^k B_k ("K1 continuant").  "K1 spectrum" @ s checks
+    w_{N+1}(lambda_s) = 0 in ``_continuant``, which is
+    (prod r_k) det(lambda_s - K1): lambda_s is an eigenvalue.  The N+1
+    values lambda_s are distinct (mu2 + mu3 > -1), so spec K1 = {lambda_s}.
     """
     RP = rep.params
     report = VerificationReport("racah spectra")
     products = (ZERO, *rep.offdiag_products)
     steps = [((rep.K1[k][k] - HALF) / 2, products[k] / 4) for k in range(RP.N + 1)]
-    bi_steps = recurrence_steps(RP.identifications(), coeffs)
     for k, (step, bi_step) in enumerate(zip(steps, bi_steps, strict=True)):
         report.record("K1 continuant = 2^k BI recurrence", k, step == bi_step)
-    for s, u in enumerate(rep.continuant[0]):
-        report.record("K1 spectrum", s, u[-1] == 0)
+    for s, w in enumerate(rep.continuant[0]):
+        report.record("K1 spectrum", s, w[-1] == 0)
     return report
 
 
@@ -350,9 +353,9 @@ def racah_overlaps(rep: TridiagRep) -> Matrix:
     ``_continuant``, one Fraction per entry.  With ``k1_spectrum_check``,
     v_k = 2^k B_k(x_s) / prod_{j<=k} D_j at 2 x_s + 1/2 = lambda_s.
     """
-    rows, dprod = rep.continuant
-    return [[Fraction(u_k, d) for u_k, d in zip(u[:-1], dprod, strict=True)]
-            for u in rows]
+    rows, eprod = rep.continuant
+    return [[Fraction(w_k, e) for w_k, e in zip(w[:-1], eprod, strict=True)]
+            for w in rows]
 
 
 # ---------------------------------------------------------------------------

@@ -181,7 +181,8 @@ def suite_racah(seed: int = DEFAULT_SEED, tuples: int = 20,
                              representation_check(rep))
         P = RP.identifications()
         coeffs = [recurrence_coeffs(P, k) for k in range(RP.N + 1)]
-        report.record_report("spectra", t, k1_spectrum_check(rep, coeffs))
+        report.record_report("spectra", t,
+                             k1_spectrum_check(rep, recurrence_steps(P, coeffs)))
         report.record_report("identifications", t, identification_check(rep, coeffs))
     return report
 

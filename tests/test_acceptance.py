@@ -106,7 +106,7 @@ def test_criterion_5_spectra_and_overlaps():
         rep = build_tridiag_rep(RP)
         P = RP.identifications()
         coeffs = [recurrence_coeffs(P, k) for k in range(RP.N + 1)]
-        ok &= k1_spectrum_check(rep, coeffs).passed
+        ok &= k1_spectrum_check(rep, recurrence_steps(P, coeffs)).passed
         grid = [grid_point(P, s) for s in range(RP.N + 1)]
         d_prod = [Fraction(1)]
         for d in rep.D[1:]:

@@ -8,6 +8,7 @@ import pytest
 
 from bi_lab.bi_operator import BIParams, bi_matrices, k1_apply
 from bi_lab.bi_poly import (
+    RecurrenceCoeffs,
     bi_from_operator,
     bi_hypergeometric,
     bi_recurrence,
@@ -385,6 +386,17 @@ class TestGrid:
         P = BIParams.make(1, 0, 0, 0)
         assert [grid_point(P, s) for s in range(3)] == [1, -2, 2]
 
+    def test_grid_matches_display(self):
+        # x_s = (-1)^s (s/2 + rho1 + 1/4) - 1/4 in Fraction arithmetic,
+        # at rho1 of either sign and of several denominators.
+        rng = random.Random(26)
+        for _ in range(200):
+            rho1 = Fraction(rng.randint(-40, 40), rng.randint(1, 24))
+            P = BIParams(rho1, ONE, Fraction(1, 3), Fraction(1, 5))
+            for s in range(12):
+                base = Fraction(s, 2) + rho1 + Fraction(1, 4)
+                assert grid_point(P, s) == (base if s % 2 == 0 else -base) - Fraction(1, 4)
+
 
 # ---------------------------------------------------------------------------
 # Reference oracle: K+- and V composed on polynomials from k1_apply,
@@ -630,6 +642,19 @@ class TestDiscreteWeights:
     def test_requires_truncation(self):
         with pytest.raises(NotFinitelyOrthogonal):
             discrete_weights(P1, coeffs_upto(P1, 3))  # A_3 != 0 for P1
+
+    def test_exact_requires_truncation(self):
+        with pytest.raises(NotFinitelyOrthogonal, match="truncation A_3"):
+            discrete_weights_exact(P1, coeffs_upto(P1, 3))
+
+    @pytest.mark.parametrize("weights", [discrete_weights, discrete_weights_exact])
+    def test_requires_positive_products(self, weights):
+        # R1's coefficients with C_1 negated: A_2 = 0 still holds, u_1 < 0.
+        P = R1.identifications()
+        coeffs = coeffs_upto(P, 2)
+        coeffs[1] = RecurrenceCoeffs(coeffs[1].A, -coeffs[1].C)
+        with pytest.raises(NotFinitelyOrthogonal, match="not positive"):
+            weights(P, coeffs)
 
     def test_exact_weights_match_eigensolve(self):
         P = R1.identifications()

@@ -235,6 +235,22 @@ class TestRacah:
             assert code == EXIT_OK and json.loads(out)["spectra_check"] is True
             assert calls[0] == 1
 
+    def test_one_identification_and_step_list(self, capsys, monkeypatch):
+        # The spectrum check reads the steps cmd_racah made; the weights
+        # guard reads the coefficients and makes none.
+        from bi_lab.racah import RacahParams
+
+        steps = count_calls(monkeypatch, "bi_lab.bi_poly", "recurrence_steps")
+        ident = [0]
+        def counted(RP, _orig=RacahParams.identifications):
+            ident[0] += 1
+            return _orig(RP)
+        monkeypatch.setattr(RacahParams, "identifications", counted)
+        code, out, _ = run(capsys, "racah", "--mu", "3/2,6/5,1", "--N", "24",
+                           "--format", "json")
+        assert code == EXIT_OK and json.loads(out)["spectra_check"] is True
+        assert (steps[0], ident[0]) == (1, 1)
+
     def test_one_recurrence_per_degree(self, capsys, monkeypatch):
         calls = count_calls(monkeypatch, "bi_lab.bi_poly", "recurrence_coeffs")
         code, out, _ = run(
@@ -333,6 +349,11 @@ class TestWeights:
     ("racah --mu 1/4,1/3,1/2 --N 24 --format json", "45c1e362b64a4be0"),
     ("racah --mu 3/2,5/6,7/3 --N 11 --format json", "022402a8c20d4bdb"),
     ("weights --mu 1/4,1/3,1/2 --N 24 --format json", "810f1dbc50190ca6"),
+    ("racah --mu 3/2,6/5,1 --N 24 --format json", "e2e2f2d4ba183951"),
+    ("weights --mu 3/2,6/5,1 --N 24 --format json", "d8d4d47af5acf33a"),
+    ("racah --mu 1/4,1/3,1/2 --N 0 --format json", "677b601d91a8fb60"),
+    ("racah --mu 1/4,1/3,1/2 --N 1 --format json", "adffec4afc86cf7e"),
+    ("verify --scope racah --format json", "a0670f202d50c46a"),
 ])
 def test_golden_output(capsys, argv, digest):
     # Fixed flags give byte-identical JSON; these digests pin it.

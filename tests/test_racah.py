@@ -40,6 +40,11 @@ def coeffs_of(rep):
     return [recurrence_coeffs(P, k) for k in range(rep.params.N + 1)]
 
 
+def steps_of(rep):
+    """Recurrence steps of degrees 0..N of the identified BI params."""
+    return recurrence_steps(rep.params.identifications(), coeffs_of(rep))
+
+
 def k1_symmetric(rep):
     """Float oracle: K1 as the symmetric tridiagonal J = S^-1 K1 S with
     off-diagonals U_k = sqrt(B_{k-1} D_k), and the diagonal of S
@@ -130,7 +135,7 @@ class TestRepresentation:
         RP = RacahParams.make(Fraction(1, 4), Fraction(1, 3), Fraction(1, 2), N)
         rep = build_tridiag_rep(RP)
         assert representation_check(rep).passed
-        assert k1_spectrum_check(rep, coeffs_of(rep)).passed
+        assert k1_spectrum_check(rep, steps_of(rep)).passed
         assert identification_check(rep, coeffs_of(rep)).passed
 
     def test_mu_sign_odd_n(self):
@@ -239,7 +244,20 @@ def random_banded(rng, n, band):
              for j in range(n)] for i in range(n)]
 
 
+def band_rows(a, band):
+    """Sparse rows {j: a_ij} of a, listing every entry of |i - j| <= band,
+    the explicit zeros of ``random_banded`` included."""
+    n = len(a)
+    return [{j: a[i][j] for j in range(n) if abs(i - j) <= band} for i in range(n)]
+
+
+def dense(rows):
+    n = len(rows)
+    return [[row.get(j, 0) for j in range(n)] for row in rows]
+
+
 class TestMatMul:
+    # mat_mul takes and returns sparse rows {j: x}; its output lists no zero.
     @pytest.mark.parametrize("band", [0, 1, 2, 8], ids=[
         "diagonal", "tridiagonal", "pentadiagonal", "dense"])
     @pytest.mark.parametrize("n", range(9))
@@ -247,18 +265,19 @@ class TestMatMul:
         rng = random.Random(100 * n + band)
         for other in (0, 1, 2, 8):
             a, b = random_banded(rng, n, band), random_banded(rng, n, other)
-            a_copy, b_copy = [r[:] for r in a], [r[:] for r in b]
-            for x, y in ((a, b), (b, a)):
-                got = mat_mul(x, y)
-                assert got == naive_mul(x, y)
-                assert all(type(v) is int for row in got for v in row)
-                inputs = {id(r) for r in a + b}
+            ra, rb = band_rows(a, band), band_rows(b, other)
+            ra_copy, rb_copy = [dict(r) for r in ra], [dict(r) for r in rb]
+            for (x, rx), (y, ry) in (((a, ra), (b, rb)), ((b, rb), (a, ra))):
+                got = mat_mul(rx, ry)
+                assert dense(got) == naive_mul(x, y)
+                assert all(type(v) is int and v for row in got for v in row.values())
+                inputs = {id(r) for r in ra + rb}
                 assert len({id(r) for r in got} - inputs) == n
-            assert (a, b) == (a_copy, b_copy)
+            assert (ra, rb) == (ra_copy, rb_copy)
 
     def test_zero_operand(self):
-        z = [[0] * 3 for _ in range(3)]
-        a = random_banded(random.Random(1), 3, 2)
+        z = [{} for _ in range(3)]
+        a = band_rows(random_banded(random.Random(1), 3, 2), 2)
         assert mat_mul(z, a) == mat_mul(a, z) == z
 
 
@@ -352,7 +371,7 @@ class TestSpectrumCheckCanFail:
     def test_entries(self, N):
         RP = RacahParams.make(Fraction(1, 4), Fraction(1, 3), Fraction(1, 2), N)
         rep = build_tridiag_rep(RP)
-        report = k1_spectrum_check(rep, coeffs_of(rep))
+        report = k1_spectrum_check(rep, steps_of(rep))
         assert report.checked == 2 * (N + 1)
         assert [(e.check, e.index) for e in report.entries] == [
             (name, k) for name in SPECTRUM_NAMES for k in range(N + 1)]
@@ -361,7 +380,7 @@ class TestSpectrumCheckCanFail:
         assert R1.mu1 + R1.mu2 != R1.mu2 + R1.mu3  # the K3 diagonal is kept
         rep = build_tridiag_rep(R1)
         shift_k1_lambda0(monkeypatch, {R1.mu2 + R1.mu3})
-        report = k1_spectrum_check(rep, coeffs_of(rep))
+        report = k1_spectrum_check(rep, steps_of(rep))
         assert [(e.check, e.index) for e in report.failures] == [("K1 spectrum", 0)]
 
     def test_shifted_lambda0_fails_verify(self, monkeypatch, capsys):
@@ -379,7 +398,7 @@ class TestSpectrumCheckCanFail:
         rep = build_tridiag_rep(R1)
         D = list(rep.D)
         D[k] *= 2
-        report = k1_spectrum_check(dataclasses.replace(rep, D=tuple(D)), coeffs_of(rep))
+        report = k1_spectrum_check(dataclasses.replace(rep, D=tuple(D)), steps_of(rep))
         assert failed_checks(report) == set(SPECTRUM_NAMES)
         assert [e.index for e in report.failures
                 if e.check.startswith("K1 continuant")] == [k]
@@ -392,9 +411,34 @@ class TestSpectrumCheckCanFail:
         rep = build_tridiag_rep(RP)
         K1 = [row[:] for row in rep.K1]
         K1[N][N] += Fraction(1, 3)
-        report = k1_spectrum_check(dataclasses.replace(rep, K1=K1), coeffs_of(rep))
+        report = k1_spectrum_check(dataclasses.replace(rep, K1=K1), steps_of(rep))
         assert [(e.check, e.index) for e in report.failures] == [
             (SPECTRUM_NAMES[0], N), *((SPECTRUM_NAMES[1], s) for s in range(N + 1))]
+
+
+class TestRowScaledContinuant:
+    def test_integers_stay_small(self):
+        # Each row is cleared by its own r_k; one lcm L for every row would
+        # put L^k into w_k, 3,480 bits at this tuple.
+        RP = RacahParams.make(Fraction(3, 2), Fraction(6, 5), 1, 24)
+        rows, eprod = build_tridiag_rep(RP).continuant
+        ints = [*eprod, *(x for w in rows for x in w)]
+        assert max(abs(x).bit_length() for x in ints) < 1000
+
+    @pytest.mark.parametrize("N", [1, 2, 3, 4, 24])
+    def test_shifted_b_fails_every_spectrum_entry(self, N):
+        # B_k + 1/997: a denominator that reaches the integers of row k + 1
+        # only through its row scale r_(k+1).
+        RP = RacahParams.make(Fraction(1, 4), Fraction(1, 3), Fraction(1, 2), N)
+        rep = build_tridiag_rep(RP)
+        for k in range(N):
+            B = list(rep.B)
+            B[k] += Fraction(1, 997)
+            report = k1_spectrum_check(dataclasses.replace(rep, B=tuple(B)),
+                                       steps_of(rep))
+            assert [(e.check, e.index) for e in report.failures] == [
+                (SPECTRUM_NAMES[0], k + 1),
+                *((SPECTRUM_NAMES[1], s) for s in range(N + 1))]
 
 
 def test_one_rep_build_per_tuple(monkeypatch):
