@@ -7,7 +7,10 @@ The defining operator acts on a polynomial p as
 with F(x) = (x-rho1)(x-rho2)/x and G(x) = (x-r1+1/2)(x-r2+1/2)/(x+1/2),
 h = rho1 + rho2 - r1 - r2 + 1/2.  Both divisions are always exact:
 p(x)-p(-x) is odd (vanishes at 0) and p(-x-1)-p(x) vanishes at -1/2,
-so K1 preserves the degree.  The partner generators are the recurrence
+so K1 preserves the degree.  ``k1_apply`` is K1 on polynomials, the
+operator that ``bi_poly.bi_from_operator`` applies to each monomial;
+``k1_matrix`` writes K1's columns for ``bi_matrices`` from an integer
+recurrence, with no division.  The partner generators are the recurrence
 operator K2 = 2x + 1/2, written from its two diagonals, and K3 = {K1,K2} -
 omega3, which exists only as that composition of the matrices of
 ``bi_matrices``: the defining relation is the single source of truth.
@@ -56,7 +59,7 @@ class BIParams:
     def omega3(self) -> Rat:
         return 4 * (self.rho1 * self.rho2 - self.r1 * self.r2)
 
-    @cached_property  # computed once per tuple, read by every k1_apply
+    @cached_property  # computed once per tuple, read by k1_apply and k1_matrix
     def k1_numerators(self) -> tuple[list[int], list[int], int, int]:
         """(f, g, L h, L): F's numerator (x - rho1)(x - rho2), G's
         (x - r1 + 1/2)(x - r2 + 1/2) and h as integers over their lcm L."""
@@ -109,16 +112,43 @@ def monomial_matrix(P: BIParams, apply, n: int) -> LinOp:
          for p in images), den)
 
 
+def k1_matrix(P: BIParams, n: int) -> LinOp:
+    """Matrix of K1 on the monomials 1, x, ..., x^(n-1) in O(n^2) integer
+    operations and one reduction, equal to ``monomial_matrix(P, k1_apply, n)``.
+
+    With (f, g, L h, L) = ``P.k1_numerators``, column j is
+    L K1 x^j = f O_j + g Q_j + L h x^j over L, where
+    O_j = (x^j - (-x)^j) / x is 2x^(j-1) for odd j and 0 for even j, and
+    Q_j = ((-x-1)^j - x^j) / (x + 1/2) = -(x+1) Q_(j-1) - 2x^(j-1) from
+    Q_0 = 0 has integer coefficients; the x^(j+1) terms cancel and are not
+    formed.
+    """
+    (f0, f1, _), (g0, g1, g2), h, L = P.k1_numerators
+    cols, q = [], []  # q: the numerators of Q_j, degrees 0..j-1
+    for j in range(n):
+        col = [g0 * a + g1 * b + g2 * c
+               for a, b, c in zip(q + [0], [0] + q, [0, 0] + q)]
+        if j % 2:
+            col[j - 1] += 2 * f0
+            col[j] += 2 * f1
+        col[j] += h
+        cols.append({i: a for i, a in enumerate(col) if a})
+        q = [-a - b for a, b in zip(q + [0], [0] + q)]
+        q[j] -= 2
+    return LinOp.real(cols, L)
+
+
 def bi_matrices(P: BIParams, maxdeg: int) -> tuple[LinOp, LinOp, LinOp]:
     """K1, K2 and K3 = {K1,K2} - omega3 on the monomials 1, ..., x^(maxdeg+2).
 
-    K1 keeps the degree and K2, K3 raise it by one, so a product of two
+    K1's columns come from the integer recurrence of ``k1_matrix``, not
+    from ``k1_apply``.  K1 keeps the degree and K2, K3 raise it by one, so a product of two
     generators takes x^j, and every intermediate image, to degree at most
     j + 2.  Columns 0..maxdeg of such products are therefore exact despite
     the truncation; callers compare only those.
     """
     n = maxdeg + 3
-    K1 = monomial_matrix(P, k1_apply, n)
+    K1 = k1_matrix(P, n)
     # K2 = 2x + 1/2 takes x^j to (x^j + 4 x^(j+1)) / 2; x^n is dropped.
     K2 = LinOp.real(({j: 1, j + 1: 4} if j + 1 < n else {j: 1} for j in range(n)), 2)
     K3 = anticomm(K1, K2) - LinOp.identity(n).scale(P.omega3)

@@ -4,13 +4,15 @@ Three independent routes produce the monic polynomials B_n:
 
   * the three-term recurrence with parity-split coefficients A_n, C_n:
     ``recurrence_steps`` turns them into steps (b_k, u_k), and
-    ``bi_recurrence`` is the one place the recurrence is run,
+    ``bi_recurrence`` is the one place the recurrence is run, one integer
+    pass and one reduction per step,
   * the terminating double-4F3 hypergeometric expression; every B_n <=
     nmax from one pass of integer backward-Horner sums, each 4F3 summed
     once and each B_n reduced once,
   * back-substitution in the upper-triangular matrix of the defining
-    shift-reflection operator K1; one K1 on 1..x^nmax gives every
-    B_n <= nmax.
+    shift-reflection operator K1, built by applying ``k1_apply`` to each
+    monomial (the matrices that the relations check come from
+    ``k1_matrix`` instead); one K1 on 1..x^nmax gives every B_n <= nmax.
 
 All three must agree exactly; the test suite enforces this.  The module
 also checks the ladder operators K+/K- and the two-diagonal operator V on
@@ -98,11 +100,22 @@ def recurrence_steps(P: BIParams,
 def bi_recurrence(steps: list[tuple[Rat, Rat]]) -> list[Poly]:
     """Monic p_0 = 1, ..., p_m of p_{k+1} = (x - b_k) p_k - u_k p_{k-1},
     one step (b_k, u_k) per degree k < m; the steps of
-    ``recurrence_steps`` give B_0, ..., B_m."""
+    ``recurrence_steps`` give B_0, ..., B_m.
+
+    Each step is one integer pass over the lcm of den(p_k) den(b_k) and
+    den(p_{k-1}) den(u_k), reduced once.
+    """
     out, prev = [P_ONE], P_ZERO
     for b, u in steps:
         cur = out[-1]
-        out.append(Poly((0, *cur.nums), cur.den) - cur.scale(b) - prev.scale(u))
+        db, du = cur.den * b.denominator, prev.den * u.denominator
+        den = math.lcm(db, du)
+        fx = den // cur.den
+        fb, fu = b.numerator * (den // db), u.numerator * (den // du)
+        nums = [fx * a - fb * c for a, c in zip((0, *cur.nums), (*cur.nums, 0))]
+        for i, a in enumerate(prev.nums):
+            nums[i] -= fu * a
+        out.append(Poly.from_ints(nums, den))
         prev = cur
     return out
 
@@ -207,9 +220,12 @@ def bi_hypergeometric(P: BIParams, nmax: int) -> list[Poly]:
 def bi_from_operator(P: BIParams, nmax: int) -> list[Poly]:
     """Monic B_0, ..., B_nmax as eigenvectors of one K1 matrix.
 
-    K1 is upper triangular on 1, x, ..., x^nmax, so its leading block on
-    1..x^n is K1 on that basis: one K1 gives every B_n <= nmax, each by
-    back-substitution for the eigenvalue lambda_n in its block.  The
+    The matrix is built from ``k1_apply`` on each monomial, so this route
+    rests on the defining operator, not on the ``k1_matrix`` recurrence of
+    the matrices that the relations check.  K1 is upper triangular on
+    1, x, ..., x^nmax, so its leading block on 1..x^n is K1 on that basis:
+    one K1 gives every B_n <= nmax, each by back-substitution for the
+    eigenvalue lambda_n in its block.  The
     back-substitution runs on K1's integer numerators: with K1 = k / d and
     lambda_n = a / b, B_n = w / c solves (b k - a d) w = 0 with w_n = c.
     """

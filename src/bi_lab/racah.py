@@ -473,7 +473,11 @@ def tensor_oracle(RP: RacahParams, m: int) -> VerificationReport:
     prefix = _prefix_products(ts.Q4, q)  # prefix[j] = prod_{i<j} (Q4 - q_i)
     suffix = _prefix_products(ts.Q4, q[:0:-1])  # suffix[m-j] = prod_{i>j}
     report.record("prod_(j<=m) (Q4 - q_j) = 0", m, prefix[-1] == zero)
+    # K2_j = k1k3 - omega2(j), so {K1,K2_j} = {K1,k1k3} - 2 omega2(j) K1 and
+    # {K2_j,K3} = {k1k3,K3} - 2 omega2(j) K3: both anticommutators once.
     k1k3 = anticomm(k1, k3)
+    rel12, rel23 = anticomm(k1, k1k3) - k3, anticomm(k1k3, k3) - k1
+    k1x2, k3x2 = k1 + k1, k3 + k3
     for j, q_j in enumerate(q):
         denom = math.prod((q_j - q_i for i, q_i in enumerate(q) if i != j), start=ONE)
         proj = (prefix[j] @ suffix[m - j]).scale(1 / denom)
@@ -481,11 +485,10 @@ def tensor_oracle(RP: RacahParams, m: int) -> VerificationReport:
         report.record("prod_(s<=j) (K3 - lambda_s) E_j = 0", j,
                       k3_chain[j + 1] @ proj == zero)
         om1, om2, om3 = dataclasses.replace(RP, N=j).omegas
-        k2 = k1k3 - eye.scale(om2)
-        report.record("BI relation {K1,K2} E_j", j,
-                      (anticomm(k1, k2) - k3 - eye.scale(om3)) @ proj == zero)
-        report.record("BI relation {K2,K3} E_j", j,
-                      (anticomm(k2, k3) - k1 - eye.scale(om1)) @ proj == zero)
+        lhs12 = rel12 - k1x2.scale(om2) - eye.scale(om3)
+        lhs23 = rel23 - k3x2.scale(om2) - eye.scale(om1)
+        report.record("BI relation {K1,K2} E_j", j, lhs12 @ proj == zero)
+        report.record("BI relation {K2,K3} E_j", j, lhs23 @ proj == zero)
     return report
 
 

@@ -6,14 +6,16 @@ primitives.  The package builds K2 and K3 only as matrices, in
 ``bi_matrices``; ``k2_apply`` and ``k3_apply`` are the references that the
 matrix tests compare against.  ``k1_apply_composed`` is K1 composed from
 ``Poly`` operations term by term, the reference for the one-pass
-``k1_apply``.
+``k1_apply``.  ``bi_recurrence_composed`` runs the three-term recurrence
+in ``Poly`` arithmetic, the reference for the integer ``bi_recurrence``.
 """
 
 from fractions import Fraction
 
 from bi_lab.bi_operator import BIParams, k1_apply
 from bi_lab.exact import HALF, Rat
-from bi_lab.poly import Poly, poly_divide_exact, poly_reflect, poly_shift_reflect
+from bi_lab.poly import (P_ONE, P_ZERO, Poly, poly_divide_exact, poly_reflect,
+                         poly_shift_reflect)
 
 
 def poly_eval(p: Poly, x0: Rat) -> Rat:
@@ -44,3 +46,14 @@ def k3_apply(P: BIParams, p: Poly) -> Poly:
     """K3 = {K1,K2} - omega3 composed on polynomials."""
     anticomm = k1_apply(P, k2_apply(P, p)) + k2_apply(P, k1_apply(P, p))
     return anticomm - p.scale(P.omega3)
+
+
+def bi_recurrence_composed(steps: list[tuple[Rat, Rat]]) -> list[Poly]:
+    """p_0 = 1, ..., p_m of p_{k+1} = (x - b_k) p_k - u_k p_{k-1}, one Poly
+    operation at a time."""
+    out, prev = [P_ONE], P_ZERO
+    for b, u in steps:
+        cur = out[-1]
+        out.append(Poly.monomial(1) * cur - cur.scale(b) - prev.scale(u))
+        prev = cur
+    return out

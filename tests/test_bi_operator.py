@@ -11,9 +11,10 @@ from bi_lab.bi_operator import (
     casimir_scalar,
     check_bi_relations,
     k1_apply,
+    k1_matrix,
     monomial_matrix,
 )
-from bi_lab.exact import rat_str
+from bi_lab.exact import HALF, rat_str
 from bi_lab.linop import LinOp
 from bi_lab.poly import P_ONE, P_ZERO, Poly
 from bi_lab.suites import suite_bi
@@ -159,6 +160,18 @@ def test_k1_apply_reduces_twice_and_reads_no_h(monkeypatch):
         assert calls == (2 if j else 1)  # a constant's quotient is zero
 
 
+def test_k1_matrix_equals_monomial_build():
+    # The Q_j recurrence gives the same canonical matrix, field for field,
+    # as k1_apply on each monomial, for numerators of about 10^30 over
+    # denominators up to 10^6 too, and at h = 0 (a zero column).
+    params = [P1, BIParams.make(0, 0, 0, 0), BIParams.make(0, 0, HALF, 0)]
+    params += [P for P, _ in seeded_k1_cases(70)]
+    assert any(P.k1_numerators[3] > 10**6 for P in params)
+    for P in params:
+        for n in range(17):
+            assert k1_matrix(P, n) == monomial_matrix(P, k1_apply, n), (P, n)
+
+
 def test_k2_from_diagonals():
     P = BIParams.make(Fraction(-1, 3), Fraction(2, 7), 5, Fraction(-3, 2))
     for d in range(13):
@@ -168,25 +181,28 @@ def test_k2_from_diagonals():
 def test_one_matrix_build_per_tuple(monkeypatch):
     import bi_lab.bi_operator as bo
 
-    calls = 0
-    def counted(*args, _orig=bo.k1_apply):
-        nonlocal calls
-        calls += 1
+    calls, applied = [], []
+    def counted(P, n, _orig=bo.k1_matrix):
+        calls.append(n)
+        return _orig(P, n)
+    def apply_counted(*args, _orig=bo.k1_apply):
+        applied.append(args)
         return _orig(*args)
-    monkeypatch.setattr(bo, "k1_apply", counted)
+    monkeypatch.setattr(bo, "k1_matrix", counted)
+    monkeypatch.setattr(bo, "k1_apply", apply_counted)
     for _ in range(2):  # a second identical call does the same work again
-        calls = 0
+        calls.clear()
         assert suite_bi(seed=1, tuples=1, maxdeg=12).passed
-        # K1 on the monomials 1..x^14, once for the relations and the Casimir.
-        assert calls == 15
+        # K1 on the monomials 1..x^14, once for the relations and the
+        # Casimir, from the recurrence and not from k1_apply.
+        assert calls == [15]
+        assert applied == []
 
 
 def test_relations_fail_without_h_term(monkeypatch):
     # K1 without its h term breaks both checked relations on every degree.
-    import bi_lab.bi_operator as bo
-
-    orig = bo.k1_apply
-    monkeypatch.setattr(bo, "k1_apply", lambda P, p: orig(P, p) - p.scale(P.h))
+    f, g, _, L = P1.k1_numerators
+    monkeypatch.setattr(BIParams, "k1_numerators", property(lambda self: (f, g, 0, L)))
     report = check_bi_relations(P1, bi_matrices(P1, 12))
     assert report.checked == 2 * 13
     assert len(report.failures) == report.checked

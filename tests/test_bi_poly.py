@@ -28,7 +28,7 @@ from bi_lab.errors import (
     DegenerateSpectrum,
     NotFinitelyOrthogonal,
 )
-from bi_lab.exact import HALF, ONE, rat_str, rat_to_float
+from bi_lab.exact import HALF, ONE, ZERO, rat_str, rat_to_float
 from bi_lab.poly import P_ONE, P_ZERO, Poly
 from bi_lab.racah import RacahParams
 from bi_lab.suites import (
@@ -36,7 +36,7 @@ from bi_lab.suites import (
     random_bi_params_regular,
     suite_polynomials,
 )
-from poly_oracle import k2_apply, k3_apply, poly_eval
+from poly_oracle import bi_recurrence_composed, k2_apply, k3_apply, poly_eval
 from test_bi_mutants import flipped_ladder_coeff, omega1_in_second_form
 
 
@@ -323,6 +323,24 @@ class TestThreeRoutes:
             # One K1 for the suite; the tuple draw builds none.
             assert calls == [11]
 
+    def test_operator_route_builds_from_k1_apply(self, monkeypatch):
+        # The eigensolve rests on the defining operator: one k1_apply per
+        # monomial, and no k1_matrix.
+        import bi_lab.bi_operator as bo
+        import bi_lab.bi_poly as bp
+
+        want = bi_from_operator(P1, 10)
+        applied = []
+        def counted(P, p, _orig=bp.k1_apply):
+            applied.append(p.degree())
+            return _orig(P, p)
+        def forbidden(*args):
+            raise AssertionError("bi_from_operator called k1_matrix")
+        monkeypatch.setattr(bp, "k1_apply", counted)
+        monkeypatch.setattr(bo, "k1_matrix", forbidden)
+        assert bi_from_operator(P1, 10) == want == B1[:11]
+        assert applied == list(range(11))
+
     def test_suite_reuses_guard_results(self, monkeypatch):
         import bi_lab.suites as suites
 
@@ -379,6 +397,46 @@ class TestThreeRoutes:
 
     def test_hypergeometric_n0(self):
         assert bi_hypergeometric(P1, 0) == [P_ONE]
+
+
+def seeded_steps(rng, m, big=False, zero_u=0.0):
+    """m random steps (b_k, u_k); u_k = 0 with probability zero_u, and
+    numerators of about 10^30 over denominators up to 10^6 when big."""
+    top, dtop = (10**30, 10**6) if big else (40, 12)
+    def rat():
+        return Fraction(rng.randint(-top, top), rng.randint(1, dtop))
+    return [(rat(), ZERO if rng.random() < zero_u else rat()) for _ in range(m)]
+
+
+class TestIntegerRecurrence:
+    # bi_recurrence on integers equals the Poly-arithmetic recurrence
+    # field for field, on steps that no parameter tuple need produce.
+    def test_no_steps(self):
+        assert bi_recurrence([]) == bi_recurrence_composed([]) == [P_ONE]
+
+    @pytest.mark.parametrize("big", [False, True])
+    @pytest.mark.parametrize("zero_u", [0.0, 0.5, 1.0])
+    def test_equals_poly_arithmetic(self, big, zero_u):
+        rng = random.Random(f"{big}-{zero_u}")
+        for m in range(14):
+            steps = seeded_steps(rng, m, big, zero_u)
+            assert bi_recurrence(steps) == bi_recurrence_composed(steps), steps
+
+    def test_integer_and_zero_steps(self):
+        # b_k = 0 and u_k = 0: p_k = x^k; integer steps keep den 1.
+        assert bi_recurrence([(ZERO, ZERO)] * 5) == [Poly.monomial(k) for k in range(6)]
+        steps = [(Fraction(k - 2), Fraction(k * k)) for k in range(9)]
+        got = bi_recurrence(steps)
+        assert got == bi_recurrence_composed(steps)
+        assert all(p.den == 1 for p in got)
+
+    def test_bi_steps(self):
+        # The steps of recurrence_steps on seeded regular tuples.
+        rng = random.Random(27)
+        for _ in range(20):
+            P, coeffs, _ = random_bi_params_regular(rng, 12)
+            steps = recurrence_steps(P, coeffs)
+            assert bi_recurrence(steps) == bi_recurrence_composed(steps)
 
 
 class TestGrid:
