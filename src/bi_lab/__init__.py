@@ -10,8 +10,10 @@ Submodules:
   sl1          sl_{-1}(2) modules and the 1D Dunkl realization
   racah        Racah problem: exact tridiagonal rep and tensor oracle
   dunkl_dirac  Dunkl-Dirac operator on S^2 and its symmetry algebra
+  report       VerificationReport, the one report type
   suites       seeded randomized verification suites
   cli          command-line frontend
+  errors       BILabError, the one exception type (invalid input)
 """
 
 from .bi_operator import BIParams

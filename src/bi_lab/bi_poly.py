@@ -28,7 +28,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .bi_operator import BIParams, k1_apply, monomial_matrix
-from .errors import DegenerateParameters, DegenerateSpectrum, NotFinitelyOrthogonal
+from .errors import BILabError
 from .exact import HALF, ONE, Rat, ZERO, rat_to_float
 from .linop import LinOp, anticomm
 from .poly import P_ONE, P_ZERO, Poly, int_mul
@@ -74,14 +74,14 @@ def recurrence_coeffs(P: BIParams, n: int) -> RecurrenceCoeffs:
     q, s, a_shifts, c_shifts = _recurrence_shifts(P)
     den_a = (n + 1) * q + s
     if den_a == 0:
-        raise DegenerateParameters(f"A_{n} denominator vanishes for {P}")
+        raise BILabError(f"A_{n} denominator vanishes for {P}")
     x, y = a_shifts[n % 2]
     A = Fraction((n * q + x) * (n * q + y), 4 * q * den_a)
     if n == 0:  # C_0 carries an explicit factor n; no denominator needed
         return RecurrenceCoeffs(A, ZERO)
     den_c = n * q + s
     if den_c == 0:
-        raise DegenerateParameters(f"C_{n} denominator vanishes for {P}")
+        raise BILabError(f"C_{n} denominator vanishes for {P}")
     x, y = c_shifts[n % 2]
     return RecurrenceCoeffs(A, Fraction(-(n * q + x) * (n * q + y), 4 * q * den_c))
 
@@ -160,12 +160,12 @@ def bi_hypergeometric(P: BIParams, nmax: int) -> list[Poly]:
     for b, top in ((b1, mf), (b2, mg + 1), (b3, mg + 1)):
         for j in range(top):
             if _shifted(b, j) == 0:
-                raise DegenerateParameters(
+                raise BILabError(
                     f"lower Pochhammer ({b})_{j + 1} vanishes at shift {j}"
                 )
     for j in range(nmax):
         if _shifted(H, j) == 0:
-            raise DegenerateParameters(f"c_n denominator factor h + 1/2 + {j} vanishes")
+            raise BILabError(f"c_n denominator factor h + 1/2 + {j} vanishes")
 
     # Term ratio k of F_m (d = 0) and G_m (d = 1) is
     # (k - 1 - m)(m + d + k - 1 + H) q_k(x) / s_k, with q_k / s_k the part
@@ -239,7 +239,7 @@ def bi_from_operator(P: BIParams, nmax: int) -> list[Poly]:
         for i in range(n - 1, -1, -1):
             t = b * k[i].get(i, 0) - a * d
             if t == 0:
-                raise DegenerateSpectrum(
+                raise BILabError(
                     f"eigenvalue collision lambda_{i} = lambda_{n} for {P}"
                 )
             # w_i / (c t) = -b (sum_j k_ij w_j / c) / t; rescale w_j to c t.
@@ -267,7 +267,7 @@ def ladder_coeffs(P: BIParams, n: int) -> tuple[Rat, Rat]:
     if n == 0:  # alpha0 carries an explicit factor n; no denominator needed
         return ZERO, 4 * (h + HALF)
     if den == 0:
-        raise DegenerateParameters(f"ladder denominator n + h - 1/2 = 0 at n={n}")
+        raise BILabError(f"ladder denominator n + h - 1/2 = 0 at n={n}")
     if n % 2 == 0:
         return (2 * n * (half_n + rho1 + rho2) * (r1 + r2 - half_n)
                 * (Fraction(n - 1, 2) + h) / den, 4 * (n + h + HALF))
@@ -337,9 +337,9 @@ def _require_finite(coeffs: list[RecurrenceCoeffs]) -> None:
     the recurrence coefficients of degrees 0..N."""
     N = len(coeffs) - 1
     if coeffs[N].A != 0:
-        raise NotFinitelyOrthogonal(f"truncation A_{N} = {coeffs[N].A} != 0")
+        raise BILabError(f"truncation A_{N} = {coeffs[N].A} != 0")
     if any(coeffs[k - 1].A * coeffs[k].C <= 0 for k in range(1, N + 1)):
-        raise NotFinitelyOrthogonal("off-diagonal product A_(k-1) C_k not positive")
+        raise BILabError("off-diagonal product A_(k-1) C_k not positive")
 
 
 def discrete_weights_exact(P: BIParams,
@@ -410,7 +410,7 @@ def discrete_weights(P: BIParams,
         j = int(np.argmin([abs(vals[i] - x) if i not in used else np.inf
                            for i in range(N + 1)]))
         if abs(vals[j] - x) > 1e-10:
-            raise NotFinitelyOrthogonal(
+            raise BILabError(
                 f"node {vals[j]} does not match grid point {x}"
             )
         used.add(j)

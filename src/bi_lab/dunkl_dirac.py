@@ -32,8 +32,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 
-from .errors import DegenerateParameters
+from .errors import BILabError
 from .exact import GRAT_I, GRAT_MINUS_I, GRAT_ONE, GRat, Rat
 from .linop import LinOp, comm
 from .report import VerificationReport
@@ -107,13 +108,13 @@ class DiracParams:
     def make(mu1, mu2, mu3) -> "DiracParams":
         mus = tuple(Fraction(m) for m in (mu1, mu2, mu3))
         if any(m <= Fraction(-1, 2) for m in mus):
-            raise DegenerateParameters("each mu_i must exceed -1/2")
+            raise BILabError("each mu_i must exceed -1/2")
         return DiracParams(*mus)
 
     def mu(self, axis: int) -> Rat:
         return (self.mu1, self.mu2, self.mu3)[axis - 1]
 
-    @property
+    @cached_property  # read by every m(axis) of the slice build
     def L(self) -> int:
         """The least even integer that clears every mu_i."""
         return math.lcm(2, *(m.denominator for m in (self.mu1, self.mu2, self.mu3)))

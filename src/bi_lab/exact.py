@@ -14,20 +14,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import InvalidScalar
+from .errors import BILabError
 
 Rat = Fraction
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
 HALF = Fraction(1, 2)
-
-
-def rat_make(n: int, d: int = 1) -> Rat:
-    """Canonical rational n/d (reduced, positive denominator)."""
-    if d == 0:
-        raise InvalidScalar(f"zero denominator in {n}/{d}")
-    return Fraction(n, d)
 
 
 def rat_parse(text: str) -> Rat:
@@ -38,14 +31,14 @@ def rat_parse(text: str) -> Rat:
     """
     text = text.strip()
     if "." in text or "e" in text.lower():
-        raise InvalidScalar(f"decimal literals are not accepted: {text!r}")
+        raise BILabError(f"decimal literals are not accepted: {text!r}")
     try:
-        if "/" in text:
-            num, den = text.split("/")
-            return rat_make(int(num), int(den))
-        return Fraction(int(text))
+        num, den = map(int, text.split("/")) if "/" in text else (int(text), 1)
     except ValueError as exc:
-        raise InvalidScalar(f"cannot parse rational from {text!r}") from exc
+        raise BILabError(f"cannot parse rational from {text!r}") from exc
+    if den == 0:
+        raise BILabError(f"zero denominator in {num}/{den}")
+    return Fraction(num, den)
 
 
 def rat_str(x: Rat) -> str:

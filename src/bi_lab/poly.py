@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .errors import NotDivisible
+from .errors import BILabError
 from .exact import Rat
 
 
@@ -135,7 +135,7 @@ def poly_shift_reflect(p: Poly) -> Poly:
 
 
 def poly_divide_exact(p: Poly, root: Rat) -> Poly:
-    """Exact quotient p / (x - root); raises NotDivisible on remainder.
+    """Exact quotient p / (x - root); raises BILabError on remainder.
 
     Synthetic division with root = r/s over den s^(d-1): quotient numerator
     q_(k-1) = s^(d-1) nums[k] + r q_k / s, exact since q_k has a factor s^k.
@@ -151,7 +151,7 @@ def poly_divide_exact(p: Poly, root: Rat) -> Poly:
     remainder = p.nums[0] * top * s + r * carry
     if remainder:
         remainder = Fraction(remainder, p.den * top * s)
-        raise NotDivisible(f"remainder {remainder} dividing by (x - {root})")
+        raise BILabError(f"remainder {remainder} dividing by (x - {root})")
     return _canonical(quot[::-1], p.den * top)
 
 

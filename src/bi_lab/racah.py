@@ -37,7 +37,7 @@ from fractions import Fraction
 from functools import cached_property
 
 from .bi_operator import BIParams
-from .errors import DegenerateParameters, NotUnitary, TruncationFailure
+from .errors import BILabError
 from .exact import HALF, ONE, Rat, ZERO, rat_str
 from .linop import LinOp, anticomm
 from .report import VerificationReport
@@ -98,9 +98,9 @@ class RacahParams:
     def make(mu1, mu2, mu3, N: int) -> "RacahParams":
         mus = tuple(Fraction(m) for m in (mu1, mu2, mu3))
         if any(m <= Fraction(-1, 2) for m in mus):
-            raise DegenerateParameters("each mu_i must exceed -1/2")
+            raise BILabError("each mu_i must exceed -1/2")
         if N < 0:
-            raise DegenerateParameters("N must be non-negative")
+            raise BILabError("N must be non-negative")
         return RacahParams(*mus, N)
 
     @property
@@ -176,14 +176,14 @@ def bk_dk(RP: RacahParams, k: int) -> tuple[Rat, Rat]:
     q, z, b_shifts, d_shifts = RP.bk_dk_shifts
     den_b = (k + 1) * q + z
     if den_b == 0:
-        raise DegenerateParameters(f"B_{k} denominator vanishes")
+        raise BILabError(f"B_{k} denominator vanishes")
     x, y = b_shifts[k % 2]
     B = Fraction((k * q + x) * (k * q + y), 2 * q * den_b)
     if k == 0:
         return B, ZERO
     den_d = k * q + z
     if den_d == 0:
-        raise DegenerateParameters(f"D_{k} denominator vanishes")
+        raise BILabError(f"D_{k} denominator vanishes")
     x, y = d_shifts[k % 2]
     return B, Fraction(-(k * q + x) * (k * q + y), 2 * q * den_d)
 
@@ -224,17 +224,15 @@ class TridiagRep:
 
 
 def build_tridiag_rep(RP: RacahParams) -> TridiagRep:
-    """Exact representation; raises only when a denominator vanishes, B_N
-    does not vanish or an off-diagonal product is not positive.  The
+    """Exact representation; raises only when a denominator vanishes or an
+    off-diagonal product is not positive.  B_N = 0 holds identically: mu =
+    (-1)^N mu4 zeroes the factor of B_N's numerator that carries mu.  The
     relations are checked by ``representation_check``."""
-    N = RP.N
-    n = N + 1
+    n = RP.N + 1
     B, D = zip(*(bk_dk(RP, k) for k in range(n)))
-    if B[N] != 0:
-        raise TruncationFailure(f"B_{N} = {B[N]} != 0: matrix does not close")
     for k in range(1, n):
         if B[k - 1] * D[k] <= 0:
-            raise NotUnitary(f"B_{k-1} D_{k} = {B[k-1] * D[k]} not positive")
+            raise BILabError(f"B_{k-1} D_{k} = {B[k-1] * D[k]} not positive")
 
     # K3 is diagonal, so K2 = {K1,K3} - omega2 is K1_ij (K3_ii + K3_jj) on
     # the band of K1, less omega2 on the diagonal; K3_(k-1)(k-1) + K3_kk is

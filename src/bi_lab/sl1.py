@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import DegenerateParameters
+from .errors import BILabError
 from .exact import HALF, Rat, ZERO
 from .poly import Poly, poly_derivative, poly_divide_exact, poly_reflect
 from .report import VerificationReport
@@ -30,10 +30,10 @@ class ModuleParams:
     @staticmethod
     def make(epsilon: int, mu) -> "ModuleParams":
         if epsilon not in (1, -1):
-            raise ValueError("epsilon must be +1 or -1")
+            raise BILabError("epsilon must be +1 or -1")
         mu = Fraction(mu)
         if mu <= Fraction(-1, 2):
-            raise DegenerateParameters(f"mu must exceed -1/2, got {mu}")
+            raise BILabError(f"mu must exceed -1/2, got {mu}")
         return ModuleParams(epsilon, mu)
 
 

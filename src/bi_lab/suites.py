@@ -140,8 +140,8 @@ def suite_ladders(seed: int = DEFAULT_SEED, tuples: int = 10) -> VerificationRep
     return report
 
 
-def suite_sl1(seed: int = DEFAULT_SEED, tuples: int = 10,
-              nmax: int = 12) -> VerificationReport:
+def suite_sl1(seed: int = DEFAULT_SEED, tuples: int = 10) -> VerificationReport:
+    nmax = 12
     rng = random.Random(seed)
     report = VerificationReport(f"sl_(-1)(2) suite ({tuples} tuples)")
     for t in range(tuples):

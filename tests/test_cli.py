@@ -103,6 +103,12 @@ class TestPoly:
         assert (code, out) == (EXIT_INVALID, "")
         assert "--nmax" in err
 
+    def test_zero_denominator_exit_2(self, capsys):
+        code, out, err = run(
+            capsys, "poly", "--rho1", "1/0", "--rho2", "1", "--r1", "0", "--r2", "0",
+        )
+        assert (code, out, err) == (EXIT_INVALID, "", "error: zero denominator in 1/0\n")
+
 
 class TestVerify:
     def test_small_scope_passes(self, capsys):
@@ -284,6 +290,10 @@ class TestDirac:
         )
         assert (code, out) == (EXIT_INVALID, "")
         assert "--maxdeg" in err
+
+    def test_mu_at_lower_bound_exit_2(self, capsys):
+        code, out, err = run(capsys, "dirac", "--mu=-1/2,1/3,1/2", "--maxdeg", "1")
+        assert (code, out, err) == (EXIT_INVALID, "", "error: each mu_i must exceed -1/2\n")
 
 
 @pytest.mark.parametrize("argv", ["verify --scope sl1", "dirac --mu 1/4,1/3,1/2"])

@@ -20,7 +20,7 @@ from bi_lab.dunkl_dirac import (
     symmetry_generators,
     var_mul,
 )
-from bi_lab.errors import DegenerateParameters
+from bi_lab.errors import BILabError
 from bi_lab.exact import GRAT_I, GRAT_MINUS_I, GRAT_ONE, GRat
 from bi_lab.linop import LinOp, anticomm
 from bi_lab.suites import suite_dirac
@@ -118,7 +118,7 @@ class TestDunklPartial:
             X1.scale(GRat(Fraction(1 + 2 * DP1.mu2), Fraction(0)))
 
     def test_params_validated(self):
-        with pytest.raises(DegenerateParameters):
+        with pytest.raises(BILabError, match="^each mu_i must exceed -1/2$"):
             DiracParams.make(Fraction(-1, 2), 0, 0)
 
 

@@ -6,13 +6,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from bi_lab.errors import InvalidScalar
+from bi_lab.errors import BILabError
 from bi_lab.exact import (
     GRAT_I,
     GRAT_MINUS_I,
     GRAT_ONE,
     GRat,
-    rat_make,
     rat_parse,
     rat_str,
     rat_to_float,
@@ -25,13 +24,13 @@ grats = st.builds(GRat, rationals, rationals)
 
 
 class TestRat:
-    def test_make_reduces(self):
-        assert rat_make(2, 4) == Fraction(1, 2)
-        assert rat_make(-3, -6) == Fraction(1, 2)
+    def test_parse_reduces(self):
+        assert rat_parse("2/4") == Fraction(1, 2)
+        assert rat_parse("-3/-6") == Fraction(1, 2)
 
-    def test_make_zero_denominator(self):
-        with pytest.raises(InvalidScalar):
-            rat_make(1, 0)
+    def test_parse_zero_denominator(self):
+        with pytest.raises(BILabError, match="^zero denominator in 1/0$"):
+            rat_parse("1/0")
 
     @pytest.mark.parametrize(
         "text,value",
@@ -41,9 +40,12 @@ class TestRat:
     def test_parse(self, text, value):
         assert rat_parse(text) == value
 
-    @pytest.mark.parametrize("text", ["0.5", "1e3", "2.0/4", "a/b", "1/", ""])
-    def test_parse_rejects(self, text):
-        with pytest.raises(InvalidScalar):
+    @pytest.mark.parametrize("text,message", [
+        *((t, "decimal literals are not accepted") for t in ("0.5", "1e3", "2.0/4")),
+        *((t, "cannot parse rational from") for t in ("a/b", "1/", "", "1/2/3")),
+    ])
+    def test_parse_rejects(self, text, message):
+        with pytest.raises(BILabError, match=f"^{message}"):
             rat_parse(text)
 
     @given(rationals)

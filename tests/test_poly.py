@@ -8,7 +8,7 @@ import sympy
 from hypothesis import given
 from hypothesis import strategies as st
 
-from bi_lab.errors import NotDivisible
+from bi_lab.errors import BILabError
 from bi_lab.poly import (
     P_ZERO,
     Poly,
@@ -86,7 +86,7 @@ class TestEvalAndOperators:
         assert poly_divide_exact(p, root) == q
 
     def test_divide_exact_rejects_remainder(self):
-        with pytest.raises(NotDivisible):
+        with pytest.raises(BILabError, match=r"^remainder 2 dividing by \(x - 1\)$"):
             poly_divide_exact(Poly.make([1, 1]), Fraction(1))
 
     @given(polys, polys)
@@ -252,7 +252,7 @@ class TestRepresentation:
         assert_canonical(got)
         assert got.coeffs == quotient
         if remainder:
-            with pytest.raises(NotDivisible):
+            with pytest.raises(BILabError, match=r"^remainder .* dividing by \(x - "):
                 poly_divide_exact(Poly.make(cs), root)
 
     @given(coefficient_lists, rationals)
@@ -298,6 +298,6 @@ class TestDivideNonIntegerRoots:
         ([5], Fraction(3, 7), "remainder 5 dividing by (x - 3/7)"),
     ])
     def test_not_divisible_reports_exact_remainder(self, coeffs, root, message):
-        with pytest.raises(NotDivisible) as exc:
+        with pytest.raises(BILabError) as exc:
             poly_divide_exact(Poly.make(coeffs), root)
         assert str(exc.value) == message

@@ -10,7 +10,7 @@ import pytest
 
 from bi_lab.bi_poly import bi_recurrence, grid_point, recurrence_coeffs, recurrence_steps
 from bi_lab.cli import EXIT_VERIFY_FAILED, main
-from bi_lab.errors import DegenerateParameters
+from bi_lab.errors import BILabError
 from bi_lab.racah import (
     RacahParams,
     bk_dk,
@@ -143,10 +143,33 @@ class TestRepresentation:
         assert RP.mu == -RP.mu4
 
     def test_make_validates(self):
-        with pytest.raises(DegenerateParameters):
+        with pytest.raises(BILabError, match="^each mu_i must exceed -1/2$"):
             RacahParams.make(Fraction(-1, 2), 1, 1, 2)
-        with pytest.raises(DegenerateParameters):
+        with pytest.raises(BILabError, match="^N must be non-negative$"):
             RacahParams.make(1, 1, 1, -1)
+
+    # Tuples outside make's domain reach the build's own guards.
+    @pytest.mark.parametrize("mus, N, message", [
+        ((Fraction(-25, 3), Fraction(-17, 8), 0), 4, "B_0 D_1 = -437476/51529 not positive"),
+        ((Fraction(-12, 5), Fraction(2, 5), Fraction(-17, 3)), 5, "B_1 denominator vanishes"),
+    ])
+    def test_build_guards(self, mus, N, message):
+        with pytest.raises(BILabError, match=f"^{message}$"):
+            build_tridiag_rep(RacahParams(*map(Fraction, mus), N))
+
+    def test_truncation_holds_identically(self):
+        # mu = (-1)^N mu4 zeroes B_N wherever B_N and D_N have nonzero
+        # denominators, mu_i <= -1/2 included; the build has no B_N guard.
+        rng, below, checked = random.Random(28), 0, 0
+        while checked < 2000:
+            mus = [Fraction(rng.randint(-30, 30), rng.randint(1, 8)) for _ in range(3)]
+            RP = RacahParams(*mus, rng.randint(0, 12))
+            if 0 in (RP.N + 1 + RP.mu1 + RP.mu2, RP.N + RP.mu1 + RP.mu2):
+                continue
+            assert bk_dk(RP, RP.N)[0] == 0, RP
+            below += min(mus) <= Fraction(-1, 2)
+            checked += 1
+        assert below > 1000
 
 
 def shift_omega(monkeypatch, i, by=1):

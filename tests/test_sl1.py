@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from bi_lab.errors import DegenerateParameters
+from bi_lab.errors import BILabError
 from bi_lab.poly import P_ONE, Poly
 from bi_lab.sl1 import (
     ModuleParams,
@@ -18,11 +18,11 @@ from bi_lab.sl1 import (
 
 class TestModuleParams:
     def test_make_validates_epsilon(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(BILabError, match="epsilon"):
             ModuleParams.make(0, Fraction(1, 2))
 
     def test_make_validates_mu(self):
-        with pytest.raises(DegenerateParameters):
+        with pytest.raises(BILabError, match="^mu must exceed -1/2, got -1/2$"):
             ModuleParams.make(1, Fraction(-1, 2))
 
     def test_rho_squared(self):
