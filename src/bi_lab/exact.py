@@ -11,6 +11,7 @@ All values are immutable and all operations pure.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -23,19 +24,26 @@ ONE = Fraction(1)
 HALF = Fraction(1, 2)
 
 
+_INT = "[+-]?[0-9]+"
+_DECIMAL = r"[+-]?([0-9]+\.?[0-9]*|\.[0-9]+)([eE][+-]?[0-9]+)?"
+_RATIONAL_RE = re.compile(f"{_INT}(/{_INT})?")
+_DECIMAL_RE = re.compile(f"{_DECIMAL}(/{_DECIMAL})?")
+
+
 def rat_parse(text: str) -> Rat:
-    """Parse "p/q" or an integer literal into a rational.
+    """Parse "p/q" or an integer literal, in ASCII digits, into a rational.
 
     Decimal notation is rejected deliberately: it invites silent
-    precision loss at the user surface.
+    precision loss at the user surface.  So are the forms ``int`` accepts
+    beyond ASCII digits, such as "1_0" and non-ASCII digits.
     """
     text = text.strip()
-    if "." in text or "e" in text.lower():
-        raise BILabError(f"decimal literals are not accepted: {text!r}")
-    try:
-        num, den = map(int, text.split("/")) if "/" in text else (int(text), 1)
-    except ValueError as exc:
-        raise BILabError(f"cannot parse rational from {text!r}") from exc
+    if not _RATIONAL_RE.fullmatch(text):
+        if _DECIMAL_RE.fullmatch(text):
+            raise BILabError(f"decimal literals are not accepted: {text!r}")
+        raise BILabError(f"cannot parse rational from {text!r}")
+    num, _, den = text.partition("/")
+    num, den = int(num), int(den or 1)
     if den == 0:
         raise BILabError(f"zero denominator in {num}/{den}")
     return Fraction(num, den)

@@ -23,8 +23,9 @@ Bannai-Ito polynomials on the grid (``racah_overlaps``).  One build
 serves the relations, the spectrum and the overlaps, and one continuant
 run per build (``TridiagRep.continuant``) the last two.
 
-The build keeps dense Fraction matrices; the relation check multiplies
-only their bands, as sparse integer rows.  The off-diagonal data of the
+The build stores each K_i as its columns, dicts {row: Fraction} that
+hold only the band (the shape ``LinOp.make`` takes); the relation check
+multiplies them as integer ``LinOp``s.  The off-diagonal data of the
 representation is kept as the rational product B_{k-1} D_k.
 """
 
@@ -43,39 +44,14 @@ from .linop import LinOp, anticomm
 from .report import VerificationReport
 from .sl1 import ModuleParams, rho_squared
 
-Matrix = list[list[Rat]]
-IntRows = list[dict[int, int]]
+BandColumns = tuple[dict[int, Rat], ...]
 
 
-# ---------------------------------------------------------------------------
-# dense (N+1) x (N+1) Fraction lists in the build; sparse integer rows
-# {j: x} in the check, which never hold a zero
-
-def mat_zero(n: int) -> Matrix:
-    return [[ZERO] * n for _ in range(n)]
-
-def band_indices(n: int) -> list[tuple[int, int]]:
-    """The index pairs (i, j) with |i - j| <= 1 of an n x n matrix."""
-    return [(i, j) for i in range(n) for j in range(max(i - 1, 0), min(i + 2, n))]
-
-def mat_add(a: IntRows, b: IntRows) -> IntRows:
-    return [{j: x for j in ra.keys() | rb.keys()
-             if (x := ra.get(j, 0) + rb.get(j, 0))} for ra, rb in zip(a, b)]
-
-def mat_mul(a: IntRows, b: IntRows) -> IntRows:
-    """a @ b on sparse rows: each product a_ik b_kj of listed entries once,
-    so two tridiagonal factors cost O(n)."""
-    out = []
-    for ra in a:
-        acc: dict[int, int] = {}
-        for k, aik in ra.items():
-            for j, bkj in b[k].items():
-                acc[j] = acc.get(j, 0) + aik * bkj
-        out.append({j: x for j, x in acc.items() if x})
-    return out
-
-def mat_anticomm(a: IntRows, b: IntRows) -> IntRows:
-    return mat_add(mat_mul(a, b), mat_mul(b, a))
+def mat_mul(a: LinOp, b: LinOp) -> LinOp:
+    """a @ b, every product of ``representation_check`` (kept as a
+    function because perfbench/tracer.py wraps it by name and its
+    self-test requires the ``tables`` workload to call it)."""
+    return a @ b
 
 
 # ---------------------------------------------------------------------------
@@ -190,12 +166,17 @@ def bk_dk(RP: RacahParams, k: int) -> tuple[Rat, Rat]:
 
 @dataclass(frozen=True)
 class TridiagRep:
-    """Exact matrices of the Racah realization on the K3 eigenbasis."""
+    """Exact matrices of the Racah realization on the K3 eigenbasis.
+
+    Each K_i is stored as its columns: ``K[j]`` maps row i to entry (i, j)
+    for the |i - j| <= 1 of the band only, so ``K[k][k]`` is the diagonal
+    (stored even when zero) and K3 has one entry per column.
+    """
 
     params: RacahParams
-    K1: Matrix
-    K2: Matrix
-    K3: Matrix
+    K1: BandColumns
+    K2: BandColumns
+    K3: BandColumns
     B: tuple[Rat, ...]
     D: tuple[Rat, ...]
     casimir: Rat
@@ -218,7 +199,8 @@ class TridiagRep:
             "N": self.params.N,
             "q4": rat_str(self.q4),
             "casimir": rat_str(self.casimir),
-            **{name: [[rat_str(x) if x else "0/1" for x in row] for row in K]
+            **{name: [[rat_str(col[i]) if i in col else "0/1" for col in K]
+                      for i in range(len(K))]
                for name, K in (("K1", self.K1), ("K2", self.K2), ("K3", self.K3))},
         }
 
@@ -237,46 +219,42 @@ def build_tridiag_rep(RP: RacahParams) -> TridiagRep:
     # K3 is diagonal, so K2 = {K1,K3} - omega2 is K1_ij (K3_ii + K3_jj) on
     # the band of K1, less omega2 on the diagonal; K3_(k-1)(k-1) + K3_kk is
     # (-1)^k, so off the diagonal K2 is K1 up to sign.
-    K1, K2, K3 = mat_zero(n), mat_zero(n), mat_zero(n)
+    K1, K2, K3 = ([{} for _ in range(n)] for _ in range(3))
     a, c, om2 = RP.mu2 + RP.mu3 + HALF, RP.mu1 + RP.mu2, RP.omegas[1]
     for k in range(n):
         K1[k][k] = a - B[k] - D[k]
         K3[k][k] = spectrum_value(k, c)
         K2[k][k] = 2 * K1[k][k] * K3[k][k] - om2
-        if k:  # the raising part of column k - 1, the lowering part of column k
-            K1[k][k - 1], K1[k - 1][k] = B[k - 1], D[k]
-            K2[k][k - 1], K2[k - 1][k] = ((B[k - 1], D[k]) if k % 2 == 0
+        if k:  # B_(k-1) in row k of column k - 1, D_k in row k - 1 of column k
+            K1[k - 1][k], K1[k][k - 1] = B[k - 1], D[k]
+            K2[k - 1][k], K2[k][k - 1] = ((B[k - 1], D[k]) if k % 2 == 0
                                           else (-B[k - 1], -D[k]))
-    return TridiagRep(RP, K1, K2, K3, B, D, RP.casimir_value())
+    return TridiagRep(RP, tuple(K1), tuple(K2), tuple(K3), B, D, RP.casimir_value())
 
 
 def representation_check(rep: TridiagRep) -> VerificationReport:
     """{K1,K2} = K3 + omega3, {K2,K3} = K1 + omega1 and the Casimir of a
     built representation at index N (K2 = {K1,K3} - omega2 by construction),
-    each times L^2, on the sparse integer rows of L K_i read from the band
-    (where the build puts every nonzero entry); L is the lcm of all
-    denominators."""
-    RP, Ks, n = rep.params, (rep.K1, rep.K2, rep.K3), rep.params.N + 1
+    each times L^2, on the integer ``LinOp``s L K_i of the stored band
+    columns; L is the lcm of all denominators.  Its 7 products are the
+    ``mat_mul`` calls, each O(N) on two tridiagonal factors."""
+    RP, Ks = rep.params, (rep.K1, rep.K2, rep.K3)
     om1, _, om3 = RP.omegas
-    band = band_indices(n)
-    L = math.lcm(*(K[i][j].denominator for K in Ks for i, j in band),
+    L = math.lcm(*(x.denominator for K in Ks for col in K for x in col.values()),
                  om1.denominator, om3.denominator, rep.casimir.denominator)
-    zero, A1, A2, A3 = ([{} for _ in range(n)] for _ in range(4))
-    for K, A in zip(Ks, (A1, A2, A3)):
-        for i, j in band:
-            if K[i][j]:
-                A[i][j] = K[i][j].numerator * (L // K[i][j].denominator)
-
-    def plus(A: IntRows, c: Rat) -> IntRows:  # L A + L^2 c, in integers
-        c2 = c.numerator * (L // c.denominator) * L
-        return mat_add([{j: L * x for j, x in row.items()} for row in A],
-                       [{i: c2} for i in range(n)])
+    A1, A2, A3 = (LinOp.real([{i: x.numerator * (L // x.denominator)
+                               for i, x in col.items() if x} for col in K], 1)
+                  for K in Ks)
+    eye = LinOp.identity(RP.N + 1)
 
     report = VerificationReport(f"racah representation (N={RP.N})")
-    report.record("{K1,K2} = K3 + omega3", RP.N, mat_anticomm(A1, A2) == plus(A3, om3))
-    report.record("{K2,K3} = K1 + omega1", RP.N, mat_anticomm(A2, A3) == plus(A1, om1))
-    total = mat_add(mat_mul(A1, A1), mat_add(mat_mul(A2, A2), mat_mul(A3, A3)))
-    report.record("K1^2 + K2^2 + K3^2 = casimir", RP.N, total == plus(zero, rep.casimir))
+    report.record("{K1,K2} = K3 + omega3", RP.N, mat_mul(A1, A2) + mat_mul(A2, A1)
+                  == A3.scale(L) + eye.scale(L * L * om3))
+    report.record("{K2,K3} = K1 + omega1", RP.N, mat_mul(A2, A3) + mat_mul(A3, A2)
+                  == A1.scale(L) + eye.scale(L * L * om1))
+    report.record("K1^2 + K2^2 + K3^2 = casimir", RP.N,
+                  mat_mul(A1, A1) + mat_mul(A2, A2) + mat_mul(A3, A3)
+                  == eye.scale(L * L * rep.casimir))
     return report
 
 
@@ -342,7 +320,7 @@ def k1_spectrum_check(rep: TridiagRep,
     return report
 
 
-def racah_overlaps(rep: TridiagRep) -> Matrix:
+def racah_overlaps(rep: TridiagRep) -> list[list[Rat]]:
     """Overlap matrix <s|k> of a built representation, exactly.
 
     Row s is the K1 eigenvector v of eigenvalue

@@ -109,6 +109,13 @@ class TestPoly:
         )
         assert (code, out, err) == (EXIT_INVALID, "", "error: zero denominator in 1/0\n")
 
+    def test_word_is_not_a_decimal_exit_2(self, capsys):
+        code, out, err = run(
+            capsys, "poly", "--rho1", "seven", "--rho2", "1", "--r1", "0", "--r2", "0",
+        )
+        assert (code, out, err) == (
+            EXIT_INVALID, "", "error: cannot parse rational from 'seven'\n")
+
 
 class TestVerify:
     def test_small_scope_passes(self, capsys):
@@ -364,6 +371,9 @@ class TestWeights:
     ("racah --mu 1/4,1/3,1/2 --N 0 --format json", "677b601d91a8fb60"),
     ("racah --mu 1/4,1/3,1/2 --N 1 --format json", "adffec4afc86cf7e"),
     ("verify --scope racah --format json", "a0670f202d50c46a"),
+    ("verify --scope racah --tuples 100 --seed 7 --format json", "7e7fda88b1f41d1a"),
+    ("racah --mu 3/2,6/5,1 --N 24 --format csv", "b2090d2c8b2586ad"),
+    ("racah --mu 1/4,1/3,1/2 --N 2", "65d41f7dd6971dff"),
 ])
 def test_golden_output(capsys, argv, digest):
     # Fixed flags give byte-identical JSON; these digests pin it.

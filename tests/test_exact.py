@@ -42,7 +42,8 @@ class TestRat:
 
     @pytest.mark.parametrize("text,message", [
         *((t, "decimal literals are not accepted") for t in ("0.5", "1e3", "2.0/4")),
-        *((t, "cannot parse rational from") for t in ("a/b", "1/", "", "1/2/3")),
+        *((t, "cannot parse rational from")
+          for t in ("a/b", "1/", "", "1/2/3", "seven", "1_0/3", "\uff15")),
     ])
     def test_parse_rejects(self, text, message):
         with pytest.raises(BILabError, match=f"^{message}"):

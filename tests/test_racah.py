@@ -11,6 +11,7 @@ import pytest
 from bi_lab.bi_poly import bi_recurrence, grid_point, recurrence_coeffs, recurrence_steps
 from bi_lab.cli import EXIT_VERIFY_FAILED, main
 from bi_lab.errors import BILabError
+from bi_lab.linop import LinOp
 from bi_lab.racah import (
     RacahParams,
     bk_dk,
@@ -210,12 +211,13 @@ class TestRepresentationCheckCanFail:
     def test_shifted_k2_offdiagonal_fails(self, N, above):
         RP = RacahParams.make(Fraction(1, 4), Fraction(1, 3), Fraction(1, 2), N)
         rep = build_tridiag_rep(RP)
-        K2 = [row[:] for row in rep.K2]
-        i, j = (0, 1) if above else (N, N - 1)
-        K2[i][j] += Fraction(1, 3)
-        assert representation_check(rep).passed
-        report = representation_check(dataclasses.replace(rep, K2=K2))
+        K2 = list(rep.K2)
+        i, j = (0, 1) if above else (N, N - 1)  # entry (i, j): row i of column j
+        K2[j] = dict(K2[j])
+        K2[j][i] += Fraction(1, 3)
+        report = representation_check(dataclasses.replace(rep, K2=tuple(K2)))
         assert report.checked == 3 and not report.passed
+        assert representation_check(rep).passed
 
     def test_omega2_mutant_exits_1_without_error(self, monkeypatch, capsys):
         # A failed relation is a verification failure (exit 1), not invalid
@@ -267,20 +269,16 @@ def random_banded(rng, n, band):
              for j in range(n)] for i in range(n)]
 
 
-def band_rows(a, band):
-    """Sparse rows {j: a_ij} of a, listing every entry of |i - j| <= band,
-    the explicit zeros of ``random_banded`` included."""
+def int_op(a):
+    """The integer LinOp of the dense int rows a: columns of its nonzero
+    entries over den 1."""
     n = len(a)
-    return [{j: a[i][j] for j in range(n) if abs(i - j) <= band} for i in range(n)]
-
-
-def dense(rows):
-    n = len(rows)
-    return [[row.get(j, 0) for j in range(n)] for row in rows]
+    return LinOp.real([{i: a[i][j] for i in range(n) if a[i][j]} for j in range(n)], 1)
 
 
 class TestMatMul:
-    # mat_mul takes and returns sparse rows {j: x}; its output lists no zero.
+    # mat_mul takes and returns integer LinOps; the canonical form of its
+    # result (den 1, no stored zero) is what == compares.
     @pytest.mark.parametrize("band", [0, 1, 2, 8], ids=[
         "diagonal", "tridiagonal", "pentadiagonal", "dense"])
     @pytest.mark.parametrize("n", range(9))
@@ -288,19 +286,18 @@ class TestMatMul:
         rng = random.Random(100 * n + band)
         for other in (0, 1, 2, 8):
             a, b = random_banded(rng, n, band), random_banded(rng, n, other)
-            ra, rb = band_rows(a, band), band_rows(b, other)
-            ra_copy, rb_copy = [dict(r) for r in ra], [dict(r) for r in rb]
-            for (x, rx), (y, ry) in (((a, ra), (b, rb)), ((b, rb), (a, ra))):
-                got = mat_mul(rx, ry)
-                assert dense(got) == naive_mul(x, y)
-                assert all(type(v) is int and v for row in got for v in row.values())
-                inputs = {id(r) for r in ra + rb}
-                assert len({id(r) for r in got} - inputs) == n
-            assert (ra, rb) == (ra_copy, rb_copy)
+            oa, ob = int_op(a), int_op(b)
+            copies = [[dict(c) for c in op.re] for op in (oa, ob)]
+            for (x, ox), (y, oy) in (((a, oa), (b, ob)), ((b, ob), (a, oa))):
+                got = mat_mul(ox, oy)
+                assert got == int_op(naive_mul(x, y))
+                assert got.den == 1 and not any(got.im)
+                assert all(type(v) is int and v for col in got.re for v in col.values())
+            assert [list(op.re) for op in (oa, ob)] == copies
 
     def test_zero_operand(self):
-        z = [{} for _ in range(3)]
-        a = band_rows(random_banded(random.Random(1), 3, 2), 2)
+        z = int_op([[0] * 3 for _ in range(3)])
+        a = int_op(random_banded(random.Random(1), 3, 2))
         assert mat_mul(z, a) == mat_mul(a, z) == z
 
 
@@ -311,11 +308,14 @@ OVERLAP_CASES = [
 
 
 def anticomm_k1_k3_minus_omega2(rep):
-    """Oracle: {K1,K3} - omega2 from dense Fraction triple loops."""
+    """Oracle: {K1,K3} - omega2 from dense Fraction triple loops, as the
+    columns of its nonzero entries."""
     n, om2 = rep.params.N + 1, rep.params.omegas[1]
-    p, q = naive_mul(rep.K1, rep.K3), naive_mul(rep.K3, rep.K1)
-    return [[p[i][j] + q[i][j] - (om2 if i == j else 0) for j in range(n)]
-            for i in range(n)]
+    k1, k3 = ([[K[j].get(i, 0) for j in range(n)] for i in range(n)]
+              for K in (rep.K1, rep.K3))
+    p, q = naive_mul(k1, k3), naive_mul(k3, k1)
+    return [{i: x for i in range(n)
+             if (x := p[i][j] + q[i][j] - (om2 if i == j else 0))} for j in range(n)]
 
 
 _K2_RNG = random.Random(22)
@@ -325,8 +325,44 @@ _K2_RNG = random.Random(22)
     random_racah_params(_K2_RNG, 12) for _ in range(10)])
 def test_k2_from_band_equals_anticommutator(RP):
     rep = build_tridiag_rep(RP)
-    assert rep.K2 == anticomm_k1_k3_minus_omega2(rep)
-    assert all(type(x) is Fraction for row in rep.K2 for x in row)
+    assert [{i: x for i, x in col.items() if x} for col in rep.K2] \
+        == anticomm_k1_k3_minus_omega2(rep)
+    assert all(type(x) is Fraction for col in rep.K2 for x in col.values())
+
+
+@pytest.mark.parametrize("N", [24, 200])
+def test_columns_hold_only_the_band(N):
+    # O(N) stored entries per matrix, not (N+1)^2; K3 is diagonal.
+    rep = build_tridiag_rep(
+        RacahParams.make(Fraction(1, 4), Fraction(1, 3), Fraction(1, 2), N))
+    for K in (rep.K1, rep.K2, rep.K3):
+        assert len(K) == N + 1
+        assert all(j in col and col.keys() <= {j - 1, j, j + 1}
+                   for j, col in enumerate(K))
+    assert all(len(col) <= 3 for K in (rep.K1, rep.K2) for col in K)
+    assert all(len(col) == 1 for col in rep.K3)
+
+
+def test_representation_check_products(monkeypatch):
+    # Every product of the check is one LinOp product through mat_mul, 7 in
+    # all: the count perfbench reads as racah.mat_mul.calls.
+    import bi_lab.racah as racah
+
+    rep = build_tridiag_rep(R1)
+    products, operands = [0], []
+
+    def counted_matmul(a, b, _orig=LinOp.__matmul__):
+        products[0] += 1
+        return _orig(a, b)
+
+    def counted(a, b, _orig=racah.mat_mul):
+        operands.append((type(a), type(b)))
+        return _orig(a, b)
+    monkeypatch.setattr(LinOp, "__matmul__", counted_matmul)
+    monkeypatch.setattr(racah, "mat_mul", counted)
+    assert representation_check(rep).passed
+    assert operands == [(LinOp, LinOp)] * 7
+    assert products[0] == 7
 
 
 class TestOverlaps:
@@ -354,7 +390,8 @@ class TestOverlaps:
         for s, v in enumerate(racah_overlaps(rep)):
             lam = spectrum_value(s, RP.mu2 + RP.mu3)
             assert v[0] == 1
-            assert [sum(rep.K1[k][j] * v[j] for j in range(n)) for k in range(n)] \
+            # (K1 v)_i = sum_j K1_ij v_j, with K1_ij in row i of column j
+            assert [sum(rep.K1[j].get(i, 0) * v[j] for j in range(n)) for i in range(n)] \
                 == [lam * x for x in v]
 
     @pytest.mark.parametrize("RP", OVERLAP_CASES)
@@ -432,9 +469,11 @@ class TestSpectrumCheckCanFail:
         # no root on the spectrum, so every spectrum entry fails.
         RP = RacahParams.make(Fraction(1, 4), Fraction(1, 3), Fraction(1, 2), N)
         rep = build_tridiag_rep(RP)
-        K1 = [row[:] for row in rep.K1]
+        K1 = list(rep.K1)
+        K1[N] = dict(K1[N])
         K1[N][N] += Fraction(1, 3)
-        report = k1_spectrum_check(dataclasses.replace(rep, K1=K1), steps_of(rep))
+        report = k1_spectrum_check(dataclasses.replace(rep, K1=tuple(K1)),
+                                   steps_of(rep))
         assert [(e.check, e.index) for e in report.failures] == [
             (SPECTRUM_NAMES[0], N), *((SPECTRUM_NAMES[1], s) for s in range(N + 1))]
 
