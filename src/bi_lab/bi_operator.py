@@ -25,7 +25,7 @@ from functools import cached_property
 from itertools import zip_longest
 
 from .exact import HALF, Rat, rat_str
-from .linop import LinOp, anticomm
+from .linop import LinOp, anticomm, record_columns
 from .poly import Poly, int_mul, poly_divide_exact, poly_reflect, poly_shift_reflect
 from .report import VerificationReport
 
@@ -167,15 +167,11 @@ def check_bi_relations(P: BIParams,
     """
     report = VerificationReport("bannai-ito relations (shift-reflection realization)")
     K1, K2, K3 = mats
-    maxdeg = len(K1.re) - 3
-    one = LinOp.identity(maxdeg + 3)
-    residuals = [
+    one = LinOp.identity(len(K1))
+    record_columns(report, [
         ("{K2,K3} = K1 + omega1", anticomm(K2, K3) - K1 - one.scale(P.omega1)),
         ("{K3,K1} = K2 + omega2", anticomm(K3, K1) - K2 - one.scale(P.omega2)),
-    ]
-    for j in range(maxdeg + 1):
-        for name, residual in residuals:
-            report.record(name, j, not (residual.re[j] or residual.im[j]))
+    ], len(K1) - 2)  # columns 0..maxdeg
     return report
 
 
@@ -187,10 +183,7 @@ def casimir_scalar(P: BIParams,
     report = VerificationReport("bannai-ito casimir (shift-reflection realization)")
     expected = 2 * (P.rho1**2 + P.rho2**2 + P.r1**2 + P.r2**2) - Fraction(1, 4)
     K1, K2, K3 = mats
-    maxdeg = len(K1.re) - 3
-    residual = (K1 @ K1 + K2 @ K2 + K3 @ K3
-                - LinOp.identity(maxdeg + 3).scale(expected))
+    residual = K1 @ K1 + K2 @ K2 + K3 @ K3 - LinOp.identity(len(K1)).scale(expected)
     name = f"K1^2 + K2^2 + K3^2 = {rat_str(expected)}"
-    for j in range(maxdeg + 1):
-        report.record(name, j, not (residual.re[j] or residual.im[j]))
+    record_columns(report, [(name, residual)], len(K1) - 2)  # columns 0..maxdeg
     return report

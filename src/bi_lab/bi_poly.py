@@ -30,7 +30,7 @@ from functools import lru_cache
 from .bi_operator import BIParams, k1_apply, monomial_matrix
 from .errors import BILabError
 from .exact import HALF, ONE, Rat, ZERO, rat_to_float
-from .linop import LinOp, anticomm
+from .linop import LinOp, anticomm, record_columns
 from .poly import P_ONE, P_ZERO, Poly, int_mul
 from .report import VerificationReport
 
@@ -280,7 +280,7 @@ def ladder_operators(P: BIParams,
     """K+, K- and V in its first and second form from the triple
     ``bi_matrices(P, nmax)``; columns 0..nmax+1 are exact (``ladder_check``)."""
     K1, K2, K3 = mats
-    one = LinOp.identity(len(K1.re))
+    one = LinOp.identity(len(K1))
     lo, hi = K1 - one.scale(HALF), K1 + one.scale(HALF)
     plus = (K2 + K3) @ lo - one.scale((P.omega2 + P.omega3) / 2)
     minus = (K2 - K3) @ hi + one.scale((P.omega2 - P.omega3) / 2)
@@ -306,7 +306,7 @@ def ladder_check(P: BIParams, mats: tuple[LinOp, LinOp, LinOp],
     K3) and T keeps it, so columns 0..nmax are exact despite the truncation.
     """
     report = VerificationReport("ladder operators and V (shift-reflection realization)")
-    K1, nmax = mats[0], len(mats[0].re) - 3
+    K1, nmax = mats[0], len(mats[0]) - 3
     plus, minus, v, v2 = ladder_operators(P, mats)
     T = LinOp.make(dict(enumerate(p.coeffs))
                    for p in [*polys[:nmax + 2], Poly.monomial(nmax + 2)])
@@ -318,17 +318,14 @@ def ladder_check(P: BIParams, mats: tuple[LinOp, LinOp, LinOp],
         cols.append(({u: alpha}, {d: beta},
                      {u: (lam + HALF) * alpha, d: (lam - HALF) * beta}))
     Lp, Lm, Lv = (LinOp.make([*col, {}, {}]) for col in zip(*cols))
-    residuals = [
+    record_columns(report, [
         ("{K1,K+} = K+", anticomm(K1, plus) - plus),
         ("{K1,K-} = -K-", anticomm(K1, minus) + minus),
         ("K+ B_n closed form", plus @ T - T @ Lp),
         ("K- B_n closed form", minus @ T - T @ Lm),
         ("V first form = second form", v - v2),
         ("V B_n two-diagonal", v @ T - T @ Lv),
-    ]
-    for j in range(nmax + 1):
-        for name, residual in residuals:
-            report.record(name, j, not (residual.re[j] or residual.im[j]))
+    ], nmax + 1)
     return report
 
 

@@ -227,7 +227,8 @@ def spinor_generators(DP: DiracParams, degree: int) -> dict[str, LinOp]:
 
 def pauli_layer_check() -> VerificationReport:
     """sigma_i sigma_j = i eps_ijk sigma_k + delta_ij and the Clifford
-    relations, verified once on the 2x2 Gaussian-rational matrices."""
+    relations as identities between the 2x2 ``PAULI`` ``LinOp``s (integer,
+    sigma_2 imaginary), one entry per (i, j) and relation."""
     report = VerificationReport("Pauli layer")
     one = LinOp.identity(2)
     eps = {(1, 2): 3, (2, 3): 1, (3, 1): 2, (2, 1): -3, (3, 2): -1, (1, 3): -2}
@@ -238,13 +239,9 @@ def pauli_layer_check() -> VerificationReport:
             want = one.scale(2 if i == j else 0)
             prod = PAULI[i] @ PAULI[j]
             anti = prod + PAULI[j] @ PAULI[i]
-            # cols builds its scalars anew on each access: read each once.
-            prod, rhs, anti, want = (x.cols for x in (prod, rhs, anti, want))
-            for b in (0, 1):  # one entry per basis spinor
-                report.record("sigma_i sigma_j = i eps sigma_k + delta", (i, j),
-                              prod[b] == rhs[b])
-                report.record("{sigma_i,sigma_j} = 2 delta", (i, j),
-                              anti[b] == want[b])
+            report.record("sigma_i sigma_j = i eps sigma_k + delta", (i, j),
+                          prod == rhs)
+            report.record("{sigma_i,sigma_j} = 2 delta", (i, j), anti == want)
     return report
 
 

@@ -22,6 +22,7 @@ from itertools import chain
 from typing import Iterable, Mapping, Union
 
 from .exact import GRat
+from .report import VerificationReport
 
 Scalar = Union[Fraction, GRat]
 Columns = tuple[dict[int, int], ...]
@@ -75,6 +76,9 @@ class LinOp:
     def identity(n: int) -> "LinOp":
         return LinOp(tuple({j: 1} for j in range(n)), ({},) * n, 1)
 
+    def __len__(self) -> int:  # the size n of the n x n matrix
+        return len(self.re)
+
     @property
     def cols(self) -> tuple[dict[int, Scalar], ...]:
         """The entries, column by column, as exact scalars: Fraction when
@@ -111,7 +115,7 @@ class LinOp:
 
     def __matmul__(self, other: "LinOp") -> "LinOp":
         _same_size(self, other)
-        n = len(self.re)
+        n = len(self)
         # (re + i im)(re' + i im') = (re re' - im im') + i (re im' + im re')
         re = _products(((self.re, other.re, 1), (self.im, other.im, -1)), n)
         im = _products(((self.re, other.im, 1), (self.im, other.re, 1)), n)
@@ -135,7 +139,7 @@ def _re_im(x: Scalar) -> tuple[Fraction | int, Fraction | int]:
 
 
 def _same_size(a: LinOp, b: LinOp) -> None:
-    if len(a.re) != len(b.re):
+    if len(a) != len(b):
         raise ValueError("matrix sizes differ")
 
 
@@ -210,3 +214,12 @@ def comm(a: LinOp, b: LinOp) -> LinOp:
 def anticomm(a: LinOp, b: LinOp) -> LinOp:
     """{a, b} = ab + ba."""
     return a @ b + b @ a
+
+
+def record_columns(report: VerificationReport,
+                   residuals: list[tuple[str, LinOp]], n: int) -> None:
+    """For each column j < n and each (name, residual) in turn, one entry
+    (name, j) that holds when column j of the residual is zero."""
+    for j in range(n):
+        for name, residual in residuals:
+            report.record(name, j, not (residual.re[j] or residual.im[j]))

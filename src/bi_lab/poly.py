@@ -153,7 +153,3 @@ def poly_divide_exact(p: Poly, root: Rat) -> Poly:
         remainder = Fraction(remainder, p.den * top * s)
         raise BILabError(f"remainder {remainder} dividing by (x - {root})")
     return _canonical(quot[::-1], p.den * top)
-
-
-def poly_derivative(p: Poly) -> Poly:
-    return _canonical([k * a for k, a in enumerate(p.nums)][1:], p.den)

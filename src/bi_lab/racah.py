@@ -408,7 +408,7 @@ def tensor_slice(RP: RacahParams, m: int) -> TensorSlice:
 
 def _prefix_products(op: LinOp, roots: list[Rat]) -> list[LinOp]:
     """[1, (op - r_0), (op - r_0)(op - r_1), ...] over the roots r_i."""
-    eye = LinOp.identity(len(op.re))
+    eye = LinOp.identity(len(op))
     out = [eye]
     for r in roots:
         out.append(out[-1] @ (op - eye.scale(r)))
@@ -432,7 +432,7 @@ def tensor_oracle(RP: RacahParams, m: int) -> VerificationReport:
     """
     report = VerificationReport(f"tensor-product oracle (m={m})")
     ts = tensor_slice(RP, m)
-    eye = LinOp.identity(len(ts.Q4.re))
+    eye = LinOp.identity(len(ts.Q4))
     zero = eye.scale(ZERO)
     report.record("Q12 coproduct form = expanded form", m, ts.Q12 == ts.Q12_alt)
     k1, k3 = -ts.Q23, -ts.Q12
@@ -479,7 +479,7 @@ def central_extension_check(RP: RacahParams, m: int) -> VerificationReport:
     report = VerificationReport(f"central extension (m={m})")
     ts = tensor_slice(RP, m)
     mu1, mu2, mu3 = RP.mu1, RP.mu2, RP.mu3
-    eye = LinOp.identity(len(ts.Q4.re))
+    eye = LinOp.identity(len(ts.Q4))
     c3, c1, q = -ts.Q12, -ts.Q23, ts.Q4
     c2 = anticomm(c3, c1) + q.scale(2 * mu2) - eye.scale(2 * mu3 * mu1)
     report.record("{C1,C2} = C3 - 2 mu3 Q + 2 mu1 mu2", m,

@@ -166,8 +166,8 @@ def identification_check(rep: TridiagRep,
     return report
 
 
-def suite_racah(seed: int = DEFAULT_SEED, tuples: int = 20,
-                max_n: int = 8) -> VerificationReport:
+def suite_racah(seed: int = DEFAULT_SEED, tuples: int = 20) -> VerificationReport:
+    max_n = 8
     rng = random.Random(seed)
     report = VerificationReport(f"racah suite ({tuples} tuples, N <= {max_n})")
     for t in range(tuples):

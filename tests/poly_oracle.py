@@ -8,6 +8,8 @@ matrix tests compare against.  ``k1_apply_composed`` is K1 composed from
 ``Poly`` operations term by term, the reference for the one-pass
 ``k1_apply``.  ``bi_recurrence_composed`` runs the three-term recurrence
 in ``Poly`` arithmetic, the reference for the integer ``bi_recurrence``.
+``dunkl_apply`` is the 1-D Dunkl operator from its definition, the
+reference for the integer matrix ``sl1.dunkl_matrix``.
 """
 
 from fractions import Fraction
@@ -57,3 +59,10 @@ def bi_recurrence_composed(steps: list[tuple[Rat, Rat]]) -> list[Poly]:
         out.append(Poly.monomial(1) * cur - cur.scale(b) - prev.scale(u))
         prev = cur
     return out
+
+
+def dunkl_apply(nu: Rat, p: Poly) -> Poly:
+    """D p = p' + nu (p(x) - p(-x)) / x, one Poly operation at a time."""
+    derivative = Poly.from_ints([k * a for k, a in enumerate(p.nums)][1:], p.den)
+    odd = poly_divide_exact(p - poly_reflect(p), Fraction(0))
+    return derivative + odd.scale(Fraction(nu))

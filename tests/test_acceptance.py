@@ -88,7 +88,7 @@ def test_criterion_3_ladders_and_v_operator():
 
 
 def test_criterion_4_racah_exact_representation():
-    report = suite_racah(seed=DEFAULT_SEED, tuples=20, max_n=8)
+    report = suite_racah(seed=DEFAULT_SEED, tuples=20)
     # The suite checks the relations and the Casimir of each built
     # representation, its K1 spectrum and the B=2A, D=2C identifications
     # for every tuple.

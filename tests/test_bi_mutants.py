@@ -1,12 +1,14 @@
-"""Mutation table of the ``bi`` scope: every check that ``verify --scope
-bi`` records, at any level of its report, fails under some monkeypatched
-primitive.  A recorded check with no mutant fails the table."""
+"""Mutation tables of the ``bi`` and ``sl1`` scopes: every check that
+``verify --scope <scope>`` records, at any level of its report, fails
+under some monkeypatched primitive.  A recorded check with no mutant
+fails the table."""
 
 import inspect
 
 import pytest
 
 import bi_lab.bi_poly as bp
+import bi_lab.sl1 as sl1
 import bi_lab.suites as suites
 from bi_lab.bi_operator import BIParams
 from bi_lab.linop import LinOp
@@ -56,18 +58,43 @@ def flipped_ladder_coeff(which):
     return patch
 
 
+def source_mutant(monkeypatch, module, name, old, new):
+    """module.name recompiled with its source text old replaced by new."""
+    source = inspect.getsource(getattr(module, name))
+    mutant = source.replace(old, new)
+    assert mutant != source
+    namespace = dict(vars(module))
+    exec(mutant, namespace)
+    monkeypatch.setattr(module, name, namespace[name])
+
+
 def omega1_in_second_form(monkeypatch):
     """omega1 in place of omega3 in V = 2 K2 (K1^2 - 1/4) - omega3 K1 - omega2/2."""
-    source = inspect.getsource(bp.ladder_operators)
-    mutant = source.replace("K1.scale(P.omega3)", "K1.scale(P.omega1)")
-    assert mutant != source
-    namespace = dict(vars(bp))
-    exec(mutant, namespace)
-    monkeypatch.setattr(bp, "ladder_operators", namespace["ladder_operators"])
+    source_mutant(monkeypatch, bp, "ladder_operators",
+                  "K1.scale(P.omega3)", "K1.scale(P.omega1)")
 
 
-# Recorded check name (a prefix where the name carries a value) -> mutant.
-MUTANTS = {
+def bumped_odd_rho(monkeypatch):
+    """rho_n^2 + 1 in place of rho_n^2 at odd n."""
+    monkeypatch.setattr(sl1, "rho_squared",
+                        lambda M, n, _orig=sl1.rho_squared: _orig(M, n) + n % 2)
+
+
+def unit_half(monkeypatch):
+    """1 in place of every 1/2 of the module checks: J0 |n> gains 1/2, which
+    Q and the osp(1|2) Casimir subtract again, so only {J+,J-} = 2 J0 sees it."""
+    monkeypatch.setattr(sl1, "HALF", 1)
+
+
+def halved_dunkl_odd_factor(monkeypatch):
+    """nu in place of the factor 2 nu of D on the odd monomials."""
+    source_mutant(monkeypatch, sl1, "dunkl_matrix",
+                  "2 * p * (j % 2)", "p * (j % 2)")
+
+
+# Per scope: recorded check name (a prefix where the name carries a
+# value) -> mutant.
+MUTANTS = {"bi": {
     "bi suite (": shifted_omega("omega1"),
     "BI relations": shifted_omega("omega1"),
     "{K2,K3} = K1 + omega1": shifted_omega("omega1"),
@@ -85,37 +112,53 @@ MUTANTS = {
     "K- B_n closed form": flipped_ladder_coeff(1),
     "V first form = second form": omega1_in_second_form,
     "V B_n two-diagonal": shifted_eigenvalue,
-}
+}, "sl1": {
+    "sl_(-1)(2) suite (": halved_dunkl_odd_factor,
+    "sl_{-1}(2) module (": bumped_odd_rho,
+    "{J+,J-} = 2 J0": unit_half,
+    "Q = -eps*mu": bumped_odd_rho,
+    "[J-,J+] = 1 - 2QR": bumped_odd_rho,
+    "osp(1|2) Casimir (": bumped_odd_rho,
+    "C_osp = mu^2": bumped_odd_rho,
+    "Dunkl commutator (": halved_dunkl_odd_factor,
+    "[D,x] = 1 + 2 nu R": halved_dunkl_odd_factor,
+}}
+
+# The sizes of the one small run per scope (seed 1).
+RUNS = {"bi": {"tuples": 1, "maxdeg": 2}, "sl1": {"tuples": 1}}
 
 
-def recorded(monkeypatch) -> list[tuple[str, bool]]:
+def recorded(monkeypatch, scope) -> list[tuple[str, bool]]:
     """(check, pass) of every entry that any report records during one
-    small ``verify --scope bi`` run."""
+    small ``verify --scope <scope>`` run."""
     log = []
 
     def record(self, check, index, ok, detail="", _orig=VerificationReport.record):
         log.append((check, bool(ok)))
         _orig(self, check, index, ok, detail)
     monkeypatch.setattr(VerificationReport, "record", record)
-    suites.run_scope("bi", seed=1, tuples=1, maxdeg=2)
+    suites.run_scope(scope, seed=1, **RUNS[scope])
     return log
 
 
-def mutant_key(name: str) -> str:
-    keys = [key for key in MUTANTS if name.startswith(key)]
+def mutant_key(scope: str, name: str) -> str:
+    keys = [key for key in MUTANTS[scope] if name.startswith(key)]
     assert len(keys) == 1, f"recorded check {name!r} matches mutants {keys}"
     return keys[0]
 
 
-def test_every_recorded_check_has_one_mutant(monkeypatch):
-    log = recorded(monkeypatch)
+@pytest.mark.parametrize("scope", list(MUTANTS))
+def test_every_recorded_check_has_one_mutant(monkeypatch, scope):
+    log = recorded(monkeypatch, scope)
     assert log and all(ok for _, ok in log)
-    keys = {mutant_key(name) for name, _ in log}
-    assert keys == set(MUTANTS), f"stale mutants: {set(MUTANTS) - keys}"
+    keys = {mutant_key(scope, name) for name, _ in log}
+    assert keys == set(MUTANTS[scope]), f"stale mutants: {set(MUTANTS[scope]) - keys}"
 
 
-@pytest.mark.parametrize("key", list(MUTANTS))
-def test_mutant_fails_its_check(monkeypatch, key):
-    MUTANTS[key](monkeypatch)
-    failed = {name for name, ok in recorded(monkeypatch) if not ok}
+@pytest.mark.parametrize("scope, key",
+                         [(scope, key) for scope in MUTANTS for key in MUTANTS[scope]],
+                         ids=[key for table in MUTANTS.values() for key in table])
+def test_mutant_fails_its_check(monkeypatch, scope, key):
+    MUTANTS[scope][key](monkeypatch)
+    failed = {name for name, ok in recorded(monkeypatch, scope) if not ok}
     assert any(name.startswith(key) for name in failed), failed

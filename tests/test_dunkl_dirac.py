@@ -67,7 +67,7 @@ def scalar_slice(degree: int, op) -> LinOp:
 def numerators(op: LinOp) -> np.ndarray:
     """den * op as a dense complex array; exact for the small integer
     numerators of these slices."""
-    out = np.zeros((len(op.re), len(op.re)), dtype=complex)
+    out = np.zeros((len(op), len(op)), dtype=complex)
     for j, (re, im) in enumerate(zip(op.re, op.im)):
         for i, x in re.items():
             out[i, j] += x

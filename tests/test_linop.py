@@ -8,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bi_lab.exact import GRAT_ONE, GRat
-from bi_lab.linop import LinOp, anticomm, comm
+from bi_lab.linop import LinOp, anticomm, comm, record_columns
+from bi_lab.report import VerificationReport
 
 N = 4
 rationals = st.fractions(min_value=-20, max_value=20, max_denominator=12)
@@ -44,7 +45,7 @@ def sym(flat) -> sympy.Matrix:
 
 
 def as_sympy(a: LinOp) -> sympy.Matrix:
-    out = sympy.zeros(len(a.re), len(a.re))
+    out = sympy.zeros(len(a), len(a))
     for j, col in enumerate(a.cols):
         for i, x in col.items():
             out[i, j] = to_sympy(x)
@@ -153,3 +154,39 @@ def test_size_mismatch_rejected():
         a - b
     with pytest.raises(ValueError):
         a @ b
+
+
+def test_len_is_the_size():
+    assert len(LinOp.identity(0)) == 0
+    assert len(LinOp.real([{}, {0: 1}, {}], 1)) == 3
+
+
+def recorded_columns(monkeypatch, residuals, n):
+    """The report that record_columns fills, and the (check, index, ok) of
+    each call to ``VerificationReport.record`` it made."""
+    calls = []
+
+    def record(self, check, index, ok, detail="", _orig=VerificationReport.record):
+        calls.append((check, index, ok))
+        _orig(self, check, index, ok, detail)
+    monkeypatch.setattr(VerificationReport, "record", record)
+    report = VerificationReport("columns")
+    record_columns(report, residuals, n)
+    return report, calls
+
+
+def test_record_columns_one_call_per_entry_in_column_order(monkeypatch):
+    zero = LinOp.identity(4).scale(0)
+    report, calls = recorded_columns(monkeypatch, [("a", zero), ("b", zero)], 3)
+    assert calls == [(name, j, True) for j in range(3) for name in "ab"]
+    assert [(e.check, e.index, e.ok) for e in report.entries] == calls
+
+
+@pytest.mark.parametrize("block", [LinOp.real, LinOp.imaginary])
+@pytest.mark.parametrize("j", range(4))
+def test_record_columns_fails_exactly_the_nonzero_column(monkeypatch, block, j):
+    zero = LinOp.identity(4).scale(0)
+    residual = block([{(j + 1) % 4: 5} if c == j else {} for c in range(4)], 3)
+    report, _ = recorded_columns(monkeypatch, [("zero", zero), ("r", residual)], 4)
+    assert report.checked == 8
+    assert [(e.check, e.index) for e in report.failures] == [("r", j)]

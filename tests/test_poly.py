@@ -12,7 +12,6 @@ from bi_lab.errors import BILabError
 from bi_lab.poly import (
     P_ZERO,
     Poly,
-    poly_derivative,
     poly_divide_exact,
     poly_reflect,
     poly_shift_reflect,
@@ -88,11 +87,6 @@ class TestEvalAndOperators:
     def test_divide_exact_rejects_remainder(self):
         with pytest.raises(BILabError, match=r"^remainder 2 dividing by \(x - 1\)$"):
             poly_divide_exact(Poly.make([1, 1]), Fraction(1))
-
-    @given(polys, polys)
-    def test_derivative_leibniz(self, p, q):
-        lhs = poly_derivative(p * q)
-        assert lhs == poly_derivative(p) * q + p * poly_derivative(q)
 
 
 def horner_shift_reflect(p: Poly) -> Poly:
@@ -195,10 +189,6 @@ def ref_divide(a, root):
     return ref_trim(out), a[0] + root * carry
 
 
-def ref_derivative(a):
-    return ref_trim(k * a[k] for k in range(1, len(a)))
-
-
 def assert_canonical(p: Poly):
     assert p.den > 0
     assert math.gcd(p.den, *p.nums) == 1
@@ -238,8 +228,7 @@ class TestRepresentation:
     def test_operators_match_reference(self, cs):
         p, a = Poly.make(cs), ref_trim(cs)
         for got, want in ((poly_reflect(p), ref_reflect(a)),
-                          (poly_shift_reflect(p), ref_shift_reflect(a)),
-                          (poly_derivative(p), ref_derivative(a))):
+                          (poly_shift_reflect(p), ref_shift_reflect(a))):
             assert_canonical(got)
             assert got.coeffs == want
 

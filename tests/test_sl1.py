@@ -5,15 +5,16 @@ from fractions import Fraction
 import pytest
 
 from bi_lab.errors import BILabError
-from bi_lab.poly import P_ONE, Poly
+from bi_lab.poly import Poly
 from bi_lab.sl1 import (
     ModuleParams,
     dunkl_commutator_check,
-    dunkl_derivative,
+    dunkl_matrix,
     module_bilinear_check,
     osp_casimir_check,
     rho_squared,
 )
+from poly_oracle import dunkl_apply
 
 
 class TestModuleParams:
@@ -57,13 +58,20 @@ def test_bilinear_relations_fail_on_wrong_ladder(monkeypatch):
 
 
 class TestDunklRealization:
-    def test_derivative_on_even(self):
-        nu = Fraction(2, 5)
-        assert dunkl_derivative(nu, Poly.monomial(2)) == Poly.monomial(1, 2)
+    def test_matrix_on_low_monomials(self):
+        # D 1 = 0, D x = 1 + 2 nu and D x^2 = 2x at nu = 2/5.
+        assert dunkl_matrix(Fraction(2, 5), 3).cols == (
+            {}, {0: Fraction(9, 5)}, {1: Fraction(2)})
 
-    def test_derivative_on_odd(self):
-        nu = Fraction(2, 5)
-        assert dunkl_derivative(nu, Poly.monomial(1)) == P_ONE.scale(1 + 2 * nu)
+    # -1/2 zeroes D x; the last nu has a 31-digit numerator.
+    @pytest.mark.parametrize("nu", [
+        Fraction(0), Fraction(2, 5), Fraction(3), Fraction(-1, 3), Fraction(-1, 2),
+        Fraction(10**30 + 7, 999983)], ids=str)
+    def test_matrix_matches_definition(self, nu):
+        images = [dunkl_apply(nu, Poly.monomial(j)).coeffs for j in range(14)]
+        for n in range(15):
+            want = tuple({i: c for i, c in enumerate(p) if c} for p in images[:n])
+            assert dunkl_matrix(nu, n).cols == want
 
     @pytest.mark.parametrize("nu", [Fraction(0), Fraction(1, 4), Fraction(3)])
     def test_commutator(self, nu):
