@@ -6,7 +6,7 @@ exact matrix per slice of degree-d spinors, and a relation holds on the
 full graded space when lhs - rhs is the zero matrix on every slice.  A
 spinor slice is the slice of degree-d polynomials tensored with C^2;
 one builder, ``spinor_generators``, writes 1, L J_i, R_i and sigma_i
-straight onto its basis, L J_i and R_i from the monomial exponents.
+onto its basis, L J_i and R_i from the hops of ``sl1.dunkl_slice``.
 
 Every slice matrix is integer and either real or imaginary.  J_i, Gamma,
 M_i and K_i enter times L = lcm(2, den mu_1, den mu_2, den mu_3), and each
@@ -23,21 +23,21 @@ i^(b_c - b_r): J_2, sigma_2, M_2 and X_2 come out imaginary, the rest real.
 ``Poly3`` (trivariate polynomials with GRat coefficients), ``var_mul``,
 ``dunkl_partial``, ``angular_momentum`` and ``reflect`` apply the unscaled
 operators to x1^a x2^b x3^c; the slice build does not use them.  They
-are the reference the tests compare the slice matrices against, and
-``perfbench/tracer.py`` wraps them by name.
+are the reference the tests compare the slice matrices and the hops of
+``sl1.dunkl_slice`` against, and ``perfbench/tracer.py`` wraps them by name.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 
 from .errors import BILabError
 from .exact import GRAT_I, GRAT_MINUS_I, GRAT_ONE, GRat, Rat
-from .linop import LinOp, comm
+from .linop import LinOp, comm, kron
 from .report import VerificationReport
+from .sl1 import dunkl_scale, dunkl_slice
 
 Exponent = tuple[int, int, int]
 
@@ -117,7 +117,7 @@ class DiracParams:
     @cached_property  # read by every m(axis) of the slice build
     def L(self) -> int:
         """The least even integer that clears every mu_i."""
-        return math.lcm(2, *(m.denominator for m in (self.mu1, self.mu2, self.mu3)))
+        return dunkl_scale((self.mu1, self.mu2, self.mu3))[0]
 
     def m(self, axis: int) -> int:
         return self.mu(axis).numerator * (self.L // self.mu(axis).denominator)
@@ -189,38 +189,23 @@ PAULI = {i: _sigma(i, 1) for i in (1, 2, 3)}
 
 def spinor_generators(DP: DiracParams, degree: int) -> dict[str, LinOp]:
     """The identity "1", "J{i}" = L J_i, "R{i}" and "sigma{i}" on the spinor
-    slice of one degree, from exponent arithmetic alone.
+    slice of one degree; monomial m is x1^a (i x2)^b x3^c, ordered by (a, b).
 
-    Monomial m is x1^a (i x2)^b x3^c, exponent e, ordered by (a, b).  On
-    x^e, D_k gives f_k(e_k) x^(e - u_k) with L f_k(a) = a L for a even and
-    a L + 2 m_k for a odd, so J_i = (1/i)(x_j D_k - x_k D_j) moves a power
-    from x_k to x_j with factor -i f_k(e_k) and from x_j to x_k with i
-    f_j(e_j); a power moved into x2 divides the factor by i, one moved
-    out of x2 multiplies it by i.  R_i is the diagonal of (-1)^(e_i).
-    J_i and R_i act alike on both components, sigma_i on the spin index.
+    J_i = (1/i)(x_j D_k - x_k D_j), (i j k) cyclic, on x^e.  The basis
+    (i x2)^b multiplies a hop into x2 by 1/i = -i and one out of x2 by i,
+    so -i x2 D3 + i x3 D2 and -i x1 D2 + i x2 D1 lose their factors of i:
+    with the hops L x_a D_b of ``sl1.dunkl_slice``,
+    L J_1 = -(L x2 D3 + L x3 D2), L J_2 = -i (L x3 D1 - L x1 D3) and
+    L J_3 = L x1 D2 + L x2 D1.  J_i and R_i act alike on both components
+    (kron with 1_2), sigma_i on the spin index.
     """
-    exps = [(a, b, degree - a - b)
-            for a in range(degree + 1) for b in range(degree + 1 - a)]
-    pos = {e: n for n, e in enumerate(exps)}
-    g = {"1": LinOp.identity(2 * len(exps))}
-    L = DP.L
-    odd = {ax: 2 * DP.m(ax) for ax in (1, 2, 3)}  # L f(a) - a L for a odd
-    for i, (j, k) in _CYCLIC.items():
-        cols = []
-        for e in exps:
-            col = {}
-            for src, dst, sign in ((k, j, -1), (j, k, 1)):
-                a = e[src - 1]
-                f = a * L + odd[src] if a % 2 else a * L
-                if f:
-                    ne = list(e)
-                    ne[src - 1] -= 1
-                    ne[dst - 1] += 1
-                    col[pos[tuple(ne)]] = -sign * f if src == 2 else sign * f
-            cols += ({2 * r + s: x for r, x in col.items()} for s in (0, 1))
-        g[f"J{i}"] = (LinOp.imaginary if i == 2 else LinOp.real)(cols, 1)
-        g[f"R{i}"] = LinOp.real([{2 * m + s: -1 if e[i - 1] % 2 else 1}
-                                 for m, e in enumerate(exps) for s in (0, 1)], 1)
+    exps, hop, R = dunkl_slice(DP.L, [DP.m(i) for i in (1, 2, 3)], degree)
+    J = (-(hop(1, 2) + hop(2, 1)), (hop(2, 0) - hop(0, 2)).scale(GRAT_MINUS_I),
+         hop(0, 1) + hop(1, 0))
+    g, eye2 = {"1": LinOp.identity(2 * len(exps))}, LinOp.identity(2)
+    for i in (1, 2, 3):
+        g[f"J{i}"] = kron(J[i - 1], eye2)
+        g[f"R{i}"] = kron(R[i - 1], eye2)
         g[f"sigma{i}"] = _sigma(i, len(exps))
     return g
 

@@ -206,6 +206,21 @@ def _canonical(re: Columns, im: Columns, den: int) -> LinOp:
                  den // g)
 
 
+def kron(a: LinOp, b: LinOp) -> LinOp:
+    """The Kronecker product: entry (i nb + k, j nb + l) is a_ij b_kl, nb = len(b)."""
+    nb = len(b)
+
+    def part(x: Columns, y: Columns) -> Columns:  # x ⊗ y; none formed of an empty block
+        if not (any(x) and any(y)):
+            return ({},) * (len(x) * nb)
+        return tuple([{i * nb + k: u * v for i, u in cx.items() for k, v in cy.items()}
+                      for cx in x for cy in y])
+
+    # (re + i im) ⊗ (re' + i im') = (re⊗re' - im⊗im') + i (re⊗im' + im⊗re')
+    return _canonical(_combine(part(a.re, b.re), 1, part(a.im, b.im), -1),
+                      _combine(part(a.re, b.im), 1, part(a.im, b.re), 1), a.den * b.den)
+
+
 def comm(a: LinOp, b: LinOp) -> LinOp:
     """[a, b] = ab - ba."""
     return a @ b - b @ a

@@ -35,14 +35,15 @@ import dataclasses
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, reduce
+from operator import matmul
 
 from .bi_operator import BIParams
 from .errors import BILabError
 from .exact import HALF, ONE, Rat, ZERO, rat_str
 from .linop import LinOp, anticomm
 from .report import VerificationReport
-from .sl1 import ModuleParams, rho_squared
+from .sl1 import dunkl_scale, dunkl_slice
 
 BandColumns = tuple[dict[int, Rat], ...]
 
@@ -351,59 +352,32 @@ def tensor_slice(RP: RacahParams, m: int) -> TensorSlice:
     """Q12, Q23, Q4 and the expanded form of Q12 on the (m+1)(m+2)/2
     states |n1, n2, n3> with n1 + n2 + n3 = m, ordered by (n1, n2).
 
-    Each factor is the module of ``sl1`` (epsilon = +1, mu = mu_i) in the
-    gauge J+|n> = |n+1>, J-|n> = rho_n^2 |n-1>, which differs from the
-    unitary one by a diagonal change of basis; every entry is therefore
-    rational.  For a set A of factors,
-    J±_A = sum_{a in A} J±_a prod_{b in A, b > a} R_b, J0_A = sum J0_a,
-    R_A = prod R_a and Q_A = (J+_A J-_A - J0_A + 1/2) R_A.  Each of these
-    operators preserves n1 + n2 + n3, so nothing is truncated.
+    Each factor is the module of ``sl1`` (epsilon = +1, mu = mu_a) on the
+    powers of x_a: J+_a = x_a, J-_a = D_a.  For a set A of factors, J±_A =
+    sum_{a in A} J±_a prod_{c in A, c > a} R_c, J0_A = sum J0_a,
+    R_A = prod R_a and Q_A = (J+_A J-_A - J0_A + 1/2) R_A, so J+_A J-_A =
+    sum_{a, b in A} (-1)^[b > a] x_a D_b prod R_c over the c in A with
+    min(a, b) < c <= max(a, b): hops and reflections of ``sl1.dunkl_slice``.
+    J0_a = n_a + mu_a + 1/2 is read off the exponents.  Each operator is
+    formed times L on integers, divided by L once, and keeps n1 + n2 + n3.
     """
-    mus = (RP.mu1, RP.mu2, RP.mu3)
-    modules = [ModuleParams.make(1, mu) for mu in mus]
-    states = [(n1, n2, m - n1 - n2)
-              for n1 in range(m + 1) for n2 in range(m + 1 - n1)]
-    index = {n: i for i, n in enumerate(states)}
+    L, ms = dunkl_scale((RP.mu1, RP.mu2, RP.mu3))
+    exps, hop, R = dunkl_slice(L, ms, m)
+    hops = {(a, b): hop(a, b) for a in range(3) for b in range(3)}
 
-    def ladder(v: dict, A: tuple[int, ...], step: int) -> dict:
-        """J+_A (step 1) or J-_A (step -1) on v = {state: coefficient}."""
-        out: dict = {}
-        for n, c in v.items():
-            for a in A:
-                x = c if step > 0 else c * rho_squared(modules[a], n[a])
-                if x:  # rho_0^2 = 0: J- annihilates n_a = 0
-                    if sum(n[b] for b in A if b > a) % 2:
-                        x = -x
-                    k = (*n[:a], n[a] + step, *n[a + 1:])
-                    out[k] = out.get(k, ZERO) + x
-        return out
+    def casimir(A: tuple[int, ...]) -> LinOp:  # L Q_A
+        jj = [reduce(matmul, [R[c] for c in A if min(a, b) < c <= max(a, b)],
+                     -hops[a, b] if b > a else hops[a, b]) for a in A for b in A]
+        # L (J0_A - 1/2) = sum_a (L n_a + m_a) + (|A| - 1) L/2 on x^e
+        j0 = [sum(L * e[a] + ms[a] for a in A) + (len(A) - 1) * L // 2 for e in exps]
+        jj.append(-LinOp.real(({j: v} if v else {} for j, v in enumerate(j0)), 1))
+        return reduce(matmul, [R[a] for a in A], sum(jj[1:], jj[0]))
 
-    def sign(n, A) -> int:  # the eigenvalue of R_A on |n>
-        return -1 if sum(n[a] for a in A) % 2 else 1
-
-    def matrix(column) -> LinOp:
-        return LinOp.make({index[k]: x for k, x in column(n).items()}
-                          for n in states)
-
-    def casimir(A: tuple[int, ...]) -> LinOp:
-        def column(n):
-            v = ladder(ladder({n: ONE}, A, -1), A, 1)
-            v[n] = v.get(n, ZERO) + HALF - sum(n[a] + mus[a] + HALF for a in A)
-            return {k: sign(n, A) * x for k, x in v.items()}
-        return matrix(column)
-
-    def q12_expanded(n):
-        # Q12 = (J-_1 J+_2 - J+_1 J-_2) R_1 - R_1 R_2 / 2 - mu1 R_2 - mu2 R_1
-        v = ladder(ladder({n: ONE}, (1,), 1), (0,), -1)
-        for k, x in ladder(ladder({n: ONE}, (1,), -1), (0,), 1).items():
-            v[k] = v.get(k, ZERO) - x
-        r1, r2 = sign(n, (0,)), sign(n, (1,))
-        v = {k: r1 * x for k, x in v.items()}
-        v[n] = v.get(n, ZERO) - r1 * r2 * HALF - mus[0] * r2 - mus[1] * r1
-        return v
-
-    return TensorSlice(casimir((0, 1)), casimir((1, 2)), casimir((0, 1, 2)),
-                       matrix(q12_expanded))
+    # L Q12 = L (x2 D1 - x1 D2) R1 - L R1 R2 / 2 - m1 R2 - m2 R1
+    alt = (hops[1, 0] - hops[0, 1]) @ R[0] - (R[0] @ R[1]).scale(L // 2) \
+        - R[1].scale(ms[0]) - R[0].scale(ms[1])
+    return TensorSlice(*(op.scale(Fraction(1, L)) for op in (
+        casimir((0, 1)), casimir((1, 2)), casimir((0, 1, 2)), alt)))
 
 
 def _prefix_products(op: LinOp, roots: list[Rat]) -> list[LinOp]:

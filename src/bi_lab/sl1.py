@@ -4,23 +4,25 @@ The discrete-series module with sign epsilon and parameter mu > -1/2 acts
 on basis states |n> by
 
     J0 |n> = (n + mu + 1/2) |n>,     R |n> = epsilon (-1)^n |n>,
-    J+ |n> = rho_{n+1} |n+1>,        J- |n> = rho_n |n-1>,
+    J+ |n> = |n+1>,                  J- |n> = rho_n^2 |n-1>,
 
-with rho_n^2 = n + mu (1 - (-1)^n).  Single ladder factors carry square
-roots, so every identity checked here is recast so only rho^2 products
-appear; the checks then run exactly over the rationals.
-
-In the Dunkl realization, D p = p' + nu (p(x) - p(-x)) / x, x and R p =
-p(-x) are integer matrices on the monomials, read off the exponents.
+with rho_n^2 = n + mu (1 - (-1)^n): the unitary module up to a diagonal
+change of basis, with rational entries.  On |n> = x^n it is the Dunkl
+realization J+ = x, J- = D, D p = p' + mu (p(x) - p(-x)) / x, R p =
+epsilon p(-x); ``dunkl_matrix`` and, in several variables, ``dunkl_slice``
+read its matrices off the exponents.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
+from typing import Callable, Sequence
 
 from .errors import BILabError
-from .exact import HALF, Rat, ZERO
+from .exact import HALF, Rat
 from .linop import LinOp, comm, record_columns
 from .report import VerificationReport
 
@@ -40,51 +42,46 @@ class ModuleParams:
         return ModuleParams(epsilon, mu)
 
 
-def rho_squared(M: ModuleParams, n: int) -> Rat:
-    """rho_n^2 = n + mu (1 - (-1)^n); zero at n = 0."""
-    if n <= 0:
-        return ZERO
-    return n + M.mu * (1 - (-1) ** n)
+def module_matrices(mu: Rat, n: int) -> tuple[LinOp, LinOp, LinOp, LinOp]:
+    """J+ = x (|k> -> |k+1>, dropping |n>), J- = ``dunkl_matrix(mu, n)``,
+    J0 = k + mu + 1/2 and (-1)^k on the states |0>, ..., |n-1> of mu."""
+    x = LinOp.real(({k + 1: 1} if k + 1 < n else {} for k in range(n)), 1)
+    p, q = (mu + HALF).numerator, (mu + HALF).denominator  # J0 = k + p/q
+    j0 = LinOp.real(({k: k * q + p} if k * q + p else {} for k in range(n)), q)
+    return x, dunkl_matrix(mu, n), j0, LinOp.real(({k: (-1) ** k} for k in range(n)), 1)
 
 
 def module_bilinear_check(M: ModuleParams, nmax: int) -> VerificationReport:
-    """Exact checks of the defining relations on |n>, n <= nmax.
-
-    Ladder products are evaluated through rho^2: J+J- |n> = rho_n^2 |n>
-    and J-J+ |n> = rho_{n+1}^2 |n>, so every quantity is rational.
-    [J0,R] = 0 and R^2 = 1 hold by construction (J0 and R act diagonally,
-    R by a sign), so they are not recorded.
-    """
+    """Exact checks of the defining relations on |n>, n <= nmax, between
+    the ``module_matrices`` on |0>, ..., |nmax+1> (R = epsilon (-1)^k; J+
+    drops |nmax+2>, so columns 0..nmax are exact).  [J0,R] = 0 and R^2 = 1
+    hold by construction (J0 and R act diagonally, R by a sign), so they are
+    not recorded."""
+    x, D, J0, parity = module_matrices(M.mu, nmax + 2)
+    eye, R = LinOp.identity(nmax + 2), parity.scale(M.epsilon)
+    xD, Dx = x @ D, D @ x
+    Q = (xD - J0 + eye.scale(HALF)) @ R  # the Casimir J+ J- R - J0 R + R/2
     report = VerificationReport(f"sl_{{-1}}(2) module (eps={M.epsilon}, mu={M.mu})")
-    for n in range(nmax + 1):
-        j0 = n + M.mu + HALF
-        r = M.epsilon * (-1) ** n
-        jp_jm = rho_squared(M, n)
-        jm_jp = rho_squared(M, n + 1)
-        report.record("{J+,J-} = 2 J0", n, jp_jm + jm_jp == 2 * j0)
-        # Casimir Q = J+ J- R - J0 R + R/2 acting on |n>.
-        q = (jp_jm - j0 + HALF) * r
-        report.record("Q = -eps*mu", n, q == -M.epsilon * M.mu)
-        # [J-, J+] = 1 - 2QR, evaluated on |n> from both sides.
-        lhs = jm_jp - jp_jm
-        rhs = 1 - 2 * q * r
-        report.record("[J-,J+] = 1 - 2QR", n, lhs == rhs)
+    record_columns(report, [
+        ("{J+,J-} = 2 J0", xD + Dx - J0.scale(2)),
+        ("Q = -eps*mu", Q + eye.scale(M.epsilon * M.mu)),
+        ("[J-,J+] = 1 - 2QR", Dx - xD - eye + (Q @ R).scale(2)),
+    ], nmax + 1)
     return report
 
 
 def osp_casimir_check(M: ModuleParams, nmax: int) -> VerificationReport:
     """The osp(1|2) Casimir equals Q^2 = mu^2 on every basis state.
 
-    C = (E0 - 1/2)^2 - 4 E+ E- - F+ F- with E0 = J0, E± = J±^2/2 and
-    F± = J±.  All ladder factors pair up, so the value is rational.
+    C = (E0 - 1/2)^2 - 4 E+ E- - F+ F- with E0 = J0, E± = J±^2/2 and F± = J±,
+    on the ``module_matrices`` of |0>, ..., |nmax>: no J+ leaves the basis.
     """
+    x, D, J0, _ = module_matrices(M.mu, nmax + 1)
+    eye = LinOp.identity(nmax + 1)
+    e0, xD = J0 - eye.scale(HALF), x @ D
     report = VerificationReport(f"osp(1|2) Casimir (eps={M.epsilon}, mu={M.mu})")
-    for n in range(nmax + 1):
-        e0 = n + M.mu + HALF
-        four_epem = rho_squared(M, n) * rho_squared(M, n - 1)  # J+^2 J-^2 on |n>
-        fpfm = rho_squared(M, n)
-        value = (e0 - HALF) ** 2 - four_epem - fpfm
-        report.record("C_osp = mu^2", n, value == M.mu**2)
+    record_columns(report, [("C_osp = mu^2", e0 @ e0 - x @ xD @ D - xD
+                             - eye.scale(M.mu**2))], nmax + 1)
     return report
 
 
@@ -97,15 +94,44 @@ def dunkl_matrix(nu: Rat, n: int) -> LinOp:
     return LinOp.real(({j - 1: a} if a else {} for j, a in enumerate(nums)), q)
 
 
+def dunkl_scale(mus: Sequence[Rat]) -> tuple[int, list[int]]:
+    """L = lcm(2, den mu_i), the least even integer clearing each mu_i; m_i = L mu_i."""
+    L = math.lcm(2, *(m.denominator for m in mus))
+    return L, [m.numerator * (L // m.denominator) for m in mus]
+
+
+def dunkl_slice(L: int, ms: Sequence[int], degree: int) -> tuple[list, Callable, list]:
+    """x_a D_b and R_a in k = len(ms) variables, mu_b = m_b / L, on the
+    monomials x^e of one total degree: the exponents in lexicographic order,
+    hop(a, b), the integer matrix L x_a D_b built on call, and the diagonals
+    R_a = (-1)^(e_a), axes from 0.  L x_a D_b x^e = (L e_b + 2 m_b [e_b odd])
+    x^(e - u_b + u_a) is L rho^2 of factor b at n = e_b (no zero is stored)."""
+    exps = [(*e, degree - sum(e))
+            for e in product(range(degree + 1), repeat=len(ms) - 1) if sum(e) <= degree]
+    pos = {e: j for j, e in enumerate(exps)}
+
+    def hop(a: int, b: int) -> LinOp:
+        cols = []
+        for e in exps:
+            t = list(e)
+            t[b] -= 1
+            t[a] += 1
+            f = L * e[b] + 2 * ms[b] * (e[b] % 2)
+            cols.append({pos[tuple(t)]: f} if f else {})
+        return LinOp.real(cols, 1)
+
+    return exps, hop, [LinOp.real(({j: (-1) ** e[a]} for j, e in enumerate(exps)), 1)
+                       for a in range(len(ms))]
+
+
 def dunkl_commutator_check(nu: Rat, maxdeg: int) -> VerificationReport:
     """[D, x] = 1 + 2 nu R on the monomials x^j, j <= maxdeg, exactly: the
     commutator [J-, J+] of the Dunkl realization, whose 1/sqrt(2) ladder
-    normalization squares away.  D, x and R act on 1, ..., x^(maxdeg+1); x
-    drops x^(maxdeg+2), so columns 0..maxdeg of [D, x] are exact."""
+    normalization squares away.  The ``module_matrices`` act on 1, ...,
+    x^(maxdeg+1); x drops x^(maxdeg+2), so columns 0..maxdeg are exact."""
     nu, n = Fraction(nu), maxdeg + 2
-    x = LinOp.real(({j + 1: 1} if j + 1 < n else {} for j in range(n)), 1)
-    R = LinOp.real(({j: (-1) ** j} for j in range(n)), 1)
-    residual = comm(dunkl_matrix(nu, n), x) - LinOp.identity(n) - R.scale(2 * nu)
+    x, D, _, R = module_matrices(nu, n)
+    residual = comm(D, x) - LinOp.identity(n) - R.scale(2 * nu)
     report = VerificationReport(f"Dunkl commutator (nu={nu})")
     record_columns(report, [("[D,x] = 1 + 2 nu R", residual)], maxdeg + 1)
     return report

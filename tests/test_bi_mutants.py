@@ -1,4 +1,4 @@
-"""Mutation tables of the ``bi`` and ``sl1`` scopes: every check that
+"""Mutation tables of the ``bi``, ``sl1`` and ``dirac`` scopes: every check that
 ``verify --scope <scope>`` records, at any level of its report, fails
 under some monkeypatched primitive.  A recorded check with no mutant
 fails the table."""
@@ -8,9 +8,11 @@ import inspect
 import pytest
 
 import bi_lab.bi_poly as bp
+import bi_lab.dunkl_dirac as dd
 import bi_lab.sl1 as sl1
 import bi_lab.suites as suites
 from bi_lab.bi_operator import BIParams
+from bi_lab.exact import HALF
 from bi_lab.linop import LinOp
 from bi_lab.report import VerificationReport
 
@@ -75,9 +77,10 @@ def omega1_in_second_form(monkeypatch):
 
 
 def bumped_odd_rho(monkeypatch):
-    """rho_n^2 + 1 in place of rho_n^2 at odd n."""
-    monkeypatch.setattr(sl1, "rho_squared",
-                        lambda M, n, _orig=sl1.rho_squared: _orig(M, n) + n % 2)
+    """rho_n^2 + 1 in place of rho_n^2 at odd n: the odd entries of D are
+    those of nu + 1/2."""
+    monkeypatch.setattr(sl1, "dunkl_matrix",
+                        lambda nu, n, _orig=sl1.dunkl_matrix: _orig(nu + HALF, n))
 
 
 def unit_half(monkeypatch):
@@ -91,6 +94,51 @@ def halved_dunkl_odd_factor(monkeypatch):
     source_mutant(monkeypatch, sl1, "dunkl_matrix",
                   "2 * p * (j % 2)", "p * (j % 2)")
 
+
+def flipped_j1_hop(monkeypatch):
+    """L J1 = -(L x2 D3 - L x3 D2) in place of -(L x2 D3 + L x3 D2)."""
+    source_mutant(monkeypatch, dd, "spinor_generators",
+                  "-(hop(1, 2) + hop(2, 1))", "-(hop(1, 2) - hop(2, 1))")
+
+
+def flipped_gamma_term(axis):
+    """-m_axis R_axis in place of m_axis R_axis in L Gamma."""
+    def patch(monkeypatch):
+        source_mutant(monkeypatch, dd, "gamma_apply", "DP.m(i))",
+                      f"DP.m(i) * (-1 if i == {axis} else 1))")
+    return patch
+
+
+def flipped_sigma2(monkeypatch):
+    """-sigma_2 in place of sigma_2, on the spinor slices and in PAULI."""
+    monkeypatch.setattr(dd, "_sigma", lambda i, n, _orig=dd._sigma:
+                        -_orig(i, n) if i == 2 else _orig(i, n))
+    monkeypatch.setitem(dd.PAULI, 2, -dd.PAULI[2])
+
+
+def sigma3_for_sigma1(monkeypatch):
+    """sigma_3 in place of sigma_1 in PAULI."""
+    monkeypatch.setitem(dd.PAULI, 1, dd.PAULI[3])
+
+
+def doubled_reflection(axis):
+    """-2 in place of the first -1 on the diagonal of R_axis, on every
+    spinor slice (the monomials of degree 0 have no -1)."""
+    def patch(monkeypatch):
+        def dunkl_slice(L, ms, degree, _orig=dd.dunkl_slice):
+            exps, hop, R = _orig(L, ms, degree)
+            cols = [dict(col) for col in R[axis - 1].re]
+            for j, col in enumerate(cols):
+                if col[j] == -1:
+                    col[j] = -2
+                    break
+            return exps, hop, [LinOp.real(cols, 1) if a == axis - 1 else r
+                               for a, r in enumerate(R)]
+        monkeypatch.setattr(dd, "dunkl_slice", dunkl_slice)
+    return patch
+
+
+CYCLIC = ((1, 2, 3), (2, 3, 1), (3, 1, 2))
 
 # Per scope: recorded check name (a prefix where the name carries a
 # value) -> mutant.
@@ -122,10 +170,33 @@ MUTANTS = {"bi": {
     "C_osp = mu^2": bumped_odd_rho,
     "Dunkl commutator (": halved_dunkl_odd_factor,
     "[D,x] = 1 + 2 nu R": halved_dunkl_odd_factor,
+}, "dirac": {
+    "dunkl-dirac suite (": flipped_j1_hop,
+    "Pauli layer": sigma3_for_sigma1,
+    "sigma_i sigma_j = i eps sigma_k + delta": flipped_sigma2,
+    "{sigma_i,sigma_j} = 2 delta": sigma3_for_sigma1,
+    "Dunkl angular-momentum commutators": flipped_j1_hop,
+    **{f"[J{i},J{j}] = i J{k}(1 + 2 mu{k} R{k})": flipped_j1_hop for i, j, k in CYCLIC},
+    "Gamma squared identity": flipped_gamma_term(2),
+    "Gamma^2 + Gamma = J^2 - X + c": flipped_gamma_term(2),
+    "Dunkl-Dirac symmetry algebra": flipped_gamma_term(2),
+    # m_k R_k commutes with M_k, so the flipped term is another axis's.
+    **{f"[Gamma, M{i}] = 0": flipped_gamma_term(k) for i, j, k in CYCLIC},
+    **{f"[Gamma, X{i}] = 0": doubled_reflection(i) for i in (1, 2, 3)},
+    **{f"[M{i}, X{i}] = 0": doubled_reflection(i) for i in (1, 2, 3)},
+    **{f"{{M{i}, X{j}}} = 0": doubled_reflection(j)
+       for i in (1, 2, 3) for j in (1, 2, 3) if i != j},
+    "Y = -i X1 X2 X3 = R1 R2 R3": flipped_sigma2,
+    "Y^2 = 1": doubled_reflection(1),
+    "[Y, Gamma] = 0": doubled_reflection(1),
+    **{f"[Y, M{i}] = 0": doubled_reflection(1) for i in (1, 2, 3)},
+    **{f"[M{i}, M{j}] relation": flipped_j1_hop for i, j, k in CYCLIC},
+    **{f"{{K{i}, K{j}}} = K{k} + central": flipped_j1_hop for i, j, k in CYCLIC},
 }}
 
 # The sizes of the one small run per scope (seed 1).
-RUNS = {"bi": {"tuples": 1, "maxdeg": 2}, "sl1": {"tuples": 1}}
+RUNS = {"bi": {"tuples": 1, "maxdeg": 2}, "sl1": {"tuples": 1},
+        "dirac": {"tuples": 1, "maxdeg": 2}}
 
 
 def recorded(monkeypatch, scope) -> list[tuple[str, bool]]:

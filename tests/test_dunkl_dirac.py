@@ -23,6 +23,7 @@ from bi_lab.dunkl_dirac import (
 from bi_lab.errors import BILabError
 from bi_lab.exact import GRAT_I, GRAT_MINUS_I, GRAT_ONE, GRat
 from bi_lab.linop import LinOp, anticomm
+from bi_lab.sl1 import dunkl_slice
 from bi_lab.suites import suite_dirac
 
 DP1 = DiracParams.make(Fraction(1, 4), Fraction(1, 3), Fraction(1, 2))
@@ -176,6 +177,20 @@ class TestSliceGenerators:
             assert_lift(g[f"R{i}"], scalar_slice(degree, lambda p: reflect(i, p)),
                         np.eye(2))
             assert_lift(g[f"sigma{i}"], one, SIGMAS[i - 1])
+
+    @pytest.mark.parametrize("DP", [DP0, DP1, DP_NEG], ids=["mu0", "mu1", "mu_neg"])
+    @pytest.mark.parametrize("degree", range(7))
+    def test_dunkl_slice_matches_poly3_reference(self, DP, degree):
+        # The nine hops L x_a D_b and the three R_a that the spinor slice
+        # and the tensor-product slice are built from.
+        exps, hop, R = dunkl_slice(DP.L, [DP.m(i) for i in (1, 2, 3)], degree)
+        assert exps == exponents(degree)
+        for a in (1, 2, 3):
+            assert R[a - 1] == scalar_slice(degree, lambda p: reflect(a, p))
+            for b in (1, 2, 3):
+                want = scalar_slice(
+                    degree, lambda p: var_mul(a, dunkl_partial(DP, b, p)))
+                assert hop(a - 1, b - 1) == want.scale(Fraction(DP.L)), (a, b)
 
     def test_negative_mu_reaches_the_matrices(self):
         # J3 x1 = i (1 + 2 mu1) x2: 1/3 i at mu1 = -1/3 (x2 is monomial 1
@@ -420,5 +435,6 @@ def test_each_slice_product_formed_once(monkeypatch):
         monkeypatch.setattr(LinOp, name, counted)
     assert suite_dirac(seed=1, tuples=1, maxdeg=3).passed
     # The products and sums of the Pauli layer and of four slices, each of
-    # them formed once.
-    assert calls == {"__matmul__": 370, "_plus": 245}
+    # them formed once; per slice, three of the sums are the hop
+    # combinations of L J_1, L J_2 and L J_3.
+    assert calls == {"__matmul__": 370, "_plus": 257}

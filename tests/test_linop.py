@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bi_lab.exact import GRAT_ONE, GRat
-from bi_lab.linop import LinOp, anticomm, comm, record_columns
+from bi_lab.linop import LinOp, anticomm, comm, kron, record_columns
 from bi_lab.report import VerificationReport
 
 N = 4
@@ -99,11 +99,29 @@ def test_mixed_operands_match_sympy(left, right, data):
         before = [snapshot(m) for m in operands + results]
         cases = [(p + q, sp + sq), (p - q, sp - sq), (p @ q, sp * sq),
                  (p.scale(c), sp * to_sympy(c)), (-p, -sp),
-                 (comm(p, q), sp * sq - sq * sp), (anticomm(p, q), sp * sq + sq * sp)]
+                 (comm(p, q), sp * sq - sq * sp), (anticomm(p, q), sp * sq + sq * sp),
+                 (kron(p, q), sympy.kronecker_product(sp, sq))]
         for got, want in cases:
             assert same(got, want)
         assert [snapshot(m) for m in operands + results] == before
         results += [got for got, _ in cases]
+
+
+@pytest.mark.parametrize("scalar", [sparse_rationals, grats, mixed_grats],
+                         ids=["Fraction", "GRat", "mixed-GRat"])
+@pytest.mark.parametrize("na, nb", [(3, 2), (2, 3), (1, 4)])
+@settings(deadline=None, max_examples=15)
+@given(data=st.data())
+def test_kron_matches_sympy(scalar, na, nb, data):
+    # Operands of different sizes; the 4 x 4 cases with an empty block are
+    # in test_mixed_operands_match_sympy.
+    x, y = (data.draw(st.lists(scalar, min_size=n * n, max_size=n * n))
+            for n in (na, nb))
+    a, b = (LinOp.make({i: f[i * n + j] for i in range(n)} for j in range(n))
+            for f, n in ((x, na), (y, nb)))
+    want = sympy.kronecker_product(*(sympy.Matrix(n, n, [to_sympy(v) for v in f])
+                                     for f, n in ((x, na), (y, nb))))
+    assert same(kron(a, b), want)
 
 
 @settings(deadline=None, max_examples=25)

@@ -23,6 +23,7 @@ from bi_lab.racah import (
     representation_check,
     spectrum_value,
     tensor_oracle,
+    tensor_slice,
 )
 from bi_lab.suites import (
     DEFAULT_SEED,
@@ -560,6 +561,72 @@ def float_tensor_slice(RP, m):
     return q12[ix], q23[ix], q4[ix]
 
 
+def closure_tensor_slice(RP, m):
+    """Exact reference: Q12, Q23, Q4 and the expanded Q12 applied state by
+    state on {state: Fraction} dicts, each factor in the gauge
+    J+|n> = |n+1>, J-|n> = rho_n^2 |n-1> with rho_n^2 = n + mu (1 - (-1)^n),
+    and J±_A = sum_{a in A} J±_a prod_{b in A, b > a} R_b."""
+    mus = (RP.mu1, RP.mu2, RP.mu3)
+    states = [(n1, n2, m - n1 - n2)
+              for n1 in range(m + 1) for n2 in range(m + 1 - n1)]
+    index = {n: i for i, n in enumerate(states)}
+    half = Fraction(1, 2)
+
+    def ladder(v, A, step):
+        """J+_A (step 1) or J-_A (step -1) on v = {state: coefficient}."""
+        out = {}
+        for n, c in v.items():
+            for a in A:
+                x = c if step > 0 else c * (n[a] + mus[a] * (1 - (-1) ** n[a]))
+                if x:
+                    if sum(n[b] for b in A if b > a) % 2:
+                        x = -x
+                    k = (*n[:a], n[a] + step, *n[a + 1:])
+                    out[k] = out.get(k, 0) + x
+        return out
+
+    def sign(n, A):  # the eigenvalue of R_A on |n>
+        return -1 if sum(n[a] for a in A) % 2 else 1
+
+    def matrix(column):
+        return LinOp.make({index[k]: Fraction(x) for k, x in column(n).items()}
+                          for n in states)
+
+    def casimir(A):
+        def column(n):
+            v = ladder(ladder({n: Fraction(1)}, A, -1), A, 1)
+            v[n] = v.get(n, 0) + half - sum(n[a] + mus[a] + half for a in A)
+            return {k: sign(n, A) * x for k, x in v.items()}
+        return matrix(column)
+
+    def q12_expanded(n):
+        # (J-_1 J+_2 - J+_1 J-_2) R_1 - R_1 R_2 / 2 - mu1 R_2 - mu2 R_1
+        v = ladder(ladder({n: Fraction(1)}, (1,), 1), (0,), -1)
+        for k, x in ladder(ladder({n: Fraction(1)}, (1,), -1), (0,), 1).items():
+            v[k] = v.get(k, 0) - x
+        r1, r2 = sign(n, (0,)), sign(n, (1,))
+        v = {k: r1 * x for k, x in v.items()}
+        v[n] = v.get(n, 0) - r1 * r2 * half - mus[0] * r2 - mus[1] * r1
+        return v
+
+    return (casimir((0, 1)), casimir((1, 2)), casimir((0, 1, 2)),
+            matrix(q12_expanded))
+
+
+@pytest.mark.parametrize("mus", [
+    (Fraction(1, 4), Fraction(1, 3), Fraction(1, 2)),
+    (Fraction(-1, 3), Fraction(2, 5), Fraction(-3, 7)),
+    (Fraction(0), Fraction(1), Fraction(10**12 + 1, 7)),
+], ids=str)
+@pytest.mark.parametrize("m", range(7))
+def test_tensor_slice_matches_closure_reference(mus, m):
+    # The hop form equals the state-by-state form field for field; at the
+    # second mu the odd-exponent terms 2 m_b of the hops are negative.
+    ts = tensor_slice(RacahParams.make(*mus, 0), m)
+    want = closure_tensor_slice(RacahParams.make(*mus, 0), m)
+    assert (ts.Q12, ts.Q23, ts.Q4, ts.Q12_alt) == want
+
+
 class TestTensorOracle:
     @pytest.mark.parametrize("N", range(4))
     def test_oracle_on_slice(self, N):
@@ -604,14 +671,15 @@ class TestTensorOracle:
 
 @pytest.fixture
 def shifted_rho(monkeypatch):
-    """Mutant: rho_n^2 + 1 at odd n in the second factor (mu = mu2 of the
-    parameter tuples below, which have distinct mu_i), where the tensor
-    slice reads rho_squared."""
+    """Mutant: rho_n^2 + 1 at odd n in the second factor, through the odd
+    entries of its D in racah's binding of dunkl_slice: L rho_n^2 =
+    L n + 2 m_2 at odd n, with m_2 + L/2 in place of m_2.  J0 and the mu_i
+    of Q12's expanded form do not read the hops, so they stay exact."""
     import bi_lab.racah as racah
 
-    def shifted(M, n, _orig=racah.rho_squared):
-        return _orig(M, n) + (1 if M.mu == Fraction(1, 3) and n % 2 else 0)
-    monkeypatch.setattr(racah, "rho_squared", shifted)
+    def shifted(L, ms, degree, _orig=racah.dunkl_slice):
+        return _orig(L, [ms[0], ms[1] + L // 2, *ms[2:]], degree)
+    monkeypatch.setattr(racah, "dunkl_slice", shifted)
 
 
 class TestTensorChecksCanFail:

@@ -11,8 +11,8 @@ from bi_lab.sl1 import (
     dunkl_commutator_check,
     dunkl_matrix,
     module_bilinear_check,
+    module_matrices,
     osp_casimir_check,
-    rho_squared,
 )
 from poly_oracle import dunkl_apply
 
@@ -27,10 +27,10 @@ class TestModuleParams:
             ModuleParams.make(1, Fraction(-1, 2))
 
     def test_rho_squared(self):
-        M = ModuleParams.make(1, Fraction(1, 3))
-        assert rho_squared(M, 0) == 0
-        assert rho_squared(M, 1) == 1 + Fraction(2, 3)
-        assert rho_squared(M, 2) == 2
+        # J+ J- |n> = rho_n^2 |n> in the gauge J+ = x, J- = D.
+        x, D, _, _ = module_matrices(Fraction(1, 3), 4)
+        assert (x @ D).cols == ({}, {1: 1 + Fraction(2, 3)}, {2: Fraction(2)},
+                                {3: 3 + Fraction(2, 3)})
 
 
 @pytest.mark.parametrize("eps", [1, -1])
@@ -44,12 +44,12 @@ class TestModuleRelations:
 
 
 def test_bilinear_relations_fail_on_wrong_ladder(monkeypatch):
-    # rho_n^2 one too large at odd n breaks both ladder relations on every state.
+    # rho_n^2 one too large at odd n, through the odd entries of D, breaks
+    # both ladder relations on every state.
     import bi_lab.sl1 as sl1
 
-    orig = sl1.rho_squared
-    monkeypatch.setattr(sl1, "rho_squared",
-                        lambda M, n: orig(M, n) + (1 if n % 2 else 0))
+    monkeypatch.setattr(sl1, "dunkl_matrix",
+                        lambda nu, n, _orig=sl1.dunkl_matrix: _orig(nu + Fraction(1, 2), n))
     report = module_bilinear_check(ModuleParams.make(1, Fraction(1, 3)), 16)
     assert report.checked == 3 * 17
     for name in ("{J+,J-} = 2 J0", "[J-,J+] = 1 - 2QR"):
