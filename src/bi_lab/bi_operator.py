@@ -25,7 +25,7 @@ from functools import cached_property
 from itertools import zip_longest
 
 from .exact import HALF, Rat, rat_str
-from .linop import LinOp, anticomm, record_columns
+from .linop import LinOp, lincomb, record_columns
 from .poly import Poly, int_mul, poly_divide_exact, poly_reflect, poly_shift_reflect
 from .report import VerificationReport
 
@@ -151,7 +151,7 @@ def bi_matrices(P: BIParams, maxdeg: int) -> tuple[LinOp, LinOp, LinOp]:
     K1 = k1_matrix(P, n)
     # K2 = 2x + 1/2 takes x^j to (x^j + 4 x^(j+1)) / 2; x^n is dropped.
     K2 = LinOp.real(({j: 1, j + 1: 4} if j + 1 < n else {j: 1} for j in range(n)), 2)
-    K3 = anticomm(K1, K2) - LinOp.identity(n).scale(P.omega3)
+    K3 = lincomb((1, K1, K2), (1, K2, K1), (-P.omega3, LinOp.identity(n)))
     return K1, K2, K3
 
 
@@ -169,8 +169,10 @@ def check_bi_relations(P: BIParams,
     K1, K2, K3 = mats
     one = LinOp.identity(len(K1))
     record_columns(report, [
-        ("{K2,K3} = K1 + omega1", anticomm(K2, K3) - K1 - one.scale(P.omega1)),
-        ("{K3,K1} = K2 + omega2", anticomm(K3, K1) - K2 - one.scale(P.omega2)),
+        ("{K2,K3} = K1 + omega1",
+         lincomb((1, K2, K3), (1, K3, K2), (-1, K1), (-P.omega1, one))),
+        ("{K3,K1} = K2 + omega2",
+         lincomb((1, K3, K1), (1, K1, K3), (-1, K2), (-P.omega2, one))),
     ], len(K1) - 2)  # columns 0..maxdeg
     return report
 
@@ -183,7 +185,8 @@ def casimir_scalar(P: BIParams,
     report = VerificationReport("bannai-ito casimir (shift-reflection realization)")
     expected = 2 * (P.rho1**2 + P.rho2**2 + P.r1**2 + P.r2**2) - Fraction(1, 4)
     K1, K2, K3 = mats
-    residual = K1 @ K1 + K2 @ K2 + K3 @ K3 - LinOp.identity(len(K1)).scale(expected)
+    residual = lincomb((1, K1, K1), (1, K2, K2), (1, K3, K3),
+                       (-expected, LinOp.identity(len(K1))))
     name = f"K1^2 + K2^2 + K3^2 = {rat_str(expected)}"
     record_columns(report, [(name, residual)], len(K1) - 2)  # columns 0..maxdeg
     return report

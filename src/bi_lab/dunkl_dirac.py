@@ -17,6 +17,10 @@ relation times the power of L that clears it; with m_i = L mu_i, S = sum m_i:
     [M_i, M_j] = i (L M_k + 2 m_k (X_k Gamma + L X_k)) + m_i m_j [X_i, X_j],
     {K_i, K_j} = L K_k + 2 m_k (Y Gamma + L Y) + 2 m_i m_j.
 
+Each side of a relation, and each of Gamma and M_i, is one
+``linop.lincomb``: one pass per column over all of its terms, with no
+intermediate sum or scaled matrix.
+
 The basis x1^a (i x2)^b x3^c, a similarity, multiplies entry (r, c) by
 i^(b_c - b_r): J_2, sigma_2, M_2 and X_2 come out imaginary, the rest real.
 
@@ -35,7 +39,7 @@ from functools import cached_property
 
 from .errors import BILabError
 from .exact import GRAT_I, GRAT_MINUS_I, GRAT_ONE, GRat, Rat
-from .linop import LinOp, comm, kron
+from .linop import LinOp, anticomm, comm, kron, lincomb
 from .report import VerificationReport
 from .sl1 import dunkl_scale, dunkl_slice
 
@@ -233,9 +237,8 @@ def pauli_layer_check() -> VerificationReport:
 def gamma_apply(DP: DiracParams, g: dict[str, LinOp]) -> LinOp:
     """L Gamma = sigma . L J + m . R on the spinor slice of the generators g
     (read: "sigma{i}", "J{i}" = L J_i and "R{i}"; degree preserving)."""
-    t = [g[f"sigma{i}"] @ g[f"J{i}"] + g[f"R{i}"].scale(DP.m(i))
-         for i in (1, 2, 3)]
-    return t[0] + t[1] + t[2]
+    return lincomb(*(term for i in (1, 2, 3)
+                     for term in ((1, g[f"sigma{i}"], g[f"J{i}"]), (DP.m(i), g[f"R{i}"]))))
 
 
 def symmetry_generators(DP: DiracParams, degree: int) -> dict[str, LinOp]:
@@ -245,18 +248,18 @@ def symmetry_generators(DP: DiracParams, degree: int) -> dict[str, LinOp]:
     ``spinor_generators`` (basis vector 2 m + s: monomial m, spin s),
     "Gamma" = L Gamma from ``gamma_apply``, and for (i j k) cyclic "M{i}" =
     L M_i = L J_i + sigma_i (m_j R_j + m_k R_k + L/2), "X{i}" = sigma_i R_i,
-    "K{i}" = L K_i = L M_i X_i Y, with "Y" = R1 R2 R3; the product
-    "M{i}X{i}" that K_i is built from is kept for ``symmetry_check``.
+    "K{i}" = L K_i = L M_i X_i Y, with "Y" = R1 R2 R3; the products
+    "R1R2" and "M{i}X{i}" that Y and K_i are built from are kept for
+    ``gamma_square_identity`` and ``symmetry_check``.
     """
     g = spinor_generators(DP, degree)
     g["Gamma"] = gamma_apply(DP, g)
-    g["Y"] = g["R1"] @ g["R2"] @ g["R3"]
+    g["R1R2"] = g["R1"] @ g["R2"]
+    g["Y"] = g["R1R2"] @ g["R3"]
     for i, (j, k) in _CYCLIC.items():
         sigma = g[f"sigma{i}"]
-        inner = g[f"R{j}"].scale(DP.m(j)) \
-            + g[f"R{k}"].scale(DP.m(k)) \
-            + g["1"].scale(DP.L // 2)
-        g[f"M{i}"] = g[f"J{i}"] + sigma @ inner
+        g[f"M{i}"] = lincomb((1, g[f"J{i}"]), (DP.m(j), sigma, g[f"R{j}"]),
+                             (DP.m(k), sigma, g[f"R{k}"]), (DP.L // 2, sigma))
         g[f"X{i}"] = sigma @ g[f"R{i}"]
         g[f"M{i}X{i}"] = g[f"M{i}"] @ g[f"X{i}"]
         g[f"K{i}"] = g[f"M{i}X{i}"] @ g["Y"]
@@ -284,9 +287,11 @@ def jj_commutator_check(DP: DiracParams,
 
     def relations(g: dict[str, LinOp]):
         for jj, kk, ll in ((1, 2, 3), (2, 3, 1), (3, 1, 2)):
-            rhs = g[f"J{ll}"] @ (g["1"].scale(DP.L) + g[f"R{ll}"].scale(2 * DP.m(ll)))
+            jl = g[f"J{ll}"]
             yield (f"[J{jj},J{kk}] = i J{ll}(1 + 2 mu{ll} R{ll})",
-                   comm(g[f"J{jj}"], g[f"J{kk}"]), rhs.scale(GRAT_I))
+                   comm(g[f"J{jj}"], g[f"J{kk}"]),
+                   lincomb((GRAT_I.scale(DP.L), jl),
+                           (GRAT_I.scale(2 * DP.m(ll)), jl, g[f"R{ll}"])))
 
     _record_slices(report, slices, relations)
     if report.passed:
@@ -304,18 +309,22 @@ def gamma_square_identity(DP: DiracParams,
     from the (shifted) spherical operator.
     """
     report = VerificationReport("Gamma squared identity")
-    L, S = DP.L, DP.m(1) + DP.m(2) + DP.m(3)
+    L, m = DP.L, {i: DP.m(i) for i in (1, 2, 3)}
+    # L^2 X = L S - sum_{i<j} 2 m_i m_j (R_i R_j - 1) - L sum_i m_i R_i with
+    # S = m_1 + m_2 + m_3, so the scalar terms S (S + L) - L S - 2 sum_{i<j}
+    # m_i m_j of the right side add up to m_1^2 + m_2^2 + m_3^2.
+    const = m[1] ** 2 + m[2] ** 2 + m[3] ** 2
 
     def relations(g: dict[str, LinOp]):
-        x = g["1"].scale(L * S)
-        for i, j in ((1, 2), (2, 3), (1, 3)):
-            x = x + (g["1"] - g[f"R{i}"] @ g[f"R{j}"]).scale(2 * DP.m(i) * DP.m(j))
-        for i in (1, 2, 3):
-            x = x - g[f"R{i}"].scale(L * DP.m(i))
-        jsq = g["J1"] @ g["J1"] + g["J2"] @ g["J2"] + g["J3"] @ g["J3"]
         gamma = g["Gamma"]
-        yield ("Gamma^2 + Gamma = J^2 - X + c", gamma @ gamma + gamma.scale(L),
-               jsq - x + g["1"].scale(S * (S + L)))
+        yield ("Gamma^2 + Gamma = J^2 - X + c",
+               lincomb((1, gamma, gamma), (L, gamma)),
+               lincomb(*((1, g[f"J{i}"], g[f"J{i}"]) for i in (1, 2, 3)),
+                       (2 * m[1] * m[2], g["R1R2"]),
+                       (2 * m[2] * m[3], g["R2"], g["R3"]),
+                       (2 * m[1] * m[3], g["R1"], g["R3"]),
+                       *((L * m[i], g[f"R{i}"]) for i in (1, 2, 3)),
+                       (const, g["1"])))
 
     _record_slices(report, slices, relations)
     return report
@@ -351,7 +360,8 @@ def symmetry_check(DP: DiracParams,
             yield f"[M{i}, X{i}] = 0", mul(m, x), mul(x, m)
             for j in (1, 2, 3):
                 if j != i:
-                    yield f"{{M{i}, X{j}}} = 0", mul(m, f"X{j}"), -mul(f"X{j}", m)
+                    yield (f"{{M{i}, X{j}}} = 0", mul(m, f"X{j}"),
+                           lincomb((-1, g[f"X{j}"], g[m])))
 
         # Y is central and squares to one.
         yield ("Y = -i X1 X2 X3 = R1 R2 R3", mul("X1", "X2") @ g["X3"],
@@ -365,21 +375,19 @@ def symmetry_check(DP: DiracParams,
         # (the realization fixes the coefficient of [X_i, X_j] to mu_i mu_j;
         # 2 mu_i mu_j fails already on constant spinors), times L^2
         for i, j, k in ((1, 2, 3), (2, 3, 1), (3, 1, 2)):
-            xk = f"X{k}"
-            central = g[f"M{k}"].scale(DP.L) \
-                + (mul(xk, "Gamma") + g[xk].scale(DP.L)).scale(2 * DP.m(k))
-            xcomm = mul(f"X{i}", f"X{j}") - mul(f"X{j}", f"X{i}")
-            yield (f"[M{i}, M{j}] relation",
-                   mul(f"M{i}", f"M{j}") - mul(f"M{j}", f"M{i}"),
-                   central.scale(GRAT_I) + xcomm.scale(DP.m(i) * DP.m(j)))
+            xk, mij = f"X{k}", DP.m(i) * DP.m(j)
+            ixk = GRAT_I.scale(2 * DP.m(k))  # the factor i 2 m_k of (X_k Gamma + L X_k)
+            yield (f"[M{i}, M{j}] relation", comm(g[f"M{i}"], g[f"M{j}"]),
+                   lincomb((GRAT_I.scale(DP.L), g[f"M{k}"]),
+                           (ixk, mul(xk, "Gamma")), (ixk.scale(DP.L), g[xk]),
+                           (mij, mul(f"X{i}", f"X{j}")), (-mij, g[f"X{j}"], g[f"X{i}"])))
 
         # The Bannai-Ito subalgebra of the K_i = M_i X_i Y, times L^2.
-        y_gamma1 = mul("Y", "Gamma") + y.scale(DP.L)
         for i, j, k in ((1, 2, 3), (2, 3, 1), (3, 1, 2)):
-            rhs = g[f"K{k}"].scale(DP.L) + y_gamma1.scale(2 * DP.m(k)) \
-                + one.scale(2 * DP.m(i) * DP.m(j))
-            yield (f"{{K{i}, K{j}}} = K{k} + central",
-                   mul(f"K{i}", f"K{j}") + mul(f"K{j}", f"K{i}"), rhs)
+            mk2 = 2 * DP.m(k)  # the factor 2 m_k of (Y Gamma + L Y)
+            yield (f"{{K{i}, K{j}}} = K{k} + central", anticomm(g[f"K{i}"], g[f"K{j}"]),
+                   lincomb((DP.L, g[f"K{k}"]), (mk2, mul("Y", "Gamma")),
+                           (mk2 * DP.L, y), (2 * DP.m(i) * DP.m(j), one)))
 
     _record_slices(report, slices, relations)
     if report.passed:

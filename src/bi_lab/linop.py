@@ -6,11 +6,17 @@ holds exactly when lhs - rhs is the zero matrix.
 Entries lie in Q or Q(i).  A matrix is stored fraction-free: integer
 numerators of the real and of the imaginary parts over one common
 denominator.  Sums and products therefore run on Python ints and reduce
-once per result, not once per entry.  A real or a purely imaginary
-operand leaves one of its two blocks empty; products of an empty block
-are never formed, and an empty or unit-scaled block is passed through
-as it is.  A result may therefore share column dicts with its operands:
-columns are never mutated once stored.
+once per result, not once per entry.  ``lincomb`` forms a whole linear
+combination of matrices and of products of two, such as one side of a
+relation, in one pass per output column with no intermediate matrix;
+``@``, ``comm`` and ``anticomm`` are one ``lincomb`` each, so every
+product runs through its one accumulation loop.  ``+``, ``-`` and
+``scale`` keep a loop of their own over two blocks, which passes a block
+through whole where it can.  A real or a purely imaginary operand leaves
+one of its two blocks empty; products of an empty block are never formed,
+and an empty or unit-scaled block is passed through as it is.  A result
+may therefore share column dicts with its operands: columns are never
+mutated once stored.
 """
 
 from __future__ import annotations
@@ -18,6 +24,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import chain
 from typing import Iterable, Mapping, Union
 
@@ -114,12 +121,7 @@ class LinOp:
                           _combine(self.im, fa, other.im, fb), den)
 
     def __matmul__(self, other: "LinOp") -> "LinOp":
-        _same_size(self, other)
-        n = len(self)
-        # (re + i im)(re' + i im') = (re re' - im im') + i (re im' + im re')
-        re = _products(((self.re, other.re, 1), (self.im, other.im, -1)), n)
-        im = _products(((self.re, other.im, 1), (self.im, other.re, 1)), n)
-        return _canonical(re, im, self.den * other.den)
+        return lincomb((1, self, other))
 
     def __neg__(self) -> "LinOp":
         return LinOp(_scaled(self.re, -1), _scaled(self.im, -1), self.den)
@@ -131,6 +133,12 @@ class LinOp:
         # (re + i im)(p + i r) = (p re - r im) + i (r re + p im)
         return _canonical(_combine(self.re, p, self.im, -r),
                           _combine(self.re, r, self.im, p), self.den * q)
+
+    @cached_property
+    def _blocks(self) -> tuple[tuple[Columns, int], ...]:
+        """The nonempty blocks, each with the power e of i it carries:
+        (re, 0) and (im, 1)."""
+        return tuple((x, e) for e, x in enumerate((self.re, self.im)) if any(x))
 
 
 def _re_im(x: Scalar) -> tuple[Fraction | int, Fraction | int]:
@@ -171,23 +179,32 @@ def _combine(a: Columns, fa: int, b: Columns, fb: int) -> Columns:
     return tuple(out)
 
 
-def _products(terms, n: int) -> Columns:
-    """The n columns of the sum of sign * (a @ b) over the (a, b, sign) of
-    ``terms`` whose factors both have entries, one pass per output column;
-    zero sums dropped."""
-    terms = [t for t in terms if any(t[0]) and any(t[1])]
+# The second factor of a linear term c a: none, and no power of i.
+_UNIT = ((None, 0),)
+
+
+def _accumulate(terms: list[tuple[Columns, Columns | None, int]], n: int) -> Columns:
+    """The n columns of the sum of c a over the (a, None, c) of ``terms``
+    and of c (a @ b) over their (a, b, c), one pass per output column;
+    zero sums dropped.  Column j of a linear term is read as a @ 1."""
     if not terms:
         return ({},) * n
     out = []
     for j in range(n):
-        acc = {}
-        for a, b, sign in terms:
-            for k, y in b[j].items():
-                if sign < 0:
-                    y = -y
+        acc = None
+        for a, b, c in terms:
+            for k, y in (b[j].items() if b is not None else ((j, 1),)):
+                y *= c
+                if acc is None:
+                    acc = dict(a[k]) if y == 1 else {i: x * y for i, x in a[k].items()}
+                    continue
                 for i, x in a[k].items():
-                    acc[i] = acc.get(i, 0) + x * y
-        out.append({i: x for i, x in acc.items() if x} if 0 in acc.values() else acc)
+                    s = acc.get(i, 0) + x * y
+                    if s:
+                        acc[i] = s
+                    else:
+                        del acc[i]
+        out.append({} if acc is None else acc)
     return tuple(out)
 
 
@@ -221,14 +238,55 @@ def kron(a: LinOp, b: LinOp) -> LinOp:
                       _combine(part(a.re, b.im), 1, part(a.im, b.re), 1), a.den * b.den)
 
 
+def lincomb(*terms: tuple) -> LinOp:
+    """The sum of c A over the terms (c, A) and of c (A @ B) over the terms
+    (c, A, B): one term or more, c an int, Fraction or GRat, every matrix
+    of one size.
+
+    Every term is brought to the lcm of the denominators of its c A or
+    c A B, each output column is formed in one pass over the integer
+    numerators of all terms, and the whole is reduced once.  Only the
+    block products with a nonzero coefficient are formed: a product of a
+    real and an imaginary matrix reads one block of each.
+    """
+    n, den, scaled = len(terms[0][1].re), 1, []
+    for t in terms:
+        c, a, b = t[0], t[1], t[2] if len(t) > 2 else None
+        if type(c) is int:
+            p, r, d = c, 0, a.den
+        else:
+            x, y = _re_im(c)
+            q = math.lcm(x.denominator, y.denominator)
+            p, r = x.numerator * (q // x.denominator), y.numerator * (q // y.denominator)
+            d = q * a.den
+        if b is not None:
+            d *= b.den
+        if len(a.re) != n or b is not None and len(b.re) != n:
+            raise ValueError("matrix sizes differ")
+        den = math.lcm(den, d)
+        scaled.append((p, r, d, a, b))
+    re, im = [], []
+    for p, r, d, a, b in scaled:
+        f = den // d
+        for x, ex in a._blocks:
+            for y, ey in (b._blocks if b is not None else _UNIT):
+                # (p + i r) i^e f, e the number of imaginary blocks
+                cr, ci = (p, r) if ex + ey == 0 else (-r, p) if ex + ey == 1 else (-p, -r)
+                if cr:
+                    re.append((x, y, f * cr))
+                if ci:
+                    im.append((x, y, f * ci))
+    return _canonical(_accumulate(re, n), _accumulate(im, n), den)
+
+
 def comm(a: LinOp, b: LinOp) -> LinOp:
     """[a, b] = ab - ba."""
-    return a @ b - b @ a
+    return lincomb((1, a, b), (-1, b, a))
 
 
 def anticomm(a: LinOp, b: LinOp) -> LinOp:
     """{a, b} = ab + ba."""
-    return a @ b + b @ a
+    return lincomb((1, a, b), (1, b, a))
 
 
 def record_columns(report: VerificationReport,

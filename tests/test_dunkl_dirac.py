@@ -370,24 +370,25 @@ class TestMutants:
 
     def test_mm_relation_without_x_gamma_term(self):
         check = self.source_mutant("symmetry_check",
-                                   '(mul(xk, "Gamma") + g[xk].scale(DP.L))',
-                                   "(g[xk] - g[xk])")
+                                   '(ixk, mul(xk, "Gamma")), (ixk.scale(DP.L), g[xk])',
+                                   '(0, mul(xk, "Gamma")), (0, g[xk])')
         failed = self.failed(check(DP1, slices(DP1, 3)))
         assert failed == {(f"[M{i}, M{j}] relation", d)
                           for i, j in ((1, 2), (2, 3), (3, 1)) for d in range(4)}
 
     # For each relation checked times a power of L, one term that carries a
-    # factor L, and per relation name the generator of that term.
+    # factor L, the same term with coefficient 1 in place of L, and per
+    # relation name the generator of that term.
     UNSCALED = {
-        "jj_commutator_check": ('g["1"].scale(DP.L)', {
+        "jj_commutator_check": ("(GRAT_I.scale(DP.L), jl)", "(GRAT_I, jl)", {
             f"[J{j},J{k}] = i J{l}(1 + 2 mu{l} R{l})": f"J{l}"
             for j, k, l in ((1, 2, 3), (2, 3, 1), (3, 1, 2))}),
-        "gamma_square_identity": ("gamma.scale(L)", {
+        "gamma_square_identity": ("(L, gamma)", "(1, gamma)", {
             "Gamma^2 + Gamma = J^2 - X + c": "Gamma"}),
-        "symmetry_check:MM": ('g[f"M{k}"].scale(DP.L)', {
+        "symmetry_check:MM": ('(GRAT_I.scale(DP.L), g[f"M{k}"])', '(GRAT_I, g[f"M{k}"])', {
             f"[M{i}, M{j}] relation": f"M{k}"
             for i, j, k in ((1, 2, 3), (2, 3, 1), (3, 1, 2))}),
-        "symmetry_check:KK": ('g[f"K{k}"].scale(DP.L)', {
+        "symmetry_check:KK": ('(DP.L, g[f"K{k}"])', '(1, g[f"K{k}"])', {
             f"{{K{i}, K{j}}} = K{k} + central": f"K{k}"
             for i, j, k in ((1, 2, 3), (2, 3, 1), (3, 1, 2))}),
     }
@@ -397,9 +398,8 @@ class TestMutants:
     def test_factor_l_dropped_from_one_term(self, DP, relation):
         # The relation then differs by (L - 1) times that term: it must
         # fail on exactly the slices where the term is nonzero.
-        scaled, terms = self.UNSCALED[relation]
-        check = self.source_mutant(relation.split(":")[0], scaled,
-                                   scaled[:scaled.rindex(".scale(")])
+        scaled, unscaled, terms = self.UNSCALED[relation]
+        check = self.source_mutant(relation.split(":")[0], scaled, unscaled)
         sl = slices(DP, 3)
         zero = [g["1"].scale(0) for g in sl]
         want = {(name, d) for name, term in terms.items()
@@ -425,16 +425,29 @@ def test_one_generator_build_per_slice(monkeypatch):
 
 
 def test_each_slice_product_formed_once(monkeypatch):
-    from bi_lab.linop import LinOp
+    import bi_lab.dunkl_dirac as dd
+    import bi_lab.linop as linop
 
-    calls = {"__matmul__": 0, "_plus": 0}
-    for name in calls:
-        def counted(*args, _orig=getattr(LinOp, name), _name=name):
-            calls[_name] += 1
-            return _orig(*args)
-        monkeypatch.setattr(LinOp, name, counted)
+    calls, products = {"lincomb": 0, "_plus": 0}, []
+
+    def counted_lincomb(*terms, _orig=linop.lincomb):
+        calls["lincomb"] += 1
+        products.extend(t[1:] for t in terms if len(t) == 3)
+        return _orig(*terms)
+
+    def counted_plus(*args, _orig=linop.LinOp._plus):
+        calls["_plus"] += 1
+        return _orig(*args)
+    monkeypatch.setattr(linop, "lincomb", counted_lincomb)
+    monkeypatch.setattr(dd, "lincomb", counted_lincomb)
+    monkeypatch.setattr(linop.LinOp, "_plus", counted_plus)
     assert suite_dirac(seed=1, tuples=1, maxdeg=3).passed
-    # The products and sums of the Pauli layer and of four slices, each of
-    # them formed once; per slice, three of the sums are the hop
-    # combinations of L J_1, L J_2 and L J_3.
-    assert calls == {"__matmul__": 370, "_plus": 257}
+    # No two products share both factors, outside the 2 x 2 Pauli layer
+    # (``products`` keeps every factor alive, so no id is reused).
+    pauli = {id(p) for p in dd.PAULI.values()}
+    pairs = [(id(a), id(b)) for a, b in products if not {id(a), id(b)} <= pauli]
+    assert len(pairs) == len(set(pairs))
+    # The products and one-pass sums of the Pauli layer and of four slices;
+    # the sums left to ``+`` and ``-`` are the nine of the Pauli layer and,
+    # per slice, the hop combinations of L J_1, L J_2 and L J_3.
+    assert (calls, len(products)) == ({"lincomb": 318, "_plus": 21}, 378)

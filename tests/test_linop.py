@@ -1,14 +1,15 @@
 """Exact sparse matrices checked against sympy's exact Matrix."""
 
+import math
 from fractions import Fraction
 
 import pytest
 import sympy
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bi_lab.exact import GRAT_ONE, GRat
-from bi_lab.linop import LinOp, anticomm, comm, kron, record_columns
+from bi_lab.linop import LinOp, anticomm, comm, kron, lincomb, record_columns
 from bi_lab.report import VerificationReport
 
 N = 4
@@ -30,8 +31,9 @@ def entries(scalar):
 
 
 def linop(flat) -> LinOp:
-    """Row-major flat list of an N x N matrix -> LinOp."""
-    return LinOp.make({i: flat[i * N + j] for i in range(N)} for j in range(N))
+    """Row-major flat list of an n x n matrix -> LinOp."""
+    n = math.isqrt(len(flat))
+    return LinOp.make({i: flat[i * n + j] for i in range(n)} for j in range(n))
 
 
 def to_sympy(x):
@@ -41,7 +43,8 @@ def to_sympy(x):
 
 
 def sym(flat) -> sympy.Matrix:
-    return sympy.Matrix(N, N, [to_sympy(x) for x in flat])
+    n = math.isqrt(len(flat))
+    return sympy.Matrix(n, n, [to_sympy(x) for x in flat])
 
 
 def as_sympy(a: LinOp) -> sympy.Matrix:
@@ -57,71 +60,152 @@ def same(a: LinOp, m: sympy.Matrix) -> bool:
     return as_sympy(a) == m.expand()
 
 
+# 2 x 2 operands with both parts of every entry nonzero, and a coefficient
+# of that kind: each product of blocks and each power of i shows in every
+# result, so a sign slip fails on them before any example is drawn, with
+# no shrinking.
+MIXED_2X2 = tuple([GRat(Fraction(p, 3), Fraction(q, 2)) for p, q in pairs]
+                  for pairs in (((1, -3), (2, 5), (-4, 1), (7, -2)),
+                                ((-5, 4), (3, 3), (2, -7), (-1, -1)),
+                                ((6, -1), (-2, 9), (5, 2), (-3, 4))))
+MIXED_C = GRat(Fraction(2, 3), Fraction(-5, 2))
+
+
 @pytest.mark.parametrize("scalar", [sparse_rationals, grats, mixed_grats],
                          ids=["Fraction", "GRat", "mixed-GRat"])
-@settings(deadline=None, max_examples=25)
-@given(data=st.data())
-def test_ring_operations_match_sympy(scalar, data):
-    x, y = data.draw(entries(scalar)), data.draw(entries(scalar))
-    c = data.draw(scalar)
-    a, b = linop(x), linop(y)
-    sx, sy = sym(x), sym(y)
-    assert same(a + b, sx + sy)
-    assert same(a - b, sx - sy)
-    assert same(a @ b, sx * sy)
-    assert same(a.scale(c), sx * to_sympy(c))
-    assert same(comm(a, b), sx * sy - sy * sx)
-    assert same(anticomm(a, b), sx * sy + sy * sx)
-    assert to_sympy(a.trace()) == sympy.expand(sx.trace())
-    assert to_sympy((a @ b).trace()) == sympy.expand((sx * sy).trace())
+def test_ring_operations_match_sympy(scalar):
+    @settings(deadline=None, max_examples=25)
+    @given(entries(scalar), entries(scalar), scalar)
+    @example(*MIXED_2X2[:2], MIXED_C)
+    def check(x, y, c):
+        a, b = linop(x), linop(y)
+        sx, sy = sym(x), sym(y)
+        assert same(a + b, sx + sy)
+        assert same(a - b, sx - sy)
+        assert same(a @ b, sx * sy)
+        assert same(a.scale(c), sx * to_sympy(c))
+        assert same(comm(a, b), sx * sy - sy * sx)
+        assert same(anticomm(a, b), sx * sy + sy * sx)
+        assert to_sympy(a.trace()) == sympy.expand(sx.trace())
+        assert to_sympy((a @ b).trace()) == sympy.expand((sx * sy).trace())
+
+    check()
 
 
 def snapshot(a: LinOp):
     return [dict(col) for col in a.re], [dict(col) for col in a.im], a.den
 
 
-@pytest.mark.parametrize("left, right", [
-    (sparse_rationals, imaginaries), (imaginaries, mixed_grats),
-    (mixed_grats, zeros), (zeros, imaginaries),
+# 2 x 2 examples of the operand kinds of test_mixed_operands_match_sympy.
+REAL_2X2 = [Fraction(3, 2), Fraction(-1), Fraction(0), Fraction(5, 3)]
+IMAGINARY_2X2 = [GRat(Fraction(0), x) for x in (Fraction(-2, 5), Fraction(0),
+                                                 Fraction(7), Fraction(1, 3))]
+ZERO_2X2 = [Fraction(0)] * 4
+
+
+@pytest.mark.parametrize("left, right, example_x, example_y", [
+    (sparse_rationals, imaginaries, REAL_2X2, IMAGINARY_2X2),
+    (imaginaries, mixed_grats, IMAGINARY_2X2, MIXED_2X2[0]),
+    (mixed_grats, zeros, MIXED_2X2[0], ZERO_2X2),
+    (zeros, imaginaries, ZERO_2X2, IMAGINARY_2X2),
 ], ids=["real-imaginary", "imaginary-complex", "complex-zero", "zero-imaginary"])
-@settings(deadline=None, max_examples=15)
-@given(data=st.data())
-def test_mixed_operands_match_sympy(left, right, data):
+def test_mixed_operands_match_sympy(left, right, example_x, example_y):
     # Operands with an empty real or imaginary block, in both orders; results
     # may share columns with the operands, so no input may change.
-    x, y = data.draw(entries(left)), data.draw(entries(right))
-    c = data.draw(st.one_of(left, right))
-    a, b = linop(x), linop(y)
-    sx, sy = sym(x), sym(y)
-    operands = [a, b]
-    results = []
-    for p, q, sp, sq in ((a, b, sx, sy), (b, a, sy, sx)):
-        before = [snapshot(m) for m in operands + results]
-        cases = [(p + q, sp + sq), (p - q, sp - sq), (p @ q, sp * sq),
-                 (p.scale(c), sp * to_sympy(c)), (-p, -sp),
-                 (comm(p, q), sp * sq - sq * sp), (anticomm(p, q), sp * sq + sq * sp),
-                 (kron(p, q), sympy.kronecker_product(sp, sq))]
-        for got, want in cases:
-            assert same(got, want)
-        assert [snapshot(m) for m in operands + results] == before
-        results += [got for got, _ in cases]
+    @settings(deadline=None, max_examples=15)
+    @given(entries(left), entries(right), st.one_of(left, right))
+    @example(example_x, example_y, MIXED_C)
+    def check(x, y, c):
+        a, b = linop(x), linop(y)
+        sx, sy = sym(x), sym(y)
+        operands = [a, b]
+        results = []
+        for p, q, sp, sq in ((a, b, sx, sy), (b, a, sy, sx)):
+            before = [snapshot(m) for m in operands + results]
+            cases = [(p + q, sp + sq), (p - q, sp - sq), (p @ q, sp * sq),
+                     (p.scale(c), sp * to_sympy(c)), (-p, -sp),
+                     (comm(p, q), sp * sq - sq * sp), (anticomm(p, q), sp * sq + sq * sp),
+                     (kron(p, q), sympy.kronecker_product(sp, sq)),
+                     (lincomb((c, p, q), (1, q), (c, p)), to_sympy(c) * (sp * sq + sp) + sq)]
+            for got, want in cases:
+                assert same(got, want)
+            assert [snapshot(m) for m in operands + results] == before
+            results += [got for got, _ in cases]
+
+    check()
 
 
 @pytest.mark.parametrize("scalar", [sparse_rationals, grats, mixed_grats],
                          ids=["Fraction", "GRat", "mixed-GRat"])
 @pytest.mark.parametrize("na, nb", [(3, 2), (2, 3), (1, 4)])
-@settings(deadline=None, max_examples=15)
-@given(data=st.data())
-def test_kron_matches_sympy(scalar, na, nb, data):
+def test_kron_matches_sympy(scalar, na, nb):
     # Operands of different sizes; the 4 x 4 cases with an empty block are
     # in test_mixed_operands_match_sympy.
-    x, y = (data.draw(st.lists(scalar, min_size=n * n, max_size=n * n))
-            for n in (na, nb))
-    a, b = (LinOp.make({i: f[i * n + j] for i in range(n)} for j in range(n))
-            for f, n in ((x, na), (y, nb)))
-    want = sympy.kronecker_product(*(sympy.Matrix(n, n, [to_sympy(v) for v in f])
-                                     for f, n in ((x, na), (y, nb))))
-    assert same(kron(a, b), want)
+    @settings(deadline=None, max_examples=15)
+    @given(*(st.lists(scalar, min_size=n * n, max_size=n * n) for n in (na, nb)))
+    @example(*MIXED_2X2[:2])
+    def check(x, y):
+        assert same(kron(linop(x), linop(y)), sympy.kronecker_product(sym(x), sym(y)))
+
+    check()
+
+
+# Operands of one kind, or each of any kind, and coefficients of each kind.
+MATRICES = {"real": entries(sparse_rationals), "imaginary": entries(imaginaries),
+            "mixed-GRat": entries(mixed_grats),
+            "any": st.one_of(entries(sparse_rationals), entries(imaginaries),
+                             entries(mixed_grats))}
+COEFFICIENTS = {"int": st.integers(-6, 6), "Fraction": rationals, "GRat": mixed_grats}
+
+
+@pytest.mark.parametrize("coefficient", list(COEFFICIENTS.values()), ids=list(COEFFICIENTS))
+@pytest.mark.parametrize("matrix", list(MATRICES.values()), ids=list(MATRICES))
+def test_lincomb_matches_sympy(matrix, coefficient):
+    # One to four terms, each c x or c x y.
+    @settings(deadline=None, max_examples=10)
+    @given(st.lists(st.one_of(st.tuples(coefficient, matrix),
+                              st.tuples(coefficient, matrix, matrix)), min_size=1, max_size=4))
+    @example([(MIXED_C, MIXED_2X2[0]), (MIXED_C, MIXED_2X2[1], MIXED_2X2[2]),
+              (-3, MIXED_2X2[2], MIXED_2X2[0]), (Fraction(1, 7), MIXED_2X2[1])])
+    def check(terms):
+        want = sympy.zeros(math.isqrt(len(terms[0][1])))
+        for c, *ops in terms:
+            want += to_sympy(c) * math.prod((sym(op) for op in ops[1:]), start=sym(ops[0]))
+        assert same(lincomb(*((c, *map(linop, ops)) for c, *ops in terms)), want)
+
+    check()
+
+
+@pytest.mark.parametrize("scalar", [sparse_rationals, grats, mixed_grats],
+                         ids=["Fraction", "GRat", "mixed-GRat"])
+def test_lincomb_forms_of_ring_operations(scalar):
+    # @, comm and anticomm are lincomb calls; + , - and scale are not, so
+    # each form is also checked against them.
+    @settings(deadline=None, max_examples=25)
+    @given(entries(scalar), entries(scalar), scalar)
+    @example(*MIXED_2X2[:2], MIXED_C)
+    def check(x, y, c):
+        a, b = linop(x), linop(y)
+        assert a @ b == lincomb((1, a, b))
+        assert comm(a, b) == lincomb((1, a, b), (-1, b, a)) == a @ b - b @ a
+        assert anticomm(a, b) == lincomb((1, a, b), (1, b, a)) == a @ b + b @ a
+        assert lincomb((c, a, b)) == (a @ b).scale(c)
+        assert lincomb((c, a), (-1, b)) == a.scale(c) - b
+
+    check()
+
+
+@settings(deadline=None, max_examples=25)
+@given(entries(mixed_grats), entries(grats), mixed_grats)
+@example(*MIXED_2X2[:2], MIXED_C)
+def test_lincomb_cancels_to_canonical_zero(x, y, c):
+    a, b = linop(x), linop(y)
+    minus_c = GRat(-c.re, -c.im)
+    for zero in (lincomb((c, a, b), (minus_c, a, b)),
+                 lincomb((c, a), (1, b, a), (minus_c, a), (-1, b @ a)),
+                 lincomb((c, a, b), (-1, a.scale(c), b))):
+        assert not any(zero.re) and not any(zero.im) and zero.den == 1
+        assert zero == a.scale(0)
 
 
 @settings(deadline=None, max_examples=25)
@@ -172,6 +256,9 @@ def test_size_mismatch_rejected():
         a - b
     with pytest.raises(ValueError):
         a @ b
+    for terms in (((1, a), (1, b)), ((1, a, b),), ((1, b, a),), ((2, a), (1, a, b))):
+        with pytest.raises(ValueError):
+            lincomb(*terms)
 
 
 def test_len_is_the_size():
