@@ -30,7 +30,7 @@ from functools import lru_cache
 from .bi_operator import BIParams, k1_apply, monomial_matrix
 from .errors import BILabError
 from .exact import HALF, ONE, Rat, ZERO, rat_to_float
-from .linop import LinOp, anticomm, record_columns
+from .linop import LinOp, lincomb, record_columns
 from .poly import P_ONE, P_ZERO, Poly, int_mul
 from .report import VerificationReport
 
@@ -281,12 +281,12 @@ def ladder_operators(P: BIParams,
     ``bi_matrices(P, nmax)``; columns 0..nmax+1 are exact (``ladder_check``)."""
     K1, K2, K3 = mats
     one = LinOp.identity(len(K1))
-    lo, hi = K1 - one.scale(HALF), K1 + one.scale(HALF)
-    plus = (K2 + K3) @ lo - one.scale((P.omega2 + P.omega3) / 2)
-    minus = (K2 - K3) @ hi + one.scale((P.omega2 - P.omega3) / 2)
-    return (plus, minus, plus @ hi + minus @ lo,
-            (K2 @ (K1 @ K1 - one.scale(Fraction(1, 4)))).scale(2)
-            - K1.scale(P.omega3) - one.scale(P.omega2 / 2))
+    lo, hi = lincomb((1, K1), (-HALF, one)), lincomb((1, K1), (HALF, one))
+    plus = lincomb((1, K2, lo), (1, K3, lo), (-(P.omega2 + P.omega3) / 2, one))
+    minus = lincomb((1, K2, hi), (-1, K3, hi), ((P.omega2 - P.omega3) / 2, one))
+    # the second form expanded: 2 K2 K1^2 - K2 / 2 - omega3 K1 - omega2 / 2
+    return (plus, minus, lincomb((1, plus, hi), (1, minus, lo)),
+            lincomb((2, K2, K1 @ K1), (-HALF, K2), (-P.omega3, K1), (-P.omega2 / 2, one)))
 
 
 def ladder_check(P: BIParams, mats: tuple[LinOp, LinOp, LinOp],
@@ -319,12 +319,12 @@ def ladder_check(P: BIParams, mats: tuple[LinOp, LinOp, LinOp],
                      {u: (lam + HALF) * alpha, d: (lam - HALF) * beta}))
     Lp, Lm, Lv = (LinOp.make([*col, {}, {}]) for col in zip(*cols))
     record_columns(report, [
-        ("{K1,K+} = K+", anticomm(K1, plus) - plus),
-        ("{K1,K-} = -K-", anticomm(K1, minus) + minus),
-        ("K+ B_n closed form", plus @ T - T @ Lp),
-        ("K- B_n closed form", minus @ T - T @ Lm),
+        ("{K1,K+} = K+", lincomb((1, K1, plus), (1, plus, K1), (-1, plus))),
+        ("{K1,K-} = -K-", lincomb((1, K1, minus), (1, minus, K1), (1, minus))),
+        ("K+ B_n closed form", lincomb((1, plus, T), (-1, T, Lp))),
+        ("K- B_n closed form", lincomb((1, minus, T), (-1, T, Lm))),
         ("V first form = second form", v - v2),
-        ("V B_n two-diagonal", v @ T - T @ Lv),
+        ("V B_n two-diagonal", lincomb((1, v, T), (-1, T, Lv))),
     ], nmax + 1)
     return report
 

@@ -6,7 +6,8 @@ exact matrix per slice of degree-d spinors, and a relation holds on the
 full graded space when lhs - rhs is the zero matrix on every slice.  A
 spinor slice is the slice of degree-d polynomials tensored with C^2;
 one builder, ``spinor_generators``, writes 1, L J_i, R_i and sigma_i
-onto its basis, L J_i and R_i from the hops of ``sl1.dunkl_slice``.
+onto its basis, L J_i and R_i from the hops of ``sl1.dunkl_slice``
+lifted by relabeling their rows (``_spin_lift``).
 
 Every slice matrix is integer and either real or imaginary.  J_i, Gamma,
 M_i and K_i enter times L = lcm(2, den mu_1, den mu_2, den mu_3), and each
@@ -17,7 +18,7 @@ relation times the power of L that clears it; with m_i = L mu_i, S = sum m_i:
     [M_i, M_j] = i (L M_k + 2 m_k (X_k Gamma + L X_k)) + m_i m_j [X_i, X_j],
     {K_i, K_j} = L K_k + 2 m_k (Y Gamma + L Y) + 2 m_i m_j.
 
-Each side of a relation, and each of Gamma and M_i, is one
+Each side of a relation, and each of L J_i, Gamma and M_i, is one
 ``linop.lincomb``: one pass per column over all of its terms, with no
 intermediate sum or scaled matrix.
 
@@ -39,7 +40,7 @@ from functools import cached_property
 
 from .errors import BILabError
 from .exact import GRAT_I, GRAT_MINUS_I, GRAT_ONE, GRat, Rat
-from .linop import LinOp, anticomm, comm, kron, lincomb
+from .linop import LinOp, anticomm, comm, lincomb
 from .report import VerificationReport
 from .sl1 import dunkl_scale, dunkl_slice
 
@@ -118,13 +119,18 @@ class DiracParams:
     def mu(self, axis: int) -> Rat:
         return (self.mu1, self.mu2, self.mu3)[axis - 1]
 
-    @cached_property  # read by every m(axis) of the slice build
+    @cached_property  # read by L, every m(axis) and the slice build
+    def scales(self) -> tuple[int, list[int]]:
+        """``sl1.dunkl_scale`` of (mu1, mu2, mu3): L, the least even
+        integer that clears every mu_i, and the m_i = L mu_i."""
+        return dunkl_scale((self.mu1, self.mu2, self.mu3))
+
+    @property
     def L(self) -> int:
-        """The least even integer that clears every mu_i."""
-        return dunkl_scale((self.mu1, self.mu2, self.mu3))[0]
+        return self.scales[0]
 
     def m(self, axis: int) -> int:
-        return self.mu(axis).numerator * (self.L // self.mu(axis).denominator)
+        return self.scales[1][axis - 1]
 
 
 def dunkl_partial(DP: DiracParams, axis: int, p: Poly3) -> Poly3:
@@ -201,17 +207,29 @@ def spinor_generators(DP: DiracParams, degree: int) -> dict[str, LinOp]:
     with the hops L x_a D_b of ``sl1.dunkl_slice``,
     L J_1 = -(L x2 D3 + L x3 D2), L J_2 = -i (L x3 D1 - L x1 D3) and
     L J_3 = L x1 D2 + L x2 D1.  J_i and R_i act alike on both components
-    (kron with 1_2), sigma_i on the spin index.
+    (``_spin_lift``), sigma_i on the spin index.
     """
-    exps, hop, R = dunkl_slice(DP.L, [DP.m(i) for i in (1, 2, 3)], degree)
-    J = (-(hop(1, 2) + hop(2, 1)), (hop(2, 0) - hop(0, 2)).scale(GRAT_MINUS_I),
-         hop(0, 1) + hop(1, 0))
-    g, eye2 = {"1": LinOp.identity(2 * len(exps))}, LinOp.identity(2)
+    exps, hop, R = dunkl_slice(*DP.scales, degree)
+    J = (lincomb((-1, hop(1, 2)), (-1, hop(2, 1))),
+         lincomb((GRAT_MINUS_I, hop(2, 0)), (GRAT_I, hop(0, 2))),
+         lincomb((1, hop(0, 1)), (1, hop(1, 0))))
+    g = {"1": LinOp.identity(2 * len(exps))}
     for i in (1, 2, 3):
-        g[f"J{i}"] = kron(J[i - 1], eye2)
-        g[f"R{i}"] = kron(R[i - 1], eye2)
+        g[f"J{i}"] = _spin_lift(J[i - 1])
+        g[f"R{i}"] = _spin_lift(R[i - 1])
         g[f"sigma{i}"] = _sigma(i, len(exps))
     return g
+
+
+def _spin_lift(op: LinOp) -> LinOp:
+    """op ⊗ 1_2: column j of op, with row i written as row 2 i + s, is
+    column 2 j + s; the same numerators over the same den, so the lift of
+    a canonical matrix is canonical; an empty block stays empty."""
+    def lift(block):
+        if not any(block):
+            return ({},) * (2 * len(block))
+        return tuple([{2 * i + s: x for i, x in col.items()} for col in block for s in (0, 1)])
+    return LinOp(lift(op.re), lift(op.im), op.den)
 
 
 def pauli_layer_check() -> VerificationReport:
@@ -226,11 +244,10 @@ def pauli_layer_check() -> VerificationReport:
             k = eps.get((i, j), 0)
             rhs = PAULI[abs(k)].scale(GRAT_I if k > 0 else GRAT_MINUS_I) if k else one
             want = one.scale(2 if i == j else 0)
-            prod = PAULI[i] @ PAULI[j]
-            anti = prod + PAULI[j] @ PAULI[i]
             report.record("sigma_i sigma_j = i eps sigma_k + delta", (i, j),
-                          prod == rhs)
-            report.record("{sigma_i,sigma_j} = 2 delta", (i, j), anti == want)
+                          PAULI[i] @ PAULI[j] == rhs)
+            report.record("{sigma_i,sigma_j} = 2 delta", (i, j),
+                          anticomm(PAULI[i], PAULI[j]) == want)
     return report
 
 

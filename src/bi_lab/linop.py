@@ -8,15 +8,12 @@ numerators of the real and of the imaginary parts over one common
 denominator.  Sums and products therefore run on Python ints and reduce
 once per result, not once per entry.  ``lincomb`` forms a whole linear
 combination of matrices and of products of two, such as one side of a
-relation, in one pass per output column with no intermediate matrix;
-``@``, ``comm`` and ``anticomm`` are one ``lincomb`` each, so every
-product runs through its one accumulation loop.  ``+``, ``-`` and
-``scale`` keep a loop of their own over two blocks, which passes a block
-through whole where it can.  A real or a purely imaginary operand leaves
-one of its two blocks empty; products of an empty block are never formed,
-and an empty or unit-scaled block is passed through as it is.  A result
-may therefore share column dicts with its operands: columns are never
-mutated once stored.
+relation, in one pass per output column with no intermediate matrix.
+``+``, ``-``, unary ``-``, ``scale``, ``@``, ``comm`` and ``anticomm`` are
+one ``lincomb`` each, so every sum and product runs through its one
+accumulation loop.  A real or a purely imaginary operand leaves one of its
+two blocks empty, and products of an empty block are never formed.
+Columns are never mutated once stored.
 """
 
 from __future__ import annotations
@@ -108,31 +105,19 @@ class LinOp:
         return GRat(re, im) if any(self.im) else re
 
     def __add__(self, other: "LinOp") -> "LinOp":
-        return self._plus(other, 1)
+        return lincomb((1, self), (1, other))
 
     def __sub__(self, other: "LinOp") -> "LinOp":
-        return self._plus(other, -1)
-
-    def _plus(self, other: "LinOp", sign: int) -> "LinOp":
-        _same_size(self, other)
-        den = math.lcm(self.den, other.den)
-        fa, fb = den // self.den, sign * (den // other.den)
-        return _canonical(_combine(self.re, fa, other.re, fb),
-                          _combine(self.im, fa, other.im, fb), den)
+        return lincomb((1, self), (-1, other))
 
     def __matmul__(self, other: "LinOp") -> "LinOp":
         return lincomb((1, self, other))
 
     def __neg__(self) -> "LinOp":
-        return LinOp(_scaled(self.re, -1), _scaled(self.im, -1), self.den)
+        return lincomb((-1, self))
 
     def scale(self, c: Scalar) -> "LinOp":
-        a, b = _re_im(c)
-        q = math.lcm(a.denominator, b.denominator)
-        p, r = a.numerator * (q // a.denominator), b.numerator * (q // b.denominator)
-        # (re + i im)(p + i r) = (p re - r im) + i (r re + p im)
-        return _canonical(_combine(self.re, p, self.im, -r),
-                          _combine(self.re, r, self.im, p), self.den * q)
+        return lincomb((c, self))
 
     @cached_property
     def _blocks(self) -> tuple[tuple[Columns, int], ...]:
@@ -144,39 +129,6 @@ class LinOp:
 def _re_im(x: Scalar) -> tuple[Fraction | int, Fraction | int]:
     """Real and imaginary part; both have .numerator and .denominator."""
     return (x.re, x.im) if isinstance(x, GRat) else (x, 0)
-
-
-def _same_size(a: LinOp, b: LinOp) -> None:
-    if len(a) != len(b):
-        raise ValueError("matrix sizes differ")
-
-
-def _scaled(a: Columns, f: int) -> Columns:
-    """The columns of f a; a itself when f is 1 or a is empty."""
-    if f == 1 or not any(a):
-        return a
-    if not f:
-        return ({},) * len(a)
-    return tuple({i: f * x for i, x in col.items()} for col in a)
-
-
-def _combine(a: Columns, fa: int, b: Columns, fb: int) -> Columns:
-    """The columns of fa a + fb b, zero sums dropped."""
-    if not fb or not any(b):
-        return _scaled(a, fa)
-    if not fa or not any(a):
-        return _scaled(b, fb)
-    out = []
-    for ca, cb in zip(a, b):
-        col = dict(ca) if fa == 1 else {i: fa * x for i, x in ca.items()}
-        for i, y in cb.items():
-            s = col.get(i, 0) + fb * y
-            if s:
-                col[i] = s
-            else:
-                del col[i]
-        out.append(col)
-    return tuple(out)
 
 
 # The second factor of a linear term c a: none, and no power of i.
@@ -221,21 +173,6 @@ def _canonical(re: Columns, im: Columns, den: int) -> LinOp:
     return LinOp(tuple({i: x // g for i, x in col.items()} for col in re),
                  tuple({i: x // g for i, x in col.items()} for col in im),
                  den // g)
-
-
-def kron(a: LinOp, b: LinOp) -> LinOp:
-    """The Kronecker product: entry (i nb + k, j nb + l) is a_ij b_kl, nb = len(b)."""
-    nb = len(b)
-
-    def part(x: Columns, y: Columns) -> Columns:  # x ⊗ y; none formed of an empty block
-        if not (any(x) and any(y)):
-            return ({},) * (len(x) * nb)
-        return tuple([{i * nb + k: u * v for i, u in cx.items() for k, v in cy.items()}
-                      for cx in x for cy in y])
-
-    # (re + i im) ⊗ (re' + i im') = (re⊗re' - im⊗im') + i (re⊗im' + im⊗re')
-    return _canonical(_combine(part(a.re, b.re), 1, part(a.im, b.im), -1),
-                      _combine(part(a.re, b.im), 1, part(a.im, b.re), 1), a.den * b.den)
 
 
 def lincomb(*terms: tuple) -> LinOp:

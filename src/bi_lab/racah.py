@@ -26,7 +26,9 @@ run per build (``TridiagRep.continuant``) the last two.
 The build stores each K_i as its columns, dicts {row: Fraction} that
 hold only the band (the shape ``LinOp.make`` takes); the relation check
 multiplies them as integer ``LinOp``s.  The off-diagonal data of the
-representation is kept as the rational product B_{k-1} D_k.
+representation is kept as the rational product B_{k-1} D_k.  Each side
+of a relation, and each operator of the tensor slice, is one
+``linop.lincomb`` of matrices and products of two.
 """
 
 from __future__ import annotations
@@ -41,7 +43,7 @@ from operator import matmul
 from .bi_operator import BIParams
 from .errors import BILabError
 from .exact import HALF, ONE, Rat, ZERO, rat_str
-from .linop import LinOp, anticomm
+from .linop import LinOp, anticomm, lincomb
 from .report import VerificationReport
 from .sl1 import dunkl_scale, dunkl_slice
 
@@ -250,11 +252,11 @@ def representation_check(rep: TridiagRep) -> VerificationReport:
 
     report = VerificationReport(f"racah representation (N={RP.N})")
     report.record("{K1,K2} = K3 + omega3", RP.N, mat_mul(A1, A2) + mat_mul(A2, A1)
-                  == A3.scale(L) + eye.scale(L * L * om3))
+                  == lincomb((L, A3), (L * L * om3, eye)))
     report.record("{K2,K3} = K1 + omega1", RP.N, mat_mul(A2, A3) + mat_mul(A3, A2)
-                  == A1.scale(L) + eye.scale(L * L * om1))
+                  == lincomb((L, A1), (L * L * om1, eye)))
     report.record("K1^2 + K2^2 + K3^2 = casimir", RP.N,
-                  mat_mul(A1, A1) + mat_mul(A2, A2) + mat_mul(A3, A3)
+                  lincomb((1, mat_mul(A1, A1)), (1, mat_mul(A2, A2)), (1, mat_mul(A3, A3)))
                   == eye.scale(L * L * rep.casimir))
     return report
 
@@ -359,33 +361,37 @@ def tensor_slice(RP: RacahParams, m: int) -> TensorSlice:
     sum_{a, b in A} (-1)^[b > a] x_a D_b prod R_c over the c in A with
     min(a, b) < c <= max(a, b): hops and reflections of ``sl1.dunkl_slice``.
     J0_a = n_a + mu_a + 1/2 is read off the exponents.  Each operator is
-    formed times L on integers, divided by L once, and keeps n1 + n2 + n3.
+    one ``lincomb`` of the integer hops L x_a D_b, the diagonal L (J0_A - 1/2)
+    and products of the R_a, with the 1/L in its coefficients; each keeps
+    n1 + n2 + n3.
     """
     L, ms = dunkl_scale((RP.mu1, RP.mu2, RP.mu3))
     exps, hop, R = dunkl_slice(L, ms, m)
     hops = {(a, b): hop(a, b) for a in range(3) for b in range(3)}
 
-    def casimir(A: tuple[int, ...]) -> LinOp:  # L Q_A
-        jj = [reduce(matmul, [R[c] for c in A if min(a, b) < c <= max(a, b)],
-                     -hops[a, b] if b > a else hops[a, b]) for a in A for b in A]
+    def casimir(A: tuple[int, ...]) -> LinOp:  # Q_A
+        def times_RA(*axes: int) -> LinOp:  # prod R_c over the axes, then R_A
+            return reduce(matmul, [R[c] for c in (*axes, *A)])
+
+        hop_terms = ((Fraction(-1 if b > a else 1, L), hops[a, b],
+                      times_RA(*(c for c in A if min(a, b) < c <= max(a, b))))
+                     for a in A for b in A)
         # L (J0_A - 1/2) = sum_a (L n_a + m_a) + (|A| - 1) L/2 on x^e
         j0 = [sum(L * e[a] + ms[a] for a in A) + (len(A) - 1) * L // 2 for e in exps]
-        jj.append(-LinOp.real(({j: v} if v else {} for j, v in enumerate(j0)), 1))
-        return reduce(matmul, [R[a] for a in A], sum(jj[1:], jj[0]))
+        j0 = LinOp.real(({j: v} if v else {} for j, v in enumerate(j0)), 1)
+        return lincomb(*hop_terms, (Fraction(-1, L), j0, times_RA()))
 
-    # L Q12 = L (x2 D1 - x1 D2) R1 - L R1 R2 / 2 - m1 R2 - m2 R1
-    alt = (hops[1, 0] - hops[0, 1]) @ R[0] - (R[0] @ R[1]).scale(L // 2) \
-        - R[1].scale(ms[0]) - R[0].scale(ms[1])
-    return TensorSlice(*(op.scale(Fraction(1, L)) for op in (
-        casimir((0, 1)), casimir((1, 2)), casimir((0, 1, 2)), alt)))
+    # Q12 = (x2 D1 - x1 D2) R1 - R1 R2 / 2 - mu1 R2 - mu2 R1
+    alt = lincomb((Fraction(1, L), hops[1, 0], R[0]), (Fraction(-1, L), hops[0, 1], R[0]),
+                  (-HALF, R[0], R[1]), (-RP.mu1, R[1]), (-RP.mu2, R[0]))
+    return TensorSlice(casimir((0, 1)), casimir((1, 2)), casimir((0, 1, 2)), alt)
 
 
 def _prefix_products(op: LinOp, roots: list[Rat]) -> list[LinOp]:
     """[1, (op - r_0), (op - r_0)(op - r_1), ...] over the roots r_i."""
-    eye = LinOp.identity(len(op))
-    out = [eye]
+    out = [LinOp.identity(len(op))]
     for r in roots:
-        out.append(out[-1] @ (op - eye.scale(r)))
+        out.append(lincomb((1, out[-1], op), (-r, out[-1])))
     return out
 
 
@@ -426,17 +432,18 @@ def tensor_oracle(RP: RacahParams, m: int) -> VerificationReport:
     # K2_j = k1k3 - omega2(j), so {K1,K2_j} = {K1,k1k3} - 2 omega2(j) K1 and
     # {K2_j,K3} = {k1k3,K3} - 2 omega2(j) K3: both anticommutators once.
     k1k3 = anticomm(k1, k3)
-    rel12, rel23 = anticomm(k1, k1k3) - k3, anticomm(k1k3, k3) - k1
-    k1x2, k3x2 = k1 + k1, k3 + k3
+    rel12 = lincomb((1, k1, k1k3), (1, k1k3, k1), (-1, k3))
+    rel23 = lincomb((1, k1k3, k3), (1, k3, k1k3), (-1, k1))
+    k1x2, k3x2 = k1.scale(2), k3.scale(2)  # once, so the loop doubles no omega2
     for j, q_j in enumerate(q):
         denom = math.prod((q_j - q_i for i, q_i in enumerate(q) if i != j), start=ONE)
-        proj = (prefix[j] @ suffix[m - j]).scale(1 / denom)
+        proj = lincomb((1 / denom, prefix[j], suffix[m - j]))
         report.record("trace E_j = j + 1", j, proj.trace() == j + 1)
         report.record("prod_(s<=j) (K3 - lambda_s) E_j = 0", j,
                       k3_chain[j + 1] @ proj == zero)
         om1, om2, om3 = dataclasses.replace(RP, N=j).omegas
-        lhs12 = rel12 - k1x2.scale(om2) - eye.scale(om3)
-        lhs23 = rel23 - k3x2.scale(om2) - eye.scale(om1)
+        lhs12 = lincomb((1, rel12), (-om2, k1x2), (-om3, eye))
+        lhs23 = lincomb((1, rel23), (-om2, k3x2), (-om1, eye))
         report.record("BI relation {K1,K2} E_j", j, lhs12 @ proj == zero)
         report.record("BI relation {K2,K3} E_j", j, lhs23 @ proj == zero)
     return report
@@ -455,11 +462,11 @@ def central_extension_check(RP: RacahParams, m: int) -> VerificationReport:
     mu1, mu2, mu3 = RP.mu1, RP.mu2, RP.mu3
     eye = LinOp.identity(len(ts.Q4))
     c3, c1, q = -ts.Q12, -ts.Q23, ts.Q4
-    c2 = anticomm(c3, c1) + q.scale(2 * mu2) - eye.scale(2 * mu3 * mu1)
+    c2 = lincomb((1, c3, c1), (1, c1, c3), (2 * mu2, q), (-2 * mu3 * mu1, eye))
     report.record("{C1,C2} = C3 - 2 mu3 Q + 2 mu1 mu2", m,
                   anticomm(c1, c2)
-                  == c3 - q.scale(2 * mu3) + eye.scale(2 * mu1 * mu2))
+                  == lincomb((1, c3), (-2 * mu3, q), (2 * mu1 * mu2, eye)))
     report.record("{C2,C3} = C1 - 2 mu1 Q + 2 mu2 mu3", m,
                   anticomm(c2, c3)
-                  == c1 - q.scale(2 * mu1) + eye.scale(2 * mu2 * mu3))
+                  == lincomb((1, c1), (-2 * mu1, q), (2 * mu2 * mu3, eye)))
     return report

@@ -23,7 +23,7 @@ from typing import Callable, Sequence
 
 from .errors import BILabError
 from .exact import HALF, Rat
-from .linop import LinOp, comm, record_columns
+from .linop import LinOp, lincomb, record_columns
 from .report import VerificationReport
 
 
@@ -60,12 +60,12 @@ def module_bilinear_check(M: ModuleParams, nmax: int) -> VerificationReport:
     x, D, J0, parity = module_matrices(M.mu, nmax + 2)
     eye, R = LinOp.identity(nmax + 2), parity.scale(M.epsilon)
     xD, Dx = x @ D, D @ x
-    Q = (xD - J0 + eye.scale(HALF)) @ R  # the Casimir J+ J- R - J0 R + R/2
+    Q = lincomb((1, xD, R), (-1, J0, R), (HALF, R))  # the Casimir J+ J- R - J0 R + R/2
     report = VerificationReport(f"sl_{{-1}}(2) module (eps={M.epsilon}, mu={M.mu})")
     record_columns(report, [
-        ("{J+,J-} = 2 J0", xD + Dx - J0.scale(2)),
-        ("Q = -eps*mu", Q + eye.scale(M.epsilon * M.mu)),
-        ("[J-,J+] = 1 - 2QR", Dx - xD - eye + (Q @ R).scale(2)),
+        ("{J+,J-} = 2 J0", lincomb((1, xD), (1, Dx), (-2, J0))),
+        ("Q = -eps*mu", lincomb((1, Q), (M.epsilon * M.mu, eye))),
+        ("[J-,J+] = 1 - 2QR", lincomb((1, Dx), (-1, xD), (-1, eye), (2, Q, R))),
     ], nmax + 1)
     return report
 
@@ -78,10 +78,10 @@ def osp_casimir_check(M: ModuleParams, nmax: int) -> VerificationReport:
     """
     x, D, J0, _ = module_matrices(M.mu, nmax + 1)
     eye = LinOp.identity(nmax + 1)
-    e0, xD = J0 - eye.scale(HALF), x @ D
+    e0, xD = lincomb((1, J0), (-HALF, eye)), x @ D
     report = VerificationReport(f"osp(1|2) Casimir (eps={M.epsilon}, mu={M.mu})")
-    record_columns(report, [("C_osp = mu^2", e0 @ e0 - x @ xD @ D - xD
-                             - eye.scale(M.mu**2))], nmax + 1)
+    record_columns(report, [("C_osp = mu^2", lincomb((1, e0, e0), (-1, x @ xD, D), (-1, xD),
+                                                     (-M.mu**2, eye)))], nmax + 1)
     return report
 
 
@@ -131,7 +131,7 @@ def dunkl_commutator_check(nu: Rat, maxdeg: int) -> VerificationReport:
     x^(maxdeg+1); x drops x^(maxdeg+2), so columns 0..maxdeg are exact."""
     nu, n = Fraction(nu), maxdeg + 2
     x, D, _, R = module_matrices(nu, n)
-    residual = comm(D, x) - LinOp.identity(n) - R.scale(2 * nu)
+    residual = lincomb((1, D, x), (-1, x, D), (-1, LinOp.identity(n)), (-2 * nu, R))
     report = VerificationReport(f"Dunkl commutator (nu={nu})")
     record_columns(report, [("[D,x] = 1 + 2 nu R", residual)], maxdeg + 1)
     return report

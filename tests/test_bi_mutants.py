@@ -1,14 +1,16 @@
-"""Mutation tables of the ``bi``, ``sl1`` and ``dirac`` scopes: every check that
-``verify --scope <scope>`` records, at any level of its report, fails
-under some monkeypatched primitive.  A recorded check with no mutant
-fails the table."""
+"""Mutation tables of the ``bi``, ``sl1``, ``racah`` and ``dirac`` scopes:
+every check that ``verify --scope <scope>`` records, at any level of its
+report, fails under some monkeypatched primitive.  A recorded check with
+no mutant fails the table."""
 
 import inspect
+from fractions import Fraction
 
 import pytest
 
 import bi_lab.bi_poly as bp
 import bi_lab.dunkl_dirac as dd
+import bi_lab.racah as racah
 import bi_lab.sl1 as sl1
 import bi_lab.suites as suites
 from bi_lab.bi_operator import BIParams
@@ -73,7 +75,7 @@ def source_mutant(monkeypatch, module, name, old, new):
 def omega1_in_second_form(monkeypatch):
     """omega1 in place of omega3 in V = 2 K2 (K1^2 - 1/4) - omega3 K1 - omega2/2."""
     source_mutant(monkeypatch, bp, "ladder_operators",
-                  "K1.scale(P.omega3)", "K1.scale(P.omega1)")
+                  "(-P.omega3, K1)", "(-P.omega1, K1)")
 
 
 def bumped_odd_rho(monkeypatch):
@@ -98,7 +100,7 @@ def halved_dunkl_odd_factor(monkeypatch):
 def flipped_j1_hop(monkeypatch):
     """L J1 = -(L x2 D3 - L x3 D2) in place of -(L x2 D3 + L x3 D2)."""
     source_mutant(monkeypatch, dd, "spinor_generators",
-                  "-(hop(1, 2) + hop(2, 1))", "-(hop(1, 2) - hop(2, 1))")
+                  "(-1, hop(1, 2)), (-1, hop(2, 1))", "(-1, hop(1, 2)), (1, hop(2, 1))")
 
 
 def flipped_gamma_term(axis):
@@ -138,6 +140,41 @@ def doubled_reflection(axis):
     return patch
 
 
+def shifted_racah_omega(i):
+    """omega_i + 1 in place of omega_i (i = 1 or 3) of the Racah parameters;
+    omega_2, which the build writes into K2, is kept."""
+    def patch(monkeypatch):
+        orig = racah.RacahParams.omegas.func
+        monkeypatch.setattr(racah.RacahParams, "omegas", property(
+            lambda RP: tuple(w + (k == i) for k, w in enumerate(orig(RP), start=1))))
+    return patch
+
+
+def bumped_casimir_value(monkeypatch):
+    """The Casimir value of the Racah parameters plus 1."""
+    monkeypatch.setattr(racah.RacahParams, "casimir_value",
+                        lambda RP, _orig=racah.RacahParams.casimir_value: _orig(RP) + 1)
+
+
+def shifted_bk_dk(which):
+    """B_1 (which 0) or D_1 (which 1) plus 1/997 in the Racah build."""
+    def patch(monkeypatch):
+        def bk_dk(RP, k, _orig=racah.bk_dk):
+            out = list(_orig(RP, k))
+            if k == 1:
+                out[which] += Fraction(1, 997)
+            return tuple(out)
+        monkeypatch.setattr(racah, "bk_dk", bk_dk)
+    return patch
+
+
+def shifted_continuant_lambda(monkeypatch):
+    """lambda_2 + 1 in place of lambda_2 in the continuant of K1."""
+    source_mutant(monkeypatch, racah, "_continuant",
+                  "spectrum_value(s, rep.params.mu2 + rep.params.mu3)",
+                  "spectrum_value(s, rep.params.mu2 + rep.params.mu3) + (s == 2)")
+
+
 CYCLIC = ((1, 2, 3), (2, 3, 1), (3, 1, 2))
 
 # Per scope: recorded check name (a prefix where the name carries a
@@ -170,6 +207,18 @@ MUTANTS = {"bi": {
     "C_osp = mu^2": bumped_odd_rho,
     "Dunkl commutator (": halved_dunkl_odd_factor,
     "[D,x] = 1 + 2 nu R": halved_dunkl_odd_factor,
+}, "racah": {
+    "racah suite (": shifted_racah_omega(3),
+    "exact tridiagonal representation": shifted_racah_omega(3),
+    "{K1,K2} = K3 + omega3": shifted_racah_omega(3),
+    "{K2,K3} = K1 + omega1": shifted_racah_omega(1),
+    "K1^2 + K2^2 + K3^2 = casimir": bumped_casimir_value,
+    "spectra": shifted_continuant_lambda,
+    "K1 continuant = 2^k BI recurrence": shifted_bk_dk(1),
+    "K1 spectrum": shifted_continuant_lambda,
+    "identifications": shifted_bk_dk(0),
+    "B_k = 2 A_k": shifted_bk_dk(0),
+    "D_k = 2 C_k": shifted_bk_dk(1),
 }, "dirac": {
     "dunkl-dirac suite (": flipped_j1_hop,
     "Pauli layer": sigma3_for_sigma1,
@@ -196,7 +245,7 @@ MUTANTS = {"bi": {
 
 # The sizes of the one small run per scope (seed 1).
 RUNS = {"bi": {"tuples": 1, "maxdeg": 2}, "sl1": {"tuples": 1},
-        "dirac": {"tuples": 1, "maxdeg": 2}}
+        "racah": {"tuples": 1}, "dirac": {"tuples": 1, "maxdeg": 2}}
 
 
 def recorded(monkeypatch, scope) -> list[tuple[str, bool]]:
