@@ -43,7 +43,7 @@ class BIParams:
     def make(rho1, rho2, r1, r2) -> "BIParams":
         return BIParams(Fraction(rho1), Fraction(rho2), Fraction(r1), Fraction(r2))
 
-    @property
+    @cached_property  # computed once per tuple, read by eigenvalue for every n
     def h(self) -> Rat:
         return self.rho1 + self.rho2 - self.r1 - self.r2 + HALF
 

@@ -230,7 +230,7 @@ def bi_from_operator(P: BIParams, nmax: int) -> list[Poly]:
     lambda_n = a / b, B_n = w / c solves (b k - a d) w = 0 with w_n = c.
     """
     k1 = monomial_matrix(P, k1_apply, nmax + 1)
-    k, d = k1.re, k1.den
+    k, d = k1.nums, k1.den
     out = []
     for n in range(nmax + 1):
         lam = eigenvalue(P, n)

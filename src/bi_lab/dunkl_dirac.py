@@ -9,9 +9,11 @@ one builder, ``spinor_generators``, writes 1, L J_i, R_i and sigma_i
 onto its basis, L J_i and R_i from the hops of ``sl1.dunkl_slice``
 lifted by relabeling their rows (``_spin_lift``).
 
-Every slice matrix is integer and either real or imaginary.  J_i, Gamma,
-M_i and K_i enter times L = lcm(2, den mu_1, den mu_2, den mu_3), and each
-relation times the power of L that clears it; with m_i = L mu_i, S = sum m_i:
+Every slice matrix is integer and either real or imaginary; the type
+enforces the latter, since a ``LinOp`` carries one phase and a sum of
+real and imaginary terms raises ValueError.  J_i, Gamma, M_i and K_i
+enter times L = lcm(2, den mu_1, den mu_2, den mu_3), and each relation
+times the power of L that clears it; with m_i = L mu_i, S = sum m_i:
 
     [J_j, J_k] = i J_l (L + 2 m_l R_l),
     Gamma^2 + L Gamma = J^2 - L^2 X + S (S + L),
@@ -223,13 +225,10 @@ def spinor_generators(DP: DiracParams, degree: int) -> dict[str, LinOp]:
 
 def _spin_lift(op: LinOp) -> LinOp:
     """op ⊗ 1_2: column j of op, with row i written as row 2 i + s, is
-    column 2 j + s; the same numerators over the same den, so the lift of
-    a canonical matrix is canonical; an empty block stays empty."""
-    def lift(block):
-        if not any(block):
-            return ({},) * (2 * len(block))
-        return tuple([{2 * i + s: x for i, x in col.items()} for col in block for s in (0, 1)])
-    return LinOp(lift(op.re), lift(op.im), op.den)
+    column 2 j + s; the same numerators over the same den and phase, so
+    the lift of a canonical matrix is canonical."""
+    return LinOp(tuple([{2 * i + s: x for i, x in col.items()}
+                        for col in op.nums for s in (0, 1)]), op.den, op.phase)
 
 
 def pauli_layer_check() -> VerificationReport:

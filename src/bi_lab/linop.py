@@ -3,17 +3,14 @@
 On a finite basis that the operators preserve, an identity between them
 holds exactly when lhs - rhs is the zero matrix.
 
-Entries lie in Q or Q(i).  A matrix is stored fraction-free: integer
-numerators of the real and of the imaginary parts over one common
-denominator.  Sums and products therefore run on Python ints and reduce
-once per result, not once per entry.  ``lincomb`` forms a whole linear
-combination of matrices and of products of two, such as one side of a
-relation, in one pass per output column with no intermediate matrix.
-``+``, ``-``, unary ``-``, ``scale``, ``@``, ``comm`` and ``anticomm`` are
-one ``lincomb`` each, so every sum and product runs through its one
-accumulation loop.  A real or a purely imaginary operand leaves one of its
-two blocks empty, and products of an empty block are never formed.
-Columns are never mutated once stored.
+Every matrix is real or purely imaginary and is stored fraction-free, as
+i^phase times integer numerators over one common denominator: sums and
+products run on Python ints and reduce once per result.  ``lincomb``
+forms a whole linear combination of matrices and of products of two,
+such as one side of a relation, in one pass per output column with no
+intermediate matrix; ``+``, ``-``, unary ``-``, ``scale``, ``@``,
+``comm`` and ``anticomm`` are one ``lincomb`` each.  Columns are never
+mutated once stored.
 """
 
 from __future__ import annotations
@@ -21,8 +18,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
-from itertools import chain
 from typing import Iterable, Mapping, Union
 
 from .exact import GRat
@@ -34,75 +29,66 @@ Columns = tuple[dict[int, int], ...]
 
 @dataclass(frozen=True)
 class LinOp:
-    """Square matrix (re + i im) / den stored by columns: ``re[j]`` and
-    ``im[j]`` map a row index to the integer numerator of the real and of
-    the imaginary part of the entry in column j, the image of basis vector j.
+    """Square matrix i^phase nums / den stored by columns: ``nums[j]`` maps
+    a row index to the integer numerator of the entry in column j, the
+    image of basis vector j; phase 0 is real and phase 1 purely imaginary.
 
-    The form is canonical: den > 0, no zero numerator is stored, and the
-    gcd of den and every numerator is 1.  Two matrices are therefore equal
-    exactly when their fields are.
+    The form is canonical: den > 0, no zero numerator is stored, the gcd of
+    den and every numerator is 1, and the zero matrix is real with den 1.
+    Two matrices are therefore equal exactly when their fields are.
     """
 
-    re: Columns
-    im: Columns
+    nums: Columns
     den: int
+    phase: int
 
     @staticmethod
     def make(cols: Iterable[Mapping[int, Scalar]]) -> "LinOp":
-        """The matrix with these columns of Fraction or GRat entries."""
-        cols = [[(i, *_re_im(x)) for i, x in col.items()] for col in cols]
-        den = math.lcm(1, *(x.denominator for col in cols
-                            for _, a, b in col for x in (a, b)))
+        """The matrix with these columns of Fraction or GRat entries, all
+        real or all purely imaginary; mixed columns raise ValueError."""
+        cols = [[(i, *_phase(x)) for i, x in col.items() if x] for col in cols]
+        phases = {e for col in cols for _, e, _ in col}
+        if len(phases) > 1:
+            raise ValueError("columns mix real and imaginary entries")
+        den = math.lcm(1, *(r.denominator for col in cols for _, _, r in col))
         # The lcm of reduced denominators leaves no common factor to cancel.
-        return LinOp(
-            tuple({i: a.numerator * (den // a.denominator)
-                   for i, a, _ in col if a} for col in cols),
-            tuple({i: b.numerator * (den // b.denominator)
-                   for i, _, b in col if b} for col in cols),
-            den,
-        )
+        return LinOp(tuple({i: r.numerator * (den // r.denominator) for i, _, r in col}
+                           for col in cols), den, phases.pop() if phases else 0)
 
     @staticmethod
     def real(cols: Iterable[dict[int, int]], den: int) -> "LinOp":
         """The real matrix with these columns of nonzero integer numerators
         over den > 0, reduced once."""
-        re = tuple(cols)
-        return _canonical(re, ({},) * len(re), den)
+        return _canonical(tuple(cols), den, 0)
 
     @staticmethod
     def imaginary(cols: Iterable[dict[int, int]], den: int) -> "LinOp":
         """i times the real matrix with these columns of nonzero integer
         numerators over den > 0, reduced once."""
-        im = tuple(cols)
-        return _canonical(({},) * len(im), im, den)
+        return _canonical(tuple(cols), den, 1)
 
     @staticmethod
     def identity(n: int) -> "LinOp":
-        return LinOp(tuple({j: 1} for j in range(n)), ({},) * n, 1)
+        return LinOp(tuple({j: 1} for j in range(n)), 1, 0)
 
     def __len__(self) -> int:  # the size n of the n x n matrix
-        return len(self.re)
+        return len(self.nums)
 
     @property
     def cols(self) -> tuple[dict[int, Scalar], ...]:
         """The entries, column by column, as exact scalars: Fraction when
         the matrix is real, GRat otherwise.  Built anew on every access."""
         d = self.den
-        if not any(self.im):
-            return tuple({i: Fraction(x, d) for i, x in col.items()}
-                         for col in self.re)
-        return tuple(
-            {i: GRat(Fraction(re.get(i, 0), d), Fraction(im.get(i, 0), d))
-             for i in re.keys() | im.keys()}
-            for re, im in zip(self.re, self.im)
-        )
+        if self.phase:
+            return tuple({i: GRat(Fraction(0), Fraction(x, d)) for i, x in col.items()}
+                         for col in self.nums)
+        return tuple({i: Fraction(x, d) for i, x in col.items()} for col in self.nums)
 
     def trace(self) -> Scalar:
         """The sum of the diagonal: Fraction when the matrix is real, GRat
         otherwise."""
-        re, im = (Fraction(sum(col.get(j, 0) for j, col in enumerate(block)), self.den)
-                  for block in (self.re, self.im))
-        return GRat(re, im) if any(self.im) else re
+        t = Fraction(sum(col.get(j, 0) for j, col in enumerate(self.nums)), self.den)
+        return GRat(Fraction(0), t) if self.phase else t
 
     def __add__(self, other: "LinOp") -> "LinOp":
         return lincomb((1, self), (1, other))
@@ -119,20 +105,18 @@ class LinOp:
     def scale(self, c: Scalar) -> "LinOp":
         return lincomb((c, self))
 
-    @cached_property
-    def _blocks(self) -> tuple[tuple[Columns, int], ...]:
-        """The nonempty blocks, each with the power e of i it carries:
-        (re, 0) and (im, 1)."""
-        return tuple((x, e) for e, x in enumerate((self.re, self.im)) if any(x))
 
-
-def _re_im(x: Scalar) -> tuple[Fraction | int, Fraction | int]:
-    """Real and imaginary part; both have .numerator and .denominator."""
-    return (x.re, x.im) if isinstance(x, GRat) else (x, 0)
-
-
-# The second factor of a linear term c a: none, and no power of i.
-_UNIT = ((None, 0),)
+def _phase(x: Scalar) -> tuple[int, Fraction | int]:
+    """(e, r) with x = i^e r, r real: e is 1 for a GRat with a nonzero
+    imaginary part and 0 otherwise; a GRat with two nonzero parts raises
+    ValueError."""
+    if not isinstance(x, GRat):
+        return 0, x
+    if not x.im:
+        return 0, x.re
+    if x.re:
+        raise ValueError(f"{x} is neither real nor purely imaginary")
+    return 1, x.im
 
 
 def _accumulate(terms: list[tuple[Columns, Columns | None, int]], n: int) -> Columns:
@@ -160,19 +144,19 @@ def _accumulate(terms: list[tuple[Columns, Columns | None, int]], n: int) -> Col
     return tuple(out)
 
 
-def _canonical(re: Columns, im: Columns, den: int) -> LinOp:
-    """(re + i im) / den with the common factor of den and the numerators
-    cancelled; the zero matrix gets den 1."""
+def _canonical(nums: Columns, den: int, phase: int) -> LinOp:
+    """i^phase nums / den with the common factor of den and the numerators
+    cancelled; the zero matrix gets den 1 and phase 0."""
     g = den
-    for col in chain(re, im):
+    for col in nums:
         if g == 1:
             break
         g = math.gcd(g, *col.values())
+    if phase and not any(nums):
+        phase = 0
     if g == 1:
-        return LinOp(re, im, den)
-    return LinOp(tuple({i: x // g for i, x in col.items()} for col in re),
-                 tuple({i: x // g for i, x in col.items()} for col in im),
-                 den // g)
+        return LinOp(nums, den, phase)
+    return LinOp(tuple({i: x // g for i, x in col.items()} for col in nums), den // g, phase)
 
 
 def lincomb(*terms: tuple) -> LinOp:
@@ -180,40 +164,37 @@ def lincomb(*terms: tuple) -> LinOp:
     (c, A, B): one term or more, c an int, Fraction or GRat, every matrix
     of one size.
 
-    Every term is brought to the lcm of the denominators of its c A or
-    c A B, each output column is formed in one pass over the integer
-    numerators of all terms, and the whole is reduced once.  Only the
-    block products with a nonzero coefficient are formed: a product of a
-    real and an imaginary matrix reads one block of each.
+    A term with a zero coefficient or factor is dropped.  Each other term
+    is i^e r, r rational, e the phases of c, A and B added with i^2 = -1
+    folded into r; terms of two phases raise ValueError.  The terms are
+    brought to one common denominator, each output column is formed in
+    one pass over their integer numerators, and the whole is reduced once.
     """
-    n, den, scaled = len(terms[0][1].re), 1, []
+    n, den, phase, scaled = len(terms[0][1].nums), 1, None, []
     for t in terms:
         c, a, b = t[0], t[1], t[2] if len(t) > 2 else None
-        if type(c) is int:
-            p, r, d = c, 0, a.den
-        else:
-            x, y = _re_im(c)
-            q = math.lcm(x.denominator, y.denominator)
-            p, r = x.numerator * (q // x.denominator), y.numerator * (q // y.denominator)
-            d = q * a.den
-        if b is not None:
-            d *= b.den
-        if len(a.re) != n or b is not None and len(b.re) != n:
+        if len(a.nums) != n or b is not None and len(b.nums) != n:
             raise ValueError("matrix sizes differ")
+        e, r = (0, c) if type(c) is int else _phase(c)
+        p, d = r.numerator, r.denominator * a.den
+        if not p or not any(a.nums):
+            continue
+        e += a.phase
+        if b is not None:
+            if not any(b.nums):
+                continue
+            e += b.phase
+            d *= b.den
+        if e > 1:  # i^2 = -1
+            p, e = -p, e - 2
+        if phase is None:
+            phase = e
+        elif e != phase:
+            raise ValueError("a sum of real and imaginary terms")
         den = math.lcm(den, d)
-        scaled.append((p, r, d, a, b))
-    re, im = [], []
-    for p, r, d, a, b in scaled:
-        f = den // d
-        for x, ex in a._blocks:
-            for y, ey in (b._blocks if b is not None else _UNIT):
-                # (p + i r) i^e f, e the number of imaginary blocks
-                cr, ci = (p, r) if ex + ey == 0 else (-r, p) if ex + ey == 1 else (-p, -r)
-                if cr:
-                    re.append((x, y, f * cr))
-                if ci:
-                    im.append((x, y, f * ci))
-    return _canonical(_accumulate(re, n), _accumulate(im, n), den)
+        scaled.append((a.nums, None if b is None else b.nums, p, d))
+    terms = [(a, b, p * (den // d)) for a, b, p, d in scaled]
+    return _canonical(_accumulate(terms, n), den, phase or 0)
 
 
 def comm(a: LinOp, b: LinOp) -> LinOp:
@@ -232,4 +213,4 @@ def record_columns(report: VerificationReport,
     (name, j) that holds when column j of the residual is zero."""
     for j in range(n):
         for name, residual in residuals:
-            report.record(name, j, not (residual.re[j] or residual.im[j]))
+            report.record(name, j, not residual.nums[j])

@@ -129,7 +129,7 @@ def doubled_reflection(axis):
     def patch(monkeypatch):
         def dunkl_slice(L, ms, degree, _orig=dd.dunkl_slice):
             exps, hop, R = _orig(L, ms, degree)
-            cols = [dict(col) for col in R[axis - 1].re]
+            cols = [dict(col) for col in R[axis - 1].nums]
             for j, col in enumerate(cols):
                 if col[j] == -1:
                     col[j] = -2

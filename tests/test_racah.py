@@ -288,13 +288,13 @@ class TestMatMul:
         for other in (0, 1, 2, 8):
             a, b = random_banded(rng, n, band), random_banded(rng, n, other)
             oa, ob = int_op(a), int_op(b)
-            copies = [[dict(c) for c in op.re] for op in (oa, ob)]
+            copies = [[dict(c) for c in op.nums] for op in (oa, ob)]
             for (x, ox), (y, oy) in (((a, oa), (b, ob)), ((b, ob), (a, oa))):
                 got = mat_mul(ox, oy)
                 assert got == int_op(naive_mul(x, y))
-                assert got.den == 1 and not any(got.im)
-                assert all(type(v) is int and v for col in got.re for v in col.values())
-            assert [list(op.re) for op in (oa, ob)] == copies
+                assert got.den == 1 and got.phase == 0
+                assert all(type(v) is int and v for col in got.nums for v in col.values())
+            assert [list(op.nums) for op in (oa, ob)] == copies
 
     def test_zero_operand(self):
         z = int_op([[0] * 3 for _ in range(3)])
