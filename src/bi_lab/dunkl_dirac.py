@@ -11,9 +11,12 @@ lifted by relabeling their rows (``_spin_lift``).
 
 Every slice matrix is integer and either real or imaginary; the type
 enforces the latter, since a ``LinOp`` carries one phase and a sum of
-real and imaginary terms raises ValueError.  J_i, Gamma, M_i and K_i
-enter times L = lcm(2, den mu_1, den mu_2, den mu_3), and each relation
-times the power of L that clears it; with m_i = L mu_i, S = sum m_i:
+real and imaginary terms raises ValueError.  The builders and checks
+take the integer point v = (L, m_1, m_2, m_3) of ``sl1.dunkl_scale``,
+L = lcm(2, den mu_1, den mu_2, den mu_3) and m_i = L mu_i, and read
+v[0] = L and v[i] = m_i; none divides by L, so L = 0 is a valid point.
+J_i, Gamma, M_i and K_i enter times L, and each relation times the
+power of L that clears it; with S = sum m_i:
 
     [J_j, J_k] = i J_l (L + 2 m_l R_l),
     Gamma^2 + L Gamma = J^2 - L^2 X + S (S + L),
@@ -38,7 +41,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
 
 from .errors import BILabError
 from .exact import GRAT_I, GRAT_MINUS_I, GRAT_ONE, GRat, Rat
@@ -121,19 +123,6 @@ class DiracParams:
     def mu(self, axis: int) -> Rat:
         return (self.mu1, self.mu2, self.mu3)[axis - 1]
 
-    @cached_property  # read by L, every m(axis) and the slice build
-    def scales(self) -> tuple[int, list[int]]:
-        """``sl1.dunkl_scale`` of (mu1, mu2, mu3): L, the least even
-        integer that clears every mu_i, and the m_i = L mu_i."""
-        return dunkl_scale((self.mu1, self.mu2, self.mu3))
-
-    @property
-    def L(self) -> int:
-        return self.scales[0]
-
-    def m(self, axis: int) -> int:
-        return self.scales[1][axis - 1]
-
 
 def dunkl_partial(DP: DiracParams, axis: int, p: Poly3) -> Poly3:
     """D_i = d/dx_i + (mu_i/x_i)(1 - R_i), monomial by monomial.
@@ -199,9 +188,10 @@ def _sigma(i: int, n: int) -> LinOp:
 PAULI = {i: _sigma(i, 1) for i in (1, 2, 3)}
 
 
-def spinor_generators(DP: DiracParams, degree: int) -> dict[str, LinOp]:
+def spinor_generators(v: tuple[int, ...], degree: int) -> dict[str, LinOp]:
     """The identity "1", "J{i}" = L J_i, "R{i}" and "sigma{i}" on the spinor
-    slice of one degree; monomial m is x1^a (i x2)^b x3^c, ordered by (a, b).
+    slice of one degree at the point v = (L, m_1, m_2, m_3); monomial m is
+    x1^a (i x2)^b x3^c, ordered by (a, b).
 
     J_i = (1/i)(x_j D_k - x_k D_j), (i j k) cyclic, on x^e.  The basis
     (i x2)^b multiplies a hop into x2 by 1/i = -i and one out of x2 by i,
@@ -211,7 +201,7 @@ def spinor_generators(DP: DiracParams, degree: int) -> dict[str, LinOp]:
     L J_3 = L x1 D2 + L x2 D1.  J_i and R_i act alike on both components
     (``_spin_lift``), sigma_i on the spin index.
     """
-    exps, hop, R = dunkl_slice(*DP.scales, degree)
+    exps, hop, R = dunkl_slice(v[0], v[1:], degree)
     J = (lincomb((-1, hop(1, 2)), (-1, hop(2, 1))),
          lincomb((GRAT_MINUS_I, hop(2, 0)), (GRAT_I, hop(0, 2))),
          lincomb((1, hop(0, 1)), (1, hop(1, 0))))
@@ -250,15 +240,17 @@ def pauli_layer_check() -> VerificationReport:
     return report
 
 
-def gamma_apply(DP: DiracParams, g: dict[str, LinOp]) -> LinOp:
-    """L Gamma = sigma . L J + m . R on the spinor slice of the generators g
-    (read: "sigma{i}", "J{i}" = L J_i and "R{i}"; degree preserving)."""
+def gamma_apply(v: tuple[int, ...], g: dict[str, LinOp]) -> LinOp:
+    """L Gamma = sigma . L J + m . R, m_i = v[i], on the spinor slice of the
+    generators g (read: "sigma{i}", "J{i}" = L J_i and "R{i}"; degree
+    preserving)."""
     return lincomb(*(term for i in (1, 2, 3)
-                     for term in ((1, g[f"sigma{i}"], g[f"J{i}"]), (DP.m(i), g[f"R{i}"]))))
+                     for term in ((1, g[f"sigma{i}"], g[f"J{i}"]), (v[i], g[f"R{i}"]))))
 
 
-def symmetry_generators(DP: DiracParams, degree: int) -> dict[str, LinOp]:
-    """Gamma and its symmetries as integer matrices on one spinor slice.
+def symmetry_generators(v: tuple[int, ...], degree: int) -> dict[str, LinOp]:
+    """Gamma and its symmetries as integer matrices on one spinor slice, at
+    the point v = (L, m_1, m_2, m_3).
 
     "1", "J{i}" = L J_i, "R{i}" and "sigma{i}" come from
     ``spinor_generators`` (basis vector 2 m + s: monomial m, spin s),
@@ -268,14 +260,14 @@ def symmetry_generators(DP: DiracParams, degree: int) -> dict[str, LinOp]:
     "R1R2" and "M{i}X{i}" that Y and K_i are built from are kept for
     ``gamma_square_identity`` and ``symmetry_check``.
     """
-    g = spinor_generators(DP, degree)
-    g["Gamma"] = gamma_apply(DP, g)
+    g = spinor_generators(v, degree)
+    g["Gamma"] = gamma_apply(v, g)
     g["R1R2"] = g["R1"] @ g["R2"]
     g["Y"] = g["R1R2"] @ g["R3"]
     for i, (j, k) in _CYCLIC.items():
         sigma = g[f"sigma{i}"]
-        g[f"M{i}"] = lincomb((1, g[f"J{i}"]), (DP.m(j), sigma, g[f"R{j}"]),
-                             (DP.m(k), sigma, g[f"R{k}"]), (DP.L // 2, sigma))
+        g[f"M{i}"] = lincomb((1, g[f"J{i}"]), (v[j], sigma, g[f"R{j}"]),
+                             (v[k], sigma, g[f"R{k}"]), (v[0] // 2, sigma))
         g[f"X{i}"] = sigma @ g[f"R{i}"]
         g[f"M{i}X{i}"] = g[f"M{i}"] @ g[f"X{i}"]
         g[f"K{i}"] = g[f"M{i}X{i}"] @ g["Y"]
@@ -285,16 +277,18 @@ def symmetry_generators(DP: DiracParams, degree: int) -> dict[str, LinOp]:
 def dirac_checks(DP: DiracParams, maxdeg: int) -> list[VerificationReport]:
     """The commutator, Gamma-square and symmetry-algebra reports on the
     slices 0..maxdeg, all three read from one build of each slice's
-    generators."""
-    slices = [symmetry_generators(DP, d) for d in range(maxdeg + 1)]
-    return [jj_commutator_check(DP, slices), gamma_square_identity(DP, slices),
-            symmetry_check(DP, slices)]
+    generators at the point v = ``sl1.dunkl_scale`` of (mu1, mu2, mu3)."""
+    v = dunkl_scale((DP.mu1, DP.mu2, DP.mu3))
+    slices = [symmetry_generators(v, d) for d in range(maxdeg + 1)]
+    return [jj_commutator_check(v, slices), gamma_square_identity(v, slices),
+            symmetry_check(v, slices)]
 
 
-def jj_commutator_check(DP: DiracParams,
+def jj_commutator_check(v: tuple[int, ...],
                         slices: list[dict[str, LinOp]]) -> VerificationReport:
     """[J_j, J_k] = i J_l (1 + 2 mu_l R_l), times L^2, on every slice of
-    ``slices`` (the ``symmetry_generators`` of degrees 0, 1, ...).
+    ``slices`` (the ``symmetry_generators`` of degrees 0, 1, ... at the
+    point v = (L, m_1, m_2, m_3)).
 
     Only the cyclic index reading (j k l) is checked; the report notes
     that it holds.
@@ -306,8 +300,8 @@ def jj_commutator_check(DP: DiracParams,
             jl = g[f"J{ll}"]
             yield (f"[J{jj},J{kk}] = i J{ll}(1 + 2 mu{ll} R{ll})",
                    comm(g[f"J{jj}"], g[f"J{kk}"]),
-                   lincomb((GRAT_I.scale(DP.L), jl),
-                           (GRAT_I.scale(2 * DP.m(ll)), jl, g[f"R{ll}"])))
+                   lincomb((GRAT_I.scale(v[0]), jl),
+                           (GRAT_I.scale(2 * v[ll]), jl, g[f"R{ll}"])))
 
     _record_slices(report, slices, relations)
     if report.passed:
@@ -315,41 +309,42 @@ def jj_commutator_check(DP: DiracParams,
     return report
 
 
-def gamma_square_identity(DP: DiracParams,
+def gamma_square_identity(v: tuple[int, ...],
                           slices: list[dict[str, LinOp]]) -> VerificationReport:
     """Gamma^2 + Gamma = J^2 - X + (sum mu)(sum mu + 1), times L^2, on every
-    slice of ``slices`` (the ``symmetry_generators`` of degrees 0, 1, ...).
+    slice of ``slices`` (the ``symmetry_generators`` of degrees 0, 1, ... at
+    the point v = (L, m_1, m_2, m_3)).
 
     This is the sphere-Laplacian-free combination of the two quadratic
     identities: X collects the reflection block that distinguishes J^2
     from the (shifted) spherical operator.
     """
     report = VerificationReport("Gamma squared identity")
-    L, m = DP.L, {i: DP.m(i) for i in (1, 2, 3)}
     # L^2 X = L S - sum_{i<j} 2 m_i m_j (R_i R_j - 1) - L sum_i m_i R_i with
     # S = m_1 + m_2 + m_3, so the scalar terms S (S + L) - L S - 2 sum_{i<j}
     # m_i m_j of the right side add up to m_1^2 + m_2^2 + m_3^2.
-    const = m[1] ** 2 + m[2] ** 2 + m[3] ** 2
+    const = v[1] ** 2 + v[2] ** 2 + v[3] ** 2
 
     def relations(g: dict[str, LinOp]):
         gamma = g["Gamma"]
         yield ("Gamma^2 + Gamma = J^2 - X + c",
-               lincomb((1, gamma, gamma), (L, gamma)),
+               lincomb((1, gamma, gamma), (v[0], gamma)),
                lincomb(*((1, g[f"J{i}"], g[f"J{i}"]) for i in (1, 2, 3)),
-                       (2 * m[1] * m[2], g["R1R2"]),
-                       (2 * m[2] * m[3], g["R2"], g["R3"]),
-                       (2 * m[1] * m[3], g["R1"], g["R3"]),
-                       *((L * m[i], g[f"R{i}"]) for i in (1, 2, 3)),
+                       (2 * v[1] * v[2], g["R1R2"]),
+                       (2 * v[2] * v[3], g["R2"], g["R3"]),
+                       (2 * v[1] * v[3], g["R1"], g["R3"]),
+                       *((v[0] * v[i], g[f"R{i}"]) for i in (1, 2, 3)),
                        (const, g["1"])))
 
     _record_slices(report, slices, relations)
     return report
 
 
-def symmetry_check(DP: DiracParams,
+def symmetry_check(v: tuple[int, ...],
                    slices: list[dict[str, LinOp]]) -> VerificationReport:
     """Symmetries of Gamma and their Bannai-Ito subalgebra, exact on every
-    slice of ``slices`` (the ``symmetry_generators`` of degrees 0, 1, ...).
+    slice of ``slices`` (the ``symmetry_generators`` of degrees 0, 1, ... at
+    the point v = (L, m_1, m_2, m_3)).
 
     The K_i anticommutators are checked in their cyclic reading, with
     central term 2 mu_k (Gamma + 1) Y + 2 mu_i mu_j for {K_i, K_j}; the
@@ -391,19 +386,19 @@ def symmetry_check(DP: DiracParams,
         # (the realization fixes the coefficient of [X_i, X_j] to mu_i mu_j;
         # 2 mu_i mu_j fails already on constant spinors), times L^2
         for i, j, k in ((1, 2, 3), (2, 3, 1), (3, 1, 2)):
-            xk, mij = f"X{k}", DP.m(i) * DP.m(j)
-            ixk = GRAT_I.scale(2 * DP.m(k))  # the factor i 2 m_k of (X_k Gamma + L X_k)
+            xk, mij = f"X{k}", v[i] * v[j]
+            ixk = GRAT_I.scale(2 * v[k])  # the factor i 2 m_k of (X_k Gamma + L X_k)
             yield (f"[M{i}, M{j}] relation", comm(g[f"M{i}"], g[f"M{j}"]),
-                   lincomb((GRAT_I.scale(DP.L), g[f"M{k}"]),
-                           (ixk, mul(xk, "Gamma")), (ixk.scale(DP.L), g[xk]),
+                   lincomb((GRAT_I.scale(v[0]), g[f"M{k}"]),
+                           (ixk, mul(xk, "Gamma")), (ixk.scale(v[0]), g[xk]),
                            (mij, mul(f"X{i}", f"X{j}")), (-mij, g[f"X{j}"], g[f"X{i}"])))
 
         # The Bannai-Ito subalgebra of the K_i = M_i X_i Y, times L^2.
         for i, j, k in ((1, 2, 3), (2, 3, 1), (3, 1, 2)):
-            mk2 = 2 * DP.m(k)  # the factor 2 m_k of (Y Gamma + L Y)
+            mk2 = 2 * v[k]  # the factor 2 m_k of (Y Gamma + L Y)
             yield (f"{{K{i}, K{j}}} = K{k} + central", anticomm(g[f"K{i}"], g[f"K{j}"]),
-                   lincomb((DP.L, g[f"K{k}"]), (mk2, mul("Y", "Gamma")),
-                           (mk2 * DP.L, y), (2 * DP.m(i) * DP.m(j), one)))
+                   lincomb((v[0], g[f"K{k}"]), (mk2, mul("Y", "Gamma")),
+                           (mk2 * v[0], y), (2 * v[i] * v[j], one)))
 
     _record_slices(report, slices, relations)
     if report.passed:

@@ -74,16 +74,6 @@ class LinOp:
     def __len__(self) -> int:  # the size n of the n x n matrix
         return len(self.nums)
 
-    @property
-    def cols(self) -> tuple[dict[int, Scalar], ...]:
-        """The entries, column by column, as exact scalars: Fraction when
-        the matrix is real, GRat otherwise.  Built anew on every access."""
-        d = self.den
-        if self.phase:
-            return tuple({i: GRat(Fraction(0), Fraction(x, d)) for i, x in col.items()}
-                         for col in self.nums)
-        return tuple({i: Fraction(x, d) for i, x in col.items()} for col in self.nums)
-
     def trace(self) -> Scalar:
         """The sum of the diagonal: Fraction when the matrix is real, GRat
         otherwise."""

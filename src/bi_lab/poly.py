@@ -45,9 +45,9 @@ class Poly:
         return Poly.make([c])
 
     @staticmethod
-    def monomial(k: int, c: Rat | int = 1) -> "Poly":
-        """c x^k, written directly: a reduced c is already canonical."""
-        return Poly((0,) * k + (c.numerator,), c.denominator) if c else Poly(())
+    def monomial(k: int) -> "Poly":
+        """x^k, written directly in canonical form."""
+        return Poly((0,) * k + (1,))
 
     @property
     def coeffs(self) -> tuple[Rat, ...]:

@@ -365,7 +365,7 @@ def tensor_slice(RP: RacahParams, m: int) -> TensorSlice:
     and products of the R_a, with the 1/L in its coefficients; each keeps
     n1 + n2 + n3.
     """
-    L, ms = dunkl_scale((RP.mu1, RP.mu2, RP.mu3))
+    L, *ms = dunkl_scale((RP.mu1, RP.mu2, RP.mu3))
     exps, hop, R = dunkl_slice(L, ms, m)
     hops = {(a, b): hop(a, b) for a in range(3) for b in range(3)}
 

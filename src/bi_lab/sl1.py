@@ -94,10 +94,12 @@ def dunkl_matrix(nu: Rat, n: int) -> LinOp:
     return LinOp.real(({j - 1: a} if a else {} for j, a in enumerate(nums)), q)
 
 
-def dunkl_scale(mus: Sequence[Rat]) -> tuple[int, list[int]]:
-    """L = lcm(2, den mu_i), the least even integer clearing each mu_i; m_i = L mu_i."""
+def dunkl_scale(mus: Sequence[Rat]) -> tuple[int, ...]:
+    """The integer point v = (L, m_1, ..., m_k) of mu_1, ..., mu_k: L =
+    lcm(2, den mu_i), the least even integer clearing each mu_i, and m_i =
+    L mu_i, so that v[i] = m_i."""
     L = math.lcm(2, *(m.denominator for m in mus))
-    return L, [m.numerator * (L // m.denominator) for m in mus]
+    return L, *(m.numerator * (L // m.denominator) for m in mus)
 
 
 def dunkl_slice(L: int, ms: Sequence[int], degree: int) -> tuple[list, Callable, list]:

@@ -106,8 +106,8 @@ def flipped_j1_hop(monkeypatch):
 def flipped_gamma_term(axis):
     """-m_axis R_axis in place of m_axis R_axis in L Gamma."""
     def patch(monkeypatch):
-        source_mutant(monkeypatch, dd, "gamma_apply", "(DP.m(i), ",
-                      f"(DP.m(i) * (-1 if i == {axis} else 1), ")
+        source_mutant(monkeypatch, dd, "gamma_apply", "(v[i], ",
+                      f"(v[i] * (-1 if i == {axis} else 1), ")
     return patch
 
 

@@ -47,10 +47,8 @@ class TestFrozenValuesP1:
 
     def test_k1_matrix(self):
         K1, _, _ = bi_matrices(P1, 0)
-        assert K1.cols[:2] == (
-            {0: Fraction(11, 4)},
-            {0: Fraction(4), 1: Fraction(-15, 4)},
-        )
+        # 11/4 and (4, -15/4) over the common denominator 4.
+        assert (K1.nums[:2], K1.den, K1.phase) == (({0: 11}, {0: 16, 1: -15}), 4, 0)
 
 
 class TestStructure:
@@ -72,26 +70,29 @@ class TestStructure:
 
     def test_k1_matrix_upper_triangular(self):
         K1, _, _ = bi_matrices(P1, 6)
-        assert all(i <= j for j, col in enumerate(K1.cols) for i in col)
+        assert all(i <= j for j, col in enumerate(K1.nums) for i in col)
 
     def test_k1_diagonal_is_spectrum(self):
         K1, _, _ = bi_matrices(P1, 6)
         for n in range(7):
             want = (n + P1.h) * (1 if n % 2 == 0 else -1)
-            assert K1.cols[n][n] == want
+            assert Fraction(K1.nums[n][n], K1.den) == want
 
     def test_matrices_match_operators(self):
         # Columns 0..maxdeg of K3 and of a product of generators are the
         # images of x^j, despite the truncated basis.
-        def column(p: Poly) -> dict:
-            return {i: c for i, c in enumerate(p.coeffs) if c}
+        def column(op: LinOp, j: int, p: Poly) -> bool:
+            """Column j of the real matrix op holds p."""
+            return op.phase == 0 and op.nums[j] == {
+                i: c * op.den for i, c in enumerate(p.coeffs) if c}
 
         K1, K2, K3 = bi_matrices(P1, 5)
+        K3K2, K1K3 = K3 @ K2, K1 @ K3
         for j in range(6):
             mono = Poly.monomial(j)
-            assert K3.cols[j] == column(k3_apply(P1, mono))
-            assert (K3 @ K2).cols[j] == column(k3_apply(P1, k2_apply(P1, mono)))
-            assert (K1 @ K3).cols[j] == column(k1_apply(P1, k3_apply(P1, mono)))
+            assert column(K3, j, k3_apply(P1, mono))
+            assert column(K3K2, j, k3_apply(P1, k2_apply(P1, mono)))
+            assert column(K1K3, j, k1_apply(P1, k3_apply(P1, mono)))
 
     @pytest.mark.parametrize("P", [
         P1, BIParams.make(Fraction(-1, 3), Fraction(2, 7), 5, Fraction(-3, 2)),
@@ -143,7 +144,7 @@ def test_k1_apply_reduces_twice_and_reads_no_h(monkeypatch):
     import bi_lab.poly as poly
 
     P = BIParams.make(Fraction(-1, 3), Fraction(2, 7), 5, Fraction(-3, 2))
-    want = [k1_apply(P, Poly.monomial(j, Fraction(7, 3))) for j in range(10)]
+    want = [k1_apply(P, Poly.monomial(j).scale(Fraction(7, 3))) for j in range(10)]
     calls = 0
     def counted(*args, _orig=poly._canonical):
         nonlocal calls
@@ -154,7 +155,7 @@ def test_k1_apply_reduces_twice_and_reads_no_h(monkeypatch):
     monkeypatch.setattr(poly, "_canonical", counted)
     monkeypatch.setattr(BIParams, "h", property(h_read))
     for j in range(10):
-        mono = Poly.monomial(j, Fraction(7, 3))
+        mono = Poly.monomial(j).scale(Fraction(7, 3))
         calls = 0
         assert k1_apply(P, mono) == want[j]
         assert calls == (2 if j else 1)  # a constant's quotient is zero

@@ -482,8 +482,10 @@ def v_poly_second(P, p):
             - p.scale(P.omega2 / 2))
 
 
-def column(p):
-    return {i: c for i, c in enumerate(p.coeffs) if c}
+def column(p, den):
+    """den times the coefficients of p, by degree: the numerators of a real
+    column over den that holds p."""
+    return {i: c * den for i, c in enumerate(p.coeffs) if c}
 
 
 LADDER_CHECKS = ["{K1,K+} = K+", "{K1,K-} = -K-", "K+ B_n closed form",
@@ -529,10 +531,11 @@ class TestLadders:
         # Columns 0..12 of the products of truncated matrices are exact.
         plus, minus, v, v2 = operators_to_12(P)
         mono = Poly.monomial(d)
-        assert plus.cols[d] == column(ladder_poly(P, 1, mono))
-        assert minus.cols[d] == column(ladder_poly(P, -1, mono))
-        assert v.cols[d] == column(v_poly(P, mono))
-        assert v2.cols[d] == column(v_poly_second(P, mono))
+        assert not any(op.phase for op in (plus, minus, v, v2))
+        assert plus.nums[d] == column(ladder_poly(P, 1, mono), plus.den)
+        assert minus.nums[d] == column(ladder_poly(P, -1, mono), minus.den)
+        assert v.nums[d] == column(v_poly(P, mono), v.den)
+        assert v2.nums[d] == column(v_poly_second(P, mono), v2.den)
 
     @pytest.mark.parametrize("n", range(11))
     def test_closed_forms_by_composition(self, n):

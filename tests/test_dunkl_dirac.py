@@ -23,12 +23,20 @@ from bi_lab.dunkl_dirac import (
 from bi_lab.errors import BILabError
 from bi_lab.exact import GRAT_I, GRAT_MINUS_I, GRAT_ONE, GRat
 from bi_lab.linop import LinOp, anticomm
-from bi_lab.sl1 import dunkl_slice
+from bi_lab.sl1 import dunkl_scale, dunkl_slice
 from bi_lab.suites import suite_dirac
 
 DP1 = DiracParams.make(Fraction(1, 4), Fraction(1, 3), Fraction(1, 2))
 DP0 = DiracParams.make(0, 0, 0)
 DP_NEG = DiracParams.make(Fraction(-1, 3), Fraction(2, 5), Fraction(-3, 7))
+
+
+def point(DP):
+    """The integer point v = (L, m1, m2, m3) of DP that the slice layer takes."""
+    return dunkl_scale((DP.mu1, DP.mu2, DP.mu3))
+
+
+V0, V1, V_NEG = point(DP0), point(DP1), point(DP_NEG)
 
 X1 = Poly3.monomial((1, 0, 0))
 X2 = Poly3.monomial((0, 1, 0))
@@ -43,8 +51,8 @@ SIGMAS = [
 ]
 
 
-def slices(DP, maxdeg):
-    return [symmetry_generators(DP, d) for d in range(maxdeg + 1)]
+def slices(v, maxdeg):
+    return [symmetry_generators(v, d) for d in range(maxdeg + 1)]
 
 
 def exponents(degree: int) -> list[tuple[int, int, int]]:
@@ -140,7 +148,8 @@ class TestAngularMomentum:
 
     @pytest.mark.parametrize("DP", [DP0, DP1])
     def test_commutators(self, DP):
-        assert jj_commutator_check(DP, slices(DP, 5)).passed
+        v = point(DP)
+        assert jj_commutator_check(v, slices(v, 5)).passed
 
 
 class TestSliceGenerators:
@@ -149,14 +158,15 @@ class TestSliceGenerators:
     basis x1^a (i x2)^b x3^c by ``to_i_x2_basis``."""
 
     def test_scale(self):
-        assert (DP0.L, DP1.L, DP_NEG.L) == (2, 12, 210)
-        assert [DP_NEG.m(i) for i in (1, 2, 3)] == [-70, 84, -90]
-        assert DiracParams.make(Fraction(1, 5), Fraction(2, 7), Fraction(5, 9)).L == 630
+        assert (V0[0], V1[0], V_NEG[0]) == (2, 12, 210)
+        assert V_NEG[1:] == (-70, 84, -90)
+        assert dunkl_scale((Fraction(1, 5), Fraction(2, 7), Fraction(5, 9)))[0] == 630
 
     @pytest.mark.parametrize("DP", [DP0, DP1, DP_NEG], ids=["mu0", "mu1", "mu_neg"])
     @pytest.mark.parametrize("degree", range(7))
     def test_match_poly3_reference(self, DP, degree):
-        g = spinor_generators(DP, degree)
+        v = point(DP)
+        g = spinor_generators(v, degree)
 
         def assert_lift(got: LinOp, scalar: LinOp, spin: np.ndarray, factor=1):
             # got = factor * scalar ⊗ spin in the (i x2)^b basis, integer.
@@ -171,7 +181,7 @@ class TestSliceGenerators:
         for i in (1, 2, 3):
             assert_lift(g[f"J{i}"],
                         scalar_slice(degree, lambda p: angular_momentum(DP, i, p)),
-                        np.eye(2), DP.L)
+                        np.eye(2), v[0])
             assert_lift(g[f"R{i}"], scalar_slice(degree, lambda p: reflect(i, p)),
                         np.eye(2))
             assert_lift(g[f"sigma{i}"], one, SIGMAS[i - 1])
@@ -181,14 +191,15 @@ class TestSliceGenerators:
     def test_dunkl_slice_matches_poly3_reference(self, DP, degree):
         # The nine hops L x_a D_b and the three R_a that the spinor slice
         # and the tensor-product slice are built from.
-        exps, hop, R = dunkl_slice(DP.L, [DP.m(i) for i in (1, 2, 3)], degree)
+        v = point(DP)
+        exps, hop, R = dunkl_slice(v[0], v[1:], degree)
         assert exps == exponents(degree)
         for a in (1, 2, 3):
             assert R[a - 1] == scalar_slice(degree, lambda p: reflect(a, p))
             for b in (1, 2, 3):
                 want = scalar_slice(
                     degree, lambda p: var_mul(a, dunkl_partial(DP, b, p)))
-                assert hop(a - 1, b - 1) == want.scale(Fraction(DP.L)), (a, b)
+                assert hop(a - 1, b - 1) == want.scale(Fraction(v[0])), (a, b)
 
     def test_negative_mu_reaches_the_matrices(self):
         # J3 x1 = i (1 + 2 mu1) x2: 1/3 i at mu1 = -1/3 (x2 is monomial 1
@@ -196,10 +207,10 @@ class TestSliceGenerators:
         # i x2 / i = x2 in the (i x2) basis: the entry is 210 / 3 = 70.
         ref = angular_momentum(DP_NEG, 3, X1)
         assert ref == X2.scale(GRat(Fraction(0), Fraction(1, 3)))
-        entry = ref.terms[(0, 1, 0)].scale(Fraction(DP_NEG.L)) * GRAT_MINUS_I
+        entry = ref.terms[(0, 1, 0)].scale(Fraction(V_NEG[0])) * GRAT_MINUS_I
         assert entry == GRat(Fraction(70), Fraction(0))
-        j3 = symmetry_generators(DP_NEG, 1)["J3"]
-        assert j3.cols[spinor(2, 0)] == {spinor(1, 0): entry.re}
+        j3 = symmetry_generators(V_NEG, 1)["J3"]
+        assert (j3.nums[spinor(2, 0)], j3.den, j3.phase) == ({spinor(1, 0): entry.re}, 1, 0)
 
     @pytest.mark.parametrize("DP", [DP0, DP1, DP_NEG], ids=["mu0", "mu1", "mu_neg"])
     @pytest.mark.parametrize("degree", range(7))
@@ -207,7 +218,7 @@ class TestSliceGenerators:
         # J2, sigma2, M2 and X2 are imaginary, the rest real; a zero
         # matrix (J_i on degree 0) is real.
         imaginary = {"J2", "sigma2", "M2", "X2"}
-        for name, op in symmetry_generators(DP, degree).items():
+        for name, op in symmetry_generators(point(DP), degree).items():
             assert op.den == 1, name
             assert op.phase == (name in imaginary and any(op.nums)), name
 
@@ -217,10 +228,10 @@ class TestSpinorLayer:
         assert pauli_layer_check().passed
 
     def test_sigma3(self):
-        assert PAULI[3].cols == ({0: Fraction(1)}, {1: Fraction(-1)})
+        assert PAULI[3] == LinOp.make([{0: Fraction(1)}, {1: Fraction(-1)}])
         # On a spinor slice sigma_3 keeps up components and negates down ones.
-        sigma3 = symmetry_generators(DP1, 1)["sigma3"]
-        assert sigma3.cols == tuple({b: Fraction((-1) ** b)} for b in range(6))
+        sigma3 = symmetry_generators(V1, 1)["sigma3"]
+        assert sigma3 == LinOp.make({b: Fraction((-1) ** b)} for b in range(6))
 
 
 # Basis index of monomial m (degree 1: x3, x2, x1) with spin s (0 up, 1 down).
@@ -232,9 +243,9 @@ class TestGamma:
     def test_constant_spinor_eigenvalue(self):
         # Gamma is mu1 + mu2 + mu3 on constant spinors; "Gamma" is L Gamma.
         musum = DP1.mu1 + DP1.mu2 + DP1.mu3
-        gamma = symmetry_generators(DP1, 0)["Gamma"]
-        assert gamma.cols == ({spinor(0, 0): DP1.L * musum},
-                              {spinor(0, 1): DP1.L * musum})
+        gamma = symmetry_generators(V1, 0)["Gamma"]
+        assert gamma == LinOp.make([{spinor(0, 0): V1[0] * musum},
+                                    {spinor(0, 1): V1[0] * musum}])
 
     def test_frozen_degree_one(self):
         # Gamma (x1, 0) = (7/12 x1 + 3/2 i x2, 3/2 x3).  "Gamma" is L Gamma
@@ -248,12 +259,13 @@ class TestGamma:
         }
         to_basis = {spinor(x1, 0): GRAT_ONE, spinor(x2, 0): GRAT_MINUS_I,
                     spinor(x3, 1): GRAT_ONE}
-        want = {r: c.scale(Fraction(DP1.L)) * to_basis[r] for r, c in frozen.items()}
+        want = {r: c.scale(Fraction(V1[0])) * to_basis[r] for r, c in frozen.items()}
         assert want == {spinor(x1, 0): GRat(Fraction(7), Fraction(0)),
                         spinor(x2, 0): GRat(Fraction(18), Fraction(0)),
                         spinor(x3, 1): GRat(Fraction(18), Fraction(0))}
-        gamma = symmetry_generators(DP1, 1)["Gamma"]
-        assert gamma.cols[spinor(x1, 0)] == {r: c.re for r, c in want.items()}
+        gamma = symmetry_generators(V1, 1)["Gamma"]
+        assert (gamma.nums[spinor(x1, 0)], gamma.den, gamma.phase) == (
+            {r: c.re for r, c in want.items()}, 1, 0)
 
     def test_matrix_oracle_degree_one(self):
         # Independent complex-matrix build of Gamma on the degree-1 slice,
@@ -275,32 +287,32 @@ class TestGamma:
         # "Gamma" is L Gamma in the basis (x1, i x2, x3) x (up, down):
         # scale by L and conjugate by diag(1, i, 1) ⊗ 1_2.
         d = np.kron(np.diag([1, 1j, 1]), np.eye(2))
-        gamma = DP1.L * np.linalg.inv(d) @ gamma @ d
+        gamma = V1[0] * np.linalg.inv(d) @ gamma @ d
 
         # The exact slice matrix orders the monomials x3, x2, x1, with spin
         # as the fast index; pos maps its basis index to the oracle's.
-        exact = symmetry_generators(DP1, 1)["Gamma"]
+        exact = symmetry_generators(V1, 1)["Gamma"]
         pos = [2 * (2 - m) + spin for m in range(3) for spin in (0, 1)]
         got = np.zeros((6, 6), dtype=complex)
-        for col, entries in enumerate(exact.cols):
-            for row, c in entries.items():
-                got[pos[row], pos[col]] = float(c)
+        got[np.ix_(pos, pos)] = numerators(exact) / exact.den
         assert np.allclose(got, gamma, atol=1e-12)
 
     @pytest.mark.parametrize("DP", [DP0, DP1])
     def test_square_identity(self, DP):
-        assert gamma_square_identity(DP, slices(DP, 5)).passed
+        v = point(DP)
+        assert gamma_square_identity(v, slices(v, 5)).passed
 
 
 class TestSymmetryAlgebra:
     @pytest.mark.parametrize("DP", [DP0, DP1])
     def test_full_report(self, DP):
-        report = symmetry_check(DP, slices(DP, 4))
+        v = point(DP)
+        report = symmetry_check(v, slices(v, 4))
         assert report.passed, report.summary()
 
     def test_y_squared_identity(self):
         for d in range(4):
-            g = symmetry_generators(DP1, d)
+            g = symmetry_generators(V1, d)
             assert g["Y"] @ g["Y"] == g["1"]
             assert g["Y"] == g["1"].scale(GRat(Fraction((-1) ** d), Fraction(0)))
 
@@ -308,15 +320,15 @@ class TestSymmetryAlgebra:
         # At mu = 0: {K1,K2} = K3 exactly (all central terms vanish); the
         # generators are L K_i with L = 2.
         for d in range(4):
-            g = symmetry_generators(DP0, d)
-            assert anticomm(g["K1"], g["K2"]) == g["K3"].scale(DP0.L)
+            g = symmetry_generators(V0, d)
+            assert anticomm(g["K1"], g["K2"]) == g["K3"].scale(V0[0])
 
     def test_k_relations_central_term_is_nonzero(self):
         # For mu != 0 the checked central term is real: {K1,K2} - K3 is not
         # the zero matrix on any slice.
         for d in range(5):
-            g = symmetry_generators(DP1, d)
-            assert anticomm(g["K1"], g["K2"]) - g["K3"].scale(DP1.L) \
+            g = symmetry_generators(V1, d)
+            assert anticomm(g["K1"], g["K2"]) - g["K3"].scale(V1[0]) \
                 != g["1"].scale(GRat())
 
 
@@ -327,37 +339,55 @@ class TestMutants:
     def failed(report):
         return {(e.check, e.index) for e in report.entries if not e.ok}
 
-    @pytest.mark.parametrize("axis", [1, 2, 3])
-    def test_flipped_mu_r_term_of_gamma(self, monkeypatch, axis):
+    @staticmethod
+    def flip_mr_term(monkeypatch, axis):
+        """-m_axis R_axis in place of m_axis R_axis in L Gamma."""
         import bi_lab.dunkl_dirac as dd
 
-        def gamma(DP, g, _orig=dd.gamma_apply):
-            return _orig(DP, g) - g[f"R{axis}"].scale(2 * DP.m(axis))
+        def gamma(v, g, _orig=dd.gamma_apply):
+            return _orig(v, g) - g[f"R{axis}"].scale(2 * v[axis])
 
         monkeypatch.setattr(dd, "gamma_apply", gamma)
-        failed = self.failed(symmetry_check(DP1, slices(DP1, 3)))
+
+    @pytest.mark.parametrize("axis", [1, 2, 3])
+    def test_flipped_mu_r_term_of_gamma(self, monkeypatch, axis):
+        self.flip_mr_term(monkeypatch, axis)
+        failed = self.failed(symmetry_check(V1, slices(V1, 3)))
         # On degree 0 R_i is the identity, so the flip only shifts Gamma.
         others = [j for j in (1, 2, 3) if j != axis]
         assert {(f"[Gamma, M{j}] = 0", d) for j in others for d in (1, 2, 3)} <= failed
         # Every term of Gamma commutes with every X_j, so these still hold.
         assert not any(check.startswith("[Gamma, X") for check, _ in failed)
 
+    def test_flipped_m1_r1_term_fails_at_l_zero(self, monkeypatch):
+        # At v = (0, 1, -2, 3) no mu gives, the flip breaks [Gamma, M_j]
+        # for j != 1 off degree 0 and every [M_i, M_j] and {K_i, K_j}
+        # relation on every slice; everything else still holds.
+        self.flip_mr_term(monkeypatch, 1)
+        v = (0, 1, -2, 3)
+        pairs = ((1, 2), (2, 3), (3, 1))
+        assert self.failed(symmetry_check(v, slices(v, 4))) == {
+            *((f"[Gamma, M{j}] = 0", d) for j in (2, 3) for d in range(1, 5)),
+            *((f"[M{i}, M{j}] relation", d) for i, j in pairs for d in range(5)),
+            *((f"{{K{i}, K{j}}} = K{6 - i - j} + central", d)
+              for i, j in pairs for d in range(5))}
+
     @pytest.mark.parametrize("axis", [1, 2, 3])
     def test_pauli_factor_dropped_from_gamma(self, monkeypatch, axis):
         import bi_lab.dunkl_dirac as dd
 
-        def gamma(DP, g, _orig=dd.gamma_apply):
+        def gamma(v, g, _orig=dd.gamma_apply):
             j = g[f"J{axis}"]
-            return _orig(DP, g) - g[f"sigma{axis}"] @ j + j
+            return _orig(v, g) - g[f"sigma{axis}"] @ j + j
 
         monkeypatch.setattr(dd, "gamma_apply", gamma)
         if axis == 2:
             # J_2 is imaginary and sigma_2 J_2 real: the mutant Gamma is a
             # sum of real and imaginary matrices, which no LinOp stores.
             with pytest.raises(ValueError, match="real and imaginary"):
-                slices(DP1, 3)
+                slices(V1, 3)
             return
-        failed = self.failed(symmetry_check(DP1, slices(DP1, 3)))
+        failed = self.failed(symmetry_check(V1, slices(V1, 3)))
         assert {(f"[Gamma, X{j}] = 0", d) for j in (1, 2, 3) if j != axis
                 for d in (1, 2, 3)} <= failed
 
@@ -377,9 +407,9 @@ class TestMutants:
 
     def test_mm_relation_without_x_gamma_term(self):
         check = self.source_mutant("symmetry_check",
-                                   '(ixk, mul(xk, "Gamma")), (ixk.scale(DP.L), g[xk])',
+                                   '(ixk, mul(xk, "Gamma")), (ixk.scale(v[0]), g[xk])',
                                    '(0, mul(xk, "Gamma")), (0, g[xk])')
-        failed = self.failed(check(DP1, slices(DP1, 3)))
+        failed = self.failed(check(V1, slices(V1, 3)))
         assert failed == {(f"[M{i}, M{j}] relation", d)
                           for i, j in ((1, 2), (2, 3), (3, 1)) for d in range(4)}
 
@@ -387,15 +417,15 @@ class TestMutants:
     # factor L, the same term with coefficient 1 in place of L, and per
     # relation name the generator of that term.
     UNSCALED = {
-        "jj_commutator_check": ("(GRAT_I.scale(DP.L), jl)", "(GRAT_I, jl)", {
+        "jj_commutator_check": ("(GRAT_I.scale(v[0]), jl)", "(GRAT_I, jl)", {
             f"[J{j},J{k}] = i J{l}(1 + 2 mu{l} R{l})": f"J{l}"
             for j, k, l in ((1, 2, 3), (2, 3, 1), (3, 1, 2))}),
-        "gamma_square_identity": ("(L, gamma)", "(1, gamma)", {
+        "gamma_square_identity": ("(v[0], gamma)", "(1, gamma)", {
             "Gamma^2 + Gamma = J^2 - X + c": "Gamma"}),
-        "symmetry_check:MM": ('(GRAT_I.scale(DP.L), g[f"M{k}"])', '(GRAT_I, g[f"M{k}"])', {
+        "symmetry_check:MM": ('(GRAT_I.scale(v[0]), g[f"M{k}"])', '(GRAT_I, g[f"M{k}"])', {
             f"[M{i}, M{j}] relation": f"M{k}"
             for i, j, k in ((1, 2, 3), (2, 3, 1), (3, 1, 2))}),
-        "symmetry_check:KK": ('(DP.L, g[f"K{k}"])', '(1, g[f"K{k}"])', {
+        "symmetry_check:KK": ('(v[0], g[f"K{k}"])', '(1, g[f"K{k}"])', {
             f"{{K{i}, K{j}}} = K{k} + central": f"K{k}"
             for i, j, k in ((1, 2, 3), (2, 3, 1), (3, 1, 2))}),
     }
@@ -407,12 +437,24 @@ class TestMutants:
         # fail on exactly the slices where the term is nonzero.
         scaled, unscaled, terms = self.UNSCALED[relation]
         check = self.source_mutant(relation.split(":")[0], scaled, unscaled)
-        sl = slices(DP, 3)
+        v = point(DP)
+        sl = slices(v, 3)
         zero = [g["1"].scale(0) for g in sl]
         want = {(name, d) for name, term in terms.items()
                 for d, g in enumerate(sl) if g[term] != zero[d]}
         assert want
-        assert self.failed(check(DP, sl)) == want
+        assert self.failed(check(v, sl)) == want
+
+
+# Integer points that no DiracParams gives: L = 0 (also the zero point),
+# and L = 4, which is not the least even integer clearing m_i / L = 1/2.
+@pytest.mark.parametrize("v", [(0, 1, -2, 3), (0, 0, 0, 0), (4, 2, 2, 2), (0, 5, 7, -1)],
+                         ids=lambda v: ",".join(map(str, v)))
+def test_reports_pass_at_integer_points(v):
+    sl = slices(v, 4)
+    for check in (jj_commutator_check, gamma_square_identity, symmetry_check):
+        report = check(v, sl)
+        assert report.passed and report.checked, report.summary()
 
 
 def test_one_generator_build_per_slice(monkeypatch):

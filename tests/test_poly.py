@@ -32,7 +32,7 @@ class TestRing:
         assert Poly.const(3).degree() == 0
 
     def test_monomial(self):
-        assert Poly.monomial(3, 2) == Poly.make([0, 0, 0, 2])
+        assert Poly.monomial(3).scale(2) == Poly.make([0, 0, 0, 2])
 
     @given(polys, polys)
     def test_add_commutes(self, p, q):

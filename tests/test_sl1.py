@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from bi_lab.errors import BILabError
+from bi_lab.linop import LinOp
 from bi_lab.poly import Poly
 from bi_lab.sl1 import (
     ModuleParams,
@@ -29,8 +30,8 @@ class TestModuleParams:
     def test_rho_squared(self):
         # J+ J- |n> = rho_n^2 |n> in the gauge J+ = x, J- = D.
         x, D, _, _ = module_matrices(Fraction(1, 3), 4)
-        assert (x @ D).cols == ({}, {1: 1 + Fraction(2, 3)}, {2: Fraction(2)},
-                                {3: 3 + Fraction(2, 3)})
+        assert x @ D == LinOp.make([{}, {1: 1 + Fraction(2, 3)}, {2: Fraction(2)},
+                                    {3: 3 + Fraction(2, 3)}])
 
 
 @pytest.mark.parametrize("eps", [1, -1])
@@ -60,8 +61,8 @@ def test_bilinear_relations_fail_on_wrong_ladder(monkeypatch):
 class TestDunklRealization:
     def test_matrix_on_low_monomials(self):
         # D 1 = 0, D x = 1 + 2 nu and D x^2 = 2x at nu = 2/5.
-        assert dunkl_matrix(Fraction(2, 5), 3).cols == (
-            {}, {0: Fraction(9, 5)}, {1: Fraction(2)})
+        assert dunkl_matrix(Fraction(2, 5), 3) == LinOp.make([
+            {}, {0: Fraction(9, 5)}, {1: Fraction(2)}])
 
     # -1/2 zeroes D x; the last nu has a 31-digit numerator.
     @pytest.mark.parametrize("nu", [
@@ -70,8 +71,8 @@ class TestDunklRealization:
     def test_matrix_matches_definition(self, nu):
         images = [dunkl_apply(nu, Poly.monomial(j)).coeffs for j in range(14)]
         for n in range(15):
-            want = tuple({i: c for i, c in enumerate(p) if c} for p in images[:n])
-            assert dunkl_matrix(nu, n).cols == want
+            want = LinOp.make({i: c for i, c in enumerate(p) if c} for p in images[:n])
+            assert dunkl_matrix(nu, n) == want
 
     @pytest.mark.parametrize("nu", [Fraction(0), Fraction(1, 4), Fraction(3)])
     def test_commutator(self, nu):
