@@ -23,9 +23,10 @@ power of L that clears it; with S = sum m_i:
     [M_i, M_j] = i (L M_k + 2 m_k (X_k Gamma + L X_k)) + m_i m_j [X_i, X_j],
     {K_i, K_j} = L K_k + 2 m_k (Y Gamma + L Y) + 2 m_i m_j.
 
-Each side of a relation, and each of L J_i, Gamma and M_i, is one
-``linop.lincomb``: one pass per column over all of its terms, with no
-intermediate sum or scaled matrix.
+Each relation is checked as one residual, the ``linop.lincomb`` of
+lhs - rhs, and holds when that matrix is zero; each of L J_i, Gamma and
+M_i is one ``lincomb`` too: one pass per column over all of its terms,
+with no intermediate sum or scaled matrix.
 
 The basis x1^a (i x2)^b x3^c, a similarity, multiplies entry (r, c) by
 i^(b_c - b_r): J_2, sigma_2, M_2 and X_2 come out imaginary, the rest real.
@@ -162,10 +163,10 @@ def angular_momentum(DP: DiracParams, axis: int, p: Poly3) -> Poly3:
 
 def _record_slices(report: VerificationReport, slices: list[dict[str, LinOp]],
                    relations) -> None:
-    """Record relation by relation, each on every slice, whether lhs - rhs
-    is zero for the (name, lhs, rhs) that ``relations(g)`` yields in the
-    same order for the generators g of every slice."""
-    per_slice = [[(name, lhs == rhs) for name, lhs, rhs in relations(g)]
+    """Record relation by relation, each on every slice, whether the
+    residual is zero for the (name, residual) that ``relations(g)`` yields
+    in the same order for the generators g of every slice."""
+    per_slice = [[(name, not any(residual.nums)) for name, residual in relations(g)]
                  for g in slices]
     for row in zip(*per_slice):
         for d, (name, ok) in enumerate(row):
@@ -224,19 +225,20 @@ def _spin_lift(op: LinOp) -> LinOp:
 def pauli_layer_check() -> VerificationReport:
     """sigma_i sigma_j = i eps_ijk sigma_k + delta_ij and the Clifford
     relations as identities between the 2x2 ``PAULI`` ``LinOp``s (integer,
-    sigma_2 imaginary), one entry per (i, j) and relation."""
+    sigma_2 imaginary), one residual per (i, j) and relation."""
     report = VerificationReport("Pauli layer")
     one = LinOp.identity(2)
     eps = {(1, 2): 3, (2, 3): 1, (3, 1): 2, (2, 1): -3, (3, 2): -1, (1, 3): -2}
     for i in range(1, 4):
         for j in range(1, 4):
             k = eps.get((i, j), 0)
-            rhs = PAULI[abs(k)].scale(GRAT_I if k > 0 else GRAT_MINUS_I) if k else one
-            want = one.scale(2 if i == j else 0)
+            # -(i eps_ijk sigma_k + delta_ij): the right side moved to the left
+            rhs = (GRAT_MINUS_I if k > 0 else GRAT_I, PAULI[abs(k)]) if k else (-1, one)
             report.record("sigma_i sigma_j = i eps sigma_k + delta", (i, j),
-                          PAULI[i] @ PAULI[j] == rhs)
-            report.record("{sigma_i,sigma_j} = 2 delta", (i, j),
-                          anticomm(PAULI[i], PAULI[j]) == want)
+                          not any(lincomb((1, PAULI[i], PAULI[j]), rhs).nums))
+            report.record("{sigma_i,sigma_j} = 2 delta", (i, j), not any(lincomb(
+                (1, PAULI[i], PAULI[j]), (1, PAULI[j], PAULI[i]),
+                (-2 if i == j else 0, one)).nums))
     return report
 
 
@@ -256,21 +258,20 @@ def symmetry_generators(v: tuple[int, ...], degree: int) -> dict[str, LinOp]:
     ``spinor_generators`` (basis vector 2 m + s: monomial m, spin s),
     "Gamma" = L Gamma from ``gamma_apply``, and for (i j k) cyclic "M{i}" =
     L M_i = L J_i + sigma_i (m_j R_j + m_k R_k + L/2), "X{i}" = sigma_i R_i,
-    "K{i}" = L K_i = L M_i X_i Y, with "Y" = R1 R2 R3; the products
-    "R1R2" and "M{i}X{i}" that Y and K_i are built from are kept for
-    ``gamma_square_identity`` and ``symmetry_check``.
+    "K{i}" = L K_i = L M_i X_i Y and "Y" = R1 R2 R3.  An odd L raises
+    ValueError, since its L/2 is no integer; L = 0 is valid.
     """
+    if v[0] % 2:
+        raise ValueError(f"L = {v[0]} is odd, so L M_i is not an integer matrix")
     g = spinor_generators(v, degree)
     g["Gamma"] = gamma_apply(v, g)
-    g["R1R2"] = g["R1"] @ g["R2"]
-    g["Y"] = g["R1R2"] @ g["R3"]
+    g["Y"] = g["R1"] @ g["R2"] @ g["R3"]
     for i, (j, k) in _CYCLIC.items():
         sigma = g[f"sigma{i}"]
         g[f"M{i}"] = lincomb((1, g[f"J{i}"]), (v[j], sigma, g[f"R{j}"]),
                              (v[k], sigma, g[f"R{k}"]), (v[0] // 2, sigma))
         g[f"X{i}"] = sigma @ g[f"R{i}"]
-        g[f"M{i}X{i}"] = g[f"M{i}"] @ g[f"X{i}"]
-        g[f"K{i}"] = g[f"M{i}X{i}"] @ g["Y"]
+        g[f"K{i}"] = g[f"M{i}"] @ g[f"X{i}"] @ g["Y"]
     return g
 
 
@@ -294,14 +295,16 @@ def jj_commutator_check(v: tuple[int, ...],
     that it holds.
     """
     report = VerificationReport("Dunkl angular-momentum commutators")
+    # -i L and -2 i m_l: the right side i J_l (L + 2 m_l R_l) moved to the left
+    il = GRAT_MINUS_I.scale(v[0])
+    i2m = {ll: GRAT_MINUS_I.scale(2 * v[ll]) for ll in (1, 2, 3)}
 
     def relations(g: dict[str, LinOp]):
         for jj, kk, ll in ((1, 2, 3), (2, 3, 1), (3, 1, 2)):
-            jl = g[f"J{ll}"]
+            a, b, jl = g[f"J{jj}"], g[f"J{kk}"], g[f"J{ll}"]
             yield (f"[J{jj},J{kk}] = i J{ll}(1 + 2 mu{ll} R{ll})",
-                   comm(g[f"J{jj}"], g[f"J{kk}"]),
-                   lincomb((GRAT_I.scale(v[0]), jl),
-                           (GRAT_I.scale(2 * v[ll]), jl, g[f"R{ll}"])))
+                   lincomb((1, a, b), (-1, b, a),
+                           (il, jl), (i2m[ll], jl, g[f"R{ll}"])))
 
     _record_slices(report, slices, relations)
     if report.passed:
@@ -328,13 +331,13 @@ def gamma_square_identity(v: tuple[int, ...],
     def relations(g: dict[str, LinOp]):
         gamma = g["Gamma"]
         yield ("Gamma^2 + Gamma = J^2 - X + c",
-               lincomb((1, gamma, gamma), (v[0], gamma)),
-               lincomb(*((1, g[f"J{i}"], g[f"J{i}"]) for i in (1, 2, 3)),
-                       (2 * v[1] * v[2], g["R1R2"]),
-                       (2 * v[2] * v[3], g["R2"], g["R3"]),
-                       (2 * v[1] * v[3], g["R1"], g["R3"]),
-                       *((v[0] * v[i], g[f"R{i}"]) for i in (1, 2, 3)),
-                       (const, g["1"])))
+               lincomb((1, gamma, gamma), (v[0], gamma),
+                       *((-1, g[f"J{i}"], g[f"J{i}"]) for i in (1, 2, 3)),
+                       (-2 * v[1] * v[2], g["R1"], g["R2"]),
+                       (-2 * v[2] * v[3], g["R2"], g["R3"]),
+                       (-2 * v[1] * v[3], g["R1"], g["R3"]),
+                       *((-v[0] * v[i], g[f"R{i}"]) for i in (1, 2, 3)),
+                       (-const, g["1"])))
 
     _record_slices(report, slices, relations)
     return report
@@ -348,57 +351,54 @@ def symmetry_check(v: tuple[int, ...],
 
     The K_i anticommutators are checked in their cyclic reading, with
     central term 2 mu_k (Gamma + 1) Y + 2 mu_i mu_j for {K_i, K_j}; the
-    report records that this reading is the one that holds.  [A, B] = 0 is
-    checked as AB = BA and {A, B} = 0 as AB = -BA, and each product of two
-    named generators is formed once per slice.
+    report records that this reading is the one that holds.  Each relation
+    is one residual: [A, B] = 0 is ``comm(A, B)``, {A, B} = 0 is
+    ``anticomm(A, B)``, and every other relation is one ``lincomb`` of
+    lhs - rhs.
     """
     report = VerificationReport("Dunkl-Dirac symmetry algebra")
+    # -i L, -2 i m_k, -2 i m_k L: i (L M_k + 2 m_k (X_k Gamma + L X_k)) moved left
+    il = GRAT_MINUS_I.scale(v[0])
+    i2m = {k: GRAT_MINUS_I.scale(2 * v[k]) for k in (1, 2, 3)}
+    i2ml = {k: GRAT_MINUS_I.scale(2 * v[k] * v[0]) for k in (1, 2, 3)}
 
     def relations(g: dict[str, LinOp]):
-        formed = {(f"M{i}", f"X{i}"): g[f"M{i}X{i}"] for i in (1, 2, 3)}
-
-        def mul(a: str, b: str) -> LinOp:
-            """g[a] @ g[b], formed at most once per slice."""
-            if (a, b) not in formed:
-                formed[a, b] = g[a] @ g[b]
-            return formed[a, b]
-
-        one, y = g["1"], g["Y"]
+        one, y, gamma = g["1"], g["Y"], g["Gamma"]
         for i in (1, 2, 3):
-            m, x = f"M{i}", f"X{i}"
-            yield f"[Gamma, M{i}] = 0", mul("Gamma", m), mul(m, "Gamma")
-            yield f"[Gamma, X{i}] = 0", mul("Gamma", x), mul(x, "Gamma")
-            yield f"[M{i}, X{i}] = 0", mul(m, x), mul(x, m)
+            m, x = g[f"M{i}"], g[f"X{i}"]
+            yield f"[Gamma, M{i}] = 0", comm(gamma, m)
+            yield f"[Gamma, X{i}] = 0", comm(gamma, x)
+            yield f"[M{i}, X{i}] = 0", comm(m, x)
             for j in (1, 2, 3):
                 if j != i:
-                    yield (f"{{M{i}, X{j}}} = 0", mul(m, f"X{j}"),
-                           lincomb((-1, g[f"X{j}"], g[m])))
+                    yield f"{{M{i}, X{j}}} = 0", anticomm(m, g[f"X{j}"])
 
-        # Y is central and squares to one.
-        yield ("Y = -i X1 X2 X3 = R1 R2 R3", mul("X1", "X2") @ g["X3"],
-               y.scale(GRAT_I))
-        yield "Y^2 = 1", mul("Y", "Y"), one
-        yield "[Y, Gamma] = 0", mul("Y", "Gamma"), mul("Gamma", "Y")
+        # Y is central and squares to one.  X_3^2 = 1, so Y = -i X1 X2 X3
+        # reads X1 X2 = i Y X3, a residual of products of two.
+        yield ("Y = -i X1 X2 X3 = R1 R2 R3",
+               lincomb((1, g["X1"], g["X2"]), (GRAT_MINUS_I, y, g["X3"])))
+        yield "Y^2 = 1", lincomb((1, y, y), (-1, one))
+        yield "[Y, Gamma] = 0", comm(y, gamma)
         for i in (1, 2, 3):
-            yield f"[Y, M{i}] = 0", mul("Y", f"M{i}"), mul(f"M{i}", "Y")
+            yield f"[Y, M{i}] = 0", comm(y, g[f"M{i}"])
 
         # [M_i, M_j] = i eps_ijk (M_k + 2 mu_k (Gamma+1) X_k) + mu_i mu_j [X_i, X_j]
         # (the realization fixes the coefficient of [X_i, X_j] to mu_i mu_j;
         # 2 mu_i mu_j fails already on constant spinors), times L^2
         for i, j, k in ((1, 2, 3), (2, 3, 1), (3, 1, 2)):
-            xk, mij = f"X{k}", v[i] * v[j]
-            ixk = GRAT_I.scale(2 * v[k])  # the factor i 2 m_k of (X_k Gamma + L X_k)
-            yield (f"[M{i}, M{j}] relation", comm(g[f"M{i}"], g[f"M{j}"]),
-                   lincomb((GRAT_I.scale(v[0]), g[f"M{k}"]),
-                           (ixk, mul(xk, "Gamma")), (ixk.scale(v[0]), g[xk]),
-                           (mij, mul(f"X{i}", f"X{j}")), (-mij, g[f"X{j}"], g[f"X{i}"])))
+            mi, mj, xk = g[f"M{i}"], g[f"M{j}"], g[f"X{k}"]
+            xi, xj, mij = g[f"X{i}"], g[f"X{j}"], v[i] * v[j]
+            yield (f"[M{i}, M{j}] relation",
+                   lincomb((1, mi, mj), (-1, mj, mi), (il, g[f"M{k}"]),
+                           (i2m[k], xk, gamma), (i2ml[k], xk),
+                           (-mij, xi, xj), (mij, xj, xi)))
 
         # The Bannai-Ito subalgebra of the K_i = M_i X_i Y, times L^2.
         for i, j, k in ((1, 2, 3), (2, 3, 1), (3, 1, 2)):
-            mk2 = 2 * v[k]  # the factor 2 m_k of (Y Gamma + L Y)
-            yield (f"{{K{i}, K{j}}} = K{k} + central", anticomm(g[f"K{i}"], g[f"K{j}"]),
-                   lincomb((v[0], g[f"K{k}"]), (mk2, mul("Y", "Gamma")),
-                           (mk2 * v[0], y), (2 * v[i] * v[j], one)))
+            ki, kj, mk2 = g[f"K{i}"], g[f"K{j}"], 2 * v[k]  # 2 m_k of (Y Gamma + L Y)
+            yield (f"{{K{i}, K{j}}} = K{k} + central",
+                   lincomb((1, ki, kj), (1, kj, ki), (-v[0], g[f"K{k}"]),
+                           (-mk2, y, gamma), (-mk2 * v[0], y), (-2 * v[i] * v[j], one)))
 
     _record_slices(report, slices, relations)
     if report.passed:

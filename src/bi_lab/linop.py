@@ -1,14 +1,14 @@
 """Exact sparse matrices of linear operators on one finite basis.
 
 On a finite basis that the operators preserve, an identity between them
-holds exactly when lhs - rhs is the zero matrix.
+holds exactly when its residual lhs - rhs is the zero matrix.
 
 Every matrix is real or purely imaginary and is stored fraction-free, as
 i^phase times integer numerators over one common denominator: sums and
 products run on Python ints and reduce once per result.  ``lincomb``
 forms a whole linear combination of matrices and of products of two,
-such as one side of a relation, in one pass per output column with no
-intermediate matrix; ``+``, ``-``, unary ``-``, ``scale``, ``@``,
+such as the residual of a relation, in one pass per output column with
+no intermediate matrix; ``+``, ``-``, unary ``-``, ``scale``, ``@``,
 ``comm`` and ``anticomm`` are one ``lincomb`` each.  Columns are never
 mutated once stored.
 """
