@@ -7,7 +7,7 @@ Submodules:
   linop        exact sparse matrices of operators on a finite slice
   bi_operator  shift-reflection realization of the algebra
   bi_poly      Bannai-Ito polynomials (three routes), ladder/V checks, grid, weights
-  sl1          sl_{-1}(2) modules and the 1D Dunkl realization
+  sl1          sl_{-1}(2) modules and the Dunkl realization in 1 and in k variables
   racah        Racah problem: exact tridiagonal rep and tensor oracle
   dunkl_dirac  Dunkl-Dirac operator on S^2 and its symmetry algebra
   report       VerificationReport, the one report type

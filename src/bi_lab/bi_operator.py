@@ -69,6 +69,24 @@ class BIParams:
         f0, f1, g0, g1, h = (c.numerator * (L // c.denominator) for c in cs)
         return [f0, f1, L], [g0, g1, L], h, L
 
+    @cached_property  # computed once per tuple, read by every recurrence_coeffs
+    def recurrence_shifts(self) -> tuple:
+        """The n-independent parts of the recurrence coefficients A_n and
+        C_n of ``bi_poly.recurrence_coeffs`` as integers over one q > 0.
+
+        With s = rho1 + rho2 - r1 - r2 and, for even and odd n, the shifts
+        (x, y) of A_n = (n + x)(n + y) / (4(n + 1 + s)) and
+        C_n = -(n + x)(n + y) / (4(n + s)), returns (q, q s, A's and C's
+        (q x, q y) by parity); q is the lcm of the denominators of the four
+        parameters, so every numerator is an integer.
+        """
+        ps = (self.rho1, self.rho2, self.r1, self.r2)
+        q = math.lcm(*(v.denominator for v in ps))
+        a, b, c, d = (2 * v.numerator * (q // v.denominator) for v in ps)  # 2 q rho1, ...
+        s = (a + b - c - d) // 2
+        return (q, s, ((q + a - c, q + a - d), (q + 2 * s, q + a + b)),
+                ((0, -c - d), (b - d, b - c)))
+
     def __str__(self) -> str:
         """The tuple as p/q, as guard messages print it."""
         return ("BIParams(rho1={}, rho2={}, r1={}, r2={})"

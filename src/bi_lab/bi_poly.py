@@ -25,7 +25,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 from .bi_operator import BIParams, k1_apply, monomial_matrix
 from .errors import BILabError
@@ -47,31 +46,13 @@ class RecurrenceCoeffs:
     C: Rat
 
 
-@lru_cache(maxsize=64)  # computed once per tuple, read by every recurrence_coeffs
-def _recurrence_shifts(P: BIParams) -> tuple:
-    """The n-independent parts of A_n and C_n as integers over one q > 0.
-
-    With s = rho1 + rho2 - r1 - r2 and, for even and odd n, the shifts
-    (x, y) of A_n = (n + x)(n + y) / (4(n + 1 + s)) and
-    C_n = -(n + x)(n + y) / (4(n + s)), returns (q, q s, A's and C's
-    (q x, q y) by parity); q is the lcm of the denominators of the four
-    parameters, so every numerator is an integer.
-    """
-    q = math.lcm(*(v.denominator for v in (P.rho1, P.rho2, P.r1, P.r2)))
-    a, b, c, d = (2 * v.numerator * (q // v.denominator)
-                  for v in (P.rho1, P.rho2, P.r1, P.r2))  # 2 q rho1, ...
-    s = (a + b - c - d) // 2
-    return (q, s, ((q + a - c, q + a - d), (q + 2 * s, q + a + b)),
-            ((0, -c - d), (b - d, b - c)))
-
-
 def recurrence_coeffs(P: BIParams, n: int) -> RecurrenceCoeffs:
-    """Parity-split recurrence coefficients, from ``_recurrence_shifts``.
+    """Parity-split recurrence coefficients, from ``P.recurrence_shifts``.
 
     x B_n = B_{n+1} + (rho1 - A_n - C_n) B_n + A_{n-1} C_n B_{n-1}.
     Each of A_n and C_n is one Fraction of integers.
     """
-    q, s, a_shifts, c_shifts = _recurrence_shifts(P)
+    q, s, a_shifts, c_shifts = P.recurrence_shifts
     den_a = (n + 1) * q + s
     if den_a == 0:
         raise BILabError(f"A_{n} denominator vanishes for {P}")

@@ -48,8 +48,6 @@ def _emit_json(payload) -> None:
 
 
 def _emit_csv(rows: list[dict]) -> None:
-    if not rows:
-        return
     buf = io.StringIO()
     writer = csv.DictWriter(buf, fieldnames=list(rows[0]), lineterminator="\r\n")
     writer.writeheader()
@@ -58,8 +56,6 @@ def _emit_csv(rows: list[dict]) -> None:
 
 
 def _emit_pretty(rows: list[dict]) -> None:
-    if not rows:
-        return
     cols = list(rows[0])
     widths = {c: max(len(c), *(len(str(r[c])) for r in rows)) for c in cols}
     print("  ".join(c.ljust(widths[c]) for c in cols))

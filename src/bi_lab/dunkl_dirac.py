@@ -44,7 +44,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import BILabError
-from .exact import GRAT_I, GRAT_MINUS_I, GRAT_ONE, GRat, Rat
+from .exact import GRAT_I, GRAT_MINUS_I, GRAT_ONE, ZERO, GRat, Rat
 from .linop import LinOp, anticomm, comm, lincomb
 from .report import VerificationReport
 from .sl1 import dunkl_scale, dunkl_slice
@@ -166,7 +166,7 @@ def _record_slices(report: VerificationReport, slices: list[dict[str, LinOp]],
     """Record relation by relation, each on every slice, whether the
     residual is zero for the (name, residual) that ``relations(g)`` yields
     in the same order for the generators g of every slice."""
-    per_slice = [[(name, not any(residual.nums)) for name, residual in relations(g)]
+    per_slice = [[(name, not residual) for name, residual in relations(g)]
                  for g in slices]
     for row in zip(*per_slice):
         for d, (name, ok) in enumerate(row):
@@ -235,10 +235,10 @@ def pauli_layer_check() -> VerificationReport:
             # -(i eps_ijk sigma_k + delta_ij): the right side moved to the left
             rhs = (GRAT_MINUS_I if k > 0 else GRAT_I, PAULI[abs(k)]) if k else (-1, one)
             report.record("sigma_i sigma_j = i eps sigma_k + delta", (i, j),
-                          not any(lincomb((1, PAULI[i], PAULI[j]), rhs).nums))
-            report.record("{sigma_i,sigma_j} = 2 delta", (i, j), not any(lincomb(
+                          not lincomb((1, PAULI[i], PAULI[j]), rhs))
+            report.record("{sigma_i,sigma_j} = 2 delta", (i, j), not lincomb(
                 (1, PAULI[i], PAULI[j]), (1, PAULI[j], PAULI[i]),
-                (-2 if i == j else 0, one)).nums))
+                (-2 if i == j else 0, one)))
     return report
 
 
@@ -296,8 +296,8 @@ def jj_commutator_check(v: tuple[int, ...],
     """
     report = VerificationReport("Dunkl angular-momentum commutators")
     # -i L and -2 i m_l: the right side i J_l (L + 2 m_l R_l) moved to the left
-    il = GRAT_MINUS_I.scale(v[0])
-    i2m = {ll: GRAT_MINUS_I.scale(2 * v[ll]) for ll in (1, 2, 3)}
+    il = GRat(ZERO, Fraction(-v[0]))
+    i2m = {ll: GRat(ZERO, Fraction(-2 * v[ll])) for ll in (1, 2, 3)}
 
     def relations(g: dict[str, LinOp]):
         for jj, kk, ll in ((1, 2, 3), (2, 3, 1), (3, 1, 2)):
@@ -358,9 +358,9 @@ def symmetry_check(v: tuple[int, ...],
     """
     report = VerificationReport("Dunkl-Dirac symmetry algebra")
     # -i L, -2 i m_k, -2 i m_k L: i (L M_k + 2 m_k (X_k Gamma + L X_k)) moved left
-    il = GRAT_MINUS_I.scale(v[0])
-    i2m = {k: GRAT_MINUS_I.scale(2 * v[k]) for k in (1, 2, 3)}
-    i2ml = {k: GRAT_MINUS_I.scale(2 * v[k] * v[0]) for k in (1, 2, 3)}
+    il = GRat(ZERO, Fraction(-v[0]))
+    i2m = {k: GRat(ZERO, Fraction(-2 * v[k])) for k in (1, 2, 3)}
+    i2ml = {k: GRat(ZERO, Fraction(-2 * v[k] * v[0])) for k in (1, 2, 3)}
 
     def relations(g: dict[str, LinOp]):
         one, y, gamma = g["1"], g["Y"], g["Gamma"]

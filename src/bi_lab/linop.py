@@ -1,7 +1,8 @@
 """Exact sparse matrices of linear operators on one finite basis.
 
 On a finite basis that the operators preserve, an identity between them
-holds exactly when its residual lhs - rhs is the zero matrix.
+holds exactly when its residual lhs - rhs is the zero matrix, the one
+falsy ``LinOp``: ``not residual``.
 
 Every matrix is real or purely imaginary and is stored fraction-free, as
 i^phase times integer numerators over one common denominator: sums and
@@ -73,6 +74,9 @@ class LinOp:
 
     def __len__(self) -> int:  # the size n of the n x n matrix
         return len(self.nums)
+
+    def __bool__(self) -> bool:  # false exactly for the zero matrix
+        return any(self.nums)
 
     def trace(self) -> Scalar:
         """The sum of the diagonal: Fraction when the matrix is real, GRat

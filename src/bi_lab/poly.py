@@ -58,8 +58,8 @@ class Poly:
         """Degree, with -1 standing in for the degree of zero."""
         return len(self.nums) - 1
 
-    def is_zero(self) -> bool:
-        return not self.nums
+    def __bool__(self) -> bool:  # false exactly for the zero polynomial
+        return bool(self.nums)
 
     def __add__(self, other: "Poly") -> "Poly":
         return self._plus(other, 1)
@@ -140,7 +140,7 @@ def poly_divide_exact(p: Poly, root: Rat) -> Poly:
     Synthetic division with root = r/s over den s^(d-1): quotient numerator
     q_(k-1) = s^(d-1) nums[k] + r q_k / s, exact since q_k has a factor s^k.
     """
-    if p.is_zero():
+    if not p:
         return P_ZERO
     r, s = root.numerator, root.denominator
     top = s ** max(p.degree() - 1, 0)

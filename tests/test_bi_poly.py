@@ -148,6 +148,17 @@ class TestEigenvaluesAndCoeffs:
     def test_truncation_at_racah_params(self):
         assert recurrence_coeffs(R1.identifications(), 2).A == 0
 
+    def test_shifts_cached_on_each_tuple(self):
+        P, twin = (BIParams.make(2, 3, Fraction(1, 3), 1) for _ in range(2))
+        want = recurrence_coeffs(P, 3)
+        shifts = vars(P)["recurrence_shifts"]
+        assert recurrence_coeffs(P, 3) == want and P.recurrence_shifts is shifts
+        # An equal tuple shares no cache: it computes its own shifts.
+        assert twin == P and "recurrence_shifts" not in vars(twin)
+        assert recurrence_coeffs(twin, 3) == want
+        assert vars(twin)["recurrence_shifts"] == shifts
+        assert vars(twin)["recurrence_shifts"] is not shifts
+
     def test_degenerate_denominator(self):
         # rho1+rho2-r1-r2+1 = 0 at n = 0
         bad = BIParams.make(0, 0, Fraction(1, 2), Fraction(1, 2))

@@ -348,6 +348,26 @@ class TestWeights:
         assert message in err
 
 
+@pytest.mark.parametrize("fmt", ["csv", "pretty", "json"])
+@pytest.mark.parametrize("argv", [
+    "poly --rho1 1 --rho2 2 --r1 1/2 --r2 1/4 --nmax 0",
+    "racah --mu 1/4,1/3,1/2 --N 0",
+    "weights --mu 1/4,1/3,1/2 --N 0",
+])
+def test_smallest_table_has_one_row(capsys, argv, fmt):
+    # --nmax 0 and --N 0 are the least sizes accepted: no table is empty.
+    code, out, _ = run(capsys, *argv.split(), "--format", fmt)
+    assert code == EXIT_OK
+    if fmt != "json":
+        assert len(out.splitlines()) == 2  # the header and one row
+    elif argv.startswith("racah"):
+        payload = json.loads(out)
+        assert [len(payload[key]) for key in
+                ("k1_spectrum", "k3_diagonal", "grid", "overlaps", "weights")] == [1] * 5
+    else:
+        assert len(json.loads(out)) == 1
+
+
 # One "digest argv..." per line; CI's no-numpy job checks the same list.
 GOLDEN = [tuple(line.split(maxsplit=1)[::-1])
           for line in (Path(__file__).parent / "golden_digests.txt").read_text().splitlines()]

@@ -1,13 +1,16 @@
 """Exact sparse matrices checked against sympy's exact Matrix."""
 
+import ast
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 import sympy
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import bi_lab
 from bi_lab.exact import GRAT_I, GRAT_ONE, GRat
 from bi_lab.linop import LinOp, anticomm, comm, lincomb, record_columns
 from bi_lab.report import VerificationReport
@@ -251,6 +254,44 @@ def test_imaginary_sum_that_cancels_is_the_real_zero():
     for zero in (a - a, lincomb((Fraction(1, 3), a), (GRAT_I, a.scale(i_times(Fraction(1, 3))))),
                  LinOp.imaginary([{}, {}], 5)):
         assert_canonical_zero(zero, a)
+
+
+@pytest.mark.parametrize("n", [0, 1, 3])
+def test_zero_matrix_is_falsy_at_every_size(n):
+    eye = LinOp.identity(n)
+    for zero in (eye.scale(0), LinOp.real([{}] * n, 7), LinOp.imaginary([{}] * n, 2),
+                 eye - eye, lincomb((1, eye, eye), (-1, eye))):
+        assert not zero and len(zero) == n
+
+
+@pytest.mark.parametrize("block", [LinOp.real, LinOp.imaginary])
+def test_product_that_cancels_is_falsy(block):
+    shift = block([{}, {0: 3}], 2)  # nonzero, with square zero
+    assert shift and not shift @ shift and not lincomb((1, shift, shift), (0, shift))
+
+
+@settings(deadline=None, max_examples=25)
+@given(st.one_of(*MATRICES.values()))
+def test_truthy_exactly_when_nonzero(x):
+    a = linop(x)
+    assert bool(a) == any(x) == (as_sympy(a) != sympy.zeros(N, N))
+    assert not a - a
+
+
+def test_only_linop_reads_numerators_to_test_for_zero():
+    """Outside ``linop`` a relation is decided by ``not residual``: no
+    module applies ``any`` to a matrix's numerators."""
+    found = []
+    for path in sorted(Path(bi_lab.__file__).parent.glob("*.py")):
+        if path.name == "linop.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                    and node.func.id == "any"
+                    and any(isinstance(sub, ast.Attribute) and sub.attr == "nums"
+                            for arg in node.args for sub in ast.walk(arg))):
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []
 
 
 @settings(deadline=None, max_examples=25)

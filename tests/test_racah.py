@@ -116,7 +116,7 @@ class TestFrozenValuesR1:
     def test_rep_diagonals(self):
         rep = build_tridiag_rep(R1)
         assert rep.K1[0][0] == Fraction(136, 57)  # V_0
-        assert rep.offdiag_products[0] == Fraction(930, 361)  # U_1^2
+        assert rep.B[0] * rep.D[1] == Fraction(930, 361)  # U_1^2
         assert [rep.K3[k][k] for k in range(3)] == [
             Fraction(13, 12), Fraction(-25, 12), Fraction(37, 12)
         ]
