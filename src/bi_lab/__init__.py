@@ -2,7 +2,7 @@
 
 Submodules:
 
-  exact        rational and Gaussian-rational scalars
+  exact        rational scalars, and the Gaussian rationals of the Poly3 reference
   poly         dense univariate polynomials with reflection/shift primitives
   linop        exact sparse matrices of operators on a finite slice
   bi_operator  shift-reflection realization of the algebra

@@ -11,10 +11,12 @@ lifted by relabeling their rows (``_spin_lift``).
 
 Every slice matrix is integer and either real or imaginary; the type
 enforces the latter, since a ``LinOp`` carries one phase and a sum of
-real and imaginary terms raises ValueError.  The builders and checks
-take the integer point v = (L, m_1, m_2, m_3) of ``sl1.dunkl_scale``,
-L = lcm(2, den mu_1, den mu_2, den mu_3) and m_i = L mu_i, and read
-v[0] = L and v[i] = m_i; none divides by L, so L = 0 is a valid point.
+real and imaginary terms raises ValueError.  Every coefficient is an
+integer: a factor i is ``LinOp.times_i`` of the matrix it multiplies.
+The builders and checks take the integer point v = (L, m_1, m_2, m_3) of
+``sl1.dunkl_scale``, L = lcm(2, den mu_1, den mu_2, den mu_3) and m_i =
+L mu_i, and read v[0] = L and v[i] = m_i; none divides by L, so L = 0 is
+a valid point.
 J_i, Gamma, M_i and K_i enter times L, and each relation times the
 power of L that clears it; with S = sum m_i:
 
@@ -35,7 +37,8 @@ i^(b_c - b_r): J_2, sigma_2, M_2 and X_2 come out imaginary, the rest real.
 ``dunkl_partial``, ``angular_momentum`` and ``reflect`` apply the unscaled
 operators to x1^a x2^b x3^c; the slice build does not use them.  They
 are the reference the tests compare the slice matrices and the hops of
-``sl1.dunkl_slice`` against, and ``perfbench/tracer.py`` wraps them by name.
+``sl1.dunkl_slice`` against, the only code outside ``exact`` that builds
+a GRat, and ``perfbench/tracer.py`` wraps them by name.
 """
 
 from __future__ import annotations
@@ -44,7 +47,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import BILabError
-from .exact import GRAT_I, GRAT_MINUS_I, GRAT_ONE, ZERO, GRat, Rat
+from .exact import GRAT_ONE, GRat, Rat
 from .linop import LinOp, anticomm, comm, lincomb
 from .report import VerificationReport
 from .sl1 import dunkl_scale, dunkl_slice
@@ -179,10 +182,11 @@ def _record_slices(report: VerificationReport, slices: list[dict[str, LinOp]],
 
 def _sigma(i: int, n: int) -> LinOp:
     """1_n ⊗ sigma_i: the Pauli matrix sigma_i on the spin index of n
-    monomials, as integer columns."""
+    monomials, as integer columns; sigma_2 is i times a real matrix."""
     cols = [{2 * m + (s if i == 3 else 1 - s): 1 if i == 1 else 1 - 2 * s}
             for m in range(n) for s in (0, 1)]
-    return (LinOp.imaginary if i == 2 else LinOp.real)(cols, 1)
+    sigma = LinOp.real(cols, 1)
+    return sigma.times_i() if i == 2 else sigma
 
 
 # The Pauli matrices on C^2, basis (up, down).
@@ -198,13 +202,13 @@ def spinor_generators(v: tuple[int, ...], degree: int) -> dict[str, LinOp]:
     (i x2)^b multiplies a hop into x2 by 1/i = -i and one out of x2 by i,
     so -i x2 D3 + i x3 D2 and -i x1 D2 + i x2 D1 lose their factors of i:
     with the hops L x_a D_b of ``sl1.dunkl_slice``,
-    L J_1 = -(L x2 D3 + L x3 D2), L J_2 = -i (L x3 D1 - L x1 D3) and
+    L J_1 = -(L x2 D3 + L x3 D2), L J_2 = i (L x1 D3 - L x3 D1) and
     L J_3 = L x1 D2 + L x2 D1.  J_i and R_i act alike on both components
     (``_spin_lift``), sigma_i on the spin index.
     """
     exps, hop, R = dunkl_slice(v[0], v[1:], degree)
     J = (lincomb((-1, hop(1, 2)), (-1, hop(2, 1))),
-         lincomb((GRAT_MINUS_I, hop(2, 0)), (GRAT_I, hop(0, 2))),
+         lincomb((1, hop(0, 2)), (-1, hop(2, 0))).times_i(),
          lincomb((1, hop(0, 1)), (1, hop(1, 0))))
     g = {"1": LinOp.identity(2 * len(exps))}
     for i in (1, 2, 3):
@@ -233,7 +237,7 @@ def pauli_layer_check() -> VerificationReport:
         for j in range(1, 4):
             k = eps.get((i, j), 0)
             # -(i eps_ijk sigma_k + delta_ij): the right side moved to the left
-            rhs = (GRAT_MINUS_I if k > 0 else GRAT_I, PAULI[abs(k)]) if k else (-1, one)
+            rhs = (-1 if k > 0 else 1, PAULI[abs(k)].times_i()) if k else (-1, one)
             report.record("sigma_i sigma_j = i eps sigma_k + delta", (i, j),
                           not lincomb((1, PAULI[i], PAULI[j]), rhs))
             report.record("{sigma_i,sigma_j} = 2 delta", (i, j), not lincomb(
@@ -295,16 +299,14 @@ def jj_commutator_check(v: tuple[int, ...],
     that it holds.
     """
     report = VerificationReport("Dunkl angular-momentum commutators")
-    # -i L and -2 i m_l: the right side i J_l (L + 2 m_l R_l) moved to the left
-    il = GRat(ZERO, Fraction(-v[0]))
-    i2m = {ll: GRat(ZERO, Fraction(-2 * v[ll])) for ll in (1, 2, 3)}
 
     def relations(g: dict[str, LinOp]):
-        for jj, kk, ll in ((1, 2, 3), (2, 3, 1), (3, 1, 2)):
-            a, b, jl = g[f"J{jj}"], g[f"J{kk}"], g[f"J{ll}"]
+        for jj, (kk, ll) in _CYCLIC.items():
+            a, b, ijl = g[f"J{jj}"], g[f"J{kk}"], g[f"J{ll}"].times_i()
+            # the right side i J_l (L + 2 m_l R_l) moved to the left
             yield (f"[J{jj},J{kk}] = i J{ll}(1 + 2 mu{ll} R{ll})",
                    lincomb((1, a, b), (-1, b, a),
-                           (il, jl), (i2m[ll], jl, g[f"R{ll}"])))
+                           (-v[0], ijl), (-2 * v[ll], ijl, g[f"R{ll}"])))
 
     _record_slices(report, slices, relations)
     if report.passed:
@@ -357,10 +359,6 @@ def symmetry_check(v: tuple[int, ...],
     lhs - rhs.
     """
     report = VerificationReport("Dunkl-Dirac symmetry algebra")
-    # -i L, -2 i m_k, -2 i m_k L: i (L M_k + 2 m_k (X_k Gamma + L X_k)) moved left
-    il = GRat(ZERO, Fraction(-v[0]))
-    i2m = {k: GRat(ZERO, Fraction(-2 * v[k])) for k in (1, 2, 3)}
-    i2ml = {k: GRat(ZERO, Fraction(-2 * v[k] * v[0])) for k in (1, 2, 3)}
 
     def relations(g: dict[str, LinOp]):
         one, y, gamma = g["1"], g["Y"], g["Gamma"]
@@ -376,7 +374,7 @@ def symmetry_check(v: tuple[int, ...],
         # Y is central and squares to one.  X_3^2 = 1, so Y = -i X1 X2 X3
         # reads X1 X2 = i Y X3, a residual of products of two.
         yield ("Y = -i X1 X2 X3 = R1 R2 R3",
-               lincomb((1, g["X1"], g["X2"]), (GRAT_MINUS_I, y, g["X3"])))
+               lincomb((1, g["X1"], g["X2"]), (-1, y.times_i(), g["X3"])))
         yield "Y^2 = 1", lincomb((1, y, y), (-1, one))
         yield "[Y, Gamma] = 0", comm(y, gamma)
         for i in (1, 2, 3):
@@ -384,17 +382,18 @@ def symmetry_check(v: tuple[int, ...],
 
         # [M_i, M_j] = i eps_ijk (M_k + 2 mu_k (Gamma+1) X_k) + mu_i mu_j [X_i, X_j]
         # (the realization fixes the coefficient of [X_i, X_j] to mu_i mu_j;
-        # 2 mu_i mu_j fails already on constant spinors), times L^2
-        for i, j, k in ((1, 2, 3), (2, 3, 1), (3, 1, 2)):
-            mi, mj, xk = g[f"M{i}"], g[f"M{j}"], g[f"X{k}"]
+        # 2 mu_i mu_j fails already on constant spinors), times L^2; the
+        # right side i (L M_k + 2 m_k (X_k Gamma + L X_k)) is moved left
+        for i, (j, k) in _CYCLIC.items():
+            mi, mj, ixk = g[f"M{i}"], g[f"M{j}"], g[f"X{k}"].times_i()
             xi, xj, mij = g[f"X{i}"], g[f"X{j}"], v[i] * v[j]
             yield (f"[M{i}, M{j}] relation",
-                   lincomb((1, mi, mj), (-1, mj, mi), (il, g[f"M{k}"]),
-                           (i2m[k], xk, gamma), (i2ml[k], xk),
+                   lincomb((1, mi, mj), (-1, mj, mi), (-v[0], g[f"M{k}"].times_i()),
+                           (-2 * v[k], ixk, gamma), (-2 * v[k] * v[0], ixk),
                            (-mij, xi, xj), (mij, xj, xi)))
 
         # The Bannai-Ito subalgebra of the K_i = M_i X_i Y, times L^2.
-        for i, j, k in ((1, 2, 3), (2, 3, 1), (3, 1, 2)):
+        for i, (j, k) in _CYCLIC.items():
             ki, kj, mk2 = g[f"K{i}"], g[f"K{j}"], 2 * v[k]  # 2 m_k of (Y Gamma + L Y)
             yield (f"{{K{i}, K{j}}} = K{k} + central",
                    lincomb((1, ki, kj), (1, kj, ki), (-v[0], g[f"K{k}"]),

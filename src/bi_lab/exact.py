@@ -3,8 +3,9 @@
 Rationals are ``fractions.Fraction`` (arbitrary-precision, always kept in
 canonical reduced form with positive denominator).  The type alias ``Rat``
 is used throughout the package.  Gaussian rationals a + b*i are a frozen
-pair of Fractions; they appear only where the imaginary unit is needed
-(angular-momentum operators and Pauli matrices).
+pair of Fractions; only the ``Poly3`` reference of ``dunkl_dirac`` uses
+them.  The slice matrices carry the imaginary unit as ``linop.LinOp.phase``
+instead.
 
 All values are immutable and all operations pure.
 """
@@ -92,5 +93,3 @@ class GRat:
 
 
 GRAT_ONE = GRat(ONE, ZERO)
-GRAT_I = GRat(ZERO, ONE)
-GRAT_MINUS_I = GRat(ZERO, -ONE)

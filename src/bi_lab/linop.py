@@ -6,12 +6,14 @@ falsy ``LinOp``: ``not residual``.
 
 Every matrix is real or purely imaginary and is stored fraction-free, as
 i^phase times integer numerators over one common denominator: sums and
-products run on Python ints and reduce once per result.  ``lincomb``
-forms a whole linear combination of matrices and of products of two,
-such as the residual of a relation, in one pass per output column with
-no intermediate matrix; ``+``, ``-``, unary ``-``, ``scale``, ``@``,
-``comm`` and ``anticomm`` are one ``lincomb`` each.  Columns are never
-mutated once stored.
+products run on Python ints and reduce once per result.  The phase is
+the one place the imaginary unit lives: entries and coefficients are
+rational, and ``times_i`` is the one way to multiply a matrix by i.
+``lincomb`` forms a whole linear combination of matrices and of products
+of two, such as the residual of a relation, in one pass per output
+column with no intermediate matrix; ``+``, ``-``, unary ``-``, ``scale``,
+``@``, ``comm`` and ``anticomm`` are one ``lincomb`` each.  Columns are
+never mutated once stored.
 """
 
 from __future__ import annotations
@@ -19,12 +21,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Union
+from typing import Iterable, Mapping
 
-from .exact import GRat
 from .report import VerificationReport
 
-Scalar = Union[Fraction, GRat]
 Columns = tuple[dict[int, int], ...]
 
 
@@ -44,29 +44,19 @@ class LinOp:
     phase: int
 
     @staticmethod
-    def make(cols: Iterable[Mapping[int, Scalar]]) -> "LinOp":
-        """The matrix with these columns of Fraction or GRat entries, all
-        real or all purely imaginary; mixed columns raise ValueError."""
-        cols = [[(i, *_phase(x)) for i, x in col.items() if x] for col in cols]
-        phases = {e for col in cols for _, e, _ in col}
-        if len(phases) > 1:
-            raise ValueError("columns mix real and imaginary entries")
-        den = math.lcm(1, *(r.denominator for col in cols for _, _, r in col))
+    def make(cols: Iterable[Mapping[int, Fraction | int]]) -> "LinOp":
+        """The real matrix with these columns of int or Fraction entries."""
+        cols = [[(i, x) for i, x in col.items() if x] for col in cols]
+        den = math.lcm(1, *(x.denominator for col in cols for _, x in col))
         # The lcm of reduced denominators leaves no common factor to cancel.
-        return LinOp(tuple({i: r.numerator * (den // r.denominator) for i, _, r in col}
-                           for col in cols), den, phases.pop() if phases else 0)
+        return LinOp(tuple({i: x.numerator * (den // x.denominator) for i, x in col}
+                           for col in cols), den, 0)
 
     @staticmethod
     def real(cols: Iterable[dict[int, int]], den: int) -> "LinOp":
         """The real matrix with these columns of nonzero integer numerators
         over den > 0, reduced once."""
         return _canonical(tuple(cols), den, 0)
-
-    @staticmethod
-    def imaginary(cols: Iterable[dict[int, int]], den: int) -> "LinOp":
-        """i times the real matrix with these columns of nonzero integer
-        numerators over den > 0, reduced once."""
-        return _canonical(tuple(cols), den, 1)
 
     @staticmethod
     def identity(n: int) -> "LinOp":
@@ -78,11 +68,21 @@ class LinOp:
     def __bool__(self) -> bool:  # false exactly for the zero matrix
         return any(self.nums)
 
-    def trace(self) -> Scalar:
-        """The sum of the diagonal: Fraction when the matrix is real, GRat
-        otherwise."""
-        t = Fraction(sum(col.get(j, 0) for j, col in enumerate(self.nums)), self.den)
-        return GRat(Fraction(0), t) if self.phase else t
+    def trace(self) -> Fraction:
+        """The sum of the diagonal of a real matrix; an imaginary matrix
+        raises ValueError."""
+        if self.phase:
+            raise ValueError("trace of an imaginary matrix")
+        return Fraction(sum(col.get(j, 0) for j, col in enumerate(self.nums)), self.den)
+
+    def times_i(self) -> "LinOp":
+        """i times this matrix: a real matrix keeps its numerators and turns
+        imaginary, an imaginary one turns real with its numerators negated
+        (i^2 = -1), and the zero matrix stays the real zero."""
+        if self.phase:
+            return LinOp(tuple({i: -x for i, x in col.items()} for col in self.nums),
+                         self.den, 0)
+        return LinOp(self.nums, self.den, 1) if self else self
 
     def __add__(self, other: "LinOp") -> "LinOp":
         return lincomb((1, self), (1, other))
@@ -96,21 +96,8 @@ class LinOp:
     def __neg__(self) -> "LinOp":
         return lincomb((-1, self))
 
-    def scale(self, c: Scalar) -> "LinOp":
+    def scale(self, c: Fraction | int) -> "LinOp":
         return lincomb((c, self))
-
-
-def _phase(x: Scalar) -> tuple[int, Fraction | int]:
-    """(e, r) with x = i^e r, r real: e is 1 for a GRat with a nonzero
-    imaginary part and 0 otherwise; a GRat with two nonzero parts raises
-    ValueError."""
-    if not isinstance(x, GRat):
-        return 0, x
-    if not x.im:
-        return 0, x.re
-    if x.re:
-        raise ValueError(f"{x} is neither real nor purely imaginary")
-    return 1, x.im
 
 
 def _accumulate(terms: list[tuple[Columns, Columns | None, int]], n: int) -> Columns:
@@ -155,12 +142,12 @@ def _canonical(nums: Columns, den: int, phase: int) -> LinOp:
 
 def lincomb(*terms: tuple) -> LinOp:
     """The sum of c A over the terms (c, A) and of c (A @ B) over the terms
-    (c, A, B): one term or more, c an int, Fraction or GRat, every matrix
-    of one size.
+    (c, A, B): one term or more, c an int or Fraction, every matrix of
+    one size.
 
-    A term with a zero coefficient or factor is dropped.  Each other term
-    is i^e r, r rational, e the phases of c, A and B added with i^2 = -1
-    folded into r; terms of two phases raise ValueError.  The terms are
+    A term with a zero coefficient or factor is dropped.  The phase of
+    each other term is the sum of the phases of A and B, with i^2 = -1
+    folded into c; terms of two phases raise ValueError.  The terms are
     brought to one common denominator, each output column is formed in
     one pass over their integer numerators, and the whole is reduced once.
     """
@@ -169,11 +156,10 @@ def lincomb(*terms: tuple) -> LinOp:
         c, a, b = t[0], t[1], t[2] if len(t) > 2 else None
         if len(a.nums) != n or b is not None and len(b.nums) != n:
             raise ValueError("matrix sizes differ")
-        e, r = (0, c) if type(c) is int else _phase(c)
-        p, d = r.numerator, r.denominator * a.den
+        p, d = c.numerator, c.denominator * a.den
         if not p or not any(a.nums):
             continue
-        e += a.phase
+        e = a.phase
         if b is not None:
             if not any(b.nums):
                 continue

@@ -51,14 +51,14 @@ def module_matrices(mu: Rat, n: int) -> tuple[LinOp, LinOp, LinOp, LinOp]:
     return x, dunkl_matrix(mu, n), j0, LinOp.real(({k: (-1) ** k} for k in range(n)), 1)
 
 
-def module_bilinear_check(M: ModuleParams, nmax: int) -> VerificationReport:
+def module_bilinear_check(M: ModuleParams, mats: tuple[LinOp, ...]) -> VerificationReport:
     """Exact checks of the defining relations on |n>, n <= nmax, between
-    the ``module_matrices`` on |0>, ..., |nmax+1> (R = epsilon (-1)^k; J+
-    drops |nmax+2>, so columns 0..nmax are exact).  [J0,R] = 0 and R^2 = 1
-    hold by construction (J0 and R act diagonally, R by a sign), so they are
-    not recorded."""
-    x, D, J0, parity = module_matrices(M.mu, nmax + 2)
-    eye, R = LinOp.identity(nmax + 2), parity.scale(M.epsilon)
+    the ``module_matrices`` ``mats`` of M.mu on |0>, ..., |nmax+1>, nmax
+    read from their size (R = epsilon (-1)^k; J+ drops |nmax+2>, so columns
+    0..nmax are exact).  [J0,R] = 0 and R^2 = 1 hold by construction (J0
+    and R act diagonally, R by a sign), so they are not recorded."""
+    x, D, J0, parity = mats
+    eye, R = LinOp.identity(len(x)), parity.scale(M.epsilon)
     xD, Dx = x @ D, D @ x
     Q = lincomb((1, xD, R), (-1, J0, R), (HALF, R))  # the Casimir J+ J- R - J0 R + R/2
     report = VerificationReport(f"sl_{{-1}}(2) module (eps={M.epsilon}, mu={M.mu})")
@@ -66,22 +66,24 @@ def module_bilinear_check(M: ModuleParams, nmax: int) -> VerificationReport:
         ("{J+,J-} = 2 J0", lincomb((1, xD), (1, Dx), (-2, J0))),
         ("Q = -eps*mu", lincomb((1, Q), (M.epsilon * M.mu, eye))),
         ("[J-,J+] = 1 - 2QR", lincomb((1, Dx), (-1, xD), (-1, eye), (2, Q, R))),
-    ], nmax + 1)
+    ], len(x) - 1)
     return report
 
 
-def osp_casimir_check(M: ModuleParams, nmax: int) -> VerificationReport:
-    """The osp(1|2) Casimir equals Q^2 = mu^2 on every basis state.
+def osp_casimir_check(M: ModuleParams, mats: tuple[LinOp, ...]) -> VerificationReport:
+    """The osp(1|2) Casimir equals Q^2 = mu^2 on |n>, n <= nmax.
 
     C = (E0 - 1/2)^2 - 4 E+ E- - F+ F- with E0 = J0, E± = J±^2/2 and F± = J±,
-    on the ``module_matrices`` of |0>, ..., |nmax>: no J+ leaves the basis.
+    on the ``module_matrices`` ``mats`` of M.mu on |0>, ..., |nmax+1>, nmax
+    read from their size, as ``module_bilinear_check`` takes them: every J+
+    of C follows a J-, so no J+ leaves the basis.
     """
-    x, D, J0, _ = module_matrices(M.mu, nmax + 1)
-    eye = LinOp.identity(nmax + 1)
+    x, D, J0, _ = mats
+    eye = LinOp.identity(len(x))
     e0, xD = lincomb((1, J0), (-HALF, eye)), x @ D
     report = VerificationReport(f"osp(1|2) Casimir (eps={M.epsilon}, mu={M.mu})")
     record_columns(report, [("C_osp = mu^2", lincomb((1, e0, e0), (-1, x @ xD, D), (-1, xD),
-                                                     (-M.mu**2, eye)))], nmax + 1)
+                                                     (-M.mu**2, eye)))], len(x) - 1)
     return report
 
 

@@ -40,6 +40,7 @@ from .sl1 import (
     ModuleParams,
     dunkl_commutator_check,
     module_bilinear_check,
+    module_matrices,
     osp_casimir_check,
 )
 
@@ -149,7 +150,8 @@ def suite_sl1(seed: int = DEFAULT_SEED, tuples: int = 10) -> VerificationReport:
         mu = Fraction(rng.randint(0, 12), rng.randint(1, 6))
         M = ModuleParams.make(eps, mu)
         nu = Fraction(rng.randint(0, 9), rng.randint(1, 6))
-        for sub in (module_bilinear_check(M, nmax), osp_casimir_check(M, nmax),
+        mats = module_matrices(M.mu, nmax + 2)
+        for sub in (module_bilinear_check(M, mats), osp_casimir_check(M, mats),
                     dunkl_commutator_check(nu, nmax)):
             report.record_report(sub.title, t, sub)
     return report

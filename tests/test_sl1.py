@@ -38,10 +38,30 @@ class TestModuleParams:
 @pytest.mark.parametrize("mu", [Fraction(0), Fraction(1, 3), Fraction(7, 2)])
 class TestModuleRelations:
     def test_bilinear_relations(self, eps, mu):
-        assert module_bilinear_check(ModuleParams.make(eps, mu), 16).passed
+        assert module_bilinear_check(ModuleParams.make(eps, mu),
+                                     module_matrices(mu, 16 + 2)).passed
 
     def test_osp_casimir(self, eps, mu):
-        assert osp_casimir_check(ModuleParams.make(eps, mu), 16).passed
+        # On the 18 states of the bilinear check, one entry per |n>, n <= 16.
+        report = osp_casimir_check(ModuleParams.make(eps, mu), module_matrices(mu, 16 + 2))
+        assert report.passed and report.checked == 17
+
+
+def test_one_module_build_per_tuple(monkeypatch):
+    import bi_lab.sl1 as sl1
+    import bi_lab.suites as suites
+
+    sizes = []
+
+    def counted(mu, n, _orig=sl1.module_matrices):
+        sizes.append(n)
+        return _orig(mu, n)
+    monkeypatch.setattr(sl1, "module_matrices", counted)
+    monkeypatch.setattr(suites, "module_matrices", counted)
+    assert suites.suite_sl1(seed=1, tuples=3).passed
+    # One build of |0>, ..., |13> shared by the bilinear and osp checks, and
+    # one of 1, ..., x^13 in dunkl_commutator_check, per tuple.
+    assert sizes == [14, 14] * 3
 
 
 def test_bilinear_relations_fail_on_wrong_ladder(monkeypatch):
@@ -51,7 +71,8 @@ def test_bilinear_relations_fail_on_wrong_ladder(monkeypatch):
 
     monkeypatch.setattr(sl1, "dunkl_matrix",
                         lambda nu, n, _orig=sl1.dunkl_matrix: _orig(nu + Fraction(1, 2), n))
-    report = module_bilinear_check(ModuleParams.make(1, Fraction(1, 3)), 16)
+    report = module_bilinear_check(ModuleParams.make(1, Fraction(1, 3)),
+                                   sl1.module_matrices(Fraction(1, 3), 16 + 2))
     assert report.checked == 3 * 17
     for name in ("{J+,J-} = 2 J0", "[J-,J+] = 1 - 2QR"):
         failed = [e.index for e in report.failures if e.check == name]
