@@ -163,7 +163,7 @@ def bi_matrices(P: BIParams, maxdeg: int) -> tuple[LinOp, LinOp, LinOp]:
     from ``k1_apply``.  K1 keeps the degree and K2, K3 raise it by one, so a product of two
     generators takes x^j, and every intermediate image, to degree at most
     j + 2.  Columns 0..maxdeg of such products are therefore exact despite
-    the truncation; callers compare only those.
+    the truncation; callers form only those, with ``LinOp.head``.
     """
     n = maxdeg + 3
     K1 = k1_matrix(P, n)
@@ -181,17 +181,19 @@ def check_bi_relations(P: BIParams,
     its size.  The relation {K1,K2} = K3 + omega3 is the definition of K3
     there, so only the other two are checked.  Linearity makes the monomial
     basis sufficient: a relation holding on every x^j with j <= maxdeg
-    holds on all polynomials of that degree.
+    holds on all polynomials of that degree.  Each residual is formed on
+    those columns only, its right factors and linear terms cut by ``LinOp.head``.
     """
     report = VerificationReport("bannai-ito relations (shift-reflection realization)")
-    K1, K2, K3 = mats
-    one = LinOp.identity(len(K1))
+    m = len(mats[0]) - 2  # columns 0..maxdeg
+    (K1, K2, K3), (k1, k2, k3) = mats, (K.head(m) for K in mats)
+    one = LinOp.identity(len(K1)).head(m)
     record_columns(report, [
         ("{K2,K3} = K1 + omega1",
-         lincomb((1, K2, K3), (1, K3, K2), (-1, K1), (-P.omega1, one))),
+         lincomb((1, K2, k3), (1, K3, k2), (-1, k1), (-P.omega1, one))),
         ("{K3,K1} = K2 + omega2",
-         lincomb((1, K3, K1), (1, K1, K3), (-1, K2), (-P.omega2, one))),
-    ], len(K1) - 2)  # columns 0..maxdeg
+         lincomb((1, K3, k1), (1, K1, k3), (-1, k2), (-P.omega2, one))),
+    ], m)
     return report
 
 
@@ -199,12 +201,13 @@ def casimir_scalar(P: BIParams,
                    mats: tuple[LinOp, LinOp, LinOp]) -> VerificationReport:
     """K1^2 + K2^2 + K3^2 acts as 2(rho1^2 + rho2^2 + r1^2 + r2^2) - 1/4,
     checked on each x^j, j <= maxdeg, of the triple ``bi_matrices(P,
-    maxdeg)`` (maxdeg read from its size); every entry names the value."""
+    maxdeg)`` (maxdeg read from its size) and formed on those columns only;
+    every entry names the value."""
     report = VerificationReport("bannai-ito casimir (shift-reflection realization)")
     expected = 2 * (P.rho1**2 + P.rho2**2 + P.r1**2 + P.r2**2) - Fraction(1, 4)
-    K1, K2, K3 = mats
-    residual = lincomb((1, K1, K1), (1, K2, K2), (1, K3, K3),
-                       (-expected, LinOp.identity(len(K1))))
+    m = len(mats[0]) - 2  # columns 0..maxdeg
+    residual = lincomb(*((1, K, K.head(m)) for K in mats),
+                       (-expected, LinOp.identity(len(mats[0])).head(m)))
     name = f"K1^2 + K2^2 + K3^2 = {rat_str(expected)}"
-    record_columns(report, [(name, residual)], len(K1) - 2)  # columns 0..maxdeg
+    record_columns(report, [(name, residual)], m)
     return report

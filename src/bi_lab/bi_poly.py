@@ -25,6 +25,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
+from operator import mul
 
 from .bi_operator import BIParams, k1_apply, monomial_matrix
 from .errors import BILabError
@@ -106,14 +108,6 @@ def _shifted(b: Rat, j: int) -> int:
     return b.numerator + j * b.denominator
 
 
-def _rising(base: Rat, k: int) -> list[Rat]:
-    """The rising factorials (base)_0, ..., (base)_k."""
-    out = [ONE]
-    for j in range(k):
-        out.append(out[-1] * (base + j))
-    return out
-
-
 def bi_hypergeometric(P: BIParams, nmax: int) -> list[Poly]:
     """Monic B_0, ..., B_nmax from the parity-split double-4F3 expression.
 
@@ -131,7 +125,10 @@ def bi_hypergeometric(P: BIParams, nmax: int) -> list[Poly]:
     rational parameters every term ratio is an integer polynomial over an
     integer, so a sum is one numerator list over one denominator and each
     B_n is reduced once.  The lower factors of the ratios and the pieces
-    of c_n are shared by all degrees.  Neither the recurrence nor K1 is used.
+    of c_n are shared by all degrees.  c_n and t_n / c_n (t_n the factor of
+    u G) are unreduced integer pairs and the rising factorials integer
+    prefix products, so only the set-up of H, a and b1..b3 uses Fraction.
+    Neither the recurrence nor K1 is used.
     """
     H, a = P.h + HALF, HALF - P.r1
     b1, b2, b3 = 1 - P.r1 - P.r2, P.rho1 - P.r1 + HALF, P.rho2 - P.r1 + HALF
@@ -176,25 +173,25 @@ def bi_hypergeometric(P: BIParams, nmax: int) -> list[Poly]:
 
     F = [hyp(0, m) for m in range(mf + 1)]
     G = [hyp(1, m) for m in range(mg + 1)]
-    r1, r2, r3, rh = (_rising(b1, mf), _rising(b2, mg + 1),
-                      _rising(b3, mg + 1), _rising(H, nmax))
+    # (b)_j = r[j] / den(b)^j: r holds the prefix products of _shifted(b, i).
+    r1, r2, r3, rh = ([*accumulate((_shifted(b, j) for j in range(top)), mul, initial=1)]
+                      for b, top in ((b1, mf), (b2, mg + 1), (b3, mg + 1), (H, nmax)))
+    d23, n23 = b2.denominator * b3.denominator, b2.numerator * b3.numerator
     out = [P_ONE]
     for n in range(1, nmax + 1):
         m, p = divmod(n, 2)
-        c = r1[m] * r2[n - m] * r3[n - m] * rh[m] / rh[n]
-        if p:
-            c = -c
-            t = -(m + H) * c / (b2 * b3)
-        else:
-            t = m * c / (b2 * b3)
-        # B_n = c f / fd + t (ad x + an) g / (ad gd) on one denominator.
+        # c_n = cn / cd and t_n / c_n = m / (b2 b3) or -(m + H) / (b2 b3) = sn / sd.
+        cn = (-1) ** p * r1[m] * r2[n - m] * r3[n - m] * hd ** (n - m) * rh[m]
+        cd = b1.denominator ** m * d23 ** (n - m) * rh[n]
+        sn, sd = (-_shifted(H, m) * d23, hd * n23) if p else (m * d23, n23)
+        # B_n = c_n (f / fd + (t_n / c_n) (ad x + an) g / (ad gd)), one denominator.
         (f, fd), (g, gd) = F[m], G[m - 1 + p]
         ug = int_mul([an, ad], g)
-        left, right = c.denominator * fd, t.denominator * ad * gd
-        nums = [c.numerator * right * x for x in f] + [0] * (len(ug) - len(f))
+        left, right = sd * ad * gd, sn * fd
+        nums = [left * x for x in f] + [0] * (len(ug) - len(f))
         for i, y in enumerate(ug):
-            nums[i] += t.numerator * left * y
-        out.append(Poly.from_ints(nums, left * right))
+            nums[i] += right * y
+        out.append(Poly.from_ints([cn * x for x in nums], cd * fd * left))
     return out
 
 
@@ -259,15 +256,17 @@ def ladder_coeffs(P: BIParams, n: int) -> tuple[Rat, Rat]:
 def ladder_operators(P: BIParams,
                      mats: tuple[LinOp, LinOp, LinOp]) -> tuple[LinOp, ...]:
     """K+, K- and V in its first and second form from the triple
-    ``bi_matrices(P, nmax)``; columns 0..nmax+1 are exact (``ladder_check``)."""
+    ``bi_matrices(P, nmax)``, formed on columns 0..nmax only (``ladder_check``):
+    their right factors and linear terms are cut to them by ``LinOp.head``."""
     K1, K2, K3 = mats
-    one = LinOp.identity(len(K1))
-    lo, hi = lincomb((1, K1), (-HALF, one)), lincomb((1, K1), (HALF, one))
+    m = len(K1) - 2
+    k1, k2, one = K1.head(m), K2.head(m), LinOp.identity(len(K1)).head(m)
+    lo, hi = lincomb((1, k1), (-HALF, one)), lincomb((1, k1), (HALF, one))
     plus = lincomb((1, K2, lo), (1, K3, lo), (-(P.omega2 + P.omega3) / 2, one))
     minus = lincomb((1, K2, hi), (-1, K3, hi), ((P.omega2 - P.omega3) / 2, one))
     # the second form expanded: 2 K2 K1^2 - K2 / 2 - omega3 K1 - omega2 / 2
     return (plus, minus, lincomb((1, plus, hi), (1, minus, lo)),
-            lincomb((2, K2, K1 @ K1), (-HALF, K2), (-P.omega3, K1), (-P.omega2 / 2, one)))
+            lincomb((2, K2, K1 @ k1), (-HALF, k2), (-P.omega3, k1), (-P.omega2 / 2, one)))
 
 
 def ladder_check(P: BIParams, mats: tuple[LinOp, LinOp, LinOp],
@@ -285,12 +284,15 @@ def ladder_check(P: BIParams, mats: tuple[LinOp, LinOp, LinOp],
       - omega2/2 and V T = T L_V.
     Each product has at most one factor that raises the degree (K2 or
     K3) and T keeps it, so columns 0..nmax are exact despite the truncation.
+    Each residual is formed on those columns only (``LinOp.head``): no
+    right factor or linear term, K+- and V included, has another column.
     """
     report = VerificationReport("ladder operators and V (shift-reflection realization)")
     K1, nmax = mats[0], len(mats[0]) - 3
     plus, minus, v, v2 = ladder_operators(P, mats)
     T = LinOp.make(dict(enumerate(p.coeffs))
                    for p in [*polys[:nmax + 2], Poly.monomial(nmax + 2)])
+    k1, t = K1.head(nmax + 1), T.head(nmax + 1)
     cols = []  # column n of L+, L- and L_V
     for n in range(nmax + 1):
         (alpha, beta), lam = ladder_coeffs(P, n), eigenvalue(P, n)
@@ -300,12 +302,12 @@ def ladder_check(P: BIParams, mats: tuple[LinOp, LinOp, LinOp],
                      {u: (lam + HALF) * alpha, d: (lam - HALF) * beta}))
     Lp, Lm, Lv = (LinOp.make([*col, {}, {}]) for col in zip(*cols))
     record_columns(report, [
-        ("{K1,K+} = K+", lincomb((1, K1, plus), (1, plus, K1), (-1, plus))),
-        ("{K1,K-} = -K-", lincomb((1, K1, minus), (1, minus, K1), (1, minus))),
-        ("K+ B_n closed form", lincomb((1, plus, T), (-1, T, Lp))),
-        ("K- B_n closed form", lincomb((1, minus, T), (-1, T, Lm))),
+        ("{K1,K+} = K+", lincomb((1, K1, plus), (1, plus, k1), (-1, plus))),
+        ("{K1,K-} = -K-", lincomb((1, K1, minus), (1, minus, k1), (1, minus))),
+        ("K+ B_n closed form", lincomb((1, plus, t), (-1, T, Lp))),
+        ("K- B_n closed form", lincomb((1, minus, t), (-1, T, Lm))),
         ("V first form = second form", v - v2),
-        ("V B_n two-diagonal", lincomb((1, v, T), (-1, T, Lv))),
+        ("V B_n two-diagonal", lincomb((1, v, t), (-1, T, Lv))),
     ], nmax + 1)
     return report
 

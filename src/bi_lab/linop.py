@@ -84,6 +84,11 @@ class LinOp:
                          self.den, 0)
         return LinOp(self.nums, self.den, 1) if self else self
 
+    def head(self, m: int) -> "LinOp":
+        """This matrix times the projector onto basis vectors 0..m-1: the
+        same size, with columns m, m+1, ... emptied, reduced again."""
+        return _canonical(self.nums[:m] + ({},) * (len(self) - m), self.den, self.phase)
+
     def __add__(self, other: "LinOp") -> "LinOp":
         return lincomb((1, self), (1, other))
 

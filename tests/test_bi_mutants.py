@@ -75,7 +75,7 @@ def source_mutant(monkeypatch, module, name, old, new):
 def omega1_in_second_form(monkeypatch):
     """omega1 in place of omega3 in V = 2 K2 (K1^2 - 1/4) - omega3 K1 - omega2/2."""
     source_mutant(monkeypatch, bp, "ladder_operators",
-                  "(-P.omega3, K1)", "(-P.omega1, K1)")
+                  "(-P.omega3, k1)", "(-P.omega1, k1)")
 
 
 def bumped_odd_rho(monkeypatch):

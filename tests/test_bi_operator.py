@@ -19,6 +19,7 @@ from bi_lab.linop import LinOp
 from bi_lab.poly import P_ONE, P_ZERO, Poly
 from bi_lab.suites import suite_bi
 from poly_oracle import k1_apply_composed, k2_apply, k3_apply
+from test_bi_mutants import perturbed_k3
 
 P1 = BIParams.make(1, 2, Fraction(1, 2), Fraction(1, 4))
 
@@ -231,3 +232,37 @@ def test_casimir_failure_fails_suite(monkeypatch):
         ("BI relations", 1, False), ("Casimir scalar", 1, False),
     ]
     assert "K1^2 + K2^2 + K3^2 = " in report.entries[1].detail
+
+
+def formed_residuals(monkeypatch, module, run) -> tuple:
+    """The result of run() and the (residuals, n) of each ``record_columns``
+    call of module while it runs."""
+    calls = []
+    def record(report, residuals, n, _orig=module.record_columns):
+        calls.append((residuals, n))
+        _orig(report, residuals, n)
+    monkeypatch.setattr(module, "record_columns", record)
+    return run(), calls
+
+
+def assert_no_truncation_column(calls):
+    """No residual has a numerator in a column it does not record."""
+    assert calls
+    for residuals, n in calls:
+        assert all(not any(r.nums[n:]) for _, r in residuals), [name for name, _ in residuals]
+
+
+@pytest.mark.parametrize("mutant", [None, perturbed_k3], ids=["exact", "K3 + I"])
+def test_relations_form_no_truncation_column(monkeypatch, mutant):
+    # The residuals of the relations and the Casimir are formed on columns
+    # 0..maxdeg only; under K3 + I, whose columns maxdeg + 1 and maxdeg + 2
+    # would be nonzero, too.
+    import bi_lab.bi_operator as bo
+
+    if mutant:
+        mutant(monkeypatch)
+    report, calls = formed_residuals(monkeypatch, bo,
+                                     lambda: suite_bi(seed=1, tuples=3, maxdeg=6))
+    assert len(calls) == 6 and all(n == 7 for _, n in calls)
+    assert report.passed is (mutant is None)
+    assert_no_truncation_column(calls)

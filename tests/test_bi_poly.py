@@ -29,10 +29,12 @@ from bi_lab.racah import RacahParams
 from bi_lab.suites import (
     random_bi_params,
     random_bi_params_regular,
+    suite_ladders,
     suite_polynomials,
 )
 from poly_oracle import bi_recurrence_composed, k2_apply, k3_apply, poly_eval
-from test_bi_mutants import flipped_ladder_coeff, omega1_in_second_form
+from test_bi_mutants import flipped_ladder_coeff, omega1_in_second_form, perturbed_k3
+from test_bi_operator import assert_no_truncation_column, formed_residuals
 
 
 def monic(P, n):
@@ -270,6 +272,41 @@ class TestThreeRoutes:
                 continue
             assert hyps == [hypergeometric_oracle(P, n) for n in range(11)], P
             done += 1
+
+    def test_hypergeometric_equals_recurrence_to_16(self, monkeypatch):
+        # 100 seeded tuples of the suite's draw, every degree to 16: the
+        # unreduced integer c_n and t_n reach Poly.from_ints, negative
+        # denominators included, and b2 b3 < 0 on many of the tuples.
+        dens = []
+        def from_ints(nums, den, _orig=Poly.from_ints):
+            dens.append(den)
+            return _orig(nums, den)
+        monkeypatch.setattr(Poly, "from_ints", staticmethod(from_ints))
+        rng, negative = random.Random(28), 0
+        for _ in range(100):
+            P, coeffs, hyps = random_bi_params_regular(rng, 16)
+            assert hyps == bi_recurrence(recurrence_steps(P, coeffs[:16])), P
+            b2, b3 = P.rho1 - P.r1 + HALF, P.rho2 - P.r1 + HALF
+            negative += b2 * b3 < 0
+        assert negative >= 20 and min(dens) < 0
+
+    def test_hypergeometric_does_no_fraction_arithmetic_per_degree(self, monkeypatch):
+        # Only the set-up of H, a and b1..b3 uses Fraction: c_n, t_n and the
+        # rising factorials are integers, so the count does not grow with nmax.
+        P1.h  # cached before counting
+        calls = [0]
+        for name in ("__mul__", "__rmul__", "__add__", "__radd__",
+                     "__sub__", "__rsub__", "__truediv__", "__rtruediv__"):
+            def counted(a, b, _orig=getattr(Fraction, name)):
+                calls[0] += 1
+                return _orig(a, b)
+            monkeypatch.setattr(Fraction, name, counted)
+        counts = []
+        for nmax in (4, 16):
+            calls[0] = 0
+            bi_hypergeometric(P1, nmax)
+            counts.append(calls[0])
+        assert counts[0] > 0 and counts[0] == counts[1], counts
 
     def test_degenerate_tuples_raise_like_the_oracle(self):
         # A vanishing lower parameter, b2 = 0 where only B_1's prefactor
@@ -582,6 +619,20 @@ class TestLadders:
         # omega1 != omega3 at P1; K1 x^j has a nonzero x^j coefficient.
         assert failed_ladder_checks(P1) == {("V first form = second form", j)
                                             for j in range(11)}
+
+    @pytest.mark.parametrize("mutant", [None, perturbed_k3], ids=["exact", "K3 + I"])
+    def test_no_truncation_column_is_formed(self, monkeypatch, mutant):
+        # The ladder residuals are formed on columns 0..nmax only; under
+        # K3 + I, which breaks the ladder relations, too.
+        import bi_lab.bi_poly as bp
+
+        if mutant:
+            mutant(monkeypatch)
+        report, calls = formed_residuals(monkeypatch, bp,
+                                         lambda: suite_ladders(seed=1, tuples=2))
+        assert len(calls) == 2 and all(n == 11 for _, n in calls)
+        assert report.passed is (mutant is None)
+        assert_no_truncation_column(calls)
 
 
 class TestVOperator:

@@ -522,3 +522,35 @@ def test_record_columns_fails_exactly_the_nonzero_column(monkeypatch, block, j):
     report, _ = recorded_columns(monkeypatch, [("zero", zero), ("r", residual)], 4)
     assert report.checked == 8
     assert [(e.check, e.index) for e in report.failures] == [("r", j)]
+
+
+@settings(deadline=None, max_examples=25)
+@given(st.one_of(*MATRICES.values()), st.integers(0, N))
+@example(REAL_2X2[0] + [Fraction(0)] * 12, 1)
+@example(IMAGINARY_2X2[0] + [I(Fraction(0))] * 12, 1)
+def test_head_is_the_product_with_a_projector(x, m):
+    # head(m) = A diag(1, ..., 1, 0, ..., 0) with m ones, in canonical form:
+    # equal, field for field, to the matrix built from the kept entries.
+    a, zero = linop(x), type(x[0])(Fraction(0))
+    projector = sympy.diag(*([1] * m + [0] * (N - m)))
+    assert same(a.head(m), sym(x) * projector)
+    assert a.head(m) == linop([v if k % N < m else zero for k, v in enumerate(x)])
+    assert a.head(m).phase == (a.phase if a.head(m) else 0)
+    assert a.head(N) == a.head(N + 1) == a
+
+
+@pytest.mark.parametrize("block", [LinOp.real, imaginary])
+def test_head_keeps_the_size_and_the_phase(block):
+    a = block([{0: 3, 2: -1}, {1: 5}, {0: 7}], 2)
+    assert [a.head(m).nums for m in range(4)] == [
+        ({}, {}, {}), ({0: 3, 2: -1}, {}, {}),
+        ({0: 3, 2: -1}, {1: 5}, {}), a.nums]
+    assert all(len(a.head(m)) == 3 and a.head(m).phase == a.phase for m in (1, 2, 3))
+    assert_canonical_zero(a.head(0), a)
+
+
+def test_head_reduces_again():
+    # Dropping the column of the odd numerator leaves 2/2 = 1.
+    a = LinOp.real([{0: 2}, {0: 1}], 2)
+    assert a.head(1) == LinOp.real([{0: 1}, {}], 1)
+    assert (a.head(1).nums, a.head(1).den) == (({0: 1}, {}), 1)
