@@ -37,9 +37,8 @@ from .report import VerificationReport
 
 
 def eigenvalue(P: BIParams, n: int) -> Rat:
-    """lambda_n = (-1)^n (n + h)."""
-    value = n + P.h
-    return value if n % 2 == 0 else -value
+    """lambda_n = (-1)^n (n + h), one Fraction of the integers of h."""
+    return Fraction((-1) ** n * (n * P.h.denominator + P.h.numerator), P.h.denominator)
 
 
 @dataclass(frozen=True)
@@ -73,11 +72,16 @@ def recurrence_steps(P: BIParams,
                      coeffs: list[RecurrenceCoeffs]) -> list[tuple[Rat, Rat]]:
     """Step coefficients (b_k, u_k), one per entry of coeffs (degrees
     0, 1, ...), of B_{k+1} = (x - b_k) B_k - u_k B_{k-1}:
-    b_k = rho1 - A_k - C_k and u_k = A_{k-1} C_k (u_0 = 0, since C_0 = 0)."""
-    return [
-        (P.rho1 - c.A - c.C, coeffs[k - 1].A * c.C if k else ZERO)
-        for k, c in enumerate(coeffs)
-    ]
+    b_k = rho1 - A_k - C_k and u_k = A_{k-1} C_k (u_0 = 0), each one
+    Fraction of integers."""
+    rn, rd = P.rho1.as_integer_ratio()
+    steps, (pn, pd) = [], (0, 1)  # (pn, pd): the integers of A_(k-1), A_(-1) = 0
+    for c in coeffs:
+        (an, ad), (cn, cd) = c.A.as_integer_ratio(), c.C.as_integer_ratio()
+        steps.append((Fraction((rn * ad - an * rd) * cd - cn * rd * ad, rd * ad * cd),
+                      Fraction(pn * cn, pd * cd)))
+        pn, pd = an, ad
+    return steps
 
 
 def bi_recurrence(steps: list[tuple[Rat, Rat]]) -> list[Poly]:
@@ -276,7 +280,8 @@ def ladder_check(P: BIParams, mats: tuple[LinOp, LinOp, LinOp],
 
     ``mats`` is ``bi_matrices(P, nmax)`` (nmax read from its size) and
     ``polys`` holds B_0..B_(nmax+1).  With T the matrix of columns
-    B_0..B_(nmax+1), x^(nmax+2) and L+, L-, L_V two-diagonal from
+    B_0..B_(nmax+1) and an empty last column (no product reads column
+    nmax + 2) and L+, L-, L_V two-diagonal from
     ``ladder_coeffs`` and lambda_n, the checks are
       K+ = (K2 + K3)(K1 - 1/2) - (omega2 + omega3)/2:  {K1,K+} = K+, K+ T = T L+,
       K- = (K2 - K3)(K1 + 1/2) + (omega2 - omega3)/2:  {K1,K-} = -K-, K- T = T L-,
@@ -290,8 +295,9 @@ def ladder_check(P: BIParams, mats: tuple[LinOp, LinOp, LinOp],
     report = VerificationReport("ladder operators and V (shift-reflection realization)")
     K1, nmax = mats[0], len(mats[0]) - 3
     plus, minus, v, v2 = ladder_operators(P, mats)
-    T = LinOp.make(dict(enumerate(p.coeffs))
-                   for p in [*polys[:nmax + 2], Poly.monomial(nmax + 2)])
+    den = math.lcm(*(p.den for p in polys[:nmax + 2]))
+    T = LinOp.real([*({i: a * (den // p.den) for i, a in enumerate(p.nums) if a}
+                      for p in polys[:nmax + 2]), {}], den)
     k1, t = K1.head(nmax + 1), T.head(nmax + 1)
     cols = []  # column n of L+, L- and L_V
     for n in range(nmax + 1):
@@ -318,7 +324,8 @@ def _require_finite(coeffs: list[RecurrenceCoeffs]) -> None:
     N = len(coeffs) - 1
     if coeffs[N].A != 0:
         raise BILabError(f"truncation A_{N} = {coeffs[N].A} != 0")
-    if any(coeffs[k - 1].A * coeffs[k].C <= 0 for k in range(1, N + 1)):
+    if any(coeffs[k - 1].A.numerator * coeffs[k].C.numerator <= 0  # denominators > 0
+           for k in range(1, N + 1)):
         raise BILabError("off-diagonal product A_(k-1) C_k not positive")
 
 

@@ -147,6 +147,7 @@ def cmd_racah(args) -> int:
     spectra = k1_spectrum_check(rep, recurrence_steps(P, coeffs))
     if args.format == "json":
         weights = discrete_weights_exact(P, coeffs)  # pairs (x_s, w_s)
+        c = RP.mu2 + RP.mu3
         _emit_json({
             "params": {
                 "mu": [rat_str(m) for m in mu],
@@ -155,8 +156,7 @@ def cmd_racah(args) -> int:
             },
             "identifications": P.to_json(),
             "representation": rep.to_json(),
-            "k1_spectrum": [rat_str(spectrum_value(s, RP.mu2 + RP.mu3))
-                            for s in range(RP.N + 1)],
+            "k1_spectrum": [rat_str(spectrum_value(s, c)) for s in range(RP.N + 1)],
             "k3_diagonal": [rat_str(rep.K3[k][k]) for k in range(RP.N + 1)],
             "grid": [rat_str(x) for x, _ in weights],
             "overlaps": [[rat_str(x) for x in row] for row in racah_overlaps(rep)],

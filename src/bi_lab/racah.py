@@ -83,11 +83,11 @@ class RacahParams:
             raise BILabError("N must be non-negative")
         return RacahParams(*mus, N)
 
-    @property
+    @cached_property  # read by every build, draw and table of this tuple
     def mu4(self) -> Rat:
         return self.mu1 + self.mu2 + self.mu3 + self.N + 1
 
-    @property
+    @cached_property
     def mu(self) -> Rat:
         # mu = eps4 * mu4 = -q4 with eps4 = (-1)^N: the sign is forced by
         # the truncation B_N = 0, whose vanishing factor sits in the even
@@ -139,10 +139,10 @@ class RacahParams:
 
 
 def spectrum_value(s: int, c: Rat) -> Rat:
-    """(-1)^s (s + c + 1/2): the K1 spectrum for c = mu2 + mu3 and the K3
-    diagonal for c = mu1 + mu2."""
-    value = s + c + HALF
-    return value if s % 2 == 0 else -value
+    """(-1)^s ((2s + 1) q + 2 p) / (2 q) = (-1)^s (s + c + 1/2) for c = p/q:
+    the K1 spectrum for c = mu2 + mu3, the K3 diagonal for c = mu1 + mu2."""
+    value = (2 * s + 1) * c.denominator + 2 * c.numerator
+    return Fraction(value if s % 2 == 0 else -value, 2 * c.denominator)
 
 
 def bk_dk(RP: RacahParams, k: int) -> tuple[Rat, Rat]:
@@ -204,22 +204,27 @@ def build_tridiag_rep(RP: RacahParams) -> TridiagRep:
     """Exact representation; raises only when a denominator vanishes or an
     off-diagonal product is not positive.  B_N = 0 holds identically: mu =
     (-1)^N mu4 zeroes the factor of B_N's numerator that carries mu.  The
-    relations are checked by ``representation_check``."""
+    relations are checked by ``representation_check``.  Each entry is one
+    Fraction of integers, and B_{k-1} D_k > 0 is read off the numerators."""
     n = RP.N + 1
     B, D = zip(*(bk_dk(RP, k) for k in range(n)))
     for k in range(1, n):
-        if B[k - 1] * D[k] <= 0:
+        if B[k - 1].numerator * D[k].numerator <= 0:
             raise BILabError(f"B_{k-1} D_{k} = {B[k-1] * D[k]} not positive")
 
-    # K3 is diagonal, so K2 = {K1,K3} - omega2 is K1_ij (K3_ii + K3_jj) on
-    # the band of K1, less omega2 on the diagonal; K3_(k-1)(k-1) + K3_kk is
-    # (-1)^k, so off the diagonal K2 is K1 up to sign.
+    # K1_kk = a - B_k - D_k with a = mu2 + mu3 + 1/2.  K3 is diagonal, so
+    # K2 = {K1,K3} - omega2 is K1_ij (K3_ii + K3_jj) on the band of K1, less
+    # omega2 on the diagonal; K3_(k-1)(k-1) + K3_kk is (-1)^k, so off the
+    # diagonal K2 is K1 up to sign.
     K1, K2, K3 = ([{} for _ in range(n)] for _ in range(3))
-    a, c, om2 = RP.mu2 + RP.mu3 + HALF, RP.mu1 + RP.mu2, RP.omegas[1]
+    (an, ad), c = (RP.mu2 + RP.mu3 + HALF).as_integer_ratio(), RP.mu1 + RP.mu2
+    on, od = RP.omegas[1].as_integer_ratio()
     for k in range(n):
-        K1[k][k] = a - B[k] - D[k]
-        K3[k][k] = spectrum_value(k, c)
-        K2[k][k] = 2 * K1[k][k] * K3[k][k] - om2
+        (bn, bd), (dn, dd) = B[k].as_integer_ratio(), D[k].as_integer_ratio()
+        K1[k][k] = k1 = Fraction((an * bd - bn * ad) * dd - dn * ad * bd, ad * bd * dd)
+        K3[k][k] = k3 = spectrum_value(k, c)
+        (pn, pd), (qn, qd) = k1.as_integer_ratio(), k3.as_integer_ratio()
+        K2[k][k] = Fraction(2 * pn * qn * od - on * pd * qd, pd * qd * od)
         if k:  # B_(k-1) in row k of column k - 1, D_k in row k - 1 of column k
             K1[k - 1][k], K1[k][k - 1] = B[k - 1], D[k]
             K2[k - 1][k], K2[k][k - 1] = ((B[k - 1], D[k]) if k % 2 == 0
@@ -267,8 +272,8 @@ def _continuant(rep: TridiagRep) -> tuple[list[list[int]], list[int]]:
     of K1 v = lambda_s v holds exactly when w_{N+1} = 0: w_{N+1} is
     (prod r_k) det(lambda_s - K1).
     """
-    N = rep.params.N
-    lams = [spectrum_value(s, rep.params.mu2 + rep.params.mu3) for s in range(N + 1)]
+    N, c = rep.params.N, rep.params.mu2 + rep.params.mu3
+    lams = [spectrum_value(s, c) for s in range(N + 1)]
     lam_den = math.lcm(*(x.denominator for x in lams))
     lams = [x.numerator * (lam_den // x.denominator) for x in lams]
     # Row k reads B_{k-1}, K1_kk and D_{k+1}, with B_{-1} = D_{N+1} = 0; no
@@ -303,13 +308,19 @@ def k1_spectrum_check(rep: TridiagRep,
     w_{N+1}(lambda_s) = 0 in ``_continuant``, which is
     (prod r_k) det(lambda_s - K1): lambda_s is an eigenvalue.  The N+1
     values lambda_s are distinct (mu2 + mu3 > -1), so spec K1 = {lambda_s}.
+    The steps are compared cross-multiplied: (2 a_n - a_d) b_d = 4 a_d b_n
+    for K1_kk = a_n / a_d, and num(B) num(D) u_d = 4 den(B) den(D) u_n for
+    B = B_{k-1}, D = D_k (B_{-1} = 0, so u_0 = 0).  A list of other than
+    N + 1 steps raises ValueError.
     """
-    RP = rep.params
     report = VerificationReport("racah spectra")
-    steps = [((rep.K1[k][k] - HALF) / 2, rep.B[k - 1] * rep.D[k] / 4 if k else ZERO)
-             for k in range(RP.N + 1)]
-    for k, (step, bi_step) in enumerate(zip(steps, bi_steps, strict=True)):
-        report.record("K1 continuant = 2^k BI recurrence", k, step == bi_step)
+    for k, (b, u) in zip(range(rep.params.N + 1), bi_steps, strict=True):
+        near = (rep.K1[k][k], rep.B[k - 1] if k else ZERO, rep.D[k], b, u)
+        (an, ad), (pn, pd), (qn, qd), (bn, bd), (un, ud) = (
+            x.as_integer_ratio() for x in near)
+        report.record("K1 continuant = 2^k BI recurrence", k,
+                      (2 * an - ad) * bd == 4 * ad * bn
+                      and pn * qn * ud == 4 * pd * qd * un)
     for s, w in enumerate(rep.continuant[0]):
         report.record("K1 spectrum", s, w[-1] == 0)
     return report

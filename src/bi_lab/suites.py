@@ -159,12 +159,14 @@ def suite_sl1(seed: int = DEFAULT_SEED, tuples: int = 10) -> VerificationReport:
 
 def identification_check(rep: TridiagRep,
                          coeffs: list[RecurrenceCoeffs]) -> VerificationReport:
-    """B_k = 2 A_k and D_k = 2 C_k under the parameter identifications;
-    ``coeffs`` are the recurrence coefficients of degrees 0..N."""
+    """B_k = 2 A_k and D_k = 2 C_k, cross-multiplied, under the parameter
+    identifications; ``coeffs`` are the recurrence coefficients of degrees 0..N."""
     report = VerificationReport("racah/bi coefficient identification")
     for k, rc in enumerate(coeffs):
-        report.record("B_k = 2 A_k", k, rep.B[k] == 2 * rc.A)
-        report.record("D_k = 2 C_k", k, rep.D[k] == 2 * rc.C)
+        for name, x, y in (("B_k = 2 A_k", rep.B[k], rc.A),
+                           ("D_k = 2 C_k", rep.D[k], rc.C)):
+            ok = x.numerator * y.denominator == 2 * y.numerator * x.denominator
+            report.record(name, k, ok)
     return report
 
 

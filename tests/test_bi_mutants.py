@@ -171,8 +171,7 @@ def shifted_bk_dk(which):
 def shifted_continuant_lambda(monkeypatch):
     """lambda_2 + 1 in place of lambda_2 in the continuant of K1."""
     source_mutant(monkeypatch, racah, "_continuant",
-                  "spectrum_value(s, rep.params.mu2 + rep.params.mu3)",
-                  "spectrum_value(s, rep.params.mu2 + rep.params.mu3) + (s == 2)")
+                  "spectrum_value(s, c)", "spectrum_value(s, c) + (s == 2)")
 
 
 CYCLIC = ((1, 2, 3), (2, 3, 1), (3, 1, 2))

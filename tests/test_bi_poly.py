@@ -42,6 +42,21 @@ def monic(P, n):
     return bi_recurrence(recurrence_steps(P, [recurrence_coeffs(P, k) for k in range(n)]))
 
 
+def fraction_ops(run) -> int:
+    """The calls of Fraction's arithmetic operators (+, -, *, / and their
+    reflected forms) that run() makes."""
+    calls = [0]
+    with pytest.MonkeyPatch.context() as mp:
+        for name in ("__mul__", "__rmul__", "__add__", "__radd__",
+                     "__sub__", "__rsub__", "__truediv__", "__rtruediv__"):
+            def counted(a, b, _orig=getattr(Fraction, name)):
+                calls[0] += 1
+                return _orig(a, b)
+            mp.setattr(Fraction, name, counted)
+        run()
+    return calls[0]
+
+
 P1 = BIParams.make(1, 2, Fraction(1, 2), Fraction(1, 4))
 B1 = monic(P1, 13)
 R1 = RacahParams.make(Fraction(1, 4), Fraction(1, 3), Fraction(1, 2), 2)
@@ -138,6 +153,32 @@ class TestEigenvaluesAndCoeffs:
         assert [eigenvalue(P1, n) for n in range(3)] == [
             Fraction(11, 4), Fraction(-15, 4), Fraction(19, 4)
         ]
+
+    def test_eigenvalue_closed_form(self):
+        # Seeded h with denominators up to 10^6, negative and integer h among them.
+        rng = random.Random(40)
+        tuples = [BIParams.make(*(Fraction(rng.randint(-10**6, 10**6),
+                                           rng.randint(1, 10**6)) for _ in range(4)))
+                  for _ in range(100)]
+        tuples += [BIParams.make(0, 0, 0, HALF), BIParams.make(HALF, 0, 0, 0),
+                   BIParams.make(0, 0, 5, 0), BIParams.make(0, 0, Fraction(1, 10**6), 0)]
+        assert any(P.h < 0 for P in tuples) and any(P.h.denominator == 1 for P in tuples)
+        for P in tuples:
+            for n in range(6):
+                got = eigenvalue(P, n)
+                assert type(got) is Fraction and got == (-1) ** n * (n + P.h), (P, n)
+
+    def test_steps_and_eigenvalues_do_no_fraction_arithmetic_per_degree(self):
+        # Each b_k, u_k and lambda_n is one Fraction of integers, so the
+        # count does not grow with the degree.
+        P1.h, P1.recurrence_shifts  # cached before counting
+        counts = []
+        for N in (4, 16):
+            coeffs = [recurrence_coeffs(P1, n) for n in range(N + 1)]
+            counts.append((
+                fraction_ops(lambda: recurrence_steps(P1, coeffs)),
+                fraction_ops(lambda: [eigenvalue(P1, n) for n in range(N + 1)])))
+        assert counts[0] == counts[1], counts
 
     def test_recurrence_coeffs_p1(self):
         rc = recurrence_coeffs(P1, 0)
@@ -290,22 +331,11 @@ class TestThreeRoutes:
             negative += b2 * b3 < 0
         assert negative >= 20 and min(dens) < 0
 
-    def test_hypergeometric_does_no_fraction_arithmetic_per_degree(self, monkeypatch):
+    def test_hypergeometric_does_no_fraction_arithmetic_per_degree(self):
         # Only the set-up of H, a and b1..b3 uses Fraction: c_n, t_n and the
         # rising factorials are integers, so the count does not grow with nmax.
         P1.h  # cached before counting
-        calls = [0]
-        for name in ("__mul__", "__rmul__", "__add__", "__radd__",
-                     "__sub__", "__rsub__", "__truediv__", "__rtruediv__"):
-            def counted(a, b, _orig=getattr(Fraction, name)):
-                calls[0] += 1
-                return _orig(a, b)
-            monkeypatch.setattr(Fraction, name, counted)
-        counts = []
-        for nmax in (4, 16):
-            calls[0] = 0
-            bi_hypergeometric(P1, nmax)
-            counts.append(calls[0])
+        counts = [fraction_ops(lambda: bi_hypergeometric(P1, nmax)) for nmax in (4, 16)]
         assert counts[0] > 0 and counts[0] == counts[1], counts
 
     def test_degenerate_tuples_raise_like_the_oracle(self):
@@ -607,6 +637,14 @@ class TestLadders:
         with pytest.raises(BILabError,
                            match=r"^ladder denominator n \+ h - 1/2 = 0 at n=1$"):
             ladder_coeffs(P, 1)
+
+    def test_t_is_built_from_integer_numerators(self, monkeypatch):
+        # T reads each B_n's numerators, never its Fraction coefficients.
+        def no_coeffs(p):
+            raise AssertionError("ladder_check read Poly.coeffs")
+        mats = bi_matrices(P1, 12)
+        monkeypatch.setattr(Poly, "coeffs", property(no_coeffs))
+        assert ladder_check(P1, mats, B1[:14]).passed
 
     def test_flipped_coefficient_fails(self, monkeypatch):
         flipped_ladder_coeff(0)(monkeypatch)

@@ -32,6 +32,7 @@ from bi_lab.suites import (
     suite_racah,
 )
 from poly_oracle import poly_eval
+from test_bi_poly import fraction_ops
 
 R1 = RacahParams.make(Fraction(1, 4), Fraction(1, 3), Fraction(1, 2), 2)
 
@@ -129,6 +130,35 @@ class TestFrozenValuesR1:
         vals = np.sort(np.linalg.eigvalsh(k1_symmetric(rep)[0]))
         want = np.sort([4 / 3, -7 / 3, 10 / 3])
         assert np.max(np.abs(vals - want)) < 1e-10
+
+
+def test_spectrum_value_closed_form():
+    # Seeded c with denominators up to 10^6, negative and integer c among them.
+    rng = random.Random(40)
+    cs = [Fraction(rng.randint(-10**6, 10**6), rng.randint(1, 10**6))
+          for _ in range(200)]
+    cs += [Fraction(-3), Fraction(0), Fraction(5), Fraction(-7, 2),
+           Fraction(-1, 10**6)]
+    assert any(c < 0 for c in cs) and any(c.denominator == 1 for c in cs)
+    for c in cs:
+        for s in range(6):
+            got = spectrum_value(s, c)
+            assert type(got) is Fraction and got == (-1) ** s * (s + c + Fraction(1, 2))
+
+
+def test_no_per_index_fraction_arithmetic():
+    # Each band entry is one Fraction of integers and each step comparison
+    # is cross-multiplied, so neither count grows with N; the spectrum
+    # check includes the continuant run.
+    counts = []
+    for N in (4, 16):
+        RP = RacahParams.make(Fraction(1, 4), Fraction(1, 3), Fraction(1, 2), N)
+        RP.mu4, RP.mu, RP.omegas, RP.bk_dk_shifts  # cached before counting
+        build = fraction_ops(lambda: build_tridiag_rep(RP))
+        rep = build_tridiag_rep(RP)
+        steps = steps_of(rep)
+        counts.append((build, fraction_ops(lambda: k1_spectrum_check(rep, steps))))
+    assert counts[0] == counts[1], counts
 
 
 class TestRepresentation:
@@ -453,6 +483,14 @@ class TestSpectrumCheckCanFail:
         assert main(["verify", "--scope", "racah", "--tuples", "2"]) == EXIT_VERIFY_FAILED
         out = capsys.readouterr().out
         assert "[FAIL] racah suite" in out and "first failed: spectra @ 0" in out
+
+    @pytest.mark.parametrize("extra", [-1, 1], ids=["one too few", "one too many"])
+    def test_steps_of_wrong_length_raise(self, extra):
+        rep = build_tridiag_rep(R1)
+        steps = steps_of(rep)
+        steps = steps[:extra] if extra < 0 else [*steps, steps[-1]]
+        with pytest.raises(ValueError):
+            k1_spectrum_check(rep, steps)
 
     @pytest.mark.parametrize("k", [1, 2])
     def test_doubled_d(self, k):
