@@ -5,9 +5,8 @@ exactly, with no tolerance, on graded slices: each operator becomes one
 exact matrix per slice of degree-d spinors, and a relation holds on the
 full graded space when lhs - rhs is the zero matrix on every slice.  A
 spinor slice is the slice of degree-d polynomials tensored with C^2;
-one builder, ``spinor_generators``, writes 1, L J_i, R_i and sigma_i
-onto its basis, L J_i and R_i from the hops of ``sl1.dunkl_slice``
-lifted by relabeling their rows (``_spin_lift``).
+one builder, ``symmetry_generators``, writes every generator onto its
+basis, from one call of ``sl1.dunkl_slice`` per slice.
 
 Every slice matrix is integer and either real or imaginary; the type
 enforces the latter, since a ``LinOp`` carries one phase and a sum of
@@ -193,39 +192,6 @@ def _sigma(i: int, n: int) -> LinOp:
 PAULI = {i: _sigma(i, 1) for i in (1, 2, 3)}
 
 
-def spinor_generators(v: tuple[int, ...], degree: int) -> dict[str, LinOp]:
-    """The identity "1", "J{i}" = L J_i, "R{i}" and "sigma{i}" on the spinor
-    slice of one degree at the point v = (L, m_1, m_2, m_3); monomial m is
-    x1^a (i x2)^b x3^c, ordered by (a, b).
-
-    J_i = (1/i)(x_j D_k - x_k D_j), (i j k) cyclic, on x^e.  The basis
-    (i x2)^b multiplies a hop into x2 by 1/i = -i and one out of x2 by i,
-    so -i x2 D3 + i x3 D2 and -i x1 D2 + i x2 D1 lose their factors of i:
-    with the hops L x_a D_b of ``sl1.dunkl_slice``,
-    L J_1 = -(L x2 D3 + L x3 D2), L J_2 = i (L x1 D3 - L x3 D1) and
-    L J_3 = L x1 D2 + L x2 D1.  J_i and R_i act alike on both components
-    (``_spin_lift``), sigma_i on the spin index.
-    """
-    exps, hop, R = dunkl_slice(v[0], v[1:], degree)
-    J = (lincomb((-1, hop(1, 2)), (-1, hop(2, 1))),
-         lincomb((1, hop(0, 2)), (-1, hop(2, 0))).times_i(),
-         lincomb((1, hop(0, 1)), (1, hop(1, 0))))
-    g = {"1": LinOp.identity(2 * len(exps))}
-    for i in (1, 2, 3):
-        g[f"J{i}"] = _spin_lift(J[i - 1])
-        g[f"R{i}"] = _spin_lift(R[i - 1])
-        g[f"sigma{i}"] = _sigma(i, len(exps))
-    return g
-
-
-def _spin_lift(op: LinOp) -> LinOp:
-    """op ⊗ 1_2: column j of op, with row i written as row 2 i + s, is
-    column 2 j + s; the same numerators over the same den and phase, so
-    the lift of a canonical matrix is canonical."""
-    return LinOp(tuple([{2 * i + s: x for i, x in col.items()}
-                        for col in op.nums for s in (0, 1)]), op.den, op.phase)
-
-
 def pauli_layer_check() -> VerificationReport:
     """sigma_i sigma_j = i eps_ijk sigma_k + delta_ij and the Clifford
     relations as identities between the 2x2 ``PAULI`` ``LinOp``s (integer,
@@ -255,19 +221,32 @@ def gamma_apply(v: tuple[int, ...], g: dict[str, LinOp]) -> LinOp:
 
 
 def symmetry_generators(v: tuple[int, ...], degree: int) -> dict[str, LinOp]:
-    """Gamma and its symmetries as integer matrices on one spinor slice, at
-    the point v = (L, m_1, m_2, m_3).
+    """Gamma and its symmetries as integer matrices on the spinor slice of
+    one degree, at the point v = (L, m_1, m_2, m_3); basis vector 2 m + s
+    is spin s of monomial m = x1^a (i x2)^b x3^c, ordered by (a, b).
 
-    "1", "J{i}" = L J_i, "R{i}" and "sigma{i}" come from
-    ``spinor_generators`` (basis vector 2 m + s: monomial m, spin s),
-    "Gamma" = L Gamma from ``gamma_apply``, and for (i j k) cyclic "M{i}" =
-    L M_i = L J_i + sigma_i (m_j R_j + m_k R_k + L/2), "X{i}" = sigma_i R_i,
-    "K{i}" = L K_i = L M_i X_i Y and "Y" = R1 R2 R3.  An odd L raises
-    ValueError, since its L/2 is no integer; L = 0 is valid.
+    For (i j k) cyclic: "J{i}" = L J_i, J_i = (1/i)(x_j D_k - x_k D_j), and
+    "R{i}" act alike on both spins (op ⊗ 1_2, canonical as op is), "sigma{i}"
+    on the spin index, "M{i}" = L M_i = L J_i + sigma_i (m_j R_j + m_k R_k +
+    L/2), "X{i}" = sigma_i R_i and "K{i}" = L K_i = L M_i X_i Y; "1" is the
+    identity, "Y" = R1 R2 R3 and "Gamma" = L Gamma (``gamma_apply``).  The
+    basis (i x2)^b multiplies a hop into x2 by 1/i = -i and one out of x2 by
+    i, so with the hops L x_a D_b of ``sl1.dunkl_slice``, L J_1 = -(L x2 D3 +
+    L x3 D2), L J_2 = i (L x1 D3 - L x3 D1) and L J_3 = L x1 D2 + L x2 D1.
+    An odd L raises ValueError (L/2 is no integer); L = 0 is valid.
     """
     if v[0] % 2:
         raise ValueError(f"L = {v[0]} is odd, so L M_i is not an integer matrix")
-    g = spinor_generators(v, degree)
+    exps, hop, R = dunkl_slice(v[0], v[1:], degree)
+    J = (lincomb((-1, hop(1, 2)), (-1, hop(2, 1))),
+         lincomb((1, hop(0, 2)), (-1, hop(2, 0))).times_i(),
+         lincomb((1, hop(0, 1)), (1, hop(1, 0))))
+    g = {"1": LinOp.identity(2 * len(exps))}
+    for i in (1, 2, 3):
+        for name, op in ((f"J{i}", J[i - 1]), (f"R{i}", R[i - 1])):
+            g[name] = LinOp(tuple([{2 * r + s: x for r, x in col.items()}
+                                   for col in op.nums for s in (0, 1)]), op.den, op.phase)
+        g[f"sigma{i}"] = _sigma(i, len(exps))
     g["Gamma"] = gamma_apply(v, g)
     g["Y"] = g["R1"] @ g["R2"] @ g["R3"]
     for i, (j, k) in _CYCLIC.items():

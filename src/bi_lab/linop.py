@@ -11,7 +11,7 @@ the one place the imaginary unit lives: entries and coefficients are
 rational, and ``times_i`` is the one way to multiply a matrix by i.
 ``lincomb`` forms a whole linear combination of matrices and of products
 of two, such as the residual of a relation, in one pass per output
-column with no intermediate matrix; ``+``, ``-``, unary ``-``, ``scale``,
+column with no intermediate matrix; ``-``, unary ``-``, ``scale``,
 ``@``, ``comm`` and ``anticomm`` are one ``lincomb`` each.  Columns are
 never mutated once stored.
 """
@@ -88,9 +88,6 @@ class LinOp:
         """This matrix times the projector onto basis vectors 0..m-1: the
         same size, with columns m, m+1, ... emptied, reduced again."""
         return _canonical(self.nums[:m] + ({},) * (len(self) - m), self.den, self.phase)
-
-    def __add__(self, other: "LinOp") -> "LinOp":
-        return lincomb((1, self), (1, other))
 
     def __sub__(self, other: "LinOp") -> "LinOp":
         return lincomb((1, self), (-1, other))

@@ -15,7 +15,7 @@ import bi_lab.sl1 as sl1
 import bi_lab.suites as suites
 from bi_lab.bi_operator import BIParams
 from bi_lab.exact import HALF
-from bi_lab.linop import LinOp
+from bi_lab.linop import LinOp, lincomb
 from bi_lab.report import VerificationReport
 
 
@@ -31,7 +31,7 @@ def perturbed_k3(monkeypatch):
     """K3 + I in place of K3 in the generator matrices of the suites."""
     def mats(P, maxdeg, _orig=suites.bi_matrices):
         K1, K2, K3 = _orig(P, maxdeg)
-        return K1, K2, K3 + LinOp.identity(maxdeg + 3)
+        return K1, K2, lincomb((1, K3), (1, LinOp.identity(maxdeg + 3)))
     monkeypatch.setattr(suites, "bi_matrices", mats)
 
 
@@ -99,7 +99,7 @@ def halved_dunkl_odd_factor(monkeypatch):
 
 def flipped_j1_hop(monkeypatch):
     """L J1 = -(L x2 D3 - L x3 D2) in place of -(L x2 D3 + L x3 D2)."""
-    source_mutant(monkeypatch, dd, "spinor_generators",
+    source_mutant(monkeypatch, dd, "symmetry_generators",
                   "(-1, hop(1, 2)), (-1, hop(2, 1))", "(-1, hop(1, 2)), (1, hop(2, 1))")
 
 

@@ -15,7 +15,7 @@ from bi_lab.bi_operator import (
     monomial_matrix,
 )
 from bi_lab.exact import HALF, rat_str
-from bi_lab.linop import LinOp
+from bi_lab.linop import LinOp, lincomb
 from bi_lab.poly import P_ONE, P_ZERO, Poly
 from bi_lab.suites import suite_bi
 from poly_oracle import k1_apply_composed, k2_apply, k3_apply
@@ -214,7 +214,7 @@ def test_casimir_fails_with_perturbed_k3():
     # K3 + I is no longer a generator: the Casimir gains 2 K3 + I, which
     # raises the degree, so it is not scalar on any x^j.
     K1, K2, K3 = bi_matrices(P1, 12)
-    report = casimir_scalar(P1, (K1, K2, K3 + LinOp.identity(15)))
+    report = casimir_scalar(P1, (K1, K2, lincomb((1, K3), (1, LinOp.identity(15)))))
     assert report.checked == 13
     assert len(report.failures) == report.checked
 
@@ -224,7 +224,7 @@ def test_casimir_failure_fails_suite(monkeypatch):
 
     def perturbed(P, maxdeg, _orig=suites.bi_matrices):
         K1, K2, K3 = _orig(P, maxdeg)
-        return K1, K2, K3 + LinOp.identity(maxdeg + 3)
+        return K1, K2, lincomb((1, K3), (1, LinOp.identity(maxdeg + 3)))
     monkeypatch.setattr(suites, "bi_matrices", perturbed)
     report = suite_bi(seed=1, tuples=2, maxdeg=4)
     assert [(e.check, e.index, e.ok) for e in report.entries] == [

@@ -17,14 +17,13 @@ from bi_lab.dunkl_dirac import (
     jj_commutator_check,
     pauli_layer_check,
     reflect,
-    spinor_generators,
     symmetry_check,
     symmetry_generators,
     var_mul,
 )
 from bi_lab.errors import BILabError
 from bi_lab.exact import GRAT_ONE, GRat
-from bi_lab.linop import LinOp, anticomm
+from bi_lab.linop import LinOp, anticomm, lincomb
 from bi_lab.sl1 import dunkl_scale, dunkl_slice
 from bi_lab.suites import suite_dirac
 
@@ -182,7 +181,7 @@ class TestSliceGenerators:
     @pytest.mark.parametrize("degree", range(7))
     def test_match_poly3_reference(self, DP, degree):
         v = point(DP)
-        g = spinor_generators(v, degree)
+        g = symmetry_generators(v, degree)
 
         def assert_lift(got: LinOp, scalar: LinOp, spin: np.ndarray, factor=1):
             # got = factor * scalar ⊗ spin in the (i x2)^b basis, integer.
@@ -394,7 +393,7 @@ class TestMutants:
 
         def gamma(v, g, _orig=dd.gamma_apply):
             j = g[f"J{axis}"]
-            return _orig(v, g) - g[f"sigma{axis}"] @ j + j
+            return lincomb((1, _orig(v, g)), (-1, g[f"sigma{axis}"], j), (1, j))
 
         monkeypatch.setattr(dd, "gamma_apply", gamma)
         if axis == 2:
@@ -491,17 +490,18 @@ def test_dunkl_scale_gives_even_l(mus):
 def test_one_generator_build_per_slice(monkeypatch):
     import bi_lab.dunkl_dirac as dd
 
-    calls = {"spinor_generators": 0, "gamma_apply": 0}
+    calls = dict.fromkeys(("symmetry_generators", "gamma_apply", "dunkl_slice"), 0)
     for name in calls:
         def counted(*args, _orig=getattr(dd, name), _name=name):
             calls[_name] += 1
             return _orig(*args)
         monkeypatch.setattr(dd, name, counted)
     for _ in range(2):  # a second identical call does the same work again
-        calls.update(spinor_generators=0, gamma_apply=0)
+        calls.update(dict.fromkeys(calls, 0))
         assert suite_dirac(seed=1, tuples=1, maxdeg=3).passed
-        # One build of 1, J_i, R_i, sigma_i and one Gamma per slice 0..3.
-        assert calls == {"spinor_generators": 4, "gamma_apply": 4}
+        # One build of the generators, one Gamma and one set of hops and
+        # reflections per slice 0..3.
+        assert calls == {"symmetry_generators": 4, "gamma_apply": 4, "dunkl_slice": 4}
 
 
 def test_each_relation_is_one_lincomb(monkeypatch):
