@@ -312,7 +312,7 @@ def ladder_check(P: BIParams, mats: tuple[LinOp, LinOp, LinOp],
         ("{K1,K-} = -K-", lincomb((1, K1, minus), (1, minus, k1), (1, minus))),
         ("K+ B_n closed form", lincomb((1, plus, t), (-1, T, Lp))),
         ("K- B_n closed form", lincomb((1, minus, t), (-1, T, Lm))),
-        ("V first form = second form", v - v2),
+        ("V first form = second form", lincomb((1, v), (-1, v2))),
         ("V B_n two-diagonal", lincomb((1, v, t), (-1, T, Lv))),
     ], nmax + 1)
     return report

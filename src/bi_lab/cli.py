@@ -138,8 +138,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_racah(args) -> int:
-    mu = _parse_mu_list(args.mu)
-    RP = RacahParams.make(mu[0], mu[1], mu[2], args.N)
+    RP = RacahParams.make(*_parse_mu_list(args.mu), args.N)
     rep = build_tridiag_rep(RP)
     relations = representation_check(rep)
     P = RP.identifications()
@@ -150,7 +149,7 @@ def cmd_racah(args) -> int:
         c = RP.mu2 + RP.mu3
         _emit_json({
             "params": {
-                "mu": [rat_str(m) for m in mu],
+                "mu": [rat_str(m) for m in (RP.mu1, RP.mu2, RP.mu3)],
                 "N": RP.N,
                 "mu4": rat_str(RP.mu4),
             },
@@ -179,8 +178,7 @@ def cmd_racah(args) -> int:
 
 def cmd_dirac(args) -> int:
     _require_at_least("--maxdeg", args.maxdeg, 0)
-    mu = _parse_mu_list(args.mu)
-    DP = DiracParams.make(mu[0], mu[1], mu[2])
+    DP = DiracParams.make(*_parse_mu_list(args.mu))
     merged = VerificationReport(f"dirac (mu={args.mu}, maxdeg={args.maxdeg})")
     for sub in dirac_checks(DP, args.maxdeg):
         merged.merge(sub)
@@ -195,8 +193,7 @@ def cmd_dirac(args) -> int:
 
 
 def cmd_weights(args) -> int:
-    mu = _parse_mu_list(args.mu)
-    RP = RacahParams.make(mu[0], mu[1], mu[2], args.N)
+    RP = RacahParams.make(*_parse_mu_list(args.mu), args.N)
     P = RP.identifications()
     coeffs = [recurrence_coeffs(P, k) for k in range(RP.N + 1)]
     rows = [

@@ -46,8 +46,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import BILabError
-from .exact import GRAT_ONE, GRat, Rat
-from .linop import LinOp, anticomm, comm, lincomb
+from .exact import GRAT_ONE, GRat, Rat, rat_str
+from .linop import LinOp, lincomb
 from .report import VerificationReport
 from .sl1 import dunkl_scale, dunkl_slice
 
@@ -119,8 +119,9 @@ class DiracParams:
     @staticmethod
     def make(mu1, mu2, mu3) -> "DiracParams":
         mus = tuple(Fraction(m) for m in (mu1, mu2, mu3))
-        if any(m <= Fraction(-1, 2) for m in mus):
-            raise BILabError("each mu_i must exceed -1/2")
+        for i, m in enumerate(mus, 1):
+            if m <= Fraction(-1, 2):
+                raise BILabError(f"mu_{i} = {rat_str(m)} must exceed -1/2")
         return DiracParams(*mus)
 
     def mu(self, axis: int) -> Rat:
@@ -333,9 +334,8 @@ def symmetry_check(v: tuple[int, ...],
     The K_i anticommutators are checked in their cyclic reading, with
     central term 2 mu_k (Gamma + 1) Y + 2 mu_i mu_j for {K_i, K_j}; the
     report records that this reading is the one that holds.  Each relation
-    is one residual: [A, B] = 0 is ``comm(A, B)``, {A, B} = 0 is
-    ``anticomm(A, B)``, and every other relation is one ``lincomb`` of
-    lhs - rhs.
+    is one residual, the ``lincomb`` of lhs - rhs: [A, B] = 0 is
+    AB - BA and {A, B} = 0 is AB + BA.
     """
     report = VerificationReport("Dunkl-Dirac symmetry algebra")
 
@@ -343,21 +343,23 @@ def symmetry_check(v: tuple[int, ...],
         one, y, gamma = g["1"], g["Y"], g["Gamma"]
         for i in (1, 2, 3):
             m, x = g[f"M{i}"], g[f"X{i}"]
-            yield f"[Gamma, M{i}] = 0", comm(gamma, m)
-            yield f"[Gamma, X{i}] = 0", comm(gamma, x)
-            yield f"[M{i}, X{i}] = 0", comm(m, x)
+            yield f"[Gamma, M{i}] = 0", lincomb((1, gamma, m), (-1, m, gamma))
+            yield f"[Gamma, X{i}] = 0", lincomb((1, gamma, x), (-1, x, gamma))
+            yield f"[M{i}, X{i}] = 0", lincomb((1, m, x), (-1, x, m))
             for j in (1, 2, 3):
                 if j != i:
-                    yield f"{{M{i}, X{j}}} = 0", anticomm(m, g[f"X{j}"])
+                    xj = g[f"X{j}"]
+                    yield f"{{M{i}, X{j}}} = 0", lincomb((1, m, xj), (1, xj, m))
 
         # Y is central and squares to one.  X_3^2 = 1, so Y = -i X1 X2 X3
         # reads X1 X2 = i Y X3, a residual of products of two.
         yield ("Y = -i X1 X2 X3 = R1 R2 R3",
                lincomb((1, g["X1"], g["X2"]), (-1, y.times_i(), g["X3"])))
         yield "Y^2 = 1", lincomb((1, y, y), (-1, one))
-        yield "[Y, Gamma] = 0", comm(y, gamma)
+        yield "[Y, Gamma] = 0", lincomb((1, y, gamma), (-1, gamma, y))
         for i in (1, 2, 3):
-            yield f"[Y, M{i}] = 0", comm(y, g[f"M{i}"])
+            m = g[f"M{i}"]
+            yield f"[Y, M{i}] = 0", lincomb((1, y, m), (-1, m, y))
 
         # [M_i, M_j] = i eps_ijk (M_k + 2 mu_k (Gamma+1) X_k) + mu_i mu_j [X_i, X_j]
         # (the realization fixes the coefficient of [X_i, X_j] to mu_i mu_j;

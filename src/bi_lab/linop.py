@@ -11,9 +11,9 @@ the one place the imaginary unit lives: entries and coefficients are
 rational, and ``times_i`` is the one way to multiply a matrix by i.
 ``lincomb`` forms a whole linear combination of matrices and of products
 of two, such as the residual of a relation, in one pass per output
-column with no intermediate matrix; ``-``, unary ``-``, ``scale``,
-``@``, ``comm`` and ``anticomm`` are one ``lincomb`` each.  Columns are
-never mutated once stored.
+column with no intermediate matrix, and is the one way to combine
+matrices: ``@`` is one ``lincomb``.  Columns are never mutated once
+stored.
 """
 
 from __future__ import annotations
@@ -89,17 +89,8 @@ class LinOp:
         same size, with columns m, m+1, ... emptied, reduced again."""
         return _canonical(self.nums[:m] + ({},) * (len(self) - m), self.den, self.phase)
 
-    def __sub__(self, other: "LinOp") -> "LinOp":
-        return lincomb((1, self), (-1, other))
-
     def __matmul__(self, other: "LinOp") -> "LinOp":
         return lincomb((1, self, other))
-
-    def __neg__(self) -> "LinOp":
-        return lincomb((-1, self))
-
-    def scale(self, c: Fraction | int) -> "LinOp":
-        return lincomb((c, self))
 
 
 def _accumulate(terms: list[tuple[Columns, Columns | None, int]], n: int) -> Columns:
@@ -177,16 +168,6 @@ def lincomb(*terms: tuple) -> LinOp:
         scaled.append((a.nums, None if b is None else b.nums, p, d))
     terms = [(a, b, p * (den // d)) for a, b, p, d in scaled]
     return _canonical(_accumulate(terms, n), den, phase or 0)
-
-
-def comm(a: LinOp, b: LinOp) -> LinOp:
-    """[a, b] = ab - ba."""
-    return lincomb((1, a, b), (-1, b, a))
-
-
-def anticomm(a: LinOp, b: LinOp) -> LinOp:
-    """{a, b} = ab + ba."""
-    return lincomb((1, a, b), (1, b, a))
 
 
 def record_columns(report: VerificationReport,

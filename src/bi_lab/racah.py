@@ -26,10 +26,11 @@ run per build (``TridiagRep.continuant``) the last two.
 The build stores each K_i as its columns, dicts {row: Fraction} that
 hold only the band (the shape ``LinOp.make`` takes); the relation check
 multiplies them as integer ``LinOp``s.  Each operator of the tensor
-slice is one ``linop.lincomb`` of matrices and products of two.  Every
-matrix relation here, of the representation and of the slice, is
-checked as one residual ``lincomb`` of lhs - rhs and holds when
-``not residual``: the zero matrix is the one falsy ``LinOp``.
+slice, and each negation or multiple of one, is one ``linop.lincomb`` of
+matrices and products of two.  Every matrix relation here, of the
+representation and of the slice, commutators included, is checked as
+one residual ``lincomb`` of lhs - rhs and holds when ``not residual``:
+the zero matrix is the one falsy ``LinOp``.
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ from operator import matmul
 from .bi_operator import BIParams
 from .errors import BILabError
 from .exact import HALF, ONE, Rat, ZERO, rat_str
-from .linop import LinOp, anticomm, comm, lincomb
+from .linop import LinOp, lincomb
 from .report import VerificationReport
 from .sl1 import dunkl_scale, dunkl_slice
 
@@ -77,8 +78,9 @@ class RacahParams:
     @staticmethod
     def make(mu1, mu2, mu3, N: int) -> "RacahParams":
         mus = tuple(Fraction(m) for m in (mu1, mu2, mu3))
-        if any(m <= Fraction(-1, 2) for m in mus):
-            raise BILabError("each mu_i must exceed -1/2")
+        for i, m in enumerate(mus, 1):
+            if m <= Fraction(-1, 2):
+                raise BILabError(f"mu_{i} = {rat_str(m)} must exceed -1/2")
         if N < 0:
             raise BILabError("N must be non-negative")
         return RacahParams(*mus, N)
@@ -417,8 +419,8 @@ def tensor_oracle(RP: RacahParams, m: int) -> VerificationReport:
     ts = tensor_slice(RP, m)
     eye = LinOp.identity(len(ts.Q4))
     report.record("Q12 coproduct form = expanded form", m,
-                  not ts.Q12 - ts.Q12_alt)
-    k1, k3 = -ts.Q23, -ts.Q12
+                  not lincomb((1, ts.Q12), (-1, ts.Q12_alt)))
+    k1, k3 = lincomb((-1, ts.Q23)), lincomb((-1, ts.Q12))
     # prod_{s<j} (K - lambda_s) for j = 0..m+1; the last is +-prod (Q + lambda_s).
     k3_chain = _prefix_products(
         k3, [spectrum_value(s, RP.mu1 + RP.mu2) for s in range(m + 1)])
@@ -426,7 +428,7 @@ def tensor_oracle(RP: RacahParams, m: int) -> VerificationReport:
         k1, [spectrum_value(s, RP.mu2 + RP.mu3) for s in range(m + 1)])
     for name, op, chain in (("Q12", ts.Q12, k3_chain), ("Q23", ts.Q23, k1_chain)):
         report.record(f"prod_(s<=m) ({name} + lambda_s) = 0", m, not chain[-1])
-        report.record(f"[Q4,{name}] = 0", m, not comm(ts.Q4, op))
+        report.record(f"[Q4,{name}] = 0", m, not lincomb((1, ts.Q4, op), (-1, op, ts.Q4)))
 
     q = [-spectrum_value(j, RP.mu1 + RP.mu2 + RP.mu3 + HALF) for j in range(m + 1)]
     prefix = _prefix_products(ts.Q4, q)  # prefix[j] = prod_{i<j} (Q4 - q_i)
@@ -434,10 +436,10 @@ def tensor_oracle(RP: RacahParams, m: int) -> VerificationReport:
     report.record("prod_(j<=m) (Q4 - q_j) = 0", m, not prefix[-1])
     # K2_j = k1k3 - omega2(j), so {K1,K2_j} = {K1,k1k3} - 2 omega2(j) K1 and
     # {K2_j,K3} = {k1k3,K3} - 2 omega2(j) K3: both anticommutators once.
-    k1k3 = anticomm(k1, k3)
+    k1k3 = lincomb((1, k1, k3), (1, k3, k1))
     rel12 = lincomb((1, k1, k1k3), (1, k1k3, k1), (-1, k3))
     rel23 = lincomb((1, k1k3, k3), (1, k3, k1k3), (-1, k1))
-    k1x2, k3x2 = k1.scale(2), k3.scale(2)  # once, so the loop doubles no omega2
+    k1x2, k3x2 = lincomb((2, k1)), lincomb((2, k3))  # once, so the loop doubles no omega2
     for j, q_j in enumerate(q):
         denom = math.prod((q_j - q_i for i, q_i in enumerate(q) if i != j), start=ONE)
         proj = lincomb((1 / denom, prefix[j], suffix[m - j]))
@@ -464,7 +466,7 @@ def central_extension_check(RP: RacahParams, m: int) -> VerificationReport:
     ts = tensor_slice(RP, m)
     mu1, mu2, mu3 = RP.mu1, RP.mu2, RP.mu3
     eye = LinOp.identity(len(ts.Q4))
-    c3, c1, q = -ts.Q12, -ts.Q23, ts.Q4
+    c3, c1, q = lincomb((-1, ts.Q12)), lincomb((-1, ts.Q23)), ts.Q4
     c2 = lincomb((1, c3, c1), (1, c1, c3), (2 * mu2, q), (-2 * mu3 * mu1, eye))
     report.record("{C1,C2} = C3 - 2 mu3 Q + 2 mu1 mu2", m, not lincomb(
         (1, c1, c2), (1, c2, c1), (-1, c3), (2 * mu3, q), (-2 * mu1 * mu2, eye)))

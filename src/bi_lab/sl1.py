@@ -58,7 +58,7 @@ def module_bilinear_check(M: ModuleParams, mats: tuple[LinOp, ...]) -> Verificat
     0..nmax are exact).  [J0,R] = 0 and R^2 = 1 hold by construction (J0
     and R act diagonally, R by a sign), so they are not recorded."""
     x, D, J0, parity = mats
-    eye, R = LinOp.identity(len(x)), parity.scale(M.epsilon)
+    eye, R = LinOp.identity(len(x)), lincomb((M.epsilon, parity))
     xD, Dx = x @ D, D @ x
     Q = lincomb((1, xD, R), (-1, J0, R), (HALF, R))  # the Casimir J+ J- R - J0 R + R/2
     report = VerificationReport(f"sl_{{-1}}(2) module (eps={M.epsilon}, mu={M.mu})")

@@ -47,12 +47,15 @@ from .sl1 import (
 DEFAULT_SEED = 20140901  # fixed and documented for reproducibility
 
 
+def _draws(rng: random.Random, k: int, lo: int, hi: int, qmax: int) -> list[Fraction]:
+    """k rationals p/q, p uniform on lo..hi and q on 1..qmax, each p drawn
+    before its q."""
+    return [Fraction(rng.randint(lo, hi), rng.randint(1, qmax)) for _ in range(k)]
+
+
 def random_bi_params(rng: random.Random) -> BIParams:
     """Unrestricted rational parameter tuple (relations need no guards)."""
-    def draw() -> Fraction:
-        return Fraction(rng.randint(-8, 8), rng.randint(1, 8))
-
-    return BIParams(draw(), draw(), draw(), draw())
+    return BIParams(*_draws(rng, 4, -8, 8, 8))
 
 
 def random_bi_params_regular(
@@ -84,17 +87,11 @@ def random_bi_params_regular(
 
 def random_racah_params(rng: random.Random, max_n: int) -> RacahParams:
     """Admissible tuple: positive mu_i guarantee unitarity of the rep."""
-    def draw() -> Fraction:
-        return Fraction(rng.randint(1, 12), rng.randint(1, 6))
-
-    return RacahParams.make(draw(), draw(), draw(), rng.randint(0, max_n))
+    return RacahParams.make(*_draws(rng, 3, 1, 12, 6), rng.randint(0, max_n))
 
 
 def random_dirac_params(rng: random.Random) -> DiracParams:
-    def draw() -> Fraction:
-        return Fraction(rng.randint(1, 9), rng.randint(1, 6))
-
-    return DiracParams.make(draw(), draw(), draw())
+    return DiracParams.make(*_draws(rng, 3, 1, 9, 6))
 
 
 def suite_bi(seed: int = DEFAULT_SEED, tuples: int = 50,
@@ -147,9 +144,8 @@ def suite_sl1(seed: int = DEFAULT_SEED, tuples: int = 10) -> VerificationReport:
     report = VerificationReport(f"sl_(-1)(2) suite ({tuples} tuples)")
     for t in range(tuples):
         eps = rng.choice([1, -1])
-        mu = Fraction(rng.randint(0, 12), rng.randint(1, 6))
+        [mu], [nu] = _draws(rng, 1, 0, 12, 6), _draws(rng, 1, 0, 9, 6)
         M = ModuleParams.make(eps, mu)
-        nu = Fraction(rng.randint(0, 9), rng.randint(1, 6))
         mats = module_matrices(M.mu, nmax + 2)
         for sub in (module_bilinear_check(M, mats), osp_casimir_check(M, mats),
                     dunkl_commutator_check(nu, nmax)):

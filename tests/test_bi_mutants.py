@@ -114,8 +114,8 @@ def flipped_gamma_term(axis):
 def flipped_sigma2(monkeypatch):
     """-sigma_2 in place of sigma_2, on the spinor slices and in PAULI."""
     monkeypatch.setattr(dd, "_sigma", lambda i, n, _orig=dd._sigma:
-                        -_orig(i, n) if i == 2 else _orig(i, n))
-    monkeypatch.setitem(dd.PAULI, 2, -dd.PAULI[2])
+                        lincomb((-1, _orig(i, n))) if i == 2 else _orig(i, n))
+    monkeypatch.setitem(dd.PAULI, 2, lincomb((-1, dd.PAULI[2])))
 
 
 def sigma3_for_sigma1(monkeypatch):

@@ -300,7 +300,7 @@ class TestDirac:
 
     def test_mu_at_lower_bound_exit_2(self, capsys):
         code, out, err = run(capsys, "dirac", "--mu=-1/2,1/3,1/2", "--maxdeg", "1")
-        assert (code, out, err) == (EXIT_INVALID, "", "error: each mu_i must exceed -1/2\n")
+        assert (code, out, err) == (EXIT_INVALID, "", "error: mu_1 = -1/2 must exceed -1/2\n")
 
 
 @pytest.mark.parametrize("argv", ["verify --scope sl1", "dirac --mu 1/4,1/3,1/2"])
@@ -340,7 +340,7 @@ class TestWeights:
     @pytest.mark.parametrize("argv, message", [
         ("--mu 1/4,1/3,1/2 --N -1", "N must be non-negative"),
         ("--mu 1/4,1/3 --N 2", "--mu expects three comma-separated rationals"),
-        ("--mu=-1/2,1/3,1/2 --N 2", "each mu_i must exceed -1/2"),
+        ("--mu=1/3,-1/2,1/2 --N 2", "mu_2 = -1/2 must exceed -1/2"),
     ])
     def test_invalid_input_exit_2(self, capsys, command, argv, message):
         code, out, err = run(capsys, command, *argv.split())

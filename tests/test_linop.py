@@ -13,7 +13,8 @@ from hypothesis import strategies as st
 
 import bi_lab
 from bi_lab.exact import GRat
-from bi_lab.linop import LinOp, anticomm, comm, lincomb, record_columns
+import bi_lab.linop
+from bi_lab.linop import LinOp, lincomb, record_columns
 from bi_lab.report import VerificationReport
 
 N = 4
@@ -71,11 +72,6 @@ def term(c, *ops) -> tuple:
     """The ``lincomb`` term of c times the product of ops: an imaginary
     c = I(r) is passed as the rational r and i times the first factor."""
     return (c.r, ops[0].times_i(), *ops[1:]) if isinstance(c, I) else (c, *ops)
-
-
-def scaled(a: LinOp, c) -> LinOp:
-    """c a through ``scale``, c rational or I(r)."""
-    return a.times_i().scale(c.r) if isinstance(c, I) else a.scale(c)
 
 
 def to_sympy(x):
@@ -161,11 +157,11 @@ def test_ring_operations_match_sympy(scalar):
         a, b = linop(x), linop(y)
         sx, sy = sym(x), sym(y)
         assert same(lincomb((1, a), (1, b)), sx + sy)
-        assert same(a - b, sx - sy)
+        assert same(lincomb((1, a), (-1, b)), sx - sy)
         assert same(a @ b, sx * sy)
-        assert same(scaled(a, c), sx * to_sympy(c))
-        assert same(comm(a, b), sx * sy - sy * sx)
-        assert same(anticomm(a, b), sx * sy + sy * sx)
+        assert same(lincomb(term(c, a)), sx * to_sympy(c))
+        assert same(lincomb((1, a, b), (-1, b, a)), sx * sy - sy * sx)
+        assert same(lincomb((1, a, b), (1, b, a)), sx * sy + sy * sx)
         assert_trace(a, sx)
         assert_trace(a @ b, sx * sy)
 
@@ -198,14 +194,18 @@ def test_mixed_operands_match_sympy(left, right, example_x, example_y):
         results = []
         for p, q, sp, sq in ((a, b, sx, sy), (b, a, sy, sx)):
             before = [snapshot(m) for m in operands + results]
-            cases = [(p @ q, sp * sq), (scaled(p, c), sp * to_sympy(c)), (-p, -sp),
-                     (comm(p, q), sp * sq - sq * sp), (anticomm(p, q), sp * sq + sq * sp),
+            cases = [(p @ q, sp * sq), (lincomb(term(c, p)), sp * to_sympy(c)),
+                     (lincomb((-1, p)), -sp),
+                     (lincomb((1, p, q), (-1, q, p)), sp * sq - sq * sp),
+                     (lincomb((1, p, q), (1, q, p)), sp * sq + sq * sp),
                      (lincomb(term(c, p, q), term(c, q, p)),
                       to_sympy(c) * (sp * sq + sq * sp))]
             if phase(sp) is None or phase(sq) is None:
-                cases += [(lincomb((1, p), (1, q)), sp + sq), (p - q, sp - sq)]
+                cases += [(lincomb((1, p), (1, q)), sp + sq),
+                          (lincomb((1, p), (-1, q)), sp - sq)]
             else:
-                for form in (lambda: lincomb((1, p), (1, q)), lambda: p - q):
+                for form in (lambda: lincomb((1, p), (1, q)),
+                             lambda: lincomb((1, p), (-1, q))):
                     with pytest.raises(ValueError):
                         form()
             for got, want in cases:
@@ -249,26 +249,27 @@ def test_lincomb_matches_sympy(matrix, coefficient):
 @pytest.mark.parametrize("scalar", [sparse_rationals, imaginaries],
                          ids=["Fraction", "imaginary"])
 def test_lincomb_forms_of_ring_operations(scalar):
-    # Every ring operation is a lincomb call; each form is also checked
-    # against the others, and the sympy tests check each against sympy.
+    # Every ring operation is a lincomb call: a product term equals the
+    # term of the product, and a combination of combinations is one
+    # combination; the sympy tests check each form against sympy.
     @settings(deadline=None, max_examples=25)
     @given(entries(scalar), entries(scalar), st.one_of(*COEFFICIENTS.values()))
     @phase_examples(PHASE_2X2)
     def check(x, y, c):
         a, b = linop(x), linop(y)
         assert a @ b == lincomb((1, a, b))
-        assert comm(a, b) == lincomb((1, a, b), (-1, b, a)) == a @ b - b @ a
-        assert anticomm(a, b) == lincomb((1, a, b), (1, b, a)) \
-            == lincomb((1, a @ b), (1, b @ a))
-        assert lincomb(term(c, a, b)) == scaled(a @ b, c)
-        assert lincomb(term(c, a), term(-c, b)) == scaled(a, c) - scaled(b, c)
+        assert lincomb((1, a, b), (-1, b, a)) == lincomb((1, a @ b), (-1, b @ a))
+        assert lincomb((1, a, b), (1, b, a)) == lincomb((1, a @ b), (1, b @ a))
+        assert lincomb(term(c, a, b)) == lincomb(term(c, a @ b))
+        assert lincomb(term(c, a), term(-c, b)) \
+            == lincomb((1, lincomb(term(c, a))), (-1, lincomb(term(c, b))))
 
     check()
 
 
 def assert_canonical_zero(zero: LinOp, like: LinOp):
     assert not any(zero.nums) and zero.den == 1 and zero.phase == 0
-    assert zero == like.scale(0)
+    assert zero == lincomb((0, like))
 
 
 @pytest.mark.parametrize("scalar", [sparse_rationals, imaginaries],
@@ -282,7 +283,7 @@ def test_lincomb_cancels_to_canonical_zero(scalar):
         for zero in (lincomb(term(c, a, b), term(-c, a, b)),
                      lincomb(term(c, a), term(c, b), term(-c, a), term(-c, b)),
                      lincomb((1, b, a), (-1, b @ a)),
-                     lincomb(term(c, a, b), (-1, scaled(a, c), b))):
+                     lincomb(term(c, a, b), (-1, lincomb(term(c, a)), b))):
             assert_canonical_zero(zero, a)
 
     check()
@@ -293,7 +294,8 @@ def test_imaginary_sum_that_cancels_is_the_real_zero():
     assert a.phase == 1
     # i (i a / 3) = -a / 3: every term below is imaginary.
     third = Fraction(1, 3)
-    for zero in (a - a, lincomb((third, a), (1, a.times_i().scale(third).times_i())),
+    for zero in (lincomb((1, a), (-1, a)),
+                 lincomb((third, a), (1, lincomb((third, a.times_i())).times_i())),
                  imaginary([{}, {}], 5)):
         assert_canonical_zero(zero, a)
 
@@ -312,13 +314,13 @@ def test_times_i_matches_sympy_and_has_order_four(x):
     assert (ia.nums, ia.den, ia.phase) == (
         tuple({i: sign * v for i, v in col.items()} for col in a.nums), a.den,
         1 - a.phase if a else 0)
-    assert ia.times_i() == -a
+    assert ia.times_i() == lincomb((-1, a))
     assert ia.times_i().times_i().times_i() == a
 
 
 @pytest.mark.parametrize("n", [0, 1, 3])
 def test_times_i_keeps_the_zero_matrix_the_real_zero(n):
-    zero = LinOp.identity(n).scale(0)
+    zero = lincomb((0, LinOp.identity(n)))
     for z in (zero.times_i(), zero.times_i().times_i(), imaginary([{}] * n, 4)):
         assert_canonical_zero(z, zero)
         assert not z
@@ -333,12 +335,11 @@ def test_trace_of_an_imaginary_matrix_raises():
 
 
 def test_coefficients_are_rational():
-    # A Gaussian-rational coefficient has no place in lincomb or scale:
-    # i enters only through times_i.
+    # A Gaussian-rational coefficient has no place in lincomb: i enters
+    # only through times_i.
     c = GRat(Fraction(0), Fraction(1))
     a = linop(REAL_2X2[0])
-    for form in (lambda: lincomb((c, a)), lambda: lincomb((1, a), (c, a, a)),
-                 lambda: a.scale(c)):
+    for form in (lambda: lincomb((c, a)), lambda: lincomb((1, a), (c, a, a))):
         with pytest.raises(AttributeError):
             form()
 
@@ -346,8 +347,8 @@ def test_coefficients_are_rational():
 @pytest.mark.parametrize("n", [0, 1, 3])
 def test_zero_matrix_is_falsy_at_every_size(n):
     eye = LinOp.identity(n)
-    for zero in (eye.scale(0), LinOp.real([{}] * n, 7), imaginary([{}] * n, 2),
-                 eye - eye, lincomb((1, eye, eye), (-1, eye))):
+    for zero in (lincomb((0, eye)), LinOp.real([{}] * n, 7), imaginary([{}] * n, 2),
+                 lincomb((1, eye), (-1, eye)), lincomb((1, eye, eye), (-1, eye))):
         assert not zero and len(zero) == n
 
 
@@ -362,7 +363,15 @@ def test_product_that_cancels_is_falsy(block):
 def test_truthy_exactly_when_nonzero(x):
     a = linop(x)
     assert bool(a) == any(x) == (as_sympy(a) != sympy.zeros(N, N))
-    assert not a - a
+    assert not lincomb((1, a), (-1, a))
+
+
+def test_lincomb_is_the_one_way_to_combine_matrices():
+    """``@`` is the one operator on matrices: sums, differences, negations,
+    multiples and (anti)commutators are each written as one ``lincomb``."""
+    assert [name for name in ("__add__", "__sub__", "__neg__", "scale")
+            if hasattr(LinOp, name)] == []
+    assert [name for name in ("comm", "anticomm") if hasattr(bi_lab.linop, name)] == []
 
 
 def test_only_linop_reads_numerators_to_test_for_zero():
@@ -415,8 +424,9 @@ def test_imaginary_unit_lives_in_the_phase_alone():
 @given(st.one_of(*MATRICES.values()))
 def test_zero_entries_never_stored(x):
     a = linop(x)
-    assert all(v for col in (a - a).nums + a.nums for v in col.values())
-    assert a - a == a.scale(0) == a.scale(Fraction(0))
+    zero = lincomb((1, a), (-1, a))
+    assert all(v for col in zero.nums + a.nums for v in col.values())
+    assert zero == lincomb((0, a)) == lincomb((Fraction(0), a))
     assert a @ LinOp.identity(N) == a == LinOp.identity(N) @ a
     assert LinOp.identity(N) == LinOp.make({j: 1} for j in range(N)) \
         == LinOp.make({j: Fraction(1)} for j in range(N))
@@ -437,21 +447,19 @@ def inverse(c):
 def test_equality_is_canonical(scalar, nonzero, unit, data):
     a = linop(data.draw(entries(scalar)))
     c = data.draw(nonzero)
-    assert scaled(scaled(a, c), inverse(c)) == a
-    assert_canonical_zero(a - a, a)
+    assert lincomb(term(inverse(c), lincomb(term(c, a)))) == a
+    assert_canonical_zero(lincomb((1, a), (-1, a)), a)
     i, j = data.draw(st.integers(0, N - 1)), data.draw(st.integers(0, N - 1))
     e = linop([unit(Fraction(1, 10**30 + 57) if (r, col) == (i, j) else 0)
                for r in range(N) for col in range(N)])
     a_e = lincomb((1, a), (1, e))
     assert a_e != a
-    assert a_e - e == a
+    assert lincomb((1, a_e), (-1, e)) == a
 
 
 def test_size_mismatch_rejected():
     a = LinOp.identity(2)
     b = LinOp.identity(3)
-    with pytest.raises(ValueError):
-        a - b
     with pytest.raises(ValueError):
         a @ b
     for terms in (((1, a), (1, b)), ((1, a, b),), ((1, b, a),), ((2, a), (1, a, b))):
@@ -476,10 +484,10 @@ def test_lincomb_rejects_real_plus_imaginary(terms):
 
 
 def test_zero_terms_of_the_other_phase_are_skipped():
-    zero = REAL.scale(0)
+    zero = lincomb((0, REAL))
     assert zero.phase == 0
     for c, other in ((1, REAL), (Fraction(1, 2), IMAGINARY), (-1, IMAGINARY.times_i())):
-        want = other.scale(c)
+        want = lincomb((c, other))
         for skipped in ((0, IMAGINARY), (Fraction(0), IMAGINARY), (0, REAL.times_i()),
                         (0, REAL), (1, zero.times_i()), (1, IMAGINARY, zero),
                         (1, zero, IMAGINARY), (1, REAL.times_i(), zero)):
@@ -508,7 +516,7 @@ def recorded_columns(monkeypatch, residuals, n):
 
 
 def test_record_columns_one_call_per_entry_in_column_order(monkeypatch):
-    zero = LinOp.identity(4).scale(0)
+    zero = LinOp.real([{}] * 4, 1)
     report, calls = recorded_columns(monkeypatch, [("a", zero), ("b", zero)], 3)
     assert calls == [(name, j, True) for j in range(3) for name in "ab"]
     assert [(e.check, e.index, e.ok) for e in report.entries] == calls
@@ -517,7 +525,7 @@ def test_record_columns_one_call_per_entry_in_column_order(monkeypatch):
 @pytest.mark.parametrize("block", [LinOp.real, imaginary])
 @pytest.mark.parametrize("j", range(4))
 def test_record_columns_fails_exactly_the_nonzero_column(monkeypatch, block, j):
-    zero = LinOp.identity(4).scale(0)
+    zero = LinOp.real([{}] * 4, 1)
     residual = block([{(j + 1) % 4: 5} if c == j else {} for c in range(4)], 3)
     report, _ = recorded_columns(monkeypatch, [("zero", zero), ("r", residual)], 4)
     assert report.checked == 8

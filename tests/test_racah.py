@@ -11,7 +11,7 @@ import pytest
 from bi_lab.bi_poly import bi_recurrence, grid_point, recurrence_coeffs, recurrence_steps
 from bi_lab.cli import EXIT_VERIFY_FAILED, main
 from bi_lab.errors import BILabError
-from bi_lab.linop import LinOp
+from bi_lab.linop import LinOp, lincomb
 from bi_lab.racah import (
     RacahParams,
     bk_dk,
@@ -175,8 +175,10 @@ class TestRepresentation:
         assert RP.mu == -RP.mu4
 
     def test_make_validates(self):
-        with pytest.raises(BILabError, match="^each mu_i must exceed -1/2$"):
+        with pytest.raises(BILabError, match="^mu_1 = -1/2 must exceed -1/2$"):
             RacahParams.make(Fraction(-1, 2), 1, 1, 2)
+        with pytest.raises(BILabError, match="^mu_3 = -3/1 must exceed -1/2$"):
+            RacahParams.make(1, 0, -3, 2)
         with pytest.raises(BILabError, match="^N must be non-negative$"):
             RacahParams.make(1, 1, 1, -1)
 
@@ -750,7 +752,7 @@ class TestCentralExtension:
 
         def perturbed(RP, m):
             ts = orig(RP, m)
-            return dataclasses.replace(ts, Q4=ts.Q4.scale(2))
+            return dataclasses.replace(ts, Q4=lincomb((2, ts.Q4)))
 
         monkeypatch.setattr(racah, "tensor_slice", perturbed)
         report = central_extension_check(RP, N)
