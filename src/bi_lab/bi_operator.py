@@ -39,23 +39,19 @@ class BIParams:
     r1: Rat
     r2: Rat
 
-    @staticmethod
-    def make(rho1, rho2, r1, r2) -> "BIParams":
-        return BIParams(Fraction(rho1), Fraction(rho2), Fraction(r1), Fraction(r2))
-
     @cached_property  # computed once per tuple, read by eigenvalue for every n
     def h(self) -> Rat:
         return self.rho1 + self.rho2 - self.r1 - self.r2 + HALF
 
-    @property
+    @cached_property  # each omega computed once per tuple, read by every check of it
     def omega1(self) -> Rat:
         return 4 * (self.rho1 * self.rho2 + self.r1 * self.r2)
 
-    @property
+    @cached_property
     def omega2(self) -> Rat:
         return 2 * (self.rho1**2 + self.rho2**2 - self.r1**2 - self.r2**2)
 
-    @property
+    @cached_property
     def omega3(self) -> Rat:
         return 4 * (self.rho1 * self.rho2 - self.r1 * self.r2)
 

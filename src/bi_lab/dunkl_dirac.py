@@ -45,11 +45,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .errors import BILabError
-from .exact import GRAT_ONE, GRat, Rat, rat_str
+from .exact import GRAT_ONE, GRat, Rat
 from .linop import LinOp, lincomb
 from .report import VerificationReport
-from .sl1 import dunkl_scale, dunkl_slice
+from .sl1 import checked_mu, dunkl_scale, dunkl_slice
 
 Exponent = tuple[int, int, int]
 
@@ -87,9 +86,6 @@ class Poly3:
             return Poly3({})
         return Poly3({e: x * c for e, x in self.terms.items()})
 
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, Poly3) and self.terms == other.terms
-
 
 def var_mul(axis: int, p: Poly3) -> Poly3:
     """Multiply by the coordinate x_axis (axis in 1..3)."""
@@ -118,14 +114,8 @@ class DiracParams:
 
     @staticmethod
     def make(mu1, mu2, mu3) -> "DiracParams":
-        mus = tuple(Fraction(m) for m in (mu1, mu2, mu3))
-        for i, m in enumerate(mus, 1):
-            if m <= Fraction(-1, 2):
-                raise BILabError(f"mu_{i} = {rat_str(m)} must exceed -1/2")
-        return DiracParams(*mus)
-
-    def mu(self, axis: int) -> Rat:
-        return (self.mu1, self.mu2, self.mu3)[axis - 1]
+        return DiracParams(*(checked_mu(f"mu_{i}", m)
+                             for i, m in enumerate((mu1, mu2, mu3), 1)))
 
 
 def dunkl_partial(DP: DiracParams, axis: int, p: Poly3) -> Poly3:
@@ -135,7 +125,7 @@ def dunkl_partial(DP: DiracParams, axis: int, p: Poly3) -> Poly3:
     2 mu_i x_i^(a-1) (a odd), so the division by x_i is always exact.
     """
     i = axis - 1
-    mu = DP.mu(axis)
+    mu = (DP.mu1, DP.mu2, DP.mu3)[i]
     acc: dict[Exponent, GRat] = {}
     for e, c in p.terms.items():
         a = e[i]

@@ -47,7 +47,7 @@ from .errors import BILabError
 from .exact import HALF, ONE, Rat, ZERO, rat_str
 from .linop import LinOp, lincomb
 from .report import VerificationReport
-from .sl1 import dunkl_scale, dunkl_slice
+from .sl1 import checked_mu, dunkl_scale, dunkl_slice
 
 BandColumns = tuple[dict[int, Rat], ...]
 
@@ -77,12 +77,9 @@ class RacahParams:
 
     @staticmethod
     def make(mu1, mu2, mu3, N: int) -> "RacahParams":
-        mus = tuple(Fraction(m) for m in (mu1, mu2, mu3))
-        for i, m in enumerate(mus, 1):
-            if m <= Fraction(-1, 2):
-                raise BILabError(f"mu_{i} = {rat_str(m)} must exceed -1/2")
+        mus = [checked_mu(f"mu_{i}", m) for i, m in enumerate((mu1, mu2, mu3), 1)]
         if N < 0:
-            raise BILabError("N must be non-negative")
+            raise BILabError(f"N = {N} must be non-negative")
         return RacahParams(*mus, N)
 
     @cached_property  # read by every build, draw and table of this tuple
@@ -95,6 +92,10 @@ class RacahParams:
         # the truncation B_N = 0, whose vanishing factor sits in the even
         # branch (mu = +mu4) or the odd branch (mu = -mu4) of B_k.
         return self.mu4 if self.N % 2 == 0 else -self.mu4
+
+    @cached_property  # read by representation_check and the JSON of the build
+    def casimir(self) -> Rat:
+        return self.mu1**2 + self.mu2**2 + self.mu3**2 + self.mu4**2 - Fraction(1, 4)
 
     @cached_property  # computed once for the build and for its check
     def omegas(self) -> tuple[Rat, Rat, Rat]:
@@ -131,12 +132,6 @@ class RacahParams:
             (self.mu1 + self.mu) / 2,
             (self.mu3 - self.mu2) / 2,
             (self.mu - self.mu1) / 2,
-        )
-
-    def casimir_value(self) -> Rat:
-        return (
-            self.mu1**2 + self.mu2**2 + self.mu3**2 + self.mu4**2
-            - Fraction(1, 4)
         )
 
 
@@ -185,7 +180,6 @@ class TridiagRep:
     K3: BandColumns
     B: tuple[Rat, ...]
     D: tuple[Rat, ...]
-    casimir: Rat
 
     @cached_property  # one run serves the spectrum check and the overlaps
     def continuant(self) -> tuple[list[list[int]], list[int]]:
@@ -195,7 +189,7 @@ class TridiagRep:
         return {
             "N": self.params.N,
             "q4": rat_str(-self.params.mu),
-            "casimir": rat_str(self.casimir),
+            "casimir": rat_str(self.params.casimir),
             **{name: [[rat_str(col[i]) if i in col else "0/1" for col in K]
                       for i in range(len(K))]
                for name, K in (("K1", self.K1), ("K2", self.K2), ("K3", self.K3))},
@@ -231,7 +225,7 @@ def build_tridiag_rep(RP: RacahParams) -> TridiagRep:
             K1[k - 1][k], K1[k][k - 1] = B[k - 1], D[k]
             K2[k - 1][k], K2[k][k - 1] = ((B[k - 1], D[k]) if k % 2 == 0
                                           else (-B[k - 1], -D[k]))
-    return TridiagRep(RP, tuple(K1), tuple(K2), tuple(K3), B, D, RP.casimir_value())
+    return TridiagRep(RP, tuple(K1), tuple(K2), tuple(K3), B, D)
 
 
 def representation_check(rep: TridiagRep) -> VerificationReport:
@@ -243,7 +237,7 @@ def representation_check(rep: TridiagRep) -> VerificationReport:
     RP, Ks = rep.params, (rep.K1, rep.K2, rep.K3)
     om1, _, om3 = RP.omegas
     L = math.lcm(*(x.denominator for K in Ks for col in K for x in col.values()),
-                 om1.denominator, om3.denominator, rep.casimir.denominator)
+                 om1.denominator, om3.denominator, RP.casimir.denominator)
     A1, A2, A3 = (LinOp.real([{i: x.numerator * (L // x.denominator)
                                for i, x in col.items() if x} for col in K], 1)
                   for K in Ks)
@@ -256,7 +250,7 @@ def representation_check(rep: TridiagRep) -> VerificationReport:
         (1, mat_mul(A2, A3)), (1, mat_mul(A3, A2)), (-L, A1), (-L * L * om1, eye)))
     report.record("K1^2 + K2^2 + K3^2 = casimir", RP.N, not lincomb(
         (1, mat_mul(A1, A1)), (1, mat_mul(A2, A2)), (1, mat_mul(A3, A3)),
-        (-L * L * rep.casimir, eye)))
+        (-L * L * RP.casimir, eye)))
     return report
 
 
@@ -439,7 +433,6 @@ def tensor_oracle(RP: RacahParams, m: int) -> VerificationReport:
     k1k3 = lincomb((1, k1, k3), (1, k3, k1))
     rel12 = lincomb((1, k1, k1k3), (1, k1k3, k1), (-1, k3))
     rel23 = lincomb((1, k1k3, k3), (1, k3, k1k3), (-1, k1))
-    k1x2, k3x2 = lincomb((2, k1)), lincomb((2, k3))  # once, so the loop doubles no omega2
     for j, q_j in enumerate(q):
         denom = math.prod((q_j - q_i for i, q_i in enumerate(q) if i != j), start=ONE)
         proj = lincomb((1 / denom, prefix[j], suffix[m - j]))
@@ -447,8 +440,8 @@ def tensor_oracle(RP: RacahParams, m: int) -> VerificationReport:
         report.record("prod_(s<=j) (K3 - lambda_s) E_j = 0", j,
                       not k3_chain[j + 1] @ proj)
         om1, om2, om3 = dataclasses.replace(RP, N=j).omegas
-        lhs12 = lincomb((1, rel12), (-om2, k1x2), (-om3, eye))
-        lhs23 = lincomb((1, rel23), (-om2, k3x2), (-om1, eye))
+        lhs12 = lincomb((1, rel12), (-2 * om2, k1), (-om3, eye))
+        lhs23 = lincomb((1, rel23), (-2 * om2, k3), (-om1, eye))
         report.record("BI relation {K1,K2} E_j", j, not lhs12 @ proj)
         report.record("BI relation {K2,K3} E_j", j, not lhs23 @ proj)
     return report

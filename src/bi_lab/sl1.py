@@ -22,9 +22,19 @@ from itertools import product
 from typing import Callable, Sequence
 
 from .errors import BILabError
-from .exact import HALF, Rat
+from .exact import HALF, Rat, rat_str
 from .linop import LinOp, lincomb, record_columns
 from .report import VerificationReport
+
+
+def checked_mu(name: str, mu) -> Rat:
+    """mu as a Fraction, the one guard of every module parameter mu > -1/2
+    (of ``ModuleParams``, ``racah.RacahParams`` and ``dunkl_dirac.DiracParams``):
+    raises BILabError naming the value, "<name> = p/q must exceed -1/2"."""
+    mu = Fraction(mu)
+    if mu <= -HALF:
+        raise BILabError(f"{name} = {rat_str(mu)} must exceed -1/2")
+    return mu
 
 
 @dataclass(frozen=True)
@@ -36,10 +46,7 @@ class ModuleParams:
     def make(epsilon: int, mu) -> "ModuleParams":
         if epsilon not in (1, -1):
             raise BILabError("epsilon must be +1 or -1")
-        mu = Fraction(mu)
-        if mu <= Fraction(-1, 2):
-            raise BILabError(f"mu must exceed -1/2, got {mu}")
-        return ModuleParams(epsilon, mu)
+        return ModuleParams(epsilon, checked_mu("mu", mu))
 
 
 def module_matrices(mu: Rat, n: int) -> tuple[LinOp, LinOp, LinOp, LinOp]:

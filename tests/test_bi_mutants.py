@@ -23,7 +23,7 @@ def shifted_omega(attr):
     """omega_i + 1 in place of omega_i, wherever it is read."""
     def patch(monkeypatch):
         orig = getattr(BIParams, attr)
-        monkeypatch.setattr(BIParams, attr, property(lambda P: orig.fget(P) + 1))
+        monkeypatch.setattr(BIParams, attr, property(lambda P: orig.func(P) + 1))
     return patch
 
 
@@ -150,10 +150,10 @@ def shifted_racah_omega(i):
     return patch
 
 
-def bumped_casimir_value(monkeypatch):
-    """The Casimir value of the Racah parameters plus 1."""
-    monkeypatch.setattr(racah.RacahParams, "casimir_value",
-                        lambda RP, _orig=racah.RacahParams.casimir_value: _orig(RP) + 1)
+def bumped_casimir_value(monkeypatch, by=1):
+    """The Casimir value of the Racah parameters plus by."""
+    orig = racah.RacahParams.casimir.func
+    monkeypatch.setattr(racah.RacahParams, "casimir", property(lambda RP: orig(RP) + by))
 
 
 def shifted_bk_dk(which):

@@ -21,7 +21,13 @@ from bi_lab.suites import suite_bi
 from poly_oracle import k1_apply_composed, k2_apply, k3_apply
 from test_bi_mutants import perturbed_k3
 
-P1 = BIParams.make(1, 2, Fraction(1, 2), Fraction(1, 4))
+
+def bi_params(*values) -> BIParams:
+    """BIParams of four values that ``Fraction`` takes."""
+    return BIParams(*map(Fraction, values))
+
+
+P1 = bi_params(1, 2, Fraction(1, 2), Fraction(1, 4))
 
 
 class TestFrozenValuesP1:
@@ -58,8 +64,8 @@ class TestStructure:
 
     @pytest.mark.parametrize(
         "params",
-        [BIParams.make(0, 0, 0, 0),
-         BIParams.make(Fraction(-1, 3), Fraction(2, 7), 5, Fraction(-3, 2))],
+        [bi_params(0, 0, 0, 0),
+         bi_params(Fraction(-1, 3), Fraction(2, 7), 5, Fraction(-3, 2))],
     )
     def test_relations_other_params(self, params):
         assert check_bi_relations(params, bi_matrices(params, 8)).passed
@@ -96,8 +102,8 @@ class TestStructure:
             assert column(K1K3, j, k1_apply(P1, k3_apply(P1, mono)))
 
     @pytest.mark.parametrize("P", [
-        P1, BIParams.make(Fraction(-1, 3), Fraction(2, 7), 5, Fraction(-3, 2)),
-        BIParams.make(Fraction(5, 6), Fraction(-7, 4), Fraction(3, 8), Fraction(1, 9)),
+        P1, bi_params(Fraction(-1, 3), Fraction(2, 7), 5, Fraction(-3, 2)),
+        bi_params(Fraction(5, 6), Fraction(-7, 4), Fraction(3, 8), Fraction(1, 9)),
     ])
     @pytest.mark.parametrize("apply", [k1_apply, k2_apply, k3_apply])
     def test_monomial_matrix_equals_fraction_build(self, P, apply):
@@ -127,7 +133,7 @@ def seeded_k1_cases(count: int):
         return Fraction(rng.randint(-top, top), rng.randint(1, 10**6 if big else 12))
 
     for i in range(count):
-        P = BIParams.make(*(rat(i % 7 == 3) for _ in range(4)))
+        P = bi_params(*(rat(i % 7 == 3) for _ in range(4)))
         d = i % 18 - 1
         yield P, Poly.make([rat(i % 5 == 1) for _ in range(d + 1)]) if d >= 0 else P_ZERO
 
@@ -144,7 +150,7 @@ def test_k1_apply_reduces_twice_and_reads_no_h(monkeypatch):
     # the per-tuple numerators, not from P.h.
     import bi_lab.poly as poly
 
-    P = BIParams.make(Fraction(-1, 3), Fraction(2, 7), 5, Fraction(-3, 2))
+    P = bi_params(Fraction(-1, 3), Fraction(2, 7), 5, Fraction(-3, 2))
     want = [k1_apply(P, Poly.monomial(j).scale(Fraction(7, 3))) for j in range(10)]
     calls = 0
     def counted(*args, _orig=poly._canonical):
@@ -166,7 +172,7 @@ def test_k1_matrix_equals_monomial_build():
     # The Q_j recurrence gives the same canonical matrix, field for field,
     # as k1_apply on each monomial, for numerators of about 10^30 over
     # denominators up to 10^6 too, and at h = 0 (a zero column).
-    params = [P1, BIParams.make(0, 0, 0, 0), BIParams.make(0, 0, HALF, 0)]
+    params = [P1, bi_params(0, 0, 0, 0), bi_params(0, 0, HALF, 0)]
     params += [P for P, _ in seeded_k1_cases(70)]
     assert any(P.k1_numerators[3] > 10**6 for P in params)
     for P in params:
@@ -175,7 +181,7 @@ def test_k1_matrix_equals_monomial_build():
 
 
 def test_k2_from_diagonals():
-    P = BIParams.make(Fraction(-1, 3), Fraction(2, 7), 5, Fraction(-3, 2))
+    P = bi_params(Fraction(-1, 3), Fraction(2, 7), 5, Fraction(-3, 2))
     for d in range(13):
         assert bi_matrices(P, d)[1] == monomial_matrix(P, k2_apply, d + 3)
 

@@ -34,7 +34,7 @@ from bi_lab.suites import (
 )
 from poly_oracle import bi_recurrence_composed, k2_apply, k3_apply, poly_eval
 from test_bi_mutants import flipped_ladder_coeff, omega1_in_second_form, perturbed_k3
-from test_bi_operator import assert_no_truncation_column, formed_residuals
+from test_bi_operator import assert_no_truncation_column, bi_params, formed_residuals
 
 
 def monic(P, n):
@@ -57,7 +57,7 @@ def fraction_ops(run) -> int:
     return calls[0]
 
 
-P1 = BIParams.make(1, 2, Fraction(1, 2), Fraction(1, 4))
+P1 = bi_params(1, 2, Fraction(1, 2), Fraction(1, 4))
 B1 = monic(P1, 13)
 R1 = RacahParams.make(Fraction(1, 4), Fraction(1, 3), Fraction(1, 2), 2)
 
@@ -157,11 +157,11 @@ class TestEigenvaluesAndCoeffs:
     def test_eigenvalue_closed_form(self):
         # Seeded h with denominators up to 10^6, negative and integer h among them.
         rng = random.Random(40)
-        tuples = [BIParams.make(*(Fraction(rng.randint(-10**6, 10**6),
+        tuples = [bi_params(*(Fraction(rng.randint(-10**6, 10**6),
                                            rng.randint(1, 10**6)) for _ in range(4)))
                   for _ in range(100)]
-        tuples += [BIParams.make(0, 0, 0, HALF), BIParams.make(HALF, 0, 0, 0),
-                   BIParams.make(0, 0, 5, 0), BIParams.make(0, 0, Fraction(1, 10**6), 0)]
+        tuples += [bi_params(0, 0, 0, HALF), bi_params(HALF, 0, 0, 0),
+                   bi_params(0, 0, 5, 0), bi_params(0, 0, Fraction(1, 10**6), 0)]
         assert any(P.h < 0 for P in tuples) and any(P.h.denominator == 1 for P in tuples)
         for P in tuples:
             for n in range(6):
@@ -185,14 +185,14 @@ class TestEigenvaluesAndCoeffs:
         assert rc.A == Fraction(5, 13) and rc.C == 0
 
     def test_c0_always_zero(self):
-        rc = recurrence_coeffs(BIParams.make(2, 3, Fraction(1, 3), 1), 0)
+        rc = recurrence_coeffs(bi_params(2, 3, Fraction(1, 3), 1), 0)
         assert rc.C == 0
 
     def test_truncation_at_racah_params(self):
         assert recurrence_coeffs(R1.identifications(), 2).A == 0
 
     def test_shifts_cached_on_each_tuple(self):
-        P, twin = (BIParams.make(2, 3, Fraction(1, 3), 1) for _ in range(2))
+        P, twin = (bi_params(2, 3, Fraction(1, 3), 1) for _ in range(2))
         want = recurrence_coeffs(P, 3)
         shifts = vars(P)["recurrence_shifts"]
         assert recurrence_coeffs(P, 3) == want and P.recurrence_shifts is shifts
@@ -204,7 +204,7 @@ class TestEigenvaluesAndCoeffs:
 
     def test_degenerate_denominator(self):
         # rho1+rho2-r1-r2+1 = 0 at n = 0
-        bad = BIParams.make(0, 0, Fraction(1, 2), Fraction(1, 2))
+        bad = bi_params(0, 0, Fraction(1, 2), Fraction(1, 2))
         with pytest.raises(BILabError, match=r"^A_0 denominator vanishes for BIParams"):
             recurrence_coeffs(bad, 0)
 
@@ -288,14 +288,14 @@ class TestThreeRoutes:
 
     def test_operator_eigenvalue_collision(self):
         # h = -1/2, so lambda_0 = h = -(1 + h) = lambda_1.
-        P = BIParams.make(0, 0, 0, 1)
+        P = bi_params(0, 0, 0, 1)
         with pytest.raises(BILabError,
                            match="eigenvalue collision lambda_0 = lambda_1"):
             bi_from_operator(P, 1)
 
     def test_hypergeometric_vanishing_lower_parameter(self):
         # 1 - r1 - r2 = 0 is the first lower parameter of both 4F3 sums.
-        P = BIParams.make(1, 2, Fraction(1, 2), Fraction(1, 2))
+        P = bi_params(1, 2, Fraction(1, 2), Fraction(1, 2))
         for n in (2, 3, 6):
             for route in (bi_hypergeometric, hypergeometric_oracle):
                 with pytest.raises(BILabError) as exc:
@@ -341,13 +341,13 @@ class TestThreeRoutes:
     def test_degenerate_tuples_raise_like_the_oracle(self):
         # A vanishing lower parameter, b2 = 0 where only B_1's prefactor
         # divides by it, and c_n denominators h + 1/2 + j = 0 (j = 1, 3).
-        hand = [(BIParams.make(1, 2, Fraction(1, 2), Fraction(1, 2)), 6,
+        hand = [(bi_params(1, 2, Fraction(1, 2), Fraction(1, 2)), 6,
                  "lower Pochhammer (0)_1 vanishes at shift 0"),
-                (BIParams.make(0, 2, Fraction(1, 2), Fraction(1, 4)), 1,
+                (bi_params(0, 2, Fraction(1, 2), Fraction(1, 4)), 1,
                  "lower Pochhammer (0)_1 vanishes at shift 0"),
-                (BIParams.make(0, 0, Fraction(1, 4), Fraction(7, 4)), 2,
+                (bi_params(0, 0, Fraction(1, 4), Fraction(7, 4)), 2,
                  "c_n denominator factor h + 1/2 + 1 vanishes"),
-                (BIParams.make(0, 0, 1, 3), 7,
+                (bi_params(0, 0, 1, 3), 7,
                  "c_n denominator factor h + 1/2 + 3 vanishes")]
         for P, nmax, message in hand:
             assert raised(hypergeometric_oracle, P, nmax) is not None
@@ -518,7 +518,7 @@ class TestIntegerRecurrence:
 
 class TestGrid:
     def test_grid_rho1_one(self):
-        P = BIParams.make(1, 0, 0, 0)
+        P = bi_params(1, 0, 0, 0)
         assert [grid_point(P, s) for s in range(3)] == [1, -2, 2]
 
     def test_grid_matches_display(self):
@@ -569,8 +569,8 @@ def column(p, den):
 LADDER_CHECKS = ["{K1,K+} = K+", "{K1,K-} = -K-", "K+ B_n closed form",
                  "K- B_n closed form", "V first form = second form",
                  "V B_n two-diagonal"]
-THREE_TUPLES = [P1, BIParams.make(Fraction(-1, 3), Fraction(2, 7), 5, Fraction(-3, 2)),
-                BIParams.make(Fraction(5, 6), Fraction(-7, 4), Fraction(3, 8),
+THREE_TUPLES = [P1, bi_params(Fraction(-1, 3), Fraction(2, 7), 5, Fraction(-3, 2)),
+                bi_params(Fraction(5, 6), Fraction(-7, 4), Fraction(3, 8),
                               Fraction(1, 9))]
 
 
@@ -626,14 +626,14 @@ class TestLadders:
     def test_h_one_half(self):
         # h = 1/2 zeroes the denominator of alpha0 only at n = 0, where the
         # factor n already makes alpha0 = 0: no guard applies there.
-        P = BIParams.make(1, Fraction(1, 3), Fraction(1, 2), Fraction(5, 6))
+        P = bi_params(1, Fraction(1, 3), Fraction(1, 2), Fraction(5, 6))
         assert P.h == HALF and ladder_coeffs(P, 0) == (0, 4)
         assert ladder_poly(P, 1, P_ONE) == P_ZERO
         assert not failed_ladder_checks(P, 6)
 
     def test_degenerate_denominator(self):
         # n + h - 1/2 = 0 at n = 1: h = -1/2.
-        P = BIParams.make(0, 0, 1, 0)
+        P = bi_params(0, 0, 1, 0)
         with pytest.raises(BILabError,
                            match=r"^ladder denominator n \+ h - 1/2 = 0 at n=1$"):
             ladder_coeffs(P, 1)

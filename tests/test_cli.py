@@ -338,7 +338,7 @@ class TestWeights:
 
     @pytest.mark.parametrize("command", ["racah", "weights"])
     @pytest.mark.parametrize("argv, message", [
-        ("--mu 1/4,1/3,1/2 --N -1", "N must be non-negative"),
+        ("--mu 1/4,1/3,1/2 --N -1", "N = -1 must be non-negative"),
         ("--mu 1/4,1/3 --N 2", "--mu expects three comma-separated rationals"),
         ("--mu=1/3,-1/2,1/2 --N 2", "mu_2 = -1/2 must exceed -1/2"),
     ])

@@ -21,7 +21,6 @@ from bi_lab.dunkl_dirac import (
     symmetry_generators,
     var_mul,
 )
-from bi_lab.errors import BILabError
 from bi_lab.exact import GRAT_ONE, GRat
 from bi_lab.linop import LinOp, lincomb
 from bi_lab.sl1 import dunkl_scale, dunkl_slice
@@ -138,12 +137,6 @@ class TestDunklPartial:
     def test_mixed(self):
         assert dunkl_partial(DP1, 2, var_mul(1, X2)) == \
             X1.scale(GRat(Fraction(1 + 2 * DP1.mu2), Fraction(0)))
-
-    def test_params_validated(self):
-        with pytest.raises(BILabError, match="^mu_1 = -1/2 must exceed -1/2$"):
-            DiracParams.make(Fraction(-1, 2), 0, 0)
-        with pytest.raises(BILabError, match="^mu_2 = -2/3 must exceed -1/2$"):
-            DiracParams.make(0, Fraction(-2, 3), Fraction(-1))
 
 
 class TestAngularMomentum:

@@ -32,6 +32,7 @@ from bi_lab.suites import (
     suite_racah,
 )
 from poly_oracle import poly_eval
+from test_bi_mutants import bumped_casimir_value
 from test_bi_poly import fraction_ops
 
 R1 = RacahParams.make(Fraction(1, 4), Fraction(1, 3), Fraction(1, 2), 2)
@@ -106,7 +107,7 @@ class TestFrozenValuesR1:
         assert bk_dk(R1, 2)[0] == 0  # truncation
 
     def test_casimir(self):
-        assert R1.casimir_value() == Fraction(1213, 72)
+        assert R1.casimir == Fraction(1213, 72)
 
     def test_identifications(self):
         P = R1.identifications()
@@ -175,11 +176,8 @@ class TestRepresentation:
         assert RP.mu == -RP.mu4
 
     def test_make_validates(self):
-        with pytest.raises(BILabError, match="^mu_1 = -1/2 must exceed -1/2$"):
-            RacahParams.make(Fraction(-1, 2), 1, 1, 2)
-        with pytest.raises(BILabError, match="^mu_3 = -3/1 must exceed -1/2$"):
-            RacahParams.make(1, 0, -3, 2)
-        with pytest.raises(BILabError, match="^N must be non-negative$"):
+        # The mu guard is sl1.checked_mu, tested with every make in test_sl1.
+        with pytest.raises(BILabError, match="^N = -1 must be non-negative$"):
             RacahParams.make(1, 1, 1, -1)
 
     # Tuples outside make's domain reach the build's own guards.
@@ -232,10 +230,9 @@ class TestRepresentationCheckCanFail:
         RP = RacahParams.make(Fraction(1, 4), Fraction(1, 3), Fraction(1, 2), N)
         if mutant.startswith("omega"):
             shift_omega(monkeypatch, {"omega1": 0, "omega3": 2}[mutant], shift)
-        rep = build_tridiag_rep(RP)
-        if mutant == "casimir":
-            rep = dataclasses.replace(rep, casimir=rep.casimir + shift)
-        report = representation_check(rep)
+        else:
+            bumped_casimir_value(monkeypatch, shift)
+        report = representation_check(build_tridiag_rep(RP))
         assert report.checked == 3
         assert [(e.check, e.index) for e in report.failures] == [(failed, N)]
 

@@ -1,12 +1,19 @@
-"""sl_{-1}(2) modules, osp(1|2) cross-check, 1D Dunkl realization."""
+"""sl_{-1}(2) modules, osp(1|2) cross-check, 1D Dunkl realization, and the
+one mu guard of every parameter tuple."""
 
+import ast
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import bi_lab
+from bi_lab.dunkl_dirac import DiracParams
 from bi_lab.errors import BILabError
+from bi_lab.exact import HALF, rat_str
 from bi_lab.linop import LinOp
 from bi_lab.poly import Poly
+from bi_lab.racah import RacahParams
 from bi_lab.sl1 import (
     ModuleParams,
     dunkl_commutator_check,
@@ -23,15 +30,44 @@ class TestModuleParams:
         with pytest.raises(BILabError, match="epsilon"):
             ModuleParams.make(0, Fraction(1, 2))
 
-    def test_make_validates_mu(self):
-        with pytest.raises(BILabError, match="^mu must exceed -1/2, got -1/2$"):
-            ModuleParams.make(1, Fraction(-1, 2))
-
     def test_rho_squared(self):
         # J+ J- |n> = rho_n^2 |n> in the gauge J+ = x, J- = D.
         x, D, _, _ = module_matrices(Fraction(1, 3), 4)
         assert x @ D == LinOp.make([{}, {1: 1 + Fraction(2, 3)}, {2: Fraction(2)},
                                     {3: 3 + Fraction(2, 3)}])
+
+
+# The make of each parameter tuple, on its mu values, and their names.
+MU_GUARDS = {
+    "ModuleParams": (lambda *mus: ModuleParams.make(1, *mus), ("mu",)),
+    "RacahParams": (lambda *mus: RacahParams.make(*mus, 2), ("mu_1", "mu_2", "mu_3")),
+    "DiracParams": (DiracParams.make, ("mu_1", "mu_2", "mu_3")),
+}
+
+
+@pytest.mark.parametrize("bad", [-HALF, Fraction(-2, 3), Fraction(-3)], ids=str)
+@pytest.mark.parametrize("tuple_name", list(MU_GUARDS))
+def test_one_mu_guard(tuple_name, bad):
+    """Every make rejects mu <= -1/2, naming the first offender as p/q, and
+    keeps a mu just above -1/2."""
+    make, names = MU_GUARDS[tuple_name]
+    above = -HALF + Fraction(1, 10**6)
+    for i, name in enumerate(names):
+        mus = [above] * i + [bad] * (len(names) - i)  # offenders from position i on
+        with pytest.raises(BILabError, match=f"^{name} = {rat_str(bad)} must exceed -1/2$"):
+            make(*mus)
+    params = make(*[above] * len(names))
+    assert [getattr(params, name.replace("_", "")) for name in names] == [above] * len(names)
+
+
+def test_mu_guard_is_raised_in_one_place():
+    """The mu > -1/2 guard of every parameter tuple is ``sl1.checked_mu``:
+    one raise in the package says "must exceed -1/2"."""
+    root = Path(bi_lab.__file__).parent
+    assert [path.name for path in sorted(root.glob("*.py"))
+            for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.Raise) and "must exceed -1/2" in ast.unparse(node)
+            ] == ["sl1.py"]
 
 
 @pytest.mark.parametrize("eps", [1, -1])
