@@ -55,6 +55,10 @@ class BIParams:
     def omega3(self) -> Rat:
         return 4 * (self.rho1 * self.rho2 - self.r1 * self.r2)
 
+    @cached_property  # the value K1^2 + K2^2 + K3^2 that casimir_scalar checks
+    def casimir(self) -> Rat:
+        return 2 * (self.rho1**2 + self.rho2**2 + self.r1**2 + self.r2**2) - Fraction(1, 4)
+
     @cached_property  # computed once per tuple, read by k1_apply and k1_matrix
     def k1_numerators(self) -> tuple[list[int], list[int], int, int]:
         """(f, g, L h, L): F's numerator (x - rho1)(x - rho2), G's
@@ -115,20 +119,18 @@ def k1_apply(P: BIParams, p: Poly) -> Poly:
     return Poly.from_ints([fp * (a + h * b) + fq * c for a, b, c in terms], L * den)
 
 
-def monomial_matrix(P: BIParams, apply, n: int) -> LinOp:
-    """Matrix of apply(P, .) on the monomials 1, x, ..., x^(n-1); image
-    components along x^n and above are dropped.  Built from the images'
-    integer numerators over the lcm of their denominators."""
-    images = [apply(P, Poly.monomial(j)) for j in range(n)]
-    den = math.lcm(*(p.den for p in images))
-    return LinOp.real(
-        ({i: a * (den // p.den) for i, a in enumerate(p.nums[:n]) if a}
-         for p in images), den)
+def poly_matrix(polys: list[Poly], n: int) -> LinOp:
+    """The n x n matrix of columns polys[j] on 1, x, ..., x^(n-1), len(polys)
+    <= n: terms of degree n and above dropped, columns past the list empty,
+    and integer numerators over the lcm of the denominators."""
+    den = math.lcm(*(p.den for p in polys))
+    return LinOp.real([*({i: a * (den // p.den) for i, a in enumerate(p.nums[:n]) if a}
+                         for p in polys), *({},) * (n - len(polys))], den)
 
 
 def k1_matrix(P: BIParams, n: int) -> LinOp:
     """Matrix of K1 on the monomials 1, x, ..., x^(n-1) in O(n^2) integer
-    operations and one reduction, equal to ``monomial_matrix(P, k1_apply, n)``.
+    operations and one reduction: the ``poly_matrix`` of their ``k1_apply`` images.
 
     With (f, g, L h, L) = ``P.k1_numerators``, column j is
     L K1 x^j = f O_j + g Q_j + L h x^j over L, where
@@ -180,30 +182,25 @@ def check_bi_relations(P: BIParams,
     holds on all polynomials of that degree.  Each residual is formed on
     those columns only, its right factors and linear terms cut by ``LinOp.head``.
     """
-    report = VerificationReport("bannai-ito relations (shift-reflection realization)")
     m = len(mats[0]) - 2  # columns 0..maxdeg
     (K1, K2, K3), (k1, k2, k3) = mats, (K.head(m) for K in mats)
     one = LinOp.identity(len(K1)).head(m)
-    record_columns(report, [
+    return record_columns("bannai-ito relations (shift-reflection realization)", [
         ("{K2,K3} = K1 + omega1",
          lincomb((1, K2, k3), (1, K3, k2), (-1, k1), (-P.omega1, one))),
         ("{K3,K1} = K2 + omega2",
          lincomb((1, K3, k1), (1, K1, k3), (-1, k2), (-P.omega2, one))),
     ], m)
-    return report
 
 
 def casimir_scalar(P: BIParams,
                    mats: tuple[LinOp, LinOp, LinOp]) -> VerificationReport:
-    """K1^2 + K2^2 + K3^2 acts as 2(rho1^2 + rho2^2 + r1^2 + r2^2) - 1/4,
-    checked on each x^j, j <= maxdeg, of the triple ``bi_matrices(P,
-    maxdeg)`` (maxdeg read from its size) and formed on those columns only;
-    every entry names the value."""
-    report = VerificationReport("bannai-ito casimir (shift-reflection realization)")
-    expected = 2 * (P.rho1**2 + P.rho2**2 + P.r1**2 + P.r2**2) - Fraction(1, 4)
+    """K1^2 + K2^2 + K3^2 acts as ``P.casimir`` = 2(rho1^2 + rho2^2 + r1^2 +
+    r2^2) - 1/4, checked on each x^j, j <= maxdeg, of the triple
+    ``bi_matrices(P, maxdeg)`` (maxdeg read from its size) and formed on
+    those columns only; every entry names the value."""
     m = len(mats[0]) - 2  # columns 0..maxdeg
     residual = lincomb(*((1, K, K.head(m)) for K in mats),
-                       (-expected, LinOp.identity(len(mats[0])).head(m)))
-    name = f"K1^2 + K2^2 + K3^2 = {rat_str(expected)}"
-    record_columns(report, [(name, residual)], m)
-    return report
+                       (-P.casimir, LinOp.identity(len(mats[0])).head(m)))
+    return record_columns("bannai-ito casimir (shift-reflection realization)",
+                          [(f"K1^2 + K2^2 + K3^2 = {rat_str(P.casimir)}", residual)], m)

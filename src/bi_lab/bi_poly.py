@@ -28,7 +28,7 @@ from fractions import Fraction
 from itertools import accumulate
 from operator import mul
 
-from .bi_operator import BIParams, k1_apply, monomial_matrix
+from .bi_operator import BIParams, k1_apply, poly_matrix
 from .errors import BILabError
 from .exact import HALF, ONE, Rat, ZERO, rat_to_float
 from .linop import LinOp, lincomb, record_columns
@@ -211,7 +211,7 @@ def bi_from_operator(P: BIParams, nmax: int) -> list[Poly]:
     back-substitution runs on K1's integer numerators: with K1 = k / d and
     lambda_n = a / b, B_n = w / c solves (b k - a d) w = 0 with w_n = c.
     """
-    k1 = monomial_matrix(P, k1_apply, nmax + 1)
+    k1 = poly_matrix([k1_apply(P, Poly.monomial(j)) for j in range(nmax + 1)], nmax + 1)
     k, d = k1.nums, k1.den
     out = []
     for n in range(nmax + 1):
@@ -279,9 +279,9 @@ def ladder_check(P: BIParams, mats: tuple[LinOp, LinOp, LinOp],
     between matrices, checked on each x^j and each B_n, j, n <= nmax.
 
     ``mats`` is ``bi_matrices(P, nmax)`` (nmax read from its size) and
-    ``polys`` holds B_0..B_(nmax+1).  With T the matrix of columns
-    B_0..B_(nmax+1) and an empty last column (no product reads column
-    nmax + 2) and L+, L-, L_V two-diagonal from
+    ``polys`` holds B_0..B_(nmax+1).  With T = ``poly_matrix`` of
+    B_0..B_(nmax+1), whose last column is empty (no product reads column
+    nmax + 2), and L+, L-, L_V two-diagonal from
     ``ladder_coeffs`` and lambda_n, the checks are
       K+ = (K2 + K3)(K1 - 1/2) - (omega2 + omega3)/2:  {K1,K+} = K+, K+ T = T L+,
       K- = (K2 - K3)(K1 + 1/2) + (omega2 - omega3)/2:  {K1,K-} = -K-, K- T = T L-,
@@ -292,12 +292,9 @@ def ladder_check(P: BIParams, mats: tuple[LinOp, LinOp, LinOp],
     Each residual is formed on those columns only (``LinOp.head``): no
     right factor or linear term, K+- and V included, has another column.
     """
-    report = VerificationReport("ladder operators and V (shift-reflection realization)")
     K1, nmax = mats[0], len(mats[0]) - 3
     plus, minus, v, v2 = ladder_operators(P, mats)
-    den = math.lcm(*(p.den for p in polys[:nmax + 2]))
-    T = LinOp.real([*({i: a * (den // p.den) for i, a in enumerate(p.nums) if a}
-                      for p in polys[:nmax + 2]), {}], den)
+    T = poly_matrix(polys[:nmax + 2], nmax + 3)
     k1, t = K1.head(nmax + 1), T.head(nmax + 1)
     cols = []  # column n of L+, L- and L_V
     for n in range(nmax + 1):
@@ -307,7 +304,7 @@ def ladder_check(P: BIParams, mats: tuple[LinOp, LinOp, LinOp],
         cols.append(({u: alpha}, {d: beta},
                      {u: (lam + HALF) * alpha, d: (lam - HALF) * beta}))
     Lp, Lm, Lv = (LinOp.make([*col, {}, {}]) for col in zip(*cols))
-    record_columns(report, [
+    return record_columns("ladder operators and V (shift-reflection realization)", [
         ("{K1,K+} = K+", lincomb((1, K1, plus), (1, plus, k1), (-1, plus))),
         ("{K1,K-} = -K-", lincomb((1, K1, minus), (1, minus, k1), (1, minus))),
         ("K+ B_n closed form", lincomb((1, plus, t), (-1, T, Lp))),
@@ -315,7 +312,6 @@ def ladder_check(P: BIParams, mats: tuple[LinOp, LinOp, LinOp],
         ("V first form = second form", lincomb((1, v), (-1, v2))),
         ("V B_n two-diagonal", lincomb((1, v, t), (-1, T, Lv))),
     ], nmax + 1)
-    return report
 
 
 def _require_finite(coeffs: list[RecurrenceCoeffs]) -> None:

@@ -154,16 +154,18 @@ def angular_momentum(DP: DiracParams, axis: int, p: Poly3) -> Poly3:
     return Poly3({e: GRat(c.im, -c.re) for e, c in raw.terms.items()})
 
 
-def _record_slices(report: VerificationReport, slices: list[dict[str, LinOp]],
-                   relations) -> None:
-    """Record relation by relation, each on every slice, whether the
-    residual is zero for the (name, residual) that ``relations(g)`` yields
-    in the same order for the generators g of every slice."""
+def _record_slices(title: str, slices: list[dict[str, LinOp]],
+                   relations) -> VerificationReport:
+    """The report ``title`` of, relation by relation and each on every slice
+    d, whether the residual is zero for the (name, residual) that
+    ``relations(g)`` yields in one order for the generators g of each slice."""
+    report = VerificationReport(title)
     per_slice = [[(name, not residual) for name, residual in relations(g)]
                  for g in slices]
     for row in zip(*per_slice):
         for d, (name, ok) in enumerate(row):
             report.record(name, d, ok)
+    return report
 
 
 # ---------------------------------------------------------------------------
@@ -268,8 +270,6 @@ def jj_commutator_check(v: tuple[int, ...],
     Only the cyclic index reading (j k l) is checked; the report notes
     that it holds.
     """
-    report = VerificationReport("Dunkl angular-momentum commutators")
-
     def relations(g: dict[str, LinOp]):
         for jj, (kk, ll) in _CYCLIC.items():
             a, b, ijl = g[f"J{jj}"], g[f"J{kk}"], g[f"J{ll}"].times_i()
@@ -278,7 +278,7 @@ def jj_commutator_check(v: tuple[int, ...],
                    lincomb((1, a, b), (-1, b, a),
                            (-v[0], ijl), (-2 * v[ll], ijl, g[f"R{ll}"])))
 
-    _record_slices(report, slices, relations)
+    report = _record_slices("Dunkl angular-momentum commutators", slices, relations)
     if report.passed:
         report.note("cyclic index reading [J_j, J_k] = i eps_jkl J_l (1+2 mu_l R_l) holds")
     return report
@@ -294,7 +294,6 @@ def gamma_square_identity(v: tuple[int, ...],
     identities: X collects the reflection block that distinguishes J^2
     from the (shifted) spherical operator.
     """
-    report = VerificationReport("Gamma squared identity")
     # L^2 X = L S - sum_{i<j} 2 m_i m_j (R_i R_j - 1) - L sum_i m_i R_i with
     # S = m_1 + m_2 + m_3, so the scalar terms S (S + L) - L S - 2 sum_{i<j}
     # m_i m_j of the right side add up to m_1^2 + m_2^2 + m_3^2.
@@ -311,8 +310,7 @@ def gamma_square_identity(v: tuple[int, ...],
                        *((-v[0] * v[i], g[f"R{i}"]) for i in (1, 2, 3)),
                        (-const, g["1"])))
 
-    _record_slices(report, slices, relations)
-    return report
+    return _record_slices("Gamma squared identity", slices, relations)
 
 
 def symmetry_check(v: tuple[int, ...],
@@ -327,8 +325,6 @@ def symmetry_check(v: tuple[int, ...],
     is one residual, the ``lincomb`` of lhs - rhs: [A, B] = 0 is
     AB - BA and {A, B} = 0 is AB + BA.
     """
-    report = VerificationReport("Dunkl-Dirac symmetry algebra")
-
     def relations(g: dict[str, LinOp]):
         one, y, gamma = g["1"], g["Y"], g["Gamma"]
         for i in (1, 2, 3):
@@ -370,7 +366,7 @@ def symmetry_check(v: tuple[int, ...],
                    lincomb((1, ki, kj), (1, kj, ki), (-v[0], g[f"K{k}"]),
                            (-mk2, y, gamma), (-mk2 * v[0], y), (-2 * v[i] * v[j], one)))
 
-    _record_slices(report, slices, relations)
+    report = _record_slices("Dunkl-Dirac symmetry algebra", slices, relations)
     if report.passed:
         report.note(
             "cyclic reading holds: {K_i,K_j} = K_k + 2 mu_k (Gamma+1) Y + 2 mu_i mu_j"

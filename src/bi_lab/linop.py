@@ -170,10 +170,12 @@ def lincomb(*terms: tuple) -> LinOp:
     return _canonical(_accumulate(terms, n), den, phase or 0)
 
 
-def record_columns(report: VerificationReport,
-                   residuals: list[tuple[str, LinOp]], n: int) -> None:
-    """For each column j < n and each (name, residual) in turn, one entry
-    (name, j) that holds when column j of the residual is zero."""
+def record_columns(title: str, residuals: list[tuple[str, LinOp]],
+                   n: int) -> VerificationReport:
+    """The report ``title`` with, for each column j < n and each (name,
+    residual) in turn, one entry (name, j): column j of the residual is zero."""
+    report = VerificationReport(title)
     for j in range(n):
         for name, residual in residuals:
             report.record(name, j, not residual.nums[j])
+    return report

@@ -19,9 +19,11 @@ solves K1 v = lambda_s v row by row, each row cleared by its own
 denominator (``_continuant``): its last row vanishes at each lambda_s
 (``k1_spectrum_check``, which also matches its steps with those of the
 Bannai-Ito recurrence), and its rows are the eigenvectors, the
-Bannai-Ito polynomials on the grid (``racah_overlaps``).  One build
-serves the relations, the spectrum and the overlaps, and one continuant
-run per build (``TridiagRep.continuant``) the last two.
+Bannai-Ito polynomials on the grid (``racah_overlaps``).  The band
+holds twice the Bannai-Ito recurrence coefficients of the identified
+parameters, B_k = 2 A_k and D_k = 2 C_k (``identification_check``).
+One build serves every check and the overlaps, and one continuant run
+per build (``TridiagRep.continuant``) the spectrum and the overlaps.
 
 The build stores each K_i as its columns, dicts {row: Fraction} that
 hold only the band (the shape ``LinOp.make`` takes); the relation check
@@ -43,6 +45,7 @@ from functools import cached_property, reduce
 from operator import matmul
 
 from .bi_operator import BIParams
+from .bi_poly import RecurrenceCoeffs
 from .errors import BILabError
 from .exact import HALF, ONE, Rat, ZERO, rat_str
 from .linop import LinOp, lincomb
@@ -319,6 +322,19 @@ def k1_spectrum_check(rep: TridiagRep,
                       and pn * qn * ud == 4 * pd * qd * un)
     for s, w in enumerate(rep.continuant[0]):
         report.record("K1 spectrum", s, w[-1] == 0)
+    return report
+
+
+def identification_check(rep: TridiagRep,
+                         coeffs: list[RecurrenceCoeffs]) -> VerificationReport:
+    """B_k = 2 A_k and D_k = 2 C_k, cross-multiplied, under the parameter
+    identifications; ``coeffs`` are the recurrence coefficients of degrees 0..N."""
+    report = VerificationReport("racah/bi coefficient identification")
+    for k, rc in enumerate(coeffs):
+        for name, x, y in (("B_k = 2 A_k", rep.B[k], rc.A),
+                           ("D_k = 2 C_k", rep.D[k], rc.C)):
+            ok = x.numerator * y.denominator == 2 * y.numerator * x.denominator
+            report.record(name, k, ok)
     return report
 
 

@@ -68,13 +68,11 @@ def module_bilinear_check(M: ModuleParams, mats: tuple[LinOp, ...]) -> Verificat
     eye, R = LinOp.identity(len(x)), lincomb((M.epsilon, parity))
     xD, Dx = x @ D, D @ x
     Q = lincomb((1, xD, R), (-1, J0, R), (HALF, R))  # the Casimir J+ J- R - J0 R + R/2
-    report = VerificationReport(f"sl_{{-1}}(2) module (eps={M.epsilon}, mu={M.mu})")
-    record_columns(report, [
+    return record_columns(f"sl_{{-1}}(2) module (eps={M.epsilon}, mu={M.mu})", [
         ("{J+,J-} = 2 J0", lincomb((1, xD), (1, Dx), (-2, J0))),
         ("Q = -eps*mu", lincomb((1, Q), (M.epsilon * M.mu, eye))),
         ("[J-,J+] = 1 - 2QR", lincomb((1, Dx), (-1, xD), (-1, eye), (2, Q, R))),
     ], len(x) - 1)
-    return report
 
 
 def osp_casimir_check(M: ModuleParams, mats: tuple[LinOp, ...]) -> VerificationReport:
@@ -88,10 +86,9 @@ def osp_casimir_check(M: ModuleParams, mats: tuple[LinOp, ...]) -> VerificationR
     x, D, J0, _ = mats
     eye = LinOp.identity(len(x))
     e0, xD = lincomb((1, J0), (-HALF, eye)), x @ D
-    report = VerificationReport(f"osp(1|2) Casimir (eps={M.epsilon}, mu={M.mu})")
-    record_columns(report, [("C_osp = mu^2", lincomb((1, e0, e0), (-1, x @ xD, D), (-1, xD),
-                                                     (-M.mu**2, eye)))], len(x) - 1)
-    return report
+    return record_columns(f"osp(1|2) Casimir (eps={M.epsilon}, mu={M.mu})", [
+        ("C_osp = mu^2", lincomb((1, e0, e0), (-1, x @ xD, D), (-1, xD), (-M.mu**2, eye))),
+    ], len(x) - 1)
 
 
 def dunkl_matrix(nu: Rat, n: int) -> LinOp:
@@ -143,6 +140,5 @@ def dunkl_commutator_check(nu: Rat, maxdeg: int) -> VerificationReport:
     nu, n = Fraction(nu), maxdeg + 2
     x, D, _, R = module_matrices(nu, n)
     residual = lincomb((1, D, x), (-1, x, D), (-1, LinOp.identity(n)), (-2 * nu, R))
-    report = VerificationReport(f"Dunkl commutator (nu={nu})")
-    record_columns(report, [("[D,x] = 1 + 2 nu R", residual)], maxdeg + 1)
-    return report
+    return record_columns(f"Dunkl commutator (nu={nu})",
+                          [("[D,x] = 1 + 2 nu R", residual)], maxdeg + 1)

@@ -30,8 +30,8 @@ from .errors import BILabError
 from .poly import Poly
 from .racah import (
     RacahParams,
-    TridiagRep,
     build_tridiag_rep,
+    identification_check,
     k1_spectrum_check,
     representation_check,
 )
@@ -150,19 +150,6 @@ def suite_sl1(seed: int = DEFAULT_SEED, tuples: int = 10) -> VerificationReport:
         for sub in (module_bilinear_check(M, mats), osp_casimir_check(M, mats),
                     dunkl_commutator_check(nu, nmax)):
             report.record_report(sub.title, t, sub)
-    return report
-
-
-def identification_check(rep: TridiagRep,
-                         coeffs: list[RecurrenceCoeffs]) -> VerificationReport:
-    """B_k = 2 A_k and D_k = 2 C_k, cross-multiplied, under the parameter
-    identifications; ``coeffs`` are the recurrence coefficients of degrees 0..N."""
-    report = VerificationReport("racah/bi coefficient identification")
-    for k, rc in enumerate(coeffs):
-        for name, x, y in (("B_k = 2 A_k", rep.B[k], rc.A),
-                           ("D_k = 2 C_k", rep.D[k], rc.C)):
-            ok = x.numerator * y.denominator == 2 * y.numerator * x.denominator
-            report.record(name, k, ok)
     return report
 
 

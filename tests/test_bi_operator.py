@@ -12,7 +12,7 @@ from bi_lab.bi_operator import (
     check_bi_relations,
     k1_apply,
     k1_matrix,
-    monomial_matrix,
+    poly_matrix,
 )
 from bi_lab.exact import HALF, rat_str
 from bi_lab.linop import LinOp, lincomb
@@ -106,18 +106,17 @@ class TestStructure:
         bi_params(Fraction(5, 6), Fraction(-7, 4), Fraction(3, 8), Fraction(1, 9)),
     ])
     @pytest.mark.parametrize("apply", [k1_apply, k2_apply, k3_apply])
-    def test_monomial_matrix_equals_fraction_build(self, P, apply):
+    def test_poly_matrix_equals_fraction_build(self, P, apply):
         # The integer build equals LinOp.make of the Fraction coefficients.
         for n in range(1, 16):
-            assert monomial_matrix(P, apply, n) == LinOp.make(
-                {i: c for i, c in enumerate(apply(P, Poly.monomial(j)).coeffs)
-                 if i < n}
-                for j in range(n)
-            )
+            images = [apply(P, Poly.monomial(j)) for j in range(n)]
+            assert poly_matrix(images, n) == LinOp.make(
+                {i: c for i, c in enumerate(p.coeffs) if i < n} for p in images)
 
     def test_casimir_closed_form(self):
         report = casimir_scalar(P1, bi_matrices(P1, 6))
         value = 2 * (P1.rho1**2 + P1.rho2**2 + P1.r1**2 + P1.r2**2) - Fraction(1, 4)
+        assert P1.casimir == value
         assert report.passed and report.checked == 7
         assert all(e.check == f"K1^2 + K2^2 + K3^2 = {rat_str(value)}"
                    for e in report.entries)
@@ -176,14 +175,32 @@ def test_k1_matrix_equals_monomial_build():
     params += [P for P, _ in seeded_k1_cases(70)]
     assert any(P.k1_numerators[3] > 10**6 for P in params)
     for P in params:
+        images = [k1_apply(P, Poly.monomial(j)) for j in range(16)]
         for n in range(17):
-            assert k1_matrix(P, n) == monomial_matrix(P, k1_apply, n), (P, n)
+            assert k1_matrix(P, n) == poly_matrix(images[:n], n), (P, n)
 
 
 def test_k2_from_diagonals():
     P = bi_params(Fraction(-1, 3), Fraction(2, 7), 5, Fraction(-3, 2))
     for d in range(13):
-        assert bi_matrices(P, d)[1] == monomial_matrix(P, k2_apply, d + 3)
+        images = [k2_apply(P, Poly.monomial(j)) for j in range(d + 3)]
+        assert bi_matrices(P, d)[1] == poly_matrix(images, d + 3)
+
+
+def test_poly_matrix_drops_high_terms():
+    # Terms of degree n and above are dropped, and so is the denominator
+    # that only they carry: the result is canonical.
+    p, q = Poly.make([1, Fraction(1, 2), 3]), Poly.make([0, 2, Fraction(1, 7)])
+    assert poly_matrix([p, q], 2) == LinOp.make([{0: 1, 1: Fraction(1, 2)}, {1: 2}])
+    assert poly_matrix([Poly.make([2, Fraction(1, 3)])], 1) == LinOp.real([{0: 2}], 1)
+
+
+def test_poly_matrix_pads_empty_columns():
+    # Columns past the list are empty: the matrix stays n x n.
+    p = Poly.make([Fraction(1, 2), 0, -3])
+    assert poly_matrix([p], 4) == LinOp.make([{0: Fraction(1, 2), 2: -3}, {}, {}, {}])
+    assert poly_matrix([p, P_ZERO], 3).nums == ({0: 1, 2: -6}, {}, {})
+    assert poly_matrix([], 3) == LinOp.real([{}] * 3, 1)
 
 
 def test_one_matrix_build_per_tuple(monkeypatch):
@@ -244,9 +261,9 @@ def formed_residuals(monkeypatch, module, run) -> tuple:
     """The result of run() and the (residuals, n) of each ``record_columns``
     call of module while it runs."""
     calls = []
-    def record(report, residuals, n, _orig=module.record_columns):
+    def record(title, residuals, n, _orig=module.record_columns):
         calls.append((residuals, n))
-        _orig(report, residuals, n)
+        return _orig(title, residuals, n)
     monkeypatch.setattr(module, "record_columns", record)
     return run(), calls
 

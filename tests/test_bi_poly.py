@@ -390,15 +390,15 @@ class TestThreeRoutes:
         import bi_lab.bi_poly as bp
 
         calls = []
-        def counted(P, apply, n, _orig=bp.monomial_matrix):
-            calls.append(n)
-            return _orig(P, apply, n)
-        monkeypatch.setattr(bp, "monomial_matrix", counted)
+        def counted(polys, n, _orig=bp.poly_matrix):
+            calls.append((len(polys), n))
+            return _orig(polys, n)
+        monkeypatch.setattr(bp, "poly_matrix", counted)
         for _ in range(2):  # a second identical call does the same work again
             calls.clear()
             assert suite_polynomials(seed=1, tuples=1, nmax=10).passed
-            # One K1 for the suite; the tuple draw builds none.
-            assert calls == [11]
+            # One K1 for the suite, on 1..x^10; the tuple draw builds none.
+            assert calls == [(11, 11)]
 
     def test_operator_route_builds_from_k1_apply(self, monkeypatch):
         # The eigensolve rests on the defining operator: one k1_apply per

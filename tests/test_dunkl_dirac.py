@@ -11,6 +11,7 @@ from bi_lab.dunkl_dirac import (
     PAULI,
     DiracParams,
     Poly3,
+    _record_slices,
     angular_momentum,
     dunkl_partial,
     gamma_square_identity,
@@ -497,6 +498,22 @@ def test_one_generator_build_per_slice(monkeypatch):
         # One build of the generators, one Gamma and one set of hops and
         # reflections per slice 0..3.
         assert calls == {"symmetry_generators": 4, "gamma_apply": 4, "dunkl_slice": 4}
+
+
+def test_record_slices_returns_its_titled_report_relation_major():
+    # Two relations on three slices: the entries run relation by relation,
+    # each over the slices 0, 1, 2 in turn; "b" fails on slice 1 only.
+    zero = LinOp.real([{}], 1)
+    gens = [{"b": zero}, {"b": LinOp.identity(1)}, {"b": zero}]
+
+    def relations(g):
+        yield "a", zero
+        yield "b", g["b"]
+    report = _record_slices("title", gens, relations)
+    assert report.title == "title"
+    assert [(e.check, e.index, e.ok) for e in report.entries] == [
+        ("a", 0, True), ("a", 1, True), ("a", 2, True),
+        ("b", 0, True), ("b", 1, False), ("b", 2, True)]
 
 
 def test_each_relation_is_one_lincomb(monkeypatch):

@@ -502,23 +502,27 @@ def test_len_is_the_size():
 
 
 def recorded_columns(monkeypatch, residuals, n):
-    """The report that record_columns fills, and the (check, index, ok) of
-    each call to ``VerificationReport.record`` it made."""
+    """The report that record_columns returns, and the (check, index, ok)
+    of each call to ``VerificationReport.record`` it made."""
     calls = []
 
     def record(self, check, index, ok, detail="", _orig=VerificationReport.record):
         calls.append((check, index, ok))
         _orig(self, check, index, ok, detail)
     monkeypatch.setattr(VerificationReport, "record", record)
-    report = VerificationReport("columns")
-    record_columns(report, residuals, n)
-    return report, calls
+    return record_columns("columns", residuals, n), calls
 
 
 def test_record_columns_one_call_per_entry_in_column_order(monkeypatch):
-    zero = LinOp.real([{}] * 4, 1)
-    report, calls = recorded_columns(monkeypatch, [("a", zero), ("b", zero)], 3)
-    assert calls == [(name, j, True) for j in range(3) for name in "ab"]
+    # Column j of "a" is nonzero for even j, of "b" for j = 2 only; column 4
+    # is past n. The returned report has the given title and runs column by
+    # column, each column over the residuals in turn, one record call per entry.
+    a = LinOp.real([{0: 1}, {}, {1: 2}, {}, {4: 1}], 1)
+    b = LinOp.real([{}, {}, {3: 1}, {}, {}], 1)
+    report, calls = recorded_columns(monkeypatch, [("a", a), ("b", b)], 4)
+    assert report.title == "columns"
+    assert calls == [("a", 0, False), ("b", 0, True), ("a", 1, True), ("b", 1, True),
+                     ("a", 2, False), ("b", 2, False), ("a", 3, True), ("b", 3, True)]
     assert [(e.check, e.index, e.ok) for e in report.entries] == calls
 
 

@@ -17,6 +17,7 @@ from bi_lab.racah import (
     bk_dk,
     build_tridiag_rep,
     central_extension_check,
+    identification_check,
     k1_spectrum_check,
     mat_mul,
     racah_overlaps,
@@ -25,12 +26,7 @@ from bi_lab.racah import (
     tensor_oracle,
     tensor_slice,
 )
-from bi_lab.suites import (
-    DEFAULT_SEED,
-    identification_check,
-    random_racah_params,
-    suite_racah,
-)
+from bi_lab.suites import DEFAULT_SEED, random_racah_params, suite_racah
 from poly_oracle import poly_eval
 from test_bi_mutants import bumped_casimir_value
 from test_bi_poly import fraction_ops
