@@ -25,9 +25,9 @@ power of L that clears it; with S = sum m_i:
     {K_i, K_j} = L K_k + 2 m_k (Y Gamma + L Y) + 2 m_i m_j.
 
 Each relation is checked as one residual, the ``linop.lincomb`` of
-lhs - rhs, and holds when that matrix is zero; each of L J_i, Gamma and
-M_i is one ``lincomb`` too: one pass per column over all of its terms,
-with no intermediate sum or scaled matrix.
+lhs - rhs, and holds when that matrix is zero (``VerificationReport.of``);
+each of L J_i, Gamma and M_i is one ``lincomb`` too: one pass per column
+over all of its terms, with no intermediate sum or scaled matrix.
 
 The basis x1^a (i x2)^b x3^c, a similarity, multiplies entry (r, c) by
 i^(b_c - b_r): J_2, sigma_2, M_2 and X_2 come out imaginary, the rest real.
@@ -157,15 +157,11 @@ def angular_momentum(DP: DiracParams, axis: int, p: Poly3) -> Poly3:
 def _record_slices(title: str, slices: list[dict[str, LinOp]],
                    relations) -> VerificationReport:
     """The report ``title`` of, relation by relation and each on every slice
-    d, whether the residual is zero for the (name, residual) that
-    ``relations(g)`` yields in one order for the generators g of each slice."""
-    report = VerificationReport(title)
-    per_slice = [[(name, not residual) for name, residual in relations(g)]
-                 for g in slices]
-    for row in zip(*per_slice):
-        for d, (name, ok) in enumerate(row):
-            report.record(name, d, ok)
-    return report
+    d, the (name, residual) that ``relations(g)`` yields in one order for the
+    generators g of each slice; each residual is kept as ``bool(residual)``."""
+    flags = [[(name, bool(residual)) for name, residual in relations(g)] for g in slices]
+    return VerificationReport.of(title, ((name, d, nonzero) for row in zip(*flags)
+                                         for d, (name, nonzero) in enumerate(row)))
 
 
 # ---------------------------------------------------------------------------
@@ -189,20 +185,21 @@ def pauli_layer_check() -> VerificationReport:
     """sigma_i sigma_j = i eps_ijk sigma_k + delta_ij and the Clifford
     relations as identities between the 2x2 ``PAULI`` ``LinOp``s (integer,
     sigma_2 imaginary), one residual per (i, j) and relation."""
-    report = VerificationReport("Pauli layer")
     one = LinOp.identity(2)
     eps = {(1, 2): 3, (2, 3): 1, (3, 1): 2, (2, 1): -3, (3, 2): -1, (1, 3): -2}
-    for i in range(1, 4):
-        for j in range(1, 4):
-            k = eps.get((i, j), 0)
-            # -(i eps_ijk sigma_k + delta_ij): the right side moved to the left
-            rhs = (-1 if k > 0 else 1, PAULI[abs(k)].times_i()) if k else (-1, one)
-            report.record("sigma_i sigma_j = i eps sigma_k + delta", (i, j),
-                          not lincomb((1, PAULI[i], PAULI[j]), rhs))
-            report.record("{sigma_i,sigma_j} = 2 delta", (i, j), not lincomb(
-                (1, PAULI[i], PAULI[j]), (1, PAULI[j], PAULI[i]),
-                (-2 if i == j else 0, one)))
-    return report
+
+    def residuals():
+        for i in range(1, 4):
+            for j in range(1, 4):
+                k = eps.get((i, j), 0)
+                # -(i eps_ijk sigma_k + delta_ij): the right side moved to the left
+                rhs = (-1 if k > 0 else 1, PAULI[abs(k)].times_i()) if k else (-1, one)
+                yield ("sigma_i sigma_j = i eps sigma_k + delta", (i, j),
+                       lincomb((1, PAULI[i], PAULI[j]), rhs))
+                yield ("{sigma_i,sigma_j} = 2 delta", (i, j), lincomb(
+                    (1, PAULI[i], PAULI[j]), (1, PAULI[j], PAULI[i]),
+                    (-2 if i == j else 0, one)))
+    return VerificationReport.of("Pauli layer", residuals())
 
 
 def gamma_apply(v: tuple[int, ...], g: dict[str, LinOp]) -> LinOp:

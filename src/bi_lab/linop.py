@@ -2,7 +2,7 @@
 
 On a finite basis that the operators preserve, an identity between them
 holds exactly when its residual lhs - rhs is the zero matrix, the one
-falsy ``LinOp``: ``not residual``.
+falsy ``LinOp``: ``record_columns`` hands its columns to ``VerificationReport.of``.
 
 Every matrix is real or purely imaginary and is stored fraction-free, as
 i^phase times integer numerators over one common denominator: sums and
@@ -174,8 +174,5 @@ def record_columns(title: str, residuals: list[tuple[str, LinOp]],
                    n: int) -> VerificationReport:
     """The report ``title`` with, for each column j < n and each (name,
     residual) in turn, one entry (name, j): column j of the residual is zero."""
-    report = VerificationReport(title)
-    for j in range(n):
-        for name, residual in residuals:
-            report.record(name, j, not residual.nums[j])
-    return report
+    return VerificationReport.of(title, ((name, j, residual.nums[j]) for j in range(n)
+                                         for name, residual in residuals))

@@ -29,10 +29,10 @@ The build stores each K_i as its columns, dicts {row: Fraction} that
 hold only the band (the shape ``LinOp.make`` takes); the relation check
 multiplies them as integer ``LinOp``s.  Each operator of the tensor
 slice, and each negation or multiple of one, is one ``linop.lincomb`` of
-matrices and products of two.  Every matrix relation here, of the
-representation and of the slice, commutators included, is checked as
-one residual ``lincomb`` of lhs - rhs and holds when ``not residual``:
-the zero matrix is the one falsy ``LinOp``.
+matrices and products of two.  Every check hands its residuals to
+``VerificationReport.of``, whose entry holds when the residual is zero:
+one ``lincomb`` of lhs - rhs per matrix relation, commutators included,
+and one integer difference per scalar equality.
 """
 
 from __future__ import annotations
@@ -246,15 +246,14 @@ def representation_check(rep: TridiagRep) -> VerificationReport:
                   for K in Ks)
     eye = LinOp.identity(RP.N + 1)
 
-    report = VerificationReport(f"racah representation (N={RP.N})")
-    report.record("{K1,K2} = K3 + omega3", RP.N, not lincomb(
-        (1, mat_mul(A1, A2)), (1, mat_mul(A2, A1)), (-L, A3), (-L * L * om3, eye)))
-    report.record("{K2,K3} = K1 + omega1", RP.N, not lincomb(
-        (1, mat_mul(A2, A3)), (1, mat_mul(A3, A2)), (-L, A1), (-L * L * om1, eye)))
-    report.record("K1^2 + K2^2 + K3^2 = casimir", RP.N, not lincomb(
-        (1, mat_mul(A1, A1)), (1, mat_mul(A2, A2)), (1, mat_mul(A3, A3)),
-        (-L * L * RP.casimir, eye)))
-    return report
+    return VerificationReport.of(f"racah representation (N={RP.N})", [
+        ("{K1,K2} = K3 + omega3", RP.N, lincomb(
+            (1, mat_mul(A1, A2)), (1, mat_mul(A2, A1)), (-L, A3), (-L * L * om3, eye))),
+        ("{K2,K3} = K1 + omega1", RP.N, lincomb(
+            (1, mat_mul(A2, A3)), (1, mat_mul(A3, A2)), (-L, A1), (-L * L * om1, eye))),
+        ("K1^2 + K2^2 + K3^2 = casimir", RP.N, lincomb(
+            (1, mat_mul(A1, A1)), (1, mat_mul(A2, A2)), (1, mat_mul(A3, A3)),
+            (-L * L * RP.casimir, eye)))])
 
 
 def _continuant(rep: TridiagRep) -> tuple[list[list[int]], list[int]]:
@@ -307,35 +306,32 @@ def k1_spectrum_check(rep: TridiagRep,
     w_{N+1}(lambda_s) = 0 in ``_continuant``, which is
     (prod r_k) det(lambda_s - K1): lambda_s is an eigenvalue.  The N+1
     values lambda_s are distinct (mu2 + mu3 > -1), so spec K1 = {lambda_s}.
-    The steps are compared cross-multiplied: (2 a_n - a_d) b_d = 4 a_d b_n
-    for K1_kk = a_n / a_d, and num(B) num(D) u_d = 4 den(B) den(D) u_n for
-    B = B_{k-1}, D = D_k (B_{-1} = 0, so u_0 = 0).  A list of other than
-    N + 1 steps raises ValueError.
+    The steps are compared cross-multiplied, by the integer residual
+    (2 a_n - a_d) b_d - 4 a_d b_n for K1_kk = a_n / a_d, or if zero by
+    num(B) num(D) u_d - 4 den(B) den(D) u_n for B = B_{k-1}, D = D_k
+    (B_{-1} = 0, so u_0 = 0).  Other than N + 1 steps raise ValueError.
     """
-    report = VerificationReport("racah spectra")
-    for k, (b, u) in zip(range(rep.params.N + 1), bi_steps, strict=True):
-        near = (rep.K1[k][k], rep.B[k - 1] if k else ZERO, rep.D[k], b, u)
-        (an, ad), (pn, pd), (qn, qd), (bn, bd), (un, ud) = (
-            x.as_integer_ratio() for x in near)
-        report.record("K1 continuant = 2^k BI recurrence", k,
-                      (2 * an - ad) * bd == 4 * ad * bn
-                      and pn * qn * ud == 4 * pd * qd * un)
-    for s, w in enumerate(rep.continuant[0]):
-        report.record("K1 spectrum", s, w[-1] == 0)
-    return report
+    def residuals():
+        for k, (b, u) in zip(range(rep.params.N + 1), bi_steps, strict=True):
+            near = (rep.K1[k][k], rep.B[k - 1] if k else ZERO, rep.D[k], b, u)
+            (an, ad), (pn, pd), (qn, qd), (bn, bd), (un, ud) = (
+                x.as_integer_ratio() for x in near)
+            yield ("K1 continuant = 2^k BI recurrence", k,
+                   (2 * an - ad) * bd - 4 * ad * bn or pn * qn * ud - 4 * pd * qd * un)
+        for s, w in enumerate(rep.continuant[0]):
+            yield "K1 spectrum", s, w[-1]
+    return VerificationReport.of("racah spectra", residuals())
 
 
 def identification_check(rep: TridiagRep,
                          coeffs: list[RecurrenceCoeffs]) -> VerificationReport:
-    """B_k = 2 A_k and D_k = 2 C_k, cross-multiplied, under the parameter
-    identifications; ``coeffs`` are the recurrence coefficients of degrees 0..N."""
-    report = VerificationReport("racah/bi coefficient identification")
-    for k, rc in enumerate(coeffs):
-        for name, x, y in (("B_k = 2 A_k", rep.B[k], rc.A),
-                           ("D_k = 2 C_k", rep.D[k], rc.C)):
-            ok = x.numerator * y.denominator == 2 * y.numerator * x.denominator
-            report.record(name, k, ok)
-    return report
+    """B_k = 2 A_k and D_k = 2 C_k, cross-multiplied into integer residuals,
+    under the parameter identifications; ``coeffs`` are the recurrence
+    coefficients of degrees 0..N."""
+    return VerificationReport.of("racah/bi coefficient identification", (
+        (name, k, x.numerator * y.denominator - 2 * y.numerator * x.denominator)
+        for k, rc in enumerate(coeffs) for name, x, y in (
+            ("B_k = 2 A_k", rep.B[k], rc.A), ("D_k = 2 C_k", rep.D[k], rc.C))))
 
 
 def racah_overlaps(rep: TridiagRep) -> list[list[Rat]]:
@@ -425,42 +421,43 @@ def tensor_oracle(RP: RacahParams, m: int) -> VerificationReport:
     omega_i at mu = -q_j: at j = N, the representation of
     ``build_tridiag_rep``.
     """
-    report = VerificationReport(f"tensor-product oracle (m={m})")
     ts = tensor_slice(RP, m)
     eye = LinOp.identity(len(ts.Q4))
-    report.record("Q12 coproduct form = expanded form", m,
-                  not lincomb((1, ts.Q12), (-1, ts.Q12_alt)))
-    k1, k3 = lincomb((-1, ts.Q23)), lincomb((-1, ts.Q12))
-    # prod_{s<j} (K - lambda_s) for j = 0..m+1; the last is +-prod (Q + lambda_s).
-    k3_chain = _prefix_products(
-        k3, [spectrum_value(s, RP.mu1 + RP.mu2) for s in range(m + 1)])
-    k1_chain = _prefix_products(
-        k1, [spectrum_value(s, RP.mu2 + RP.mu3) for s in range(m + 1)])
-    for name, op, chain in (("Q12", ts.Q12, k3_chain), ("Q23", ts.Q23, k1_chain)):
-        report.record(f"prod_(s<=m) ({name} + lambda_s) = 0", m, not chain[-1])
-        report.record(f"[Q4,{name}] = 0", m, not lincomb((1, ts.Q4, op), (-1, op, ts.Q4)))
 
-    q = [-spectrum_value(j, RP.mu1 + RP.mu2 + RP.mu3 + HALF) for j in range(m + 1)]
-    prefix = _prefix_products(ts.Q4, q)  # prefix[j] = prod_{i<j} (Q4 - q_i)
-    suffix = _prefix_products(ts.Q4, q[:0:-1])  # suffix[m-j] = prod_{i>j}
-    report.record("prod_(j<=m) (Q4 - q_j) = 0", m, not prefix[-1])
-    # K2_j = k1k3 - omega2(j), so {K1,K2_j} = {K1,k1k3} - 2 omega2(j) K1 and
-    # {K2_j,K3} = {k1k3,K3} - 2 omega2(j) K3: both anticommutators once.
-    k1k3 = lincomb((1, k1, k3), (1, k3, k1))
-    rel12 = lincomb((1, k1, k1k3), (1, k1k3, k1), (-1, k3))
-    rel23 = lincomb((1, k1k3, k3), (1, k3, k1k3), (-1, k1))
-    for j, q_j in enumerate(q):
-        denom = math.prod((q_j - q_i for i, q_i in enumerate(q) if i != j), start=ONE)
-        proj = lincomb((1 / denom, prefix[j], suffix[m - j]))
-        report.record("trace E_j = j + 1", j, proj.trace() == j + 1)
-        report.record("prod_(s<=j) (K3 - lambda_s) E_j = 0", j,
-                      not k3_chain[j + 1] @ proj)
-        om1, om2, om3 = dataclasses.replace(RP, N=j).omegas
-        lhs12 = lincomb((1, rel12), (-2 * om2, k1), (-om3, eye))
-        lhs23 = lincomb((1, rel23), (-2 * om2, k3), (-om1, eye))
-        report.record("BI relation {K1,K2} E_j", j, not lhs12 @ proj)
-        report.record("BI relation {K2,K3} E_j", j, not lhs23 @ proj)
-    return report
+    def residuals():
+        yield ("Q12 coproduct form = expanded form", m,
+               lincomb((1, ts.Q12), (-1, ts.Q12_alt)))
+        k1, k3 = lincomb((-1, ts.Q23)), lincomb((-1, ts.Q12))
+        # prod_{s<j} (K - lambda_s) for j = 0..m+1; the last is +-prod (Q + lambda_s).
+        k3_chain = _prefix_products(
+            k3, [spectrum_value(s, RP.mu1 + RP.mu2) for s in range(m + 1)])
+        k1_chain = _prefix_products(
+            k1, [spectrum_value(s, RP.mu2 + RP.mu3) for s in range(m + 1)])
+        for name, op, chain in (("Q12", ts.Q12, k3_chain), ("Q23", ts.Q23, k1_chain)):
+            yield f"prod_(s<=m) ({name} + lambda_s) = 0", m, chain[-1]
+            yield f"[Q4,{name}] = 0", m, lincomb((1, ts.Q4, op), (-1, op, ts.Q4))
+
+        q = [-spectrum_value(j, RP.mu1 + RP.mu2 + RP.mu3 + HALF) for j in range(m + 1)]
+        prefix = _prefix_products(ts.Q4, q)  # prefix[j] = prod_{i<j} (Q4 - q_i)
+        suffix = _prefix_products(ts.Q4, q[:0:-1])  # suffix[m-j] = prod_{i>j}
+        yield "prod_(j<=m) (Q4 - q_j) = 0", m, prefix[-1]
+        # K2_j = k1k3 - omega2(j), so {K1,K2_j} = {K1,k1k3} - 2 omega2(j) K1 and
+        # {K2_j,K3} = {k1k3,K3} - 2 omega2(j) K3: both anticommutators once.
+        k1k3 = lincomb((1, k1, k3), (1, k3, k1))
+        rel12 = lincomb((1, k1, k1k3), (1, k1k3, k1), (-1, k3))
+        rel23 = lincomb((1, k1k3, k3), (1, k3, k1k3), (-1, k1))
+        for j, q_j in enumerate(q):
+            denom = math.prod((q_j - q_i for i, q_i in enumerate(q) if i != j), start=ONE)
+            proj = lincomb((1 / denom, prefix[j], suffix[m - j]))
+            trace = proj.trace()
+            yield "trace E_j = j + 1", j, trace.numerator - (j + 1) * trace.denominator
+            yield "prod_(s<=j) (K3 - lambda_s) E_j = 0", j, k3_chain[j + 1] @ proj
+            om1, om2, om3 = dataclasses.replace(RP, N=j).omegas
+            lhs12 = lincomb((1, rel12), (-2 * om2, k1), (-om3, eye))
+            lhs23 = lincomb((1, rel23), (-2 * om2, k3), (-om1, eye))
+            yield "BI relation {K1,K2} E_j", j, lhs12 @ proj
+            yield "BI relation {K2,K3} E_j", j, lhs23 @ proj
+    return VerificationReport.of(f"tensor-product oracle (m={m})", residuals())
 
 
 def central_extension_check(RP: RacahParams, m: int) -> VerificationReport:
@@ -471,14 +468,13 @@ def central_extension_check(RP: RacahParams, m: int) -> VerificationReport:
     {C3,C1} relation defines C2, and the {C1,C2} and {C2,C3} relations
     are checked, each as one residual.
     """
-    report = VerificationReport(f"central extension (m={m})")
     ts = tensor_slice(RP, m)
     mu1, mu2, mu3 = RP.mu1, RP.mu2, RP.mu3
     eye = LinOp.identity(len(ts.Q4))
     c3, c1, q = lincomb((-1, ts.Q12)), lincomb((-1, ts.Q23)), ts.Q4
     c2 = lincomb((1, c3, c1), (1, c1, c3), (2 * mu2, q), (-2 * mu3 * mu1, eye))
-    report.record("{C1,C2} = C3 - 2 mu3 Q + 2 mu1 mu2", m, not lincomb(
-        (1, c1, c2), (1, c2, c1), (-1, c3), (2 * mu3, q), (-2 * mu1 * mu2, eye)))
-    report.record("{C2,C3} = C1 - 2 mu1 Q + 2 mu2 mu3", m, not lincomb(
-        (1, c2, c3), (1, c3, c2), (-1, c1), (2 * mu1, q), (-2 * mu2 * mu3, eye)))
-    return report
+    return VerificationReport.of(f"central extension (m={m})", [
+        ("{C1,C2} = C3 - 2 mu3 Q + 2 mu1 mu2", m, lincomb(
+            (1, c1, c2), (1, c2, c1), (-1, c3), (2 * mu3, q), (-2 * mu1 * mu2, eye))),
+        ("{C2,C3} = C1 - 2 mu1 Q + 2 mu2 mu3", m, lincomb(
+            (1, c2, c3), (1, c3, c2), (-1, c1), (2 * mu1, q), (-2 * mu2 * mu3, eye)))])

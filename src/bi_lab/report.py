@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, Iterable
 
 
 @dataclass
@@ -29,6 +29,15 @@ class VerificationReport:
     title: str
     entries: list[ReportEntry] = field(default_factory=list)
     notes: list[str] = field(default_factory=list)
+
+    @classmethod
+    def of(cls, title: str, residuals: Iterable[tuple]) -> "VerificationReport":
+        """The report ``title`` with one entry (check, index) per (check, index,
+        residual), in order, that holds when the residual is zero: ``not residual``."""
+        report = cls(title)
+        for check, index, residual in residuals:
+            report.record(check, index, not residual)
+        return report
 
     def record(self, check: str, index: Any, ok: bool, detail: str = "") -> None:
         self.entries.append(ReportEntry(check, index, bool(ok), detail))

@@ -420,6 +420,29 @@ def test_imaginary_unit_lives_in_the_phase_alone():
             for hit in grat_names(path)] == []
 
 
+def source_lines(text: str) -> dict[str, list[str]]:
+    """Module name -> its stripped lines that contain text, for each module
+    of ``bi_lab`` that has one."""
+    root = Path(bi_lab.__file__).parent
+    found = {path.name: [line.strip() for line in path.read_text().splitlines()
+                         if text in line] for path in sorted(root.glob("*.py"))}
+    return {name: lines for name, lines in found.items() if lines}
+
+
+def test_checks_record_through_one_recorder():
+    """Every check hands its residuals to ``VerificationReport.of``: outside
+    ``report`` only the two route equalities of ``suite_polynomials`` and
+    the build-failure entry of ``suite_racah`` record an entry by hand, and
+    only ``suites`` and ``cli`` create a report of their own."""
+    records = source_lines(".record(")
+    assert set(records) <= {"report.py", "suites.py"}
+    assert [line.split(",")[0] for line in records.get("suites.py", [])] == [
+        'report.record("recurrence = hypergeometric"',
+        'report.record("recurrence = operator eigensolve"',
+        'report.record("exact tridiagonal representation"']
+    assert set(source_lines("VerificationReport(")) <= {"report.py", "suites.py", "cli.py"}
+
+
 @settings(deadline=None, max_examples=25)
 @given(st.one_of(*MATRICES.values()))
 def test_zero_entries_never_stored(x):

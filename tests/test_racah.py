@@ -487,6 +487,22 @@ class TestSpectrumCheckCanFail:
         with pytest.raises(ValueError):
             k1_spectrum_check(rep, steps)
 
+    def test_opposite_step_residuals_do_not_cancel(self):
+        # With K1_11 = B_0 = D_1 = 1 the step (b_1, u_1) = (1/4, 1/4) holds,
+        # and (1/2, 1/6) misses both cross-multiplied equalities, by -2 and
+        # by +2: the entry fails, though its two residuals sum to zero.
+        rep = build_tridiag_rep(R1)
+        steps = list(steps_of(rep))
+        K1, B, D = list(rep.K1), list(rep.B), list(rep.D)
+        K1[1] = {**K1[1], 1: Fraction(1)}
+        B[0] = D[1] = Fraction(1)
+        rep = dataclasses.replace(rep, K1=tuple(K1), B=tuple(B), D=tuple(D))
+        for step, ok in (((Fraction(1, 4), Fraction(1, 4)), True),
+                         ((Fraction(1, 2), Fraction(1, 6)), False)):
+            steps[1] = step
+            entry = k1_spectrum_check(rep, steps).entries[1]
+            assert (entry.check, entry.index, entry.ok) == (SPECTRUM_NAMES[0], 1, ok)
+
     @pytest.mark.parametrize("k", [1, 2])
     def test_doubled_d(self, k):
         rep = build_tridiag_rep(R1)
